@@ -34,6 +34,7 @@ from .knowledge import (
     ProposalQueue,
     align,
     build_queue,
+    compare,
     default_lexicon,
     propose,
 )
@@ -52,6 +53,7 @@ from .policy import (
     N_FEATURES,
     PolicyParams,
     argmax,
+    decode,
     distribution,
     featurize,
     featurize_pair,

@@ -18,45 +18,31 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .chunker import ChunkRules, chunk_pair, default_rules
-from .data import load_dataset, save_dataset
+from .data import dumps, load_dataset, save_dataset, write_records
 from .datagen import default_genspec, generate, generate_2hop, load_genspec
 from .executor import enumerate_programs, execute
-from .knowledge import Lexicon, align, default_lexicon
+from .knowledge import Lexicon, compare_pair, default_lexicon
 from .metrics import evaluate, reports_to_csv
 from .policy import (
     PolicyParams,
-    featurize_pair,
+    decode,
+    feature_matrix,
     load_checkpoint,
     save_checkpoint,
-    step_distributions,
 )
 from .relations import ACTIONS
-from .trainer import TrainConfig, load_train_config, train
+from .trainer import RevisionStats, TrainConfig, load_train_config, train
 
 __all__ = ["main"]
 
 METRICS_SCHEMA = "natlog.train-metrics"
 EVAL_SCHEMA = "natlog.eval"
 ORACLE_SCHEMA = "natlog.oracle"
-_VERSION = 1
-
-
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _write_records(path: Path, schema: str, records: list[dict]) -> None:
-    lines = [_dumps({"schema": schema, "version": _VERSION})]
-    lines += [_dumps(r) for r in records]
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _rules(args) -> ChunkRules:
@@ -65,11 +51,6 @@ def _rules(args) -> ChunkRules:
 
 def _lexicon(args) -> Lexicon:
     return Lexicon.load(args.lexicon) if args.lexicon else default_lexicon()
-
-
-def _greedy_program(params, pair, lexicon):
-    probs = step_distributions(params, featurize_pair(pair, lexicon))
-    return tuple(ACTIONS[int(np.argmax(p))] for p in probs)
 
 
 def cmd_gen(args) -> None:
@@ -89,25 +70,6 @@ def cmd_gen(args) -> None:
         print(f"wrote {len(hop)} two-hop examples -> {out / 'twohop.jsonl'}")
 
 
-def _total_revisions(metrics) -> dict:
-    total = {
-        "episodes": 0,
-        "knowledge_only": 0,
-        "answer_only": 0,
-        "both": 0,
-        "none": 0,
-    }
-    per_relation: dict[str, int] = {}
-    for m in metrics:
-        record = m.revisions.to_record()
-        for key in total:
-            total[key] += record[key]
-        for name, count in record["per_relation"].items():
-            per_relation[name] = per_relation.get(name, 0) + count
-    total["per_relation"] = dict(sorted(per_relation.items()))
-    return total
-
-
 def cmd_train(args) -> None:
     config = load_train_config(args.config) if args.config else TrainConfig()
     if args.seed is not None:
@@ -117,19 +79,18 @@ def cmd_train(args) -> None:
     result = train(examples, rules, lexicon, config)
     save_checkpoint(result.params, args.checkpoint)
 
-    totals = _total_revisions(result.metrics)
+    totals = sum((m.revisions for m in result.metrics), RevisionStats())
     if args.out:
         records = [{"epoch_metrics": m.to_record()} for m in result.metrics]
-        records.append({"revision_totals": totals})
-        _write_records(Path(args.out), METRICS_SCHEMA, records)
+        records.append({"revision_totals": totals.to_record()})
+        write_records(Path(args.out), METRICS_SCHEMA, records)
     final = result.metrics[-1]
-    revised = totals["knowledge_only"] + totals["answer_only"] + totals["both"]
     print(
         f"trained {config.epochs} epochs on {len(examples)} examples; "
         f"final train accuracy {final.train_accuracy:.3f}; "
-        f"revised {revised}/{totals['episodes']} episodes "
-        f"(knowledge {totals['knowledge_only']}, answer "
-        f"{totals['answer_only']}, both {totals['both']}); "
+        f"revised {totals.episodes - totals.none}/{totals.episodes} episodes "
+        f"(knowledge {totals.knowledge_only}, answer "
+        f"{totals.answer_only}, both {totals.both}); "
         f"checkpoint -> {args.checkpoint}"
     )
 
@@ -147,7 +108,7 @@ def cmd_eval(args) -> None:
         else:
             record = {"dataset": name}
             record.update(report.to_record())
-            _write_records(out, EVAL_SCHEMA, [record])
+            write_records(out, EVAL_SCHEMA, [record])
     headline = (
         report.accuracy_binary if args.collapse_binary else report.accuracy
     )
@@ -168,13 +129,13 @@ def cmd_prove(args) -> None:
     )
     rules, lexicon = _rules(args), _lexicon(args)
     pair = chunk_pair(args.premise, args.hypothesis, rules)
-    program = _greedy_program(params, pair, lexicon)
+    records = compare_pair(pair, lexicon)
+    program = decode(params, feature_matrix(pair, records))
     trace = execute(pair, program)
 
     rows = [("step", "hypothesis chunk", "premise chunk", "r", "proj", "z")]
-    for t in range(1, pair.m + 1):
+    for t, (aligned, _) in enumerate(records, start=1):
         hyp_chunk = pair.hypothesis[t - 1]
-        aligned = align(hyp_chunk, pair.premise, lexicon)
         rows.append(
             (
                 str(t),
@@ -234,7 +195,7 @@ def cmd_oracle(args) -> None:
         ),
     }
     if args.out:
-        _write_records(
+        write_records(
             Path(args.out), ORACLE_SCHEMA, records + [{"summary": summary}]
         )
     mean = summary["mean_spurious_ratio"]
@@ -307,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.func(args)
     except Exception as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
-        print(_dumps(record), file=sys.stderr)
+        print(dumps(record), file=sys.stderr)
         return 2
     return 0
 

@@ -8,13 +8,13 @@ separators fixed so identical data serializes to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .relations import ActionRelation, NLILabel, Relation
 
-__all__ = ["Example", "load_dataset", "save_dataset", "SCHEMA", "VERSION"]
+__all__ = ["Example", "dumps", "write_records", "load_dataset", "save_dataset", "SCHEMA", "VERSION"]
 
 SCHEMA = "natlog.dataset"
 VERSION = 1
@@ -47,9 +47,6 @@ class Example:
         if self.label is None:
             raise ValueError("example has neither label nor target state")
         return self.label
-
-    def with_split(self, tag: str) -> "Example":
-        return replace(self, split_tag=tag)
 
     def to_record(self) -> dict:
         return {
@@ -107,23 +104,43 @@ class Example:
         )
 
 
-def _dumps(obj: dict) -> str:
+def dumps(obj: dict) -> str:
+    """Canonical JSON: sorted keys, fixed separators, one line."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def save_dataset(examples: Iterable[Example], path: str | Path) -> None:
-    lines = [_dumps({"schema": SCHEMA, "version": VERSION})]
-    lines.extend(_dumps(ex.to_record()) for ex in examples)
+def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> None:
+    """Canonical JSON lines behind a ``{"schema", "version"}`` header."""
+    lines = [dumps({"schema": schema, "version": VERSION})]
+    lines.extend(dumps(record) for record in records)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def save_dataset(examples: Iterable[Example], path: str | Path) -> None:
+    write_records(path, SCHEMA, (ex.to_record() for ex in examples))
+
+
 def load_dataset(path: str | Path) -> list[Example]:
+    """Examples of a dataset file; a malformed line is named as path:line."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
+    header = _parse_line(path, 1, lines[0], dict)
     if header.get("schema") != SCHEMA:
         raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {header!r}")
     if header.get("version") != VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    return [Example.from_record(json.loads(line)) for line in lines[1:] if line]
+    return [
+        _parse_line(path, lineno, line, Example.from_record)
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line
+    ]
+
+
+def _parse_line(path, lineno: int, line: str, build):
+    try:
+        return build(json.loads(line))
+    except KeyError as exc:
+        raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -13,6 +13,10 @@ chunk, simple rules propose candidate relations:
 * the merged negation/alternation action when the chunks contain an
   antonym pair.
 
+Each hypothesis chunk is aligned once: ``compare`` returns the aligned
+premise chunk with the lexical flags of the pair, and both the policy's
+features and the proposal rules read that record.
+
 The equivalence and forward entailment rules deliberately overlap on the
 sub-phrase case; both proposals are emitted.  Proposals are ranked by the
 policy's probability for the proposed relation, with ties broken by
@@ -27,25 +31,30 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .executor import Chunk, ChunkedPair
-from .relations import ACTIONS, ActionRelation
+from .relations import ACTION_INDEX, ActionRelation
 
 __all__ = [
     "Lexicon",
     "Proposal",
     "ProposalQueue",
     "align",
+    "compare",
+    "compare_pair",
     "propose",
     "proposal_keys",
+    "keys_from_records",
     "queue_from_keys",
     "build_queue",
     "default_lexicon",
 ]
 
-_ACTION_ORDER = {a: i for i, a in enumerate(ACTIONS)}
-
 
 class Lexicon:
-    """Immutable word-relation store with closure-aware queries."""
+    """Immutable word-relation store with closure-aware queries.
+
+    Hypernym cycles are rejected: a synonym class that is its own
+    (transitive) hypernym raises ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -74,17 +83,15 @@ class Lexicon:
                 seen.add(cur)
                 stack.extend(children.get(cur, ()))
             self._descendants[node] = frozenset(seen)
+        cyclic = sorted(n for n, below in self._descendants.items() if n in below)
+        if cyclic:  # name each class by its representative word
+            raise ValueError(f"hypernym cycle through {', '.join(cyclic)}")
         self._antonym_pairs = frozenset(
             frozenset((self.root(a), self.root(b))) for a, b in self._ant_edges
         )
 
-    def _find(self, w: str) -> str:
-        while self._root.get(w, w) != w:
-            w = self._root[w]
-        return w
-
     def _union(self, a: str, b: str) -> None:
-        ra, rb = self._find(a), self._find(b)
+        ra, rb = self.root(a), self.root(b)
         if ra != rb:
             # deterministic representative: lexicographically smaller root
             lo, hi = sorted((ra, rb))
@@ -92,7 +99,9 @@ class Lexicon:
 
     def root(self, word: str) -> str:
         """Representative of the word's synonym class."""
-        return self._find(word)
+        while self._root.get(word, word) != word:
+            word = self._root[word]
+        return word
 
     def synonymous(self, a: str, b: str) -> bool:
         return self.root(a) == self.root(b)
@@ -138,7 +147,10 @@ class Lexicon:
                     f"{path}:{lineno}: expected 'syn|hyper|ant word word'"
                 )
             buckets[parts[0]].append((parts[1], parts[2]))
-        return cls(synonyms=syn, hypernyms=hyper, antonyms=ant)
+        try:
+            return cls(synonyms=syn, hypernyms=hyper, antonyms=ant)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def dump(self, path: str | Path) -> None:
         lines = [f"syn {a} {b}" for a, b in sorted(self._syn_edges)]
@@ -202,7 +214,7 @@ class Proposal:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "sort_key", (-self.prob, self.t, _ACTION_ORDER[self.relation])
+            self, "sort_key", (-self.prob, self.t, ACTION_INDEX[self.relation])
         )
 
     @property
@@ -232,12 +244,6 @@ class ProposalQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __contains__(self, key: tuple[int, ActionRelation]) -> bool:
-        return key in self._keys
 
     def items(self) -> list[Proposal]:
         """Remaining proposals in priority order, non-destructively."""
@@ -283,30 +289,64 @@ def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
     return all(tok in it for tok in short)
 
 
-def propose(
-    hyp_chunk: Chunk,
-    premise_chunk: Chunk,
-    lexicon: Lexicon,
-) -> tuple[ActionRelation, ...]:
-    """Relations suggested by the lexicon for an aligned chunk pair.
+def _flags(hyp_chunk: Chunk, premise_chunk: Chunk, lexicon: Lexicon) -> tuple:
+    """Lexical flags of a chunk pair, in the policy's feature order.
 
-    Returned in canonical action order; may be empty.
+    Exact match and sub-phrase both ways (up to synonyms), synonymy between
+    distinct tokens, hypernymy both ways, antonymy, and the share of
+    hypothesis tokens related to some premise token: ``align``'s score.
     """
     s = lexicon.normalize(hyp_chunk.tokens)
     s_tilde = lexicon.normalize(premise_chunk.tokens)
-    sub = _subphrase(s, s_tilde)
-    sup = _subphrase(s_tilde, s)
-    hyper_fwd = any(
-        lexicon.hypernym_of(u, v) for u in hyp_chunk.tokens for v in premise_chunk.tokens
+    synonym = hyper_fwd = hyper_rev = antonym = False
+    linked = 0
+    for u, ru in zip(hyp_chunk.tokens, s):
+        link = False
+        for v, rv in zip(premise_chunk.tokens, s_tilde):
+            fwd, rev = lexicon.hypernym_of(u, v), lexicon.hypernym_of(v, u)
+            ant = lexicon.antonymous(u, v)
+            synonym |= ru == rv and u != v
+            hyper_fwd |= fwd
+            hyper_rev |= rev
+            antonym |= ant
+            link |= ru == rv or fwd or rev or ant
+        linked += link
+    return (
+        s == s_tilde,
+        _subphrase(s, s_tilde),
+        _subphrase(s_tilde, s),
+        synonym,
+        hyper_fwd,
+        hyper_rev,
+        antonym,
+        linked / len(hyp_chunk.tokens),
     )
-    hyper_rev = any(
-        lexicon.hypernym_of(v, u) for u in hyp_chunk.tokens for v in premise_chunk.tokens
-    )
-    antonym = any(
-        lexicon.antonymous(u, v) for u in hyp_chunk.tokens for v in premise_chunk.tokens
-    )
+
+
+def compare(
+    hyp_chunk: Chunk, premise_chunks: Sequence[Chunk], lexicon: Lexicon
+) -> tuple[Optional[Chunk], tuple]:
+    """Aligned premise chunk (or None) and the lexical flags of the pair.
+
+    The flags are all false when nothing aligns.  Features and proposals
+    both read this record, so a chunk is aligned once.
+    """
+    aligned = align(hyp_chunk, premise_chunks, lexicon)
+    if aligned is None:
+        return None, (False,) * 7 + (0.0,)
+    return aligned, _flags(hyp_chunk, aligned, lexicon)
+
+
+def compare_pair(pair: ChunkedPair, lexicon: Lexicon) -> tuple[tuple, ...]:
+    """``compare`` for every hypothesis chunk, in order."""
+    return tuple(compare(h, pair.premise, lexicon) for h in pair.hypothesis)
+
+
+def _proposed(flags: tuple) -> tuple[ActionRelation, ...]:
+    """The proposal rules above, applied to a pair's lexical flags."""
+    exact, sub, sup, _, hyper_fwd, hyper_rev, antonym, _ = flags
     out = []
-    if s == s_tilde or sub:
+    if exact or sub:
         out.append(ActionRelation.EQUIVALENCE)
     if sub or hyper_fwd:
         out.append(ActionRelation.FORWARD_ENTAILMENT)
@@ -317,17 +357,34 @@ def propose(
     return tuple(out)
 
 
+def propose(
+    hyp_chunk: Chunk,
+    premise_chunk: Chunk,
+    lexicon: Lexicon,
+) -> tuple[ActionRelation, ...]:
+    """Relations suggested by the lexicon for an aligned chunk pair.
+
+    Returned in canonical action order; may be empty.
+    """
+    return _proposed(_flags(hyp_chunk, premise_chunk, lexicon))
+
+
+def keys_from_records(
+    records: Sequence[tuple],
+) -> tuple[tuple[int, ActionRelation], ...]:
+    """(step, relation) proposals from ``compare_pair`` records."""
+    return tuple(
+        (t, relation)
+        for t, (_, flags) in enumerate(records, start=1)
+        for relation in _proposed(flags)
+    )
+
+
 def proposal_keys(
     pair: ChunkedPair, lexicon: Lexicon
 ) -> tuple[tuple[int, ActionRelation], ...]:
     """(step, relation) proposals for a pair; independent of the policy."""
-    keys = []
-    for t, hyp_chunk in enumerate(pair.hypothesis, start=1):
-        premise_chunk = align(hyp_chunk, pair.premise, lexicon)
-        if premise_chunk is None:
-            continue
-        keys.extend((t, rel) for rel in propose(hyp_chunk, premise_chunk, lexicon))
-    return tuple(keys)
+    return keys_from_records(compare_pair(pair, lexicon))
 
 
 def queue_from_keys(
@@ -336,7 +393,7 @@ def queue_from_keys(
     """Attach policy probabilities to proposal keys and rank them."""
     queue = ProposalQueue()
     for t, relation in keys:
-        prob = float(probs[t - 1][_ACTION_ORDER[relation]])
+        prob = float(probs[t - 1][ACTION_INDEX[relation]])
         queue.push(Proposal(t=t, relation=relation, prob=prob))
     return queue
 

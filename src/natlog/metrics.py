@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -20,8 +20,8 @@ from .chunker import ChunkRules, chunk_pair
 from .data import Example
 from .executor import execute, matches_target
 from .knowledge import Lexicon
-from .policy import PolicyParams, featurize_pair, step_distributions
-from .relations import ACTIONS, NLILabel, Relation
+from .policy import PolicyParams, decode, featurize_pair
+from .relations import NLILabel, Relation
 
 __all__ = [
     "iou",
@@ -151,29 +151,10 @@ class EvalReport:
     rationale_f1: Optional[float]
 
     def to_record(self) -> dict:
-        return {
-            "examples": self.examples,
-            "accuracy": self.accuracy,
-            "accuracy_binary": self.accuracy_binary,
-            "state_accuracy": self.state_accuracy,
-            "rationale_iou": self.rationale_iou,
-            "rationale_precision": self.rationale_precision,
-            "rationale_recall": self.rationale_recall,
-            "rationale_f1": self.rationale_f1,
-        }
+        return asdict(self)
 
 
-_CSV_FIELDS = (
-    "dataset",
-    "examples",
-    "accuracy",
-    "accuracy_binary",
-    "state_accuracy",
-    "rationale_iou",
-    "rationale_precision",
-    "rationale_recall",
-    "rationale_f1",
-)
+_CSV_FIELDS = ("dataset", *(f.name for f in fields(EvalReport)))
 
 
 def reports_to_csv(reports: Mapping[str, EvalReport]) -> str:
@@ -217,9 +198,7 @@ def evaluate(
 
     for example in examples:
         pair = chunk_pair(example.premise, example.hypothesis, rules)
-        probs = step_distributions(params, featurize_pair(pair, lexicon))
-        program = tuple(ACTIONS[int(np.argmax(p))] for p in probs)
-        trace = execute(pair, program)
+        trace = execute(pair, decode(params, featurize_pair(pair, lexicon)))
         if matches_target(trace, example.target):
             hits += 1
         if example.label is not None:

@@ -2,9 +2,10 @@
 
 Each hypothesis chunk is described by a small interpretable feature vector
 derived from its aligned premise chunk and the lexicon: lexical match
-flags, sub-phrase and hypernym direction flags, token overlap, relative
-position, and a one-hot of the monotonicity context.  Action scores are a
-linear map of the features; probabilities are their softmax.
+flags, sub-phrase and hypernym direction flags, token overlap (all read
+from ``knowledge.compare``), relative position, and a one-hot of the
+monotonicity context.  Action scores are a linear map of the features;
+probabilities are their softmax.
 
 Feature extraction at step t looks only at the premise and hypothesis
 chunks up to t, so distributions are unaffected by later hypothesis
@@ -22,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .executor import ChunkedPair
-from .knowledge import Lexicon, align
-from .relations import ACTIONS, ActionRelation
+from .knowledge import Lexicon, compare, compare_pair
+from .relations import ACTION_INDEX, ACTIONS, ActionRelation
 
 __all__ = [
     "FEATURE_NAMES",
@@ -31,10 +32,12 @@ __all__ = [
     "PolicyParams",
     "featurize",
     "featurize_pair",
+    "feature_matrix",
     "distribution",
     "step_distributions",
     "sample",
     "argmax",
+    "decode",
     "grad_log_prob",
     "save_checkpoint",
     "load_checkpoint",
@@ -66,7 +69,7 @@ FEATURE_NAMES: tuple[str, ...] = (
 N_FEATURES = len(FEATURE_NAMES)
 N_ACTIONS = len(ACTIONS)
 
-_ACTION_INDEX = {a: i for i, a in enumerate(ACTIONS)}
+_CONTEXT_COLUMN = {name: FEATURE_NAMES.index(f"context_{name}") for name in _CONTEXT_NAMES}
 
 CHECKPOINT_MAGIC = "natlog-policy v1"
 
@@ -79,9 +82,6 @@ class FeatureVector:
 
     def __getitem__(self, name: str) -> float:
         return float(self.values[FEATURE_NAMES.index(name)])
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(FEATURE_NAMES, self.values)}
 
 
 @dataclass
@@ -98,11 +98,16 @@ class PolicyParams:
         return PolicyParams(weights=self.weights.copy())
 
 
-def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
-    if len(short) >= len(long):
-        return False
-    it = iter(long)
-    return all(tok in it for tok in short)
+def _row(pair: ChunkedPair, t: int, flags: tuple) -> np.ndarray:
+    """Feature row for step t from the chunk's lexical flags."""
+    values = np.zeros(N_FEATURES)
+    values[: len(flags)] = flags
+    values[8] = t / pair.m
+    column = _CONTEXT_COLUMN.get(pair.hypothesis[t - 1].context.name)
+    if column is not None:  # unknown context: all projectivity bits stay zero
+        values[column] = 1.0
+    values[-1] = 1.0
+    return values
 
 
 def featurize(
@@ -111,49 +116,20 @@ def featurize(
     """Features for hypothesis chunk t (1-based) against the premise."""
     if not 1 <= t <= pair.m:
         raise ValueError(f"step {t} out of range 1..{pair.m}")
-    hyp = pair.hypothesis[t - 1]
-    aligned = align(hyp, pair.premise, lexicon)
-    values = np.zeros(N_FEATURES)
-    if aligned is not None:
-        s = lexicon.normalize(hyp.tokens)
-        s_tilde = lexicon.normalize(aligned.tokens)
-        values[0] = 1.0 if s == s_tilde else 0.0
-        values[1] = 1.0 if _subphrase(s, s_tilde) else 0.0
-        values[2] = 1.0 if _subphrase(s_tilde, s) else 0.0
-        values[3] = 1.0 if any(
-            u != v and lexicon.synonymous(u, v)
-            for u in hyp.tokens
-            for v in aligned.tokens
-        ) else 0.0
-        values[4] = 1.0 if any(
-            lexicon.hypernym_of(u, v) for u in hyp.tokens for v in aligned.tokens
-        ) else 0.0
-        values[5] = 1.0 if any(
-            lexicon.hypernym_of(v, u) for u in hyp.tokens for v in aligned.tokens
-        ) else 0.0
-        values[6] = 1.0 if any(
-            lexicon.antonymous(u, v) for u in hyp.tokens for v in aligned.tokens
-        ) else 0.0
-        values[7] = sum(
-            1
-            for u in hyp.tokens
-            if any(lexicon.related(u, v) for v in aligned.tokens)
-        ) / len(hyp.tokens)
-    values[8] = t / pair.m
-    context_offset = 9
-    try:
-        values[context_offset + _CONTEXT_NAMES.index(hyp.context.name)] = 1.0
-    except ValueError:
-        pass  # unknown context: all projectivity bits stay zero
-    values[-1] = 1.0
-    return FeatureVector(values=values)
+    _, flags = compare(pair.hypothesis[t - 1], pair.premise, lexicon)
+    return FeatureVector(values=_row(pair, t, flags))
+
+
+def feature_matrix(pair: ChunkedPair, records: Sequence[tuple]) -> np.ndarray:
+    """Stacked feature rows, shape (m, N_FEATURES), from ``compare_pair`` records."""
+    return np.stack(
+        [_row(pair, t, flags) for t, (_, flags) in enumerate(records, start=1)]
+    )
 
 
 def featurize_pair(pair: ChunkedPair, lexicon: Lexicon) -> np.ndarray:
     """Stacked feature matrix of shape (m, N_FEATURES)."""
-    return np.stack(
-        [featurize(pair, t, lexicon).values for t in range(1, pair.m + 1)]
-    )
+    return feature_matrix(pair, compare_pair(pair, lexicon))
 
 
 def distribution(params: PolicyParams, features) -> np.ndarray:
@@ -188,6 +164,11 @@ def argmax(dist: np.ndarray) -> ActionRelation:
     return ACTIONS[int(np.argmax(dist))]
 
 
+def decode(params: PolicyParams, features: np.ndarray) -> tuple[ActionRelation, ...]:
+    """Greedy program: the most probable action at every step."""
+    return tuple(argmax(p) for p in step_distributions(params, features))
+
+
 def grad_log_prob(
     params: PolicyParams, features, action: ActionRelation
 ) -> np.ndarray:
@@ -195,7 +176,7 @@ def grad_log_prob(
     f = features.values if isinstance(features, FeatureVector) else np.asarray(features)
     probs = distribution(params, f)
     onehot = np.zeros(N_ACTIONS)
-    onehot[_ACTION_INDEX[action]] = 1.0
+    onehot[ACTION_INDEX[action]] = 1.0
     return np.outer(onehot - probs, f)
 
 
@@ -215,14 +196,18 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
+    if len(lines) < 3:
+        raise ValueError(f"{path}: truncated checkpoint header")
     if lines[1] != "features: " + " ".join(FEATURE_NAMES):
         raise ValueError(f"{path}: feature layout mismatch")
     if lines[2] != "actions: " + " ".join(a.value for a in ACTIONS):
         raise ValueError(f"{path}: action layout mismatch")
-    rows = [
-        [float.fromhex(x) for x in line.split()] for line in lines[3:] if line
-    ]
-    weights = np.array(rows)
+    try:
+        weights = np.array(
+            [[float.fromhex(x) for x in line.split()] for line in lines[3:] if line]
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed weight rows: {exc}") from None
     if weights.shape != (N_ACTIONS, N_FEATURES):
         raise ValueError(f"{path}: weight shape {weights.shape} unexpected")
     return PolicyParams(weights=weights)

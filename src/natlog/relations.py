@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "Relation",
@@ -45,6 +45,7 @@ __all__ = [
     "ProjectivityContext",
     "RELATIONS",
     "ACTIONS",
+    "ACTION_INDEX",
     "CONTEXTS",
     "UPWARD",
     "join",
@@ -140,6 +141,9 @@ ACTIONS: tuple[ActionRelation, ...] = (
     ActionRelation.NEG_ALT,
     ActionRelation.INDEPENDENCE,
 )
+
+# position of each action in the canonical order, e.g. a column of (m, 5) probs
+ACTION_INDEX = {a: i for i, a in enumerate(ACTIONS)}
 
 _SYMBOLS = {
     Relation.EQUIVALENCE: "≡",
@@ -302,11 +306,3 @@ def reachable_states(state: Relation, steps: int) -> frozenset[Relation]:
 def reachable(state: Relation, steps: int) -> frozenset[NLILabel]:
     """Labels reachable from ``state`` within ``steps`` further actions."""
     return frozenset(group(s) for s in reachable_states(state, steps))
-
-
-def encode_relations(relations: Iterable[Relation]) -> list[str]:
-    return [r.value for r in relations]
-
-
-def decode_relations(names: Iterable[str]) -> list[Relation]:
-    return [Relation(n) for n in names]

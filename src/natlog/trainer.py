@@ -22,9 +22,10 @@ lambda * J + (1 - lambda) * J_revised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -33,20 +34,21 @@ from .data import Example
 from .executor import ChunkedPair, Program, Trace, execute, matches_target
 from .knowledge import (
     Lexicon,
-    Proposal,
     ProposalQueue,
-    proposal_keys,
+    compare_pair,
+    keys_from_records,
     queue_from_keys,
 )
 from .policy import (
     PolicyParams,
+    decode,
     distribution,
-    featurize_pair,
+    feature_matrix,
     grad_log_prob,
     sample,
     step_distributions,
 )
-from .relations import ACTIONS, ActionRelation, NLILabel, Relation, reachable, reachable_states
+from .relations import ACTION_INDEX, ACTIONS, ActionRelation, NLILabel, Relation, reachable, reachable_states
 
 __all__ = [
     "RewardConfig",
@@ -65,8 +67,6 @@ __all__ = [
     "train",
     "load_train_config",
 ]
-
-_ACTION_INDEX = {a: i for i, a in enumerate(ACTIONS)}
 
 Target = NLILabel | Relation
 
@@ -100,7 +100,6 @@ class TrainConfig:
     introspective_revision: bool = True
     knowledge: bool = True
     augmentation: bool = True
-    shuffle: bool = True
 
     def reward_config(self) -> RewardConfig:
         return RewardConfig(
@@ -131,7 +130,6 @@ _CONFIG_KEYS = {
     "introspective_revision": ("introspective_revision", bool),
     "knowledge": ("knowledge", bool),
     "augmentation": ("augmentation", bool),
-    "shuffle": ("shuffle", bool),
 }
 
 
@@ -230,7 +228,7 @@ def reinforce_objective(
         if r == 0.0:
             continue
         probs = distribution(params, f)
-        objective -= float(np.log(probs[_ACTION_INDEX[action]])) * r
+        objective -= float(np.log(probs[ACTION_INDEX[action]])) * r
         grad -= r * grad_log_prob(params, f, action)
     return objective, grad
 
@@ -256,18 +254,13 @@ def grid_search(
     result is narrowed to those shared candidates.
     """
     program = tuple(program)
-    psi = ProposalQueue()
-    for t in range(1, len(program) + 1):
-        for action in ACTIONS:
-            candidate = fix(program, t, action)
-            if matches_target(execute(pair, candidate), target):
-                psi.push(
-                    Proposal(
-                        t=t,
-                        relation=action,
-                        prob=float(probs[t - 1][_ACTION_INDEX[action]]),
-                    )
-                )
+    edits = (
+        (t, action)
+        for t in range(1, len(program) + 1)
+        for action in ACTIONS
+        if matches_target(execute(pair, fix(program, t, action)), target)
+    )
+    psi = queue_from_keys(edits, probs)
     shared = psi.keys() & phi.keys()
     if shared:
         psi = psi.intersect(shared)
@@ -320,7 +313,7 @@ def introspective_revision(
             continue
         u = rng.random()
         sampled_prob = float(
-            probs[proposal.t - 1][_ACTION_INDEX[program[proposal.t - 1]]]
+            probs[proposal.t - 1][ACTION_INDEX[program[proposal.t - 1]]]
         )
         ratio = proposal.prob / sampled_prob if sampled_prob > 0 else 1.0
         if u < min(1.0, ratio):
@@ -407,6 +400,13 @@ def relation_augmentation(
     return out
 
 
+_KINDS = {
+    frozenset({"knowledge"}): "knowledge_only",
+    frozenset({"answer"}): "answer_only",
+    frozenset({"knowledge", "answer"}): "both",
+}
+
+
 @dataclass(frozen=True)
 class RevisionStats:
     """Per-epoch revision bookkeeping, mirrored into training metrics."""
@@ -418,15 +418,29 @@ class RevisionStats:
     none: int = 0
     per_relation: dict = field(default_factory=dict)  # relation name -> count
 
+    @classmethod
+    def tally(cls, revisions: Iterable[Sequence[RevisionEvent]]) -> "RevisionStats":
+        """Classify each episode's revisions by source; count new relations."""
+        kinds: Counter = Counter()
+        per_relation: Counter = Counter()
+        for events in revisions:
+            kinds[_KINDS.get(frozenset(e.source for e in events), "none")] += 1
+            per_relation.update(e.new.value for e in events)
+        return cls(episodes=kinds.total(), per_relation=dict(per_relation), **kinds)
+
+    def __add__(self, other: "RevisionStats") -> "RevisionStats":
+        """Sum of two tallies, e.g. over the epochs of a run."""
+        return RevisionStats(
+            episodes=self.episodes + other.episodes,
+            knowledge_only=self.knowledge_only + other.knowledge_only,
+            answer_only=self.answer_only + other.answer_only,
+            both=self.both + other.both,
+            none=self.none + other.none,
+            per_relation=dict(Counter(self.per_relation) + Counter(other.per_relation)),
+        )
+
     def to_record(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "knowledge_only": self.knowledge_only,
-            "answer_only": self.answer_only,
-            "both": self.both,
-            "none": self.none,
-            "per_relation": dict(sorted(self.per_relation.items())),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -438,13 +452,7 @@ class EpochMetrics:
     revisions: RevisionStats
 
     def to_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_accuracy": self.train_accuracy,
-            "mean_reward": self.mean_reward,
-            "objective": self.objective,
-            "revisions": self.revisions.to_record(),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -472,14 +480,13 @@ def _compile_examples(
     compiled = []
     for example in examples:
         pair = chunk_pair(example.premise, example.hypothesis, rules)
+        records = compare_pair(pair, lexicon)
         compiled.append(
             _Compiled(
                 pair=pair,
                 target=example.target,
-                features=featurize_pair(pair, lexicon),
-                proposals=(
-                    proposal_keys(pair, lexicon) if use_knowledge else ()
-                ),
+                features=feature_matrix(pair, records),
+                proposals=keys_from_records(records) if use_knowledge else (),
             )
         )
     return compiled
@@ -527,12 +534,10 @@ def run_episode(
 def _greedy_accuracy(
     params: PolicyParams, compiled: Sequence[_Compiled]
 ) -> float:
-    hits = 0
-    for item in compiled:
-        probs = step_distributions(params, item.features)
-        program = tuple(ACTIONS[int(np.argmax(p))] for p in probs)
-        if matches_target(execute(item.pair, program), item.target):
-            hits += 1
+    hits = sum(
+        matches_target(execute(item.pair, decode(params, item.features)), item.target)
+        for item in compiled
+    )
     return hits / len(compiled) if compiled else 0.0
 
 
@@ -560,17 +565,9 @@ def train(
     ordinal = 0
     for epoch in range(1, config.epochs + 1):
         order = np.arange(len(compiled))
-        if config.shuffle:
-            np.random.default_rng([config.seed, epoch]).shuffle(order)
+        np.random.default_rng([config.seed, epoch]).shuffle(order)
 
-        stats = {
-            "episodes": 0,
-            "knowledge_only": 0,
-            "answer_only": 0,
-            "both": 0,
-            "none": 0,
-        }
-        per_relation: dict[str, int] = {}
+        revisions = []
         reward_total, reward_steps = 0.0, 0
         objective_total = 0.0
         batch_grad = np.zeros_like(params.weights)
@@ -592,19 +589,7 @@ def train(
 
             reward_total += sum(episode.rewards)
             reward_steps += len(episode.rewards)
-            stats["episodes"] += 1
-            sources = {e.source for e in episode.revisions}
-            if sources == {"knowledge"}:
-                stats["knowledge_only"] += 1
-            elif sources == {"answer"}:
-                stats["answer_only"] += 1
-            elif sources == {"knowledge", "answer"}:
-                stats["both"] += 1
-            else:
-                stats["none"] += 1
-            for event in episode.revisions:
-                name = event.new.value
-                per_relation[name] = per_relation.get(name, 0) + 1
+            revisions.append(episode.revisions)
 
         if batch_count:
             params.weights -= config.learning_rate * batch_grad
@@ -615,7 +600,7 @@ def train(
                 train_accuracy=_greedy_accuracy(params, compiled),
                 mean_reward=reward_total / max(reward_steps, 1),
                 objective=objective_total / len(compiled),
-                revisions=RevisionStats(per_relation=per_relation, **stats),
+                revisions=RevisionStats.tally(revisions),
             )
         )
     return TrainResult(params=params, metrics=tuple(metrics))

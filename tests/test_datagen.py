@@ -234,6 +234,25 @@ class TestDeterminism:
         save_dataset(train, tmp_path / "train.jsonl")
         assert tuple(load_dataset(tmp_path / "train.jsonl")) == train
 
+    def test_malformed_record_names_file_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"schema":"natlog.dataset","version":1}\n'
+            '{"premise":"dogs run","hypothesis":"animals run"}\n'
+            '{"premise": "dogs run",\n'
+        )
+        with pytest.raises(ValueError, match=f"^{path}:3: "):
+            load_dataset(path)
+
+    def test_missing_key_names_file_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"schema":"natlog.dataset","version":1}\n'
+            '{"premise":"dogs run"}\n'
+        )
+        with pytest.raises(ValueError, match=f"^{path}:2: missing key 'hypothesis'"):
+            load_dataset(path)
+
     def test_subsampling_deterministic_and_seed_sensitive(self, spec, rules):
         small = dataclasses.replace(spec, train_size=50, test_size=50)
         first = generate(small, rules)

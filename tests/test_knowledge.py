@@ -1,9 +1,12 @@
 """Lexicon queries, chunk alignment, proposal rules, and queue ordering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from natlog.chunker import chunk_pair, default_rules
+from natlog.datagen import default_genspec, generate
 from natlog.executor import Chunk
 from natlog.knowledge import (
     Lexicon,
@@ -11,7 +14,9 @@ from natlog.knowledge import (
     ProposalQueue,
     align,
     build_queue,
+    compare,
     default_lexicon,
+    proposal_keys,
     propose,
 )
 from natlog.relations import ActionRelation
@@ -50,6 +55,21 @@ class TestLexicon:
     def test_antonyms_are_symmetric(self):
         assert LEX.antonymous("run", "sleep")
         assert LEX.antonymous("sleep", "run")
+
+    def test_hypernym_cycle_rejected(self):
+        with pytest.raises(ValueError, match="hypernym cycle through a, b"):
+            Lexicon(hypernyms=[("a", "b"), ("b", "a")])
+
+    def test_hypernym_cycle_through_synonyms_rejected(self):
+        # c is a synonym of a, so a > b > c makes a's class its own hypernym
+        with pytest.raises(ValueError, match="hypernym cycle"):
+            Lexicon(synonyms=[("a", "c")], hypernyms=[("a", "b"), ("b", "c")])
+
+    def test_load_names_path_of_cyclic_lexicon(self, tmp_path):
+        path = tmp_path / "cyclic.lex"
+        path.write_text("hyper a b\nhyper b a\n")
+        with pytest.raises(ValueError, match=f"{path}: hypernym cycle"):
+            Lexicon.load(path)
 
     def test_related_covers_all_edge_kinds(self):
         assert LEX.related("dog", "dog")
@@ -249,3 +269,68 @@ class TestBuildQueue:
         probs = np.full((2, 5), 0.2)
         queue = build_queue(pair, probs, LEX)
         assert all(p.t == 1 for p in queue.items())
+
+
+def _reference_flags(hyp, premise_chunks, lexicon):
+    """Lexical flags by separate brute-force scans, one per flag."""
+    aligned = align(hyp, premise_chunks, lexicon)
+    if aligned is None:
+        return None, (0.0,) * 8
+    s = lexicon.normalize(hyp.tokens)
+    s_tilde = lexicon.normalize(aligned.tokens)
+    pairs = [(u, v) for u in hyp.tokens for v in aligned.tokens]
+
+    def subphrase(short, long):
+        it = iter(long)
+        return len(short) < len(long) and all(tok in it for tok in short)
+
+    flags = (
+        s == s_tilde,
+        subphrase(s, s_tilde),
+        subphrase(s_tilde, s),
+        any(u != v and lexicon.synonymous(u, v) for u, v in pairs),
+        any(lexicon.hypernym_of(u, v) for u, v in pairs),
+        any(lexicon.hypernym_of(v, u) for u, v in pairs),
+        any(lexicon.antonymous(u, v) for u, v in pairs),
+        sum(any(lexicon.related(u, v) for v in aligned.tokens) for u in hyp.tokens)
+        / len(hyp.tokens),
+    )
+    return aligned, tuple(float(f) for f in flags)
+
+
+@pytest.fixture(scope="module")
+def split_pairs():
+    """Chunked pairs of the default compositional and noisy splits."""
+    spec = default_genspec()
+    sides = set()
+    for noisy in (False, True):
+        train, test = generate(dataclasses.replace(spec, noisy_test=noisy), RULES)
+        sides |= {(ex.premise, ex.hypothesis) for ex in train + test}
+    return [chunk_pair(p, h, RULES) for p, h in sorted(sides)]
+
+
+class TestOneComparison:
+    def test_proposal_keys_match_per_chunk_proposals(self, split_pairs):
+        assert len(split_pairs) > 4000
+        for pair in split_pairs:
+            expected = []
+            for t, hyp in enumerate(pair.hypothesis, start=1):
+                aligned = align(hyp, pair.premise, LEX)
+                if aligned is not None:
+                    expected += [(t, rel) for rel in propose(hyp, aligned, LEX)]
+            assert proposal_keys(pair, LEX) == tuple(expected)
+
+    def test_flags_match_brute_force_scans(self, split_pairs):
+        for pair in split_pairs:
+            for hyp in pair.hypothesis:
+                aligned, flags = compare(hyp, pair.premise, LEX)
+                ref_aligned, ref_flags = _reference_flags(hyp, pair.premise, LEX)
+                assert aligned is ref_aligned
+                assert tuple(float(f) for f in flags) == ref_flags
+
+    def test_unaligned_chunk_has_no_flags_or_proposals(self):
+        pair = chunk_pair("some dogs run", "some dogs blarg", RULES)
+        aligned, flags = compare(pair.hypothesis[1], pair.premise, LEX)
+        assert aligned is None
+        assert flags == (False,) * 7 + (0.0,)
+        assert all(t == 1 for t, _ in proposal_keys(pair, LEX))

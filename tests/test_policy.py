@@ -264,6 +264,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_truncated_header_names_path(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        path.write_text("natlog-policy v1\n")
+        with pytest.raises(ValueError, match=f"^{path}: truncated"):
+            load_checkpoint(path)
+
+    def test_truncated_weight_row_names_path(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        save_checkpoint(PolicyParams.zeros(), path)
+        text = path.read_text()
+        path.write_text(text[: len(text) - 20])
+        with pytest.raises(ValueError, match=f"^{path}: "):
+            load_checkpoint(path)
+
     def test_feature_layout_mismatch_rejected(self, tmp_path):
         path = tmp_path / "policy.ckpt"
         save_checkpoint(PolicyParams.zeros(), path)

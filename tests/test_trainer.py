@@ -5,6 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+import natlog
+import natlog.cli
+from natlog import knowledge
 from natlog.chunker import chunk_pair, default_rules
 from natlog.data import Example
 from natlog.executor import Chunk, ChunkedPair, execute, matches_target
@@ -383,6 +386,39 @@ class TestIntrospectiveRevision:
         assert out[0] == out[1]
 
 
+class TestOneAlignmentPerChunk:
+    @pytest.fixture
+    def align_calls(self, monkeypatch):
+        """Count calls to knowledge.align through every natlog binding."""
+        original = knowledge.align
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        modules = [natlog, natlog.cli] + [
+            getattr(natlog, name)
+            for name in ("chunker", "knowledge", "policy", "trainer", "metrics")
+        ]
+        for module in modules:
+            if getattr(module, "align", None) is original:
+                monkeypatch.setattr(module, "align", counting)
+        return calls
+
+    def test_compile_aligns_each_chunk_once(self, align_calls):
+        compiled = _compile_examples(tiny_dataset(), RULES, LEX, use_knowledge=True)
+        assert len(align_calls) == sum(item.pair.m for item in compiled)
+        assert any(item.proposals for item in compiled)
+
+    def test_prove_aligns_each_chunk_once(self, align_calls, capsys):
+        premise, hypothesis = "some dogs run quickly", "some animals run"
+        assert natlog.cli.main(["prove", premise, hypothesis]) == 0
+        assert "premise chunk" in capsys.readouterr().out
+        pair = chunk_pair(premise, hypothesis, RULES)
+        assert align_calls == list(pair.hypothesis)
+
+
 class TestHybridObjective:
     def make_episode(self, params):
         examples = [
@@ -581,10 +617,9 @@ class TestTrainConfigFile:
             "batch_size = 4\n"
             "seed = 99\n"
             "prefer_forward_entailment = false\n"
-            "introspective_revision = true\n"
+            "introspective_revision = yes\n"
             "knowledge = false\n"
             "augmentation = off\n"
-            "shuffle = yes\n"
         )
         cfg = load_train_config(path)
         assert cfg.mu == 2.0
@@ -597,9 +632,9 @@ class TestTrainConfigFile:
         assert cfg.batch_size == 4
         assert cfg.seed == 99
         assert cfg.prefer_forward_entailment is False
+        assert cfg.introspective_revision is True
         assert cfg.knowledge is False
         assert cfg.augmentation is False
-        assert cfg.shuffle is True
 
     def test_defaults_match_stated_values(self):
         cfg = TrainConfig()
