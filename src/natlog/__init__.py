@@ -34,7 +34,6 @@ from .knowledge import (
     ProposalQueue,
     align,
     build_queue,
-    compare,
     default_lexicon,
     propose,
 )
@@ -53,7 +52,6 @@ from .policy import (
     N_FEATURES,
     PolicyParams,
     argmax,
-    decode,
     distribution,
     featurize,
     featurize_pair,

@@ -43,6 +43,7 @@ __all__ = ["main"]
 METRICS_SCHEMA = "natlog.train-metrics"
 EVAL_SCHEMA = "natlog.eval"
 ORACLE_SCHEMA = "natlog.oracle"
+_VERSION = 1  # of the metrics, eval and oracle formats
 
 
 def _rules(args) -> ChunkRules:
@@ -83,7 +84,7 @@ def cmd_train(args) -> None:
     if args.out:
         records = [{"epoch_metrics": m.to_record()} for m in result.metrics]
         records.append({"revision_totals": totals.to_record()})
-        write_records(Path(args.out), METRICS_SCHEMA, records)
+        write_records(Path(args.out), METRICS_SCHEMA, _VERSION, records)
     final = result.metrics[-1]
     print(
         f"trained {config.epochs} epochs on {len(examples)} examples; "
@@ -108,7 +109,7 @@ def cmd_eval(args) -> None:
         else:
             record = {"dataset": name}
             record.update(report.to_record())
-            write_records(out, EVAL_SCHEMA, [record])
+            write_records(out, EVAL_SCHEMA, _VERSION, [record])
     headline = (
         report.accuracy_binary if args.collapse_binary else report.accuracy
     )
@@ -196,7 +197,7 @@ def cmd_oracle(args) -> None:
     }
     if args.out:
         write_records(
-            Path(args.out), ORACLE_SCHEMA, records + [{"summary": summary}]
+            Path(args.out), ORACLE_SCHEMA, _VERSION, records + [{"summary": summary}]
         )
     mean = summary["mean_spurious_ratio"]
     shown = "n/a" if mean is None else f"{mean:.3f}"

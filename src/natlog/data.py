@@ -14,7 +14,15 @@ from typing import Iterable, Optional
 
 from .relations import ActionRelation, NLILabel, Relation
 
-__all__ = ["Example", "dumps", "write_records", "load_dataset", "save_dataset", "SCHEMA", "VERSION"]
+__all__ = [
+    "Example",
+    "dumps",
+    "write_records",
+    "load_dataset",
+    "save_dataset",
+    "SCHEMA",
+    "VERSION",
+]
 
 SCHEMA = "natlog.dataset"
 VERSION = 1
@@ -109,15 +117,17 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_records(path: str | Path, schema: str, records: Iterable[dict]) -> None:
+def write_records(
+    path: str | Path, schema: str, version: int, records: Iterable[dict]
+) -> None:
     """Canonical JSON lines behind a ``{"schema", "version"}`` header."""
-    lines = [dumps({"schema": schema, "version": VERSION})]
+    lines = [dumps({"schema": schema, "version": version})]
     lines.extend(dumps(record) for record in records)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_dataset(examples: Iterable[Example], path: str | Path) -> None:
-    write_records(path, SCHEMA, (ex.to_record() for ex in examples))
+    write_records(path, SCHEMA, VERSION, (ex.to_record() for ex in examples))
 
 
 def load_dataset(path: str | Path) -> list[Example]:

@@ -271,14 +271,19 @@ def align(
     """
     best, best_score = None, 0
     for candidate in premise_chunks:
-        score = sum(
-            1
-            for u in hyp_chunk.tokens
-            if any(lexicon.related(u, v) for v in candidate.tokens)
-        )
+        score = _overlap(hyp_chunk, candidate, lexicon)
         if score > best_score:
             best, best_score = candidate, score
     return best
+
+
+def _overlap(hyp_chunk: Chunk, premise_chunk: Chunk, lexicon: Lexicon) -> int:
+    """Hypothesis tokens related to some token of the premise chunk."""
+    return sum(
+        1
+        for u in hyp_chunk.tokens
+        if any(lexicon.related(u, v) for v in premise_chunk.tokens)
+    )
 
 
 def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
@@ -299,18 +304,12 @@ def _flags(hyp_chunk: Chunk, premise_chunk: Chunk, lexicon: Lexicon) -> tuple:
     s = lexicon.normalize(hyp_chunk.tokens)
     s_tilde = lexicon.normalize(premise_chunk.tokens)
     synonym = hyper_fwd = hyper_rev = antonym = False
-    linked = 0
     for u, ru in zip(hyp_chunk.tokens, s):
-        link = False
         for v, rv in zip(premise_chunk.tokens, s_tilde):
-            fwd, rev = lexicon.hypernym_of(u, v), lexicon.hypernym_of(v, u)
-            ant = lexicon.antonymous(u, v)
             synonym |= ru == rv and u != v
-            hyper_fwd |= fwd
-            hyper_rev |= rev
-            antonym |= ant
-            link |= ru == rv or fwd or rev or ant
-        linked += link
+            hyper_fwd |= lexicon.hypernym_of(u, v)
+            hyper_rev |= lexicon.hypernym_of(v, u)
+            antonym |= lexicon.antonymous(u, v)
     return (
         s == s_tilde,
         _subphrase(s, s_tilde),
@@ -319,7 +318,7 @@ def _flags(hyp_chunk: Chunk, premise_chunk: Chunk, lexicon: Lexicon) -> tuple:
         hyper_fwd,
         hyper_rev,
         antonym,
-        linked / len(hyp_chunk.tokens),
+        _overlap(hyp_chunk, premise_chunk, lexicon) / len(hyp_chunk.tokens),
     )
 
 

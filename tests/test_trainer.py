@@ -30,6 +30,7 @@ from natlog.trainer import (
     IRConfig,
     RewardConfig,
     TrainConfig,
+    _parse_bool,
     fix,
     grid_search,
     hybrid_objective,
@@ -617,7 +618,7 @@ class TestTrainConfigFile:
             "batch_size = 4\n"
             "seed = 99\n"
             "prefer_forward_entailment = false\n"
-            "introspective_revision = yes\n"
+            "introspective_revision = true\n"
             "knowledge = false\n"
             "augmentation = off\n"
         )
@@ -632,9 +633,22 @@ class TestTrainConfigFile:
         assert cfg.batch_size == 4
         assert cfg.seed == 99
         assert cfg.prefer_forward_entailment is False
-        assert cfg.introspective_revision is True
         assert cfg.knowledge is False
         assert cfg.augmentation is False
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [(raw, True) for raw in ("true", "1", "yes", "on", "TRUE")]
+        + [(raw, False) for raw in ("false", "0", "no", "off", "Off")],
+    )
+    def test_bool_spellings(self, raw, expected):
+        # parsed directly: every TrainConfig flag defaults to True, so a
+        # loaded config cannot show that a true spelling was read
+        assert _parse_bool(raw) is expected
+
+    def test_bad_bool_rejected(self):
+        with pytest.raises(ValueError, match="not a boolean"):
+            _parse_bool("maybe")
 
     def test_defaults_match_stated_values(self):
         cfg = TrainConfig()
