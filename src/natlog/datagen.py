@@ -143,7 +143,19 @@ class GenSpec:
 
 
 def load_genspec(path: str | Path) -> GenSpec:
-    return GenSpec.from_record(json.loads(Path(path).read_text()))
+    """Read a spec saved by ``save_genspec``; errors name the file."""
+    try:
+        record = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    try:
+        return GenSpec.from_record(record)
+    except KeyError as exc:
+        raise ValueError(f"{path}: bad generation spec: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad generation spec: {exc}") from None
 
 
 def save_genspec(spec: GenSpec, path: str | Path) -> None:

@@ -65,9 +65,22 @@ class Lexicon:
         self._syn_edges = tuple(synonyms)
         self._hyper_edges = tuple(hypernyms)  # (parent, child)
         self._ant_edges = tuple(antonyms)
-        self._root: dict[str, str] = {}
+        link: dict[str, str] = {}  # union-find forest over synonym edges
+
+        def find(word: str) -> str:
+            while link.get(word, word) != word:
+                word = link[word]
+            return word
+
         for a, b in self._syn_edges:
-            self._union(a, b)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                # deterministic representative: lexicographically smaller root
+                lo, hi = sorted((ra, rb))
+                link[hi] = lo
+        # flattened, so that root() is one lookup: every word that is not
+        # its class's representative maps straight to it
+        self._root = {word: find(word) for word in link}
         # hypernym reachability between synonym classes, transitively closed
         children: dict[str, set[str]] = {}
         for parent, child in self._hyper_edges:
@@ -90,18 +103,9 @@ class Lexicon:
             frozenset((self.root(a), self.root(b))) for a, b in self._ant_edges
         )
 
-    def _union(self, a: str, b: str) -> None:
-        ra, rb = self.root(a), self.root(b)
-        if ra != rb:
-            # deterministic representative: lexicographically smaller root
-            lo, hi = sorted((ra, rb))
-            self._root[hi] = lo
-
     def root(self, word: str) -> str:
         """Representative of the word's synonym class."""
-        while self._root.get(word, word) != word:
-            word = self._root[word]
-        return word
+        return self._root.get(word, word)
 
     def synonymous(self, a: str, b: str) -> bool:
         return self.root(a) == self.root(b)

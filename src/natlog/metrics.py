@@ -20,7 +20,7 @@ from .chunker import ChunkRules, chunk_pair
 from .data import Example
 from .executor import execute, matches_target
 from .knowledge import Lexicon
-from .policy import PolicyParams, decode, featurize_pair
+from .policy import PolicyParams, decode_each, featurize_pair
 from .relations import NLILabel, Relation
 
 __all__ = [
@@ -196,9 +196,10 @@ def evaluate(
     any_rationales = False
     scored_phrases = False
 
-    for example in examples:
-        pair = chunk_pair(example.premise, example.hypothesis, rules)
-        trace = execute(pair, decode(params, featurize_pair(pair, lexicon)))
+    pairs = [chunk_pair(e.premise, e.hypothesis, rules) for e in examples]
+    programs = decode_each(params, [featurize_pair(pair, lexicon) for pair in pairs])
+    for example, pair, program in zip(examples, pairs, programs):
+        trace = execute(pair, program)
         if matches_target(trace, example.target):
             hits += 1
         if example.label is not None:

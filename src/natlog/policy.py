@@ -9,14 +9,21 @@ probabilities are their softmax.
 
 Feature extraction at step t looks only at the premise and hypothesis
 chunks up to t, so distributions are unaffected by later hypothesis
-content.  Gradients of log-probabilities are analytic:
+content.  ``step_distributions`` computes every step's softmax at once.
+Gradients of log-probabilities are analytic, so the REINFORCE objective
+J = -sum_t R_t log p_t[a_t] of a program has the weight gradient
 
-    d log p[a] / dW = (onehot(a) - p) outer f
+    dJ / dW = -sum_t R_t (onehot(a_t) - p_t) outer f_t
+
+which training evaluates from the step probabilities its episode already
+holds.  ``distribution`` and ``grad_log_prob`` are the one-row
+references of the softmax and of one step's gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -38,6 +45,7 @@ __all__ = [
     "sample",
     "argmax",
     "decode",
+    "decode_each",
     "grad_log_prob",
     "save_checkpoint",
     "load_checkpoint",
@@ -144,8 +152,19 @@ def distribution(params: PolicyParams, features) -> np.ndarray:
 
 
 def step_distributions(params: PolicyParams, features: np.ndarray) -> np.ndarray:
-    """Distributions for every step; features has shape (m, N_FEATURES)."""
-    return np.stack([distribution(params, row) for row in features])
+    """Distributions for every step; features has shape (m, N_FEATURES).
+
+    Equal bit for bit to stacking ``distribution`` over the rows: the
+    batched matrix-vector form scores each row as ``weights @ f`` does,
+    where ``features @ weights.T`` would round differently.
+    """
+    features = np.asarray(features)
+    scores = np.matmul(params.weights, features[:, :, None])[:, :, 0]
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite action scores")
+    scores = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores)
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def sample(dist: np.ndarray, rng: np.random.Generator) -> ActionRelation:
@@ -165,8 +184,25 @@ def argmax(dist: np.ndarray) -> ActionRelation:
 
 
 def decode(params: PolicyParams, features: np.ndarray) -> tuple[ActionRelation, ...]:
-    """Greedy program: the most probable action at every step."""
-    return tuple(argmax(p) for p in step_distributions(params, features))
+    """Greedy program: the most probable action at every step.
+
+    Ties resolve to the earliest canonical action, as in ``argmax``.
+    """
+    best = np.argmax(step_distributions(params, features), axis=1)
+    return tuple(ACTIONS[i] for i in best)
+
+
+def decode_each(
+    params: PolicyParams, feature_matrices: Sequence[np.ndarray]
+) -> list[tuple[ActionRelation, ...]]:
+    """Greedy program of each matrix, all rows decoded by one ``decode`` call.
+
+    Rows are independent, so this equals decoding each matrix alone.
+    """
+    if not feature_matrices:
+        return []
+    actions = iter(decode(params, np.concatenate(feature_matrices)))
+    return [tuple(islice(actions, len(f))) for f in feature_matrices]
 
 
 def grad_log_prob(

@@ -41,10 +41,8 @@ from .knowledge import (
 )
 from .policy import (
     PolicyParams,
-    decode,
-    distribution,
+    decode_each,
     feature_matrix,
-    grad_log_prob,
     sample,
     step_distributions,
 )
@@ -69,6 +67,8 @@ __all__ = [
 ]
 
 Target = NLILabel | Relation
+
+_ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,10 @@ def load_train_config(path: str | Path) -> TrainConfig:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         attr, caster = _CONFIG_KEYS[key]
-        overrides[attr] = _parse_bool(raw) if caster is bool else caster(raw)
+        try:
+            overrides[attr] = _parse_bool(raw) if caster is bool else caster(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return TrainConfig(**overrides)
 
 
@@ -222,14 +225,31 @@ def reinforce_objective(
     rewards: Sequence[float],
 ) -> tuple[float, np.ndarray]:
     """J = -sum_t log p_t[a_t] * R_t and its analytic weight gradient."""
+    features = np.asarray(features)
+    return _objective(
+        step_distributions(params, features), features, program, rewards
+    )
+
+
+def _objective(
+    probs: np.ndarray,
+    features: np.ndarray,
+    program: Sequence[ActionRelation],
+    rewards: Sequence[float],
+) -> tuple[float, np.ndarray]:
+    """J and dJ/dW = -sum_t R_t (onehot(a_t) - p_t) outer f_t from step probs.
+
+    Zero-reward steps are skipped: their log p_t[a_t] may be -inf, and
+    -inf * 0 is NaN.  The rest are summed in step order.
+    """
     objective = 0.0
-    grad = np.zeros_like(params.weights)
-    for f, action, r in zip(features, program, rewards):
+    grad = np.zeros((probs.shape[1], features.shape[1]))
+    for p, f, action, r in zip(probs, features, program, rewards):
         if r == 0.0:
             continue
-        probs = distribution(params, f)
-        objective -= float(np.log(probs[ACTION_INDEX[action]])) * r
-        grad -= r * grad_log_prob(params, f, action)
+        a = ACTION_INDEX[action]
+        objective -= float(np.log(p[a])) * r
+        grad -= r * ((_ONEHOT[a] - p)[:, None] * f)
     return objective, grad
 
 
@@ -331,14 +351,19 @@ def introspective_revision(
 def hybrid_objective(
     params: PolicyParams, episode: Episode, lam: float
 ) -> tuple[float, np.ndarray]:
-    """Combine original and revised objectives: lam * J + (1 - lam) * J'."""
-    j, grad = reinforce_objective(
-        params, episode.features, episode.program, episode.rewards
+    """Combine original and revised objectives: lam * J + (1 - lam) * J'.
+
+    Both read ``episode.probs``, which are the distributions under
+    ``params`` as long as the weights have not changed since the episode
+    ran (training updates them only after this call).
+    """
+    j, grad = _objective(
+        episode.probs, episode.features, episode.program, episode.rewards
     )
     if episode.revised_program is None:
         return j, grad
-    j_rev, grad_rev = reinforce_objective(
-        params,
+    j_rev, grad_rev = _objective(
+        episode.probs,
         episode.features,
         episode.revised_program,
         episode.revised_rewards,
@@ -534,9 +559,10 @@ def run_episode(
 def _greedy_accuracy(
     params: PolicyParams, compiled: Sequence[_Compiled]
 ) -> float:
+    programs = decode_each(params, [item.features for item in compiled])
     hits = sum(
-        matches_target(execute(item.pair, decode(params, item.features)), item.target)
-        for item in compiled
+        matches_target(execute(item.pair, program), item.target)
+        for item, program in zip(compiled, programs)
     )
     return hits / len(compiled) if compiled else 0.0
 

@@ -1,10 +1,13 @@
 """Tests for the synthetic compositional-generalization generator."""
 
 import dataclasses
+import json
+import re
 
 import pytest
 
 from natlog.chunker import chunk_pair, default_rules
+from natlog.cli import main
 from natlog.data import load_dataset, save_dataset
 from natlog.datagen import (
     GenSpec,
@@ -370,6 +373,33 @@ class TestSpecSerialization:
         path.write_text('{"quantifier_set": ["some"]}')
         with pytest.raises(ValueError, match="quantifier_set"):
             load_genspec(path)
+
+    def test_malformed_json_names_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"seed": 1,')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: malformed JSON"):
+            load_genspec(path)
+
+    def test_bad_record_names_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"replacements": [{"narrow": "dogs", "broad": "animals"}]}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*missing key 'site'"):
+            load_genspec(path)
+        path.write_text('{"replacements": [{"narrow": "dogs", "broad": "animals", "site": "object"}]}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'object'"):
+            load_genspec(path)
+        path.write_text('["seed", 1]')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected a JSON object"):
+            load_genspec(path)
+
+    def test_gen_command_names_malformed_spec(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"seed": 1,')
+        code = main(["gen", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{path}:1: malformed JSON")
 
     def test_with_seed(self, spec):
         assert spec.with_seed(7).seed == 7

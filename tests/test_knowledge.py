@@ -40,6 +40,37 @@ class TestLexicon:
         assert lex.synonymous("a", "c")
         assert lex.root("a") == lex.root("c")
 
+    def test_flattened_roots_equal_class_minimum(self, tmp_path):
+        # brute force: walk each word's synonym class breadth-first; the
+        # representative is the class's lexicographically smallest word
+        def walked_roots(lexicon, path):
+            lexicon.dump(path)
+            edges = [line.split() for line in path.read_text().splitlines()]
+            words = {w for _, *pair in edges for w in pair}
+            neighbours = {w: set() for w in words}
+            for kind, a, b in edges:
+                if kind == "syn":
+                    neighbours[a].add(b)
+                    neighbours[b].add(a)
+            roots = {}
+            for word in words:
+                seen, frontier = {word}, [word]
+                while frontier:
+                    frontier = [n for w in frontier for n in neighbours[w] if n not in seen]
+                    seen.update(frontier)
+                roots[word] = min(seen)
+            return roots
+
+        rng = np.random.default_rng(0)
+        names = [f"w{i:02d}" for i in range(40)]
+        chain = Lexicon(synonyms=[(names[i + 1], names[i + 2]) for i in range(30)][::-1])
+        shuffled = Lexicon(synonyms=[tuple(rng.choice(names, 2)) for _ in range(30)])
+        for i, lexicon in enumerate((LEX, chain, shuffled)):
+            roots = walked_roots(lexicon, tmp_path / f"lexicon{i}.txt")
+            assert len(roots) > 20
+            assert {w: lexicon.root(w) for w in roots} == roots
+        assert LEX.root("not-in-the-lexicon") == "not-in-the-lexicon"
+
     def test_hypernym_direct(self):
         assert LEX.hypernym_of("animal", "dog")
         assert not LEX.hypernym_of("dog", "animal")

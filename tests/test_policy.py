@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from natlog.chunker import chunk_pair, default_rules
 from natlog.executor import Chunk, ChunkedPair
@@ -12,6 +14,8 @@ from natlog.policy import (
     N_FEATURES,
     PolicyParams,
     argmax,
+    decode,
+    decode_each,
     distribution,
     featurize,
     featurize_pair,
@@ -173,6 +177,57 @@ class TestDistribution:
         dists = step_distributions(PolicyParams.zeros(), featurize_pair(pair, LEX))
         assert dists.shape == (2, N_ACTIONS)
         assert np.allclose(dists.sum(axis=1), 1.0)
+
+
+_WEIGHT = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+_FEATURE = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+class TestStackedDistributions:
+    """The stacked softmax and decoders against the one-row references."""
+
+    @given(
+        arrays(np.float64, (N_ACTIONS, N_FEATURES), elements=_WEIGHT),
+        st.integers(1, 8).flatmap(
+            lambda m: arrays(np.float64, (m, N_FEATURES), elements=_FEATURE)
+        ),
+    )
+    def test_equals_stacked_rows(self, weights, features):
+        params = PolicyParams(weights=weights)
+        stacked = step_distributions(params, features)
+        rows = np.stack([distribution(params, f) for f in features])
+        assert np.array_equal(stacked, rows)
+
+    def test_non_finite_scores_rejected(self):
+        params = PolicyParams.zeros()
+        params.weights[3, 0] = np.inf
+        features = np.ones((3, N_FEATURES))
+        with pytest.raises(ValueError, match="non-finite"):
+            step_distributions(params, features)
+        with pytest.raises(ValueError, match="non-finite"):
+            decode(params, features)
+
+    def test_decode_is_argmax_of_each_row(self):
+        rng = np.random.default_rng(11)
+        features = rng.normal(size=(6, N_FEATURES))
+        for params in (
+            PolicyParams.zeros(),  # every row a five-way tie
+            PolicyParams(weights=rng.normal(size=(N_ACTIONS, N_FEATURES))),
+        ):
+            expected = tuple(
+                argmax(distribution(params, f)) for f in features
+            )
+            assert decode(params, features) == expected
+        assert decode(PolicyParams.zeros(), features) == (ACTIONS[0],) * 6
+
+    def test_decode_each_equals_decode_per_matrix(self):
+        rng = np.random.default_rng(12)
+        params = PolicyParams(weights=rng.normal(size=(N_ACTIONS, N_FEATURES)))
+        matrices = [rng.normal(size=(m, N_FEATURES)) for m in (1, 4, 2, 8, 3)]
+        assert decode_each(params, matrices) == [
+            decode(params, f) for f in matrices
+        ]
+        assert decode_each(params, []) == []
 
 
 class TestSampling:

@@ -15,10 +15,13 @@ from natlog.knowledge import Proposal, ProposalQueue, default_lexicon
 from natlog.policy import (
     N_FEATURES,
     PolicyParams,
-    featurize_pair,
+    decode,
+    distribution,
+    grad_log_prob,
     step_distributions,
 )
 from natlog.relations import (
+    ACTION_INDEX,
     ACTIONS,
     ActionRelation,
     CONTEXTS,
@@ -43,7 +46,7 @@ from natlog.trainer import (
     run_episode,
     train,
 )
-from natlog.trainer import _compile_examples
+from natlog.trainer import _compile_examples, _greedy_accuracy
 
 A_EQ = ActionRelation.EQUIVALENCE
 A_FE = ActionRelation.FORWARD_ENTAILMENT
@@ -464,6 +467,107 @@ class TestHybridObjective:
         assert np.allclose(gh, 0.5 * g0 + 0.5 * g1)
 
 
+def per_step_objective(params, features, program, rewards):
+    """J and its gradient, one ``distribution``/``grad_log_prob`` per step."""
+    objective = 0.0
+    grad = np.zeros_like(params.weights)
+    for f, action, r in zip(features, program, rewards):
+        if r == 0.0:
+            continue
+        probs = distribution(params, f)
+        objective -= float(np.log(probs[ACTION_INDEX[action]])) * r
+        grad -= r * grad_log_prob(params, f, action)
+    return objective, grad
+
+
+def random_episodes(seed, introspective_revision=True):
+    """Episodes of a generated set under random weights, IR on or off."""
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
+    examples = natlog.generate(natlog.default_genspec(), RULES)[0][::40]
+    compiled = _compile_examples(examples, RULES, LEX, use_knowledge=True)
+    config = TrainConfig(seed=seed, introspective_revision=introspective_revision)
+    episodes = [
+        run_episode(params, item, config, np.random.default_rng([seed, i]))
+        for i, item in enumerate(compiled)
+    ]
+    return params, compiled, episodes
+
+
+class TestObjectiveFromEpisodeProbs:
+    """The stacked objective and greedy accuracy, bit for bit, against
+    per-step ``grad_log_prob`` and per-example ``decode`` references."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hybrid_equals_per_step_reference(self, seed):
+        params, _, episodes = random_episodes(seed)
+        assert any(e.revised_program != e.program for e in episodes)
+        for episode in episodes:
+            j, grad = per_step_objective(
+                params, episode.features, episode.program, episode.rewards
+            )
+            j_rev, grad_rev = per_step_objective(
+                params,
+                episode.features,
+                episode.revised_program,
+                episode.revised_rewards,
+            )
+            for lam in (0.0, 0.5, 0.7, 1.0):
+                value, gradient = hybrid_objective(params, episode, lam)
+                assert value == lam * j + (1 - lam) * j_rev
+                assert np.array_equal(gradient, lam * grad + (1 - lam) * grad_rev)
+
+    def test_hybrid_without_revision_equals_reference(self):
+        params, _, episodes = random_episodes(4, introspective_revision=False)
+        for episode in episodes:
+            assert episode.revised_program is None
+            j, grad = per_step_objective(
+                params, episode.features, episode.program, episode.rewards
+            )
+            value, gradient = hybrid_objective(params, episode, 0.5)
+            assert value == j
+            assert np.array_equal(gradient, grad)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reinforce_objective_equals_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in range(1, 9):
+            params = PolicyParams(weights=rng.normal(scale=3.0, size=(5, N_FEATURES)))
+            features = rng.normal(size=(m, N_FEATURES))
+            program = tuple(ACTIONS[i] for i in rng.integers(5, size=m))
+            rewards = tuple(float(r) for r in rng.choice([0.0, 1.0, -0.5, -0.25], size=m))
+            j, grad = reinforce_objective(params, features, program, rewards)
+            j_ref, grad_ref = per_step_objective(params, features, program, rewards)
+            assert j == j_ref
+            assert np.array_equal(grad, grad_ref)
+
+    def test_zero_rewards_mask_vanishing_probabilities(self):
+        # step 1's sampled action has probability 0.0 (log = -inf); a zero
+        # reward must drop it rather than turn 0 * -inf into NaN
+        params = PolicyParams.zeros()
+        params.weights[0, -1] = 1e4
+        features = np.zeros((2, N_FEATURES))
+        features[:, -1] = 1.0
+        program, rewards = (A_IND, A_EQ), (0.0, 1.0)
+        assert step_distributions(params, features)[0, ACTION_INDEX[A_IND]] == 0.0
+        j, grad = reinforce_objective(params, features, program, rewards)
+        assert np.isfinite(j) and np.all(np.isfinite(grad))
+        j_ref, grad_ref = per_step_objective(params, features, program, rewards)
+        assert j == j_ref
+        assert np.array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_greedy_accuracy_equals_per_example_decode(self, seed):
+        params, compiled, _ = random_episodes(seed)
+        hits = sum(
+            matches_target(execute(item.pair, decode(params, item.features)), item.target)
+            for item in compiled
+        )
+        assert 0 < hits < len(compiled)
+        assert _greedy_accuracy(params, compiled) == hits / len(compiled)
+        assert _greedy_accuracy(params, []) == 0.0
+
+
 class TestRelationAugmentation:
     def test_entailment_pairs_get_swapped_samples(self):
         examples = [
@@ -649,6 +753,21 @@ class TestTrainConfigFile:
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="not a boolean"):
             _parse_bool("maybe")
+
+    def test_bad_number_names_file_and_line(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("# config\nepochs = two\n")
+        with pytest.raises(ValueError) as info:
+            load_train_config(path)
+        assert str(info.value).startswith(f"{path}:2: epochs: ")
+        assert "'two'" in str(info.value)
+
+    def test_bad_bool_names_file_and_line(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("seed = 3\n\nknowledge = maybe\n")
+        with pytest.raises(ValueError) as info:
+            load_train_config(path)
+        assert str(info.value) == f"{path}:3: knowledge: not a boolean: 'maybe'"
 
     def test_defaults_match_stated_values(self):
         cfg = TrainConfig()
