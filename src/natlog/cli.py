@@ -100,6 +100,11 @@ def cmd_eval(args) -> None:
     params = load_checkpoint(args.checkpoint)
     rules, lexicon = _rules(args), _lexicon(args)
     examples = load_dataset(args.data)
+    if args.collapse_binary and all(e.label is None for e in examples):
+        raise ValueError(
+            f"{args.data}: --collapse-binary needs labels, "
+            "and no example carries a label"
+        )
     report = evaluate(examples, params, rules, lexicon)
     name = Path(args.data).name
     if args.out:

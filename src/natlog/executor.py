@@ -11,6 +11,22 @@ The final state z_m grouped into a three-way label is the verdict.  The
 intermediate states make the inference auditable: the rationale of a trace
 is the set of steps that both move the state and already exhibit the final
 label.
+
+Every step is a lookup in the integer-coded tables of ``relations``: a
+chunk's context row ``action_codes`` gives the projected relation's code,
+``JOIN`` the next state's code, ``GROUP`` its label's code.  ``execute``
+builds the enum-valued ``Trace`` from those lookups.  When only the verdict
+is needed, ``reaches`` folds the codes without building a trace.
+
+Two searches run on top.  ``enumerate_programs`` executes all 5^m programs.
+``single_edits`` finds every single-step edit of a program that reaches a
+target in O(5m) lookups: one forward fold gives the prefix states
+z_0 .. z_{m-1}, and one backward pass gives, for each step t, a suffix
+table over the 7 states that says whether steps t+1 .. m, started in that
+state, end in a state meeting the target.  Join is not associative, so the
+suffix composes as a map over states, not as a single relation.  An edit
+(t, a) then reaches the target iff its suffix table holds at
+JOIN[z_{t-1}][projected(a)].
 """
 
 from __future__ import annotations
@@ -21,14 +37,17 @@ from typing import Iterator, Sequence
 
 from .relations import (
     ACTIONS,
+    GROUP,
+    JOIN,
+    LABELS,
+    RELATIONS,
     ActionRelation,
     NLILabel,
     ProjectivityContext,
     Relation,
     UPWARD,
-    group,
+    accepting,
     join,
-    project,
 )
 
 __all__ = [
@@ -38,6 +57,9 @@ __all__ = [
     "Trace",
     "execute",
     "extract_rationales",
+    "matches_target",
+    "reaches",
+    "single_edits",
     "enumerate_programs",
 ]
 
@@ -113,35 +135,44 @@ class Trace:
         return tuple(out)
 
 
-def execute(pair: ChunkedPair, program: Sequence[ActionRelation]) -> Trace:
-    """Run ``program`` over ``pair`` and return the full trace."""
-    program = tuple(program)
+def _check_length(pair: ChunkedPair, program: Sequence[ActionRelation]) -> None:
     if len(program) != pair.m:
         raise ValueError(
             f"program length {len(program)} != hypothesis chunks {pair.m}"
         )
-    states = [Relation.EQUIVALENCE]
+
+
+def execute(pair: ChunkedPair, program: Sequence[ActionRelation]) -> Trace:
+    """Run ``program`` over ``pair`` and return the full trace."""
+    program = tuple(program)
+    _check_length(pair, program)
+    state = Relation.EQUIVALENCE
+    states = [state]
     projected = []
     for chunk, action in zip(pair.hypothesis, program):
-        r = project(chunk.context, action.to_relation())
+        r = RELATIONS[chunk.context.action_codes[action.code]]
         projected.append(r)
-        states.append(join(states[-1], r))
-    label = group(states[-1])
+        state = join(state, r)
+        states.append(state)
+    label = LABELS[GROUP[state.code]]
     return Trace(
-        pair=pair,
-        actions=program,
-        projected=tuple(projected),
-        states=tuple(states),
-        label=label,
-        rationales=_rationales(tuple(states), label),
+        pair,
+        program,
+        tuple(projected),
+        tuple(states),
+        label,
+        _rationales(states, label),
     )
 
 
-def _rationales(states: tuple[Relation, ...], label: NLILabel) -> tuple[int, ...]:
+def _rationales(states: Sequence[Relation], label: NLILabel) -> tuple[int, ...]:
+    code = label.code
     out = []
-    for t in range(1, len(states)):
-        if states[t] != states[t - 1] and group(states[t]) == label:
+    prev = states[0]
+    for t, state in enumerate(states):
+        if state is not prev and GROUP[state.code] == code:
             out.append(t)
+        prev = state
     return tuple(out)
 
 
@@ -159,6 +190,47 @@ def matches_target(trace: Trace, target: NLILabel | Relation) -> bool:
     if isinstance(target, NLILabel):
         return trace.label == target
     return trace.final_state == target
+
+
+def reaches(
+    pair: ChunkedPair,
+    program: Sequence[ActionRelation],
+    target: NLILabel | Relation,
+) -> bool:
+    """``matches_target(execute(pair, program), target)``, folding codes only."""
+    _check_length(pair, program)
+    state = 0
+    for chunk, action in zip(pair.hypothesis, program):
+        state = JOIN[state][chunk.context.action_codes[action.code]]
+    return accepting(target)[state]
+
+
+def single_edits(
+    pair: ChunkedPair,
+    program: Sequence[ActionRelation],
+    target: NLILabel | Relation,
+) -> list[tuple[int, ActionRelation]]:
+    """Every (t, action) whose one-step edit of ``program`` reaches ``target``.
+
+    Steps ascend from 1 and actions follow ``ACTIONS`` within a step; the
+    unchanged action counts as an edit.  Prefix states and suffix tables
+    (module docstring) make this O(5m) lookups instead of 5m executions.
+    """
+    _check_length(pair, program)
+    rows = [chunk.context.action_codes for chunk in pair.hypothesis]
+    codes = [action.code for action in program]
+    prefix = [0]  # z_0 .. z_{m-1}
+    for row, a in zip(rows[:-1], codes):
+        prefix.append(JOIN[prefix[-1]][row[a]])
+    suffix = [accepting(target)]  # built from step m backwards
+    for row, a in zip(rows[:0:-1], codes[:0:-1]):
+        ok, projected = suffix[-1], row[a]
+        suffix.append(tuple(ok[joined[projected]] for joined in JOIN))
+    edits = []
+    for t, (row, z, ok) in enumerate(zip(rows, prefix, reversed(suffix)), 1):
+        joined = JOIN[z]
+        edits.extend((t, action) for action, p in zip(ACTIONS, row) if ok[joined[p]])
+    return edits
 
 
 def enumerate_programs(

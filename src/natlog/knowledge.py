@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .executor import Chunk, ChunkedPair
-from .relations import ACTION_INDEX, ActionRelation
+from .relations import ActionRelation
 
 __all__ = [
     "Lexicon",
@@ -218,7 +218,7 @@ class Proposal:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "sort_key", (-self.prob, self.t, ACTION_INDEX[self.relation])
+            self, "sort_key", (-self.prob, self.t, self.relation.code)
         )
 
     @property
@@ -396,7 +396,7 @@ def queue_from_keys(
     """Attach policy probabilities to proposal keys and rank them."""
     queue = ProposalQueue()
     for t, relation in keys:
-        prob = float(probs[t - 1][ACTION_INDEX[relation]])
+        prob = float(probs[t - 1][relation.code])
         queue.push(Proposal(t=t, relation=relation, prob=prob))
     return queue
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .executor import ChunkedPair
 from .knowledge import Lexicon, compare, compare_pair
-from .relations import ACTION_INDEX, ACTIONS, ActionRelation
+from .relations import ACTIONS, ActionRelation
 
 __all__ = [
     "FEATURE_NAMES",
@@ -212,7 +212,7 @@ def grad_log_prob(
     f = features.values if isinstance(features, FeatureVector) else np.asarray(features)
     probs = distribution(params, f)
     onehot = np.zeros(N_ACTIONS)
-    onehot[ACTION_INDEX[action]] = 1.0
+    onehot[action.code] = 1.0
     return np.outer(onehot - probs, f)
 
 

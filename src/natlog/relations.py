@@ -29,13 +29,23 @@ projection and join.
 Final states map onto three inference labels via ``group``: equivalence and
 forward entailment yield entailment, negation and alternation yield
 contradiction, and the remaining relations yield neutral.
+
+The tables are integer-coded.  Every relation, action and label carries
+``code``, its position in ``RELATIONS``, ``ACTIONS`` or ``LABELS``, and
+each table is a tuple indexed by codes, built once at import from the
+readable sources below: ``JOIN[a][b]`` is a 7x7 table of relation codes,
+each context's ``codes`` row projects a relation code, ``GROUP`` maps a
+relation code to a label code and ``ACTION_IMAGE`` an action code to a
+relation code.  ``join``, ``project``, ``group`` and ``to_relation`` keep
+their enum signatures and index these tuples, so no lookup hashes an enum.
+``reachable_states`` and ``reachable`` read a table of closures that is
+computed once; every closure saturates after ``SATURATION`` steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Mapping
 
 __all__ = [
@@ -45,12 +55,17 @@ __all__ = [
     "ProjectivityContext",
     "RELATIONS",
     "ACTIONS",
-    "ACTION_INDEX",
+    "LABELS",
     "CONTEXTS",
     "UPWARD",
+    "JOIN",
+    "GROUP",
+    "ACTION_IMAGE",
+    "SATURATION",
     "join",
     "project",
     "group",
+    "accepting",
     "reachable",
     "reachable_states",
 ]
@@ -58,6 +73,8 @@ __all__ = [
 
 class Relation(Enum):
     """One of the seven basic semantic relations."""
+
+    code: int  # position in RELATIONS, set below
 
     EQUIVALENCE = "equivalence"
     FORWARD_ENTAILMENT = "forward_entailment"
@@ -78,6 +95,8 @@ class Relation(Enum):
 class NLILabel(Enum):
     """Three-way inference label."""
 
+    code: int  # position in LABELS, set below
+
     ENTAILMENT = "entailment"
     CONTRADICTION = "contradiction"
     NEUTRAL = "neutral"
@@ -91,6 +110,8 @@ class ActionRelation(Enum):
     ``NEG_ALT`` as alternation, the more common reading for contradiction
     between contingent phrases.
     """
+
+    code: int  # position in ACTIONS, set below
 
     EQUIVALENCE = "equivalence"
     FORWARD_ENTAILMENT = "forward_entailment"
@@ -106,7 +127,7 @@ class ActionRelation(Enum):
         return f"<{self.symbol}>"
 
     def to_relation(self) -> Relation:
-        return _ACTION_TO_RELATION[self]
+        return RELATIONS[ACTION_IMAGE[self.code]]
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "ActionRelation":
@@ -134,6 +155,7 @@ RELATIONS: tuple[Relation, ...] = (
     Relation.INDEPENDENCE,
 )
 
+# the column order of (m, 5) step probabilities
 ACTIONS: tuple[ActionRelation, ...] = (
     ActionRelation.EQUIVALENCE,
     ActionRelation.FORWARD_ENTAILMENT,
@@ -142,8 +164,15 @@ ACTIONS: tuple[ActionRelation, ...] = (
     ActionRelation.INDEPENDENCE,
 )
 
-# position of each action in the canonical order, e.g. a column of (m, 5) probs
-ACTION_INDEX = {a: i for i, a in enumerate(ACTIONS)}
+LABELS: tuple[NLILabel, ...] = (
+    NLILabel.ENTAILMENT,
+    NLILabel.CONTRADICTION,
+    NLILabel.NEUTRAL,
+)
+
+for _members in (RELATIONS, ACTIONS, LABELS):
+    for _code, _member in enumerate(_members):
+        _member.code = _code
 
 _SYMBOLS = {
     Relation.EQUIVALENCE: "≡",
@@ -180,36 +209,35 @@ _RELATION_TO_ACTION = {
     Relation.INDEPENDENCE: ActionRelation.INDEPENDENCE,
 }
 
+# ACTION_IMAGE[a]: the code of the relation action code a stands for
+ACTION_IMAGE: tuple[int, ...] = tuple(_ACTION_TO_RELATION[a].code for a in ACTIONS)
 
-def _row(cells: str) -> tuple[Relation, ...]:
-    # cells is a space-separated row in canonical relation order
-    lookup = {r.symbol: r for r in RELATIONS}
+
+def _row(cells: str) -> tuple[int, ...]:
+    # cells is a space-separated row of symbols; returns their relation codes
+    lookup = {r.symbol: r.code for r in RELATIONS}
     return tuple(lookup[c] for c in cells.split())
 
 
-# Join table: JOIN[a][b] is the weakest relation implied by x a y and y b z.
-# Rows and columns follow the canonical order (equivalence, forward
-# entailment, reverse entailment, negation, alternation, cover,
-# independence).  Equivalence is a two-sided identity and independence a
-# two-sided absorbing element.
-_JOIN_ROWS = {
-    Relation.EQUIVALENCE:        _row("≡ ⊏ ⊐ ^ | ⌣ #"),
-    Relation.FORWARD_ENTAILMENT: _row("⊏ ⊏ # | | # #"),
-    Relation.REVERSE_ENTAILMENT: _row("⊐ # ⊐ ⌣ # ⌣ #"),
-    Relation.NEGATION:           _row("^ ⌣ | ≡ ⊐ ⊏ #"),
-    Relation.ALTERNATION:        _row("| # | ⊏ # ⊏ #"),
-    Relation.COVER:              _row("⌣ ⌣ # ⊐ ⊐ # #"),
-    Relation.INDEPENDENCE:       _row("# # # # # # #"),
-}
-
-JOIN: Mapping[Relation, Mapping[Relation, Relation]] = {
-    a: {b: _JOIN_ROWS[a][i] for i, b in enumerate(RELATIONS)} for a in RELATIONS
-}
+# Join table: JOIN[a][b] is the code of the weakest relation implied by
+# x a y and y b z.  Rows and columns follow the canonical order
+# (equivalence, forward entailment, reverse entailment, negation,
+# alternation, cover, independence).  Equivalence is a two-sided identity
+# and independence a two-sided absorbing element.
+JOIN: tuple[tuple[int, ...], ...] = (
+    _row("≡ ⊏ ⊐ ^ | ⌣ #"),  # equivalence
+    _row("⊏ ⊏ # | | # #"),  # forward entailment
+    _row("⊐ # ⊐ ⌣ # ⌣ #"),  # reverse entailment
+    _row("^ ⌣ | ≡ ⊐ ⊏ #"),  # negation
+    _row("| # | ⊏ # ⊏ #"),  # alternation
+    _row("⌣ ⌣ # ⊐ ⊐ # #"),  # cover
+    _row("# # # # # # #"),  # independence
+)
 
 
 def join(a: Relation, b: Relation) -> Relation:
     """Compose two relations: the weakest relation implied by chaining."""
-    return JOIN[a][b]
+    return RELATIONS[JOIN[a.code][b.code]]
 
 
 @dataclass(frozen=True)
@@ -218,20 +246,31 @@ class ProjectivityContext:
 
     ``table`` maps the relation between two phrases to the relation between
     the sentences embedding them at this position.  Relations missing from
-    ``table`` project unchanged.
+    ``table`` project unchanged.  It is read once, at construction, into
+    ``codes`` (relation code -> projected relation code) and
+    ``action_codes`` (action code -> projected relation code).
     """
 
     name: str
     table: Mapping[Relation, Relation] = field(default_factory=dict)
+    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    action_codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        codes = tuple(self.table.get(r, r).code for r in RELATIONS)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(
+            self, "action_codes", tuple(codes[r] for r in ACTION_IMAGE)
+        )
 
     def project(self, relation: Relation) -> Relation:
-        return self.table.get(relation, relation)
+        return RELATIONS[self.codes[relation.code]]
 
 
 def _context(name: str, cells: str = "") -> ProjectivityContext:
     if not cells:
         return ProjectivityContext(name, {})
-    row = _row(cells)
+    row = (RELATIONS[code] for code in _row(cells))
     return ProjectivityContext(name, dict(zip(RELATIONS, row)))
 
 
@@ -273,16 +312,58 @@ _GROUPS = {
     Relation.INDEPENDENCE: NLILabel.NEUTRAL,
 }
 
+# GROUP[r]: the code of the label of relation code r
+GROUP: tuple[int, ...] = tuple(_GROUPS[r].code for r in RELATIONS)
+
 
 def group(relation: Relation) -> NLILabel:
     """Map a final relation state onto its three-way inference label."""
-    return _GROUPS[relation]
+    return LABELS[GROUP[relation.code]]
 
 
-_ACTION_IMAGE = tuple(a.to_relation() for a in ACTIONS)
+_ACCEPTING = {
+    **{r: tuple(s == r.code for s in range(len(RELATIONS))) for r in RELATIONS},
+    **{l: tuple(g == l.code for g in GROUP) for l in LABELS},
+}
 
 
-@lru_cache(maxsize=None)
+def accepting(target: NLILabel | Relation) -> tuple[bool, ...]:
+    """Indexed by state code: does a program ending in that state meet
+    ``target`` (a label, or an exact final relation)?"""
+    return _ACCEPTING[target]
+
+
+def _closure(start: int) -> list[frozenset[int]]:
+    # codes reachable from start by at most k actions, for k = 0, 1, ...
+    # up to the first k at which the set stops growing
+    sets = [frozenset({start})]
+    while True:
+        grown = sets[-1] | {JOIN[s][r] for s in sets[-1] for r in ACTION_IMAGE}
+        if grown == sets[-1]:
+            return sets
+        sets.append(grown)
+
+
+_CLOSURES = [_closure(code) for code in range(len(RELATIONS))]
+
+# steps after which every closure has stopped growing
+SATURATION = max(len(sets) for sets in _CLOSURES) - 1
+
+# _REACHABLE_STATES[s][k] and _REACHABLE_LABELS[s][k]: what is reachable
+# from state code s by at most k <= SATURATION actions
+_REACHABLE_STATES = tuple(
+    tuple(
+        frozenset(RELATIONS[c] for c in sets[min(k, len(sets) - 1)])
+        for k in range(SATURATION + 1)
+    )
+    for sets in _CLOSURES
+)
+_REACHABLE_LABELS = tuple(
+    tuple(frozenset(group(s) for s in states) for states in row)
+    for row in _REACHABLE_STATES
+)
+
+
 def reachable_states(state: Relation, steps: int) -> frozenset[Relation]:
     """States reachable from ``state`` by joining at most ``steps`` actions.
 
@@ -290,19 +371,16 @@ def reachable_states(state: Relation, steps: int) -> frozenset[Relation]:
     the basis for deciding whether a partially executed program can still
     reach a target state.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    seen = {state}
-    frontier = {state}
-    for _ in range(steps):
-        nxt = {join(s, r) for s in frontier for r in _ACTION_IMAGE} - seen
-        if not nxt:
-            break
-        seen |= nxt
-        frontier = nxt
-    return frozenset(seen)
+    return _REACHABLE_STATES[state.code][_horizon(steps)]
 
 
 def reachable(state: Relation, steps: int) -> frozenset[NLILabel]:
     """Labels reachable from ``state`` within ``steps`` further actions."""
-    return frozenset(group(s) for s in reachable_states(state, steps))
+    return _REACHABLE_LABELS[state.code][_horizon(steps)]
+
+
+def _horizon(steps: int) -> int:
+    # the table column for ``steps``: closures stop growing at SATURATION
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    return min(steps, SATURATION)

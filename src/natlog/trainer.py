@@ -31,7 +31,15 @@ import numpy as np
 
 from .chunker import ChunkRules, chunk_pair
 from .data import Example
-from .executor import ChunkedPair, Program, Trace, execute, matches_target
+from .executor import (
+    ChunkedPair,
+    Program,
+    Trace,
+    execute,
+    matches_target,
+    reaches,
+    single_edits,
+)
 from .knowledge import (
     Lexicon,
     ProposalQueue,
@@ -46,7 +54,7 @@ from .policy import (
     sample,
     step_distributions,
 )
-from .relations import ACTION_INDEX, ACTIONS, ActionRelation, NLILabel, Relation, reachable, reachable_states
+from .relations import ACTIONS, ActionRelation, NLILabel, Relation, reachable, reachable_states
 
 __all__ = [
     "RewardConfig",
@@ -85,8 +93,21 @@ class IRConfig:
     lam: float = 0.5  # weight of the original objective in the hybrid
 
 
+# field -> (test its value must pass, what the test asks for)
+_BOUNDS = {
+    "epochs": (lambda v: v >= 1, "at least 1"),
+    "batch_size": (lambda v: v >= 1, "at least 1"),
+    "learning_rate": (lambda v: v > 0, "positive"),
+    "max_revisions": (lambda v: v >= 0, "non-negative"),
+    "epsilon": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "lam": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters; out-of-range values raise ``ValueError``."""
+
     mu: float = 1.0
     gamma: float = 0.5
     max_revisions: int = 3
@@ -100,6 +121,12 @@ class TrainConfig:
     introspective_revision: bool = True
     knowledge: bool = True
     augmentation: bool = True
+
+    def __post_init__(self):
+        for name, (ok, wanted) in _BOUNDS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
     def reward_config(self) -> RewardConfig:
         return RewardConfig(
@@ -142,7 +169,11 @@ def _parse_bool(raw: str) -> bool:
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
-    """Read ``key = value`` lines; unknown keys are an error."""
+    """Read ``key = value`` lines; unknown keys and bad values are an error.
+
+    Each value is checked on its own line, so an out-of-range value is
+    reported as ``path:line: key: ...``.
+    """
     overrides = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -157,6 +188,7 @@ def load_train_config(path: str | Path) -> TrainConfig:
         attr, caster = _CONFIG_KEYS[key]
         try:
             overrides[attr] = _parse_bool(raw) if caster is bool else caster(raw)
+            TrainConfig(**{attr: overrides[attr]})
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return TrainConfig(**overrides)
@@ -247,7 +279,7 @@ def _objective(
     for p, f, action, r in zip(probs, features, program, rewards):
         if r == 0.0:
             continue
-        a = ACTION_INDEX[action]
+        a = action.code
         objective -= float(np.log(p[a])) * r
         grad -= r * ((_ONEHOT[a] - p)[:, None] * f)
     return objective, grad
@@ -270,17 +302,12 @@ def grid_search(
 ) -> ProposalQueue:
     """All single-step edits whose program reaches the target, ranked.
 
-    If any candidate coincides with a pending lexical proposal, the
-    result is narrowed to those shared candidates.
+    The edits come from ``executor.single_edits`` (prefix states and
+    suffix tables, no execution).  If any candidate coincides with a
+    pending lexical proposal, the result is narrowed to those shared
+    candidates.
     """
-    program = tuple(program)
-    edits = (
-        (t, action)
-        for t in range(1, len(program) + 1)
-        for action in ACTIONS
-        if matches_target(execute(pair, fix(program, t, action)), target)
-    )
-    psi = queue_from_keys(edits, probs)
+    psi = queue_from_keys(single_edits(pair, program, target), probs)
     shared = psi.keys() & phi.keys()
     if shared:
         psi = psi.intersect(shared)
@@ -303,7 +330,8 @@ def introspective_revision(
     exploration draw clears epsilon; otherwise it survives a Metropolis
     test with ratio p_t[proposal] / p_t[sampled action].  Answer phase:
     if the program still misses the target, the best grid-search edit
-    (if any) is applied.
+    (if any) is applied.  Both checks fold codes (``executor.reaches``)
+    instead of executing.
     """
     program = tuple(program)
     revised = program
@@ -325,21 +353,18 @@ def introspective_revision(
         popped += 1
         u = rng.random()
         candidate = fix(revised, proposal.t, proposal.relation)
-        if (
-            matches_target(execute(pair, candidate), target)
-            and u > config.epsilon
-        ):
+        if reaches(pair, candidate, target) and u > config.epsilon:
             apply(candidate, proposal.t, "knowledge")
             continue
         u = rng.random()
         sampled_prob = float(
-            probs[proposal.t - 1][ACTION_INDEX[program[proposal.t - 1]]]
+            probs[proposal.t - 1][program[proposal.t - 1].code]
         )
         ratio = proposal.prob / sampled_prob if sampled_prob > 0 else 1.0
         if u < min(1.0, ratio):
             apply(candidate, proposal.t, "knowledge")
 
-    if not matches_target(execute(pair, revised), target):
+    if not reaches(pair, revised, target):
         psi = grid_search(pair, revised, phi, target, probs)
         if psi:
             proposal = psi.pop()

@@ -11,7 +11,7 @@ import pytest
 
 import natlog
 from natlog.cli import main
-from natlog.data import load_dataset
+from natlog.data import load_dataset, save_dataset
 from natlog.datagen import default_genspec, save_genspec
 from natlog.metrics import evaluate
 from natlog.chunker import default_rules
@@ -363,6 +363,55 @@ class TestErrors:
         )
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    def test_zero_epochs_gives_value_error_record(self, workspace, capsys, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("epochs = 0\n")
+        rc = main(
+            [
+                "train",
+                "--data",
+                str(workspace / "data" / "train.jsonl"),
+                "--config",
+                str(cfg),
+                "--checkpoint",
+                str(tmp_path / "x.ckpt"),
+            ]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{cfg}:1: epochs: ")
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_collapse_binary_without_labels_gives_error_record(
+        self, workspace, capsys, tmp_path
+    ):
+        examples = load_dataset(workspace / "data" / "train.jsonl")[:5]
+        unlabelled = tmp_path / "unlabelled.jsonl"
+        save_dataset(
+            [
+                dataclasses.replace(
+                    e, label=None, target_state=natlog.Relation.REVERSE_ENTAILMENT
+                )
+                for e in examples
+            ],
+            unlabelled,
+        )
+        rc = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(workspace / "policy.ckpt"),
+                "--data",
+                str(unlabelled),
+                "--collapse-binary",
+            ]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "no example carries a label" in err["message"]
 
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit) as info:

@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from natlog.relations import (
+    ACTION_IMAGE,
     ACTIONS,
     CONTEXTS,
+    GROUP,
+    JOIN,
+    LABELS,
     RELATIONS,
+    SATURATION,
     ActionRelation,
     NLILabel,
     Relation,
+    accepting,
     get_context,
     group,
     join,
@@ -49,6 +55,19 @@ PROJECTION_EXPECTED = {
     "some-arg2": (EQ, FE, RE, COV, IND, COV, IND),
     "not":       (EQ, RE, FE, NEG, COV, ALT, IND),
 }
+
+# Independent transcription of the label partition and the action images
+# (in ACTIONS order: EQ, FE, RE, NEG_ALT, IND).
+GROUP_EXPECTED = {
+    EQ: NLILabel.ENTAILMENT,
+    FE: NLILabel.ENTAILMENT,
+    NEG: NLILabel.CONTRADICTION,
+    ALT: NLILabel.CONTRADICTION,
+    RE: NLILabel.NEUTRAL,
+    COV: NLILabel.NEUTRAL,
+    IND: NLILabel.NEUTRAL,
+}
+ACTION_IMAGE_EXPECTED = (EQ, FE, RE, ALT, IND)
 
 
 class TestJoinTable:
@@ -98,17 +117,60 @@ class TestProjection:
 
 class TestGrouping:
     def test_grouping_is_total_and_matches_partition(self):
-        expected = {
-            EQ: NLILabel.ENTAILMENT,
-            FE: NLILabel.ENTAILMENT,
-            NEG: NLILabel.CONTRADICTION,
-            ALT: NLILabel.CONTRADICTION,
-            RE: NLILabel.NEUTRAL,
-            COV: NLILabel.NEUTRAL,
-            IND: NLILabel.NEUTRAL,
-        }
         for r in RELATIONS:
-            assert group(r) == expected[r]
+            assert group(r) == GROUP_EXPECTED[r]
+
+
+class TestCodeTables:
+    """Each integer-coded table, cell by cell, against the transcriptions."""
+
+    def test_codes_are_canonical_positions(self):
+        for members in (RELATIONS, ACTIONS, LABELS):
+            assert [m.code for m in members] == list(range(len(members)))
+        assert set(LABELS) == set(NLILabel)
+
+    @pytest.mark.parametrize("a", RELATIONS)
+    @pytest.mark.parametrize("b", RELATIONS)
+    def test_join_cell(self, a, b):
+        assert JOIN[a.code][b.code] == JOIN_EXPECTED[a][b.code].code
+
+    def test_join_is_seven_by_seven(self):
+        assert len(JOIN) == 7 and all(len(row) == 7 for row in JOIN)
+
+    def test_every_context_has_a_transcription(self):
+        assert set(CONTEXTS) == set(PROJECTION_EXPECTED)
+
+    @pytest.mark.parametrize("name", sorted(PROJECTION_EXPECTED))
+    def test_context_rows(self, name):
+        ctx, expected = CONTEXTS[name], PROJECTION_EXPECTED[name]
+        assert ctx.codes == tuple(r.code for r in expected)
+        assert ctx.action_codes == tuple(
+            expected[r.code].code for r in ACTION_IMAGE_EXPECTED
+        )
+
+    def test_unknown_context_rows_are_identity(self):
+        ctx = get_context("mystery-context")
+        assert ctx.codes == tuple(range(7))
+        assert ctx.action_codes == tuple(r.code for r in ACTION_IMAGE_EXPECTED)
+
+    def test_code_rows_do_not_change_context_equality(self):
+        assert get_context("mystery-context") == get_context("mystery-context")
+        assert get_context("mystery-context") != CONTEXTS["upward-default"]
+
+    def test_group_row(self):
+        assert GROUP == tuple(GROUP_EXPECTED[r].code for r in RELATIONS)
+
+    def test_action_image_row(self):
+        assert ACTION_IMAGE == tuple(r.code for r in ACTION_IMAGE_EXPECTED)
+        assert tuple(a.to_relation() for a in ACTIONS) == ACTION_IMAGE_EXPECTED
+
+    @pytest.mark.parametrize("target", RELATIONS + LABELS)
+    def test_accepting_row(self, target):
+        if isinstance(target, NLILabel):
+            expected = tuple(GROUP_EXPECTED[s] == target for s in RELATIONS)
+        else:
+            expected = tuple(s == target for s in RELATIONS)
+        assert accepting(target) == expected
 
 
 class TestActionSpace:
@@ -149,6 +211,16 @@ def brute_force_reachable_states(state, steps):
     return frozenset(found)
 
 
+def layered_reachable_states(state, steps):
+    """Oracle for long horizons: the states after exactly k actions, for
+    every k <= steps, grown one layer at a time with no early stop."""
+    layer, found = {state}, {state}
+    for _ in range(steps):
+        layer = {join(z, r) for z in layer for r in ACTION_IMAGE_EXPECTED}
+        found |= layer
+    return frozenset(found)
+
+
 class TestReachable:
     def test_zero_steps_is_own_label(self):
         assert reachable(EQ, 0) == frozenset({NLILabel.ENTAILMENT})
@@ -181,6 +253,29 @@ class TestReachable:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             reachable_states(EQ, -1)
+        with pytest.raises(ValueError):
+            reachable(EQ, -1)
+
+    @pytest.mark.parametrize("state", RELATIONS)
+    @pytest.mark.parametrize("steps", range(5))
+    def test_layered_oracle_equals_sequence_enumeration(self, state, steps):
+        assert layered_reachable_states(state, steps) == (
+            brute_force_reachable_states(state, steps)
+        )
+
+    @pytest.mark.parametrize("state", RELATIONS)
+    @pytest.mark.parametrize("steps", range(11))
+    def test_tables_match_layered_oracle(self, state, steps):
+        oracle = layered_reachable_states(state, steps)
+        assert reachable_states(state, steps) == oracle
+        assert reachable(state, steps) == frozenset(GROUP_EXPECTED[s] for s in oracle)
+
+    def test_closure_saturates_within_six_steps(self):
+        assert 0 < SATURATION <= 6
+        for state in RELATIONS:
+            saturated = layered_reachable_states(state, SATURATION)
+            assert layered_reachable_states(state, 10) == saturated
+            assert reachable_states(state, 10**6) == saturated
 
 
 class TestSerialization:

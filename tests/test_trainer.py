@@ -4,14 +4,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import natlog
 import natlog.cli
 from natlog import knowledge
 from natlog.chunker import chunk_pair, default_rules
 from natlog.data import Example
-from natlog.executor import Chunk, ChunkedPair, execute, matches_target
-from natlog.knowledge import Proposal, ProposalQueue, default_lexicon
+from natlog.executor import (
+    Chunk,
+    ChunkedPair,
+    execute,
+    matches_target,
+    reaches,
+    single_edits,
+)
+from natlog.knowledge import Proposal, ProposalQueue, default_lexicon, queue_from_keys
 from natlog.policy import (
     N_FEATURES,
     PolicyParams,
@@ -21,16 +29,18 @@ from natlog.policy import (
     step_distributions,
 )
 from natlog.relations import (
-    ACTION_INDEX,
     ACTIONS,
     ActionRelation,
     CONTEXTS,
     NLILabel,
+    RELATIONS,
     Relation,
     UPWARD,
+    get_context,
 )
 from natlog.trainer import (
     IRConfig,
+    RevisionEvent,
     RewardConfig,
     TrainConfig,
     _parse_bool,
@@ -390,6 +400,151 @@ class TestIntrospectiveRevision:
         assert out[0] == out[1]
 
 
+CONTEXT_POOL = tuple(CONTEXTS.values()) + (get_context("unknown-context"),)
+TARGETS = tuple(NLILabel) + RELATIONS
+
+
+@st.composite
+def revision_cases(draw):
+    """A pair of 1-6 chunks in random contexts, a program over it, a label
+    or exact-relation target, step probabilities and proposal keys."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    hypothesis = tuple(
+        Chunk(tokens=(f"h{i}",), start=i, context=draw(st.sampled_from(CONTEXT_POOL)))
+        for i in range(m)
+    )
+    pair = ChunkedPair(premise=(Chunk(tokens=("p",), start=0),), hypothesis=hypothesis)
+    program = tuple(draw(st.lists(st.sampled_from(ACTIONS), min_size=m, max_size=m)))
+    target = draw(st.sampled_from(TARGETS))
+    kind = draw(st.sampled_from(["uniform", "random", "sparse"]))
+    if kind == "uniform":  # every proposal ties on probability
+        probs = uniform_probs(m)
+    else:
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        probs = np.random.default_rng(seed).dirichlet(np.ones(5), size=m)
+        if kind == "sparse":  # zero probabilities take the ratio's fallback
+            probs[probs < 0.15] = 0.0
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=m), st.sampled_from(ACTIONS)),
+            max_size=8,
+        )
+    )
+    return pair, program, target, probs, keys
+
+
+def brute_force_edits(pair, program, target):
+    """Single-step edits reaching the target, one execution each, in order."""
+    return [
+        (t, action)
+        for t in range(1, len(program) + 1)
+        for action in ACTIONS
+        if matches_target(execute(pair, fix(program, t, action)), target)
+    ]
+
+
+def reference_grid_search(pair, program, phi, target, probs):
+    """grid_search on the brute-force edit list."""
+    psi = queue_from_keys(brute_force_edits(pair, program, target), probs)
+    shared = psi.keys() & phi.keys()
+    return psi.intersect(shared) if shared else psi
+
+
+def reference_revision(pair, program, target, phi, probs, config, rng):
+    """introspective_revision with every check an ``execute`` call."""
+    program = tuple(program)
+    revised = program
+    events = []
+
+    def apply(candidate, t, source):
+        nonlocal revised
+        if candidate != revised:
+            events.append(RevisionEvent(t, revised[t - 1], candidate[t - 1], source))
+        revised = candidate
+
+    popped = 0
+    while popped < config.max_revisions and phi:
+        proposal = phi.pop()
+        popped += 1
+        u = rng.random()
+        candidate = fix(revised, proposal.t, proposal.relation)
+        if matches_target(execute(pair, candidate), target) and u > config.epsilon:
+            apply(candidate, proposal.t, "knowledge")
+            continue
+        u = rng.random()
+        sampled_prob = float(probs[proposal.t - 1][ACTIONS.index(program[proposal.t - 1])])
+        ratio = proposal.prob / sampled_prob if sampled_prob > 0 else 1.0
+        if u < min(1.0, ratio):
+            apply(candidate, proposal.t, "knowledge")
+    if not matches_target(execute(pair, revised), target):
+        psi = reference_grid_search(pair, revised, phi, target, probs)
+        if psi:
+            proposal = psi.pop()
+            apply(fix(revised, proposal.t, proposal.relation), proposal.t, "answer")
+    return revised, tuple(events)
+
+
+def ranked(queue):
+    return [(p.t, p.relation, p.prob) for p in queue.items()]
+
+
+class TestFastPathsMatchExecution:
+    """The code folds and prefix/suffix search against ``execute``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(revision_cases())
+    def test_reaches_equals_execution(self, case):
+        pair, program, target, _, _ = case
+        assert reaches(pair, program, target) == matches_target(
+            execute(pair, program), target
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(revision_cases())
+    def test_single_edits_in_brute_force_order(self, case):
+        pair, program, target, _, _ = case
+        assert single_edits(pair, program, target) == brute_force_edits(
+            pair, program, target
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(revision_cases())
+    def test_grid_search_equals_brute_force(self, case):
+        pair, program, target, probs, keys = case
+        psi = grid_search(pair, program, queue_from_keys(keys, probs), target, probs)
+        expected = reference_grid_search(
+            pair, program, queue_from_keys(keys, probs), target, probs
+        )
+        assert ranked(psi) == ranked(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        revision_cases(),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_revision_equals_execute_reference(self, case, budget, epsilon, seed):
+        pair, program, target, probs, keys = case
+        config = IRConfig(max_revisions=budget, epsilon=epsilon)
+        phi, phi_ref = queue_from_keys(keys, probs), queue_from_keys(keys, probs)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = introspective_revision(pair, program, target, phi, probs, config, rng)
+        expected = reference_revision(
+            pair, program, target, phi_ref, probs, config, rng_ref
+        )
+        assert got == expected
+        assert ranked(phi) == ranked(phi_ref)  # same proposals consumed
+        # same number of draws: both streams continue identically
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_length_mismatch_rejected(self):
+        pair = upward_pair(2)
+        for fast in (reaches, single_edits):
+            with pytest.raises(ValueError, match="program length 1"):
+                fast(pair, (A_EQ,), NLILabel.ENTAILMENT)
+
+
 class TestOneAlignmentPerChunk:
     @pytest.fixture
     def align_calls(self, monkeypatch):
@@ -475,7 +630,7 @@ def per_step_objective(params, features, program, rewards):
         if r == 0.0:
             continue
         probs = distribution(params, f)
-        objective -= float(np.log(probs[ACTION_INDEX[action]])) * r
+        objective -= float(np.log(probs[action.code])) * r
         grad -= r * grad_log_prob(params, f, action)
     return objective, grad
 
@@ -549,7 +704,7 @@ class TestObjectiveFromEpisodeProbs:
         features = np.zeros((2, N_FEATURES))
         features[:, -1] = 1.0
         program, rewards = (A_IND, A_EQ), (0.0, 1.0)
-        assert step_distributions(params, features)[0, ACTION_INDEX[A_IND]] == 0.0
+        assert step_distributions(params, features)[0, A_IND.code] == 0.0
         j, grad = reinforce_objective(params, features, program, rewards)
         assert np.isfinite(j) and np.all(np.isfinite(grad))
         j_ref, grad_ref = per_step_objective(params, features, program, rewards)
@@ -788,3 +943,66 @@ class TestTrainConfigFile:
         path.write_text("mu 1.0\n")
         with pytest.raises(ValueError):
             load_train_config(path)
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("epochs = 0", "epochs"),
+            ("batch_size = 0", "batch_size"),
+            ("learning_rate = -0.1", "learning_rate"),
+            ("M = -1", "M"),
+            ("epsilon = 2", "epsilon"),
+            ("lambda = -0.5", "lambda"),
+        ],
+    )
+    def test_out_of_range_value_names_file_line_and_key(self, tmp_path, line, key):
+        path = tmp_path / "train.cfg"
+        path.write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            load_train_config(path)
+        assert str(info.value).startswith(f"{path}:2: {key}: ")
+        assert " must be " in str(info.value)
+
+
+NAN = float("nan")
+
+
+class TestTrainConfigBounds:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 0),
+            ("epochs", -2),
+            ("batch_size", 0),
+            ("batch_size", -3),
+            ("learning_rate", 0.0),
+            ("learning_rate", -0.05),
+            ("learning_rate", NAN),
+            ("max_revisions", -1),
+            ("epsilon", -0.1),
+            ("epsilon", 1.5),
+            ("epsilon", NAN),
+            ("lam", -0.5),
+            ("lam", 1.01),
+            ("lam", NAN),
+        ],
+    )
+    def test_out_of_range_value_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got "):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 1),
+            ("batch_size", 1),
+            ("learning_rate", 1e-9),
+            ("max_revisions", 0),
+            ("epsilon", 0.0),
+            ("epsilon", 1.0),
+            ("lam", 0.0),
+            ("lam", 1.0),
+        ],
+    )
+    def test_boundary_values_accepted(self, field, value):
+        assert getattr(TrainConfig(**{field: value}), field) == value
