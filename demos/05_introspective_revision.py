@@ -14,7 +14,7 @@ from natlog.executor import execute
 from natlog.knowledge import build_queue, default_lexicon
 from natlog.policy import PolicyParams, featurize_pair, step_distributions
 from natlog.relations import ActionRelation, NLILabel
-from natlog.trainer import IRConfig, introspective_revision
+from natlog.trainer import TrainConfig, introspective_revision
 
 rules = default_rules()
 lexicon = default_lexicon()
@@ -44,7 +44,7 @@ for p in phi.items():
 print()
 
 revised, events = introspective_revision(
-    pair, program, target, phi, probs, IRConfig(), np.random.default_rng(0)
+    pair, program, target, phi, probs, TrainConfig(), np.random.default_rng(0)
 )
 print("revised program:", " ".join(a.symbol for a in revised))
 print("executes to:    ", execute(pair, revised).label.value)

@@ -77,8 +77,6 @@ from .relations import (
     reachable_states,
 )
 from .trainer import (
-    IRConfig,
-    RewardConfig,
     TrainConfig,
     TrainResult,
     grid_search,

@@ -113,7 +113,8 @@ class ChunkRules:
     def load(cls, path: str | Path) -> "ChunkRules":
         """Read rules from a plain key-value grammar file.
 
-        Each non-comment line is ``section: word word ...``.
+        Each non-comment line is ``section: word word ...``; a section
+        named twice is an error.
         """
         sections: dict[str, frozenset[str]] = {}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -123,7 +124,10 @@ class ChunkRules:
             if ":" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'section: words'")
             key, _, words = line.partition(":")
-            sections[key.strip()] = frozenset(words.split())
+            key = key.strip()
+            if key in sections:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            sections[key] = frozenset(words.split())
         known = {k: sections.pop(k, frozenset()) for k in _ROLE_KEYS}
         return cls(extra=dict(sections), **known)
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .chunker import ChunkRules, chunk_pair, default_rules
 from .data import dumps, load_dataset, save_dataset, write_records
 from .datagen import default_genspec, generate, generate_2hop, load_genspec
-from .executor import enumerate_programs, execute
+from .executor import ENUMERATION_CAP, enumerate_programs, execute
 from .knowledge import Lexicon, compare_pair, default_lexicon
 from .metrics import evaluate, reports_to_csv
 from .policy import (
@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-m",
         type=int,
-        default=8,
+        default=ENUMERATION_CAP,
         help="skip examples with more hypothesis chunks than this",
     )
     return parser

@@ -34,10 +34,12 @@ The tables are integer-coded.  Every relation, action and label carries
 ``code``, its position in ``RELATIONS``, ``ACTIONS`` or ``LABELS``, and
 each table is a tuple indexed by codes, built once at import from the
 readable sources below: ``JOIN[a][b]`` is a 7x7 table of relation codes,
-each context's ``codes`` row projects a relation code, ``GROUP`` maps a
-relation code to a label code and ``ACTION_IMAGE`` an action code to a
-relation code.  ``join``, ``project``, ``group`` and ``to_relation`` keep
-their enum signatures and index these tuples, so no lookup hashes an enum.
+``GROUP`` maps a relation code to a label code and ``ACTION_IMAGE`` an
+action code to a relation code.  A monotonicity context is a name plus
+its projection row ``codes``, one row of the projectivity table, which
+maps a relation code to the projected relation code.  ``join``,
+``project``, ``group`` and ``to_relation`` keep their enum signatures and
+index these tuples, so no lookup hashes an enum.
 ``reachable_states`` and ``reachable`` read a table of closures that is
 computed once; every closure saturates after ``SATURATION`` steps.
 """
@@ -240,38 +242,35 @@ def join(a: Relation, b: Relation) -> Relation:
     return RELATIONS[JOIN[a.code][b.code]]
 
 
+_IDENTITY: tuple[int, ...] = tuple(range(len(RELATIONS)))
+
+
 @dataclass(frozen=True)
 class ProjectivityContext:
-    """Monotonicity context of a sentence position.
+    """Monotonicity context of a sentence position: a name and its row.
 
-    ``table`` maps the relation between two phrases to the relation between
-    the sentences embedding them at this position.  Relations missing from
-    ``table`` project unchanged.  It is read once, at construction, into
-    ``codes`` (relation code -> projected relation code) and
-    ``action_codes`` (action code -> projected relation code).
+    ``codes[r]`` is the code of the relation between the sentences that
+    embed two phrases standing in relation code ``r`` at this position;
+    the default row projects every relation unchanged.  ``action_codes``
+    (action code -> projected relation code) is derived from it once, at
+    construction.  Contexts compare and hash by ``(name, codes)``.
     """
 
     name: str
-    table: Mapping[Relation, Relation] = field(default_factory=dict)
-    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    codes: tuple[int, ...] = _IDENTITY
     action_codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        codes = tuple(self.table.get(r, r).code for r in RELATIONS)
-        object.__setattr__(self, "codes", codes)
         object.__setattr__(
-            self, "action_codes", tuple(codes[r] for r in ACTION_IMAGE)
+            self, "action_codes", tuple(self.codes[r] for r in ACTION_IMAGE)
         )
 
     def project(self, relation: Relation) -> Relation:
         return RELATIONS[self.codes[relation.code]]
 
 
-def _context(name: str, cells: str = "") -> ProjectivityContext:
-    if not cells:
-        return ProjectivityContext(name, {})
-    row = (RELATIONS[code] for code in _row(cells))
-    return ProjectivityContext(name, dict(zip(RELATIONS, row)))
+def _context(name: str, cells: str) -> ProjectivityContext:
+    return ProjectivityContext(name, _row(cells))
 
 
 # Projection rows, one per monotonicity context, in canonical input order.
@@ -279,7 +278,7 @@ def _context(name: str, cells: str = "") -> ProjectivityContext:
 # in its body; the existential preserves the entailments in both arguments
 # but weakens the exclusion relations; negation flips the entailments and
 # swaps alternation with cover.
-UPWARD = _context("upward-default")
+UPWARD = ProjectivityContext("upward-default")
 _ALL_ARG1 = _context("all-arg1", "≡ ⊐ ⊏ | # | #")
 _ALL_ARG2 = _context("all-arg2", "≡ ⊏ ⊐ | | # #")
 _SOME_ARG1 = _context("some-arg1", "≡ ⊏ ⊐ ⌣ # ⌣ #")
@@ -294,7 +293,7 @@ CONTEXTS: Mapping[str, ProjectivityContext] = {
 
 def get_context(name: str) -> ProjectivityContext:
     """Look up a context by name; unknown names project as identity."""
-    return CONTEXTS.get(name, ProjectivityContext(name, {}))
+    return CONTEXTS.get(name, ProjectivityContext(name))
 
 
 def project(context: ProjectivityContext, relation: Relation) -> Relation:

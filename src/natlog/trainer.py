@@ -18,12 +18,17 @@ on the policy's own probabilities; if the program is still wrong, a grid
 search over single-step edits supplies at most one answer-driven fix.
 The revised program is scored the same way and both objectives combine as
 lambda * J + (1 - lambda) * J_revised.
+
+Every hyperparameter (mu, gamma, M, epsilon, lambda and the rest) is a
+field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
+``train`` all read and which checks each value's range once, when built.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -57,8 +62,6 @@ from .policy import (
 from .relations import ACTIONS, ActionRelation, NLILabel, Relation, reachable, reachable_states
 
 __all__ = [
-    "RewardConfig",
-    "IRConfig",
     "TrainConfig",
     "Episode",
     "RevisionEvent",
@@ -79,25 +82,14 @@ Target = NLILabel | Relation
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 
 
-@dataclass(frozen=True)
-class RewardConfig:
-    mu: float = 1.0
-    gamma: float = 0.5
-    prefer_forward_entailment: bool = True
-
-
-@dataclass(frozen=True)
-class IRConfig:
-    max_revisions: int = 3  # M: queue pops consumed per episode
-    epsilon: float = 0.2  # exploration floor for outright acceptance
-    lam: float = 0.5  # weight of the original objective in the hybrid
-
-
 # field -> (test its value must pass, what the test asks for)
 _BOUNDS = {
+    "mu": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "gamma": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "seed": (lambda v: v >= 0, "non-negative"),
     "epochs": (lambda v: v >= 1, "at least 1"),
     "batch_size": (lambda v: v >= 1, "at least 1"),
-    "learning_rate": (lambda v: v > 0, "positive"),
+    "learning_rate": (lambda v: 0 < v < math.inf, "positive and finite"),
     "max_revisions": (lambda v: v >= 0, "non-negative"),
     "epsilon": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "lam": (lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -108,11 +100,11 @@ _BOUNDS = {
 class TrainConfig:
     """Training hyperparameters; out-of-range values raise ``ValueError``."""
 
-    mu: float = 1.0
-    gamma: float = 0.5
-    max_revisions: int = 3
-    epsilon: float = 0.2
-    lam: float = 0.5
+    mu: float = 1.0  # reward magnitude
+    gamma: float = 0.5  # per-step discount of the blame for a wrong program
+    max_revisions: int = 3  # M: queue pops consumed per episode
+    epsilon: float = 0.2  # exploration floor for outright acceptance
+    lam: float = 0.5  # weight of the original objective in the hybrid
     epochs: int = 30
     learning_rate: float = 0.05
     batch_size: int = 8
@@ -128,35 +120,13 @@ class TrainConfig:
             if not ok(value):
                 raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
-    def reward_config(self) -> RewardConfig:
-        return RewardConfig(
-            mu=self.mu,
-            gamma=self.gamma,
-            prefer_forward_entailment=self.prefer_forward_entailment,
-        )
 
-    def ir_config(self) -> IRConfig:
-        return IRConfig(
-            max_revisions=self.max_revisions,
-            epsilon=self.epsilon,
-            lam=self.lam,
-        )
-
-
+# config-file key -> (TrainConfig field, type of its default); each field is
+# its own key except these two, spelled as the paper's symbols
+_FILE_ALIASES = {"max_revisions": "M", "lam": "lambda"}
 _CONFIG_KEYS = {
-    "mu": ("mu", float),
-    "gamma": ("gamma", float),
-    "M": ("max_revisions", int),
-    "epsilon": ("epsilon", float),
-    "lambda": ("lam", float),
-    "epochs": ("epochs", int),
-    "learning_rate": ("learning_rate", float),
-    "batch_size": ("batch_size", int),
-    "seed": ("seed", int),
-    "prefer_forward_entailment": ("prefer_forward_entailment", bool),
-    "introspective_revision": ("introspective_revision", bool),
-    "knowledge": ("knowledge", bool),
-    "augmentation": ("augmentation", bool),
+    _FILE_ALIASES.get(f.name, f.name): (f.name, type(f.default))
+    for f in fields(TrainConfig)
 }
 
 
@@ -169,7 +139,8 @@ def _parse_bool(raw: str) -> bool:
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
-    """Read ``key = value`` lines; unknown keys and bad values are an error.
+    """Read ``key = value`` lines; unknown or repeated keys and bad values are
+    an error.
 
     Each value is checked on its own line, so an out-of-range value is
     reported as ``path:line: key: ...``.
@@ -186,6 +157,8 @@ def load_train_config(path: str | Path) -> TrainConfig:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         attr, caster = _CONFIG_KEYS[key]
+        if attr in overrides:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             overrides[attr] = _parse_bool(raw) if caster is bool else caster(raw)
             TrainConfig(**{attr: overrides[attr]})
@@ -227,7 +200,7 @@ def _still_reachable(state: Relation, steps: int, target: Target) -> bool:
     return target in reachable_states(state, steps)
 
 
-def reward(trace: Trace, target: Target, config: RewardConfig) -> tuple[float, ...]:
+def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ...]:
     """Shaped per-step rewards for an executed program."""
     m = trace.m
     if matches_target(trace, target):
@@ -320,7 +293,7 @@ def introspective_revision(
     target: Target,
     phi: ProposalQueue,
     probs: np.ndarray,
-    config: IRConfig,
+    config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[Program, tuple[RevisionEvent, ...]]:
     """Revise a sampled program with lexical and answer-driven edits.
@@ -552,7 +525,6 @@ def run_episode(
     probs = step_distributions(params, compiled.features)
     program = tuple(sample(probs[t], rng) for t in range(compiled.pair.m))
     trace = execute(compiled.pair, program)
-    rcfg = config.reward_config()
     episode = Episode(
         pair=compiled.pair,
         target=compiled.target,
@@ -560,7 +532,7 @@ def run_episode(
         probs=probs,
         program=program,
         trace=trace,
-        rewards=reward(trace, compiled.target, rcfg),
+        rewards=reward(trace, compiled.target, config),
     )
     if not config.introspective_revision:
         return episode
@@ -571,12 +543,12 @@ def run_episode(
         compiled.target,
         phi,
         probs,
-        config.ir_config(),
+        config,
         rng,
     )
     episode.revised_program = revised
     episode.revised_trace = execute(compiled.pair, revised)
-    episode.revised_rewards = reward(episode.revised_trace, compiled.target, rcfg)
+    episode.revised_rewards = reward(episode.revised_trace, compiled.target, config)
     episode.revisions = events
     return episode
 

@@ -44,8 +44,6 @@ from natlog.relations import (
     project,
 )
 from natlog.trainer import (
-    IRConfig,
-    RewardConfig,
     TrainConfig,
     fix,
     grid_search,
@@ -283,13 +281,13 @@ def test_criterion_03_reward_vectors():
         premise=(Chunk(tokens=("p",), start=0),),
         hypothesis=tuple(Chunk(tokens=(f"h{i}",), start=i) for i in range(3)),
     )
-    config = RewardConfig()
+    config = TrainConfig()
     good = execute(pair, (A_EQ, A_EQ, A_FE))
     assert reward(good, NLILabel.ENTAILMENT, config) == (1.0, 1.0, 1.0)
     assert reward(good, NLILabel.CONTRADICTION, config) == (-0.25, -0.5, -1.0)
     flat = execute(pair, (A_EQ, A_EQ, A_EQ))
     assert reward(flat, NLILabel.ENTAILMENT, config) == (0.0, 0.0, 0.0)
-    relaxed = RewardConfig(prefer_forward_entailment=False)
+    relaxed = TrainConfig(prefer_forward_entailment=False)
     assert reward(flat, NLILabel.ENTAILMENT, relaxed) == (1.0, 1.0, 1.0)
 
 
@@ -374,7 +372,7 @@ def test_criterion_06_metropolis_frequency():
     )
     program = (A_EQ,)
     probs = np.array([[0.5, 0.25, 0.1, 0.1, 0.05]])
-    config = IRConfig(max_revisions=1, epsilon=0.2)
+    config = TrainConfig(max_revisions=1, epsilon=0.2)
     n = 100_000
     accepted = 0
     for i in range(n):

@@ -231,6 +231,13 @@ class TestGrammarFile:
         with pytest.raises(ValueError):
             ChunkRules.load(path)
 
+    def test_duplicate_section_rejected(self, tmp_path):
+        path = tmp_path / "grammar.txt"
+        path.write_text("nouns: dog\nverbs: run\nnouns: cat\n")
+        with pytest.raises(ValueError) as info:
+            ChunkRules.load(path)
+        assert str(info.value) == f"{path}:3: duplicate key 'nouns'"
+
     def test_dump_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         RULES.dump(a)

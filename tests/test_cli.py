@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import natlog
+import natlog.cli
+import natlog.executor
 from natlog.cli import main
 from natlog.data import load_dataset, save_dataset
 from natlog.datagen import default_genspec, save_genspec
@@ -329,6 +331,10 @@ class TestOracle:
         assert all(r.get("skipped") for r in records[:-1])
         assert records[-1]["summary"]["skipped"] == 25
         assert "n/a" in capsys.readouterr().out
+
+    def test_max_m_defaults_to_enumeration_cap(self):
+        args = natlog.cli._build_parser().parse_args(["oracle", "--data", "d"])
+        assert args.max_m == natlog.executor.ENUMERATION_CAP
 
 
 class TestErrors:

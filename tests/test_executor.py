@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from natlog.chunker import chunk_pair, default_rules
 from natlog.executor import (
     Chunk,
     ChunkedPair,
@@ -254,3 +255,32 @@ class TestEnumeration:
         order = {a: i for i, a in enumerate(ACTIONS)}
         keys = [tuple(order[a] for a in p) for p in programs]
         assert keys == sorted(keys)
+
+
+class TestHashing:
+    def chunked(self):
+        return chunk_pair(
+            "the child does not love sports",
+            "the kid doesn't like table-tennis",
+            default_rules(),
+        )
+
+    def test_equal_chunks_pairs_and_traces_hash_equal(self):
+        pair, again = self.chunked(), self.chunked()
+        assert NOT in {c.context for c in pair.hypothesis}
+        chunks = pair.premise + pair.hypothesis
+        for a, b in zip(chunks, again.premise + again.hypothesis):
+            assert a == b and hash(a) == hash(b)
+        assert pair == again and hash(pair) == hash(again)
+        program = (A_EQ, A_EQ, A_FE)
+        trace = execute(pair, program)
+        assert trace == execute(again, program)
+        assert hash(trace) == hash(execute(again, program))
+
+    def test_pair_and_trace_are_dict_keys(self):
+        pair = self.chunked()
+        trace = execute(pair, (A_EQ, A_EQ, A_FE))
+        table = {pair: trace, trace: pair}
+        again = self.chunked()
+        assert table[again] == trace
+        assert table[execute(again, (A_EQ, A_EQ, A_FE))] == pair

@@ -1,5 +1,6 @@
 """Cell-by-cell checks of the relation algebra tables and closure ops."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -16,7 +17,9 @@ from natlog.relations import (
     SATURATION,
     ActionRelation,
     NLILabel,
+    ProjectivityContext,
     Relation,
+    UPWARD,
     accepting,
     get_context,
     group,
@@ -113,6 +116,36 @@ class TestProjection:
             assert project(CONTEXTS["some-arg1"], r) == project(
                 CONTEXTS["some-arg2"], r
             )
+
+
+class TestContextValues:
+    def test_compared_fields_are_name_and_row(self):
+        compared = [
+            f.name for f in dataclasses.fields(ProjectivityContext) if f.compare
+        ]
+        assert compared == ["name", "codes"]
+
+    @pytest.mark.parametrize("name", sorted(CONTEXTS))
+    def test_equal_contexts_hash_equal(self, name):
+        ctx = CONTEXTS[name]
+        rebuilt = ProjectivityContext(name, ctx.codes)
+        assert rebuilt == ctx
+        assert hash(rebuilt) == hash(ctx)
+        assert rebuilt.action_codes == ctx.action_codes
+        assert {ctx: name}[rebuilt] == name
+        assert f"codes={ctx.codes!r}" in repr(ctx)
+
+    def test_unknown_context_is_a_hashable_identity(self):
+        a, b = get_context("mystery"), get_context("mystery")
+        assert a == b and hash(a) == hash(b)
+        assert a.codes == tuple(range(len(RELATIONS)))
+        assert a.codes == UPWARD.codes and a != UPWARD
+
+    def test_shared_row_keeps_contexts_apart(self):
+        some1, some2 = CONTEXTS["some-arg1"], CONTEXTS["some-arg2"]
+        assert some1.codes == some2.codes
+        assert some1 != some2
+        assert len({some1: 1, some2: 2}) == 2
 
 
 class TestGrouping:

@@ -1,5 +1,6 @@
 """Shaped rewards, REINFORCE, revision algorithms, and the training loop."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -39,10 +40,9 @@ from natlog.relations import (
     get_context,
 )
 from natlog.trainer import (
-    IRConfig,
     RevisionEvent,
-    RewardConfig,
     TrainConfig,
+    _CONFIG_KEYS,
     _parse_bool,
     fix,
     grid_search,
@@ -66,7 +66,7 @@ A_IND = ActionRelation.INDEPENDENCE
 
 RULES = default_rules()
 LEX = default_lexicon()
-RCFG = RewardConfig()
+CFG = TrainConfig()
 
 
 def upward_pair(m):
@@ -84,47 +84,47 @@ class TestReward:
         pair = upward_pair(3)
         trace = execute(pair, (A_EQ, A_EQ, A_FE))
         assert trace.label == NLILabel.ENTAILMENT
-        assert reward(trace, NLILabel.ENTAILMENT, RCFG) == (1.0, 1.0, 1.0)
+        assert reward(trace, NLILabel.ENTAILMENT, CFG) == (1.0, 1.0, 1.0)
 
     def test_wrong_program_blames_later_steps_more(self):
         pair = upward_pair(3)
         trace = execute(pair, (A_EQ, A_EQ, A_FE))
-        assert reward(trace, NLILabel.CONTRADICTION, RCFG) == (-0.25, -0.5, -1.0)
+        assert reward(trace, NLILabel.CONTRADICTION, CFG) == (-0.25, -0.5, -1.0)
 
     def test_hopeless_step_terminates_early(self):
         # independence at step 1 locks the label to neutral
         pair = upward_pair(3)
         trace = execute(pair, (A_IND, A_EQ, A_EQ))
-        assert reward(trace, NLILabel.CONTRADICTION, RCFG) == (-1.0, 0.0, 0.0)
+        assert reward(trace, NLILabel.CONTRADICTION, CFG) == (-1.0, 0.0, 0.0)
 
     def test_hopeless_step_mid_program(self):
         pair = upward_pair(3)
         trace = execute(pair, (A_EQ, A_IND, A_EQ))
-        assert reward(trace, NLILabel.ENTAILMENT, RCFG) == (0.0, -1.0, 0.0)
+        assert reward(trace, NLILabel.ENTAILMENT, CFG) == (0.0, -1.0, 0.0)
 
     def test_equivalence_final_state_suppresses_positives(self):
         pair = upward_pair(3)
         trace = execute(pair, (A_EQ, A_EQ, A_EQ))
         assert trace.label == NLILabel.ENTAILMENT
-        assert reward(trace, NLILabel.ENTAILMENT, RCFG) == (0.0, 0.0, 0.0)
+        assert reward(trace, NLILabel.ENTAILMENT, CFG) == (0.0, 0.0, 0.0)
 
     def test_suppression_can_be_disabled(self):
         pair = upward_pair(3)
         trace = execute(pair, (A_EQ, A_EQ, A_EQ))
-        cfg = RewardConfig(prefer_forward_entailment=False)
+        cfg = TrainConfig(prefer_forward_entailment=False)
         assert reward(trace, NLILabel.ENTAILMENT, cfg) == (1.0, 1.0, 1.0)
 
     def test_relation_target_rewards(self):
         pair = upward_pair(2)
         good = execute(pair, (A_RE, A_EQ))
-        assert reward(good, Relation.REVERSE_ENTAILMENT, RCFG) == (1.0, 1.0)
+        assert reward(good, Relation.REVERSE_ENTAILMENT, CFG) == (1.0, 1.0)
         bad = execute(pair, (A_FE, A_EQ))
         # forward entailment can never join back to reverse entailment
-        assert reward(bad, Relation.REVERSE_ENTAILMENT, RCFG) == (-1.0, 0.0)
+        assert reward(bad, Relation.REVERSE_ENTAILMENT, CFG) == (-1.0, 0.0)
 
     def test_reward_values_stay_in_contract(self):
         pair = upward_pair(3)
-        cfg = RewardConfig(mu=1.0, gamma=0.5)
+        cfg = TrainConfig(mu=1.0, gamma=0.5)
         allowed = {1.0, 0.0, -1.0, -0.25, -0.5}
         for program in itertools.product(ACTIONS, repeat=3):
             trace = execute(pair, program)
@@ -135,7 +135,7 @@ class TestReward:
     def test_custom_mu_and_gamma(self):
         pair = upward_pair(2)
         trace = execute(pair, (A_EQ, A_EQ))
-        cfg = RewardConfig(mu=2.0, gamma=0.1, prefer_forward_entailment=False)
+        cfg = TrainConfig(mu=2.0, gamma=0.1, prefer_forward_entailment=False)
         assert reward(trace, NLILabel.CONTRADICTION, cfg) == (-0.2, -2.0)
 
 
@@ -275,7 +275,7 @@ class TestIntrospectiveRevision:
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
         phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.9)])
-        cfg = IRConfig(max_revisions=3, epsilon=0.0)
+        cfg = TrainConfig(max_revisions=3, epsilon=0.0)
         revised, events = introspective_revision(
             pair, program, NLILabel.ENTAILMENT, phi,
             uniform_probs(2), cfg, np.random.default_rng(0),
@@ -295,7 +295,7 @@ class TestIntrospectiveRevision:
                 Proposal(t=3, relation=A_FE, prob=0.7),
             ]
         )
-        cfg = IRConfig(max_revisions=1, epsilon=0.0)
+        cfg = TrainConfig(max_revisions=1, epsilon=0.0)
         revised, _ = introspective_revision(
             pair, program, NLILabel.ENTAILMENT, phi,
             uniform_probs(3), cfg, np.random.default_rng(0),
@@ -307,7 +307,7 @@ class TestIntrospectiveRevision:
     def test_no_budget_and_no_grid_fix_returns_unchanged(self):
         pair = upward_pair(1)
         program = (A_EQ,)
-        cfg = IRConfig(max_revisions=0, epsilon=0.2)
+        cfg = TrainConfig(max_revisions=0, epsilon=0.2)
         revised, events = introspective_revision(
             pair, program, Relation.COVER, ProposalQueue(),
             uniform_probs(1), cfg, np.random.default_rng(0),
@@ -318,7 +318,7 @@ class TestIntrospectiveRevision:
     def test_answer_driven_fix_when_knowledge_is_empty(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
-        cfg = IRConfig(max_revisions=3, epsilon=0.2)
+        cfg = TrainConfig(max_revisions=3, epsilon=0.2)
         probs = np.array(
             [
                 [0.1, 0.2, 0.4, 0.2, 0.1],
@@ -339,7 +339,7 @@ class TestIntrospectiveRevision:
         pair = upward_pair(2)
         program = (A_EQ, A_IND)
         phi = ProposalQueue([Proposal(t=1, relation=A_NA, prob=0.9)])
-        cfg = IRConfig(max_revisions=1, epsilon=0.0)
+        cfg = TrainConfig(max_revisions=1, epsilon=0.0)
         rng = np.random.default_rng(1)
         revised, events = introspective_revision(
             pair, program, NLILabel.CONTRADICTION, phi,
@@ -355,7 +355,7 @@ class TestIntrospectiveRevision:
         program = (A_EQ,)
         probs = np.array([[0.999999, 1e-9, 1e-9, 1e-9, 1e-9]])
         phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=1e-9)])
-        cfg = IRConfig(max_revisions=1, epsilon=1.0)
+        cfg = TrainConfig(max_revisions=1, epsilon=1.0)
         revised, events = introspective_revision(
             pair, program, NLILabel.ENTAILMENT, phi, probs, cfg,
             np.random.default_rng(0),
@@ -369,7 +369,7 @@ class TestIntrospectiveRevision:
         pair = upward_pair(1)
         program = (A_EQ,)
         probs = np.array([[0.5, 0.25, 0.1, 0.1, 0.05]])
-        cfg = IRConfig(max_revisions=1, epsilon=0.2)
+        cfg = TrainConfig(max_revisions=1, epsilon=0.2)
         n = 100_000
         accepted = 0
         for i in range(n):
@@ -387,7 +387,7 @@ class TestIntrospectiveRevision:
     def test_deterministic_given_rng_stream(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
-        cfg = IRConfig()
+        cfg = TrainConfig()
         out = []
         for _ in range(2):
             phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.4)])
@@ -526,7 +526,7 @@ class TestFastPathsMatchExecution:
     )
     def test_revision_equals_execute_reference(self, case, budget, epsilon, seed):
         pair, program, target, probs, keys = case
-        config = IRConfig(max_revisions=budget, epsilon=epsilon)
+        config = TrainConfig(max_revisions=budget, epsilon=epsilon)
         phi, phi_ref = queue_from_keys(keys, probs), queue_from_keys(keys, probs)
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = introspective_revision(pair, program, target, phi, probs, config, rng)
@@ -877,23 +877,49 @@ class TestTrainConfigFile:
             "batch_size = 4\n"
             "seed = 99\n"
             "prefer_forward_entailment = false\n"
-            "introspective_revision = true\n"
+            "introspective_revision = false\n"
             "knowledge = false\n"
             "augmentation = off\n"
         )
-        cfg = load_train_config(path)
-        assert cfg.mu == 2.0
-        assert cfg.gamma == 0.9
-        assert cfg.max_revisions == 5
-        assert cfg.epsilon == 0.1
-        assert cfg.lam == 0.7
-        assert cfg.epochs == 12
-        assert cfg.learning_rate == 0.01
-        assert cfg.batch_size == 4
-        assert cfg.seed == 99
-        assert cfg.prefer_forward_entailment is False
-        assert cfg.knowledge is False
-        assert cfg.augmentation is False
+        expected = TrainConfig(
+            mu=2.0,
+            gamma=0.9,
+            max_revisions=5,
+            epsilon=0.1,
+            lam=0.7,
+            epochs=12,
+            learning_rate=0.01,
+            batch_size=4,
+            seed=99,
+            prefer_forward_entailment=False,
+            introspective_revision=False,
+            knowledge=False,
+            augmentation=False,
+        )
+        assert load_train_config(path) == expected
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(expected, f.name) != f.default, f.name
+
+    def test_every_field_has_exactly_one_key(self):
+        fields = [attr for attr, _ in _CONFIG_KEYS.values()]
+        assert sorted(fields) == sorted(
+            f.name for f in dataclasses.fields(TrainConfig)
+        )
+        assert len(fields) == 13
+
+    @pytest.mark.parametrize("line", ["max_revisions = 1", "lam = 0.3"])
+    def test_field_name_of_aliased_key_is_unknown(self, tmp_path, line):
+        path = tmp_path / "train.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            load_train_config(path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs = 5\nseed = 1\nepochs = 2\n")
+        with pytest.raises(ValueError) as info:
+            load_train_config(path)
+        assert str(info.value) == f"{path}:3: duplicate key 'epochs'"
 
     @pytest.mark.parametrize(
         "raw, expected",
@@ -953,11 +979,12 @@ class TestTrainConfigFile:
             ("M = -1", "M"),
             ("epsilon = 2", "epsilon"),
             ("lambda = -0.5", "lambda"),
+            ("seed = -1", "seed"),
         ],
     )
     def test_out_of_range_value_names_file_line_and_key(self, tmp_path, line, key):
         path = tmp_path / "train.cfg"
-        path.write_text(f"seed = 1\n{line}\n")
+        path.write_text(f"knowledge = on\n{line}\n")
         with pytest.raises(ValueError) as info:
             load_train_config(path)
         assert str(info.value).startswith(f"{path}:2: {key}: ")
@@ -965,6 +992,7 @@ class TestTrainConfigFile:
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestTrainConfigBounds:
@@ -978,6 +1006,7 @@ class TestTrainConfigBounds:
             ("learning_rate", 0.0),
             ("learning_rate", -0.05),
             ("learning_rate", NAN),
+            ("learning_rate", INF),
             ("max_revisions", -1),
             ("epsilon", -0.1),
             ("epsilon", 1.5),
@@ -985,6 +1014,14 @@ class TestTrainConfigBounds:
             ("lam", -0.5),
             ("lam", 1.01),
             ("lam", NAN),
+            ("mu", 0.0),
+            ("mu", -1.0),
+            ("mu", NAN),
+            ("mu", INF),
+            ("gamma", -0.1),
+            ("gamma", 1.5),
+            ("gamma", NAN),
+            ("seed", -1),
         ],
     )
     def test_out_of_range_value_names_the_field(self, field, value):
@@ -1002,6 +1039,10 @@ class TestTrainConfigBounds:
             ("epsilon", 1.0),
             ("lam", 0.0),
             ("lam", 1.0),
+            ("mu", 1e-9),
+            ("gamma", 0.0),
+            ("gamma", 1.0),
+            ("seed", 0),
         ],
     )
     def test_boundary_values_accepted(self, field, value):
