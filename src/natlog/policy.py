@@ -16,8 +16,9 @@ J = -sum_t R_t log p_t[a_t] of a program has the weight gradient
     dJ / dW = -sum_t R_t (onehot(a_t) - p_t) outer f_t
 
 which training evaluates from the step probabilities its episode already
-holds.  ``distribution`` and ``grad_log_prob`` are the one-row
-references of the softmax and of one step's gradient.
+holds.  ``distribution``, ``sample`` and ``grad_log_prob`` are the
+one-row references of the softmax, of ``sample_program`` and of one
+step's gradient.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "distribution",
     "step_distributions",
     "sample",
+    "sample_program",
     "argmax",
     "decode",
     "decode_each",
@@ -176,6 +178,21 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> ActionRelation:
         if u < cum:
             return ACTIONS[i]
     return ACTIONS[-1]  # guard against rounding in the final bin
+
+
+def sample_program(
+    probs: np.ndarray, rng: np.random.Generator
+) -> tuple[ActionRelation, ...]:
+    """One action per row of ``probs``, as ``sample`` would draw them in turn.
+
+    ``rng.random(m)`` yields the same numbers as m scalar draws, and
+    ``np.cumsum`` adds each row left to right as ``sample`` does, so each
+    row takes the first action whose cumulative probability exceeds its
+    draw, falling back to the last action.
+    """
+    hits = rng.random(len(probs))[:, None] < np.cumsum(probs, axis=1)
+    hits[:, -1] = True  # guard against rounding in the final bin
+    return tuple(ACTIONS[i] for i in hits.argmax(axis=1).tolist())
 
 
 def argmax(dist: np.ndarray) -> ActionRelation:

@@ -22,6 +22,15 @@ lambda * J + (1 - lambda) * J_revised.
 Every hyperparameter (mu, gamma, M, epsilon, lambda and the rest) is a
 field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
 ``train`` all read and which checks each value's range once, when built.
+
+``train`` runs batch by batch.  The probabilities depend only on the
+weights and a feature row, and the weights change once per batch, so each
+batch makes one ``step_distributions`` call over the stacked rows of its
+episodes, and each episode reads its own rows.  Episode n of a run draws
+from the stream of ``np.random.default_rng([seed, n])``; ``_stream_words``
+hashes every ordinal of an epoch at once as numpy's ``SeedSequence`` does,
+and ``_episode_streams`` finishes PCG64's seeding for each episode on one
+reused generator.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +65,7 @@ from .policy import (
     PolicyParams,
     decode_each,
     feature_matrix,
-    sample,
+    sample_program,
     step_distributions,
 )
 from .relations import ACTIONS, ActionRelation, NLILabel, Relation, reachable, reachable_states
@@ -81,12 +90,16 @@ Target = NLILabel | Relation
 
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 
+# Seeds and episode ordinals stay below 2**32, where each is one entropy
+# word of SeedSequence([seed, ordinal]), the only case _stream_words derives.
+_ONE_WORD = 1 << 32
+
 
 # field -> (test its value must pass, what the test asks for)
 _BOUNDS = {
     "mu": (lambda v: 0 < v < math.inf, "positive and finite"),
     "gamma": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "seed": (lambda v: v >= 0, "non-negative"),
+    "seed": (lambda v: 0 <= v < _ONE_WORD, "in [0, 2**32)"),
     "epochs": (lambda v: v >= 1, "at least 1"),
     "batch_size": (lambda v: v >= 1, "at least 1"),
     "learning_rate": (lambda v: 0 < v < math.inf, "positive and finite"),
@@ -516,14 +529,17 @@ def _compile_examples(
 
 
 def run_episode(
-    params: PolicyParams,
+    probs: np.ndarray,
     compiled: _Compiled,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> Episode:
-    """Sample, execute, reward, and (optionally) revise one program."""
-    probs = step_distributions(params, compiled.features)
-    program = tuple(sample(probs[t], rng) for t in range(compiled.pair.m))
+    """Sample, execute, reward, and (optionally) revise one program.
+
+    ``probs`` holds the policy's distribution at each of the pair's steps,
+    shape (m, n_actions).
+    """
+    program = sample_program(probs, rng)
     trace = execute(compiled.pair, program)
     episode = Episode(
         pair=compiled.pair,
@@ -558,10 +574,99 @@ def _greedy_accuracy(
 ) -> float:
     programs = decode_each(params, [item.features for item in compiled])
     hits = sum(
-        matches_target(execute(item.pair, program), item.target)
+        reaches(item.pair, program, item.target)
         for item, program in zip(compiled, programs)
     )
     return hits / len(compiled) if compiled else 0.0
+
+
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """(h_k, h_k+1) for k < count, where h_0 = init, h_k+1 = h_k * mult mod 2^32."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return tuple(zip(chain, chain[1:]))
+
+
+# pool mixing hashes 4 entropy words, then 12 pool words; the output 8 words
+_HASH_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _stream_words(seed: int, ordinals: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, o]).generate_state(4, np.uint64)`` for each ordinal.
+
+    The pool mixing and output hashing run on uint32 arrays, one lane per
+    ordinal, where array arithmetic wraps mod 2^32 as numpy's C code does.
+    Returns shape (len(ordinals), 4).  The seed and every ordinal must be
+    below 2**32.
+    """
+    ordinals = np.asarray(ordinals, dtype=np.int64)
+    words = (seed, ordinals.min(), ordinals.max())
+    if not all(0 <= word < _ONE_WORD for word in words):
+        raise ValueError("seed and episode ordinals must be in [0, 2**32)")
+    hashes = iter(_HASH_A)
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        h, h_next = next(hashes)
+        value = (value ^ h) * h_next
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    entropy = np.zeros((_POOL_SIZE, ordinals.size), dtype=np.uint32)
+    entropy[0] = seed
+    entropy[1] = ordinals  # the rest pads the two words up to the pool size
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    out = []
+    for i, (h, h_next) in enumerate(_HASH_B):
+        value = (pool[i % _POOL_SIZE] ^ h) * h_next
+        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # uint32 word pairs, low word first, make the uint64 words
+    return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=1)
+
+
+def _episode_streams(
+    seed: int, ordinals: np.ndarray
+) -> Iterator[np.random.Generator]:
+    """For each ordinal, a generator in the state of
+    ``np.random.default_rng([seed, ordinal])``.
+
+    Every item is the same generator, reseeded, so each must be used up
+    before the next is drawn.  PCG64 seeds itself from the four words w as
+    initstate = w0:w1, inc = 2 * (w2:w3) + 1 and
+    state = ((inc + initstate) * MULT + inc) mod 2^128.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for words in _stream_words(seed, ordinals):
+        s_hi, s_lo, i_hi, i_lo = words.tolist()
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def train(
@@ -571,50 +676,59 @@ def train(
     config: TrainConfig,
     params: Optional[PolicyParams] = None,
 ) -> TrainResult:
-    """Plain SGD over the hybrid objective with per-episode RNG streams.
+    """Plain SGD over the hybrid objective, one weight update per batch.
 
-    Episode randomness comes from ``default_rng([seed, ordinal])`` where
-    the ordinal counts episodes across the whole run, so results are
-    byte-identical for identical seeds regardless of wall clock.
+    Each epoch shuffles the examples with ``default_rng([seed, epoch])`` and
+    walks them in slices of ``batch_size``.  A slice gets one
+    ``step_distributions`` call over its stacked feature rows; its episodes
+    run under those weights, and their summed gradient updates the weights
+    once, at the end of the slice.  Episode n of the run (counted across
+    epochs) draws from the stream of ``default_rng([seed, n])``, so results
+    are byte-identical for identical seeds regardless of wall clock.  A run
+    of more than 2**32 episodes is rejected up front.
     """
     if not examples:
         raise ValueError("cannot train on an empty dataset")
     if config.augmentation:
         examples = relation_augmentation(examples, rules, lexicon)
+    if config.epochs * len(examples) > _ONE_WORD:
+        raise ValueError(
+            f"{config.epochs} epochs of {len(examples)} examples make more "
+            "than 2**32 episodes"
+        )
     compiled = _compile_examples(examples, rules, lexicon, config.knowledge)
     params = params.copy() if params is not None else PolicyParams.zeros()
 
     metrics: list[EpochMetrics] = []
-    ordinal = 0
+    n = len(compiled)
     for epoch in range(1, config.epochs + 1):
-        order = np.arange(len(compiled))
+        order = np.arange(n)
         np.random.default_rng([config.seed, epoch]).shuffle(order)
+        streams = _episode_streams(config.seed, np.arange((epoch - 1) * n, epoch * n))
 
         revisions = []
         reward_total, reward_steps = 0.0, 0
         objective_total = 0.0
-        batch_grad = np.zeros_like(params.weights)
-        batch_count = 0
 
-        for idx in order:
-            episode_rng = np.random.default_rng([config.seed, ordinal])
-            ordinal += 1
-            episode = run_episode(params, compiled[idx], config, episode_rng)
+        for start in range(0, n, config.batch_size):
+            batch = [compiled[i] for i in order[start : start + config.batch_size]]
+            probs = step_distributions(
+                params, np.concatenate([item.features for item in batch])
+            )
+            batch_grad = np.zeros_like(params.weights)
+            offset = 0
+            for item, rng in zip(batch, streams):
+                rows = probs[offset : offset + item.pair.m]
+                offset += item.pair.m
+                episode = run_episode(rows, item, config, rng)
 
-            value, grad = hybrid_objective(params, episode, config.lam)
-            objective_total += value
-            batch_grad += grad
-            batch_count += 1
-            if batch_count == config.batch_size:
-                params.weights -= config.learning_rate * batch_grad
-                batch_grad = np.zeros_like(params.weights)
-                batch_count = 0
+                value, grad = hybrid_objective(params, episode, config.lam)
+                objective_total += value
+                batch_grad += grad
 
-            reward_total += sum(episode.rewards)
-            reward_steps += len(episode.rewards)
-            revisions.append(episode.revisions)
-
-        if batch_count:
+                reward_total += sum(episode.rewards)
+                reward_steps += len(episode.rewards)
+                revisions.append(episode.revisions)
             params.weights -= config.learning_rate * batch_grad
 
         metrics.append(
@@ -622,7 +736,7 @@ def train(
                 epoch=epoch,
                 train_accuracy=_greedy_accuracy(params, compiled),
                 mean_reward=reward_total / max(reward_steps, 1),
-                objective=objective_total / len(compiled),
+                objective=objective_total / n,
                 revisions=RevisionStats.tally(revisions),
             )
         )

@@ -22,6 +22,7 @@ from natlog.policy import (
     grad_log_prob,
     load_checkpoint,
     sample,
+    sample_program,
     save_checkpoint,
     step_distributions,
 )
@@ -188,7 +189,7 @@ class TestStackedDistributions:
 
     @given(
         arrays(np.float64, (N_ACTIONS, N_FEATURES), elements=_WEIGHT),
-        st.integers(1, 8).flatmap(
+        st.integers(1, 64).flatmap(
             lambda m: arrays(np.float64, (m, N_FEATURES), elements=_FEATURE)
         ),
     )
@@ -197,6 +198,23 @@ class TestStackedDistributions:
         stacked = step_distributions(params, features)
         rows = np.stack([distribution(params, f) for f in features])
         assert np.array_equal(stacked, rows)
+
+    @given(
+        arrays(np.float64, (N_ACTIONS, N_FEATURES), elements=_WEIGHT),
+        st.lists(
+            st.integers(1, 8).flatmap(
+                lambda m: arrays(np.float64, (m, N_FEATURES), elements=_FEATURE)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_batch_of_episodes_equals_each_episode(self, weights, matrices):
+        # a training batch: up to 8 episodes of mixed m, up to 64 rows
+        params = PolicyParams(weights=weights)
+        stacked = step_distributions(params, np.concatenate(matrices))
+        each = np.concatenate([step_distributions(params, f) for f in matrices])
+        assert np.array_equal(stacked, each)
 
     def test_non_finite_scores_rejected(self):
         params = PolicyParams.zeros()
@@ -256,6 +274,58 @@ class TestSampling:
             p = dist[i]
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(counts[action] / n - p) < 3 * sigma
+
+    @given(
+        st.integers(1, 16).flatmap(
+            lambda m: arrays(
+                np.float64, (m, N_FEATURES), elements=st.floats(-30.0, 30.0)
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_program_equals_scalar_draws(self, scores, seed):
+        params = PolicyParams(weights=np.eye(N_ACTIONS, N_FEATURES))
+        probs = step_distributions(params, scores)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_program(probs, a) == tuple(sample(p, b) for p in probs)
+        assert a.random() == b.random()  # both consumed the same draws
+
+    def test_program_on_sums_just_below_one_and_draws_near_one(self):
+        probs = np.array(
+            [
+                [0.2, 0.2, 0.2, 0.2, 0.2 - 1e-12],
+                [0.0, 0.0, 0.0, 0.0, 1.0 - 2**-53],
+                [1.0 - 2**-53, 0.0, 0.0, 0.0, 0.0],
+                [0.25, 0.25, 0.25, 0.25 - 2**-53, 0.0],
+            ]
+        )
+        assert probs.sum(axis=1).max() < 1.0
+        draws = np.array([1.0 - 2**-53, 0.9999999999995, 1.0 - 2**-52, 1.0 - 2**-53])
+
+        class Fixed:
+            """Hands out ``draws`` in order, one or ``size`` at a time."""
+
+            def __init__(self):
+                self.left = draws
+
+            def random(self, size=None):
+                n = 1 if size is None else size
+                out, self.left = self.left[:n], self.left[n:]
+                return float(out[0]) if size is None else out
+
+        rng = Fixed()
+        expected = tuple(sample(p, rng) for p in probs)
+        # rows 0 and 3 end below their draws: the guard picks the last action
+        assert expected == (ACTIONS[-1], ACTIONS[-1], ACTIONS[0], ACTIONS[-1])
+        assert sample_program(probs, Fixed()) == expected
+
+    def test_program_on_real_distributions(self):
+        rng = np.random.default_rng(5)
+        params = PolicyParams(weights=rng.normal(scale=3.0, size=(N_ACTIONS, N_FEATURES)))
+        probs = step_distributions(params, rng.normal(size=(64, N_FEATURES)))
+        for seed in range(50):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_program(probs, a) == tuple(sample(p, b) for p in probs)
 
     def test_argmax_tie_resolves_to_canonical_order(self):
         assert argmax(np.full(N_ACTIONS, 0.2)) == ActionRelation.EQUIVALENCE

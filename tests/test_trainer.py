@@ -1,6 +1,7 @@
 """Shaped rewards, REINFORCE, revision algorithms, and the training loop."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -27,6 +28,7 @@ from natlog.policy import (
     decode,
     distribution,
     grad_log_prob,
+    sample,
     step_distributions,
 )
 from natlog.relations import (
@@ -40,8 +42,12 @@ from natlog.relations import (
     get_context,
 )
 from natlog.trainer import (
+    Episode,
+    EpochMetrics,
     RevisionEvent,
+    RevisionStats,
     TrainConfig,
+    TrainResult,
     _CONFIG_KEYS,
     _parse_bool,
     fix,
@@ -56,7 +62,12 @@ from natlog.trainer import (
     run_episode,
     train,
 )
-from natlog.trainer import _compile_examples, _greedy_accuracy
+from natlog.trainer import (
+    _compile_examples,
+    _episode_streams,
+    _greedy_accuracy,
+    _stream_words,
+)
 
 A_EQ = ActionRelation.EQUIVALENCE
 A_FE = ActionRelation.FORWARD_ENTAILMENT
@@ -589,7 +600,8 @@ class TestHybridObjective:
         ]
         compiled = _compile_examples(examples, RULES, LEX, use_knowledge=True)
         config = TrainConfig(seed=3)
-        return run_episode(params, compiled[0], config, np.random.default_rng(3))
+        probs = step_distributions(params, compiled[0].features)
+        return run_episode(probs, compiled[0], config, np.random.default_rng(3))
 
     def test_lambda_one_is_pure_reinforce(self):
         params = PolicyParams.zeros()
@@ -643,7 +655,12 @@ def random_episodes(seed, introspective_revision=True):
     compiled = _compile_examples(examples, RULES, LEX, use_knowledge=True)
     config = TrainConfig(seed=seed, introspective_revision=introspective_revision)
     episodes = [
-        run_episode(params, item, config, np.random.default_rng([seed, i]))
+        run_episode(
+            step_distributions(params, item.features),
+            item,
+            config,
+            np.random.default_rng([seed, i]),
+        )
         for i, item in enumerate(compiled)
     ]
     return params, compiled, episodes
@@ -862,6 +879,172 @@ class TestTrain:
         assert result.metrics[-1].train_accuracy >= 0.75
 
 
+class TestEpisodeStreams:
+    """Streams derived per epoch equal ``default_rng([seed, ordinal])``."""
+
+    ORDINALS = [0, 1, 255, 256, 65535, 65536, 10**6, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_equal_to_default_rng(self, seed):
+        drawn = np.random.default_rng(1000 + seed).integers(0, 2**32, 200)
+        ordinals = self.ORDINALS + drawn.tolist()
+        for ordinal, rng in zip(ordinals, _episode_streams(seed, ordinals)):
+            expected = np.random.default_rng([seed, ordinal])
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert [rng.random() for _ in range(4)] == [
+                expected.random() for _ in range(4)
+            ]
+
+    def test_largest_seed_and_ordinal(self):
+        seed = ordinal = 2**32 - 1
+        (rng,) = _episode_streams(seed, [ordinal])
+        expected = np.random.default_rng([seed, ordinal])
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "seed, ordinals", [(2**32, [0]), (-1, [0]), (0, [2**32]), (0, [5, -1])]
+    )
+    def test_words_past_one_entropy_word_rejected(self, seed, ordinals):
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*32\)"):
+            _stream_words(seed, ordinals)
+
+    def test_run_past_two_to_the_32_episodes_rejected(self):
+        examples = tiny_dataset()[:2]
+        config = TrainConfig(epochs=2**31 + 1, augmentation=False)
+        with pytest.raises(ValueError, match=r"more than 2\*\*32 episodes"):
+            train(examples, RULES, LEX, config)
+
+    def test_run_of_exactly_two_to_the_32_episodes_starts(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def streams(seed, ordinals):
+            raise Started
+
+        monkeypatch.setattr(natlog.trainer, "_episode_streams", streams)
+        config = TrainConfig(epochs=2**31, augmentation=False)
+        with pytest.raises(Started):
+            train(tiny_dataset()[:2], RULES, LEX, config)
+
+
+def _reference_episode(params, compiled, config, rng):
+    """One episode as sampled before batching: one softmax per episode and
+    one scalar ``sample`` per step."""
+    probs = step_distributions(params, compiled.features)
+    program = tuple(sample(p, rng) for p in probs)
+    trace = execute(compiled.pair, program)
+    episode = Episode(
+        pair=compiled.pair,
+        target=compiled.target,
+        features=compiled.features,
+        probs=probs,
+        program=program,
+        trace=trace,
+        rewards=reward(trace, compiled.target, config),
+    )
+    if not config.introspective_revision:
+        return episode
+    phi = queue_from_keys(compiled.proposals, probs)
+    revised, events = introspective_revision(
+        compiled.pair, program, compiled.target, phi, probs, config, rng
+    )
+    episode.revised_program = revised
+    episode.revised_trace = execute(compiled.pair, revised)
+    episode.revised_rewards = reward(episode.revised_trace, compiled.target, config)
+    episode.revisions = events
+    return episode
+
+
+def _reference_train(examples, config):
+    """``train`` one episode at a time: a fresh ``default_rng`` per episode,
+    a weight update after every ``batch_size`` episodes and after the last,
+    and greedy accuracy from ``execute``."""
+    if config.augmentation:
+        examples = relation_augmentation(examples, RULES, LEX)
+    compiled = _compile_examples(examples, RULES, LEX, config.knowledge)
+    params = PolicyParams.zeros()
+    metrics = []
+    ordinal = 0
+    for epoch in range(1, config.epochs + 1):
+        order = np.arange(len(compiled))
+        np.random.default_rng([config.seed, epoch]).shuffle(order)
+        revisions = []
+        reward_total, reward_steps = 0.0, 0
+        objective_total = 0.0
+        batch_grad = np.zeros_like(params.weights)
+        batch_count = 0
+        for idx in order:
+            episode_rng = np.random.default_rng([config.seed, ordinal])
+            ordinal += 1
+            episode = _reference_episode(params, compiled[idx], config, episode_rng)
+            value, grad = hybrid_objective(params, episode, config.lam)
+            objective_total += value
+            batch_grad += grad
+            batch_count += 1
+            if batch_count == config.batch_size:
+                params.weights -= config.learning_rate * batch_grad
+                batch_grad = np.zeros_like(params.weights)
+                batch_count = 0
+            reward_total += sum(episode.rewards)
+            reward_steps += len(episode.rewards)
+            revisions.append(episode.revisions)
+        if batch_count:
+            params.weights -= config.learning_rate * batch_grad
+        hits = sum(
+            matches_target(execute(item.pair, decode(params, item.features)), item.target)
+            for item in compiled
+        )
+        metrics.append(
+            EpochMetrics(
+                epoch=epoch,
+                train_accuracy=hits / len(compiled),
+                mean_reward=reward_total / max(reward_steps, 1),
+                objective=objective_total / len(compiled),
+                revisions=RevisionStats.tally(revisions),
+            )
+        )
+    return TrainResult(params=params, metrics=tuple(metrics))
+
+
+@functools.lru_cache(maxsize=None)
+def equivalence_slice(split):
+    """48 compositional training pairs (m = 2) or 44 noisy test pairs
+    (half m = 2, half m = 4)."""
+    if split == "comp":
+        return tuple(natlog.generate(natlog.default_genspec(), RULES)[0][::40])
+    spec = dataclasses.replace(natlog.default_genspec(), noisy_test=True)
+    return tuple(natlog.generate(spec, RULES)[1][::60])
+
+
+class TestBatchedTrainEqualsReference:
+    """Batched training against the per-episode reference loop, byte for byte."""
+
+    @pytest.mark.parametrize("split", ["comp", "noisy"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 1000])
+    @pytest.mark.parametrize("ir", [True, False])
+    @pytest.mark.parametrize("knowledge", [True, False])
+    def test_weights_and_metrics_equal(self, split, batch_size, ir, knowledge):
+        examples = equivalence_slice(split)
+        if split == "noisy":
+            ms = {chunk_pair(e.premise, e.hypothesis, RULES).m for e in examples}
+            assert ms == {2, 4}
+        config = TrainConfig(
+            epochs=3,
+            learning_rate=0.05,
+            batch_size=batch_size,
+            seed=batch_size,
+            introspective_revision=ir,
+            knowledge=knowledge,
+        )
+        got = train(examples, RULES, LEX, config)
+        expected = _reference_train(examples, config)
+        assert got.params.weights.tobytes() == expected.params.weights.tobytes()
+        assert [m.to_record() for m in got.metrics] == [
+            m.to_record() for m in expected.metrics
+        ]
+        assert got.params.weights.any()
+
+
 class TestTrainConfigFile:
     def test_load_all_keys(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -1022,6 +1205,7 @@ class TestTrainConfigBounds:
             ("gamma", 1.5),
             ("gamma", NAN),
             ("seed", -1),
+            ("seed", 2**32),
         ],
     )
     def test_out_of_range_value_names_the_field(self, field, value):
@@ -1043,6 +1227,7 @@ class TestTrainConfigBounds:
             ("gamma", 0.0),
             ("gamma", 1.0),
             ("seed", 0),
+            ("seed", 2**32 - 1),
         ],
     )
     def test_boundary_values_accepted(self, field, value):
