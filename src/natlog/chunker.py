@@ -241,14 +241,18 @@ def _token_contexts(
 
 
 def chunk(sentence: Sentence | Sequence[str], rules: ChunkRules) -> tuple[Chunk, ...]:
-    """Split a sentence into noun-phrase and filler chunks, marked."""
+    """Split a sentence into noun-phrase and filler chunks, marked.
+
+    Each chunk is built once, with the context of its first token.
+    """
     tokens = sentence.tokens if isinstance(sentence, Sentence) else tuple(sentence)
     if not tokens:
         raise ValueError("cannot chunk an empty sentence")
-    chunks = tuple(
-        Chunk(tokens=tuple(tokens[a:b]), start=a) for a, b in _spans(tokens, rules)
+    contexts = _token_contexts(tokens, rules)
+    return tuple(
+        Chunk(tokens=tuple(tokens[a:b]), start=a, context=contexts[a])
+        for a, b in _spans(tokens, rules)
     )
-    return mark_projectivity(chunks, rules)
 
 
 def mark_projectivity(

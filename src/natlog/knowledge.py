@@ -2,8 +2,16 @@
 
 The lexicon stores three edge kinds over surface tokens: synonymy (an
 equivalence closure), hypernymy (transitively closed through synonym
-classes), and antonymy.  Given an aligned premise chunk for a hypothesis
-chunk, simple rules propose candidate relations:
+classes), and antonymy.  It resolves them once, when it is built, into one
+table from pairs of synonym-class representatives ("roots") to link bits:
+hypernym, hyponym and antonym.  Alignment and the lexical flags work on
+the roots of a chunk's tokens: a hypothesis token counts toward the overlap
+when its root, or a root linked to it, is among the premise chunk's roots,
+and the hypernym and antonym flags of a chunk pair are the OR of one table
+lookup per token pair.
+
+Given an aligned premise chunk for a hypothesis chunk, simple rules propose
+candidate relations:
 
 * equivalence when the chunks are equal up to synonyms, or the hypothesis
   chunk is a sub-phrase of the premise chunk,
@@ -49,11 +57,28 @@ __all__ = [
 ]
 
 
+# Link bits of the root-pair table: (ra, rb) -> bits says how class ra
+# relates to class rb.
+_HYPERNYM = 1  # ra is a (transitive) hypernym of rb
+_HYPONYM = 2  # rb is a (transitive) hypernym of ra
+_ANTONYM = 4
+
+
 class Lexicon:
     """Immutable word-relation store with closure-aware queries.
 
+    Every relation is resolved once, when the lexicon is built, into one
+    table over synonym-class representatives ("roots"): root pair
+    ``(ra, rb)`` maps to the OR of the hypernym, hyponym and antonym bits
+    that hold from class ra to class rb, and pairs with no link are
+    absent.  Each linked root also keeps the frozenset of itself and the
+    roots it is linked to.  Every query is a root lookup plus a table
+    lookup.
+
     Hypernym cycles are rejected: a synonym class that is its own
-    (transitive) hypernym raises ``ValueError``.
+    (transitive) hypernym raises ``ValueError``, as does an antonym pair
+    inside one synonym class.  Both errors name each class by its
+    representative word.
     """
 
     def __init__(
@@ -85,7 +110,7 @@ class Lexicon:
         children: dict[str, set[str]] = {}
         for parent, child in self._hyper_edges:
             children.setdefault(self.root(parent), set()).add(self.root(child))
-        self._descendants: dict[str, frozenset[str]] = {}
+        descendants: dict[str, set[str]] = {}
         for node in children:
             seen: set[str] = set()
             stack = list(children[node])
@@ -95,13 +120,26 @@ class Lexicon:
                     continue
                 seen.add(cur)
                 stack.extend(children.get(cur, ()))
-            self._descendants[node] = frozenset(seen)
-        cyclic = sorted(n for n, below in self._descendants.items() if n in below)
+            descendants[node] = seen
+        cyclic = sorted(n for n, below in descendants.items() if n in below)
         if cyclic:  # name each class by its representative word
             raise ValueError(f"hypernym cycle through {', '.join(cyclic)}")
-        self._antonym_pairs = frozenset(
-            frozenset((self.root(a), self.root(b))) for a, b in self._ant_edges
-        )
+        links: dict[tuple[str, str], int] = {}
+        for node, below in descendants.items():
+            for child in below:
+                links[node, child] = links.get((node, child), 0) | _HYPERNYM
+                links[child, node] = links.get((child, node), 0) | _HYPONYM
+        for a, b in self._ant_edges:
+            ra, rb = self.root(a), self.root(b)
+            if ra == rb:
+                raise ValueError(f"antonym within a synonym class: {ra}")
+            links[ra, rb] = links.get((ra, rb), 0) | _ANTONYM
+            links[rb, ra] = links.get((rb, ra), 0) | _ANTONYM
+        self._links = links
+        near: dict[str, set[str]] = {}
+        for ra, rb in links:
+            near.setdefault(ra, {ra}).add(rb)
+        self._near = {r: frozenset(roots) for r, roots in near.items()}
 
     def root(self, word: str) -> str:
         """Representative of the word's synonym class."""
@@ -112,23 +150,19 @@ class Lexicon:
 
     def hypernym_of(self, u: str, v: str) -> bool:
         """True if u is a (transitive) hypernym of v."""
-        ru, rv = self.root(u), self.root(v)
-        return rv in self._descendants.get(ru, frozenset())
+        return bool(self._links.get((self.root(u), self.root(v)), 0) & _HYPERNYM)
 
     def antonymous(self, a: str, b: str) -> bool:
-        return frozenset((self.root(a), self.root(b))) in self._antonym_pairs
+        return bool(self._links.get((self.root(a), self.root(b)), 0) & _ANTONYM)
 
     def related(self, a: str, b: str) -> bool:
         """Any lexical link usable for alignment, including equality."""
-        return (
-            self.synonymous(a, b)
-            or self.hypernym_of(a, b)
-            or self.hypernym_of(b, a)
-            or self.antonymous(a, b)
-        )
+        ra, rb = self.root(a), self.root(b)
+        return ra == rb or (ra, rb) in self._links
 
     def normalize(self, tokens: Sequence[str]) -> tuple[str, ...]:
-        return tuple(self.root(t) for t in tokens)
+        """The root of each token."""
+        return tuple(map(self._root.get, tokens, tokens))
 
     # -- serialization ----------------------------------------------------
 
@@ -273,21 +307,22 @@ def align(
     the premise chunk.  Ties go to the leftmost premise chunk; zero
     overlap aligns nothing.
     """
+    hyp_roots = lexicon.normalize(hyp_chunk.tokens)
     best, best_score = None, 0
     for candidate in premise_chunks:
-        score = _overlap(hyp_chunk, candidate, lexicon)
+        score = _overlap(hyp_roots, set(lexicon.normalize(candidate.tokens)), lexicon)
         if score > best_score:
             best, best_score = candidate, score
     return best
 
 
-def _overlap(hyp_chunk: Chunk, premise_chunk: Chunk, lexicon: Lexicon) -> int:
-    """Hypothesis tokens related to some token of the premise chunk."""
-    return sum(
-        1
-        for u in hyp_chunk.tokens
-        if any(lexicon.related(u, v) for v in premise_chunk.tokens)
-    )
+def _overlap(hyp_roots: Sequence[str], premise_roots: set[str], lexicon: Lexicon) -> int:
+    """Hypothesis roots equal or linked to some root of the premise chunk.
+
+    A root with no links is near only itself.
+    """
+    near = lexicon._near
+    return sum(not premise_roots.isdisjoint(near.get(r, (r,))) for r in hyp_roots)
 
 
 def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
@@ -307,22 +342,21 @@ def _flags(hyp_chunk: Chunk, premise_chunk: Chunk, lexicon: Lexicon) -> tuple:
     """
     s = lexicon.normalize(hyp_chunk.tokens)
     s_tilde = lexicon.normalize(premise_chunk.tokens)
-    synonym = hyper_fwd = hyper_rev = antonym = False
+    links = lexicon._links
+    synonym, bits = False, 0
     for u, ru in zip(hyp_chunk.tokens, s):
         for v, rv in zip(premise_chunk.tokens, s_tilde):
             synonym |= ru == rv and u != v
-            hyper_fwd |= lexicon.hypernym_of(u, v)
-            hyper_rev |= lexicon.hypernym_of(v, u)
-            antonym |= lexicon.antonymous(u, v)
+            bits |= links.get((ru, rv), 0)
     return (
         s == s_tilde,
         _subphrase(s, s_tilde),
         _subphrase(s_tilde, s),
         synonym,
-        hyper_fwd,
-        hyper_rev,
-        antonym,
-        _overlap(hyp_chunk, premise_chunk, lexicon) / len(hyp_chunk.tokens),
+        bool(bits & _HYPERNYM),
+        bool(bits & _HYPONYM),
+        bool(bits & _ANTONYM),
+        _overlap(s, set(s_tilde), lexicon) / len(s),
     )
 
 

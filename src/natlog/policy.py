@@ -263,4 +263,9 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
         raise ValueError(f"{path}: malformed weight rows: {exc}") from None
     if weights.shape != (N_ACTIONS, N_FEATURES):
         raise ValueError(f"{path}: weight shape {weights.shape} unexpected")
+    if not np.isfinite(weights).all():
+        row, col = np.argwhere(~np.isfinite(weights))[0]
+        # the three header lines are the first non-empty ones
+        lineno = [i for i, line in enumerate(lines, start=1) if line][3 + row]
+        raise ValueError(f"{path}:{lineno}: non-finite weight {weights[row, col]}")
     return PolicyParams(weights=weights)

@@ -1,5 +1,7 @@
 """Chunk segmentation, projectivity marking, and grammar file round-trips."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,8 @@ from natlog.chunker import (
     mark_projectivity,
     tokenize,
 )
-from natlog.executor import execute
+from natlog.datagen import default_genspec, generate
+from natlog.executor import Chunk, execute
 from natlog.relations import ActionRelation, CONTEXTS, NLILabel, Relation
 
 RULES = default_rules()
@@ -168,6 +171,21 @@ class TestProjectivity:
             once = chunk(Sentence.parse(sentence), RULES)
             twice = mark_projectivity(once, RULES)
             assert once == twice
+
+    def test_chunk_marks_like_mark_projectivity_on_split_sentences(self):
+        # chunk builds each chunk with its context in one pass; marking the
+        # result again, or marking unmarked copies, must not change it
+        spec = default_genspec()
+        sentences = set()
+        for noisy in (False, True):
+            train, test = generate(dataclasses.replace(spec, noisy_test=noisy), RULES)
+            sentences |= {s for ex in train + test for s in (ex.premise, ex.hypothesis)}
+        assert len(sentences) > 500
+        for text in sorted(sentences):
+            chunks = chunk(Sentence.parse(text), RULES)
+            unmarked = [Chunk(tokens=c.tokens, start=c.start) for c in chunks]
+            assert chunks == mark_projectivity(chunks, RULES)
+            assert chunks == mark_projectivity(unmarked, RULES)
 
 
 class TestExecutorComposition:

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from natlog.chunker import chunk_pair, default_rules
 from natlog.datagen import default_genspec, generate
@@ -100,6 +101,21 @@ class TestLexicon:
         path = tmp_path / "cyclic.lex"
         path.write_text("hyper a b\nhyper b a\n")
         with pytest.raises(ValueError, match=f"{path}: hypernym cycle"):
+            Lexicon.load(path)
+
+    def test_antonym_within_synonym_class_rejected(self):
+        with pytest.raises(ValueError, match="^antonym within a synonym class: big$"):
+            Lexicon(synonyms=[("big", "large")], antonyms=[("big", "large")])
+        # named by the class representative, whichever words the edge uses
+        with pytest.raises(ValueError, match="^antonym within a synonym class: a$"):
+            Lexicon(synonyms=[("a", "b"), ("b", "c")], antonyms=[("c", "b")])
+
+    def test_load_names_path_of_antonym_within_synonym_class(self, tmp_path):
+        path = tmp_path / "contradictory.lex"
+        path.write_text("syn big large\nant large big\n")
+        with pytest.raises(
+            ValueError, match=f"^{path}: antonym within a synonym class: big$"
+        ):
             Lexicon.load(path)
 
     def test_related_covers_all_edge_kinds(self):
@@ -302,13 +318,88 @@ class TestBuildQueue:
         assert all(p.t == 1 for p in queue.items())
 
 
-def _reference_flags(hyp, premise_chunks, lexicon):
-    """Lexical flags by separate brute-force scans, one per flag."""
-    aligned = align(hyp, premise_chunks, lexicon)
-    if aligned is None:
+class ReferenceLexicon:
+    """Lexicon queries answered by search over the raw edge lists.
+
+    Independent of ``Lexicon``'s tables: a word's synonym class is found by
+    breadth-first search over the synonym edges, and u is a hypernym of v
+    when a breadth-first search over hypernym edges, leaving from any word
+    of the classes reached so far, reaches v.
+    """
+
+    def __init__(self, synonyms=(), hypernyms=(), antonyms=()):
+        self.synonyms = tuple(synonyms) + tuple((b, a) for a, b in synonyms)
+        self.hypernyms = tuple(hypernyms)  # (parent, child)
+        self.antonyms = tuple(antonyms)
+        self._classes = {}  # word -> synonym class, memoized per instance
+
+    @classmethod
+    def of(cls, lexicon, path):
+        """The raw edges of a lexicon, read back from its dump."""
+        lexicon.dump(path)
+        edges = {"syn": [], "hyper": [], "ant": []}
+        for line in path.read_text().splitlines():
+            kind, a, b = line.split()
+            edges[kind].append((a, b))
+        return cls(edges["syn"], edges["hyper"], edges["ant"])
+
+    def synonym_class(self, word):
+        if word not in self._classes:
+            seen, frontier = {word}, {word}
+            while frontier:
+                frontier = {b for a, b in self.synonyms if a in frontier} - seen
+                seen |= frontier
+            self._classes[word] = frozenset(seen)
+        return self._classes[word]
+
+    def canonical(self, word):
+        return min(self.synonym_class(word))
+
+    def synonymous(self, a, b):
+        return b in self.synonym_class(a)
+
+    def hypernym_of(self, u, v):
+        reached, frontier = set(), self.synonym_class(u)
+        while frontier:
+            children = [c for p, c in self.hypernyms if p in frontier]
+            frontier = set().union(*map(self.synonym_class, children)) - reached
+            reached |= frontier
+        return v in reached
+
+    def antonymous(self, a, b):
+        ca, cb = self.synonym_class(a), self.synonym_class(b)
+        return any(
+            (x in ca and y in cb) or (x in cb and y in ca) for x, y in self.antonyms
+        )
+
+    def related(self, a, b):
+        return (
+            self.synonymous(a, b)
+            or self.hypernym_of(a, b)
+            or self.hypernym_of(b, a)
+            or self.antonymous(a, b)
+        )
+
+    def consistent(self):
+        """No class is its own hypernym and no antonym pair is one class."""
+        words = {w for edge in self.synonyms + self.hypernyms for w in edge}
+        return not any(self.hypernym_of(w, w) for w in words) and not any(
+            self.synonymous(a, b) for a, b in self.antonyms
+        )
+
+
+def _reference_compare(hyp, premise_chunks, ref):
+    """Aligned chunk and lexical flags by separate brute-force scans."""
+
+    def overlap(chunk):
+        return sum(any(ref.related(u, v) for v in chunk.tokens) for u in hyp.tokens)
+
+    scores = [overlap(c) for c in premise_chunks]
+    if max(scores, default=0) == 0:
         return None, (0.0,) * 8
-    s = lexicon.normalize(hyp.tokens)
-    s_tilde = lexicon.normalize(aligned.tokens)
+    aligned = premise_chunks[scores.index(max(scores))]  # leftmost best
+    s = tuple(map(ref.canonical, hyp.tokens))
+    s_tilde = tuple(map(ref.canonical, aligned.tokens))
     pairs = [(u, v) for u in hyp.tokens for v in aligned.tokens]
 
     def subphrase(short, long):
@@ -319,12 +410,11 @@ def _reference_flags(hyp, premise_chunks, lexicon):
         s == s_tilde,
         subphrase(s, s_tilde),
         subphrase(s_tilde, s),
-        any(u != v and lexicon.synonymous(u, v) for u, v in pairs),
-        any(lexicon.hypernym_of(u, v) for u, v in pairs),
-        any(lexicon.hypernym_of(v, u) for u, v in pairs),
-        any(lexicon.antonymous(u, v) for u, v in pairs),
-        sum(any(lexicon.related(u, v) for v in aligned.tokens) for u in hyp.tokens)
-        / len(hyp.tokens),
+        any(u != v and ref.synonymous(u, v) for u, v in pairs),
+        any(ref.hypernym_of(u, v) for u, v in pairs),
+        any(ref.hypernym_of(v, u) for u, v in pairs),
+        any(ref.antonymous(u, v) for u, v in pairs),
+        overlap(aligned) / len(hyp.tokens),
     )
     return aligned, tuple(float(f) for f in flags)
 
@@ -351,11 +441,12 @@ class TestOneComparison:
                     expected += [(t, rel) for rel in propose(hyp, aligned, LEX)]
             assert proposal_keys(pair, LEX) == tuple(expected)
 
-    def test_flags_match_brute_force_scans(self, split_pairs):
+    def test_flags_match_brute_force_scans(self, split_pairs, tmp_path):
+        ref = ReferenceLexicon.of(LEX, tmp_path / "default.lex")
         for pair in split_pairs:
             for hyp in pair.hypothesis:
                 aligned, flags = compare(hyp, pair.premise, LEX)
-                ref_aligned, ref_flags = _reference_flags(hyp, pair.premise, LEX)
+                ref_aligned, ref_flags = _reference_compare(hyp, pair.premise, ref)
                 assert aligned is ref_aligned
                 assert tuple(float(f) for f in flags) == ref_flags
 
@@ -365,3 +456,43 @@ class TestOneComparison:
         assert aligned is None
         assert flags == (False,) * 7 + (0.0,)
         assert all(t == 1 for t, _ in proposal_keys(pair, LEX))
+
+
+WORDS = [f"w{i}" for i in range(10)]
+edges = st.tuples(*[st.sampled_from(WORDS)] * 2)
+chunk_tokens = st.lists(st.sampled_from(WORDS + ["unknown"]), min_size=1, max_size=3)
+
+
+class TestLexiconEqualsReference:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        synonyms=st.lists(edges, max_size=4),
+        hypernyms=st.lists(edges, max_size=6),
+        antonyms=st.lists(edges, max_size=4),
+        hypothesis_chunks=st.lists(chunk_tokens, min_size=1, max_size=3),
+        premise_chunks=st.lists(chunk_tokens, min_size=1, max_size=4),
+    )
+    def test_random_lexicon(
+        self, synonyms, hypernyms, antonyms, hypothesis_chunks, premise_chunks
+    ):
+        ref = ReferenceLexicon(synonyms, hypernyms, antonyms)
+        event(f"consistent: {ref.consistent()}")
+        if not ref.consistent():
+            with pytest.raises(ValueError):
+                Lexicon(synonyms, hypernyms, antonyms)
+            return
+        lex = Lexicon(synonyms, hypernyms, antonyms)
+        for a in WORDS + ["unknown"]:
+            assert lex.root(a) == ref.canonical(a)
+            for b in WORDS + ["unknown"]:
+                assert lex.synonymous(a, b) == ref.synonymous(a, b)
+                assert lex.hypernym_of(a, b) == ref.hypernym_of(a, b)
+                assert lex.antonymous(a, b) == ref.antonymous(a, b)
+                assert lex.related(a, b) == ref.related(a, b)
+        premise = [Chunk(tokens=tuple(t), start=i) for i, t in enumerate(premise_chunks)]
+        for tokens in hypothesis_chunks:
+            hyp = Chunk(tokens=tuple(tokens), start=0)
+            aligned, flags = compare(hyp, premise, lex)
+            ref_aligned, ref_flags = _reference_compare(hyp, premise, ref)
+            assert aligned is ref_aligned
+            assert tuple(float(f) for f in flags) == ref_flags

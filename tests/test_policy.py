@@ -403,6 +403,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{path}: "):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_path_and_line(self, tmp_path, value):
+        path = tmp_path / "policy.ckpt"
+        save_checkpoint(PolicyParams.zeros(), path)
+        lines = path.read_text().splitlines()
+        row = lines[5].split()  # header lines 1-3, then weight rows 4-8
+        row[2] = value
+        lines[5] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:6: non-finite weight {value}$"):
+            load_checkpoint(path)
+
     def test_feature_layout_mismatch_rejected(self, tmp_path):
         path = tmp_path / "policy.ckpt"
         save_checkpoint(PolicyParams.zeros(), path)
