@@ -261,10 +261,15 @@ class Proposal:
 
 
 class ProposalQueue:
-    """Priority queue of proposals, deduplicated on (step, relation)."""
+    """Priority queue of proposals, deduplicated on (step, relation).
+
+    The heap holds ``(sort_key, proposal)`` pairs.  Deduplicated keys make
+    every ``sort_key`` distinct, so the heap orders plain tuples and never
+    compares two proposals.
+    """
 
     def __init__(self, proposals: Iterable[Proposal] = ()):
-        self._heap: list[Proposal] = []
+        self._heap: list[tuple[tuple, Proposal]] = []
         self._keys: set[tuple[int, ActionRelation]] = set()
         for p in proposals:
             self.push(p)
@@ -273,10 +278,10 @@ class ProposalQueue:
         if proposal.key in self._keys:
             return
         self._keys.add(proposal.key)
-        heapq.heappush(self._heap, proposal)
+        heapq.heappush(self._heap, (proposal.sort_key, proposal))
 
     def pop(self) -> Proposal:
-        proposal = heapq.heappop(self._heap)
+        _, proposal = heapq.heappop(self._heap)
         self._keys.discard(proposal.key)
         return proposal
 
@@ -285,14 +290,14 @@ class ProposalQueue:
 
     def items(self) -> list[Proposal]:
         """Remaining proposals in priority order, non-destructively."""
-        return sorted(self._heap)
+        return [p for _, p in sorted(self._heap)]
 
     def keys(self) -> frozenset[tuple[int, ActionRelation]]:
         return frozenset(self._keys)
 
     def intersect(self, keys: Iterable[tuple[int, ActionRelation]]) -> "ProposalQueue":
         wanted = set(keys)
-        return ProposalQueue(p for p in self._heap if p.key in wanted)
+        return ProposalQueue(p for _, p in self._heap if p.key in wanted)
 
 
 def align(

@@ -234,7 +234,18 @@ def grad_log_prob(
 
 
 def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
-    """Write weights as hex floats with a feature-name header."""
+    """Write weights as hex floats with a feature-name header.
+
+    A non-finite weight raises ``ValueError`` naming its action row and
+    feature, and nothing is written.
+    """
+    finite = np.isfinite(params.weights)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}: non-finite weight {params.weights[row, col]} "
+            f"(action {ACTIONS[row].value}, feature {FEATURE_NAMES[col]})"
+        )
     lines = [
         CHECKPOINT_MAGIC,
         "features: " + " ".join(FEATURE_NAMES),

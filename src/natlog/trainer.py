@@ -26,7 +26,13 @@ field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
 ``train`` runs batch by batch.  The probabilities depend only on the
 weights and a feature row, and the weights change once per batch, so each
 batch makes one ``step_distributions`` call over the stacked rows of its
-episodes, and each episode reads its own rows.  Episode n of a run draws
+episodes, and each episode reads its own rows.  The batch is then scored
+in one ``batch_objective`` call, which forms every step's term of both
+programs of every episode in array operations and sums each program's
+terms in step order, as the per-step definition does; ``hybrid_objective``
+and ``reinforce_objective`` are the same kernel on a batch of one.  When
+revision leaves a program unchanged, the episode's revised trace and
+rewards are its own, not a second execution.  Episode n of a run draws
 from the stream of ``np.random.default_rng([seed, n])``; ``_stream_words``
 hashes every ordinal of an epoch at once as numpy's ``SeedSequence`` does,
 and ``_episode_streams`` finishes PCG64's seeding for each episode on one
@@ -80,6 +86,7 @@ __all__ = [
     "grid_search",
     "introspective_revision",
     "hybrid_objective",
+    "batch_objective",
     "relation_augmentation",
     "mutual_entailment_filter",
     "train",
@@ -192,7 +199,12 @@ class RevisionEvent:
 
 @dataclass
 class Episode:
-    """Everything recorded for one training sample."""
+    """Everything recorded for one training sample.
+
+    The revised fields are None without introspective revision.  When
+    revision leaves the program unchanged, ``revised_trace`` is ``trace``
+    and ``revised_rewards`` is ``rewards``: the same objects, not copies.
+    """
 
     pair: ChunkedPair
     target: Target
@@ -243,32 +255,59 @@ def reinforce_objective(
     rewards: Sequence[float],
 ) -> tuple[float, np.ndarray]:
     """J = -sum_t log p_t[a_t] * R_t and its analytic weight gradient."""
-    features = np.asarray(features)
-    return _objective(
-        step_distributions(params, features), features, program, rewards
+    features = np.asarray(features, dtype=float)
+    j, grad = _score(
+        step_distributions(params, features),
+        features,
+        np.array([[a.code for a in program]], dtype=np.intp),
+        np.array([rewards], dtype=float),
+        [len(program)],
     )
+    return float(j[0, 0]), grad[0, 0]
 
 
-def _objective(
+def _score(
     probs: np.ndarray,
     features: np.ndarray,
-    program: Sequence[ActionRelation],
-    rewards: Sequence[float],
-) -> tuple[float, np.ndarray]:
-    """J and dJ/dW = -sum_t R_t (onehot(a_t) - p_t) outer f_t from step probs.
+    codes: np.ndarray,
+    rewards: np.ndarray,
+    lengths: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """J and dJ/dW = -sum_t R_t (onehot(a_t) - p_t) outer f_t of k programs
+    on each of E episodes, every step at once.
 
-    Zero-reward steps are skipped: their log p_t[a_t] may be -inf, and
-    -inf * 0 is NaN.  The rest are summed in step order.
+    ``probs`` (N, n_actions) and ``features`` (N, n_features) stack the
+    episodes' step rows, ``lengths`` steps each; ``codes`` and ``rewards``
+    (k, N) hold each program's action codes and rewards on those rows.
+    Zero-reward steps are masked before the log: their log p_t[a_t] may be
+    -inf, and -inf * 0 is NaN.  The step terms are padded with zeros to
+    (k, E, m_max) and subtracted in step order from +0.0; a zero term
+    leaves the running sum as it is.  Returns J (k, E) and the gradients
+    (k, E, n_actions, n_features).
     """
-    objective = 0.0
-    grad = np.zeros((probs.shape[1], features.shape[1]))
-    for p, f, action, r in zip(probs, features, program, rewards):
-        if r == 0.0:
-            continue
-        a = action.code
-        objective -= float(np.log(p[a])) * r
-        grad -= r * ((_ONEHOT[a] - p)[:, None] * f)
+    chosen = probs[np.arange(len(probs)), codes]
+    log_terms = np.log(chosen, out=np.zeros_like(chosen), where=rewards != 0.0)
+    log_terms *= rewards
+    step_grads = rewards[..., None, None] * (
+        (_ONEHOT[codes] - probs)[..., None] * features[:, None, :]
+    )
+    log_terms, step_grads = _pad(log_terms, lengths), _pad(step_grads, lengths)
+    objective = np.zeros(log_terms.shape[:2])
+    grad = np.zeros(step_grads.shape[:2] + step_grads.shape[3:])
+    for t in range(log_terms.shape[2]):
+        objective -= log_terms[:, :, t]
+        grad -= step_grads[:, :, t]
     return objective, grad
+
+
+def _pad(rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """(k, N, ...) step rows as (k, E, m_max, ...), zero past each length."""
+    shape = (len(rows), len(lengths), max(lengths)) + rows.shape[2:]
+    if shape[1] * shape[2] == rows.shape[1]:  # every episode has m_max steps
+        return rows.reshape(shape)
+    padded = np.zeros(shape)
+    padded[:, np.arange(shape[2]) < np.array(lengths)[:, None]] = rows
+    return padded
 
 
 def fix(program: Sequence[ActionRelation], t: int, relation: ActionRelation) -> Program:
@@ -359,27 +398,51 @@ def introspective_revision(
     return revised, tuple(events)
 
 
+def batch_objective(
+    episodes: Sequence[Episode], lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each episode's lam * J + (1 - lam) * J' and its weight gradient.
+
+    J scores the sampled program and J' the revised one.  Either every
+    episode carries a revised program or none does; without revisions the
+    result is J itself, unscaled.  The episodes' rows, and both programs of
+    each, are scored in one ``_score`` call.  Everything reads ``episode.probs``, which are
+    the distributions under the current weights as long as they have not
+    changed since the episodes ran.  Returns values (E,) and gradients
+    (E, n_actions, n_features).
+    """
+    revised = episodes[0].revised_program is not None
+    if any((e.revised_program is not None) != revised for e in episodes):
+        raise ValueError("either every episode of a batch is revised or none is")
+    programs = [e.program for e in episodes]
+    rewards = [e.rewards for e in episodes]
+    if revised:
+        programs += [e.revised_program for e in episodes]
+        rewards += [e.revised_rewards for e in episodes]
+    k = 2 if revised else 1
+    j, grad = _score(
+        np.concatenate([e.probs for e in episodes]),
+        np.concatenate([e.features for e in episodes]),
+        np.array([a.code for p in programs for a in p], dtype=np.intp).reshape(k, -1),
+        np.array([r for rs in rewards for r in rs], dtype=float).reshape(k, -1),
+        [len(e.program) for e in episodes],
+    )
+    if not revised:
+        return j[0], grad[0]
+    return lam * j[0] + (1 - lam) * j[1], lam * grad[0] + (1 - lam) * grad[1]
+
+
 def hybrid_objective(
     params: PolicyParams, episode: Episode, lam: float
 ) -> tuple[float, np.ndarray]:
-    """Combine original and revised objectives: lam * J + (1 - lam) * J'.
+    """``batch_objective`` of one episode: lam * J + (1 - lam) * J'.
 
     Both read ``episode.probs``, which are the distributions under
     ``params`` as long as the weights have not changed since the episode
-    ran (training updates them only after this call).
+    ran.
     """
-    j, grad = _objective(
-        episode.probs, episode.features, episode.program, episode.rewards
-    )
-    if episode.revised_program is None:
-        return j, grad
-    j_rev, grad_rev = _objective(
-        episode.probs,
-        episode.features,
-        episode.revised_program,
-        episode.revised_rewards,
-    )
-    return lam * j + (1 - lam) * j_rev, lam * grad + (1 - lam) * grad_rev
+    values, grads = batch_objective([episode], lam)
+    return float(values[0]), grads[0]
 
 
 def mutual_entailment_filter(
@@ -537,7 +600,8 @@ def run_episode(
     """Sample, execute, reward, and (optionally) revise one program.
 
     ``probs`` holds the policy's distribution at each of the pair's steps,
-    shape (m, n_actions).
+    shape (m, n_actions).  A revised program is executed and rewarded only
+    when it differs from the sampled one.
     """
     program = sample_program(probs, rng)
     trace = execute(compiled.pair, program)
@@ -563,9 +627,12 @@ def run_episode(
         rng,
     )
     episode.revised_program = revised
+    episode.revisions = events
+    if revised == program:
+        episode.revised_trace, episode.revised_rewards = trace, episode.rewards
+        return episode
     episode.revised_trace = execute(compiled.pair, revised)
     episode.revised_rewards = reward(episode.revised_trace, compiled.target, config)
-    episode.revisions = events
     return episode
 
 
@@ -715,17 +782,18 @@ def train(
             probs = step_distributions(
                 params, np.concatenate([item.features for item in batch])
             )
-            batch_grad = np.zeros_like(params.weights)
+            episodes = []
             offset = 0
             for item, rng in zip(batch, streams):
                 rows = probs[offset : offset + item.pair.m]
                 offset += item.pair.m
-                episode = run_episode(rows, item, config, rng)
+                episodes.append(run_episode(rows, item, config, rng))
 
-                value, grad = hybrid_objective(params, episode, config.lam)
+            values, grads = batch_objective(episodes, config.lam)
+            batch_grad = np.zeros_like(params.weights)
+            for episode, value, grad in zip(episodes, values.tolist(), grads):
                 objective_total += value
                 batch_grad += grad
-
                 reward_total += sum(episode.rewards)
                 reward_steps += len(episode.rewards)
                 revisions.append(episode.revisions)

@@ -285,6 +285,40 @@ class TestProposalQueue:
         assert len(q) == 2
 
 
+def reference_queue_order(proposals):
+    """First proposal per (step, relation) key, in ``Proposal`` order."""
+    first = {}
+    for p in proposals:
+        first.setdefault(p.key, p)
+    return sorted(first.values())
+
+
+proposal_lists = st.lists(
+    st.builds(
+        Proposal,
+        t=st.integers(min_value=1, max_value=3),
+        relation=st.sampled_from(list(ActionRelation)),
+        prob=st.sampled_from([0.0, 0.25, 0.5, 1.0]),  # ties are common
+    ),
+    max_size=20,
+)
+
+
+class TestProposalQueueEqualsSortedProposals:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        proposal_lists,
+        st.sets(st.tuples(st.integers(1, 3), st.sampled_from(list(ActionRelation)))),
+    )
+    def test_pop_items_and_intersect(self, proposals, wanted):
+        q = ProposalQueue(proposals)
+        expected = reference_queue_order(proposals)
+        assert q.items() == expected
+        assert q.intersect(wanted).items() == [p for p in expected if p.key in wanted]
+        assert [q.pop() for _ in range(len(q))] == expected
+        assert not q and q.keys() == frozenset()
+
+
 class TestBuildQueue:
     def test_sports_fixture_proposals(self):
         pair = chunk_pair(

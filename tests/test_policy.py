@@ -415,6 +415,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{path}:6: non-finite weight {value}$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_weight_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "policy.ckpt"
+        params = PolicyParams.zeros()
+        params.weights[2, 5] = value
+        params.weights[4, 0] = value  # a later one is not the one named
+        action, feature = ACTIONS[2].value, FEATURE_NAMES[5]
+        with pytest.raises(
+            ValueError,
+            match=rf"^{path}: non-finite weight {value} \(action {action}, feature {feature}\)$",
+        ):
+            save_checkpoint(params, path)
+        assert not path.exists()
+
     def test_feature_layout_mismatch_rejected(self, tmp_path):
         path = tmp_path / "policy.ckpt"
         save_checkpoint(PolicyParams.zeros(), path)

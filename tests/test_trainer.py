@@ -50,6 +50,7 @@ from natlog.trainer import (
     TrainResult,
     _CONFIG_KEYS,
     _parse_bool,
+    batch_objective,
     fix,
     grid_search,
     hybrid_objective,
@@ -647,6 +648,20 @@ def per_step_objective(params, features, program, rewards):
     return objective, grad
 
 
+def reference_hybrid(params, episode, lam):
+    """lam * J + (1 - lam) * J' from ``per_step_objective``; J unscaled when
+    the episode has no revision."""
+    j, grad = per_step_objective(
+        params, episode.features, episode.program, episode.rewards
+    )
+    if episode.revised_program is None:
+        return j, grad
+    j_rev, grad_rev = per_step_objective(
+        params, episode.features, episode.revised_program, episode.revised_rewards
+    )
+    return lam * j + (1 - lam) * j_rev, lam * grad + (1 - lam) * grad_rev
+
+
 def random_episodes(seed, introspective_revision=True):
     """Episodes of a generated set under random weights, IR on or off."""
     rng = np.random.default_rng(seed)
@@ -738,6 +753,132 @@ class TestObjectiveFromEpisodeProbs:
         assert 0 < hits < len(compiled)
         assert _greedy_accuracy(params, compiled) == hits / len(compiled)
         assert _greedy_accuracy(params, []) == 0.0
+
+
+@st.composite
+def objective_batches(draw):
+    """A batch of 1-16 episodes of 1-8 steps under random weights, IR on or
+    off, and a lambda.
+
+    Rewards come from {0, mu, -gamma^k * mu}.  A step whose last feature is
+    1 puts all mass on action 0 (the others get probability 0.0); a program
+    that takes another action there earns a zero reward for it.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
+    params.weights[0, -1] = 1e4
+    mu = draw(st.sampled_from([1.0, 0.3]))
+    gamma = draw(st.sampled_from([0.5, 0.9]))
+    ir = draw(st.booleans())
+    lam = draw(st.sampled_from([0.0, 0.5, 0.7, 1.0]))
+    rewards = st.sampled_from(
+        [0.0, mu] + [-(gamma**k) * mu for k in range(1, 9)]
+    )
+
+    def scored(vanishing):
+        program, step_rewards = [], []
+        for vanishes in vanishing:
+            action = draw(st.sampled_from(ACTIONS))
+            program.append(action)
+            step_rewards.append(0.0 if vanishes and action.code else draw(rewards))
+        return tuple(program), tuple(step_rewards)
+
+    episodes = []
+    for m in draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=16)):
+        vanishing = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        features = rng.normal(size=(m, N_FEATURES))
+        features[:, -1] = vanishing
+        program, step_rewards = scored(vanishing)
+        episode = Episode(
+            pair=None,
+            target=None,
+            features=features,
+            probs=step_distributions(params, features),
+            program=program,
+            trace=None,
+            rewards=step_rewards,
+        )
+        if ir:
+            episode.revised_program, episode.revised_rewards = scored(vanishing)
+        episodes.append(episode)
+    return params, episodes, lam
+
+
+class TestBatchObjective:
+    """The batch kernel against ``per_step_objective``, one episode and one
+    step at a time, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(objective_batches())
+    def test_equals_per_episode_per_step_reference(self, case):
+        params, episodes, lam = case
+        values, grads = batch_objective(episodes, lam)
+        assert values.shape == (len(episodes),)
+        assert grads.shape == (len(episodes),) + params.weights.shape
+        for episode, value, grad in zip(episodes, values, grads):
+            expected_value, expected_grad = reference_hybrid(params, episode, lam)
+            assert np.isfinite(value) and np.isfinite(grad).all()
+            assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
+            assert grad.tobytes() == expected_grad.tobytes()
+            one_value, one_grad = hybrid_objective(params, episode, lam)
+            assert np.float64(one_value).tobytes() == np.float64(value).tobytes()
+            assert one_grad.tobytes() == grad.tobytes()
+
+    def test_batch_with_and_without_revisions_rejected(self):
+        _, _, episodes = random_episodes(0)
+        plain = dataclasses.replace(episodes[1], revised_program=None)
+        with pytest.raises(ValueError, match="every episode"):
+            batch_objective([episodes[0], plain], 0.5)
+
+
+def assert_same_episode(got, expected):
+    for f in dataclasses.fields(Episode):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def episodes_with_references(seed, config, step):
+    """``run_episode`` and ``_reference_episode`` on every ``step``-th comp
+    training pair under random weights, on the same stream."""
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
+    examples = natlog.generate(natlog.default_genspec(), RULES)[0][::step]
+    compiled = _compile_examples(examples, RULES, LEX, use_knowledge=True)
+    for i, item in enumerate(compiled):
+        probs = step_distributions(params, item.features)
+        episode = run_episode(probs, item, config, np.random.default_rng([seed, i]))
+        expected = _reference_episode(
+            params, item, config, np.random.default_rng([seed, i])
+        )
+        yield episode, expected
+
+
+class TestRunEpisode:
+    """``run_episode`` against the reference episode, which always executes
+    and rewards the revised program."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unchanged_revision_reuses_trace_and_rewards(self, seed):
+        unchanged = changed = 0
+        for episode, expected in episodes_with_references(seed, TrainConfig(seed=seed), 20):
+            assert_same_episode(episode, expected)
+            if episode.revised_program == episode.program:
+                unchanged += 1
+                assert episode.revised_trace is episode.trace
+                assert episode.revised_rewards == episode.rewards
+            else:
+                changed += 1
+                assert episode.revised_trace is not episode.trace
+        assert unchanged and changed
+
+    def test_without_revision_nothing_is_revised(self):
+        config = TrainConfig(introspective_revision=False)
+        for episode, expected in episodes_with_references(5, config, 80):
+            assert_same_episode(episode, expected)
+            assert episode.revised_program is None and episode.revised_trace is None
 
 
 class TestRelationAugmentation:
@@ -957,8 +1098,9 @@ def _reference_episode(params, compiled, config, rng):
 
 def _reference_train(examples, config):
     """``train`` one episode at a time: a fresh ``default_rng`` per episode,
-    a weight update after every ``batch_size`` episodes and after the last,
-    and greedy accuracy from ``execute``."""
+    the objective of each from ``per_step_objective``, a weight update after
+    every ``batch_size`` episodes and after the last, and greedy accuracy
+    from ``execute``."""
     if config.augmentation:
         examples = relation_augmentation(examples, RULES, LEX)
     compiled = _compile_examples(examples, RULES, LEX, config.knowledge)
@@ -977,7 +1119,7 @@ def _reference_train(examples, config):
             episode_rng = np.random.default_rng([config.seed, ordinal])
             ordinal += 1
             episode = _reference_episode(params, compiled[idx], config, episode_rng)
-            value, grad = hybrid_objective(params, episode, config.lam)
+            value, grad = reference_hybrid(params, episode, config.lam)
             objective_total += value
             batch_grad += grad
             batch_count += 1
