@@ -27,12 +27,13 @@ field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
 weights and a feature row, and the weights change once per batch, so each
 batch makes one ``step_distributions`` call over the stacked rows of its
 episodes, and each episode reads its own rows.  The batch is then scored
-in one ``batch_objective`` call, which forms every step's term of both
-programs of every episode in array operations and sums each program's
-terms in step order, as the per-step definition does; ``hybrid_objective``
-and ``reinforce_objective`` are the same kernel on a batch of one.  When
-revision leaves a program unchanged, the episode's revised trace and
-rewards are its own, not a second execution.  Episode n of a run draws
+in one ``batch_objective`` call, which forms every step's term of every
+sampled program and every changed revision in array operations and sums
+each program's terms in step order, as the per-step definition does;
+``hybrid_objective`` and ``reinforce_objective`` are the same kernel on a
+batch of one.  When revision leaves a program unchanged, the episode's
+revised trace and rewards are its own, not a second execution, and its
+J' is its J.  Episode n of a run draws
 from the stream of ``np.random.default_rng([seed, n])``; ``_stream_words``
 hashes every ordinal of an epoch at once as numpy's ``SeedSequence`` does,
 and ``_episode_streams`` finishes PCG64's seeding for each episode on one
@@ -259,11 +260,11 @@ def reinforce_objective(
     j, grad = _score(
         step_distributions(params, features),
         features,
-        np.array([[a.code for a in program]], dtype=np.intp),
-        np.array([rewards], dtype=float),
+        np.array([a.code for a in program], dtype=np.intp),
+        np.array(rewards, dtype=float),
         [len(program)],
     )
-    return float(j[0, 0]), grad[0, 0]
+    return float(j[0]), grad[0]
 
 
 def _score(
@@ -273,41 +274,35 @@ def _score(
     rewards: np.ndarray,
     lengths: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """J and dJ/dW = -sum_t R_t (onehot(a_t) - p_t) outer f_t of k programs
-    on each of E episodes, every step at once.
+    """J and dJ/dW = -sum_t R_t (onehot(a_t) - p_t) outer f_t of P programs,
+    every step at once.
 
-    ``probs`` (N, n_actions) and ``features`` (N, n_features) stack the
-    episodes' step rows, ``lengths`` steps each; ``codes`` and ``rewards``
-    (k, N) hold each program's action codes and rewards on those rows.
-    Zero-reward steps are masked before the log: their log p_t[a_t] may be
-    -inf, and -inf * 0 is NaN.  The step terms are padded with zeros to
-    (k, E, m_max) and subtracted in step order from +0.0; a zero term
-    leaves the running sum as it is.  Returns J (k, E) and the gradients
-    (k, E, n_actions, n_features).
+    The programs' steps are stacked row after row, ``lengths`` steps each:
+    ``probs`` (N, n_actions) and ``features`` (N, n_features) are the step
+    rows, ``codes`` and ``rewards`` (N,) the actions taken and their
+    rewards.  Zero-reward steps are masked before the log: their
+    log p_t[a_t] may be -inf, and -inf * 0 is NaN.  The step terms are
+    padded with zeros to (P, m_max) and subtracted in step order from +0.0;
+    a zero term leaves the running sum as it is.  Returns J (P,) and the
+    gradients (P, n_actions, n_features).
     """
     chosen = probs[np.arange(len(probs)), codes]
     log_terms = np.log(chosen, out=np.zeros_like(chosen), where=rewards != 0.0)
     log_terms *= rewards
-    step_grads = rewards[..., None, None] * (
-        (_ONEHOT[codes] - probs)[..., None] * features[:, None, :]
+    step_grads = rewards[:, None, None] * (
+        (_ONEHOT[codes] - probs)[:, :, None] * features[:, None, :]
     )
-    log_terms, step_grads = _pad(log_terms, lengths), _pad(step_grads, lengths)
-    objective = np.zeros(log_terms.shape[:2])
-    grad = np.zeros(step_grads.shape[:2] + step_grads.shape[3:])
-    for t in range(log_terms.shape[2]):
-        objective -= log_terms[:, :, t]
-        grad -= step_grads[:, :, t]
+    steps = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    padded_logs = np.zeros(steps.shape)
+    padded_logs[steps] = log_terms
+    padded_grads = np.zeros(steps.shape + step_grads.shape[1:])
+    padded_grads[steps] = step_grads
+    objective = np.zeros(len(lengths))
+    grad = np.zeros((len(lengths),) + step_grads.shape[1:])
+    for t in range(steps.shape[1]):
+        objective -= padded_logs[:, t]
+        grad -= padded_grads[:, t]
     return objective, grad
-
-
-def _pad(rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """(k, N, ...) step rows as (k, E, m_max, ...), zero past each length."""
-    shape = (len(rows), len(lengths), max(lengths)) + rows.shape[2:]
-    if shape[1] * shape[2] == rows.shape[1]:  # every episode has m_max steps
-        return rows.reshape(shape)
-    padded = np.zeros(shape)
-    padded[:, np.arange(shape[2]) < np.array(lengths)[:, None]] = rows
-    return padded
 
 
 def fix(program: Sequence[ActionRelation], t: int, relation: ActionRelation) -> Program:
@@ -405,31 +400,40 @@ def batch_objective(
 
     J scores the sampled program and J' the revised one.  Either every
     episode carries a revised program or none does; without revisions the
-    result is J itself, unscaled.  The episodes' rows, and both programs of
-    each, are scored in one ``_score`` call.  Everything reads ``episode.probs``, which are
-    the distributions under the current weights as long as they have not
-    changed since the episodes ran.  Returns values (E,) and gradients
-    (E, n_actions, n_features).
+    result is J itself, unscaled.  A revision that changed nothing (the
+    same program, and ``revised_rewards`` is ``rewards``) has J' = J and is
+    not scored again; the sampled programs and the changed revisions are
+    scored in one ``_score`` call.  Everything reads ``episode.probs``,
+    which are the distributions under the current weights as long as they
+    have not changed since the episodes ran.  Returns values (E,) and
+    gradients (E, n_actions, n_features).
     """
     revised = episodes[0].revised_program is not None
     if any((e.revised_program is not None) != revised for e in episodes):
         raise ValueError("either every episode of a batch is revised or none is")
-    programs = [e.program for e in episodes]
-    rewards = [e.rewards for e in episodes]
-    if revised:
-        programs += [e.revised_program for e in episodes]
-        rewards += [e.revised_rewards for e in episodes]
-    k = 2 if revised else 1
+    n = len(episodes)
+    changed = [
+        i
+        for i, e in enumerate(episodes)
+        if revised
+        and (e.revised_rewards is not e.rewards or e.revised_program != e.program)
+    ]
+    again = [episodes[i] for i in changed]
+    rows = [*episodes, *again]
+    programs = [e.program for e in episodes] + [e.revised_program for e in again]
+    rewards = [e.rewards for e in episodes] + [e.revised_rewards for e in again]
     j, grad = _score(
-        np.concatenate([e.probs for e in episodes]),
-        np.concatenate([e.features for e in episodes]),
-        np.array([a.code for p in programs for a in p], dtype=np.intp).reshape(k, -1),
-        np.array([r for rs in rewards for r in rs], dtype=float).reshape(k, -1),
-        [len(e.program) for e in episodes],
+        np.concatenate([e.probs for e in rows]),
+        np.concatenate([e.features for e in rows]),
+        np.array([a.code for p in programs for a in p], dtype=np.intp),
+        np.array([r for rs in rewards for r in rs], dtype=float),
+        [len(p) for p in programs],
     )
     if not revised:
-        return j[0], grad[0]
-    return lam * j[0] + (1 - lam) * j[1], lam * grad[0] + (1 - lam) * grad[1]
+        return j, grad
+    at = np.arange(n)  # where each episode's J' sits in j
+    at[changed] = np.arange(n, len(j))
+    return lam * j[:n] + (1 - lam) * j[at], lam * grad[:n] + (1 - lam) * grad[at]
 
 
 def hybrid_objective(

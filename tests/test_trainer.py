@@ -762,7 +762,9 @@ def objective_batches(draw):
 
     Rewards come from {0, mu, -gamma^k * mu}.  A step whose last feature is
     1 puts all mass on action 0 (the others get probability 0.0); a program
-    that takes another action there earns a zero reward for it.
+    that takes another action there earns a zero reward for it.  With IR,
+    an episode's revision is either unchanged (its own program and rewards
+    objects, as ``run_episode`` leaves them) or drawn afresh.
     """
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
@@ -798,7 +800,9 @@ def objective_batches(draw):
             trace=None,
             rewards=step_rewards,
         )
-        if ir:
+        if ir and draw(st.booleans()):  # revision changed nothing
+            episode.revised_program, episode.revised_rewards = program, step_rewards
+        elif ir:
             episode.revised_program, episode.revised_rewards = scored(vanishing)
         episodes.append(episode)
     return params, episodes, lam
