@@ -8,7 +8,15 @@ Training uses policy gradients plus an introspective revision step that
 repairs sampled programs with lexical knowledge and answer feedback.
 """
 
-from .chunker import ChunkRules, Sentence, chunk, chunk_pair, default_rules, tokenize
+from .chunker import (
+    ChunkRules,
+    Sentence,
+    chunk,
+    chunk_pair,
+    chunk_pairs,
+    default_rules,
+    tokenize,
+)
 from .data import Example, load_dataset, save_dataset
 from .datagen import (
     GenSpec,

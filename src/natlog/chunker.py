@@ -19,13 +19,21 @@ end of the sentence:
   the noun phrase it heads is marked as negated.
 
 When scopes overlap, the nearest preceding trigger wins.
+
+``ChunkRules`` derives one word-class table at construction: each word of
+the five roles above maps to the OR of its role bits.  Chunking reads one
+list of bits per sentence, one lookup per token, and both the noun-phrase
+scan and the projectivity pass test bits.  Chunking is a pure function of
+the sentence: ``chunk_pairs`` chunks each distinct sentence of its pairs
+once, and ``chunk_pair`` is ``chunk_pairs`` on one pair.  Nothing is
+cached across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .executor import Chunk, ChunkedPair
 from .relations import CONTEXTS, ProjectivityContext, UPWARD
@@ -37,6 +45,7 @@ __all__ = [
     "chunk",
     "mark_projectivity",
     "chunk_pair",
+    "chunk_pairs",
     "default_rules",
 ]
 
@@ -51,16 +60,34 @@ _ROLE_KEYS = (
     "verbs",
 )
 
+# Role bits of the word-class table; a word may hold several.
+_QUANTIFIER, _NEGATOR, _DETERMINER, _ADJECTIVE, _NOUN = 1, 2, 4, 8, 16
+_ROLE_BITS = (
+    ("quantifiers", _QUANTIFIER),
+    ("negators", _NEGATOR),
+    ("determiners", _DETERMINER),
+    ("adjectives", _ADJECTIVE),
+    ("nouns", _NOUN),
+)
+_TRIGGER = _QUANTIFIER | _NEGATOR  # tokens that open a projectivity scope
+
+_NOT = CONTEXTS["not"]
+_ALL = (CONTEXTS["all-arg1"], CONTEXTS["all-arg2"])
+_SOME = (CONTEXTS["some-arg1"], CONTEXTS["some-arg2"])
+
 
 def tokenize(text: str) -> tuple[str, ...]:
-    """Lowercase whitespace tokenization with contraction splitting."""
+    """Lowercase whitespace tokenization with contraction splitting.
+
+    Punctuation is stripped from each word before a trailing ``n't`` is
+    split off, so ``"isn't."`` gives ``is`` and ``n't``.
+    """
     out = []
     for raw in text.lower().split():
-        if raw.endswith("n't") and len(raw) > 3:
-            out.extend([raw[:-3], "n't"])
-            continue
         token = raw.strip(_PUNCT)
-        if token:
+        if token.endswith("n't") and len(token) > 3:
+            out.extend([token[:-3], "n't"])
+        elif token:
             out.append(token)
     return tuple(out)
 
@@ -95,6 +122,15 @@ class ChunkRules:
     nouns: frozenset[str] = frozenset()
     verbs: frozenset[str] = frozenset()
     extra: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    # word -> OR of the role bits the chunker reads, derived from the above
+    _classes: Mapping[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        classes: dict[str, int] = {}
+        for key, bit in _ROLE_BITS:
+            for word in getattr(self, key):
+                classes[word] = classes.get(word, 0) | bit
+        object.__setattr__(self, "_classes", classes)
 
     def vocabulary(self) -> frozenset[str]:
         vocab = (
@@ -176,27 +212,41 @@ def default_rules() -> ChunkRules:
     )
 
 
-def _noun_phrase_end(tokens: Sequence[str], i: int, rules: ChunkRules) -> int:
-    """End of the noun phrase starting at i, or i if none starts here."""
+def _role_bits(tokens: Sequence[str], rules: ChunkRules) -> list[int]:
+    """Role bits of each token (0 for a word with no role), then a 0."""
+    get = rules._classes.get
+    bits = [get(token, 0) for token in tokens]
+    bits.append(0)
+    return bits
+
+
+def _noun_phrase_end(bits: Sequence[int], i: int) -> int:
+    """End of the noun phrase starting at i, or i if none starts here.
+
+    ``bits`` holds the role bits of each token plus a trailing 0, which
+    stops every scan at the end of the sentence.
+    """
     j = i
-    if j < len(tokens) and tokens[j] in rules.quantifiers:
+    if bits[j] & _QUANTIFIER:
         j += 1
-    if j < len(tokens) and tokens[j] in rules.determiners:
+    if bits[j] & _DETERMINER:
         j += 1
-    while j < len(tokens) and tokens[j] in rules.adjectives:
+    while bits[j] & _ADJECTIVE:
         j += 1
     k = j
-    while k < len(tokens) and tokens[k] in rules.nouns:
+    while bits[k] & _NOUN:
         k += 1
     return k if k > j else i  # a noun phrase needs at least one noun
 
 
-def _spans(tokens: Sequence[str], rules: ChunkRules) -> list[tuple[int, int]]:
+def _spans(bits: Sequence[int]) -> list[tuple[int, int]]:
+    n = len(bits) - 1
     spans = []
     i = 0
     run_start = None
-    while i < len(tokens):
-        end = _noun_phrase_end(tokens, i, rules)
+    while i < n:
+        # a token with no role cannot start a noun phrase
+        end = _noun_phrase_end(bits, i) if bits[i] else i
         if end > i:
             if run_start is not None:
                 spans.append((run_start, i))
@@ -208,36 +258,37 @@ def _spans(tokens: Sequence[str], rules: ChunkRules) -> list[tuple[int, int]]:
                 run_start = i
             i += 1
     if run_start is not None:
-        spans.append((run_start, len(tokens)))
+        spans.append((run_start, n))
     return spans
 
 
 def _token_contexts(
-    tokens: Sequence[str], rules: ChunkRules
+    tokens: Sequence[str], bits: Sequence[int]
 ) -> list[ProjectivityContext]:
+    """Each token's context; a later trigger overwrites the scope of an
+    earlier one from its own position on."""
     n = len(tokens)
     contexts = [UPWARD] * n
-    for i, token in enumerate(tokens):
-        if token == "no" and token in rules.quantifiers:
+    for i, role in enumerate(bits):
+        if not role & _TRIGGER:
+            continue
+        token = tokens[i]
+        if token == "no" and role & _QUANTIFIER:
             # negative quantifier: the token and its whole scope are negated
-            for j in range(i, n):
-                contexts[j] = CONTEXTS["not"]
-        elif token in rules.negators:
-            for j in range(i + 1, n):
-                contexts[j] = CONTEXTS["not"]
-        elif token in rules.quantifiers:
-            arg1, arg2 = (
-                (CONTEXTS["some-arg1"], CONTEXTS["some-arg2"])
-                if token == "some"
-                else (CONTEXTS["all-arg1"], CONTEXTS["all-arg2"])
-            )
-            np_end = _noun_phrase_end(tokens, i, rules)
+            contexts[i:] = [_NOT] * (n - i)
+        elif role & _NEGATOR:
+            contexts[i + 1 :] = [_NOT] * (n - i - 1)
+        else:
+            arg1, arg2 = _SOME if token == "some" else _ALL
+            np_end = _noun_phrase_end(bits, i)
             restrictor_end = np_end if np_end > i else i + 1
-            for j in range(i, restrictor_end):
-                contexts[j] = arg1
-            for j in range(restrictor_end, n):
-                contexts[j] = arg2
+            contexts[i:restrictor_end] = [arg1] * (restrictor_end - i)
+            contexts[restrictor_end:] = [arg2] * (n - restrictor_end)
     return contexts
+
+
+def _tokens(sentence: Sentence | Sequence[str]) -> tuple[str, ...]:
+    return tuple(sentence.tokens if isinstance(sentence, Sentence) else sentence)
 
 
 def chunk(sentence: Sentence | Sequence[str], rules: ChunkRules) -> tuple[Chunk, ...]:
@@ -245,13 +296,16 @@ def chunk(sentence: Sentence | Sequence[str], rules: ChunkRules) -> tuple[Chunk,
 
     Each chunk is built once, with the context of its first token.
     """
-    tokens = sentence.tokens if isinstance(sentence, Sentence) else tuple(sentence)
+    tokens = _tokens(sentence)
     if not tokens:
         raise ValueError("cannot chunk an empty sentence")
-    contexts = _token_contexts(tokens, rules)
+    bits = _role_bits(tokens, rules)
+    contexts = _token_contexts(tokens, bits)
     return tuple(
-        Chunk(tokens=tuple(tokens[a:b]), start=a, context=contexts[a])
-        for a, b in _spans(tokens, rules)
+        [  # a list comprehension runs faster than a generator here
+            Chunk(tokens=tokens[a:b], start=a, context=contexts[a])
+            for a, b in _spans(bits)
+        ]
     )
 
 
@@ -267,7 +321,7 @@ def mark_projectivity(
     tokens: list[str] = []
     for c in chunks:
         tokens.extend(c.tokens)
-    contexts = _token_contexts(tokens, rules)
+    contexts = _token_contexts(tokens, _role_bits(tokens, rules))
     out = []
     offset = 0
     for c in chunks:
@@ -276,17 +330,45 @@ def mark_projectivity(
     return tuple(out)
 
 
-def chunk_pair(
-    premise: Sentence | Sequence[str] | str,
-    hypothesis: Sentence | Sequence[str] | str,
+SentenceLike = Union[Sentence, Sequence[str], str]
+
+
+def chunk_pairs(
+    pairs: Iterable[tuple[SentenceLike, SentenceLike]],
     rules: ChunkRules,
+    memo: Optional[dict] = None,
+) -> list[ChunkedPair]:
+    """Chunk and mark both sides of every pair, each distinct sentence once.
+
+    A sentence is keyed as given: a string by its text, a ``Sentence`` or
+    token sequence by its tokens.  Each pair's sides equal ``chunk`` of
+    each sentence alone.  ``memo`` (sentence key -> chunks) lives for
+    this call unless the caller passes one to share across calls.
+    """
+    memo = {} if memo is None else memo
+    return [
+        ChunkedPair(
+            premise=_chunked(premise, rules, memo),
+            hypothesis=_chunked(hypothesis, rules, memo),
+        )
+        for premise, hypothesis in pairs
+    ]
+
+
+def _chunked(
+    sentence: SentenceLike, rules: ChunkRules, memo: dict
+) -> tuple[Chunk, ...]:
+    """The chunks of a sentence, from ``memo`` or chunked and stored there."""
+    key = sentence if isinstance(sentence, str) else _tokens(sentence)
+    chunks = memo.get(key)
+    if chunks is None:
+        tokens = tokenize(key) if isinstance(key, str) else key
+        chunks = memo[key] = chunk(tokens, rules)
+    return chunks
+
+
+def chunk_pair(
+    premise: SentenceLike, hypothesis: SentenceLike, rules: ChunkRules
 ) -> ChunkedPair:
-    """Chunk and mark both sides of a sentence pair."""
-    if isinstance(premise, str):
-        premise = Sentence.parse(premise)
-    if isinstance(hypothesis, str):
-        hypothesis = Sentence.parse(hypothesis)
-    return ChunkedPair(
-        premise=chunk(premise, rules),
-        hypothesis=chunk(hypothesis, rules),
-    )
+    """Chunk and mark both sides of a sentence pair: ``chunk_pairs`` on one pair."""
+    return chunk_pairs([(premise, hypothesis)], rules)[0]

@@ -17,13 +17,14 @@ a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .chunker import ChunkRules, chunk_pair, default_rules
-from .data import dumps, load_dataset, save_dataset, write_records
+from .data import chunk_examples, dumps, load_dataset, save_dataset, write_records
 from .datagen import default_genspec, generate, generate_2hop, load_genspec
 from .executor import ENUMERATION_CAP, enumerate_programs, execute
 from .knowledge import Lexicon, compare_pair, default_lexicon
@@ -54,6 +55,15 @@ def _lexicon(args) -> Lexicon:
     return Lexicon.load(args.lexicon) if args.lexicon else default_lexicon()
 
 
+@contextlib.contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Prefix a ValueError raised inside with the dataset path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_gen(args) -> None:
     spec = load_genspec(args.config) if args.config else default_genspec()
     if args.seed is not None:
@@ -77,7 +87,8 @@ def cmd_train(args) -> None:
         config = dataclasses.replace(config, seed=args.seed)
     rules, lexicon = _rules(args), _lexicon(args)
     examples = load_dataset(args.data)
-    result = train(examples, rules, lexicon, config)
+    with _naming(args.data):
+        result = train(examples, rules, lexicon, config)
     save_checkpoint(result.params, args.checkpoint)
 
     totals = sum((m.revisions for m in result.metrics), RevisionStats())
@@ -105,7 +116,8 @@ def cmd_eval(args) -> None:
             f"{args.data}: --collapse-binary needs labels, "
             "and no example carries a label"
         )
-    report = evaluate(examples, params, rules, lexicon)
+    with _naming(args.data):
+        report = evaluate(examples, params, rules, lexicon)
     name = Path(args.data).name
     if args.out:
         out = Path(args.out)
@@ -172,8 +184,9 @@ def cmd_oracle(args) -> None:
     ratios = []
     skipped = 0
     rules, lexicon = _rules(args), _lexicon(args)
-    for index, example in enumerate(examples):
-        pair = chunk_pair(example.premise, example.hypothesis, rules)
+    with _naming(args.data):
+        pairs = chunk_examples(examples, rules)
+    for index, (example, pair) in enumerate(zip(examples, pairs)):
         if pair.m > args.max_m:
             skipped += 1
             records.append({"index": index, "m": pair.m, "skipped": True})

@@ -10,12 +10,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
+from .chunker import ChunkRules, chunk_pair, chunk_pairs
+from .executor import ChunkedPair
 from .relations import ActionRelation, NLILabel, Relation
 
 __all__ = [
     "Example",
+    "example_error",
+    "chunk_examples",
     "dumps",
     "write_records",
     "load_dataset",
@@ -110,6 +114,30 @@ class Example:
                 else None
             ),
         )
+
+
+def example_error(index: int, example: Example, exc: Exception) -> ValueError:
+    """``exc`` restated to name the example by 0-based index and premise."""
+    return ValueError(f"example {index} ({example.premise!r}): {exc}")
+
+
+def chunk_examples(
+    examples: Sequence[Example], rules: ChunkRules
+) -> list[ChunkedPair]:
+    """``chunk_pairs`` over the examples' premise/hypothesis pairs.
+
+    When a sentence cannot be chunked, the examples are chunked again one
+    at a time to name the first culprit with ``example_error``.
+    """
+    try:
+        return chunk_pairs([(e.premise, e.hypothesis) for e in examples], rules)
+    except ValueError:
+        for index, example in enumerate(examples):
+            try:
+                chunk_pair(example.premise, example.hypothesis, rules)
+            except ValueError as exc:
+                raise example_error(index, example, exc) from None
+        raise
 
 
 def dumps(obj: dict) -> str:

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chunker import ChunkRules, chunk_pair, default_rules, tokenize
+from .chunker import ChunkRules, chunk_pairs, default_rules, tokenize
 from .data import Example
-from .executor import execute
+from .executor import ChunkedPair, execute
 from .relations import ActionRelation
 
 __all__ = [
@@ -285,20 +285,30 @@ def _validate_split(spec: GenSpec) -> None:
             raise ValueError(f"held-out {what} set must be a proper subset")
 
 
-def _sentence(prefix: str, quantifier: str, subject: str, predicate: str) -> str:
-    return " ".join(p for p in (prefix, quantifier, subject, predicate) if p)
+def _sentence(quantifier: str, subject: str, predicate: str) -> str:
+    return " ".join(p for p in (quantifier, subject, predicate) if p)
+
+
+# A pair to build: premise, hypothesis, the actions at its differing
+# chunks, and its split tag.
+_Plan = tuple[str, str, tuple[ActionRelation, ...], str]
+
+
+def _build_all(plans: Sequence[_Plan], rules: ChunkRules) -> list[Example]:
+    """``_build`` every planned pair, chunking each distinct sentence once."""
+    pairs = chunk_pairs([(plan[0], plan[1]) for plan in plans], rules)
+    return [_build(pair, *plan) for pair, plan in zip(pairs, plans)]
 
 
 def _build(
+    pair: ChunkedPair,
     premise: str,
     hypothesis: str,
     actions: Sequence[ActionRelation],
-    rules: ChunkRules,
     tag: str,
 ) -> Example:
-    """Chunk a pair, place the given actions at the differing chunks,
+    """Place the given actions at the differing chunks of a chunked pair
     and read every annotation off the executed trace."""
-    pair = chunk_pair(premise, hypothesis, rules)
     if len(pair.premise) != len(pair.hypothesis):
         raise ValueError(
             f"chunk structure mismatch: {premise!r} / {hypothesis!r}"
@@ -336,13 +346,8 @@ def _replacement_pairs(r: Replacement):
 
 
 def _one_hop(
-    quantifier: str,
-    r: Replacement,
-    spec: GenSpec,
-    rules: ChunkRules,
-    tag: str,
-    prefix: str = "",
-) -> list[Example]:
+    quantifier: str, r: Replacement, spec: GenSpec, tag: str
+) -> list[_Plan]:
     fillers = (
         spec.predicate_fillers if r.site == SUBJECT else spec.subject_fillers
     )
@@ -350,12 +355,12 @@ def _one_hop(
     for filler in fillers:
         for premise_phrase, hyp_phrase, action in _replacement_pairs(r):
             if r.site == SUBJECT:
-                premise = _sentence(prefix, quantifier, premise_phrase, filler)
-                hypothesis = _sentence(prefix, quantifier, hyp_phrase, filler)
+                premise = _sentence(quantifier, premise_phrase, filler)
+                hypothesis = _sentence(quantifier, hyp_phrase, filler)
             else:
-                premise = _sentence(prefix, quantifier, filler, premise_phrase)
-                hypothesis = _sentence(prefix, quantifier, filler, hyp_phrase)
-            out.append(_build(premise, hypothesis, (action,), rules, tag))
+                premise = _sentence(quantifier, filler, premise_phrase)
+                hypothesis = _sentence(quantifier, filler, hyp_phrase)
+            out.append((premise, hypothesis, (action,), tag))
     return out
 
 
@@ -381,8 +386,8 @@ def generate(
     _validate_split(spec)
     _validate_vocabulary(spec, rules)
 
-    train: list[Example] = []
-    test: list[Example] = []
+    train: list[_Plan] = []
+    test: list[_Plan] = []
     held_q = set(spec.held_out_quantifiers)
     held_r = set(spec.held_out_replacements)
     for q in spec.quantifiers:
@@ -390,35 +395,33 @@ def generate(
             in_train = q in held_q or r in held_r
             tag = "train" if in_train else "test"
             bucket = train if in_train else test
-            bucket.extend(_one_hop(q, r, spec, rules, tag))
+            bucket.extend(_one_hop(q, r, spec, tag))
     if spec.include_identity:
         for qi, q in enumerate(spec.quantifiers):
             for si, subject in enumerate(spec.subject_fillers):
                 predicate = spec.predicate_fillers[
                     (qi + si) % len(spec.predicate_fillers)
                 ]
-                sentence = _sentence("", q, subject, predicate)
-                train.append(_build(sentence, sentence, (), rules, "train"))
+                sentence = _sentence(q, subject, predicate)
+                train.append((sentence, sentence, (), "train"))
 
-    train = _subsample(train, spec.train_size, spec.seed, 0)
-    test = _subsample(test, spec.test_size, spec.seed, 1)
+    built = _build_all(train + test, rules)
+    train_set = _subsample(built[: len(train)], spec.train_size, spec.seed, 0)
+    test_set = _subsample(built[len(train) :], spec.test_size, spec.seed, 1)
     if spec.noisy_test:
         if not spec.noise_prefixes:
             raise ValueError("noisy_test requires noise prefixes")
         noised = []
-        for i, ex in enumerate(test):
+        for i, ex in enumerate(test_set):
             prefix = spec.noise_prefixes[i % len(spec.noise_prefixes)]
-            noised.append(
-                _build(
-                    f"{prefix} {ex.premise}",
-                    f"{prefix} {ex.hypothesis}",
-                    tuple(a for a in ex.gold_program if a != ActionRelation.EQUIVALENCE),
-                    rules,
-                    "test-noise",
-                )
+            actions = tuple(
+                a for a in ex.gold_program if a != ActionRelation.EQUIVALENCE
             )
-        test.extend(noised)
-    return tuple(train), tuple(test)
+            premise = f"{prefix} {ex.premise}"
+            hypothesis = f"{prefix} {ex.hypothesis}"
+            noised.append((premise, hypothesis, actions, "test-noise"))
+        test_set = test_set + _build_all(noised, rules)
+    return tuple(train_set), tuple(test_set)
 
 
 def generate_2hop(
@@ -449,20 +452,17 @@ def generate_2hop(
             "two-hop generation needs quantifiers, subject replacements, "
             "and predicate replacements or alternations"
         )
-    out = []
-    for q in spec.quantifiers:
-        for r in subject_reps:
-            for subj_p, subj_h, subj_action in _replacement_pairs(r):
-                for pred_p, pred_h, pred_action in predicate_moves:
-                    premise = _sentence("", q, subj_p, pred_p)
-                    hypothesis = _sentence("", q, subj_h, pred_h)
-                    out.append(
-                        _build(
-                            premise,
-                            hypothesis,
-                            (subj_action, pred_action),
-                            rules,
-                            "2hop",
-                        )
-                    )
-    return tuple(_subsample(out, spec.two_hop_size, spec.seed, 2))
+    plans = [
+        (
+            _sentence(q, subj_p, pred_p),
+            _sentence(q, subj_h, pred_h),
+            (subj_action, pred_action),
+            "2hop",
+        )
+        for q in spec.quantifiers
+        for r in subject_reps
+        for subj_p, subj_h, subj_action in _replacement_pairs(r)
+        for pred_p, pred_h, pred_action in predicate_moves
+    ]
+    built = _build_all(plans, rules)
+    return tuple(_subsample(built, spec.two_hop_size, spec.seed, 2))

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .executor import Chunk, ChunkedPair
-from .relations import ActionRelation
+from .relations import ACTIONS, ActionRelation
 
 __all__ = [
     "Lexicon",
@@ -265,24 +265,26 @@ class ProposalQueue:
 
     The heap holds ``(sort_key, proposal)`` pairs.  Deduplicated keys make
     every ``sort_key`` distinct, so the heap orders plain tuples and never
-    compares two proposals.
+    compares two proposals.  Keys are stored as (step, relation code), so
+    no enum is hashed.
     """
 
     def __init__(self, proposals: Iterable[Proposal] = ()):
         self._heap: list[tuple[tuple, Proposal]] = []
-        self._keys: set[tuple[int, ActionRelation]] = set()
+        self._keys: set[tuple[int, int]] = set()
         for p in proposals:
             self.push(p)
 
     def push(self, proposal: Proposal) -> None:
-        if proposal.key in self._keys:
+        key = (proposal.t, proposal.relation.code)
+        if key in self._keys:
             return
-        self._keys.add(proposal.key)
+        self._keys.add(key)
         heapq.heappush(self._heap, (proposal.sort_key, proposal))
 
     def pop(self) -> Proposal:
         _, proposal = heapq.heappop(self._heap)
-        self._keys.discard(proposal.key)
+        self._keys.discard((proposal.t, proposal.relation.code))
         return proposal
 
     def __len__(self) -> int:
@@ -293,11 +295,13 @@ class ProposalQueue:
         return [p for _, p in sorted(self._heap)]
 
     def keys(self) -> frozenset[tuple[int, ActionRelation]]:
-        return frozenset(self._keys)
+        return frozenset((t, ACTIONS[code]) for t, code in self._keys)
 
     def intersect(self, keys: Iterable[tuple[int, ActionRelation]]) -> "ProposalQueue":
-        wanted = set(keys)
-        return ProposalQueue(p for _, p in self._heap if p.key in wanted)
+        wanted = {(t, relation.code) for t, relation in keys}
+        return ProposalQueue(
+            p for _, p in self._heap if (p.t, p.relation.code) in wanted
+        )
 
 
 def align(

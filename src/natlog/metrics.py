@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .chunker import ChunkRules, chunk_pair
-from .data import Example
+from .chunker import ChunkRules
+from .data import Example, chunk_examples, example_error
 from .executor import execute, matches_target
 from .knowledge import Lexicon
 from .policy import PolicyParams, decode_each, featurize_pair
@@ -183,7 +183,9 @@ def evaluate(
     State and rationale metrics cover the examples carrying the relevant
     gold annotations; they are None when no example has them.  Phrase
     P/R/F1 is micro-averaged over phrases, IOU macro-averaged over
-    samples.
+    samples.  A malformed example (a sentence that cannot be chunked, a
+    gold program or state sequence whose length is not m, no target)
+    raises a ValueError that names it by 0-based index and premise.
     """
     if not examples:
         raise ValueError("cannot evaluate an empty dataset")
@@ -196,36 +198,47 @@ def evaluate(
     any_rationales = False
     scored_phrases = False
 
-    pairs = [chunk_pair(e.premise, e.hypothesis, rules) for e in examples]
+    pairs = chunk_examples(examples, rules)
     programs = decode_each(params, [featurize_pair(pair, lexicon) for pair in pairs])
-    for example, pair, program in zip(examples, pairs, programs):
-        trace = execute(pair, program)
-        if matches_target(trace, example.target):
-            hits += 1
-        if example.label is not None:
-            pred_labels.append(trace.label)
-            gold_labels.append(example.label)
-        if example.gold_states is not None:
-            pred_states.append(trace.states[1:])
-            gold_states.append(example.gold_states)
-        if example.gold_rationale_tokens is not None:
-            any_rationales = True
-            pred_tokens = trace.rationale_token_indices()
-            ious.append(iou(pred_tokens, example.gold_rationale_tokens))
-            if example.gold_program is not None:
-                scored_phrases = True
-                gold_trace = execute(pair, example.gold_program)
-                pred_phrases = [
-                    set(pair.hypothesis[t - 1].token_indices)
-                    for t in trace.rationales
-                ]
-                gold_phrases = [
-                    set(pair.hypothesis[t - 1].token_indices)
-                    for t in gold_trace.rationales
-                ]
-                match_count += _greedy_matches(pred_phrases, gold_phrases)
-                pred_phrase_count += len(pred_phrases)
-                gold_phrase_count += len(gold_phrases)
+    index = 0
+    try:
+        for index, (example, pair, program) in enumerate(
+            zip(examples, pairs, programs)
+        ):
+            trace = execute(pair, program)
+            if matches_target(trace, example.target):
+                hits += 1
+            if example.label is not None:
+                pred_labels.append(trace.label)
+                gold_labels.append(example.label)
+            if example.gold_states is not None:
+                if len(example.gold_states) != pair.m:
+                    raise ValueError(
+                        f"gold states length {len(example.gold_states)} "
+                        f"!= hypothesis chunks {pair.m}"
+                    )
+                pred_states.append(trace.states[1:])
+                gold_states.append(example.gold_states)
+            if example.gold_rationale_tokens is not None:
+                any_rationales = True
+                pred_tokens = trace.rationale_token_indices()
+                ious.append(iou(pred_tokens, example.gold_rationale_tokens))
+                if example.gold_program is not None:
+                    scored_phrases = True
+                    gold_trace = execute(pair, example.gold_program)
+                    pred_phrases = [
+                        set(pair.hypothesis[t - 1].token_indices)
+                        for t in trace.rationales
+                    ]
+                    gold_phrases = [
+                        set(pair.hypothesis[t - 1].token_indices)
+                        for t in gold_trace.rationales
+                    ]
+                    match_count += _greedy_matches(pred_phrases, gold_phrases)
+                    pred_phrase_count += len(pred_phrases)
+                    gold_phrase_count += len(gold_phrases)
+    except ValueError as exc:
+        raise example_error(index, examples[index], exc) from None
 
     precision = recall = f1 = None
     if scored_phrases:

@@ -80,6 +80,7 @@ N_FEATURES = len(FEATURE_NAMES)
 N_ACTIONS = len(ACTIONS)
 
 _CONTEXT_COLUMN = {name: FEATURE_NAMES.index(f"context_{name}") for name in _CONTEXT_NAMES}
+_N_FLAGS = FEATURE_NAMES.index("position")  # the lexical flags come first
 
 CHECKPOINT_MAGIC = "natlog-policy v1"
 
@@ -108,15 +109,17 @@ class PolicyParams:
         return PolicyParams(weights=self.weights.copy())
 
 
-def _row(pair: ChunkedPair, t: int, flags: tuple) -> np.ndarray:
-    """Feature row for step t from the chunk's lexical flags."""
-    values = np.zeros(N_FEATURES)
-    values[: len(flags)] = flags
-    values[8] = t / pair.m
-    column = _CONTEXT_COLUMN.get(pair.hypothesis[t - 1].context.name)
-    if column is not None:  # unknown context: all projectivity bits stay zero
-        values[column] = 1.0
-    values[-1] = 1.0
+def _rows(pair: ChunkedPair, steps: range, flags: Sequence[tuple]) -> np.ndarray:
+    """Feature rows for the given steps from their chunks' lexical flags,
+    written into one array."""
+    values = np.zeros((len(steps), N_FEATURES))
+    values[:, :_N_FLAGS] = flags
+    values[:, _N_FLAGS] = np.arange(steps.start, steps.stop) / pair.m
+    for row, t in enumerate(steps):
+        column = _CONTEXT_COLUMN.get(pair.hypothesis[t - 1].context.name)
+        if column is not None:  # unknown context: all projectivity bits stay zero
+            values[row, column] = 1.0
+    values[:, -1] = 1.0
     return values
 
 
@@ -127,13 +130,13 @@ def featurize(
     if not 1 <= t <= pair.m:
         raise ValueError(f"step {t} out of range 1..{pair.m}")
     _, flags = compare(pair.hypothesis[t - 1], pair.premise, lexicon)
-    return FeatureVector(values=_row(pair, t, flags))
+    return FeatureVector(values=_rows(pair, range(t, t + 1), [flags])[0])
 
 
 def feature_matrix(pair: ChunkedPair, records: Sequence[tuple]) -> np.ndarray:
-    """Stacked feature rows, shape (m, N_FEATURES), from ``compare_pair`` records."""
-    return np.stack(
-        [_row(pair, t, flags) for t, (_, flags) in enumerate(records, start=1)]
+    """Feature rows, shape (m, N_FEATURES), from ``compare_pair`` records."""
+    return _rows(
+        pair, range(1, len(records) + 1), [flags for _, flags in records]
     )
 
 

@@ -77,6 +77,7 @@ class Relation(Enum):
     """One of the seven basic semantic relations."""
 
     code: int  # position in RELATIONS, set below
+    accepts: tuple[bool, ...]  # ``accepting(self)``, set below
 
     EQUIVALENCE = "equivalence"
     FORWARD_ENTAILMENT = "forward_entailment"
@@ -98,6 +99,7 @@ class NLILabel(Enum):
     """Three-way inference label."""
 
     code: int  # position in LABELS, set below
+    accepts: tuple[bool, ...]  # ``accepting(self)``, set below
 
     ENTAILMENT = "entailment"
     CONTRADICTION = "contradiction"
@@ -320,16 +322,19 @@ def group(relation: Relation) -> NLILabel:
     return LABELS[GROUP[relation.code]]
 
 
-_ACCEPTING = {
-    **{r: tuple(s == r.code for s in range(len(RELATIONS))) for r in RELATIONS},
-    **{l: tuple(g == l.code for g in GROUP) for l in LABELS},
-}
+for _r in RELATIONS:
+    _r.accepts = tuple(s == _r.code for s in range(len(RELATIONS)))
+for _l in LABELS:
+    _l.accepts = tuple(g == _l.code for g in GROUP)
 
 
 def accepting(target: NLILabel | Relation) -> tuple[bool, ...]:
     """Indexed by state code: does a program ending in that state meet
-    ``target`` (a label, or an exact final relation)?"""
-    return _ACCEPTING[target]
+    ``target`` (a label, or an exact final relation)?
+
+    Reads the row stored on the member, so no enum is hashed.
+    """
+    return target.accepts
 
 
 def _closure(start: int) -> list[frozenset[int]]:

@@ -50,8 +50,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .chunker import ChunkRules, chunk_pair
-from .data import Example
+from .chunker import ChunkRules, chunk_pairs
+from .data import Example, chunk_examples, example_error
 from .executor import (
     ChunkedPair,
     Program,
@@ -459,8 +459,10 @@ def mutual_entailment_filter(
     reverse entailment.
     """
 
+    memo: dict = {}  # one chunking per distinct sentence for this filter
+
     def is_mutual(example: Example) -> bool:
-        pair = chunk_pair(example.premise, example.hypothesis, rules)
+        (pair,) = chunk_pairs([(example.premise, example.hypothesis)], rules, memo)
         if len(pair.premise) != len(pair.hypothesis):
             return False
         return all(
@@ -486,11 +488,14 @@ def relation_augmentation(
     """
     is_mutual = entailment_filter or mutual_entailment_filter(rules, lexicon)
     out = list(examples)
-    for example in examples:
+    for index, example in enumerate(examples):
         if example.label != NLILabel.ENTAILMENT:
             continue
-        if is_mutual(example):
-            continue
+        try:
+            if is_mutual(example):
+                continue
+        except ValueError as exc:
+            raise example_error(index, example, exc) from None
         out.append(
             Example(
                 premise=example.hypothesis,
@@ -581,13 +586,17 @@ def _compile_examples(
     use_knowledge: bool,
 ) -> list[_Compiled]:
     compiled = []
-    for example in examples:
-        pair = chunk_pair(example.premise, example.hypothesis, rules)
+    pairs = chunk_examples(examples, rules)
+    for index, (example, pair) in enumerate(zip(examples, pairs)):
+        try:
+            target = example.target
+        except ValueError as exc:
+            raise example_error(index, example, exc) from None
         records = compare_pair(pair, lexicon)
         compiled.append(
             _Compiled(
                 pair=pair,
-                target=example.target,
+                target=target,
                 features=feature_matrix(pair, records),
                 proposals=keys_from_records(records) if use_knowledge else (),
             )
@@ -756,7 +765,9 @@ def train(
     once, at the end of the slice.  Episode n of the run (counted across
     epochs) draws from the stream of ``default_rng([seed, n])``, so results
     are byte-identical for identical seeds regardless of wall clock.  A run
-    of more than 2**32 episodes is rejected up front.
+    of more than 2**32 episodes is rejected up front, and a malformed
+    example (a sentence that cannot be chunked, no target) raises a
+    ValueError that names it by 0-based index and premise.
     """
     if not examples:
         raise ValueError("cannot train on an empty dataset")

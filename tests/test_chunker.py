@@ -3,20 +3,21 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from natlog.chunker import (
     ChunkRules,
     Sentence,
     chunk,
     chunk_pair,
+    chunk_pairs,
     default_rules,
     mark_projectivity,
     tokenize,
 )
-from natlog.datagen import default_genspec, generate
-from natlog.executor import Chunk, execute
-from natlog.relations import ActionRelation, CONTEXTS, NLILabel, Relation
+from natlog.datagen import default_genspec, generate, generate_2hop
+from natlog.executor import Chunk, ChunkedPair, execute
+from natlog.relations import ActionRelation, CONTEXTS, NLILabel, Relation, UPWARD
 
 RULES = default_rules()
 
@@ -43,6 +44,19 @@ class TestTokenize:
 
     def test_keeps_hyphenated_tokens(self):
         assert tokenize("table-tennis") == ("table-tennis",)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("the dog isn't.", ("the", "dog", "is", "n't")),
+            ("didn't,", ("did", "n't")),
+            ("(doesn't) like", ("does", "n't", "like")),
+            ("\"isn't\"", ("is", "n't")),
+            ("n't.", ("n't",)),
+        ],
+    )
+    def test_splits_contraction_next_to_punctuation(self, text, tokens):
+        assert tokenize(text) == tokens
 
 
 class TestChunking:
@@ -166,6 +180,15 @@ class TestProjectivity:
         assert chunks[1].tokens[0] == "does"
         assert chunks[1].context.name == "upward-default"
 
+    def test_contraction_before_punctuation_negates_what_follows(self):
+        # the negator survives the comma, so the rest is under "not"
+        assert chunk_contexts("the kid didn't, the dog runs") == [
+            "upward-default", "upward-default", "not", "not",
+        ]
+        assert chunk_contexts("the dog isn't. the cat") == chunk_contexts(
+            "the dog isn't the cat"
+        ) == ["upward-default", "upward-default", "not"]
+
     def test_mark_projectivity_idempotent(self):
         for sentence in ("all dogs run", "no small dogs run", "some cats sleep"):
             once = chunk(Sentence.parse(sentence), RULES)
@@ -186,6 +209,203 @@ class TestProjectivity:
             unmarked = [Chunk(tokens=c.tokens, start=c.start) for c in chunks]
             assert chunks == mark_projectivity(chunks, RULES)
             assert chunks == mark_projectivity(unmarked, RULES)
+
+
+# The chunker before the word-class table: frozenset tests per token.
+def _reference_noun_phrase_end(tokens, i, rules):
+    j = i
+    if j < len(tokens) and tokens[j] in rules.quantifiers:
+        j += 1
+    if j < len(tokens) and tokens[j] in rules.determiners:
+        j += 1
+    while j < len(tokens) and tokens[j] in rules.adjectives:
+        j += 1
+    k = j
+    while k < len(tokens) and tokens[k] in rules.nouns:
+        k += 1
+    return k if k > j else i
+
+
+def _reference_spans(tokens, rules):
+    spans = []
+    i = 0
+    run_start = None
+    while i < len(tokens):
+        end = _reference_noun_phrase_end(tokens, i, rules)
+        if end > i:
+            if run_start is not None:
+                spans.append((run_start, i))
+                run_start = None
+            spans.append((i, end))
+            i = end
+        else:
+            if run_start is None:
+                run_start = i
+            i += 1
+    if run_start is not None:
+        spans.append((run_start, len(tokens)))
+    return spans
+
+
+def _reference_token_contexts(tokens, rules):
+    n = len(tokens)
+    contexts = [UPWARD] * n
+    for i, token in enumerate(tokens):
+        if token == "no" and token in rules.quantifiers:
+            for j in range(i, n):
+                contexts[j] = CONTEXTS["not"]
+        elif token in rules.negators:
+            for j in range(i + 1, n):
+                contexts[j] = CONTEXTS["not"]
+        elif token in rules.quantifiers:
+            arg1, arg2 = (
+                (CONTEXTS["some-arg1"], CONTEXTS["some-arg2"])
+                if token == "some"
+                else (CONTEXTS["all-arg1"], CONTEXTS["all-arg2"])
+            )
+            np_end = _reference_noun_phrase_end(tokens, i, rules)
+            restrictor_end = np_end if np_end > i else i + 1
+            for j in range(i, restrictor_end):
+                contexts[j] = arg1
+            for j in range(restrictor_end, n):
+                contexts[j] = arg2
+    return contexts
+
+
+def reference_chunk(tokens, rules):
+    contexts = _reference_token_contexts(tokens, rules)
+    return tuple(
+        Chunk(tokens=tuple(tokens[a:b]), start=a, context=contexts[a])
+        for a, b in _reference_spans(tokens, rules)
+    )
+
+
+# A grammar whose word classes overlap, so that a token's role bits
+# carry more than one role.
+OVERLAPPING = ChunkRules(
+    quantifiers=frozenset({"all", "some", "no", "that"}),
+    negators=frozenset({"not", "no"}),
+    determiners=frozenset({"the", "that", "some"}),
+    adjectives=frozenset({"small", "black", "dog"}),
+    nouns=frozenset({"dog", "dogs", "black", "small"}),
+)
+
+
+class TestWordClassTable:
+    VOCABULARY = sorted(RULES.vocabulary()) + ["zorp", "blarg"]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=12),
+        st.sampled_from([RULES, OVERLAPPING]),
+    )
+    def test_equals_frozenset_chunker(self, tokens, rules):
+        tokens = tuple(tokens)
+        assert chunk(tokens, rules) == reference_chunk(tokens, rules)
+        unmarked = [Chunk(tokens=c.tokens, start=c.start) for c in chunk(tokens, rules)]
+        assert mark_projectivity(unmarked, rules) == reference_chunk(tokens, rules)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(sorted(OVERLAPPING.vocabulary()) + ["run", "zorp"]),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_overlapping_classes(self, tokens):
+        tokens = tuple(tokens)
+        assert chunk(tokens, OVERLAPPING) == reference_chunk(tokens, OVERLAPPING)
+
+    def test_table_follows_replaced_word_classes(self):
+        rules = dataclasses.replace(RULES, nouns=RULES.nouns | {"zorp"})
+        assert chunk_texts("zorp dogs run") == ["zorp", "dogs", "run"]
+        assert [c.text() for c in chunk(tokenize("zorp dogs run"), rules)] == [
+            "zorp dogs", "run",
+        ]
+
+    def test_table_is_not_compared_or_shown(self):
+        loaded = ChunkRules(
+            quantifiers=RULES.quantifiers,
+            negators=RULES.negators,
+            determiners=RULES.determiners,
+            adjectives=RULES.adjectives,
+            nouns=RULES.nouns,
+            verbs=RULES.verbs,
+            extra=RULES.extra,
+        )
+        assert loaded == RULES
+        assert "_classes" not in repr(RULES)
+
+
+def _split_sentences():
+    spec = default_genspec()
+    _, noisy_test = generate(dataclasses.replace(spec, noisy_test=True), RULES)
+    train, test = generate(spec, RULES)
+    return train + test + noisy_test + generate_2hop(spec, RULES)
+
+
+class TestChunkPairs:
+    def test_equals_per_pair_chunking_on_every_split(self):
+        examples = _split_sentences()
+        pairs = [(e.premise, e.hypothesis) for e in examples]
+        distinct = {s for pair in pairs for s in pair}
+        assert len(distinct) < len(pairs)  # sentences repeat across pairs
+        expected = [
+            ChunkedPair(
+                premise=chunk(Sentence.parse(p), RULES),
+                hypothesis=chunk(Sentence.parse(h), RULES),
+            )
+            for p, h in pairs
+        ]
+        assert chunk_pairs(pairs, RULES) == expected
+        assert [chunk_pair(p, h, RULES) for p, h in pairs] == expected
+
+    def test_duplicates_and_mixed_inputs(self):
+        # strings, Sentences and token lists, the same sentence in several
+        # forms within one call
+        examples = _split_sentences()
+        forms = (str, Sentence.parse, lambda text: list(tokenize(text)))
+        mixed = [
+            (forms[i % 3](e.premise), forms[i % 2](e.hypothesis))
+            for i, e in enumerate(examples)
+        ]
+        mixed += mixed[::2] + [(e.premise, e.premise) for e in examples[:20]]
+
+        def alone(sentence):
+            if isinstance(sentence, str):
+                sentence = Sentence.parse(sentence)
+            return chunk(sentence, RULES)
+
+        expected = [ChunkedPair(alone(p), alone(h)) for p, h in mixed]
+        assert [chunk_pair(p, h, RULES) for p, h in mixed] == expected
+        assert chunk_pairs(mixed, RULES) == expected
+        assert chunk_pairs(iter(mixed), RULES) == expected
+        assert chunk_pairs([], RULES) == []
+
+    def test_shared_memo_chunks_each_sentence_once(self, monkeypatch):
+        import natlog.chunker as chunker
+
+        calls = []
+        original = chunker.chunk
+
+        def counting(sentence, rules):
+            calls.append(tuple(sentence))
+            return original(sentence, rules)
+
+        monkeypatch.setattr(chunker, "chunk", counting)
+        pairs = [("all dogs run", "all animals run"), ("all dogs run", "some dogs run")]
+        memo = {}
+        chunk_pairs(pairs, RULES, memo)
+        assert len(calls) == 3
+        chunk_pairs([("some dogs run", "all dogs run")], RULES, memo)
+        assert len(calls) == 3
+        chunk_pairs([("some dogs run", "all dogs run")], RULES)
+        assert len(calls) == 5  # a fresh memo per call
+
+    def test_empty_sentence_rejected(self):
+        with pytest.raises(ValueError, match="empty sentence"):
+            chunk_pairs([("all dogs run", "all dogs run"), ("...", "dogs")], RULES)
 
 
 class TestExecutorComposition:

@@ -390,6 +390,28 @@ class TestErrors:
         assert err["message"].startswith(f"{cfg}:1: epochs: ")
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train", "oracle"])
+    def test_malformed_example_names_dataset_index_and_premise(
+        self, workspace, capsys, tmp_path, command
+    ):
+        examples = load_dataset(workspace / "data" / "test.jsonl")[:4]
+        examples[3] = dataclasses.replace(examples[3], hypothesis="?!")
+        bad = tmp_path / "bad.jsonl"
+        save_dataset(examples, bad)
+        args = {
+            "eval": ["--checkpoint", str(workspace / "policy.ckpt")],
+            "train": ["--checkpoint", str(tmp_path / "x.ckpt")],
+            "oracle": [],
+        }[command]
+        assert main([command, "--data", str(bad)] + args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "ValueError",
+            "message": f"{bad}: example 3 ({examples[3].premise!r}): "
+            "cannot chunk an empty sentence",
+        }
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_collapse_binary_without_labels_gives_error_record(
         self, workspace, capsys, tmp_path
     ):

@@ -1,6 +1,7 @@
 """Lexicon queries, chunk alignment, proposal rules, and queue ordering."""
 
 import dataclasses
+import enum
 
 import numpy as np
 import pytest
@@ -314,9 +315,40 @@ class TestProposalQueueEqualsSortedProposals:
         q = ProposalQueue(proposals)
         expected = reference_queue_order(proposals)
         assert q.items() == expected
+        assert q.keys() == frozenset(p.key for p in expected)
         assert q.intersect(wanted).items() == [p for p in expected if p.key in wanted]
         assert [q.pop() for _ in range(len(q))] == expected
         assert not q and q.keys() == frozenset()
+
+
+@pytest.fixture
+def enum_hashes(monkeypatch):
+    """Every ``Enum.__hash__`` call, recorded while the test runs."""
+    calls = []
+    original = enum.Enum.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counting)
+    hash(A_EQ)
+    assert calls == [A_EQ]
+    calls.clear()
+    return calls
+
+
+def test_queue_hashes_no_enum(enum_hashes):
+    proposals = [
+        Proposal(t=t, relation=relation, prob=0.1 * t)
+        for t in (1, 2, 1)
+        for relation in ActionRelation
+    ]
+    q = ProposalQueue(proposals)
+    narrowed = q.intersect([(1, A_FE), (2, A_NA)])
+    popped = [q.pop() for _ in range(3)]
+    assert len(q) == 7 and len(narrowed) == 2 and len(popped) == 3
+    assert enum_hashes == []
 
 
 class TestBuildQueue:

@@ -1,5 +1,6 @@
 """Tests for token IOU, phrasal PRF, state accuracy, and evaluation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -347,6 +348,38 @@ class TestEvaluate:
         assert report.state_accuracy is None
         assert report.rationale_iou is None
         assert report.rationale_f1 is None
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                {"gold_program": (A_EQ, A_EQ, A_EQ)},
+                "program length 3 != hypothesis chunks 2",
+            ),
+            (
+                {"gold_states": (Relation.EQUIVALENCE,)},
+                "gold states length 1 != hypothesis chunks 2",
+            ),
+            ({"hypothesis": "..."}, "cannot chunk an empty sentence"),
+            ({"label": None}, "example has neither label nor target state"),
+        ],
+    )
+    def test_malformed_example_named_by_index_and_premise(
+        self, rules, lexicon, bad, message
+    ):
+        good = Example(
+            premise="some dogs run",
+            hypothesis="some animals run",
+            label=NLILabel.ENTAILMENT,
+            gold_program=(A_SUB, A_EQ),
+            gold_states=(Relation.FORWARD_ENTAILMENT, Relation.FORWARD_ENTAILMENT),
+            gold_rationale_tokens=(0, 1),
+        )
+        bad = dataclasses.replace(good, premise="all dogs run", **bad)
+        examples = [good, good, bad, good]
+        with pytest.raises(ValueError) as info:
+            evaluate(examples, PolicyParams.zeros(), rules, lexicon)
+        assert str(info.value) == f"example 2 ('all dogs run'): {message}"
 
     def test_empty_dataset_rejected(self, rules, lexicon):
         with pytest.raises(ValueError):

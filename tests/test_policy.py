@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from natlog.chunker import chunk_pair, default_rules
+import dataclasses
+
+from natlog.chunker import chunk_pair, chunk_pairs, default_rules
+from natlog.datagen import default_genspec, generate, generate_2hop
 from natlog.executor import Chunk, ChunkedPair
-from natlog.knowledge import default_lexicon
+from natlog.knowledge import compare_pair, default_lexicon
 from natlog.policy import (
     FEATURE_NAMES,
     N_ACTIONS,
@@ -17,6 +20,7 @@ from natlog.policy import (
     decode,
     decode_each,
     distribution,
+    feature_matrix,
     featurize,
     featurize_pair,
     grad_log_prob,
@@ -26,7 +30,7 @@ from natlog.policy import (
     save_checkpoint,
     step_distributions,
 )
-from natlog.relations import ACTIONS, ActionRelation
+from natlog.relations import ACTIONS, CONTEXTS, ActionRelation, ProjectivityContext
 
 LEX = default_lexicon()
 RULES = default_rules()
@@ -131,6 +135,58 @@ class TestFeatures:
         mat = featurize_pair(pair, LEX)
         assert mat.shape == (2, N_FEATURES)
         assert np.array_equal(mat[0], featurize(pair, 1, LEX).values)
+
+
+def _reference_row(pair, t, flags):
+    """One feature row as the policy built it before ``feature_matrix``
+    wrote every row into one array."""
+    values = np.zeros(N_FEATURES)
+    values[: len(flags)] = flags
+    values[8] = t / pair.m
+    name = pair.hypothesis[t - 1].context.name
+    if f"context_{name}" in FEATURE_NAMES:
+        values[FEATURE_NAMES.index(f"context_{name}")] = 1.0
+    values[-1] = 1.0
+    return values
+
+
+class TestFeatureMatrixEqualsRowStack:
+    def test_every_split_pair_byte_for_byte(self):
+        spec = default_genspec()
+        train, test = generate(spec, RULES)
+        _, noisy = generate(dataclasses.replace(spec, noisy_test=True), RULES)
+        examples = train + noisy + generate_2hop(spec, RULES)
+        sides = [(e.premise, e.hypothesis) for e in examples] + [
+            ("run", "sleep"),
+            ("the kid does n't like table-tennis", "the child does n't like sports"),
+            ("no small dogs run", "near the shore the dog does n't like the cat"),
+        ]
+        pairs = chunk_pairs(sides, RULES)
+        assert {pair.m for pair in pairs} == {1, 2, 3, 4, 5}
+        for pair in pairs:
+            records = compare_pair(pair, LEX)
+            expected = np.stack(
+                [_reference_row(pair, t, f) for t, (_, f) in enumerate(records, 1)]
+            )
+            matrix = feature_matrix(pair, records)
+            assert matrix.dtype == expected.dtype and matrix.shape == expected.shape
+            assert matrix.tobytes() == expected.tobytes()
+
+    def test_featurize_row_and_unknown_context(self):
+        pair = chunk_pair("in the park no dogs run", "in the park no cats run", RULES)
+        odd = ProjectivityContext("odd", CONTEXTS["not"].codes)
+        first = dataclasses.replace(pair.hypothesis[0], context=odd)
+        hypothesis = (first,) + pair.hypothesis[1:]
+        for case in (pair, ChunkedPair(premise=pair.premise, hypothesis=hypothesis)):
+            records = compare_pair(case, LEX)
+            for t, (_, flags) in enumerate(records, 1):
+                expected = _reference_row(case, t, flags).tobytes()
+                assert featurize(case, t, LEX).values.tobytes() == expected
+                assert feature_matrix(case, records)[t - 1].tobytes() == expected
+        assert not feature_matrix(
+            ChunkedPair(premise=pair.premise, hypothesis=hypothesis),
+            compare_pair(pair, LEX),
+        )[0, 9:15].any()
 
 
 class TestDistribution:

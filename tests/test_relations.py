@@ -1,6 +1,7 @@
 """Cell-by-cell checks of the relation algebra tables and closure ops."""
 
 import dataclasses
+import enum
 import itertools
 
 import pytest
@@ -204,6 +205,17 @@ class TestCodeTables:
         else:
             expected = tuple(s == target for s in RELATIONS)
         assert accepting(target) == expected
+
+    def test_accepting_hashes_no_enum(self, monkeypatch):
+        calls = []
+        original = enum.Enum.__hash__
+        monkeypatch.setattr(
+            enum.Enum, "__hash__", lambda self: calls.append(self) or original(self)
+        )
+        rows = [accepting(target) for target in RELATIONS + LABELS]
+        assert len(rows) == 10 and calls == []
+        hash(COV)
+        assert calls == [COV]
 
 
 class TestActionSpace:

@@ -978,6 +978,26 @@ def tiny_dataset():
 
 
 class TestTrain:
+    @pytest.mark.parametrize("augmentation", [False, True])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"premise": "", "label": NLILabel.ENTAILMENT}, "cannot chunk an empty sentence"),
+            ({"hypothesis": " . "}, "cannot chunk an empty sentence"),
+            ({"label": None}, "example has neither label nor target state"),
+        ],
+    )
+    def test_malformed_example_named_by_index_and_premise(
+        self, augmentation, bad, message
+    ):
+        examples = tiny_dataset()
+        examples[2] = dataclasses.replace(examples[2], **bad)
+        config = TrainConfig(epochs=1, augmentation=augmentation)
+        with pytest.raises(ValueError) as info:
+            train(examples, RULES, LEX, config)
+        premise = examples[2].premise
+        assert str(info.value) == f"example 2 ({premise!r}): {message}"
+
     def test_runs_and_reports_metrics(self):
         config = TrainConfig(epochs=3, seed=1, augmentation=False)
         result = train(tiny_dataset(), RULES, LEX, config)
