@@ -6,6 +6,9 @@ labeled with a semantic relation, and the relation sequence is projected
 and joined into a final entailment, contradiction, or neutral verdict.
 Training uses policy gradients plus an introspective revision step that
 repairs sampled programs with lexical knowledge and answer feedback.
+``compile_examples`` chunks, aligns and featurizes a dataset once; training,
+evaluation and the ``prove`` and ``oracle`` commands all start from its
+records.
 """
 
 from .chunker import (
@@ -58,8 +61,11 @@ from .policy import (
     FEATURE_NAMES,
     N_ACTIONS,
     N_FEATURES,
+    Compiled,
     PolicyParams,
     argmax,
+    compile_examples,
+    decode,
     distribution,
     featurize,
     featurize_pair,

@@ -23,19 +23,13 @@ import sys
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .chunker import ChunkRules, chunk_pair, default_rules
-from .data import chunk_examples, dumps, load_dataset, save_dataset, write_records
+from .chunker import ChunkRules, default_rules
+from .data import Example, dumps, load_dataset, require_targets, save_dataset, write_records
 from .datagen import default_genspec, generate, generate_2hop, load_genspec
 from .executor import ENUMERATION_CAP, enumerate_programs, execute
-from .knowledge import Lexicon, compare_pair, default_lexicon
+from .knowledge import Lexicon, default_lexicon
 from .metrics import evaluate, reports_to_csv
-from .policy import (
-    PolicyParams,
-    decode,
-    feature_matrix,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .policy import PolicyParams, compile_examples, decode, load_checkpoint, save_checkpoint
 from .relations import ACTIONS
 from .trainer import RevisionStats, TrainConfig, load_train_config, train
 
@@ -146,13 +140,14 @@ def cmd_prove(args) -> None:
         else PolicyParams.zeros()
     )
     rules, lexicon = _rules(args), _lexicon(args)
-    pair = chunk_pair(args.premise, args.hypothesis, rules)
-    records = compare_pair(pair, lexicon)
-    program = decode(params, feature_matrix(pair, records))
+    example = Example(premise=args.premise, hypothesis=args.hypothesis)
+    (item,), features = compile_examples([example], rules, lexicon)
+    pair = item.pair
+    program = decode(params, features)
     trace = execute(pair, program)
 
     rows = [("step", "hypothesis chunk", "premise chunk", "r", "proj", "z")]
-    for t, (aligned, _) in enumerate(records, start=1):
+    for t, (aligned, _) in enumerate(item.records, start=1):
         hyp_chunk = pair.hypothesis[t - 1]
         rows.append(
             (
@@ -185,13 +180,15 @@ def cmd_oracle(args) -> None:
     skipped = 0
     rules, lexicon = _rules(args), _lexicon(args)
     with _naming(args.data):
-        pairs = chunk_examples(examples, rules)
-    for index, (example, pair) in enumerate(zip(examples, pairs)):
+        compiled, _ = compile_examples(examples, rules, lexicon)
+        require_targets(examples)
+    for index, (example, item) in enumerate(zip(examples, compiled)):
+        pair = item.pair
         if pair.m > args.max_m:
             skipped += 1
             records.append({"index": index, "m": pair.m, "skipped": True})
             continue
-        reaching = list(enumerate_programs(pair, example.target, args.max_m))
+        reaching = list(enumerate_programs(pair, item.target, args.max_m))
         ratio: Optional[float] = None
         if example.gold_program is not None and reaching:
             off = sum(1 for p in reaching if p != example.gold_program)

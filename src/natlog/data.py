@@ -19,6 +19,7 @@ from .relations import ActionRelation, NLILabel, Relation
 __all__ = [
     "Example",
     "example_error",
+    "require_targets",
     "chunk_examples",
     "dumps",
     "write_records",
@@ -119,6 +120,15 @@ class Example:
 def example_error(index: int, example: Example, exc: Exception) -> ValueError:
     """``exc`` restated to name the example by 0-based index and premise."""
     return ValueError(f"example {index} ({example.premise!r}): {exc}")
+
+
+def require_targets(examples: Sequence[Example]) -> None:
+    """Name the first example without a target with ``example_error``."""
+    for index, example in enumerate(examples):
+        try:
+            example.target  # raises when there is none
+        except ValueError as exc:
+            raise example_error(index, example, exc) from None
 
 
 def chunk_examples(

@@ -5,10 +5,14 @@ equivalence closure), hypernymy (transitively closed through synonym
 classes), and antonymy.  It resolves them once, when it is built, into one
 table from pairs of synonym-class representatives ("roots") to link bits:
 hypernym, hyponym and antonym.  Alignment and the lexical flags work on
-the roots of a chunk's tokens: a hypothesis token counts toward the overlap
-when its root, or a root linked to it, is among the premise chunk's roots,
-and the hypernym and antonym flags of a chunk pair are the OR of one table
-lookup per token pair.
+the roots of a chunk's tokens.  One helper compares every hypothesis chunk
+of a pair with the premise chunks: it normalizes each chunk once, and gives
+each premise chunk its near set, its roots and every root linked to them.
+A hypothesis token counts toward the overlap when its root is in the near
+set, the hypernym and antonym flags of the aligned chunk pair are the OR of
+one table lookup per token pair, and the winning overlap is the token
+overlap flag.  ``align``, ``compare``, ``compare_pair`` and ``propose`` all
+read that helper.
 
 Given an aligned premise chunk for a hypothesis chunk, simple rules propose
 candidate relations:
@@ -21,9 +25,10 @@ candidate relations:
 * the merged negation/alternation action when the chunks contain an
   antonym pair.
 
-Each hypothesis chunk is aligned once: ``compare`` returns the aligned
-premise chunk with the lexical flags of the pair, and both the policy's
-features and the proposal rules read that record.
+Each hypothesis chunk is aligned once: ``compare_pair`` returns, for each
+hypothesis chunk, the aligned premise chunk with the lexical flags of the
+pair, and both the policy's features and the proposal rules read those
+records.
 
 The equivalence and forward entailment rules deliberately overlap on the
 sub-phrase case; both proposals are emitted.  Proposals are ranked by the
@@ -316,22 +321,7 @@ def align(
     the premise chunk.  Ties go to the leftmost premise chunk; zero
     overlap aligns nothing.
     """
-    hyp_roots = lexicon.normalize(hyp_chunk.tokens)
-    best, best_score = None, 0
-    for candidate in premise_chunks:
-        score = _overlap(hyp_roots, set(lexicon.normalize(candidate.tokens)), lexicon)
-        if score > best_score:
-            best, best_score = candidate, score
-    return best
-
-
-def _overlap(hyp_roots: Sequence[str], premise_roots: set[str], lexicon: Lexicon) -> int:
-    """Hypothesis roots equal or linked to some root of the premise chunk.
-
-    A root with no links is near only itself.
-    """
-    near = lexicon._near
-    return sum(not premise_roots.isdisjoint(near.get(r, (r,))) for r in hyp_roots)
+    return compare(hyp_chunk, premise_chunks, lexicon)[0]
 
 
 def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
@@ -342,31 +332,62 @@ def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
     return all(tok in it for tok in short)
 
 
-def _flags(hyp_chunk: Chunk, premise_chunk: Chunk, lexicon: Lexicon) -> tuple:
-    """Lexical flags of a chunk pair, in the policy's feature order.
+_UNALIGNED = (None, (False,) * 7 + (0.0,))
 
-    Exact match and sub-phrase both ways (up to synonyms), synonymy between
-    distinct tokens, hypernymy both ways, antonymy, and the share of
-    hypothesis tokens related to some premise token: ``align``'s score.
+
+def _compare(
+    hypothesis: Sequence[Chunk], premise: Sequence[Chunk], lexicon: Lexicon
+) -> tuple[tuple, ...]:
+    """``compare`` for each hypothesis chunk against the same premise chunks.
+
+    Each chunk is normalized once.  A premise chunk also keeps its near
+    set: its roots and every root linked to one of them.  Links are
+    symmetric, so a hypothesis root is related to some root of the chunk
+    exactly when it is in that set, and a candidate's overlap is a count
+    of set lookups.  The winning overlap is the ``token_overlap`` flag's
+    numerator.
     """
-    s = lexicon.normalize(hyp_chunk.tokens)
-    s_tilde = lexicon.normalize(premise_chunk.tokens)
-    links = lexicon._links
-    synonym, bits = False, 0
-    for u, ru in zip(hyp_chunk.tokens, s):
-        for v, rv in zip(premise_chunk.tokens, s_tilde):
-            synonym |= ru == rv and u != v
-            bits |= links.get((ru, rv), 0)
-    return (
-        s == s_tilde,
-        _subphrase(s, s_tilde),
-        _subphrase(s_tilde, s),
-        synonym,
-        bool(bits & _HYPERNYM),
-        bool(bits & _HYPONYM),
-        bool(bits & _ANTONYM),
-        _overlap(s, set(s_tilde), lexicon) / len(s),
-    )
+    normalize, near, links = lexicon.normalize, lexicon._near, lexicon._links
+    candidates = []
+    for chunk in premise:
+        roots = normalize(chunk.tokens)
+        reach = set(roots)
+        for r in roots:
+            reach.update(near.get(r, ()))
+        candidates.append((reach.__contains__, chunk, roots))
+    records = []
+    for hyp in hypothesis:
+        s = normalize(hyp.tokens)
+        best, best_score = None, 0
+        for candidate in candidates:
+            score = sum(map(candidate[0], s))
+            if score > best_score:
+                best, best_score = candidate, score
+        if best is None:
+            records.append(_UNALIGNED)
+            continue
+        _, aligned, s_tilde = best
+        synonym, bits = False, 0
+        for u, ru in zip(hyp.tokens, s):
+            linked = near.get(ru, ())  # no root is linked to itself
+            for v, rv in zip(aligned.tokens, s_tilde):
+                if ru == rv:
+                    synonym = synonym or u != v
+                elif rv in linked:
+                    bits |= links[ru, rv]
+        # in the policy's feature order; the last is align's score
+        flags = (
+            s == s_tilde,
+            _subphrase(s, s_tilde),
+            _subphrase(s_tilde, s),
+            synonym,
+            bool(bits & _HYPERNYM),
+            bool(bits & _HYPONYM),
+            bool(bits & _ANTONYM),
+            best_score / len(s),
+        )
+        records.append((aligned, flags))
+    return tuple(records)
 
 
 def compare(
@@ -374,18 +395,18 @@ def compare(
 ) -> tuple[Optional[Chunk], tuple]:
     """Aligned premise chunk (or None) and the lexical flags of the pair.
 
-    The flags are all false when nothing aligns.  Features and proposals
-    both read this record, so a chunk is aligned once.
+    The flags are exact match and sub-phrase both ways (up to synonyms),
+    synonymy between distinct tokens, hypernymy both ways, antonymy, and
+    the share of hypothesis tokens related to some premise token:
+    ``align``'s score.  They are all false when nothing aligns.  Features
+    and proposals both read this record, so a chunk is aligned once.
     """
-    aligned = align(hyp_chunk, premise_chunks, lexicon)
-    if aligned is None:
-        return None, (False,) * 7 + (0.0,)
-    return aligned, _flags(hyp_chunk, aligned, lexicon)
+    return _compare((hyp_chunk,), premise_chunks, lexicon)[0]
 
 
 def compare_pair(pair: ChunkedPair, lexicon: Lexicon) -> tuple[tuple, ...]:
     """``compare`` for every hypothesis chunk, in order."""
-    return tuple(compare(h, pair.premise, lexicon) for h in pair.hypothesis)
+    return _compare(pair.hypothesis, pair.premise, lexicon)
 
 
 def _proposed(flags: tuple) -> tuple[ActionRelation, ...]:
@@ -410,9 +431,10 @@ def propose(
 ) -> tuple[ActionRelation, ...]:
     """Relations suggested by the lexicon for an aligned chunk pair.
 
-    Returned in canonical action order; may be empty.
+    Returned in canonical action order; may be empty, as it is when the
+    chunks share no related token.
     """
-    return _proposed(_flags(hyp_chunk, premise_chunk, lexicon))
+    return _proposed(compare(hyp_chunk, (premise_chunk,), lexicon)[1])
 
 
 def keys_from_records(

@@ -12,15 +12,16 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .chunker import ChunkRules
-from .data import Example, chunk_examples, example_error
+from .data import Example, example_error
 from .executor import execute, matches_target
 from .knowledge import Lexicon
-from .policy import PolicyParams, decode_each, featurize_pair
+from .policy import PolicyParams, compile_examples, decode
 from .relations import NLILabel, Relation
 
 __all__ = [
@@ -180,6 +181,8 @@ def evaluate(
 ) -> EvalReport:
     """Greedy-decode every example and aggregate all metrics.
 
+    The examples are compiled once by ``compile_examples``, and one
+    ``decode`` call over their stacked feature rows gives every program.
     State and rationale metrics cover the examples carrying the relevant
     gold annotations; they are None when no example has them.  Phrase
     P/R/F1 is micro-averaged over phrases, IOU macro-averaged over
@@ -198,14 +201,13 @@ def evaluate(
     any_rationales = False
     scored_phrases = False
 
-    pairs = chunk_examples(examples, rules)
-    programs = decode_each(params, [featurize_pair(pair, lexicon) for pair in pairs])
+    compiled, features = compile_examples(examples, rules, lexicon)
+    actions = iter(decode(params, features))
     index = 0
     try:
-        for index, (example, pair, program) in enumerate(
-            zip(examples, pairs, programs)
-        ):
-            trace = execute(pair, program)
+        for index, (example, item) in enumerate(zip(examples, compiled)):
+            pair = item.pair
+            trace = execute(pair, tuple(islice(actions, pair.m)))
             if matches_target(trace, example.target):
                 hits += 1
             if example.label is not None:

@@ -3,9 +3,15 @@
 Each hypothesis chunk is described by a small interpretable feature vector
 derived from its aligned premise chunk and the lexicon: lexical match
 flags, sub-phrase and hypernym direction flags, token overlap (all read
-from ``knowledge.compare``), relative position, and a one-hot of the
-monotonicity context.  Action scores are a linear map of the features;
-probabilities are their softmax.
+from the ``knowledge.compare_pair`` records), relative position, and a
+one-hot of the monotonicity context.  Action scores are a linear map of the
+features; probabilities are their softmax.
+
+``compile_examples`` is the one path from examples to features: it chunks
+every example with ``chunk_pairs``, aligns each pair once, and writes the
+feature rows of all examples into one array, so that training, evaluation
+and the CLI read the same records and one ``decode`` call decodes a whole
+split.  ``featurize_pair`` builds the same rows for a single pair.
 
 Feature extraction at step t looks only at the premise and hypothesis
 chunks up to t, so distributions are unaffected by later hypothesis
@@ -24,15 +30,17 @@ step's gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .chunker import ChunkRules
+from .data import Example, chunk_examples
 from .executor import ChunkedPair
-from .knowledge import Lexicon, compare, compare_pair
-from .relations import ACTIONS, ActionRelation
+from .knowledge import Lexicon, compare, compare_pair, keys_from_records
+from .relations import ACTIONS, ActionRelation, NLILabel, Relation
 
 __all__ = [
     "FEATURE_NAMES",
@@ -40,14 +48,14 @@ __all__ = [
     "PolicyParams",
     "featurize",
     "featurize_pair",
-    "feature_matrix",
+    "Compiled",
+    "compile_examples",
     "distribution",
     "step_distributions",
     "sample",
     "sample_program",
     "argmax",
     "decode",
-    "decode_each",
     "grad_log_prob",
     "save_checkpoint",
     "load_checkpoint",
@@ -79,8 +87,12 @@ FEATURE_NAMES: tuple[str, ...] = (
 N_FEATURES = len(FEATURE_NAMES)
 N_ACTIONS = len(ACTIONS)
 
-_CONTEXT_COLUMN = {name: FEATURE_NAMES.index(f"context_{name}") for name in _CONTEXT_NAMES}
-_N_FLAGS = FEATURE_NAMES.index("position")  # the lexical flags come first
+# context name -> its projectivity columns; an unknown context sets none
+_CONTEXT_BITS = {
+    name: tuple(float(name == other) for other in _CONTEXT_NAMES)
+    for name in _CONTEXT_NAMES
+}
+_NO_CONTEXT = (0.0,) * len(_CONTEXT_NAMES)
 
 CHECKPOINT_MAGIC = "natlog-policy v1"
 
@@ -109,18 +121,17 @@ class PolicyParams:
         return PolicyParams(weights=self.weights.copy())
 
 
-def _rows(pair: ChunkedPair, steps: range, flags: Sequence[tuple]) -> np.ndarray:
-    """Feature rows for the given steps from their chunks' lexical flags,
-    written into one array."""
-    values = np.zeros((len(steps), N_FEATURES))
-    values[:, :_N_FLAGS] = flags
-    values[:, _N_FLAGS] = np.arange(steps.start, steps.stop) / pair.m
-    for row, t in enumerate(steps):
-        column = _CONTEXT_COLUMN.get(pair.hypothesis[t - 1].context.name)
-        if column is not None:  # unknown context: all projectivity bits stay zero
-            values[row, column] = 1.0
-    values[:, -1] = 1.0
-    return values
+def _rows(steps: Iterable[tuple[ChunkedPair, int, tuple]]) -> np.ndarray:
+    """One feature row per (pair, 1-based step, lexical flags), in
+    ``FEATURE_NAMES`` order, all written into one array."""
+    values: list = []
+    for pair, t, flags in steps:
+        values += flags
+        values.append(t / pair.m)
+        context = pair.hypothesis[t - 1].context.name
+        values += _CONTEXT_BITS.get(context, _NO_CONTEXT)
+        values.append(1.0)  # bias
+    return np.array(values, dtype=float).reshape(-1, N_FEATURES)
 
 
 def featurize(
@@ -130,19 +141,61 @@ def featurize(
     if not 1 <= t <= pair.m:
         raise ValueError(f"step {t} out of range 1..{pair.m}")
     _, flags = compare(pair.hypothesis[t - 1], pair.premise, lexicon)
-    return FeatureVector(values=_rows(pair, range(t, t + 1), [flags])[0])
-
-
-def feature_matrix(pair: ChunkedPair, records: Sequence[tuple]) -> np.ndarray:
-    """Feature rows, shape (m, N_FEATURES), from ``compare_pair`` records."""
-    return _rows(
-        pair, range(1, len(records) + 1), [flags for _, flags in records]
-    )
+    return FeatureVector(values=_rows([(pair, t, flags)])[0])
 
 
 def featurize_pair(pair: ChunkedPair, lexicon: Lexicon) -> np.ndarray:
     """Stacked feature matrix of shape (m, N_FEATURES)."""
-    return feature_matrix(pair, compare_pair(pair, lexicon))
+    records = compare_pair(pair, lexicon)
+    return _rows((pair, t, flags) for t, (_, flags) in enumerate(records, start=1))
+
+
+@dataclass(eq=False)  # features is an array, which has no truth value
+class Compiled:
+    """One example compiled for the policy; nothing here depends on weights.
+
+    ``records`` are the pair's ``compare_pair`` records and ``features``
+    its (m, N_FEATURES) rows, a view of the stacked rows of the examples
+    compiled with it.  ``target`` is None when the example has neither a
+    label nor a target state.
+    """
+
+    pair: ChunkedPair
+    target: Optional[NLILabel | Relation]
+    records: tuple[tuple, ...]
+    features: np.ndarray
+
+    @cached_property
+    def proposals(self) -> tuple[tuple[int, ActionRelation], ...]:
+        """Knowledge proposal keys, from the records on first use."""
+        return keys_from_records(self.records)
+
+
+def compile_examples(
+    examples: Sequence[Example], rules: ChunkRules, lexicon: Lexicon
+) -> tuple[list[Compiled], np.ndarray]:
+    """Chunk, align and featurize every example once.
+
+    Returns one ``Compiled`` per example and the stacked feature rows of
+    all examples, shape (sum of m, N_FEATURES): each record's ``features``
+    is its block of those rows, in example order, so one ``decode`` call
+    decodes the whole split.  A sentence that cannot be chunked raises a
+    ValueError that names the example by 0-based index and premise.
+    """
+    pairs = chunk_examples(examples, rules)
+    all_records = [compare_pair(pair, lexicon) for pair in pairs]
+    features = _rows(
+        (pair, t, flags)
+        for pair, records in zip(pairs, all_records)
+        for t, (_, flags) in enumerate(records, start=1)
+    )
+    compiled, offset = [], 0
+    for example, pair, records in zip(examples, pairs, all_records):
+        target = example.target_state or example.label
+        rows = features[offset : offset + pair.m]
+        compiled.append(Compiled(pair, target, records, rows))
+        offset += pair.m
+    return compiled, features
 
 
 def distribution(params: PolicyParams, features) -> np.ndarray:
@@ -210,19 +263,6 @@ def decode(params: PolicyParams, features: np.ndarray) -> tuple[ActionRelation, 
     """
     best = np.argmax(step_distributions(params, features), axis=1)
     return tuple(ACTIONS[i] for i in best)
-
-
-def decode_each(
-    params: PolicyParams, feature_matrices: Sequence[np.ndarray]
-) -> list[tuple[ActionRelation, ...]]:
-    """Greedy program of each matrix, all rows decoded by one ``decode`` call.
-
-    Rows are independent, so this equals decoding each matrix alone.
-    """
-    if not feature_matrices:
-        return []
-    actions = iter(decode(params, np.concatenate(feature_matrices)))
-    return [tuple(islice(actions, len(f))) for f in feature_matrices]
 
 
 def grad_log_prob(

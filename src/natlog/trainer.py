@@ -45,13 +45,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .chunker import ChunkRules, chunk_pairs
-from .data import Example, chunk_examples, example_error
+from .data import Example, example_error, require_targets
 from .executor import (
     ChunkedPair,
     Program,
@@ -61,17 +62,12 @@ from .executor import (
     reaches,
     single_edits,
 )
-from .knowledge import (
-    Lexicon,
-    ProposalQueue,
-    compare_pair,
-    keys_from_records,
-    queue_from_keys,
-)
+from .knowledge import Lexicon, ProposalQueue, queue_from_keys
 from .policy import (
+    Compiled,
     PolicyParams,
-    decode_each,
-    feature_matrix,
+    compile_examples,
+    decode,
     sample_program,
     step_distributions,
 )
@@ -569,44 +565,9 @@ class TrainResult:
     metrics: tuple[EpochMetrics, ...]
 
 
-@dataclass
-class _Compiled:
-    """Per-example caches that do not depend on the policy."""
-
-    pair: ChunkedPair
-    target: Target
-    features: np.ndarray
-    proposals: tuple[tuple[int, ActionRelation], ...]
-
-
-def _compile_examples(
-    examples: Sequence[Example],
-    rules: ChunkRules,
-    lexicon: Lexicon,
-    use_knowledge: bool,
-) -> list[_Compiled]:
-    compiled = []
-    pairs = chunk_examples(examples, rules)
-    for index, (example, pair) in enumerate(zip(examples, pairs)):
-        try:
-            target = example.target
-        except ValueError as exc:
-            raise example_error(index, example, exc) from None
-        records = compare_pair(pair, lexicon)
-        compiled.append(
-            _Compiled(
-                pair=pair,
-                target=target,
-                features=feature_matrix(pair, records),
-                proposals=keys_from_records(records) if use_knowledge else (),
-            )
-        )
-    return compiled
-
-
 def run_episode(
     probs: np.ndarray,
-    compiled: _Compiled,
+    compiled: Compiled,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> Episode:
@@ -629,7 +590,7 @@ def run_episode(
     )
     if not config.introspective_revision:
         return episode
-    phi = queue_from_keys(compiled.proposals, probs)
+    phi = queue_from_keys(compiled.proposals if config.knowledge else (), probs)
     revised, events = introspective_revision(
         compiled.pair,
         program,
@@ -650,12 +611,14 @@ def run_episode(
 
 
 def _greedy_accuracy(
-    params: PolicyParams, compiled: Sequence[_Compiled]
+    params: PolicyParams, compiled: Sequence[Compiled], features: np.ndarray
 ) -> float:
-    programs = decode_each(params, [item.features for item in compiled])
+    """Share of examples whose greedy program reaches the target; ``features``
+    are the examples' stacked rows, decoded in one call."""
+    actions = iter(decode(params, features))
     hits = sum(
-        reaches(item.pair, program, item.target)
-        for item, program in zip(compiled, programs)
+        reaches(item.pair, tuple(islice(actions, item.pair.m)), item.target)
+        for item in compiled
     )
     return hits / len(compiled) if compiled else 0.0
 
@@ -778,7 +741,8 @@ def train(
             f"{config.epochs} epochs of {len(examples)} examples make more "
             "than 2**32 episodes"
         )
-    compiled = _compile_examples(examples, rules, lexicon, config.knowledge)
+    compiled, features = compile_examples(examples, rules, lexicon)
+    require_targets(examples)
     params = params.copy() if params is not None else PolicyParams.zeros()
 
     metrics: list[EpochMetrics] = []
@@ -817,7 +781,7 @@ def train(
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                train_accuracy=_greedy_accuracy(params, compiled),
+                train_accuracy=_greedy_accuracy(params, compiled, features),
                 mean_reward=reward_total / max(reward_steps, 1),
                 objective=objective_total / n,
                 revisions=RevisionStats.tally(revisions),

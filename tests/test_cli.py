@@ -412,6 +412,28 @@ class TestErrors:
         }
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train", "oracle"])
+    def test_example_without_target_names_dataset_index_and_premise(
+        self, workspace, capsys, tmp_path, command
+    ):
+        example = natlog.Example(premise="some dogs run", hypothesis="some animals run")
+        bad = tmp_path / "untargeted.jsonl"
+        save_dataset([example], bad)
+        args = {
+            "eval": ["--checkpoint", str(workspace / "policy.ckpt")],
+            "train": ["--checkpoint", str(tmp_path / "x.ckpt")],
+            "oracle": ["--out", str(tmp_path / "oracle.jsonl")],
+        }[command]
+        assert main([command, "--data", str(bad)] + args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "ValueError",
+            "message": f"{bad}: example 0 ('some dogs run'): "
+            "example has neither label nor target state",
+        }
+        assert not (tmp_path / "x.ckpt").exists()
+        assert not (tmp_path / "oracle.jsonl").exists()
+
     def test_collapse_binary_without_labels_gives_error_record(
         self, workspace, capsys, tmp_path
     ):

@@ -5,18 +5,20 @@ import enum
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from natlog.chunker import chunk_pair, default_rules
 from natlog.datagen import default_genspec, generate
-from natlog.executor import Chunk
+from natlog.executor import Chunk, ChunkedPair
 from natlog.knowledge import (
     Lexicon,
     Proposal,
     ProposalQueue,
+    _proposed,
     align,
     build_queue,
     compare,
+    compare_pair,
     default_lexicon,
     proposal_keys,
     propose,
@@ -536,7 +538,16 @@ class TestLexiconEqualsReference:
         hypernyms=st.lists(edges, max_size=6),
         antonyms=st.lists(edges, max_size=4),
         hypothesis_chunks=st.lists(chunk_tokens, min_size=1, max_size=3),
-        premise_chunks=st.lists(chunk_tokens, min_size=1, max_size=4),
+        premise_chunks=st.lists(chunk_tokens, min_size=1, max_size=5),
+    )
+    # a tie between two premise chunks, which the leftmost wins, and a
+    # hypothesis chunk that overlaps no premise chunk
+    @example(
+        synonyms=[("w1", "w2")],
+        hypernyms=[("w3", "w4")],
+        antonyms=[],
+        hypothesis_chunks=[["w1", "w4"], ["w5"]],
+        premise_chunks=[["w0"], ["w2", "w0"], ["w3"]],
     )
     def test_random_lexicon(
         self, synonyms, hypernyms, antonyms, hypothesis_chunks, premise_chunks
@@ -555,10 +566,30 @@ class TestLexiconEqualsReference:
                 assert lex.hypernym_of(a, b) == ref.hypernym_of(a, b)
                 assert lex.antonymous(a, b) == ref.antonymous(a, b)
                 assert lex.related(a, b) == ref.related(a, b)
-        premise = [Chunk(tokens=tuple(t), start=i) for i, t in enumerate(premise_chunks)]
-        for tokens in hypothesis_chunks:
-            hyp = Chunk(tokens=tuple(tokens), start=0)
-            aligned, flags = compare(hyp, premise, lex)
+        premise = tuple(Chunk(tokens=tuple(t), start=i) for i, t in enumerate(premise_chunks))
+        hypothesis = tuple(Chunk(tokens=tuple(t), start=0) for t in hypothesis_chunks)
+        records = compare_pair(ChunkedPair(premise=premise, hypothesis=hypothesis), lex)
+        assert len(records) == len(hypothesis)
+        for hyp, (aligned, flags) in zip(hypothesis, records):
             ref_aligned, ref_flags = _reference_compare(hyp, premise, ref)
             assert aligned is ref_aligned
             assert tuple(float(f) for f in flags) == ref_flags
+            assert compare(hyp, premise, lex) == (aligned, flags)
+            assert align(hyp, premise, lex) is aligned
+            event(_overlap_kind(hyp, premise, ref))
+            for chunk in premise:
+                _, pair_flags = _reference_compare(hyp, [chunk], ref)
+                assert propose(hyp, chunk, lex) == _proposed(pair_flags)
+
+
+def _overlap_kind(hyp, premise, ref):
+    """Whether the hypothesis chunk overlaps nothing, one best premise
+    chunk, or several tied ones."""
+    scores = [
+        sum(any(ref.related(u, v) for v in chunk.tokens) for u in hyp.tokens)
+        for chunk in premise
+    ]
+    best = max(scores)
+    if best == 0:
+        return "zero overlap"
+    return "tied best" if scores.count(best) > 1 else "one best"

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natlog.chunker import default_rules
+from natlog import metrics
+from natlog.chunker import chunk_pair, default_rules
 from natlog.data import Example
+from natlog.datagen import default_genspec, generate
 from natlog.knowledge import default_lexicon
 from natlog.metrics import (
     EvalReport,
@@ -20,8 +22,15 @@ from natlog.metrics import (
     reports_to_csv,
     state_accuracy,
 )
-from natlog.policy import FEATURE_NAMES, PolicyParams
+from natlog.policy import (
+    FEATURE_NAMES,
+    PolicyParams,
+    argmax,
+    featurize_pair,
+    step_distributions,
+)
 from natlog.relations import ACTIONS, ActionRelation, NLILabel, Relation
+from natlog.trainer import TrainConfig, train
 
 A_EQ = ActionRelation.EQUIVALENCE
 A_SUB = ActionRelation.FORWARD_ENTAILMENT
@@ -423,3 +432,41 @@ class TestEvaluate:
         assert ",," in lines[1]
         # identical inputs serialize identically
         assert text == reports_to_csv({"dev": report, "test": report})
+
+
+@pytest.fixture(scope="module")
+def trained_policy(rules, lexicon):
+    """A policy trained for two epochs on the default train split."""
+    train_set, _ = generate(default_genspec(), rules)
+    return train(train_set, rules, lexicon, TrainConfig(epochs=2, seed=0)).params
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_per_pair_decode_equals_evaluate_programs(
+    rules, lexicon, trained_policy, monkeypatch, noisy
+):
+    """One pair at a time (chunk, featurize, softmax, argmax per step), as
+    the benchmark's decode phase runs, against the programs ``evaluate``
+    decodes from the split's stacked rows."""
+    spec = dataclasses.replace(default_genspec(), noisy_test=noisy)
+    _, test_set = generate(spec, rules)
+    decode, decoded = metrics.decode, []
+
+    def recording(params, features):
+        decoded.append(decode(params, features))
+        return decoded[-1]
+
+    monkeypatch.setattr(metrics, "decode", recording)
+    evaluate(test_set, trained_policy, rules, lexicon)
+    monkeypatch.undo()
+    (actions,) = decoded
+    actions = iter(actions)
+    programs = set()
+    for example in test_set:
+        pair = chunk_pair(example.premise, example.hypothesis, rules)
+        probs = step_distributions(trained_policy, featurize_pair(pair, lexicon))
+        program = tuple(argmax(p) for p in probs)
+        assert program == tuple(itertools.islice(actions, pair.m))
+        programs.add(program)
+    assert next(actions, None) is None
+    assert len(programs) > 1

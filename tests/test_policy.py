@@ -7,7 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 import dataclasses
 
+from natlog import policy
 from natlog.chunker import chunk_pair, chunk_pairs, default_rules
+from natlog.data import Example
 from natlog.datagen import default_genspec, generate, generate_2hop
 from natlog.executor import Chunk, ChunkedPair
 from natlog.knowledge import compare_pair, default_lexicon
@@ -17,10 +19,9 @@ from natlog.policy import (
     N_FEATURES,
     PolicyParams,
     argmax,
+    compile_examples,
     decode,
-    decode_each,
     distribution,
-    feature_matrix,
     featurize,
     featurize_pair,
     grad_log_prob,
@@ -138,8 +139,7 @@ class TestFeatures:
 
 
 def _reference_row(pair, t, flags):
-    """One feature row as the policy built it before ``feature_matrix``
-    wrote every row into one array."""
+    """One feature row, built alone."""
     values = np.zeros(N_FEATURES)
     values[: len(flags)] = flags
     values[8] = t / pair.m
@@ -150,13 +150,67 @@ def _reference_row(pair, t, flags):
     return values
 
 
+def _separate_compare(hyp, premise, lexicon):
+    """Aligned chunk and flags from the public lexicon queries: each
+    candidate's overlap counted on its own, then the flags of the winner
+    computed afresh."""
+
+    def overlap(chunk):
+        return sum(any(lexicon.related(u, v) for v in chunk.tokens) for u in hyp.tokens)
+
+    scores = [overlap(c) for c in premise]
+    if max(scores, default=0) == 0:
+        return None, (False,) * 7 + (0.0,)
+    aligned = premise[scores.index(max(scores))]
+    s, s_tilde = lexicon.normalize(hyp.tokens), lexicon.normalize(aligned.tokens)
+    pairs = [(u, v) for u in hyp.tokens for v in aligned.tokens]
+
+    def subphrase(short, long):
+        it = iter(long)
+        return len(short) < len(long) and all(tok in it for tok in short)
+
+    return aligned, (
+        s == s_tilde,
+        subphrase(s, s_tilde),
+        subphrase(s_tilde, s),
+        any(u != v and lexicon.synonymous(u, v) for u, v in pairs),
+        any(lexicon.hypernym_of(u, v) for u, v in pairs),
+        any(lexicon.hypernym_of(v, u) for u, v in pairs),
+        any(lexicon.antonymous(u, v) for u, v in pairs),
+        overlap(aligned) / len(hyp.tokens),
+    )
+
+
+def _separate_matrix(pair):
+    """A pair's feature matrix, row by row from ``_separate_compare``."""
+    return np.stack(
+        [
+            _reference_row(pair, t, _separate_compare(h, pair.premise, LEX)[1])
+            for t, h in enumerate(pair.hypothesis, 1)
+        ]
+    )
+
+
+def _unknown_context(pair):
+    """The pair with its first hypothesis chunk in a context the features
+    do not name."""
+    odd = ProjectivityContext("odd", CONTEXTS["not"].codes)
+    first = dataclasses.replace(pair.hypothesis[0], context=odd)
+    return ChunkedPair(premise=pair.premise, hypothesis=(first,) + pair.hypothesis[1:])
+
+
+@pytest.fixture(scope="module")
+def split_examples():
+    """The default train and test, noisy test and two-hop splits."""
+    spec = default_genspec()
+    train, test = generate(spec, RULES)
+    _, noisy = generate(dataclasses.replace(spec, noisy_test=True), RULES)
+    return train + test + noisy + generate_2hop(spec, RULES)
+
+
 class TestFeatureMatrixEqualsRowStack:
-    def test_every_split_pair_byte_for_byte(self):
-        spec = default_genspec()
-        train, test = generate(spec, RULES)
-        _, noisy = generate(dataclasses.replace(spec, noisy_test=True), RULES)
-        examples = train + noisy + generate_2hop(spec, RULES)
-        sides = [(e.premise, e.hypothesis) for e in examples] + [
+    def test_every_split_pair_byte_for_byte(self, split_examples):
+        sides = [(e.premise, e.hypothesis) for e in split_examples] + [
             ("run", "sleep"),
             ("the kid does n't like table-tennis", "the child does n't like sports"),
             ("no small dogs run", "near the shore the dog does n't like the cat"),
@@ -164,29 +218,56 @@ class TestFeatureMatrixEqualsRowStack:
         pairs = chunk_pairs(sides, RULES)
         assert {pair.m for pair in pairs} == {1, 2, 3, 4, 5}
         for pair in pairs:
-            records = compare_pair(pair, LEX)
             expected = np.stack(
-                [_reference_row(pair, t, f) for t, (_, f) in enumerate(records, 1)]
+                [
+                    _reference_row(pair, t, flags)
+                    for t, (_, flags) in enumerate(compare_pair(pair, LEX), 1)
+                ]
             )
-            matrix = feature_matrix(pair, records)
+            matrix = featurize_pair(pair, LEX)
             assert matrix.dtype == expected.dtype and matrix.shape == expected.shape
             assert matrix.tobytes() == expected.tobytes()
 
     def test_featurize_row_and_unknown_context(self):
         pair = chunk_pair("in the park no dogs run", "in the park no cats run", RULES)
-        odd = ProjectivityContext("odd", CONTEXTS["not"].codes)
-        first = dataclasses.replace(pair.hypothesis[0], context=odd)
-        hypothesis = (first,) + pair.hypothesis[1:]
-        for case in (pair, ChunkedPair(premise=pair.premise, hypothesis=hypothesis)):
-            records = compare_pair(case, LEX)
-            for t, (_, flags) in enumerate(records, 1):
+        for case in (pair, _unknown_context(pair)):
+            matrix = featurize_pair(case, LEX)
+            for t, (_, flags) in enumerate(compare_pair(case, LEX), 1):
                 expected = _reference_row(case, t, flags).tobytes()
                 assert featurize(case, t, LEX).values.tobytes() == expected
-                assert feature_matrix(case, records)[t - 1].tobytes() == expected
-        assert not feature_matrix(
-            ChunkedPair(premise=pair.premise, hypothesis=hypothesis),
-            compare_pair(pair, LEX),
-        )[0, 9:15].any()
+                assert matrix[t - 1].tobytes() == expected
+        assert not featurize_pair(_unknown_context(pair), LEX)[0, 9:15].any()
+
+
+class TestCompileExamples:
+    def test_rows_equal_separate_per_pair_matrices(self, split_examples):
+        compiled, features = compile_examples(split_examples, RULES, LEX)
+        expected = np.concatenate([_separate_matrix(item.pair) for item in compiled])
+        assert features.dtype == expected.dtype and features.shape == expected.shape
+        assert features.tobytes() == expected.tobytes()
+        offset = 0
+        for example, item in zip(split_examples, compiled):
+            assert np.shares_memory(item.features, features)
+            assert item.features.tobytes() == features[offset : offset + item.pair.m].tobytes()
+            assert item.records == compare_pair(item.pair, LEX)
+            assert item.target == example.target
+            offset += item.pair.m
+        assert offset == len(features)
+
+    def test_unknown_context_row(self, monkeypatch):
+        pair = chunk_pair("in the park no dogs run", "in the park no cats run", RULES)
+        odd = _unknown_context(pair)
+        monkeypatch.setattr(policy, "chunk_examples", lambda examples, rules: [odd, pair])
+        examples = [Example(premise="p", hypothesis="h")] * 2
+        compiled, features = compile_examples(examples, RULES, LEX)
+        expected = np.concatenate([_separate_matrix(odd), _separate_matrix(pair)])
+        assert features.tobytes() == expected.tobytes()
+        assert not features[0, 9:15].any() and features[pair.m, 9:15].any()
+        assert [item.target for item in compiled] == [None, None]
+
+    def test_empty_split(self):
+        compiled, features = compile_examples([], RULES, LEX)
+        assert compiled == [] and features.shape == (0, N_FEATURES)
 
 
 class TestDistribution:
@@ -294,14 +375,17 @@ class TestStackedDistributions:
             assert decode(params, features) == expected
         assert decode(PolicyParams.zeros(), features) == (ACTIONS[0],) * 6
 
-    def test_decode_each_equals_decode_per_matrix(self):
+    def test_one_decode_of_stacked_rows_equals_decode_per_matrix(self):
+        # evaluation decodes a split's stacked rows in one call
         rng = np.random.default_rng(12)
         params = PolicyParams(weights=rng.normal(size=(N_ACTIONS, N_FEATURES)))
         matrices = [rng.normal(size=(m, N_FEATURES)) for m in (1, 4, 2, 8, 3)]
-        assert decode_each(params, matrices) == [
+        actions = decode(params, np.concatenate(matrices))
+        ends = np.cumsum([len(f) for f in matrices]).tolist()
+        assert [actions[end - len(f) : end] for f, end in zip(matrices, ends)] == [
             decode(params, f) for f in matrices
         ]
-        assert decode_each(params, []) == []
+        assert decode(params, np.zeros((0, N_FEATURES))) == ()
 
 
 class TestSampling:

@@ -25,6 +25,7 @@ from natlog.knowledge import Proposal, ProposalQueue, default_lexicon, queue_fro
 from natlog.policy import (
     N_FEATURES,
     PolicyParams,
+    compile_examples,
     decode,
     distribution,
     grad_log_prob,
@@ -63,12 +64,7 @@ from natlog.trainer import (
     run_episode,
     train,
 )
-from natlog.trainer import (
-    _compile_examples,
-    _episode_streams,
-    _greedy_accuracy,
-    _stream_words,
-)
+from natlog.trainer import _episode_streams, _greedy_accuracy, _stream_words
 
 A_EQ = ActionRelation.EQUIVALENCE
 A_FE = ActionRelation.FORWARD_ENTAILMENT
@@ -557,37 +553,44 @@ class TestFastPathsMatchExecution:
                 fast(pair, (A_EQ,), NLILabel.ENTAILMENT)
 
 
-class TestOneAlignmentPerChunk:
+class TestOneNormalizationPerChunk:
+    """A pair of n premise and m hypothesis chunks is normalized chunk by
+    chunk, n + m ``Lexicon.normalize`` calls in all; aligning each
+    hypothesis chunk on its own would make m * (n + 2)."""
+
     @pytest.fixture
-    def align_calls(self, monkeypatch):
-        """Count calls to knowledge.align through every natlog binding."""
-        original = knowledge.align
+    def normalized(self, monkeypatch):
+        """The tokens of every ``Lexicon.normalize`` call, in order."""
+        original = knowledge.Lexicon.normalize
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counting(self, tokens):
+            calls.append(tuple(tokens))
+            return original(self, tokens)
 
-        modules = [natlog, natlog.cli] + [
-            getattr(natlog, name)
-            for name in ("chunker", "knowledge", "policy", "trainer", "metrics")
-        ]
-        for module in modules:
-            if getattr(module, "align", None) is original:
-                monkeypatch.setattr(module, "align", counting)
+        monkeypatch.setattr(knowledge.Lexicon, "normalize", counting)
         return calls
 
-    def test_compile_aligns_each_chunk_once(self, align_calls):
-        compiled = _compile_examples(tiny_dataset(), RULES, LEX, use_knowledge=True)
-        assert len(align_calls) == sum(item.pair.m for item in compiled)
+    @staticmethod
+    def chunk_tokens(pair):
+        return [c.tokens for c in pair.premise + pair.hypothesis]
+
+    def test_compile_normalizes_each_chunk_once(self, normalized):
+        spec = dataclasses.replace(natlog.default_genspec(), noisy_test=True)
+        examples = natlog.generate(spec, RULES)[1][::50]
+        compiled, _ = compile_examples(examples, RULES, LEX)
+        assert {item.pair.m for item in compiled} == {2, 4}
+        assert normalized == [
+            tokens for item in compiled for tokens in self.chunk_tokens(item.pair)
+        ]
         assert any(item.proposals for item in compiled)
 
-    def test_prove_aligns_each_chunk_once(self, align_calls, capsys):
+    def test_prove_normalizes_each_chunk_once(self, normalized, capsys):
         premise, hypothesis = "some dogs run quickly", "some animals run"
         assert natlog.cli.main(["prove", premise, hypothesis]) == 0
         assert "premise chunk" in capsys.readouterr().out
         pair = chunk_pair(premise, hypothesis, RULES)
-        assert align_calls == list(pair.hypothesis)
+        assert normalized == self.chunk_tokens(pair)
 
 
 class TestHybridObjective:
@@ -599,7 +602,7 @@ class TestHybridObjective:
                 label=NLILabel.ENTAILMENT,
             )
         ]
-        compiled = _compile_examples(examples, RULES, LEX, use_knowledge=True)
+        compiled = compile_examples(examples, RULES, LEX)[0]
         config = TrainConfig(seed=3)
         probs = step_distributions(params, compiled[0].features)
         return run_episode(probs, compiled[0], config, np.random.default_rng(3))
@@ -667,7 +670,7 @@ def random_episodes(seed, introspective_revision=True):
     rng = np.random.default_rng(seed)
     params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
     examples = natlog.generate(natlog.default_genspec(), RULES)[0][::40]
-    compiled = _compile_examples(examples, RULES, LEX, use_knowledge=True)
+    compiled = compile_examples(examples, RULES, LEX)[0]
     config = TrainConfig(seed=seed, introspective_revision=introspective_revision)
     episodes = [
         run_episode(
@@ -751,8 +754,9 @@ class TestObjectiveFromEpisodeProbs:
             for item in compiled
         )
         assert 0 < hits < len(compiled)
-        assert _greedy_accuracy(params, compiled) == hits / len(compiled)
-        assert _greedy_accuracy(params, []) == 0.0
+        features = np.concatenate([item.features for item in compiled])
+        assert _greedy_accuracy(params, compiled, features) == hits / len(compiled)
+        assert _greedy_accuracy(params, [], np.zeros((0, N_FEATURES))) == 0.0
 
 
 @st.composite
@@ -850,7 +854,7 @@ def episodes_with_references(seed, config, step):
     rng = np.random.default_rng(seed)
     params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
     examples = natlog.generate(natlog.default_genspec(), RULES)[0][::step]
-    compiled = _compile_examples(examples, RULES, LEX, use_knowledge=True)
+    compiled = compile_examples(examples, RULES, LEX)[0]
     for i, item in enumerate(compiled):
         probs = step_distributions(params, item.features)
         episode = run_episode(probs, item, config, np.random.default_rng([seed, i]))
@@ -1109,7 +1113,8 @@ def _reference_episode(params, compiled, config, rng):
     )
     if not config.introspective_revision:
         return episode
-    phi = queue_from_keys(compiled.proposals, probs)
+    keys = knowledge.proposal_keys(compiled.pair, LEX) if config.knowledge else ()
+    phi = queue_from_keys(keys, probs)
     revised, events = introspective_revision(
         compiled.pair, program, compiled.target, phi, probs, config, rng
     )
@@ -1127,7 +1132,7 @@ def _reference_train(examples, config):
     from ``execute``."""
     if config.augmentation:
         examples = relation_augmentation(examples, RULES, LEX)
-    compiled = _compile_examples(examples, RULES, LEX, config.knowledge)
+    compiled, _ = compile_examples(examples, RULES, LEX)
     params = PolicyParams.zeros()
     metrics = []
     ordinal = 0
