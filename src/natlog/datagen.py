@@ -365,6 +365,8 @@ def _one_hop(
 
 
 def _subsample(pool: list, size: Optional[int], seed: int, key: int) -> list:
+    # Depends only on len(pool) and the seed, so plans are subsampled
+    # before they are built and a kept example keeps its bytes.
     if size is None or size >= len(pool):
         return pool
     if size < 0:
@@ -405,9 +407,10 @@ def generate(
                 sentence = _sentence(q, subject, predicate)
                 train.append((sentence, sentence, (), "train"))
 
+    train = _subsample(train, spec.train_size, spec.seed, 0)
+    test = _subsample(test, spec.test_size, spec.seed, 1)
     built = _build_all(train + test, rules)
-    train_set = _subsample(built[: len(train)], spec.train_size, spec.seed, 0)
-    test_set = _subsample(built[len(train) :], spec.test_size, spec.seed, 1)
+    train_set, test_set = built[: len(train)], built[len(train) :]
     if spec.noisy_test:
         if not spec.noise_prefixes:
             raise ValueError("noisy_test requires noise prefixes")
@@ -464,5 +467,5 @@ def generate_2hop(
         for subj_p, subj_h, subj_action in _replacement_pairs(r)
         for pred_p, pred_h, pred_action in predicate_moves
     ]
-    built = _build_all(plans, rules)
-    return tuple(_subsample(built, spec.two_hop_size, spec.seed, 2))
+    kept = _subsample(plans, spec.two_hop_size, spec.seed, 2)
+    return tuple(_build_all(kept, rules))

@@ -18,7 +18,19 @@ chunk's context row ``action_codes`` gives the projected relation's code,
 builds the enum-valued ``Trace`` from those lookups.  When only the verdict
 is needed, ``reaches`` folds the codes without building a trace.
 
+``Chunk``, ``ChunkedPair`` and ``Trace`` are frozen dataclasses built in one
+step: each has a hand-written ``__init__`` that stores its fields straight
+into the instance ``__dict__``.  The ``__init__`` a frozen dataclass
+generates sets every field through ``object.__setattr__``, which costs
+about three times as much, and these records are built once per chunk,
+per pair and per executed program.  Equality, hashing, ``repr``,
+``dataclasses.replace`` and the ``FrozenInstanceError`` on assignment stay
+the generated ones.
+
 Two searches run on top.  ``enumerate_programs`` executes all 5^m programs.
+It deliberately runs ``execute`` on every one, without pruning, because it
+is the brute-force reference that the tests and the benchmark check the
+faster searches against and count calls on.
 ``single_edits`` finds every single-step edit of a program that reaches a
 target in O(5m) lookups: one forward fold gives the prefix states
 z_0 .. z_{m-1}, and one backward pass gives, for each step t, a suffix
@@ -66,13 +78,24 @@ __all__ = [
 ENUMERATION_CAP = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Chunk:
     """A contiguous span of tokens with its monotonicity context."""
 
     tokens: tuple[str, ...]
     start: int  # token offset within the source sentence
     context: ProjectivityContext = UPWARD
+
+    def __init__(
+        self,
+        tokens: tuple[str, ...],
+        start: int,
+        context: ProjectivityContext = UPWARD,
+    ) -> None:
+        fields = self.__dict__
+        fields["tokens"] = tokens
+        fields["start"] = start
+        fields["context"] = context
 
     @property
     def end(self) -> int:
@@ -86,16 +109,21 @@ class Chunk:
         return " ".join(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChunkedPair:
     """A premise/hypothesis pair after chunking and projectivity marking."""
 
     premise: tuple[Chunk, ...]
     hypothesis: tuple[Chunk, ...]
 
-    def __post_init__(self):
-        if not self.hypothesis:
+    def __init__(
+        self, premise: tuple[Chunk, ...], hypothesis: tuple[Chunk, ...]
+    ) -> None:
+        if not hypothesis:
             raise ValueError("hypothesis must contain at least one chunk")
+        fields = self.__dict__
+        fields["premise"] = premise
+        fields["hypothesis"] = hypothesis
 
     @property
     def m(self) -> int:
@@ -105,7 +133,7 @@ class ChunkedPair:
 Program = tuple[ActionRelation, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trace:
     """Full record of one program execution.
 
@@ -119,6 +147,23 @@ class Trace:
     states: tuple[Relation, ...]
     label: NLILabel
     rationales: tuple[int, ...]  # 1-based hypothesis chunk indices
+
+    def __init__(
+        self,
+        pair: ChunkedPair,
+        actions: Program,
+        projected: tuple[Relation, ...],
+        states: tuple[Relation, ...],
+        label: NLILabel,
+        rationales: tuple[int, ...],
+    ) -> None:
+        fields = self.__dict__
+        fields["pair"] = pair
+        fields["actions"] = actions
+        fields["projected"] = projected
+        fields["states"] = states
+        fields["label"] = label
+        fields["rationales"] = rationales
 
     @property
     def m(self) -> int:
@@ -145,28 +190,30 @@ def _check_length(pair: ChunkedPair, program: Sequence[ActionRelation]) -> None:
 def execute(pair: ChunkedPair, program: Sequence[ActionRelation]) -> Trace:
     """Run ``program`` over ``pair`` and return the full trace."""
     program = tuple(program)
-    _check_length(pair, program)
+    hypothesis = pair.hypothesis
+    if len(program) != len(hypothesis):
+        _check_length(pair, program)
     state = Relation.EQUIVALENCE
     states = [state]
     projected = []
-    for chunk, action in zip(pair.hypothesis, program):
+    for chunk, action in zip(hypothesis, program):
         r = RELATIONS[chunk.context.action_codes[action.code]]
         projected.append(r)
         state = join(state, r)
         states.append(state)
-    label = LABELS[GROUP[state.code]]
+    code = GROUP[state.code]
     return Trace(
         pair,
         program,
         tuple(projected),
         tuple(states),
-        label,
-        _rationales(states, label),
+        LABELS[code],
+        _rationales(states, code),
     )
 
 
-def _rationales(states: Sequence[Relation], label: NLILabel) -> tuple[int, ...]:
-    code = label.code
+def _rationales(states: Sequence[Relation], code: int) -> tuple[int, ...]:
+    # steps t >= 1 with z_t != z_{t-1} whose state groups into label ``code``
     out = []
     prev = states[0]
     for t, state in enumerate(states):
@@ -182,14 +229,12 @@ def extract_rationales(trace: Trace) -> tuple[int, ...]:
     Returns 1-based hypothesis chunk indices t with
     group(z_t) == final label and z_t != z_{t-1}.
     """
-    return _rationales(trace.states, trace.label)
+    return _rationales(trace.states, trace.label.code)
 
 
 def matches_target(trace: Trace, target: NLILabel | Relation) -> bool:
     """True if the trace reaches a label target or exact final state."""
-    if isinstance(target, NLILabel):
-        return trace.label == target
-    return trace.final_state == target
+    return accepting(target)[trace.final_state.code]
 
 
 def reaches(
@@ -198,9 +243,11 @@ def reaches(
     target: NLILabel | Relation,
 ) -> bool:
     """``matches_target(execute(pair, program), target)``, folding codes only."""
-    _check_length(pair, program)
+    hypothesis = pair.hypothesis
+    if len(program) != len(hypothesis):
+        _check_length(pair, program)
     state = 0
-    for chunk, action in zip(pair.hypothesis, program):
+    for chunk, action in zip(hypothesis, program):
         state = JOIN[state][chunk.context.action_codes[action.code]]
     return accepting(target)[state]
 
@@ -216,8 +263,10 @@ def single_edits(
     unchanged action counts as an edit.  Prefix states and suffix tables
     (module docstring) make this O(5m) lookups instead of 5m executions.
     """
-    _check_length(pair, program)
-    rows = [chunk.context.action_codes for chunk in pair.hypothesis]
+    hypothesis = pair.hypothesis
+    if len(program) != len(hypothesis):
+        _check_length(pair, program)
+    rows = [chunk.context.action_codes for chunk in hypothesis]
     codes = [action.code for action in program]
     prefix = [0]  # z_0 .. z_{m-1}
     for row, a in zip(rows[:-1], codes):
@@ -245,6 +294,7 @@ def enumerate_programs(
     """
     if pair.m > cap:
         raise ValueError(f"m={pair.m} exceeds enumeration cap {cap}")
+    ok = accepting(target)
     for program in itertools.product(ACTIONS, repeat=pair.m):
-        if matches_target(execute(pair, program), target):
+        if ok[execute(pair, program).final_state.code]:
             yield program

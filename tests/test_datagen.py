@@ -17,6 +17,7 @@ from natlog.datagen import (
     generate_2hop,
     load_genspec,
     save_genspec,
+    _subsample,
 )
 from natlog.executor import execute
 from natlog.relations import ActionRelation, NLILabel
@@ -272,6 +273,17 @@ class TestDeterminism:
         positions = [full.index(e) for e in train]
         assert positions == sorted(positions)
 
+    def test_subsample_keeps_examples_of_full_split(self, spec, rules):
+        # plans are subsampled before they are built: the kept examples are
+        # the full split's, at the positions its size and the seed pick
+        small = dataclasses.replace(spec, train_size=60, test_size=40)
+        full = generate(spec, rules)
+        for key, (kept, pool, size) in enumerate(
+            zip(generate(small, rules), full, (60, 40))
+        ):
+            picked = _subsample(list(range(len(pool))), size, spec.seed, key)
+            assert kept == tuple(pool[i] for i in picked)
+
 
 class TestValidation:
     def test_unknown_vocabulary_reported(self, spec, rules):
@@ -357,6 +369,9 @@ class TestTwoHop:
         hop = generate_2hop(small, rules)
         assert len(hop) == 25
         assert hop == generate_2hop(small, rules)
+        full = generate_2hop(spec, rules)
+        picked = _subsample(list(range(len(full))), 25, spec.seed, 2)
+        assert hop == tuple(full[i] for i in picked)
 
     def test_degenerate_spec_rejected(self, rules):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """Execution traces, rationale extraction, and exhaustive enumeration."""
 
+import dataclasses
+import inspect
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from natlog.chunker import chunk_pair, default_rules
 from natlog.executor import (
@@ -14,6 +16,8 @@ from natlog.executor import (
     execute,
     extract_rationales,
     matches_target,
+    reaches,
+    single_edits,
 )
 from natlog.relations import (
     ACTIONS,
@@ -22,6 +26,7 @@ from natlog.relations import (
     NLILabel,
     Relation,
     UPWARD,
+    get_context,
     group,
     join,
     project,
@@ -126,8 +131,12 @@ class TestExecute:
 
     def test_program_length_mismatch_rejected(self):
         pair = upward_pair(2, 3)
-        with pytest.raises(ValueError):
-            execute(pair, (A_EQ, A_EQ))
+        for program in [(A_EQ, A_EQ), (A_EQ,) * 4]:
+            with pytest.raises(ValueError, match="program length"):
+                execute(pair, program)
+            for search in (reaches, single_edits):
+                with pytest.raises(ValueError, match="program length"):
+                    search(pair, program, NLILabel.ENTAILMENT)
 
     def test_empty_hypothesis_rejected(self):
         with pytest.raises(ValueError):
@@ -284,3 +293,143 @@ class TestHashing:
         again = self.chunked()
         assert table[again] == trace
         assert table[execute(again, (A_EQ, A_EQ, A_FE))] == pair
+
+
+class TestRecordConstructors:
+    def test_records_keep_frozen_dataclass_semantics(self):
+        """The hand-written ``__init__``s of ``Chunk``, ``ChunkedPair`` and
+        ``Trace`` take the dataclass fields and keep frozen-dataclass
+        equality, hashing, ``repr``, ``replace`` and assignment errors."""
+        pair = chunk_pair(
+            "the child does not love sports",
+            "the kid doesn't like table-tennis",
+            default_rules(),
+        )
+        trace = execute(pair, (A_EQ, A_FE, A_RE))
+        for record in (pair.hypothesis[-1], pair, trace):
+            cls = type(record)
+            fields = dataclasses.fields(cls)
+            params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+            assert [(p.name, p.kind, p.default) for p in params] == [
+                (
+                    f.name,
+                    inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                    inspect.Parameter.empty
+                    if f.default is dataclasses.MISSING
+                    else f.default,
+                )
+                for f in fields
+            ]
+            values = {f.name: getattr(record, f.name) for f in fields}
+            assert vars(record) == values
+            for again in (
+                cls(*values.values()),
+                cls(**values),
+                dataclasses.replace(record),
+            ):
+                assert type(again) is cls and vars(again) == values
+                assert again == record and hash(again) == hash(record)
+                assert repr(again) == repr(record)
+            first = fields[0].name
+            assert repr(record).startswith(f"{cls.__name__}({first}={values[first]!r}, ")
+            for f in fields:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, f.name, values[f.name])
+            assert vars(record) == values
+        moved = dataclasses.replace(pair.premise[0], start=7)
+        assert (moved.tokens, moved.start) == (pair.premise[0].tokens, 7)
+        assert moved != pair.premise[0]
+        with pytest.raises(ValueError, match="at least one chunk"):
+            ChunkedPair(pair.premise, ())
+        with pytest.raises(ValueError, match="at least one chunk"):
+            dataclasses.replace(pair, hypothesis=())
+
+
+def reference_execute(pair, program):
+    """The fields of ``execute``'s trace by the enum-level operations:
+    project each action through its chunk's context, fold with ``join``,
+    group the final state, and scan the states for rationales."""
+    program = tuple(program)
+    state = EQ
+    states = [state]
+    projected = []
+    for chunk, action in zip(pair.hypothesis, program):
+        r = project(chunk.context, action.to_relation())
+        projected.append(r)
+        state = join(state, r)
+        states.append(state)
+    label = group(state)
+    rationales = tuple(
+        t
+        for t in range(1, len(states))
+        if states[t] != states[t - 1] and group(states[t]) == label
+    )
+    return {
+        "pair": pair,
+        "actions": program,
+        "projected": tuple(projected),
+        "states": tuple(states),
+        "label": label,
+        "rationales": rationales,
+    }
+
+
+def reference_matches(fields, target):
+    if isinstance(target, NLILabel):
+        return fields["label"] == target
+    return fields["states"][-1] == target
+
+
+# the six named contexts and an unknown name, which projects as identity
+any_context = st.sampled_from(list(CONTEXTS.values()) + [get_context("unnamed")])
+any_target = st.sampled_from(list(NLILabel) + list(Relation))
+
+
+@st.composite
+def pairs_and_programs(draw):
+    m = draw(st.integers(1, 6))
+    contexts = draw(st.lists(any_context, min_size=m, max_size=m))
+    program = tuple(draw(st.lists(st.sampled_from(ACTIONS), min_size=m, max_size=m)))
+    return upward_pair(draw(st.integers(1, 3)), m, contexts), program
+
+
+class TestExecutorEqualsReference:
+    """``execute`` and the searches on top of it against the enum-level
+    reference, on random contexts and programs of 1 to 6 steps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=pairs_and_programs(), target=any_target)
+    def test_execute_reaches_and_single_edits(self, case, target):
+        pair, program = case
+        event(f"m = {pair.m}")
+        expected = reference_execute(pair, program)
+        trace = execute(pair, program)
+        assert vars(trace) == expected
+        assert trace.final_state == expected["states"][-1]
+        assert extract_rationales(trace) == expected["rationales"]
+        assert trace == execute(pair, list(program))
+        reached = reference_matches(expected, target)
+        assert matches_target(trace, target) is reached
+        assert reaches(pair, program, target) is reached
+        assert single_edits(pair, program, target) == [
+            (t, action)
+            for t in range(1, pair.m + 1)
+            for action in ACTIONS
+            if reference_matches(
+                reference_execute(
+                    pair, program[: t - 1] + (action,) + program[t:]
+                ),
+                target,
+            )
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=pairs_and_programs(), target=any_target)
+    def test_enumerate_programs(self, case, target):
+        pair, _ = case
+        event(f"m = {pair.m}")
+        assert list(enumerate_programs(pair, target)) == [
+            program
+            for program in itertools.product(ACTIONS, repeat=pair.m)
+            if reference_matches(reference_execute(pair, program), target)
+        ]

@@ -531,34 +531,61 @@ edges = st.tuples(*[st.sampled_from(WORDS)] * 2)
 chunk_tokens = st.lists(st.sampled_from(WORDS + ["unknown"]), min_size=1, max_size=3)
 
 
+@st.composite
+def consistent_edges(draw):
+    """Random synonym, hypernym and antonym edges that make a consistent
+    lexicon: each hypernym edge is oriented from the synonym class with the
+    smaller representative to the larger one, so no class is its own
+    hypernym, and edges inside one class are dropped from the hypernyms
+    and antonyms."""
+    synonyms = draw(st.lists(edges, max_size=4))
+    rank = ReferenceLexicon(synonyms).canonical
+    hypernyms = [
+        tuple(sorted(edge, key=rank))
+        for edge in draw(st.lists(edges, max_size=6))
+        if rank(edge[0]) != rank(edge[1])
+    ]
+    antonyms = [
+        edge
+        for edge in draw(st.lists(edges, max_size=4))
+        if rank(edge[0]) != rank(edge[1])
+    ]
+    return synonyms, hypernyms, antonyms
+
+
 class TestLexiconEqualsReference:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         synonyms=st.lists(edges, max_size=4),
         hypernyms=st.lists(edges, max_size=6),
         antonyms=st.lists(edges, max_size=4),
+    )
+    def test_inconsistent_lexicon_raises(self, synonyms, hypernyms, antonyms):
+        ref = ReferenceLexicon(synonyms, hypernyms, antonyms)
+        event(f"consistent: {ref.consistent()}")
+        if ref.consistent():
+            Lexicon(synonyms, hypernyms, antonyms)
+        else:
+            with pytest.raises(ValueError):
+                Lexicon(synonyms, hypernyms, antonyms)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        lexicon_edges=consistent_edges(),
         hypothesis_chunks=st.lists(chunk_tokens, min_size=1, max_size=3),
         premise_chunks=st.lists(chunk_tokens, min_size=1, max_size=5),
     )
     # a tie between two premise chunks, which the leftmost wins, and a
     # hypothesis chunk that overlaps no premise chunk
     @example(
-        synonyms=[("w1", "w2")],
-        hypernyms=[("w3", "w4")],
-        antonyms=[],
+        lexicon_edges=([("w1", "w2")], [("w3", "w4")], []),
         hypothesis_chunks=[["w1", "w4"], ["w5"]],
         premise_chunks=[["w0"], ["w2", "w0"], ["w3"]],
     )
-    def test_random_lexicon(
-        self, synonyms, hypernyms, antonyms, hypothesis_chunks, premise_chunks
-    ):
-        ref = ReferenceLexicon(synonyms, hypernyms, antonyms)
-        event(f"consistent: {ref.consistent()}")
-        if not ref.consistent():
-            with pytest.raises(ValueError):
-                Lexicon(synonyms, hypernyms, antonyms)
-            return
-        lex = Lexicon(synonyms, hypernyms, antonyms)
+    def test_random_lexicon(self, lexicon_edges, hypothesis_chunks, premise_chunks):
+        ref = ReferenceLexicon(*lexicon_edges)
+        assert ref.consistent()
+        lex = Lexicon(*lexicon_edges)
         for a in WORDS + ["unknown"]:
             assert lex.root(a) == ref.canonical(a)
             for b in WORDS + ["unknown"]:
