@@ -14,7 +14,7 @@ from natlog.executor import execute
 from natlog.knowledge import build_queue, default_lexicon
 from natlog.policy import PolicyParams, featurize_pair, step_distributions
 from natlog.relations import ActionRelation, NLILabel
-from natlog.trainer import TrainConfig, introspective_revision
+from natlog.trainer import OutcomeTable, TrainConfig, introspective_revision
 
 rules = default_rules()
 lexicon = default_lexicon()
@@ -43,8 +43,12 @@ for p in phi.items():
     print(f"  step {p.t}: {p.relation.symbol}  p={p.prob:.2f}")
 print()
 
+# revision reads what each program does from a table of outcomes per
+# (contexts, target) class, as training does
+table = OutcomeTable(TrainConfig())
 revised, events = introspective_revision(
-    pair, program, target, phi, probs, TrainConfig(), np.random.default_rng(0)
+    table, table.classify(pair, target), pair, program, phi, probs,
+    np.random.default_rng(0),
 )
 print("revised program:", " ".join(a.symbol for a in revised))
 print("executes to:    ", execute(pair, revised).label.value)

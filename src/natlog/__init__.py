@@ -91,6 +91,7 @@ from .relations import (
     reachable_states,
 )
 from .trainer import (
+    OutcomeTable,
     TrainConfig,
     TrainResult,
     grid_search,

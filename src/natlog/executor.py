@@ -193,7 +193,7 @@ def execute(pair: ChunkedPair, program: Sequence[ActionRelation]) -> Trace:
     hypothesis = pair.hypothesis
     if len(program) != len(hypothesis):
         _check_length(pair, program)
-    state = Relation.EQUIVALENCE
+    state = RELATIONS[0]  # z_0, equivalence
     states = [state]
     projected = []
     for chunk, action in zip(hypothesis, program):

@@ -242,12 +242,16 @@ def default_lexicon() -> Lexicon:
     )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Proposal:
     """A candidate revision: set step t to relation, at policy probability.
 
     Sorts by descending probability, then earlier step, then canonical
-    action order.
+    action order.  Built in one step, as the ``executor`` records are: the
+    hand-written ``__init__`` stores the fields and ``sort_key`` straight
+    into the instance ``__dict__``; equality, ordering, hashing, ``repr``,
+    ``dataclasses.replace`` and the ``FrozenInstanceError`` on assignment
+    stay the generated ones.
     """
 
     sort_key: tuple = field(init=False, repr=False)
@@ -255,10 +259,12 @@ class Proposal:
     relation: ActionRelation = field(compare=False)
     prob: float = field(compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "sort_key", (-self.prob, self.t, self.relation.code)
-        )
+    def __init__(self, t: int, relation: ActionRelation, prob: float) -> None:
+        fields = self.__dict__
+        fields["sort_key"] = (-prob, t, relation.code)
+        fields["t"] = t
+        fields["relation"] = relation
+        fields["prob"] = prob
 
     @property
     def key(self) -> tuple[int, ActionRelation]:

@@ -237,18 +237,29 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> ActionRelation:
 
 
 def sample_program(
-    probs: np.ndarray, rng: np.random.Generator
+    probs: Sequence[Sequence[float]], rng: np.random.Generator
 ) -> tuple[ActionRelation, ...]:
     """One action per row of ``probs``, as ``sample`` would draw them in turn.
 
-    ``rng.random(m)`` yields the same numbers as m scalar draws, and
-    ``np.cumsum`` adds each row left to right as ``sample`` does, so each
-    row takes the first action whose cumulative probability exceeds its
-    draw, falling back to the last action.
+    ``probs`` may be any sequence of float rows: an (m, n_actions) array,
+    or the lists its ``tolist()`` gives, which training passes because a
+    Python float adds faster than a numpy scalar.  ``rng.random(m)``
+    yields the same numbers as m scalar draws, and each row is scanned
+    left to right with the running sum ``sample`` keeps, so each row takes
+    the first action whose cumulative probability exceeds its draw,
+    falling back to the last action.
     """
-    hits = rng.random(len(probs))[:, None] < np.cumsum(probs, axis=1)
-    hits[:, -1] = True  # guard against rounding in the final bin
-    return tuple(ACTIONS[i] for i in hits.argmax(axis=1).tolist())
+    program = []
+    for u, row in zip(rng.random(len(probs)).tolist(), probs):
+        cum = 0.0
+        for action, p in zip(ACTIONS, row):
+            cum += p
+            if u < cum:
+                break
+        # a scan that never breaks leaves the last action: the guard
+        # against rounding in the final bin
+        program.append(action)
+    return tuple(program)
 
 
 def argmax(dist: np.ndarray) -> ActionRelation:

@@ -38,6 +38,19 @@ from the stream of ``np.random.default_rng([seed, n])``; ``_stream_words``
 hashes every ordinal of an epoch at once as numpy's ``SeedSequence`` does,
 and ``_episode_streams`` finishes PCG64's seeding for each episode on one
 reused generator.
+
+Every program outcome that training reads comes from one ``OutcomeTable``.
+What a program does to a pair depends only on the contexts of the pair's
+hypothesis chunks, its target and the program, and the augmented default
+compositional training set has 12 such (contexts, target) classes among
+its 2816 examples.  So the table keeps, for each (class, program), the
+trace parts of ``execute``, the ``reward`` and the single edits that reach
+the target, each computed the first time it is needed; episodes, every
+revision check, grid search and the greedy accuracy read them.  Rewards
+depend on the config, not on the weights, so a table stays right for a
+whole run; ``train`` builds a fresh one in every call, so no state is
+shared between runs or configs.  Sampling and revision read each
+episode's probabilities as Python floats, from one ``tolist()``.
 """
 
 from __future__ import annotations
@@ -59,7 +72,6 @@ from .executor import (
     Trace,
     execute,
     matches_target,
-    reaches,
     single_edits,
 )
 from .knowledge import Lexicon, ProposalQueue, queue_from_keys
@@ -71,12 +83,21 @@ from .policy import (
     sample_program,
     step_distributions,
 )
-from .relations import ACTIONS, ActionRelation, NLILabel, Relation, reachable, reachable_states
+from .relations import (
+    ACTIONS,
+    ActionRelation,
+    NLILabel,
+    Relation,
+    accepting,
+    reachable,
+    reachable_states,
+)
 
 __all__ = [
     "TrainConfig",
     "Episode",
     "RevisionEvent",
+    "OutcomeTable",
     "reward",
     "reinforce_objective",
     "fix",
@@ -93,6 +114,7 @@ __all__ = [
 Target = NLILabel | Relation
 
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
+_EQUIVALENCE = Relation.EQUIVALENCE.code
 
 # Seeds and episode ordinals stay below 2**32, where each is one entropy
 # word of SeedSequence([seed, ordinal]), the only case _stream_words derives.
@@ -201,6 +223,11 @@ class Episode:
     The revised fields are None without introspective revision.  When
     revision leaves the program unchanged, ``revised_trace`` is ``trace``
     and ``revised_rewards`` is ``rewards``: the same objects, not copies.
+    The traces and rewards come from the run's ``OutcomeTable``: each trace
+    is built for this episode's pair from the parts the table keeps for its
+    class and program, and the rewards are the table's tuple, shared with
+    every episode of the same class and program.  Both equal what
+    ``execute`` and ``reward`` give.
     """
 
     pair: ChunkedPair
@@ -228,7 +255,7 @@ def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ..
     if matches_target(trace, target):
         if (
             config.prefer_forward_entailment
-            and trace.final_state == Relation.EQUIVALENCE
+            and trace.final_state.code == _EQUIVALENCE
         ):
             return (0.0,) * m
         return (config.mu,) * m
@@ -243,6 +270,93 @@ def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ..
     return tuple(
         -(config.gamma ** (m - t)) * config.mu for t in range(1, m + 1)
     )
+
+
+class _Outcome:
+    """What one program does in one class; each part is filled on first use."""
+
+    __slots__ = ("parts", "rewards", "edits")
+
+    def __init__(self) -> None:
+        self.parts = None  # execute's projected, states, label, rationales
+        self.rewards = None  # reward under the table's config
+        self.edits = None  # single_edits in its order, and as a set
+
+
+class OutcomeTable:
+    """Program outcomes, computed once per (contexts, target) class.
+
+    A class is the tuple of the hypothesis chunks' context rows
+    (``action_codes``) and the target, interned as an integer.  For each
+    (class, program code) the table keeps ``execute``'s projected
+    relations, states, label and rationales, ``reward`` under its config,
+    and the single edits that reach the target, each computed the first
+    time it is asked for (module docstring).  A table serves one config;
+    ``train`` builds a fresh one in every call.
+    """
+
+    def __init__(self, config: TrainConfig) -> None:
+        self.config = config
+        self._classes: dict = {}  # (context rows, target) -> class
+        self._targets: list[Target] = []  # class -> target
+        self._outcomes: list[dict[int, _Outcome]] = []  # class -> code -> outcome
+
+    def classify(self, pair: ChunkedPair, target: Target) -> int:
+        """The class of ``pair`` and ``target``, interned on first sight."""
+        key = (tuple(chunk.context.action_codes for chunk in pair.hypothesis), target)
+        if key not in self._classes:
+            self._classes[key] = len(self._targets)
+            self._targets.append(target)
+            self._outcomes.append({})
+        return self._classes[key]
+
+    def _outcome(self, cls: int, program: Program) -> _Outcome:
+        # the program's code reads its actions as base-5 digits; a class
+        # fixes m, so the code is unique within it
+        code = 0
+        for action in program:
+            code = code * len(ACTIONS) + action.code
+        outcomes = self._outcomes[cls]
+        outcome = outcomes.get(code)
+        if outcome is None:
+            outcome = outcomes[code] = _Outcome()
+        return outcome
+
+    def _parts(self, outcome: _Outcome, pair: ChunkedPair, program: Program) -> tuple:
+        if outcome.parts is None:
+            trace = execute(pair, program)
+            outcome.parts = (
+                trace.projected, trace.states, trace.label, trace.rationales
+            )
+        return outcome.parts
+
+    def outcome(
+        self, cls: int, pair: ChunkedPair, program: Program
+    ) -> tuple[Trace, tuple[float, ...]]:
+        """``execute(pair, program)`` and its ``reward``, for a pair of
+        class ``cls``; the trace is built for ``pair`` from the cached
+        parts."""
+        outcome = self._outcome(cls, program)
+        trace = Trace(pair, program, *self._parts(outcome, pair, program))
+        if outcome.rewards is None:
+            outcome.rewards = reward(trace, self._targets[cls], self.config)
+        return trace, outcome.rewards
+
+    def reaches(self, cls: int, pair: ChunkedPair, program: Program) -> bool:
+        """Whether ``program`` reaches the class's target."""
+        states = self._parts(self._outcome(cls, program), pair, program)[1]
+        return accepting(self._targets[cls])[states[-1].code]
+
+    def edits(
+        self, cls: int, pair: ChunkedPair, program: Program
+    ) -> tuple[list[tuple[int, ActionRelation]], frozenset[tuple[int, int]]]:
+        """``single_edits`` of ``program``, as a list in its order and as
+        the set of (t, action code) pairs."""
+        outcome = self._outcome(cls, program)
+        if outcome.edits is None:
+            edits = single_edits(pair, program, self._targets[cls])
+            outcome.edits = edits, frozenset((t, a.code) for t, a in edits)
+        return outcome.edits
 
 
 def reinforce_objective(
@@ -310,20 +424,20 @@ def fix(program: Sequence[ActionRelation], t: int, relation: ActionRelation) -> 
 
 
 def grid_search(
+    table: OutcomeTable,
+    cls: int,
     pair: ChunkedPair,
     program: Sequence[ActionRelation],
     phi: ProposalQueue,
-    target: Target,
-    probs: np.ndarray,
+    probs: Sequence[Sequence[float]],
 ) -> ProposalQueue:
     """All single-step edits whose program reaches the target, ranked.
 
-    The edits come from ``executor.single_edits`` (prefix states and
-    suffix tables, no execution).  If any candidate coincides with a
-    pending lexical proposal, the result is narrowed to those shared
-    candidates.
+    The edits are the program's ``single_edits`` list in ``table``, for
+    ``pair`` of class ``cls``.  If any candidate coincides with a pending
+    lexical proposal, the result is narrowed to those shared candidates.
     """
-    psi = queue_from_keys(single_edits(pair, program, target), probs)
+    psi = queue_from_keys(table.edits(cls, pair, program)[0], probs)
     shared = psi.keys() & phi.keys()
     if shared:
         psi = psi.intersect(shared)
@@ -331,12 +445,12 @@ def grid_search(
 
 
 def introspective_revision(
+    table: OutcomeTable,
+    cls: int,
     pair: ChunkedPair,
     program: Sequence[ActionRelation],
-    target: Target,
     phi: ProposalQueue,
-    probs: np.ndarray,
-    config: TrainConfig,
+    probs: Sequence[Sequence[float]],
     rng: np.random.Generator,
 ) -> tuple[Program, tuple[RevisionEvent, ...]]:
     """Revise a sampled program with lexical and answer-driven edits.
@@ -346,45 +460,46 @@ def introspective_revision(
     exploration draw clears epsilon; otherwise it survives a Metropolis
     test with ratio p_t[proposal] / p_t[sampled action].  Answer phase:
     if the program still misses the target, the best grid-search edit
-    (if any) is applied.  Both checks fold codes (``executor.reaches``)
-    instead of executing.
+    (if any) is applied.  Both checks read the edit set of the current
+    revised program in ``table`` (``pair`` is of class ``cls``): an edit
+    (t, a) reaches the target iff it is in the set, and the program itself
+    iff its unchanged first step is.  The config is the table's.
     """
+    config = table.config
     program = tuple(program)
     revised = program
+    reaching = table.edits(cls, pair, revised)[1]
     events: list[RevisionEvent] = []
 
-    def apply(candidate: Program, t: int, source: str) -> None:
-        nonlocal revised
-        if candidate != revised:
+    def apply(t: int, relation: ActionRelation, source: str) -> None:
+        nonlocal revised, reaching
+        if relation is not revised[t - 1]:
             events.append(
-                RevisionEvent(
-                    t=t, old=revised[t - 1], new=candidate[t - 1], source=source
-                )
+                RevisionEvent(t=t, old=revised[t - 1], new=relation, source=source)
             )
-        revised = candidate
+            revised = fix(revised, t, relation)
+            reaching = table.edits(cls, pair, revised)[1]
 
     popped = 0
     while popped < config.max_revisions and phi:
         proposal = phi.pop()
         popped += 1
+        t, relation = proposal.t, proposal.relation
         u = rng.random()
-        candidate = fix(revised, proposal.t, proposal.relation)
-        if reaches(pair, candidate, target) and u > config.epsilon:
-            apply(candidate, proposal.t, "knowledge")
+        if (t, relation.code) in reaching and u > config.epsilon:
+            apply(t, relation, "knowledge")
             continue
         u = rng.random()
-        sampled_prob = float(
-            probs[proposal.t - 1][program[proposal.t - 1].code]
-        )
+        sampled_prob = probs[t - 1][program[t - 1].code]
         ratio = proposal.prob / sampled_prob if sampled_prob > 0 else 1.0
         if u < min(1.0, ratio):
-            apply(candidate, proposal.t, "knowledge")
+            apply(t, relation, "knowledge")
 
-    if not reaches(pair, revised, target):
-        psi = grid_search(pair, revised, phi, target, probs)
+    if (1, revised[0].code) not in reaching:
+        psi = grid_search(table, cls, pair, revised, phi, probs)
         if psi:
             proposal = psi.pop()
-            apply(fix(revised, proposal.t, proposal.relation), proposal.t, "answer")
+            apply(proposal.t, proposal.relation, "answer")
 
     return revised, tuple(events)
 
@@ -566,59 +681,64 @@ class TrainResult:
 
 
 def run_episode(
-    probs: np.ndarray,
+    table: OutcomeTable,
+    cls: int,
     compiled: Compiled,
-    config: TrainConfig,
+    probs: np.ndarray,
     rng: np.random.Generator,
 ) -> Episode:
     """Sample, execute, reward, and (optionally) revise one program.
 
     ``probs`` holds the policy's distribution at each of the pair's steps,
-    shape (m, n_actions).  A revised program is executed and rewarded only
-    when it differs from the sampled one.
+    shape (m, n_actions); sampling and revision read them as Python floats,
+    from one ``tolist()``.  The traces, rewards and edit sets come from
+    ``table``, where ``compiled`` is of class ``cls``, and the config is the
+    table's.  A revised program is looked up only when it differs from the
+    sampled one.
     """
-    program = sample_program(probs, rng)
-    trace = execute(compiled.pair, program)
+    config = table.config
+    pair = compiled.pair
+    rows = probs.tolist()
+    program = sample_program(rows, rng)
+    trace, rewards = table.outcome(cls, pair, program)
     episode = Episode(
-        pair=compiled.pair,
+        pair=pair,
         target=compiled.target,
         features=compiled.features,
         probs=probs,
         program=program,
         trace=trace,
-        rewards=reward(trace, compiled.target, config),
+        rewards=rewards,
     )
     if not config.introspective_revision:
         return episode
-    phi = queue_from_keys(compiled.proposals if config.knowledge else (), probs)
-    revised, events = introspective_revision(
-        compiled.pair,
-        program,
-        compiled.target,
-        phi,
-        probs,
-        config,
-        rng,
-    )
+    phi = queue_from_keys(compiled.proposals if config.knowledge else (), rows)
+    revised, events = introspective_revision(table, cls, pair, program, phi, rows, rng)
     episode.revised_program = revised
     episode.revisions = events
     if revised == program:
-        episode.revised_trace, episode.revised_rewards = trace, episode.rewards
-        return episode
-    episode.revised_trace = execute(compiled.pair, revised)
-    episode.revised_rewards = reward(episode.revised_trace, compiled.target, config)
+        episode.revised_trace, episode.revised_rewards = trace, rewards
+    else:
+        episode.revised_trace, episode.revised_rewards = table.outcome(
+            cls, pair, revised
+        )
     return episode
 
 
 def _greedy_accuracy(
-    params: PolicyParams, compiled: Sequence[Compiled], features: np.ndarray
+    params: PolicyParams,
+    table: OutcomeTable,
+    classes: Sequence[int],
+    compiled: Sequence[Compiled],
+    features: np.ndarray,
 ) -> float:
     """Share of examples whose greedy program reaches the target; ``features``
-    are the examples' stacked rows, decoded in one call."""
+    are the examples' stacked rows, decoded in one call, and ``classes``
+    their classes in ``table``."""
     actions = iter(decode(params, features))
     hits = sum(
-        reaches(item.pair, tuple(islice(actions, item.pair.m)), item.target)
-        for item in compiled
+        table.reaches(cls, item.pair, tuple(islice(actions, item.pair.m)))
+        for cls, item in zip(classes, compiled)
     )
     return hits / len(compiled) if compiled else 0.0
 
@@ -744,6 +864,8 @@ def train(
     compiled, features = compile_examples(examples, rules, lexicon)
     require_targets(examples)
     params = params.copy() if params is not None else PolicyParams.zeros()
+    table = OutcomeTable(config)
+    classes = [table.classify(item.pair, item.target) for item in compiled]
 
     metrics: list[EpochMetrics] = []
     n = len(compiled)
@@ -757,16 +879,17 @@ def train(
         objective_total = 0.0
 
         for start in range(0, n, config.batch_size):
-            batch = [compiled[i] for i in order[start : start + config.batch_size]]
+            batch = order[start : start + config.batch_size].tolist()
             probs = step_distributions(
-                params, np.concatenate([item.features for item in batch])
+                params, np.concatenate([compiled[i].features for i in batch])
             )
             episodes = []
             offset = 0
-            for item, rng in zip(batch, streams):
-                rows = probs[offset : offset + item.pair.m]
-                offset += item.pair.m
-                episodes.append(run_episode(rows, item, config, rng))
+            for i, rng in zip(batch, streams):
+                m = compiled[i].pair.m
+                rows = probs[offset : offset + m]
+                offset += m
+                episodes.append(run_episode(table, classes[i], compiled[i], rows, rng))
 
             values, grads = batch_objective(episodes, config.lam)
             batch_grad = np.zeros_like(params.weights)
@@ -781,7 +904,9 @@ def train(
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                train_accuracy=_greedy_accuracy(params, compiled, features),
+                train_accuracy=_greedy_accuracy(
+                    params, table, classes, compiled, features
+                ),
                 mean_reward=reward_total / max(reward_steps, 1),
                 objective=objective_total / n,
                 revisions=RevisionStats.tally(revisions),

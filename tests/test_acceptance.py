@@ -44,6 +44,7 @@ from natlog.relations import (
     project,
 )
 from natlog.trainer import (
+    OutcomeTable,
     TrainConfig,
     fix,
     grid_search,
@@ -337,6 +338,7 @@ def test_criterion_05_grid_search_oracle():
     """grid_search equals brute-force single-edit enumeration, 500 cases."""
     started = time.perf_counter()
     rng = np.random.default_rng(1234)
+    table = OutcomeTable(TrainConfig())  # one for all cases, as in a train call
     contexts = [
         UPWARD, CONTEXTS["not"], CONTEXTS["all-arg1"], CONTEXTS["some-arg2"]
     ]
@@ -356,7 +358,8 @@ def test_criterion_05_grid_search_oracle():
         program = tuple(ACTIONS[i] for i in rng.integers(0, 5, size=m))
         target = list(NLILabel)[int(rng.integers(3))]
         probs = np.full((m, 5), 0.2)
-        psi = grid_search(pair, program, ProposalQueue(), target, probs)
+        cls = table.classify(pair, target)
+        psi = grid_search(table, cls, pair, program, ProposalQueue(), probs)
         assert psi.keys() == _exhaustive_single_edits(pair, program, target)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -372,14 +375,14 @@ def test_criterion_06_metropolis_frequency():
     )
     program = (A_EQ,)
     probs = np.array([[0.5, 0.25, 0.1, 0.1, 0.05]])
-    config = TrainConfig(max_revisions=1, epsilon=0.2)
+    table = OutcomeTable(TrainConfig(max_revisions=1, epsilon=0.2))
+    cls = table.classify(pair, Relation.COVER)
     n = 100_000
     accepted = 0
     for i in range(n):
         phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.25)])
         revised, _ = introspective_revision(
-            pair, program, Relation.COVER, phi, probs, config,
-            np.random.default_rng([199, i]),
+            table, cls, pair, program, phi, probs, np.random.default_rng([199, i])
         )
         if revised == (A_FE,):
             accepted += 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import inspect
 
 import numpy as np
 import pytest
@@ -224,6 +225,41 @@ class TestPropose:
     def test_identical_chunks(self):
         out = propose(make_chunk("run quickly"), make_chunk("run quickly"), LEX)
         assert out == (A_EQ,)
+
+
+class TestProposalConstructor:
+    def test_keeps_frozen_dataclass_semantics(self):
+        """The hand-written ``__init__`` takes the init fields and keeps
+        frozen-dataclass equality, ordering, hashing, ``repr``, ``replace``
+        and assignment errors."""
+        fields = dataclasses.fields(Proposal)
+        params = list(inspect.signature(Proposal.__init__).parameters.values())[1:]
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+            for f in fields
+            if f.init
+        ]
+        values = {"t": 2, "relation": A_FE, "prob": 0.25}
+        proposal = Proposal(**values)
+        stored = {"sort_key": (-0.25, 2, A_FE.code), **values}
+        assert vars(proposal) == stored
+        for again in (
+            Proposal(*values.values()),
+            Proposal(**values),
+            dataclasses.replace(proposal),
+        ):
+            assert type(again) is Proposal and vars(again) == stored
+            assert again == proposal and hash(again) == hash(proposal)
+            assert not again < proposal and again <= proposal
+            assert repr(again) == repr(proposal)
+        assert repr(proposal) == f"Proposal(t=2, relation={A_FE!r}, prob=0.25)"
+        likelier = dataclasses.replace(proposal, prob=0.5)
+        assert likelier.sort_key == (-0.5, 2, A_FE.code)
+        assert likelier < proposal and likelier != proposal
+        for f in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(proposal, f.name, stored[f.name])
+        assert vars(proposal) == stored
 
 
 class TestProposalQueue:

@@ -426,9 +426,10 @@ class TestSampling:
     def test_program_equals_scalar_draws(self, scores, seed):
         params = PolicyParams(weights=np.eye(N_ACTIONS, N_FEATURES))
         probs = step_distributions(params, scores)
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert sample_program(probs, a) == tuple(sample(p, b) for p in probs)
-        assert a.random() == b.random()  # both consumed the same draws
+        for rows in (probs, probs.tolist()):  # an array or its float lists
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_program(rows, a) == tuple(sample(p, b) for p in probs)
+            assert a.random() == b.random()  # both consumed the same draws
 
     def test_program_on_sums_just_below_one_and_draws_near_one(self):
         probs = np.array(
@@ -458,6 +459,7 @@ class TestSampling:
         # rows 0 and 3 end below their draws: the guard picks the last action
         assert expected == (ACTIONS[-1], ACTIONS[-1], ACTIONS[0], ACTIONS[-1])
         assert sample_program(probs, Fixed()) == expected
+        assert sample_program(probs.tolist(), Fixed()) == expected
 
     def test_program_on_real_distributions(self):
         rng = np.random.default_rng(5)

@@ -16,6 +16,7 @@ from natlog.data import Example
 from natlog.executor import (
     Chunk,
     ChunkedPair,
+    Trace,
     execute,
     matches_target,
     reaches,
@@ -45,6 +46,7 @@ from natlog.relations import (
 from natlog.trainer import (
     Episode,
     EpochMetrics,
+    OutcomeTable,
     RevisionEvent,
     RevisionStats,
     TrainConfig,
@@ -85,6 +87,20 @@ def upward_pair(m):
 
 def uniform_probs(m):
     return np.full((m, 5), 0.2)
+
+
+def revise(pair, program, target, phi, probs, config, rng):
+    """``introspective_revision`` on a fresh table, built as ``train`` builds
+    it."""
+    table = OutcomeTable(config)
+    cls = table.classify(pair, target)
+    return introspective_revision(table, cls, pair, program, phi, probs, rng)
+
+
+def grid(pair, program, phi, target, probs):
+    """``grid_search`` on a fresh table, built as ``train`` builds it."""
+    table = OutcomeTable(CFG)
+    return grid_search(table, table.classify(pair, target), pair, program, phi, probs)
 
 
 class TestReward:
@@ -242,13 +258,13 @@ class TestGridSearch:
             pair = ChunkedPair(premise=(Chunk(tokens=("p",), start=0),), hypothesis=hyp)
             program = tuple(ACTIONS[i] for i in rng.integers(0, 5, size=m))
             target = list(NLILabel)[int(rng.integers(3))]
-            psi = grid_search(pair, program, ProposalQueue(), target, uniform_probs(m))
+            psi = grid(pair, program, ProposalQueue(), target, uniform_probs(m))
             assert psi.keys() == exhaustive_single_edits(pair, program, target)
 
     def test_correct_program_keeps_identity_edits(self):
         pair = upward_pair(2)
         program = (A_FE, A_EQ)
-        psi = grid_search(
+        psi = grid(
             pair, program, ProposalQueue(), NLILabel.ENTAILMENT, uniform_probs(2)
         )
         assert (1, A_FE) in psi.keys()
@@ -258,21 +274,21 @@ class TestGridSearch:
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
         phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.2)])
-        psi = grid_search(pair, program, phi, NLILabel.ENTAILMENT, uniform_probs(2))
+        psi = grid(pair, program, phi, NLILabel.ENTAILMENT, uniform_probs(2))
         assert psi.keys() == frozenset({(1, A_FE)})
 
     def test_disjoint_proposals_leave_grid_untouched(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
         phi = ProposalQueue([Proposal(t=1, relation=A_IND, prob=0.2)])
-        psi = grid_search(pair, program, phi, NLILabel.CONTRADICTION, uniform_probs(2))
+        psi = grid(pair, program, phi, NLILabel.CONTRADICTION, uniform_probs(2))
         assert psi.keys() == exhaustive_single_edits(
             pair, program, NLILabel.CONTRADICTION
         )
 
     def test_unreachable_target_gives_empty_queue(self):
         pair = upward_pair(1)
-        psi = grid_search(
+        psi = grid(
             pair, (A_EQ,), ProposalQueue(), Relation.COVER, uniform_probs(1)
         )
         assert len(psi) == 0
@@ -284,7 +300,7 @@ class TestIntrospectiveRevision:
         program = (A_EQ, A_EQ)
         phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.9)])
         cfg = TrainConfig(max_revisions=3, epsilon=0.0)
-        revised, events = introspective_revision(
+        revised, events = revise(
             pair, program, NLILabel.ENTAILMENT, phi,
             uniform_probs(2), cfg, np.random.default_rng(0),
         )
@@ -304,7 +320,7 @@ class TestIntrospectiveRevision:
             ]
         )
         cfg = TrainConfig(max_revisions=1, epsilon=0.0)
-        revised, _ = introspective_revision(
+        revised, _ = revise(
             pair, program, NLILabel.ENTAILMENT, phi,
             uniform_probs(3), cfg, np.random.default_rng(0),
         )
@@ -316,7 +332,7 @@ class TestIntrospectiveRevision:
         pair = upward_pair(1)
         program = (A_EQ,)
         cfg = TrainConfig(max_revisions=0, epsilon=0.2)
-        revised, events = introspective_revision(
+        revised, events = revise(
             pair, program, Relation.COVER, ProposalQueue(),
             uniform_probs(1), cfg, np.random.default_rng(0),
         )
@@ -333,7 +349,7 @@ class TestIntrospectiveRevision:
                 [0.6, 0.1, 0.1, 0.1, 0.1],
             ]
         )
-        revised, events = introspective_revision(
+        revised, events = revise(
             pair, program, NLILabel.NEUTRAL, ProposalQueue(),
             probs, cfg, np.random.default_rng(0),
         )
@@ -349,7 +365,7 @@ class TestIntrospectiveRevision:
         phi = ProposalQueue([Proposal(t=1, relation=A_NA, prob=0.9)])
         cfg = TrainConfig(max_revisions=1, epsilon=0.0)
         rng = np.random.default_rng(1)
-        revised, events = introspective_revision(
+        revised, events = revise(
             pair, program, NLILabel.CONTRADICTION, phi,
             uniform_probs(2), cfg, rng,
         )
@@ -364,7 +380,7 @@ class TestIntrospectiveRevision:
         probs = np.array([[0.999999, 1e-9, 1e-9, 1e-9, 1e-9]])
         phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=1e-9)])
         cfg = TrainConfig(max_revisions=1, epsilon=1.0)
-        revised, events = introspective_revision(
+        revised, events = revise(
             pair, program, NLILabel.ENTAILMENT, phi, probs, cfg,
             np.random.default_rng(0),
         )
@@ -382,7 +398,7 @@ class TestIntrospectiveRevision:
         accepted = 0
         for i in range(n):
             phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.25)])
-            revised, _ = introspective_revision(
+            revised, _ = revise(
                 pair, program, Relation.COVER, phi, probs, cfg,
                 np.random.default_rng([99, i]),
             )
@@ -400,7 +416,7 @@ class TestIntrospectiveRevision:
         for _ in range(2):
             phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.4)])
             out.append(
-                introspective_revision(
+                revise(
                     pair, program, NLILabel.ENTAILMENT, phi,
                     uniform_probs(2), cfg, np.random.default_rng(5),
                 )
@@ -519,7 +535,7 @@ class TestFastPathsMatchExecution:
     @given(revision_cases())
     def test_grid_search_equals_brute_force(self, case):
         pair, program, target, probs, keys = case
-        psi = grid_search(pair, program, queue_from_keys(keys, probs), target, probs)
+        psi = grid(pair, program, queue_from_keys(keys, probs), target, probs)
         expected = reference_grid_search(
             pair, program, queue_from_keys(keys, probs), target, probs
         )
@@ -537,7 +553,7 @@ class TestFastPathsMatchExecution:
         config = TrainConfig(max_revisions=budget, epsilon=epsilon)
         phi, phi_ref = queue_from_keys(keys, probs), queue_from_keys(keys, probs)
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = introspective_revision(pair, program, target, phi, probs, config, rng)
+        got = revise(pair, program, target, phi, probs, config, rng)
         expected = reference_revision(
             pair, program, target, phi_ref, probs, config, rng_ref
         )
@@ -602,10 +618,11 @@ class TestHybridObjective:
                 label=NLILabel.ENTAILMENT,
             )
         ]
-        compiled = compile_examples(examples, RULES, LEX)[0]
-        config = TrainConfig(seed=3)
-        probs = step_distributions(params, compiled[0].features)
-        return run_episode(probs, compiled[0], config, np.random.default_rng(3))
+        (item,) = compile_examples(examples, RULES, LEX)[0]
+        table = OutcomeTable(TrainConfig(seed=3))
+        cls = table.classify(item.pair, item.target)
+        probs = step_distributions(params, item.features)
+        return run_episode(table, cls, item, probs, np.random.default_rng(3))
 
     def test_lambda_one_is_pure_reinforce(self):
         params = PolicyParams.zeros()
@@ -672,11 +689,13 @@ def random_episodes(seed, introspective_revision=True):
     examples = natlog.generate(natlog.default_genspec(), RULES)[0][::40]
     compiled = compile_examples(examples, RULES, LEX)[0]
     config = TrainConfig(seed=seed, introspective_revision=introspective_revision)
+    table = OutcomeTable(config)
     episodes = [
         run_episode(
-            step_distributions(params, item.features),
+            table,
+            table.classify(item.pair, item.target),
             item,
-            config,
+            step_distributions(params, item.features),
             np.random.default_rng([seed, i]),
         )
         for i, item in enumerate(compiled)
@@ -755,8 +774,12 @@ class TestObjectiveFromEpisodeProbs:
         )
         assert 0 < hits < len(compiled)
         features = np.concatenate([item.features for item in compiled])
-        assert _greedy_accuracy(params, compiled, features) == hits / len(compiled)
-        assert _greedy_accuracy(params, [], np.zeros((0, N_FEATURES))) == 0.0
+        table = OutcomeTable(CFG)
+        classes = [table.classify(item.pair, item.target) for item in compiled]
+        accuracy = _greedy_accuracy(params, table, classes, compiled, features)
+        assert accuracy == hits / len(compiled)
+        empty = _greedy_accuracy(params, table, [], [], np.zeros((0, N_FEATURES)))
+        assert empty == 0.0
 
 
 @st.composite
@@ -855,9 +878,13 @@ def episodes_with_references(seed, config, step):
     params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
     examples = natlog.generate(natlog.default_genspec(), RULES)[0][::step]
     compiled = compile_examples(examples, RULES, LEX)[0]
+    table = OutcomeTable(config)
     for i, item in enumerate(compiled):
         probs = step_distributions(params, item.features)
-        episode = run_episode(probs, item, config, np.random.default_rng([seed, i]))
+        cls = table.classify(item.pair, item.target)
+        episode = run_episode(
+            table, cls, item, probs, np.random.default_rng([seed, i])
+        )
         expected = _reference_episode(
             params, item, config, np.random.default_rng([seed, i])
         )
@@ -1097,8 +1124,9 @@ class TestEpisodeStreams:
 
 
 def _reference_episode(params, compiled, config, rng):
-    """One episode as sampled before batching: one softmax per episode and
-    one scalar ``sample`` per step."""
+    """One episode as sampled before batching: one softmax per episode, one
+    scalar ``sample`` per step, ``execute`` and ``reward`` per program, and
+    the test-local ``reference_revision``, so no outcome table is read."""
     probs = step_distributions(params, compiled.features)
     program = tuple(sample(p, rng) for p in probs)
     trace = execute(compiled.pair, program)
@@ -1115,7 +1143,7 @@ def _reference_episode(params, compiled, config, rng):
         return episode
     keys = knowledge.proposal_keys(compiled.pair, LEX) if config.knowledge else ()
     phi = queue_from_keys(keys, probs)
-    revised, events = introspective_revision(
+    revised, events = reference_revision(
         compiled.pair, program, compiled.target, phi, probs, config, rng
     )
     episode.revised_program = revised
@@ -1214,6 +1242,87 @@ class TestBatchedTrainEqualsReference:
             m.to_record() for m in expected.metrics
         ]
         assert got.params.weights.any()
+
+
+@functools.lru_cache(maxsize=None)
+def class_members(split):
+    """The augmented comp training split or noisy test split, compiled, as
+    {class: pairs} in a table of the default config, with its targets."""
+    if split == "comp":
+        examples = natlog.generate(natlog.default_genspec(), RULES)[0]
+    else:
+        spec = dataclasses.replace(natlog.default_genspec(), noisy_test=True)
+        examples = natlog.generate(spec, RULES)[1]
+    examples = relation_augmentation(examples, RULES, LEX)
+    table = OutcomeTable(CFG)
+    members, targets = {}, {}
+    for item in compile_examples(examples, RULES, LEX)[0]:
+        cls = table.classify(item.pair, item.target)
+        members.setdefault(cls, []).append(item.pair)
+        targets[cls] = item.target
+    return members, targets
+
+
+class TestOutcomeTable:
+    """Every program of every class against ``execute``, ``reward``,
+    ``reaches`` and ``single_edits``, and one table per ``train`` call."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [CFG, TrainConfig(prefer_forward_entailment=False, mu=0.3, gamma=0.9)],
+    )
+    @pytest.mark.parametrize("split, ms", [("comp", {2}), ("noisy", {2, 4})])
+    def test_every_program_of_every_class_equals_the_references(
+        self, split, ms, config
+    ):
+        members, targets = class_members(split)
+        assert len(members) == 12
+        assert {pairs[0].m for pairs in members.values()} == ms
+        table = OutcomeTable(config)
+        for key, pairs in members.items():
+            target = targets[key]
+            # the first pair fills each entry, its edits first; the last pair
+            # reads what the first filled, its trace first
+            first, last = pairs[0], pairs[-1]
+            cls = table.classify(first, target)
+            assert table.classify(last, target) == cls
+            for program in itertools.product(ACTIONS, repeat=first.m):
+                for pair in (first, last):
+                    expected = execute(pair, program)
+                    if pair is first:
+                        edits, reaching = table.edits(cls, pair, program)
+                    trace, rewards = table.outcome(cls, pair, program)
+                    if pair is last:
+                        edits, reaching = table.edits(cls, pair, program)
+                    assert type(trace) is Trace and vars(trace) == vars(expected)
+                    assert rewards == reward(expected, target, config)
+                    assert table.reaches(cls, pair, program) == reaches(
+                        pair, program, target
+                    )
+                    assert edits == single_edits(pair, program, target)
+                    assert reaching == {(t, a.code) for t, a in edits}
+        assert any(pairs[0] != pairs[-1] for pairs in members.values())
+
+    def test_train_calls_with_different_configs_share_nothing(self):
+        examples = equivalence_slice("comp")
+        plain = TrainConfig(epochs=2, seed=4)
+        other = dataclasses.replace(
+            plain, prefer_forward_entailment=False, mu=0.3, gamma=0.9
+        )
+        expected = {c: _reference_train(examples, c) for c in (plain, other)}
+        assert (
+            expected[plain].params.weights.tobytes()
+            != expected[other].params.weights.tobytes()
+        )
+        for config in (plain, other, plain, other):
+            got = train(examples, RULES, LEX, config)
+            assert (
+                got.params.weights.tobytes()
+                == expected[config].params.weights.tobytes()
+            )
+            assert [m.to_record() for m in got.metrics] == [
+                m.to_record() for m in expected[config].metrics
+            ]
 
 
 class TestTrainConfigFile:
