@@ -2,7 +2,22 @@
 
 Every dataset file starts with a header record naming the schema and
 version, followed by one JSON object per example.  Keys are sorted and
-separators fixed so identical data serializes to identical bytes.
+separators fixed so identical data serializes to identical bytes; one
+module-level encoder writes every record.
+
+``Example`` is a frozen dataclass built in one step: its hand-written
+``__init__`` stores the fields straight into the instance ``__dict__``,
+the idiom of ``executor.Chunk``.  Equality, hashing, ``repr``,
+``dataclasses.replace`` and the ``FrozenInstanceError`` on assignment
+stay the generated ones.
+
+Relation, label and action names go through code tables: a record reads
+a member's name from a tuple indexed by its ``code`` and resolves a name
+with one dict lookup, instead of an ``Enum`` value lookup either way.  A
+name the table misses, or an unhashable one, falls back to the enum
+constructor (``ActionRelation.parse`` for actions), so a malformed line
+is rejected with the enum's own message, e.g. ``path:2: ['x'] is not a
+valid NLILabel``, where a bare dict lookup would say ``unhashable type``.
 """
 
 from __future__ import annotations
@@ -10,11 +25,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .chunker import ChunkRules, chunk_pair, chunk_pairs
 from .executor import ChunkedPair
-from .relations import ActionRelation, NLILabel, Relation
+from .relations import (
+    ACTIONS,
+    LABELS,
+    RELATIONS,
+    ActionRelation,
+    NLILabel,
+    Relation,
+)
 
 __all__ = [
     "Example",
@@ -32,8 +54,19 @@ __all__ = [
 SCHEMA = "natlog.dataset"
 VERSION = 1
 
+# code tables: a member's name by its code, and the member a name stands for
+_LABEL_NAMES = tuple(label.value for label in LABELS)
+_ACTION_NAMES = tuple(action.value for action in ACTIONS)
+_RELATION_NAMES = tuple(relation.value for relation in RELATIONS)
+_LABEL_BY_NAME = dict(zip(_LABEL_NAMES, LABELS))
+_RELATION_BY_NAME = dict(zip(_RELATION_NAMES, RELATIONS))
+_ACTION_BY_NAME = {
+    name: ActionRelation.parse(name)
+    for name in (*_ACTION_NAMES, "negation", "alternation")
+}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Example:
     """One premise/hypothesis pair with optional gold annotations.
 
@@ -53,6 +86,27 @@ class Example:
     split_tag: str = "train"
     target_state: Optional[Relation] = None
 
+    def __init__(
+        self,
+        premise: str,
+        hypothesis: str,
+        label: Optional[NLILabel] = None,
+        gold_program: Optional[tuple[ActionRelation, ...]] = None,
+        gold_states: Optional[tuple[Relation, ...]] = None,
+        gold_rationale_tokens: Optional[tuple[int, ...]] = None,
+        split_tag: str = "train",
+        target_state: Optional[Relation] = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["premise"] = premise
+        fields["hypothesis"] = hypothesis
+        fields["label"] = label
+        fields["gold_program"] = gold_program
+        fields["gold_states"] = gold_states
+        fields["gold_rationale_tokens"] = gold_rationale_tokens
+        fields["split_tag"] = split_tag
+        fields["target_state"] = target_state
+
     @property
     def target(self) -> NLILabel | Relation:
         if self.target_state is not None:
@@ -62,59 +116,59 @@ class Example:
         return self.label
 
     def to_record(self) -> dict:
+        label, program, states = self.label, self.gold_program, self.gold_states
+        tokens, target = self.gold_rationale_tokens, self.target_state
         return {
             "premise": self.premise,
             "hypothesis": self.hypothesis,
-            "label": self.label.value if self.label else None,
+            "label": _LABEL_NAMES[label.code] if label else None,
             "gold_program": (
-                [a.value for a in self.gold_program]
-                if self.gold_program is not None
-                else None
+                None if program is None else [_ACTION_NAMES[a.code] for a in program]
             ),
             "gold_states": (
-                [s.value for s in self.gold_states]
-                if self.gold_states is not None
-                else None
+                None if states is None else [_RELATION_NAMES[s.code] for s in states]
             ),
-            "gold_rationale_tokens": (
-                list(self.gold_rationale_tokens)
-                if self.gold_rationale_tokens is not None
-                else None
-            ),
+            "gold_rationale_tokens": None if tokens is None else list(tokens),
             "split_tag": self.split_tag,
-            "target_state": (
-                self.target_state.value if self.target_state else None
-            ),
+            "target_state": _RELATION_NAMES[target.code] if target else None,
         }
 
     @classmethod
     def from_record(cls, record: dict) -> "Example":
+        premise, hypothesis = record["premise"], record["hypothesis"]
+        get = record.get
+        label, program, states = get("label"), get("gold_program"), get("gold_states")
+        tokens, target = get("gold_rationale_tokens"), get("target_state")
         return cls(
-            premise=record["premise"],
-            hypothesis=record["hypothesis"],
-            label=NLILabel(record["label"]) if record.get("label") else None,
-            gold_program=(
-                tuple(ActionRelation.parse(a) for a in record["gold_program"])
-                if record.get("gold_program") is not None
-                else None
+            premise,
+            hypothesis,
+            _member(_LABEL_BY_NAME, NLILabel, label) if label else None,
+            (
+                None
+                if program is None
+                else _members(_ACTION_BY_NAME, ActionRelation.parse, program)
             ),
-            gold_states=(
-                tuple(Relation(s) for s in record["gold_states"])
-                if record.get("gold_states") is not None
-                else None
-            ),
-            gold_rationale_tokens=(
-                tuple(record["gold_rationale_tokens"])
-                if record.get("gold_rationale_tokens") is not None
-                else None
-            ),
-            split_tag=record.get("split_tag", "train"),
-            target_state=(
-                Relation(record["target_state"])
-                if record.get("target_state")
-                else None
-            ),
+            None if states is None else _members(_RELATION_BY_NAME, Relation, states),
+            None if tokens is None else tuple(tokens),
+            get("split_tag", "train"),
+            _member(_RELATION_BY_NAME, Relation, target) if target else None,
         )
+
+
+def _member(by_name: dict, parse: Callable, name):
+    """``by_name[name]``, or on a miss ``parse(name)`` and its error."""
+    try:
+        return by_name[name]
+    except (KeyError, TypeError):
+        return parse(name)
+
+
+def _members(by_name: dict, parse: Callable, names) -> tuple:
+    """``_member`` of each name; on a miss ``parse`` names the culprit."""
+    try:
+        return tuple([by_name[name] for name in names])
+    except (KeyError, TypeError):
+        return tuple(parse(name) for name in names)
 
 
 def example_error(index: int, example: Example, exc: Exception) -> ValueError:
@@ -150,9 +204,12 @@ def chunk_examples(
         raise
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj: dict) -> str:
     """Canonical JSON: sorted keys, fixed separators, one line."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def write_records(

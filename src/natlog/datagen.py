@@ -286,7 +286,7 @@ def _validate_split(spec: GenSpec) -> None:
 
 
 def _sentence(quantifier: str, subject: str, predicate: str) -> str:
-    return " ".join(p for p in (quantifier, subject, predicate) if p)
+    return " ".join(filter(None, (quantifier, subject, predicate)))
 
 
 # A pair to build: premise, hypothesis, the actions at its differing
@@ -295,9 +295,11 @@ _Plan = tuple[str, str, tuple[ActionRelation, ...], str]
 
 
 def _build_all(plans: Sequence[_Plan], rules: ChunkRules) -> list[Example]:
-    """``_build`` every planned pair, chunking each distinct sentence once."""
+    """``_build`` every planned pair, chunking each distinct sentence once
+    and executing each distinct (contexts, program) class once."""
     pairs = chunk_pairs([(plan[0], plan[1]) for plan in plans], rules)
-    return [_build(pair, *plan) for pair, plan in zip(pairs, plans)]
+    outcomes: dict = {}
+    return [_build(pair, *plan, outcomes) for pair, plan in zip(pairs, plans)]
 
 
 def _build(
@@ -306,16 +308,23 @@ def _build(
     hypothesis: str,
     actions: Sequence[ActionRelation],
     tag: str,
+    outcomes: dict,
 ) -> Example:
     """Place the given actions at the differing chunks of a chunked pair
-    and read every annotation off the executed trace."""
-    if len(pair.premise) != len(pair.hypothesis):
+    and read every annotation off the executed trace.
+
+    The label, states and rationale steps of a trace depend only on the
+    hypothesis chunks' projection rows and the program; ``outcomes`` holds
+    them per such class, for one ``_build_all`` call.
+    """
+    chunks = pair.hypothesis
+    if len(pair.premise) != len(chunks):
         raise ValueError(
             f"chunk structure mismatch: {premise!r} / {hypothesis!r}"
         )
     diff = [
         t
-        for t, (p, h) in enumerate(zip(pair.premise, pair.hypothesis))
+        for t, p, h in zip(range(len(chunks)), pair.premise, chunks)
         if p.tokens != h.tokens
     ]
     if len(diff) != len(actions):
@@ -323,19 +332,19 @@ def _build(
             f"expected {len(actions)} differing chunks in "
             f"{premise!r} / {hypothesis!r}, found {len(diff)}"
         )
-    program = [ActionRelation.EQUIVALENCE] * pair.m
+    program = [ActionRelation.EQUIVALENCE] * len(chunks)
     for t, action in zip(diff, actions):
         program[t] = action
-    trace = execute(pair, tuple(program))
-    return Example(
-        premise=premise,
-        hypothesis=hypothesis,
-        label=trace.label,
-        gold_program=tuple(program),
-        gold_states=trace.states[1:],
-        gold_rationale_tokens=trace.rationale_token_indices(),
-        split_tag=tag,
-    )
+    program = tuple(program)
+    key = (tuple([chunk.context.action_codes for chunk in chunks]), program)
+    outcome = outcomes.get(key)
+    if outcome is None:
+        trace = execute(pair, program)
+        outcome = outcomes[key] = (trace.label, trace.states[1:], trace.rationales)
+    label, states, rationales = outcome
+    # ``Trace.rationale_token_indices`` of this pair's trace
+    tokens = tuple([i for t in rationales for i in chunks[t - 1].token_indices])
+    return Example(premise, hypothesis, label, program, states, tokens, tag)
 
 
 def _replacement_pairs(r: Replacement):

@@ -639,12 +639,20 @@ class RevisionStats:
 
     @classmethod
     def tally(cls, revisions: Iterable[Sequence[RevisionEvent]]) -> "RevisionStats":
-        """Classify each episode's revisions by source; count new relations."""
+        """Classify each episode's revisions by source; count new relations.
+
+        An episode without events, as most are, counts as ``none`` at once.
+        """
         kinds: Counter = Counter()
         per_relation: Counter = Counter()
+        unrevised = 0
         for events in revisions:
+            if not events:
+                unrevised += 1
+                continue
             kinds[_KINDS.get(frozenset(e.source for e in events), "none")] += 1
             per_relation.update(e.new.value for e in events)
+        kinds["none"] += unrevised
         return cls(episodes=kinds.total(), per_relation=dict(per_relation), **kinds)
 
     def __add__(self, other: "RevisionStats") -> "RevisionStats":

@@ -132,9 +132,13 @@ class TestCompositionalSplit:
 
 
 class TestSelfConsistency:
-    def test_gold_annotations_re_execute(self, splits, rules):
-        train, test = splits
-        for example in list(train) + list(test):
+    def test_gold_annotations_re_execute(self, spec, splits, rules):
+        # generation executes one pair per (context rows, program) class and
+        # reads the other members' annotations off its outcome
+        train, _ = splits
+        _, noisy = generate(dataclasses.replace(spec, noisy_test=True), rules)
+        two_hop = generate_2hop(spec, rules)
+        for example in train + noisy + two_hop:
             pair = chunk_pair(example.premise, example.hypothesis, rules)
             trace = execute(pair, example.gold_program)
             assert trace.label == example.label

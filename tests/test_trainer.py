@@ -1,5 +1,6 @@
 """Shaped rewards, REINFORCE, revision algorithms, and the training loop."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -12,7 +13,7 @@ import natlog
 import natlog.cli
 from natlog import knowledge
 from natlog.chunker import chunk_pair, default_rules
-from natlog.data import Example
+from natlog.data import Example, dumps
 from natlog.executor import (
     Chunk,
     ChunkedPair,
@@ -1324,6 +1325,55 @@ class TestOutcomeTable:
                 m.to_record() for m in expected[config].metrics
             ]
 
+
+
+def reference_tally(revisions):
+    """``RevisionStats.tally`` classifying every episode by its event sources."""
+    kinds = collections.Counter()
+    per_relation = collections.Counter()
+    for events in revisions:
+        sources = frozenset(e.source for e in events)
+        kind = {
+            frozenset({"knowledge"}): "knowledge_only",
+            frozenset({"answer"}): "answer_only",
+            frozenset({"knowledge", "answer"}): "both",
+        }.get(sources, "none")
+        kinds[kind] += 1
+        per_relation.update(e.new.value for e in events)
+    return RevisionStats(
+        episodes=sum(kinds.values()), per_relation=dict(per_relation), **kinds
+    )
+
+
+revision_events = st.builds(
+    RevisionEvent,
+    t=st.integers(1, 4),
+    old=st.sampled_from(ACTIONS),
+    new=st.sampled_from(ACTIONS),
+    source=st.sampled_from(["knowledge", "answer"]),
+)
+
+
+class TestRevisionStatsTally:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(()), st.lists(revision_events, max_size=4).map(tuple)
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_reference(self, revisions):
+        got = RevisionStats.tally(revisions)
+        expected = reference_tally(revisions)
+        assert got == expected
+        assert list(got.per_relation) == list(expected.per_relation)
+        assert dumps(got.to_record()) == dumps(expected.to_record())
+
+    def test_empty_episodes_count_as_none(self):
+        assert RevisionStats.tally([(), (), ()]) == RevisionStats(episodes=3, none=3)
+        assert RevisionStats.tally([]) == RevisionStats()
 
 class TestTrainConfigFile:
     def test_load_all_keys(self, tmp_path):
