@@ -135,24 +135,57 @@ class Example:
 
     @classmethod
     def from_record(cls, record: dict) -> "Example":
+        """The example a record holds; a malformed value raises ValueError.
+
+        The sentences must be strings, a present label or target state
+        a name, the program and states lists of names, and the rationale
+        tokens a list of ints (not bools).  A null or absent field is
+        None.
+        """
         premise, hypothesis = record["premise"], record["hypothesis"]
+        if type(premise) is not str:
+            raise ValueError(f"premise must be a string, got {premise!r}")
+        if type(hypothesis) is not str:
+            raise ValueError(f"hypothesis must be a string, got {hypothesis!r}")
         get = record.get
         label, program, states = get("label"), get("gold_program"), get("gold_states")
         tokens, target = get("gold_rationale_tokens"), get("target_state")
+        if label is not None:
+            label = _member(_LABEL_BY_NAME, NLILabel, label)
+        if program is not None:
+            if type(program) is str:
+                raise _string_error("gold_program", program)
+            program = _members(_ACTION_BY_NAME, ActionRelation.parse, program)
+        if states is not None:
+            if type(states) is str:
+                raise _string_error("gold_states", states)
+            states = _members(_RELATION_BY_NAME, Relation, states)
+        if tokens is not None:
+            values = tuple(tokens)  # a non-iterable fails here
+            if type(tokens) is not list or not _INT.issuperset(map(type, values)):
+                raise ValueError(
+                    f"gold_rationale_tokens must be a list of ints, got {tokens!r}"
+                )
+            tokens = values
         return cls(
             premise,
             hypothesis,
-            _member(_LABEL_BY_NAME, NLILabel, label) if label else None,
-            (
-                None
-                if program is None
-                else _members(_ACTION_BY_NAME, ActionRelation.parse, program)
-            ),
-            None if states is None else _members(_RELATION_BY_NAME, Relation, states),
-            None if tokens is None else tuple(tokens),
+            label,
+            program,
+            states,
+            tokens,
             get("split_tag", "train"),
-            _member(_RELATION_BY_NAME, Relation, target) if target else None,
+            None if target is None else _member(_RELATION_BY_NAME, Relation, target),
         )
+
+
+_INT = {int}  # the one element type of a rationale token list
+
+
+def _string_error(key: str, names: str) -> ValueError:
+    """The error for a string where a list of names belongs, which would
+    otherwise be read letter by letter."""
+    return ValueError(f"{key} must be a list of names, got {names!r}")
 
 
 def _member(by_name: dict, parse: Callable, name):

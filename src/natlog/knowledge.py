@@ -5,14 +5,21 @@ equivalence closure), hypernymy (transitively closed through synonym
 classes), and antonymy.  It resolves them once, when it is built, into one
 table from pairs of synonym-class representatives ("roots") to link bits:
 hypernym, hyponym and antonym.  Alignment and the lexical flags work on
-the roots of a chunk's tokens.  One helper compares every hypothesis chunk
-of a pair with the premise chunks: it normalizes each chunk once, and gives
-each premise chunk its near set, its roots and every root linked to them.
-A hypothesis token counts toward the overlap when its root is in the near
-set, the hypernym and antonym flags of the aligned chunk pair are the OR of
-one table lookup per token pair, and the winning overlap is the token
-overlap flag.  ``align``, ``compare``, ``compare_pair`` and ``propose`` all
-read that helper.
+the roots of a chunk's tokens.  ``compare_pairs`` is the one alignment
+implementation: it compares every hypothesis chunk of every pair with that
+pair's premise chunks.  A premise chunk's near set holds its roots and
+every root linked to them.  A hypothesis token counts toward the overlap
+when its root is in the near set, the hypernym and antonym flags of the
+aligned chunk pair are the OR of one table lookup per token pair, and the
+winning overlap is the token overlap flag.  NLI corpora reuse phrases
+across many pairs, so one call interns chunks by their token tuples: it
+normalizes each distinct tuple and builds each near set once, scores each
+distinct (hypothesis tokens, premise tokens) pair once, and computes the
+flags once per distinct (hypothesis tokens, aligned tokens) pair; a call
+with one pair keeps only the roots, having no other pair to share the
+rest with.  Nothing is kept across calls.  ``align``, ``compare``,
+``compare_pair`` and ``propose`` are ``compare_pairs`` on one pair, as
+``chunker.chunk_pair`` is ``chunk_pairs`` on one pair.
 
 Given an aligned premise chunk for a hypothesis chunk, simple rules propose
 candidate relations:
@@ -53,6 +60,7 @@ __all__ = [
     "align",
     "compare",
     "compare_pair",
+    "compare_pairs",
     "propose",
     "proposal_keys",
     "keys_from_records",
@@ -331,9 +339,8 @@ def align(
 
 
 def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
-    """Proper ordered subsequence test on normalized tokens."""
-    if len(short) >= len(long):
-        return False
+    """Ordered subsequence test on normalized tokens; the caller checks
+    that ``short`` is shorter, so that the subsequence is proper."""
     it = iter(long)
     return all(tok in it for tok in short)
 
@@ -341,59 +348,119 @@ def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
 _UNALIGNED = (None, (False,) * 7 + (0.0,))
 
 
-def _compare(
-    hypothesis: Sequence[Chunk], premise: Sequence[Chunk], lexicon: Lexicon
-) -> tuple[tuple, ...]:
-    """``compare`` for each hypothesis chunk against the same premise chunks.
+def compare_pairs(
+    pairs: Sequence[ChunkedPair], lexicon: Lexicon
+) -> list[tuple[tuple, ...]]:
+    """``compare_pair`` of every pair, each distinct fact computed once.
 
-    Each chunk is normalized once.  A premise chunk also keeps its near
-    set: its roots and every root linked to one of them.  Links are
-    symmetric, so a hypothesis root is related to some root of the chunk
-    exactly when it is in that set, and a candidate's overlap is a count
-    of set lookups.  The winning overlap is the ``token_overlap`` flag's
-    numerator.
+    The call interns chunks by their token tuples, and normalizes each
+    distinct tuple once.  A premise chunk's near set holds its roots and
+    every root linked to one of them.  Links are symmetric, so a
+    hypothesis root is related to some root of a premise chunk exactly
+    when it is in that set, and the overlap of a (hypothesis tokens,
+    premise tokens) pair is a count of set lookups.  Across pairs, each
+    distinct premise tuple gets its near set once, each distinct
+    (hypothesis tokens, premise tokens) pair is scored once, and the
+    lexical flags are computed once per distinct (hypothesis tokens,
+    aligned tokens) pair, with the winning overlap as the
+    ``token_overlap`` numerator.  A call with one pair has no other pair
+    to share those with, so it keeps only the roots, and ``compare_pair``
+    pays for no other table.  Each record still holds its pair's own
+    aligned ``Chunk``.  Nothing is kept across calls.
     """
-    normalize, near, links = lexicon.normalize, lexicon._near, lexicon._links
-    candidates = []
-    for chunk in premise:
-        roots = normalize(chunk.tokens)
-        reach = set(roots)
-        for r in roots:
-            reach.update(near.get(r, ()))
-        candidates.append((reach.__contains__, chunk, roots))
-    records = []
-    for hyp in hypothesis:
-        s = normalize(hyp.tokens)
-        best, best_score = None, 0
-        for candidate in candidates:
-            score = sum(map(candidate[0], s))
-            if score > best_score:
-                best, best_score = candidate, score
-        if best is None:
-            records.append(_UNALIGNED)
-            continue
-        _, aligned, s_tilde = best
-        synonym, bits = False, 0
-        for u, ru in zip(hyp.tokens, s):
-            linked = near.get(ru, ())  # no root is linked to itself
-            for v, rv in zip(aligned.tokens, s_tilde):
-                if ru == rv:
-                    synonym = synonym or u != v
-                elif rv in linked:
-                    bits |= links[ru, rv]
-        # in the policy's feature order; the last is align's score
-        flags = (
-            s == s_tilde,
-            _subphrase(s, s_tilde),
-            _subphrase(s_tilde, s),
-            synonym,
-            bool(bits & _HYPERNYM),
-            bool(bits & _HYPONYM),
-            bool(bits & _ANTONYM),
-            best_score / len(s),
-        )
-        records.append((aligned, flags))
-    return tuple(records)
+    normalize, near = lexicon.normalize, lexicon._near
+    shared = len(pairs) > 1
+    roots_of: dict = {}  # chunk tokens -> roots; a pair may repeat a chunk
+    # kept only when there are pairs to share them: premise tokens -> (id,
+    # near-set test), the id numbering them in order of first sight, and
+    # hypothesis tokens -> ({premise id: overlap}, {aligned id: flags})
+    tests: dict = {}
+    tables: dict = {}
+    out = []
+    for pair in pairs:
+        candidates = []
+        for chunk in pair.premise:
+            tokens = chunk.tokens
+            roots = roots_of.get(tokens)
+            if roots is None:
+                roots = roots_of[tokens] = normalize(tokens)
+            facts = tests.get(tokens) if shared else None
+            if facts is None:
+                reach = set(roots)
+                for r in roots:
+                    reach.update(near.get(r, ()))
+                facts = (len(tests), reach.__contains__)
+                if shared:
+                    tests[tokens] = facts
+            candidates.append((chunk, facts[0], roots, facts[1]))
+        records = []
+        for hyp in pair.hypothesis:
+            tokens = hyp.tokens
+            s = roots_of.get(tokens)
+            if s is None:
+                s = roots_of[tokens] = normalize(tokens)
+            best, best_score = None, 0
+            if shared:
+                overlaps, known = tables.get(tokens) or tables.setdefault(
+                    tokens, ({}, {})
+                )
+                for candidate in candidates:
+                    score = overlaps.get(candidate[1])
+                    if score is None:
+                        score = overlaps[candidate[1]] = sum(map(candidate[3], s))
+                    if score > best_score:
+                        best, best_score = candidate, score
+            else:
+                known = None
+                for candidate in candidates:
+                    score = sum(map(candidate[3], s))
+                    if score > best_score:
+                        best, best_score = candidate, score
+            if best is None:
+                records.append(_UNALIGNED)
+                continue
+            aligned, pid, s_tilde, _ = best
+            flags = None if known is None else known.get(pid)
+            if flags is None:
+                flags = _flags(tokens, s, aligned.tokens, s_tilde, best_score, lexicon)
+                if known is not None:
+                    known[pid] = flags
+            records.append((aligned, flags))
+        out.append(tuple(records))
+    return out
+
+
+def _flags(
+    tokens: tuple[str, ...],
+    s: tuple[str, ...],
+    aligned: tuple[str, ...],
+    s_tilde: tuple[str, ...],
+    overlap: int,
+    lexicon: Lexicon,
+) -> tuple:
+    """The lexical flags of hypothesis ``tokens`` (roots ``s``) aligned to
+    premise tokens ``aligned`` (roots ``s_tilde``) with ``overlap``."""
+    near, links = lexicon._near, lexicon._links
+    synonym, bits = False, 0
+    for u, ru in zip(tokens, s):
+        linked = near.get(ru, ())  # no root is linked to itself
+        for v, rv in zip(aligned, s_tilde):
+            if ru == rv:
+                synonym = synonym or u != v
+            elif rv in linked:
+                bits |= links[ru, rv]
+    n, k = len(s), len(s_tilde)
+    # in the policy's feature order; the last is align's score
+    return (
+        s == s_tilde,
+        n < k and _subphrase(s, s_tilde),
+        k < n and _subphrase(s_tilde, s),
+        synonym,
+        (bits & _HYPERNYM) != 0,
+        (bits & _HYPONYM) != 0,
+        (bits & _ANTONYM) != 0,
+        overlap / n,
+    )
 
 
 def compare(
@@ -407,12 +474,14 @@ def compare(
     ``align``'s score.  They are all false when nothing aligns.  Features
     and proposals both read this record, so a chunk is aligned once.
     """
-    return _compare((hyp_chunk,), premise_chunks, lexicon)[0]
+    pair = ChunkedPair(tuple(premise_chunks), (hyp_chunk,))
+    return compare_pairs([pair], lexicon)[0][0]
 
 
 def compare_pair(pair: ChunkedPair, lexicon: Lexicon) -> tuple[tuple, ...]:
-    """``compare`` for every hypothesis chunk, in order."""
-    return _compare(pair.hypothesis, pair.premise, lexicon)
+    """``compare`` for every hypothesis chunk, in order: ``compare_pairs``
+    on one pair."""
+    return compare_pairs([pair], lexicon)[0]
 
 
 def _proposed(flags: tuple) -> tuple[ActionRelation, ...]:

@@ -8,10 +8,14 @@ one-hot of the monotonicity context.  Action scores are a linear map of the
 features; probabilities are their softmax.
 
 ``compile_examples`` is the one path from examples to features: it chunks
-every example with ``chunk_pairs``, aligns each pair once, and writes the
-feature rows of all examples into one array, so that training, evaluation
-and the CLI read the same records and one ``decode`` call decodes a whole
-split.  ``featurize_pair`` builds the same rows for a single pair.
+every example with ``chunk_pairs``, aligns them all with one
+``compare_pairs`` call, and writes the feature rows of all examples into
+one array, so that training, evaluation and the CLI read the same records
+and one ``decode`` call decodes a whole split.  A row depends only on the
+lexical flags, the step, m and the chunk's context, and a split holds few
+distinct rows, so each call builds each distinct row once and assembles
+the stacked array by integer indexing; nothing is kept across calls.
+``featurize_pair`` builds the same rows for a single pair.
 
 Feature extraction at step t looks only at the premise and hypothesis
 chunks up to t, so distributions are unaffected by later hypothesis
@@ -39,7 +43,13 @@ import numpy as np
 from .chunker import ChunkRules
 from .data import Example, chunk_examples
 from .executor import ChunkedPair
-from .knowledge import Lexicon, compare, compare_pair, keys_from_records
+from .knowledge import (
+    Lexicon,
+    compare,
+    compare_pair,
+    compare_pairs,
+    keys_from_records,
+)
 from .relations import ACTIONS, ActionRelation, NLILabel, Relation
 
 __all__ = [
@@ -87,12 +97,13 @@ FEATURE_NAMES: tuple[str, ...] = (
 N_FEATURES = len(FEATURE_NAMES)
 N_ACTIONS = len(ACTIONS)
 
-# context name -> its projectivity columns; an unknown context sets none
-_CONTEXT_BITS = {
-    name: tuple(float(name == other) for other in _CONTEXT_NAMES)
+# context name -> the last columns of a row: its projectivity one-hot and
+# the bias; an unknown context sets no projectivity column
+_ROW_TAILS = {
+    name: (*(float(name == other) for other in _CONTEXT_NAMES), 1.0)
     for name in _CONTEXT_NAMES
 }
-_NO_CONTEXT = (0.0,) * len(_CONTEXT_NAMES)
+_NO_CONTEXT_TAIL = (0.0,) * len(_CONTEXT_NAMES) + (1.0,)
 
 CHECKPOINT_MAGIC = "natlog-policy v1"
 
@@ -121,16 +132,25 @@ class PolicyParams:
         return PolicyParams(weights=self.weights.copy())
 
 
-def _rows(steps: Iterable[tuple[ChunkedPair, int, tuple]]) -> np.ndarray:
-    """One feature row per (pair, 1-based step, lexical flags), in
-    ``FEATURE_NAMES`` order, all written into one array."""
+def _row_keys(pair: ChunkedPair, records: Sequence[tuple]) -> list[tuple]:
+    """The inputs of each of the pair's feature rows, from its
+    ``compare_pair`` records: (lexical flags, 1-based step, m, context
+    name)."""
+    m = pair.m
+    return [
+        (flags, t, m, chunk.context.name)
+        for t, ((_, flags), chunk) in enumerate(zip(records, pair.hypothesis), 1)
+    ]
+
+
+def _rows(keys: Iterable[tuple]) -> np.ndarray:
+    """One feature row per ``_row_keys`` key, in ``FEATURE_NAMES`` order,
+    all written into one array."""
     values: list = []
-    for pair, t, flags in steps:
+    for flags, t, m, context in keys:
         values += flags
-        values.append(t / pair.m)
-        context = pair.hypothesis[t - 1].context.name
-        values += _CONTEXT_BITS.get(context, _NO_CONTEXT)
-        values.append(1.0)  # bias
+        values.append(t / m)
+        values += _ROW_TAILS.get(context, _NO_CONTEXT_TAIL)
     return np.array(values, dtype=float).reshape(-1, N_FEATURES)
 
 
@@ -140,14 +160,14 @@ def featurize(
     """Features for hypothesis chunk t (1-based) against the premise."""
     if not 1 <= t <= pair.m:
         raise ValueError(f"step {t} out of range 1..{pair.m}")
-    _, flags = compare(pair.hypothesis[t - 1], pair.premise, lexicon)
-    return FeatureVector(values=_rows([(pair, t, flags)])[0])
+    chunk = pair.hypothesis[t - 1]
+    _, flags = compare(chunk, pair.premise, lexicon)
+    return FeatureVector(values=_rows([(flags, t, pair.m, chunk.context.name)])[0])
 
 
 def featurize_pair(pair: ChunkedPair, lexicon: Lexicon) -> np.ndarray:
     """Stacked feature matrix of shape (m, N_FEATURES)."""
-    records = compare_pair(pair, lexicon)
-    return _rows((pair, t, flags) for t, (_, flags) in enumerate(records, start=1))
+    return _rows(_row_keys(pair, compare_pair(pair, lexicon)))
 
 
 @dataclass(eq=False)  # features is an array, which has no truth value
@@ -177,18 +197,22 @@ def compile_examples(
     """Chunk, align and featurize every example once.
 
     Returns one ``Compiled`` per example and the stacked feature rows of
-    all examples, shape (sum of m, N_FEATURES): each record's ``features``
-    is its block of those rows, in example order, so one ``decode`` call
-    decodes the whole split.  A sentence that cannot be chunked raises a
+    all examples, shape (sum of m, N_FEATURES), byte-equal to stacking
+    ``featurize_pair`` of each pair: each record's ``features`` is its
+    block of those rows, in example order, so one ``decode`` call decodes
+    the whole split.  Each distinct row is built once per call (module
+    docstring).  A sentence that cannot be chunked raises a
     ValueError that names the example by 0-based index and premise.
     """
     pairs = chunk_examples(examples, rules)
-    all_records = [compare_pair(pair, lexicon) for pair in pairs]
-    features = _rows(
-        (pair, t, flags)
-        for pair, records in zip(pairs, all_records)
-        for t, (_, flags) in enumerate(records, start=1)
-    )
+    all_records = compare_pairs(pairs, lexicon)
+    # each distinct row built once; a key holds all the inputs of its row
+    row_ids: dict = {}
+    index: list[int] = []
+    for pair, records in zip(pairs, all_records):
+        for key in _row_keys(pair, records):
+            index.append(row_ids.setdefault(key, len(row_ids)))
+    features = _rows(row_ids)[np.array(index, dtype=np.intp)]
     compiled, offset = [], 0
     for example, pair, records in zip(examples, pairs, all_records):
         target = example.target_state or example.label

@@ -164,15 +164,15 @@ _VALID = {
 
 # (field, value, message after "path:2: "), recorded from the enum-constructor
 # implementation of ``Example.from_record``.  A string where a list belongs is
-# read letter by letter, and a dict by its keys.
+# rejected as a whole, and a dict is read by its keys.
 MALFORMED_FIELDS = [
     ("label", "bogus", "'bogus' is not a valid NLILabel"),
     ("label", ["x"], "['x'] is not a valid NLILabel"),
     ("label", {"a": 1}, "{'a': 1} is not a valid NLILabel"),
     ("label", 5, "5 is not a valid NLILabel"),
     ("label", True, "True is not a valid NLILabel"),
-    ("gold_program", "bogus", "'b' is not a valid ActionRelation"),
-    ("gold_program", "negation", "'n' is not a valid ActionRelation"),
+    ("gold_program", "bogus", "gold_program must be a list of names, got 'bogus'"),
+    ("gold_program", "negation", "gold_program must be a list of names, got 'negation'"),
     ("gold_program", ["x"], "'x' is not a valid ActionRelation"),
     ("gold_program", ["equivalence", "cover"], "'cover' is not a valid ActionRelation"),
     ("gold_program", [["x"]], "['x'] is not a valid ActionRelation"),
@@ -182,7 +182,7 @@ MALFORMED_FIELDS = [
     ("gold_program", 5, "'int' object is not iterable"),
     ("gold_program", True, "'bool' object is not iterable"),
     ("gold_program", {"a": 1}, "'a' is not a valid ActionRelation"),
-    ("gold_states", "bogus", "'b' is not a valid Relation"),
+    ("gold_states", "bogus", "gold_states must be a list of names, got 'bogus'"),
     ("gold_states", ["x"], "'x' is not a valid Relation"),
     ("gold_states", [["x"]], "['x'] is not a valid Relation"),
     ("gold_states", [{"a": 1}], "{'a': 1} is not a valid Relation"),
@@ -240,6 +240,75 @@ class TestMalformedLines:
         with pytest.raises(ValueError) as info:
             load_dataset(path)
         assert str(info.value) == f"{path}:2: {message}"
+
+
+# values that used to load without an error: a sentence that is not a
+# string, rationale tokens that are not a list of ints, a falsy label or
+# target state read as absent, and a string program or state sequence
+REJECTED_FIELDS = [
+    ("premise", None, "premise must be a string, got None"),
+    ("premise", 5, "premise must be a string, got 5"),
+    ("premise", ["every", "dog"], "premise must be a string, got ['every', 'dog']"),
+    ("hypothesis", None, "hypothesis must be a string, got None"),
+    ("hypothesis", 5.0, "hypothesis must be a string, got 5.0"),
+    ("gold_rationale_tokens", "ab", "gold_rationale_tokens must be a list of ints, got 'ab'"),
+    ("gold_rationale_tokens", "", "gold_rationale_tokens must be a list of ints, got ''"),
+    ("gold_rationale_tokens", {"a": 1}, "gold_rationale_tokens must be a list of ints, got {'a': 1}"),
+    ("gold_rationale_tokens", [True], "gold_rationale_tokens must be a list of ints, got [True]"),
+    ("gold_rationale_tokens", [1, False], "gold_rationale_tokens must be a list of ints, got [1, False]"),
+    ("gold_rationale_tokens", [1.0], "gold_rationale_tokens must be a list of ints, got [1.0]"),
+    ("gold_rationale_tokens", ["1"], "gold_rationale_tokens must be a list of ints, got ['1']"),
+    ("label", "", "'' is not a valid NLILabel"),
+    ("label", 0, "0 is not a valid NLILabel"),
+    ("label", False, "False is not a valid NLILabel"),
+    ("label", [], "[] is not a valid NLILabel"),
+    ("label", {}, "{} is not a valid NLILabel"),
+    ("target_state", "", "'' is not a valid Relation"),
+    ("target_state", 0, "0 is not a valid Relation"),
+    ("target_state", [], "[] is not a valid Relation"),
+    ("target_state", {}, "{} is not a valid Relation"),
+    ("gold_program", "", "gold_program must be a list of names, got ''"),
+    ("gold_states", "", "gold_states must be a list of names, got ''"),
+    ("gold_states", "negation", "gold_states must be a list of names, got 'negation'"),
+]
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize(
+        "key, value, message", REJECTED_FIELDS, ids=lambda v: repr(v)
+    )
+    def test_named_as_path_line(self, tmp_path, key, value, message):
+        path = _one_line_dataset(tmp_path, json.dumps(_VALID | {key: value}))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_first_bad_field_in_example_order_is_named(self, tmp_path):
+        record = _VALID | {"hypothesis": 5, "label": "", "gold_rationale_tokens": "ab"}
+        path = _one_line_dataset(tmp_path, json.dumps(record))
+        with pytest.raises(ValueError, match=r":2: hypothesis must be a string"):
+            load_dataset(path)
+        record = _VALID | {"label": None, "gold_states": "ab", "target_state": ""}
+        path = _one_line_dataset(tmp_path, json.dumps(record))
+        with pytest.raises(ValueError, match=r":2: gold_states must be a list"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["label", "target_state", "gold_program",
+                                     "gold_states", "gold_rationale_tokens"])
+    def test_null_or_absent_field_is_none(self, tmp_path, key):
+        record = _VALID | {key: None}
+        example = Example.from_record(record)
+        assert getattr(example, key) is None
+        del record[key]
+        assert Example.from_record(record) == example
+
+    def test_valid_values_load_as_before(self):
+        record = _VALID | {"gold_rationale_tokens": [], "target_state": "reverse_entailment"}
+        example = Example.from_record(record)
+        assert example.gold_rationale_tokens == ()
+        assert example.target_state is Relation.REVERSE_ENTAILMENT
+        assert example.to_record() == record
+        assert Example.from_record(_VALID).to_record() == _VALID
 
 
 # sha256 of the files ``natlog gen --two-hop`` writes with the default spec,

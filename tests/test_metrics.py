@@ -9,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from natlog import metrics
-from natlog.chunker import chunk_pair, default_rules
+from natlog.chunker import chunk_pair, chunk_pairs, default_rules
 from natlog.data import Example
-from natlog.datagen import default_genspec, generate
-from natlog.knowledge import default_lexicon
+from natlog.datagen import default_genspec, generate, generate_2hop
+from natlog.executor import execute, matches_target
+from natlog.knowledge import compare_pair, default_lexicon
 from natlog.metrics import (
     EvalReport,
     evaluate,
@@ -26,6 +27,8 @@ from natlog.policy import (
     FEATURE_NAMES,
     PolicyParams,
     argmax,
+    compile_examples,
+    decode,
     featurize_pair,
     step_distributions,
 )
@@ -470,3 +473,183 @@ def test_per_pair_decode_equals_evaluate_programs(
         programs.add(program)
     assert next(actions, None) is None
     assert len(programs) > 1
+
+
+# -- evaluate by distinct parts against the per-example loop -----------------
+
+
+def _reference_evaluate(examples, params, rules, lexicon) -> EvalReport:
+    """The per-example evaluate loop: chunk and featurize each pair alone,
+    execute its predicted and gold programs, take the rationale tokens from
+    the trace and match phrases greedily."""
+    hits, pred_labels, gold_labels = 0, [], []
+    pred_states, gold_states, ious = [], [], []
+    matches = n_pred = n_gold = 0
+    any_rationales = scored_phrases = False
+    for example in examples:
+        pair = chunk_pair(example.premise, example.hypothesis, rules)
+        trace = execute(pair, decode(params, featurize_pair(pair, lexicon)))
+        hits += matches_target(trace, example.target)
+        if example.label is not None:
+            pred_labels.append(trace.label)
+            gold_labels.append(example.label)
+        if example.gold_states is not None:
+            pred_states.append(trace.states[1:])
+            gold_states.append(example.gold_states)
+        if example.gold_rationale_tokens is not None:
+            any_rationales = True
+            ious.append(
+                iou(trace.rationale_token_indices(), example.gold_rationale_tokens)
+            )
+            if example.gold_program is not None:
+                scored_phrases = True
+                gold_trace = execute(pair, example.gold_program)
+                preds = [
+                    set(pair.hypothesis[t - 1].token_indices) for t in trace.rationales
+                ]
+                golds = [
+                    set(pair.hypothesis[t - 1].token_indices)
+                    for t in gold_trace.rationales
+                ]
+                matches += metrics._greedy_matches(preds, golds)
+                n_pred += len(preds)
+                n_gold += len(golds)
+    prf = metrics._prf(matches, n_pred, n_gold) if scored_phrases else (None,) * 3
+    return EvalReport(
+        examples=len(examples),
+        accuracy=hits / len(examples),
+        accuracy_binary=(
+            label_accuracy(pred_labels, gold_labels, collapse_binary=True)
+            if gold_labels
+            else None
+        ),
+        state_accuracy=(
+            state_accuracy(pred_states, gold_states) if gold_states else None
+        ),
+        rationale_iou=float(np.mean(ious)) if any_rationales else None,
+        rationale_precision=prf[0],
+        rationale_recall=prf[1],
+        rationale_f1=prf[2],
+    )
+
+
+def _thinned(examples):
+    """The examples with gold annotations dropped in turn, and every fifth
+    one retargeted to its final gold state, so that every branch of
+    ``evaluate`` runs."""
+    out = []
+    for i, example in enumerate(examples):
+        drop = ("gold_program", "gold_states", "gold_rationale_tokens", None)[i % 4]
+        if drop is not None:
+            example = dataclasses.replace(example, **{drop: None})
+        if i % 5 == 0 and example.gold_states:
+            example = dataclasses.replace(
+                example, label=None, target_state=example.gold_states[-1]
+            )
+        out.append(example)
+    return out
+
+
+@pytest.fixture(scope="module")
+def splits(rules):
+    spec = default_genspec()
+    train_set, test_set = generate(spec, rules)
+    _, noisy = generate(dataclasses.replace(spec, noisy_test=True), rules)
+    return {
+        "comp": test_set,
+        "noisy": noisy,
+        "two-hop": generate_2hop(spec, rules),
+        "train": train_set,
+        "thinned": _thinned(noisy),
+    }
+
+
+@pytest.fixture(scope="module")
+def policies(trained_policy):
+    weights = np.random.default_rng(7).normal(size=PolicyParams.zeros().weights.shape)
+    return {
+        "zero": PolicyParams.zeros(),
+        "trained": trained_policy,
+        "random-normal": PolicyParams(weights=weights),
+    }
+
+
+SPLITS = ["comp", "noisy", "two-hop", "train", "thinned"]
+
+
+class TestEvaluateByDistinctParts:
+    @pytest.mark.parametrize("weights", ["zero", "trained", "random-normal"])
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_report_equals_per_example_loop(
+        self, splits, policies, rules, lexicon, split, weights
+    ):
+        examples, params = splits[split], policies[weights]
+        report = evaluate(examples, params, rules, lexicon)
+        assert report == _reference_evaluate(examples, params, rules, lexicon)
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_compiled_features_and_records_equal_per_pair(
+        self, splits, rules, lexicon, split
+    ):
+        examples = splits[split]
+        compiled, features = compile_examples(examples, rules, lexicon)
+        pairs = [chunk_pair(e.premise, e.hypothesis, rules) for e in examples]
+        expected = np.concatenate([featurize_pair(pair, lexicon) for pair in pairs])
+        assert features.dtype == expected.dtype and features.shape == expected.shape
+        assert features.tobytes() == expected.tobytes()
+        for item, pair in zip(compiled, pairs):
+            assert item.pair == pair
+            assert item.records == compare_pair(pair, lexicon)
+
+    def test_executes_each_distinct_key_once(
+        self, splits, policies, rules, lexicon, monkeypatch
+    ):
+        """Every predicted and gold program runs through ``execute`` once
+        per distinct (context rows, program) key."""
+        examples = splits["noisy"]
+        calls = []
+
+        def counting(pair, program):
+            calls.append(
+                (tuple(c.context.action_codes for c in pair.hypothesis), tuple(program))
+            )
+            return execute(pair, program)
+
+        monkeypatch.setattr(metrics, "execute", counting)
+        evaluate(examples, policies["random-normal"], rules, lexicon)
+        assert len(calls) == len(set(calls))
+        assert 0 < len(calls) < len(examples)
+
+    def test_wrong_length_gold_program_still_named(self, splits, rules, lexicon):
+        """A gold program one step short is rejected with ``execute``'s
+        message, even after a program of the right length ran for the
+        same context rows."""
+        example = splits["comp"][0]
+        short = dataclasses.replace(example, gold_program=example.gold_program[:-1])
+        with pytest.raises(ValueError) as info:
+            evaluate([example, short], PolicyParams.zeros(), rules, lexicon)
+        m = len(example.gold_program)
+        assert str(info.value) == (
+            f"example 1 ({example.premise!r}): "
+            f"program length {m - 1} != hypothesis chunks {m}"
+        )
+
+
+@pytest.fixture(scope="module")
+def split_pairs(splits, rules):
+    examples = [e for name in SPLITS for e in splits[name]]
+    return chunk_pairs([(e.premise, e.hypothesis) for e in examples], rules)
+
+
+@given(data=st.data())
+def test_greedy_phrase_matches_are_the_step_intersection(split_pairs, data):
+    """Chunks are disjoint and non-empty, so over rationale phrases the
+    greedy one-to-one IOU matching counts the shared steps."""
+    pair = data.draw(st.sampled_from(split_pairs))
+    steps = st.sets(st.integers(1, pair.m)).map(sorted)
+    pred, gold = data.draw(steps), data.draw(steps)
+    tokens = [set(chunk.token_indices) for chunk in pair.hypothesis]
+    matches = metrics._greedy_matches(
+        [tokens[t - 1] for t in pred], [tokens[t - 1] for t in gold]
+    )
+    assert matches == len(set(pred) & set(gold))

@@ -571,9 +571,11 @@ class TestFastPathsMatchExecution:
 
 
 class TestOneNormalizationPerChunk:
-    """A pair of n premise and m hypothesis chunks is normalized chunk by
-    chunk, n + m ``Lexicon.normalize`` calls in all; aligning each
-    hypothesis chunk on its own would make m * (n + 2)."""
+    """One ``compile_examples`` or ``natlog prove`` call normalizes each
+    distinct chunk token tuple once, in order of first sight, whichever
+    side of whichever pair it is on; aligning each hypothesis chunk on its
+    own would make m * (n + 2) calls per pair, and normalizing each chunk
+    of each pair n + m."""
 
     @pytest.fixture
     def normalized(self, monkeypatch):
@@ -589,25 +591,33 @@ class TestOneNormalizationPerChunk:
         return calls
 
     @staticmethod
-    def chunk_tokens(pair):
-        return [c.tokens for c in pair.premise + pair.hypothesis]
+    def distinct_chunk_tokens(pairs):
+        """Each distinct chunk token tuple of the pairs, premise side first
+        within a pair, in order of first sight."""
+        chunks = (c for pair in pairs for c in pair.premise + pair.hypothesis)
+        return list(dict.fromkeys(c.tokens for c in chunks))
 
     def test_compile_normalizes_each_chunk_once(self, normalized):
         spec = dataclasses.replace(natlog.default_genspec(), noisy_test=True)
         examples = natlog.generate(spec, RULES)[1][::50]
         compiled, _ = compile_examples(examples, RULES, LEX)
         assert {item.pair.m for item in compiled} == {2, 4}
-        assert normalized == [
-            tokens for item in compiled for tokens in self.chunk_tokens(item.pair)
-        ]
+        pairs = [item.pair for item in compiled]
+        assert normalized == self.distinct_chunk_tokens(pairs)
+        # the split repeats chunks, so the per-pair count would be larger
+        assert len(normalized) < sum(len(p.premise) + p.m for p in pairs)
         assert any(item.proposals for item in compiled)
 
     def test_prove_normalizes_each_chunk_once(self, normalized, capsys):
-        premise, hypothesis = "some dogs run quickly", "some animals run"
+        premise = "every dog runs in the park"
+        hypothesis = "every animal runs in the park"
         assert natlog.cli.main(["prove", premise, hypothesis]) == 0
         assert "premise chunk" in capsys.readouterr().out
         pair = chunk_pair(premise, hypothesis, RULES)
-        assert normalized == self.chunk_tokens(pair)
+        assert normalized == self.distinct_chunk_tokens([pair])
+        assert normalized == [
+            ("every", "dog"), ("runs", "in"), ("the", "park"), ("every", "animal")
+        ]
 
 
 class TestHybridObjective:
