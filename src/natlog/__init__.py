@@ -8,7 +8,19 @@ Training uses policy gradients plus an introspective revision step that
 repairs sampled programs with lexical knowledge and answer feedback.
 ``compile_examples`` chunks, aligns and featurizes a dataset once; training,
 evaluation and the ``prove`` and ``oracle`` commands all start from its
-records.
+records, and data generation, evaluation and training read every
+execution from one ``executor.ExecutionTable``.
+
+Exports with no caller in the library are kept as the one-item references
+that the batched paths are checked against, each with a user outside it:
+``distribution`` and ``grad_log_prob`` (``benchmarks/tracing.py``),
+``reinforce_objective`` (criterion 04 and ``benchmarks/tracing.py``),
+``featurize_pair`` (demo 05, ``benchmarks/tracing.py`` and ``run.py``),
+``align`` (demo 03 and ``benchmarks/tracing.py``), ``propose`` (demo 03),
+``build_queue`` (demo 05), ``phrasal_prf`` (criterion 08) and ``argmax``
+(``benchmarks/run.py``).  ``sample``, ``featurize`` and
+``extract_rationales`` have no such user; only unit tests read them, as
+references of ``sample_program``, ``featurize_pair`` and ``execute``.
 """
 
 from .chunker import (

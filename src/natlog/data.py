@@ -138,9 +138,9 @@ class Example:
         """The example a record holds; a malformed value raises ValueError.
 
         The sentences must be strings, a present label or target state
-        a name, the program and states lists of names, and the rationale
-        tokens a list of ints (not bools).  A null or absent field is
-        None.
+        a name, the program and states lists of names, the rationale tokens
+        a list of ints (not bools), the split tag a string.  A null or
+        absent field is None, but an absent split tag is ``"train"``.
         """
         premise, hypothesis = record["premise"], record["hypothesis"]
         if type(premise) is not str:
@@ -167,6 +167,9 @@ class Example:
                     f"gold_rationale_tokens must be a list of ints, got {tokens!r}"
                 )
             tokens = values
+        tag = get("split_tag", "train")
+        if type(tag) is not str:
+            raise ValueError(f"split_tag must be a string, got {tag!r}")
         return cls(
             premise,
             hypothesis,
@@ -174,7 +177,7 @@ class Example:
             program,
             states,
             tokens,
-            get("split_tag", "train"),
+            tag,
             None if target is None else _member(_RELATION_BY_NAME, Relation, target),
         )
 

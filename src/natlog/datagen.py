@@ -4,7 +4,8 @@ Sentences follow the template ``[prefix] quantifier subject predicate``.
 A premise/hypothesis pair differs by one phrase replacement (or two for
 the two-hop variant), and the gold program, states, label, and rationale
 all come from executing the constructed program, so annotations are
-consistent with the engine by construction.
+consistent with the engine by construction.  A generator call reads them
+from one ``executor.ExecutionTable``, the library's one execution table.
 
 The compositional split keeps a subset of quantifiers and a subset of
 replacements out of the test set: training pairs either use a held-out
@@ -24,7 +25,7 @@ import numpy as np
 
 from .chunker import ChunkRules, chunk_pairs, default_rules, tokenize
 from .data import Example
-from .executor import ChunkedPair, execute
+from .executor import ChunkedPair, ExecutionTable
 from .relations import ActionRelation
 
 __all__ = [
@@ -298,8 +299,8 @@ def _build_all(plans: Sequence[_Plan], rules: ChunkRules) -> list[Example]:
     """``_build`` every planned pair, chunking each distinct sentence once
     and executing each distinct (contexts, program) class once."""
     pairs = chunk_pairs([(plan[0], plan[1]) for plan in plans], rules)
-    outcomes: dict = {}
-    return [_build(pair, *plan, outcomes) for pair, plan in zip(pairs, plans)]
+    table = ExecutionTable()
+    return [_build(pair, *plan, table) for pair, plan in zip(pairs, plans)]
 
 
 def _build(
@@ -308,15 +309,11 @@ def _build(
     hypothesis: str,
     actions: Sequence[ActionRelation],
     tag: str,
-    outcomes: dict,
+    table: ExecutionTable,
 ) -> Example:
     """Place the given actions at the differing chunks of a chunked pair
-    and read every annotation off the executed trace.
-
-    The label, states and rationale steps of a trace depend only on the
-    hypothesis chunks' projection rows and the program; ``outcomes`` holds
-    them per such class, for one ``_build_all`` call.
-    """
+    and read every annotation off the program's execution in ``table``,
+    the one ``_build_all`` call's table of executions."""
     chunks = pair.hypothesis
     if len(pair.premise) != len(chunks):
         raise ValueError(
@@ -336,15 +333,10 @@ def _build(
     for t, action in zip(diff, actions):
         program[t] = action
     program = tuple(program)
-    key = (tuple([chunk.context.action_codes for chunk in chunks]), program)
-    outcome = outcomes.get(key)
-    if outcome is None:
-        trace = execute(pair, program)
-        outcome = outcomes[key] = (trace.label, trace.states[1:], trace.rationales)
-    label, states, rationales = outcome
+    _, states, label, rationales = table.executions(pair).parts(pair, program)
     # ``Trace.rationale_token_indices`` of this pair's trace
     tokens = tuple([i for t in rationales for i in chunks[t - 1].token_indices])
-    return Example(premise, hypothesis, label, program, states, tokens, tag)
+    return Example(premise, hypothesis, label, program, states[1:], tokens, tag)
 
 
 def _replacement_pairs(r: Replacement):

@@ -15,8 +15,15 @@ label.
 Every step is a lookup in the integer-coded tables of ``relations``: a
 chunk's context row ``action_codes`` gives the projected relation's code,
 ``JOIN`` the next state's code, ``GROUP`` its label's code.  ``execute``
-builds the enum-valued ``Trace`` from those lookups.  When only the verdict
-is needed, ``reaches`` folds the codes without building a trace.
+builds the enum-valued ``Trace`` from those lookups.
+
+A trace depends only on the hypothesis chunks' context rows and the
+program, so the library keeps one table of executions: an
+``ExecutionTable`` maps context rows to ``Executions``, which map a
+``program_code`` (the actions as base-5 digits behind a leading 1, so that
+a program of the wrong length gets its own code and reaches ``execute``'s
+error) to ``execute``'s parts.  ``datagen``, ``metrics`` and ``trainer``
+build one table per call; nothing is kept across calls.
 
 ``Chunk``, ``ChunkedPair`` and ``Trace`` are frozen dataclasses built in one
 step: each has a hand-written ``__init__`` that stores its fields straight
@@ -70,7 +77,9 @@ __all__ = [
     "execute",
     "extract_rationales",
     "matches_target",
-    "reaches",
+    "program_code",
+    "Executions",
+    "ExecutionTable",
     "single_edits",
     "enumerate_programs",
 ]
@@ -237,19 +246,42 @@ def matches_target(trace: Trace, target: NLILabel | Relation) -> bool:
     return accepting(target)[trace.final_state.code]
 
 
-def reaches(
-    pair: ChunkedPair,
-    program: Sequence[ActionRelation],
-    target: NLILabel | Relation,
-) -> bool:
-    """``matches_target(execute(pair, program), target)``, folding codes only."""
-    hypothesis = pair.hypothesis
-    if len(program) != len(hypothesis):
-        _check_length(pair, program)
-    state = 0
-    for chunk, action in zip(hypothesis, program):
-        state = JOIN[state][chunk.context.action_codes[action.code]]
-    return accepting(target)[state]
+def program_code(program: Sequence[ActionRelation]) -> int:
+    """The actions as base-5 digits behind a leading 1 (module docstring)."""
+    code = 1
+    for action in program:
+        code = code * len(ACTIONS) + action.code
+    return code
+
+
+class Executions(dict):
+    """Program code -> ``execute``'s parts, for the pairs with one tuple of
+    hypothesis context rows; each entry is made on first use."""
+
+    def parts(self, pair: ChunkedPair, program: Program) -> tuple:
+        """``execute(pair, program)``'s projected relations, states, label and
+        rationales, for a pair with these executions' context rows."""
+        code = program_code(program)
+        parts = self.get(code)
+        if parts is None:
+            trace = execute(pair, program)
+            parts = self[code] = (
+                trace.projected, trace.states, trace.label, trace.rationales
+            )
+        return parts
+
+
+class ExecutionTable(dict):
+    """Hypothesis context rows -> their ``Executions``, for one call of a
+    caller (module docstring)."""
+
+    def executions(self, pair: ChunkedPair) -> Executions:
+        """The executions of every pair with the context rows of ``pair``."""
+        rows = tuple([chunk.context.action_codes for chunk in pair.hypothesis])
+        executions = self.get(rows)
+        if executions is None:
+            executions = self[rows] = Executions()
+        return executions
 
 
 def single_edits(

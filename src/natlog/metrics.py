@@ -8,12 +8,13 @@ binary, collapsing contradiction and neutral into non-entailment.
 
 ``evaluate`` scores a whole split from its distinct parts.  A program's
 outcome depends only on the hypothesis chunks' context rows, so each
-call runs ``execute`` once per distinct (context rows, program) key and
-reads the kept states, label and rationales for every example with that
-key; nothing is kept across calls.  The chunks of a pair are disjoint and
-non-empty, so two rationale phrases have IOU 1 (the same chunk) or 0, and
-greedy one-to-one matching at IOU >= 0.5 counts the steps that both
-rationales share.  ``phrasal_prf`` is the general reference.
+call reads every predicted and gold program's states, label and
+rationales from one ``executor.ExecutionTable``, the library's one table
+of executions, which runs ``execute`` once per distinct (context rows,
+program) key; nothing is kept across calls.  The chunks of a pair are
+disjoint and non-empty, so two rationale phrases have IOU 1 (the same
+chunk) or 0, and greedy one-to-one matching at IOU >= 0.5 counts the
+steps that both rationales share.  ``phrasal_prf`` is the general reference.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import numpy as np
 
 from .chunker import ChunkRules
 from .data import Example, example_error
-from .executor import ChunkedPair, Program, execute
+from .executor import ExecutionTable
 from .knowledge import Lexicon
 from .policy import PolicyParams, compile_examples, decode
-from .relations import ACTIONS, NLILabel, Relation, accepting
+from .relations import NLILabel, Relation, accepting
 
 __all__ = [
     "iou",
@@ -182,25 +183,6 @@ def reports_to_csv(reports: Mapping[str, EvalReport]) -> str:
     return out.getvalue()
 
 
-def _outcome(known: dict, pair: ChunkedPair, program: Program) -> tuple:
-    """``execute``'s states, label and rationales for ``program`` over
-    ``pair``, from ``known`` (program code -> parts, for pairs with the
-    hypothesis context rows of ``pair``) or executed and kept there.
-
-    The code reads the actions as base-5 digits behind a leading 1, so
-    programs of different lengths get different codes and one of the
-    wrong length reaches ``execute``, which rejects it.
-    """
-    code = 1
-    for action in program:
-        code = code * len(ACTIONS) + action.code
-    parts = known.get(code)
-    if parts is None:
-        trace = execute(pair, program)
-        parts = known[code] = (trace.states, trace.label, trace.rationales)
-    return parts
-
-
 def evaluate(
     examples: Sequence[Example],
     params: PolicyParams,
@@ -218,8 +200,9 @@ def evaluate(
     gold annotations; they are None when no example has them.  Phrase
     P/R/F1 is micro-averaged over phrases, IOU macro-averaged over
     samples.  A malformed example (a sentence that cannot be chunked, a
-    gold program or state sequence whose length is not m, no target)
-    raises a ValueError that names it by 0-based index and premise.
+    gold program or state sequence whose length is not m, a gold rationale
+    token that indexes no hypothesis token, no target) raises a ValueError
+    that names it by 0-based index and premise.
     """
     if not examples:
         raise ValueError("cannot evaluate an empty dataset")
@@ -234,18 +217,15 @@ def evaluate(
 
     compiled, features = compile_examples(examples, rules, lexicon)
     actions = iter(decode(params, features))
-    # hypothesis context rows -> {program code: execute's states, label
-    # and rationales}; a pair's outcome depends on nothing else
-    outcomes: dict = {}
+    table = ExecutionTable()
     index = 0
     try:
         for index, (example, item) in enumerate(zip(examples, compiled)):
             pair = item.pair
             hypothesis = pair.hypothesis
-            rows = tuple([chunk.context.action_codes for chunk in hypothesis])
-            known = outcomes.setdefault(rows, {})
-            states, label, rationales = _outcome(
-                known, pair, tuple(islice(actions, pair.m))
+            executions = table.executions(pair)
+            _, states, label, rationales = executions.parts(
+                pair, tuple(islice(actions, pair.m))
             )
             if accepting(example.target)[states[-1].code]:
                 hits += 1
@@ -261,6 +241,13 @@ def evaluate(
                 pred_states.append(states[1:])
                 gold_states.append(example.gold_states)
             if example.gold_rationale_tokens is not None:
+                n_tokens = hypothesis[-1].end  # the chunks cover every token
+                for i in example.gold_rationale_tokens:
+                    if not 0 <= i < n_tokens:
+                        raise ValueError(
+                            f"gold rationale token {i} is not a hypothesis "
+                            f"token index in 0..{n_tokens - 1}"
+                        )
                 any_rationales = True
                 pred_tokens = [
                     i for t in rationales for i in hypothesis[t - 1].token_indices
@@ -268,7 +255,7 @@ def evaluate(
                 ious.append(iou(pred_tokens, example.gold_rationale_tokens))
                 if example.gold_program is not None:
                     scored_phrases = True
-                    gold = _outcome(known, pair, example.gold_program)[2]
+                    gold = executions.parts(pair, example.gold_program)[3]
                     # phrases match exactly when they are the same chunk
                     # (module docstring)
                     match_count += len(set(rationales).intersection(gold))

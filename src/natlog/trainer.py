@@ -32,25 +32,28 @@ sampled program and every changed revision in array operations and sums
 each program's terms in step order, as the per-step definition does;
 ``hybrid_objective`` and ``reinforce_objective`` are the same kernel on a
 batch of one.  When revision leaves a program unchanged, the episode's
-revised trace and rewards are its own, not a second execution, and its
-J' is its J.  Episode n of a run draws
-from the stream of ``np.random.default_rng([seed, n])``; ``_stream_words``
-hashes every ordinal of an epoch at once as numpy's ``SeedSequence`` does,
-and ``_episode_streams`` finishes PCG64's seeding for each episode on one
+revised rewards are its own, not a second lookup, and its J' is its J.
+Episode n of a run draws from the stream of
+``np.random.default_rng([seed, n])``; ``_stream_words`` hashes every
+ordinal of an epoch at once as numpy's ``SeedSequence`` does, and
+``_episode_streams`` finishes PCG64's seeding for each episode on one
 reused generator.
 
 Every program outcome that training reads comes from one ``OutcomeTable``.
 What a program does to a pair depends only on the contexts of the pair's
 hypothesis chunks, its target and the program, and the augmented default
 compositional training set has 12 such (contexts, target) classes among
-its 2816 examples.  So the table keeps, for each (class, program), the
-trace parts of ``execute``, the ``reward`` and the single edits that reach
-the target, each computed the first time it is needed; episodes, every
-revision check, grid search and the greedy accuracy read them.  Rewards
-depend on the config, not on the weights, so a table stays right for a
-whole run; ``train`` builds a fresh one in every call, so no state is
-shared between runs or configs.  Sampling and revision read each
-episode's probabilities as Python floats, from one ``tolist()``.
+its 2816 examples.  Executions depend only on the contexts, so they come
+from the library's one ``executor.ExecutionTable``, which classes with the
+same contexts share (augmentation's reverse-entailment classes reuse the
+label classes' executions).  The table keeps, per (class, program), what
+depends on the target or the config: the ``reward`` and the single edits
+that reach the target, each computed on first use; episodes, revision,
+grid search and the greedy accuracy read them.  Rewards do not depend on
+the weights, so a table stays right for a whole run; ``train`` builds a
+fresh one in every call, so no state is shared between runs or configs.
+Sampling and revision read each episode's probabilities as Python floats,
+from one ``tolist()``.
 """
 
 from __future__ import annotations
@@ -68,10 +71,12 @@ from .chunker import ChunkRules, chunk_pairs
 from .data import Example, example_error, require_targets
 from .executor import (
     ChunkedPair,
+    ExecutionTable,
+    Executions,
     Program,
     Trace,
-    execute,
     matches_target,
+    program_code,
     single_edits,
 )
 from .knowledge import Lexicon, ProposalQueue, queue_from_keys
@@ -218,27 +223,22 @@ class RevisionEvent:
 
 @dataclass
 class Episode:
-    """Everything recorded for one training sample.
+    """What training reads of one sample: its steps' features and
+    probabilities, the programs and their rewards, and the revisions.
 
     The revised fields are None without introspective revision.  When
-    revision leaves the program unchanged, ``revised_trace`` is ``trace``
-    and ``revised_rewards`` is ``rewards``: the same objects, not copies.
-    The traces and rewards come from the run's ``OutcomeTable``: each trace
-    is built for this episode's pair from the parts the table keeps for its
-    class and program, and the rewards are the table's tuple, shared with
-    every episode of the same class and program.  Both equal what
-    ``execute`` and ``reward`` give.
+    revision leaves the program unchanged, ``revised_rewards`` is
+    ``rewards``: the same object, not a copy.  The rewards come from the
+    run's ``OutcomeTable``: they are the table's tuple, shared with every
+    episode of the same class and program, and equal what ``reward`` gives
+    for the program's trace.
     """
 
-    pair: ChunkedPair
-    target: Target
     features: np.ndarray  # (m, n_features)
     probs: np.ndarray  # (m, n_actions)
     program: Program
-    trace: Trace
     rewards: tuple[float, ...]
     revised_program: Optional[Program] = None
-    revised_trace: Optional[Trace] = None
     revised_rewards: Optional[tuple[float, ...]] = None
     revisions: tuple[RevisionEvent, ...] = ()
 
@@ -272,34 +272,27 @@ def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ..
     )
 
 
-class _Outcome:
-    """What one program does in one class; each part is filled on first use."""
-
-    __slots__ = ("parts", "rewards", "edits")
-
-    def __init__(self) -> None:
-        self.parts = None  # execute's projected, states, label, rationales
-        self.rewards = None  # reward under the table's config
-        self.edits = None  # single_edits in its order, and as a set
-
-
 class OutcomeTable:
     """Program outcomes, computed once per (contexts, target) class.
 
     A class is the tuple of the hypothesis chunks' context rows
-    (``action_codes``) and the target, interned as an integer.  For each
-    (class, program code) the table keeps ``execute``'s projected
-    relations, states, label and rationales, ``reward`` under its config,
-    and the single edits that reach the target, each computed the first
-    time it is asked for (module docstring).  A table serves one config;
-    ``train`` builds a fresh one in every call.
+    (``action_codes``) and the target, interned as an integer.  Executions
+    come from one ``ExecutionTable``; the classes with the same context
+    rows share their ``Executions``.  For each (class, program code) the
+    table keeps ``reward`` under its config and the single edits that
+    reach the target, each computed the first time it is asked for (module
+    docstring).  A table serves one config; ``train`` builds a fresh one in
+    every call.
     """
 
     def __init__(self, config: TrainConfig) -> None:
         self.config = config
+        self._table = ExecutionTable()
         self._classes: dict = {}  # (context rows, target) -> class
         self._targets: list[Target] = []  # class -> target
-        self._outcomes: list[dict[int, _Outcome]] = []  # class -> code -> outcome
+        self._executions: list[Executions] = []  # class -> its rows' executions
+        self._rewards: list[dict] = []  # class -> program code -> reward
+        self._edits: list[dict] = []  # class -> program code -> edits, list and set
 
     def classify(self, pair: ChunkedPair, target: Target) -> int:
         """The class of ``pair`` and ``target``, interned on first sight."""
@@ -307,44 +300,28 @@ class OutcomeTable:
         if key not in self._classes:
             self._classes[key] = len(self._targets)
             self._targets.append(target)
-            self._outcomes.append({})
+            self._executions.append(self._table.executions(pair))
+            self._rewards.append({})
+            self._edits.append({})
         return self._classes[key]
 
-    def _outcome(self, cls: int, program: Program) -> _Outcome:
-        # the program's code reads its actions as base-5 digits; a class
-        # fixes m, so the code is unique within it
-        code = 0
-        for action in program:
-            code = code * len(ACTIONS) + action.code
-        outcomes = self._outcomes[cls]
-        outcome = outcomes.get(code)
-        if outcome is None:
-            outcome = outcomes[code] = _Outcome()
-        return outcome
-
-    def _parts(self, outcome: _Outcome, pair: ChunkedPair, program: Program) -> tuple:
-        if outcome.parts is None:
-            trace = execute(pair, program)
-            outcome.parts = (
-                trace.projected, trace.states, trace.label, trace.rationales
-            )
-        return outcome.parts
-
-    def outcome(
+    def rewards(
         self, cls: int, pair: ChunkedPair, program: Program
-    ) -> tuple[Trace, tuple[float, ...]]:
-        """``execute(pair, program)`` and its ``reward``, for a pair of
-        class ``cls``; the trace is built for ``pair`` from the cached
-        parts."""
-        outcome = self._outcome(cls, program)
-        trace = Trace(pair, program, *self._parts(outcome, pair, program))
-        if outcome.rewards is None:
-            outcome.rewards = reward(trace, self._targets[cls], self.config)
-        return trace, outcome.rewards
+    ) -> tuple[float, ...]:
+        """``reward`` of ``program`` over ``pair``, a pair of class ``cls``;
+        the trace it reads is built once per (class, program)."""
+        known, code = self._rewards[cls], program_code(program)
+        rewards = known.get(code)
+        if rewards is None:
+            parts = self._executions[cls].parts(pair, program)
+            rewards = known[code] = reward(
+                Trace(pair, program, *parts), self._targets[cls], self.config
+            )
+        return rewards
 
     def reaches(self, cls: int, pair: ChunkedPair, program: Program) -> bool:
         """Whether ``program`` reaches the class's target."""
-        states = self._parts(self._outcome(cls, program), pair, program)[1]
+        states = self._executions[cls].parts(pair, program)[1]
         return accepting(self._targets[cls])[states[-1].code]
 
     def edits(
@@ -352,11 +329,12 @@ class OutcomeTable:
     ) -> tuple[list[tuple[int, ActionRelation]], frozenset[tuple[int, int]]]:
         """``single_edits`` of ``program``, as a list in its order and as
         the set of (t, action code) pairs."""
-        outcome = self._outcome(cls, program)
-        if outcome.edits is None:
-            edits = single_edits(pair, program, self._targets[cls])
-            outcome.edits = edits, frozenset((t, a.code) for t, a in edits)
-        return outcome.edits
+        known, code = self._edits[cls], program_code(program)
+        edits = known.get(code)
+        if edits is None:
+            found = single_edits(pair, program, self._targets[cls])
+            edits = known[code] = found, frozenset((t, a.code) for t, a in found)
+        return edits
 
 
 def reinforce_objective(
@@ -699,23 +677,20 @@ def run_episode(
 
     ``probs`` holds the policy's distribution at each of the pair's steps,
     shape (m, n_actions); sampling and revision read them as Python floats,
-    from one ``tolist()``.  The traces, rewards and edit sets come from
-    ``table``, where ``compiled`` is of class ``cls``, and the config is the
-    table's.  A revised program is looked up only when it differs from the
-    sampled one.
+    from one ``tolist()``.  The rewards and edit sets come from ``table``,
+    where ``compiled`` is of class ``cls``, and the config is the table's.
+    A revised program is looked up only when it differs from the sampled
+    one.
     """
     config = table.config
     pair = compiled.pair
     rows = probs.tolist()
     program = sample_program(rows, rng)
-    trace, rewards = table.outcome(cls, pair, program)
+    rewards = table.rewards(cls, pair, program)
     episode = Episode(
-        pair=pair,
-        target=compiled.target,
         features=compiled.features,
         probs=probs,
         program=program,
-        trace=trace,
         rewards=rewards,
     )
     if not config.introspective_revision:
@@ -724,12 +699,9 @@ def run_episode(
     revised, events = introspective_revision(table, cls, pair, program, phi, rows, rng)
     episode.revised_program = revised
     episode.revisions = events
-    if revised == program:
-        episode.revised_trace, episode.revised_rewards = trace, rewards
-    else:
-        episode.revised_trace, episode.revised_rewards = table.outcome(
-            cls, pair, revised
-        )
+    episode.revised_rewards = (
+        rewards if revised == program else table.rewards(cls, pair, revised)
+    )
     return episode
 
 

@@ -244,7 +244,8 @@ class TestMalformedLines:
 
 # values that used to load without an error: a sentence that is not a
 # string, rationale tokens that are not a list of ints, a falsy label or
-# target state read as absent, and a string program or state sequence
+# target state read as absent, a string program or state sequence, and a
+# split tag that is not a string
 REJECTED_FIELDS = [
     ("premise", None, "premise must be a string, got None"),
     ("premise", 5, "premise must be a string, got 5"),
@@ -270,6 +271,9 @@ REJECTED_FIELDS = [
     ("gold_program", "", "gold_program must be a list of names, got ''"),
     ("gold_states", "", "gold_states must be a list of names, got ''"),
     ("gold_states", "negation", "gold_states must be a list of names, got 'negation'"),
+    ("split_tag", 5, "split_tag must be a string, got 5"),
+    ("split_tag", None, "split_tag must be a string, got None"),
+    ("split_tag", ["test"], "split_tag must be a string, got ['test']"),
 ]
 
 
@@ -309,6 +313,8 @@ class TestRejectedValues:
         assert example.target_state is Relation.REVERSE_ENTAILMENT
         assert example.to_record() == record
         assert Example.from_record(_VALID).to_record() == _VALID
+        untagged = {k: v for k, v in _VALID.items() if k != "split_tag"}
+        assert Example.from_record(untagged).split_tag == "train"
 
 
 # sha256 of the files ``natlog gen --two-hop`` writes with the default spec,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from natlog import metrics
+from natlog import executor, metrics
 from natlog.chunker import chunk_pair, chunk_pairs, default_rules
 from natlog.data import Example
 from natlog.datagen import default_genspec, generate, generate_2hop
@@ -374,6 +374,14 @@ class TestEvaluate:
             ),
             ({"hypothesis": "..."}, "cannot chunk an empty sentence"),
             ({"label": None}, "example has neither label nor target state"),
+            (
+                {"gold_rationale_tokens": (-1, 99)},
+                "gold rationale token -1 is not a hypothesis token index in 0..2",
+            ),
+            (
+                {"gold_rationale_tokens": (0, 3)},
+                "gold rationale token 3 is not a hypothesis token index in 0..2",
+            ),
         ],
     )
     def test_malformed_example_named_by_index_and_premise(
@@ -604,9 +612,9 @@ class TestEvaluateByDistinctParts:
     def test_executes_each_distinct_key_once(
         self, splits, policies, rules, lexicon, monkeypatch
     ):
-        """Every predicted and gold program runs through ``execute`` once
-        per distinct (context rows, program) key."""
-        examples = splits["noisy"]
+        """One ``generate``, ``generate_2hop``, ``evaluate`` or ``train`` call
+        runs ``execute`` once per distinct (context rows, program) key: all
+        read the one table of executions in ``executor``."""
         calls = []
 
         def counting(pair, program):
@@ -615,10 +623,25 @@ class TestEvaluateByDistinctParts:
             )
             return execute(pair, program)
 
-        monkeypatch.setattr(metrics, "execute", counting)
-        evaluate(examples, policies["random-normal"], rules, lexicon)
-        assert len(calls) == len(set(calls))
-        assert 0 < len(calls) < len(examples)
+        monkeypatch.setattr(executor, "execute", counting)
+        spec = dataclasses.replace(default_genspec(), noisy_test=True)
+        examples = splits["noisy"]
+        runs = {
+            "generate": lambda: generate(spec, rules),
+            "generate_2hop": lambda: generate_2hop(spec, rules),
+            "evaluate": lambda: evaluate(
+                examples, policies["random-normal"], rules, lexicon
+            ),
+            "train": lambda: train(
+                splits["train"][::8], rules, lexicon, TrainConfig(epochs=2, seed=1)
+            ),
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            assert calls and len(calls) == len(set(calls)), name
+            if name == "evaluate":
+                assert len(calls) < len(examples)
 
     def test_wrong_length_gold_program_still_named(self, splits, rules, lexicon):
         """A gold program one step short is rejected with ``execute``'s

@@ -17,10 +17,8 @@ from natlog.data import Example, dumps
 from natlog.executor import (
     Chunk,
     ChunkedPair,
-    Trace,
     execute,
     matches_target,
-    reaches,
     single_edits,
 )
 from natlog.knowledge import Proposal, ProposalQueue, default_lexicon, queue_from_keys
@@ -520,7 +518,9 @@ class TestFastPathsMatchExecution:
     @given(revision_cases())
     def test_reaches_equals_execution(self, case):
         pair, program, target, _, _ = case
-        assert reaches(pair, program, target) == matches_target(
+        table = OutcomeTable(CFG)
+        cls = table.classify(pair, target)
+        assert table.reaches(cls, pair, program) == matches_target(
             execute(pair, program), target
         )
 
@@ -565,9 +565,14 @@ class TestFastPathsMatchExecution:
 
     def test_length_mismatch_rejected(self):
         pair = upward_pair(2)
-        for fast in (reaches, single_edits):
+        table = OutcomeTable(CFG)
+        cls = table.classify(pair, NLILabel.ENTAILMENT)
+        table.rewards(cls, pair, (A_EQ, A_EQ))  # a right-length program first
+        for fast in (table.reaches, table.rewards, table.edits):
             with pytest.raises(ValueError, match="program length 1"):
-                fast(pair, (A_EQ,), NLILabel.ENTAILMENT)
+                fast(cls, pair, (A_EQ,))
+        with pytest.raises(ValueError, match="program length 1"):
+            single_edits(pair, (A_EQ,), NLILabel.ENTAILMENT)
 
 
 class TestOneNormalizationPerChunk:
@@ -830,12 +835,9 @@ def objective_batches(draw):
         features[:, -1] = vanishing
         program, step_rewards = scored(vanishing)
         episode = Episode(
-            pair=None,
-            target=None,
             features=features,
             probs=step_distributions(params, features),
             program=program,
-            trace=None,
             rewards=step_rewards,
         )
         if ir and draw(st.booleans()):  # revision changed nothing
@@ -913,18 +915,17 @@ class TestRunEpisode:
             assert_same_episode(episode, expected)
             if episode.revised_program == episode.program:
                 unchanged += 1
-                assert episode.revised_trace is episode.trace
-                assert episode.revised_rewards == episode.rewards
+                assert episode.revised_rewards is episode.rewards
             else:
                 changed += 1
-                assert episode.revised_trace is not episode.trace
         assert unchanged and changed
 
     def test_without_revision_nothing_is_revised(self):
         config = TrainConfig(introspective_revision=False)
         for episode, expected in episodes_with_references(5, config, 80):
             assert_same_episode(episode, expected)
-            assert episode.revised_program is None and episode.revised_trace is None
+            assert episode.revised_program is None
+            assert episode.revised_rewards is None
 
 
 class TestRelationAugmentation:
@@ -1140,15 +1141,11 @@ def _reference_episode(params, compiled, config, rng):
     the test-local ``reference_revision``, so no outcome table is read."""
     probs = step_distributions(params, compiled.features)
     program = tuple(sample(p, rng) for p in probs)
-    trace = execute(compiled.pair, program)
     episode = Episode(
-        pair=compiled.pair,
-        target=compiled.target,
         features=compiled.features,
         probs=probs,
         program=program,
-        trace=trace,
-        rewards=reward(trace, compiled.target, config),
+        rewards=reward(execute(compiled.pair, program), compiled.target, config),
     )
     if not config.introspective_revision:
         return episode
@@ -1158,8 +1155,9 @@ def _reference_episode(params, compiled, config, rng):
         compiled.pair, program, compiled.target, phi, probs, config, rng
     )
     episode.revised_program = revised
-    episode.revised_trace = execute(compiled.pair, revised)
-    episode.revised_rewards = reward(episode.revised_trace, compiled.target, config)
+    episode.revised_rewards = reward(
+        execute(compiled.pair, revised), compiled.target, config
+    )
     episode.revisions = events
     return episode
 
@@ -1275,8 +1273,8 @@ def class_members(split):
 
 
 class TestOutcomeTable:
-    """Every program of every class against ``execute``, ``reward``,
-    ``reaches`` and ``single_edits``, and one table per ``train`` call."""
+    """Every program of every class against ``reward``, ``single_edits`` and
+    ``matches_target(execute(...))``, and one table per ``train`` call."""
 
     @pytest.mark.parametrize(
         "config",
@@ -1293,7 +1291,7 @@ class TestOutcomeTable:
         for key, pairs in members.items():
             target = targets[key]
             # the first pair fills each entry, its edits first; the last pair
-            # reads what the first filled, its trace first
+            # reads what the first filled, its rewards first
             first, last = pairs[0], pairs[-1]
             cls = table.classify(first, target)
             assert table.classify(last, target) == cls
@@ -1302,13 +1300,12 @@ class TestOutcomeTable:
                     expected = execute(pair, program)
                     if pair is first:
                         edits, reaching = table.edits(cls, pair, program)
-                    trace, rewards = table.outcome(cls, pair, program)
+                    rewards = table.rewards(cls, pair, program)
                     if pair is last:
                         edits, reaching = table.edits(cls, pair, program)
-                    assert type(trace) is Trace and vars(trace) == vars(expected)
                     assert rewards == reward(expected, target, config)
-                    assert table.reaches(cls, pair, program) == reaches(
-                        pair, program, target
+                    assert table.reaches(cls, pair, program) == matches_target(
+                        expected, target
                     )
                     assert edits == single_edits(pair, program, target)
                     assert reaching == {(t, a.code) for t, a in edits}
