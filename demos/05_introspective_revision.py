@@ -44,11 +44,12 @@ for p in phi.items():
 print()
 
 # revision reads what each program does from a table of outcomes per
-# (contexts, target) class, as training does
+# (contexts, target) class, as training does, and its coin flips from
+# pre-drawn uniforms: at most two per proposal
 table = OutcomeTable(TrainConfig())
+uniforms = np.random.default_rng(0).random(2 * len(phi)).tolist()
 revised, events = introspective_revision(
-    table, table.classify(pair, target), pair, program, phi, probs,
-    np.random.default_rng(0),
+    table, table.classify(pair, target), pair, program, phi, probs, uniforms
 )
 print("revised program:", " ".join(a.symbol for a in revised))
 print("executes to:    ", execute(pair, revised).label.value)

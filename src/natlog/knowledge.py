@@ -45,8 +45,8 @@ earlier position and then by canonical action order.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -279,39 +279,51 @@ class Proposal:
         return (self.t, self.relation)
 
 
+_sort_key = attrgetter("sort_key")
+
+
 class ProposalQueue:
     """Priority queue of proposals, deduplicated on (step, relation).
 
-    The heap holds ``(sort_key, proposal)`` pairs.  Deduplicated keys make
-    every ``sort_key`` distinct, so the heap orders plain tuples and never
-    compares two proposals.  Keys are stored as (step, relation code), so
-    no enum is hashed.
+    The proposals sit in one list in descending ``sort_key`` order, so the
+    best is last and ``pop`` takes it from the end.  Deduplicated keys make
+    every ``sort_key`` distinct, so the order is total: a queue built in one
+    sort pops in the order a heap of the same proposals would.  ``push``
+    inserts into the list in order.  Keys are stored as (step, relation
+    code), so no enum is hashed.
     """
 
     def __init__(self, proposals: Iterable[Proposal] = ()):
-        self._heap: list[tuple[tuple, Proposal]] = []
+        self._ranked: list[Proposal] = []  # descending sort_key
         self._keys: set[tuple[int, int]] = set()
         for p in proposals:
-            self.push(p)
+            key = (p.t, p.relation.code)
+            if key not in self._keys:
+                self._keys.add(key)
+                self._ranked.append(p)
+        self._ranked.sort(key=_sort_key, reverse=True)
 
     def push(self, proposal: Proposal) -> None:
         key = (proposal.t, proposal.relation.code)
         if key in self._keys:
             return
         self._keys.add(key)
-        heapq.heappush(self._heap, (proposal.sort_key, proposal))
+        ranked, at = self._ranked, len(self._ranked)
+        while at and ranked[at - 1].sort_key < proposal.sort_key:
+            at -= 1
+        ranked.insert(at, proposal)
 
     def pop(self) -> Proposal:
-        _, proposal = heapq.heappop(self._heap)
+        proposal = self._ranked.pop()
         self._keys.discard((proposal.t, proposal.relation.code))
         return proposal
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._ranked)
 
     def items(self) -> list[Proposal]:
         """Remaining proposals in priority order, non-destructively."""
-        return [p for _, p in sorted(self._heap)]
+        return self._ranked[::-1]
 
     def keys(self) -> frozenset[tuple[int, ActionRelation]]:
         return frozenset((t, ACTIONS[code]) for t, code in self._keys)
@@ -319,7 +331,7 @@ class ProposalQueue:
     def intersect(self, keys: Iterable[tuple[int, ActionRelation]]) -> "ProposalQueue":
         wanted = {(t, relation.code) for t, relation in keys}
         return ProposalQueue(
-            p for _, p in self._heap if (p.t, p.relation.code) in wanted
+            p for p in self._ranked if (p.t, p.relation.code) in wanted
         )
 
 
@@ -533,12 +545,12 @@ def proposal_keys(
 def queue_from_keys(
     keys: Iterable[tuple[int, ActionRelation]], probs
 ) -> ProposalQueue:
-    """Attach policy probabilities to proposal keys and rank them."""
-    queue = ProposalQueue()
-    for t, relation in keys:
-        prob = float(probs[t - 1][relation.code])
-        queue.push(Proposal(t=t, relation=relation, prob=prob))
-    return queue
+    """Attach policy probabilities to proposal keys and rank them, in one
+    sort of the deduplicated keys."""
+    return ProposalQueue(
+        Proposal(t, relation, float(probs[t - 1][relation.code]))
+        for t, relation in keys
+    )
 
 
 def build_queue(

@@ -261,20 +261,25 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> ActionRelation:
 
 
 def sample_program(
-    probs: Sequence[Sequence[float]], rng: np.random.Generator
+    probs: Sequence[Sequence[float]], uniforms: Sequence[float]
 ) -> tuple[ActionRelation, ...]:
     """One action per row of ``probs``, as ``sample`` would draw them in turn.
 
     ``probs`` may be any sequence of float rows: an (m, n_actions) array,
     or the lists its ``tolist()`` gives, which training passes because a
-    Python float adds faster than a numpy scalar.  ``rng.random(m)``
-    yields the same numbers as m scalar draws, and each row is scanned
-    left to right with the running sum ``sample`` keeps, so each row takes
-    the first action whose cumulative probability exceeds its draw,
-    falling back to the last action.
+    Python float adds faster than a numpy scalar.  ``uniforms`` are draws
+    in [0, 1), one per row, of which the first m are read; a generator's
+    ``random(m)`` gives the numbers of m scalar draws.  Each row is scanned
+    left to right with the running sum ``sample`` keeps, so it takes the
+    first action whose cumulative probability exceeds its draw, falling
+    back to the last action.
     """
+    if len(uniforms) < len(probs):
+        raise ValueError(
+            f"{len(probs)} steps need {len(probs)} uniforms, got {len(uniforms)}"
+        )
     program = []
-    for u, row in zip(rng.random(len(probs)).tolist(), probs):
+    for row, u in zip(probs, uniforms):
         cum = 0.0
         for action, p in zip(ACTIONS, row):
             cum += p

@@ -21,7 +21,8 @@ lambda * J + (1 - lambda) * J_revised.
 
 Every hyperparameter (mu, gamma, M, epsilon, lambda and the rest) is a
 field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
-``train`` all read and which checks each value's range once, when built.
+``train`` all read and which checks each value's type and range once, when
+built.
 
 ``train`` runs batch by batch.  The probabilities depend only on the
 weights and a feature row, and the weights change once per batch, so each
@@ -33,11 +34,16 @@ each program's terms in step order, as the per-step definition does;
 ``hybrid_objective`` and ``reinforce_objective`` are the same kernel on a
 batch of one.  When revision leaves a program unchanged, the episode's
 revised rewards are its own, not a second lookup, and its J' is its J.
-Episode n of a run draws from the stream of
-``np.random.default_rng([seed, n])``; ``_stream_words`` hashes every
-ordinal of an epoch at once as numpy's ``SeedSequence`` does, and
-``_episode_streams`` finishes PCG64's seeding for each episode on one
-reused generator.
+
+Episode n of a run reads the uniforms of ``np.random.default_rng([seed,
+n])``, as one row of Python floats: the first m sample its program and
+the rest, one per coin flip, drive revision.  ``_episode_uniforms`` draws
+every row of an epoch at once, bit for bit as numpy does: ``_stream_words``
+hashes every ordinal as numpy's ``SeedSequence`` does, and PCG64 (O'Neill
+2014) is seeded and stepped on 128-bit states held as four 32-bit limbs in
+uint64 arrays.  A row is as wide as the most any episode can read: m, plus
+two per proposal that revision may pop.  Nothing else reads an episode's
+stream, so an unread tail changes nothing.
 
 Every program outcome that training reads comes from one ``OutcomeTable``.
 What a program does to a pair depends only on the contexts of the pair's
@@ -63,7 +69,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -142,7 +148,8 @@ _BOUNDS = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; out-of-range values raise ``ValueError``."""
+    """Training hyperparameters; out-of-range values, and an int field or a
+    flag given a value of another type, raise ``ValueError``."""
 
     mu: float = 1.0  # reward magnitude
     gamma: float = 0.5  # per-step discount of the blame for a wrong program
@@ -159,10 +166,22 @@ class TrainConfig:
     augmentation: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            if f.name in _INTS and not is_int:
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.name in _FLAGS and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
         for name, (ok, wanted) in _BOUNDS.items():
             value = getattr(self, name)
             if not ok(value):
                 raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
+# the int fields and the flags, by the type of their defaults
+_INTS = frozenset(f.name for f in fields(TrainConfig) if type(f.default) is int)
+_FLAGS = frozenset(f.name for f in fields(TrainConfig) if type(f.default) is bool)
 
 
 # config-file key -> (TrainConfig field, type of its default); each field is
@@ -429,7 +448,7 @@ def introspective_revision(
     program: Sequence[ActionRelation],
     phi: ProposalQueue,
     probs: Sequence[Sequence[float]],
-    rng: np.random.Generator,
+    uniforms: Iterable[float],
 ) -> tuple[Program, tuple[RevisionEvent, ...]]:
     """Revise a sampled program with lexical and answer-driven edits.
 
@@ -442,8 +461,13 @@ def introspective_revision(
     revised program in ``table`` (``pair`` is of class ``cls``): an edit
     (t, a) reaches the target iff it is in the set, and the program itself
     iff its unchanged first step is.  The config is the table's.
+
+    Each coin flip takes the next of ``uniforms``, uniform draws in [0, 1):
+    at most two per popped proposal, so at most
+    2 * min(max_revisions, len(phi)) in all.
     """
     config = table.config
+    draws = iter(uniforms)
     program = tuple(program)
     revised = program
     reaching = table.edits(cls, pair, revised)[1]
@@ -463,11 +487,11 @@ def introspective_revision(
         proposal = phi.pop()
         popped += 1
         t, relation = proposal.t, proposal.relation
-        u = rng.random()
+        u = next(draws)
         if (t, relation.code) in reaching and u > config.epsilon:
             apply(t, relation, "knowledge")
             continue
-        u = rng.random()
+        u = next(draws)
         sampled_prob = probs[t - 1][program[t - 1].code]
         ratio = proposal.prob / sampled_prob if sampled_prob > 0 else 1.0
         if u < min(1.0, ratio):
@@ -671,21 +695,23 @@ def run_episode(
     cls: int,
     compiled: Compiled,
     probs: np.ndarray,
-    rng: np.random.Generator,
+    uniforms: Sequence[float],
 ) -> Episode:
     """Sample, execute, reward, and (optionally) revise one program.
 
     ``probs`` holds the policy's distribution at each of the pair's steps,
     shape (m, n_actions); sampling and revision read them as Python floats,
-    from one ``tolist()``.  The rewards and edit sets come from ``table``,
-    where ``compiled`` is of class ``cls``, and the config is the table's.
-    A revised program is looked up only when it differs from the sampled
-    one.
+    from one ``tolist()``.  ``uniforms`` is the episode's row of draws in
+    [0, 1): the first m sample the program and revision reads the rest, so
+    it needs ``_episode_width`` of them.  The rewards and edit sets come
+    from ``table``, where ``compiled`` is of class ``cls``, and the config
+    is the table's.  A revised program is looked up only when it differs
+    from the sampled one.
     """
     config = table.config
     pair = compiled.pair
     rows = probs.tolist()
-    program = sample_program(rows, rng)
+    program = sample_program(rows, uniforms)
     rewards = table.rewards(cls, pair, program)
     episode = Episode(
         features=compiled.features,
@@ -696,7 +722,9 @@ def run_episode(
     if not config.introspective_revision:
         return episode
     phi = queue_from_keys(compiled.proposals if config.knowledge else (), rows)
-    revised, events = introspective_revision(table, cls, pair, program, phi, rows, rng)
+    revised, events = introspective_revision(
+        table, cls, pair, program, phi, rows, uniforms[pair.m :]
+    )
     episode.revised_program = revised
     episode.revisions = events
     episode.revised_rewards = (
@@ -729,9 +757,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_chain(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
@@ -786,30 +811,84 @@ def _stream_words(seed: int, ordinals: np.ndarray) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
-def _episode_streams(
-    seed: int, ordinals: np.ndarray
-) -> Iterator[np.random.Generator]:
-    """For each ordinal, a generator in the state of
-    ``np.random.default_rng([seed, ordinal])``.
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# 128-bit numbers are four 32-bit limbs, least significant first, held in
+# uint64 so that a limb product and a column sum never wrap; every operand is
+# np.uint64, since numpy 1.x promotes int64 mixed with uint64 to float64
+_LIMB_BITS = np.uint64(32)
+_LIMB_MASK = np.uint64(0xFFFFFFFF)
+# XSL-RR rotates by the top 6 state bits (bits 26-31 of the top limb); a
+# double keeps the top 53 of 64 output bits
+_ROTATION_SHIFT = np.uint64(26)
+_WORD_BITS, _WORD_MASK = np.uint64(64), np.uint64(63)
+_DOUBLE_SHIFT = np.uint64(11)
 
-    Every item is the same generator, reseeded, so each must be used up
-    before the next is drawn.  PCG64 seeds itself from the four words w as
-    initstate = w0:w1, inc = 2 * (w2:w3) + 1 and
-    state = ((inc + initstate) * MULT + inc) mod 2^128.
+
+def _limbs(value: int) -> list[np.uint64]:
+    return [np.uint64(value >> (32 * k) & 0xFFFFFFFF) for k in range(4)]
+
+
+_MULT_LIMBS = _limbs(_PCG_MULT)
+
+
+def _mul_add(x: list, mult: list, add: list) -> list[np.ndarray]:
+    """x * mult + add mod 2^128, limb by limb; ``x`` holds uint64 arrays.
+
+    Each limb product is below 2^64; its low half goes to column i + j and
+    its high half to the next, so a column sums at most seven halves, one
+    addend limb and a carry: less than 2^36.
     """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for words in _stream_words(seed, ordinals):
-        s_hi, s_lo, i_hi, i_lo = words.tolist()
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    columns = list(add)
+    for i in range(4):
+        for j in range(4 - i):
+            product = x[i] * mult[j]
+            columns[i + j] = columns[i + j] + (product & _LIMB_MASK)
+            if i + j < 3:
+                columns[i + j + 1] = columns[i + j + 1] + (product >> _LIMB_BITS)
+    out = [columns[0] & _LIMB_MASK]
+    carry = columns[0] >> _LIMB_BITS
+    for column in columns[1:]:
+        column = column + carry
+        out.append(column & _LIMB_MASK)
+        carry = column >> _LIMB_BITS
+    return out
+
+
+def _episode_uniforms(seed: int, ordinals: np.ndarray, width: int) -> np.ndarray:
+    """Row i is ``np.random.default_rng([seed, ordinals[i]]).random(width)``.
+
+    PCG64 seeds itself from the four ``_stream_words`` w as initstate =
+    w0:w1, inc = 2 * (w2:w3) + 1 and state = ((inc + initstate) * MULT +
+    inc) mod 2^128.  Each draw then steps state = state * MULT + inc and
+    outputs XSL-RR, rotr64(hi ^ lo, state >> 122), whose top 53 bits scaled
+    by 2^-53 are the double, as numpy's ``pcg64.h`` and ``next_double`` do.
+    All ordinals step together, one column per draw.  Returns shape
+    (len(ordinals), width).
+    """
+    w0, w1, w2, w3 = _stream_words(seed, ordinals).T
+    initstate = [w1 & _LIMB_MASK, w1 >> _LIMB_BITS, w0 & _LIMB_MASK, w0 >> _LIMB_BITS]
+    initseq = [w3 & _LIMB_MASK, w3 >> _LIMB_BITS, w2 & _LIMB_MASK, w2 >> _LIMB_BITS]
+    inc = _mul_add(initseq, _limbs(2), _limbs(1))
+    state = _mul_add(_mul_add(initstate, _limbs(1), inc), _MULT_LIMBS, inc)
+    uniforms = np.empty((len(w0), width))
+    for column in range(width):
+        state = _mul_add(state, _MULT_LIMBS, inc)
+        s0, s1, s2, s3 = state
+        folded = (s3 ^ s1) << _LIMB_BITS | (s2 ^ s0)
+        rotation = s3 >> _ROTATION_SHIFT
+        output = folded >> rotation | folded << (_WORD_BITS - rotation & _WORD_MASK)
+        uniforms[:, column] = output >> _DOUBLE_SHIFT
+    uniforms *= 2.0**-53
+    return uniforms
+
+
+def _episode_width(item: Compiled, config: TrainConfig) -> int:
+    """The most uniforms an episode of ``item`` reads: one per step, and two
+    per proposal that revision may pop."""
+    if config.introspective_revision and config.knowledge:
+        return item.pair.m + 2 * min(config.max_revisions, len(item.proposals))
+    return item.pair.m
 
 
 def train(
@@ -826,8 +905,11 @@ def train(
     ``step_distributions`` call over its stacked feature rows; its episodes
     run under those weights, and their summed gradient updates the weights
     once, at the end of the slice.  Episode n of the run (counted across
-    epochs) draws from the stream of ``default_rng([seed, n])``, so results
-    are byte-identical for identical seeds regardless of wall clock.  A run
+    epochs) reads its row of uniforms, ``default_rng([seed, n]).random(w)``
+    for the widest episode's w (``_episode_width``); each epoch's rows are
+    drawn in one ``_episode_uniforms`` call and turned into Python floats
+    one slice at a time.  So results are byte-identical for identical seeds
+    regardless of wall clock.  A run
     of more than 2**32 episodes is rejected up front, and a malformed
     example (a sentence that cannot be chunked, no target) raises a
     ValueError that names it by 0-based index and premise.
@@ -846,13 +928,16 @@ def train(
     params = params.copy() if params is not None else PolicyParams.zeros()
     table = OutcomeTable(config)
     classes = [table.classify(item.pair, item.target) for item in compiled]
+    width = max(_episode_width(item, config) for item in compiled)
 
     metrics: list[EpochMetrics] = []
     n = len(compiled)
     for epoch in range(1, config.epochs + 1):
         order = np.arange(n)
         np.random.default_rng([config.seed, epoch]).shuffle(order)
-        streams = _episode_streams(config.seed, np.arange((epoch - 1) * n, epoch * n))
+        uniforms = _episode_uniforms(
+            config.seed, np.arange((epoch - 1) * n, epoch * n), width
+        )
 
         revisions = []
         reward_total, reward_steps = 0.0, 0
@@ -863,13 +948,16 @@ def train(
             probs = step_distributions(
                 params, np.concatenate([compiled[i].features for i in batch])
             )
+            draws = uniforms[start : start + config.batch_size].tolist()
             episodes = []
             offset = 0
-            for i, rng in zip(batch, streams):
+            for i, episode_draws in zip(batch, draws):
                 m = compiled[i].pair.m
                 rows = probs[offset : offset + m]
                 offset += m
-                episodes.append(run_episode(table, classes[i], compiled[i], rows, rng))
+                episodes.append(
+                    run_episode(table, classes[i], compiled[i], rows, episode_draws)
+                )
 
             values, grads = batch_objective(episodes, config.lam)
             batch_grad = np.zeros_like(params.weights)

@@ -381,8 +381,9 @@ def test_criterion_06_metropolis_frequency():
     accepted = 0
     for i in range(n):
         phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.25)])
+        uniforms = np.random.default_rng([199, i]).random(2).tolist()
         revised, _ = introspective_revision(
-            table, cls, pair, program, phi, probs, np.random.default_rng([199, i])
+            table, cls, pair, program, phi, probs, uniforms
         )
         if revised == (A_FE,):
             accepted += 1

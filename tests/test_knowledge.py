@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import heapq
 import inspect
 
 import numpy as np
@@ -357,6 +358,63 @@ class TestProposalQueueEqualsSortedProposals:
         assert q.intersect(wanted).items() == [p for p in expected if p.key in wanted]
         assert [q.pop() for _ in range(len(q))] == expected
         assert not q and q.keys() == frozenset()
+
+
+class HeapQueue:
+    """Reference queue: a ``heapq`` heap of (sort_key, proposal) pairs,
+    deduplicated on (step, relation code) while a key is queued."""
+
+    def __init__(self, proposals=()):
+        self.heap, self.queued = [], set()
+        for p in proposals:
+            self.push(p)
+
+    def push(self, proposal):
+        key = (proposal.t, proposal.relation.code)
+        if key not in self.queued:
+            self.queued.add(key)
+            heapq.heappush(self.heap, (proposal.sort_key, proposal))
+
+    def pop(self):
+        _, proposal = heapq.heappop(self.heap)
+        self.queued.discard((proposal.t, proposal.relation.code))
+        return proposal
+
+    def items(self):
+        return [p for _, p in sorted(self.heap)]
+
+
+class TestProposalQueueEqualsHeap:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        proposal_lists,
+        st.lists(st.one_of(st.none(), proposal_lists.map(tuple)), max_size=12),
+        st.sets(st.tuples(st.integers(1, 3), st.sampled_from(list(ActionRelation)))),
+    )
+    def test_pushes_and_pops_interleaved(self, proposals, steps, wanted):
+        # a step is a pop (None) or pushes of proposals, whose keys may be
+        # queued, popped before or new
+        q, ref = ProposalQueue(proposals), HeapQueue(proposals)
+        for step in steps:
+            if step is None and not ref.heap:
+                with pytest.raises(IndexError):
+                    q.pop()
+            elif step is None:
+                assert q.pop() is ref.pop()
+            else:
+                for p in step:
+                    q.push(p)
+                    ref.push(p)
+            expected = ref.items()
+            assert q.items() == expected
+            assert all(a is b for a, b in zip(q.items(), expected))
+            assert len(q) == len(expected)
+            assert q.keys() == frozenset(p.key for p in expected)
+            narrowed = q.intersect(wanted)
+            assert narrowed.items() == [p for p in expected if p.key in wanted]
+            assert len(q) == len(expected)  # intersect leaves q as it was
+        popped = [q.pop() for _ in range(len(q))]
+        assert popped == [ref.pop() for _ in range(len(ref.heap))]
 
 
 @pytest.fixture

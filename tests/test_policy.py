@@ -428,7 +428,8 @@ class TestSampling:
         probs = step_distributions(params, scores)
         for rows in (probs, probs.tolist()):  # an array or its float lists
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert sample_program(rows, a) == tuple(sample(p, b) for p in probs)
+            uniforms = a.random(len(rows)).tolist()
+            assert sample_program(rows, uniforms) == tuple(sample(p, b) for p in probs)
             assert a.random() == b.random()  # both consumed the same draws
 
     def test_program_on_sums_just_below_one_and_draws_near_one(self):
@@ -444,22 +445,20 @@ class TestSampling:
         draws = np.array([1.0 - 2**-53, 0.9999999999995, 1.0 - 2**-52, 1.0 - 2**-53])
 
         class Fixed:
-            """Hands out ``draws`` in order, one or ``size`` at a time."""
+            """Hands out ``draws`` in order, one at a time."""
 
             def __init__(self):
-                self.left = draws
+                self.left = iter(draws.tolist())
 
-            def random(self, size=None):
-                n = 1 if size is None else size
-                out, self.left = self.left[:n], self.left[n:]
-                return float(out[0]) if size is None else out
+            def random(self):
+                return next(self.left)
 
         rng = Fixed()
         expected = tuple(sample(p, rng) for p in probs)
         # rows 0 and 3 end below their draws: the guard picks the last action
         assert expected == (ACTIONS[-1], ACTIONS[-1], ACTIONS[0], ACTIONS[-1])
-        assert sample_program(probs, Fixed()) == expected
-        assert sample_program(probs.tolist(), Fixed()) == expected
+        assert sample_program(probs, draws) == expected
+        assert sample_program(probs.tolist(), draws.tolist()) == expected
 
     def test_program_on_real_distributions(self):
         rng = np.random.default_rng(5)
@@ -467,7 +466,17 @@ class TestSampling:
         probs = step_distributions(params, rng.normal(size=(64, N_FEATURES)))
         for seed in range(50):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert sample_program(probs, a) == tuple(sample(p, b) for p in probs)
+            uniforms = a.random(len(probs)).tolist()
+            assert sample_program(probs, uniforms) == tuple(sample(p, b) for p in probs)
+
+    def test_program_reads_the_first_m_uniforms(self):
+        probs = np.full((3, N_ACTIONS), 0.2)
+        # draws past the third are never read; too few is an error
+        assert sample_program(probs, [0.1, 0.5, 0.9, 0.0]) == (
+            ACTIONS[0], ACTIONS[2], ACTIONS[4]
+        )
+        with pytest.raises(ValueError, match="3 steps need 3 uniforms, got 2"):
+            sample_program(probs, [0.1, 0.5])
 
     def test_argmax_tie_resolves_to_canonical_order(self):
         assert argmax(np.full(N_ACTIONS, 0.2)) == ActionRelation.EQUIVALENCE

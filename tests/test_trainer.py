@@ -65,7 +65,12 @@ from natlog.trainer import (
     run_episode,
     train,
 )
-from natlog.trainer import _episode_streams, _greedy_accuracy, _stream_words
+from natlog.trainer import (
+    _episode_uniforms,
+    _episode_width,
+    _greedy_accuracy,
+    _stream_words,
+)
 
 A_EQ = ActionRelation.EQUIVALENCE
 A_FE = ActionRelation.FORWARD_ENTAILMENT
@@ -90,10 +95,34 @@ def uniform_probs(m):
 
 def revise(pair, program, target, phi, probs, config, rng):
     """``introspective_revision`` on a fresh table, built as ``train`` builds
-    it."""
+    it, on the first 2 * min(M, len(phi)) draws of ``rng``: the most that
+    revision reads."""
     table = OutcomeTable(config)
     cls = table.classify(pair, target)
-    return introspective_revision(table, cls, pair, program, phi, probs, rng)
+    uniforms = rng.random(2 * min(config.max_revisions, len(phi))).tolist()
+    return introspective_revision(table, cls, pair, program, phi, probs, uniforms)
+
+
+class CountingDraws:
+    """An iterator over ``uniforms`` that counts the draws taken from it."""
+
+    def __init__(self, uniforms):
+        self._draws = iter(uniforms)
+        self.taken = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        value = next(self._draws)
+        self.taken += 1
+        return value
+
+
+def episode_uniforms(item, config, rng):
+    """As many of ``rng``'s draws as an episode of ``item`` may read, as the
+    row of Python floats ``train`` hands ``run_episode``."""
+    return rng.random(_episode_width(item, config)).tolist()
 
 
 def grid(pair, program, phi, target, probs):
@@ -553,15 +582,43 @@ class TestFastPathsMatchExecution:
         pair, program, target, probs, keys = case
         config = TrainConfig(max_revisions=budget, epsilon=epsilon)
         phi, phi_ref = queue_from_keys(keys, probs), queue_from_keys(keys, probs)
-        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = revise(pair, program, target, phi, probs, config, rng)
+        uniforms = np.random.default_rng(seed).random(2 * len(keys)).tolist()
+        draws = CountingDraws(uniforms)
+        rng_ref = np.random.default_rng(seed)
+        table = OutcomeTable(config)
+        cls = table.classify(pair, target)
+        got = introspective_revision(table, cls, pair, program, phi, probs, draws)
         expected = reference_revision(
             pair, program, target, phi_ref, probs, config, rng_ref
         )
         assert got == expected
         assert ranked(phi) == ranked(phi_ref)  # same proposals consumed
-        # same number of draws: both streams continue identically
+        # same number of draws: the reference's stream continues where a
+        # fresh one does after as many draws as revision took
+        rng = np.random.default_rng(seed)
+        rng.random(draws.taken)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        revision_cases(),
+        st.sampled_from([0, 1, 2, 3, 10]),
+        st.sampled_from([0.0, 0.2, 1.0]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_revision_reads_at_most_two_draws_per_pop(
+        self, case, budget, epsilon, seed
+    ):
+        # a row of 2 * min(M, len(phi)) uniforms never runs dry
+        pair, program, target, probs, keys = case
+        config = TrainConfig(max_revisions=budget, epsilon=epsilon)
+        phi = queue_from_keys(keys, probs)
+        bound = 2 * min(budget, len(phi))
+        draws = CountingDraws(np.random.default_rng(seed).random(bound).tolist())
+        table = OutcomeTable(config)
+        cls = table.classify(pair, target)
+        introspective_revision(table, cls, pair, program, phi, probs, draws)
+        assert draws.taken <= bound
 
     def test_length_mismatch_rejected(self):
         pair = upward_pair(2)
@@ -638,7 +695,8 @@ class TestHybridObjective:
         table = OutcomeTable(TrainConfig(seed=3))
         cls = table.classify(item.pair, item.target)
         probs = step_distributions(params, item.features)
-        return run_episode(table, cls, item, probs, np.random.default_rng(3))
+        uniforms = episode_uniforms(item, table.config, np.random.default_rng(3))
+        return run_episode(table, cls, item, probs, uniforms)
 
     def test_lambda_one_is_pure_reinforce(self):
         params = PolicyParams.zeros()
@@ -712,7 +770,7 @@ def random_episodes(seed, introspective_revision=True):
             table.classify(item.pair, item.target),
             item,
             step_distributions(params, item.features),
-            np.random.default_rng([seed, i]),
+            episode_uniforms(item, config, np.random.default_rng([seed, i])),
         )
         for i, item in enumerate(compiled)
     ]
@@ -895,9 +953,8 @@ def episodes_with_references(seed, config, step):
     for i, item in enumerate(compiled):
         probs = step_distributions(params, item.features)
         cls = table.classify(item.pair, item.target)
-        episode = run_episode(
-            table, cls, item, probs, np.random.default_rng([seed, i])
-        )
+        uniforms = episode_uniforms(item, config, np.random.default_rng([seed, i]))
+        episode = run_episode(table, cls, item, probs, uniforms)
         expected = _reference_episode(
             params, item, config, np.random.default_rng([seed, i])
         )
@@ -1088,26 +1145,31 @@ class TestTrain:
 
 
 class TestEpisodeStreams:
-    """Streams derived per epoch equal ``default_rng([seed, ordinal])``."""
+    """Each episode's stream, drawn for a whole epoch as rows of uniforms,
+    equals ``default_rng([seed, ordinal]).random(width)`` bit for bit."""
 
     ORDINALS = [0, 1, 255, 256, 65535, 65536, 10**6, 2**32 - 1]
+    WIDTHS = [1, 2, 8, 17]
+
+    @staticmethod
+    def assert_equal_to_default_rng(seed, ordinals, width):
+        uniforms = _episode_uniforms(seed, ordinals, width)
+        expected = np.array(
+            [np.random.default_rng([seed, o]).random(width) for o in ordinals]
+        )
+        assert uniforms.shape == (len(ordinals), width)
+        assert uniforms.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", range(64))
     def test_equal_to_default_rng(self, seed):
         drawn = np.random.default_rng(1000 + seed).integers(0, 2**32, 200)
         ordinals = self.ORDINALS + drawn.tolist()
-        for ordinal, rng in zip(ordinals, _episode_streams(seed, ordinals)):
-            expected = np.random.default_rng([seed, ordinal])
-            assert rng.bit_generator.state == expected.bit_generator.state
-            assert [rng.random() for _ in range(4)] == [
-                expected.random() for _ in range(4)
-            ]
+        for width in self.WIDTHS:
+            self.assert_equal_to_default_rng(seed, ordinals, width)
 
     def test_largest_seed_and_ordinal(self):
-        seed = ordinal = 2**32 - 1
-        (rng,) = _episode_streams(seed, [ordinal])
-        expected = np.random.default_rng([seed, ordinal])
-        assert rng.bit_generator.state == expected.bit_generator.state
+        for width in self.WIDTHS:
+            self.assert_equal_to_default_rng(2**32 - 1, [2**32 - 1], width)
 
     @pytest.mark.parametrize(
         "seed, ordinals", [(2**32, [0]), (-1, [0]), (0, [2**32]), (0, [5, -1])]
@@ -1126,10 +1188,10 @@ class TestEpisodeStreams:
         class Started(Exception):
             pass
 
-        def streams(seed, ordinals):
+        def uniforms(seed, ordinals, width):
             raise Started
 
-        monkeypatch.setattr(natlog.trainer, "_episode_streams", streams)
+        monkeypatch.setattr(natlog.trainer, "_episode_uniforms", uniforms)
         config = TrainConfig(epochs=2**31, augmentation=False)
         with pytest.raises(Started):
             train(tiny_dataset()[:2], RULES, LEX, config)
@@ -1244,6 +1306,21 @@ class TestBatchedTrainEqualsReference:
             introspective_revision=ir,
             knowledge=knowledge,
         )
+        self.assert_equal(examples, config)
+
+    @pytest.mark.parametrize("split", ["comp", "noisy"])
+    @pytest.mark.parametrize("max_revisions", [0, 1, 10])
+    def test_revision_budgets_equal(self, split, max_revisions):
+        # M sets the width of each epoch's rows of uniforms; 10 pops every
+        # proposal of every pair
+        config = TrainConfig(
+            epochs=3, learning_rate=0.05, batch_size=3, seed=max_revisions,
+            max_revisions=max_revisions,
+        )
+        self.assert_equal(equivalence_slice(split), config)
+
+    @staticmethod
+    def assert_equal(examples, config):
         got = train(examples, RULES, LEX, config)
         expected = _reference_train(examples, config)
         assert got.params.weights.tobytes() == expected.params.weights.tobytes()
@@ -1569,3 +1646,24 @@ class TestTrainConfigBounds:
     )
     def test_boundary_values_accepted(self, field, value):
         assert getattr(TrainConfig(**{field: value}), field) == value
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("epochs", 2.5, "an int"),
+            ("epochs", True, "an int"),
+            ("batch_size", 2.0, "an int"),
+            ("batch_size", "8", "an int"),
+            ("seed", 1.5, "an int"),
+            ("seed", np.int64(1), "an int"),
+            ("max_revisions", 1.5, "an int"),
+            ("max_revisions", False, "an int"),
+            ("introspective_revision", "no", "a bool"),
+            ("knowledge", 0, "a bool"),
+            ("augmentation", None, "a bool"),
+            ("prefer_forward_entailment", np.bool_(True), "a bool"),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, field, value, kind):
+        with pytest.raises(ValueError, match=rf"^{field} must be {kind}, got "):
+            TrainConfig(**{field: value})
