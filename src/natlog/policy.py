@@ -33,6 +33,7 @@ step's gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -340,6 +341,12 @@ def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> PolicyParams:
+    """Read a ``save_checkpoint`` file.
+
+    A malformed file raises ``ValueError`` naming the path, and a bad weight
+    row (a token that is not a hex float, the wrong number of weights, a
+    non-finite weight, a row past the last action) also its line.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
@@ -349,17 +356,24 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
         raise ValueError(f"{path}: feature layout mismatch")
     if lines[2] != "actions: " + " ".join(a.value for a in ACTIONS):
         raise ValueError(f"{path}: action layout mismatch")
-    try:
-        weights = np.array(
-            [[float.fromhex(x) for x in line.split()] for line in lines[3:] if line]
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed weight rows: {exc}") from None
-    if weights.shape != (N_ACTIONS, N_FEATURES):
-        raise ValueError(f"{path}: weight shape {weights.shape} unexpected")
-    if not np.isfinite(weights).all():
-        row, col = np.argwhere(~np.isfinite(weights))[0]
-        # the three header lines are the first non-empty ones
-        lineno = [i for i, line in enumerate(lines, start=1) if line][3 + row]
-        raise ValueError(f"{path}:{lineno}: non-finite weight {weights[row, col]}")
-    return PolicyParams(weights=weights)
+    rows = []
+    for lineno, line in enumerate(lines[3:], start=4):
+        if not line:
+            continue
+        if len(rows) == N_ACTIONS:
+            raise ValueError(f"{path}:{lineno}: more than {N_ACTIONS} weight rows")
+        try:
+            row = [float.fromhex(x) for x in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed weight row: {exc}") from None
+        if len(row) != N_FEATURES:
+            raise ValueError(
+                f"{path}:{lineno}: {len(row)} weights, expected {N_FEATURES}"
+            )
+        bad = [x for x in row if not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"{path}:{lineno}: non-finite weight {bad[0]}")
+        rows.append(row)
+    if len(rows) != N_ACTIONS:
+        raise ValueError(f"{path}: {len(rows)} weight rows, expected {N_ACTIONS}")
+    return PolicyParams(weights=np.array(rows))

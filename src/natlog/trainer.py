@@ -24,16 +24,28 @@ field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
 ``train`` all read and which checks each value's type and range once, when
 built.
 
-``train`` runs batch by batch.  The probabilities depend only on the
-weights and a feature row, and the weights change once per batch, so each
-batch makes one ``step_distributions`` call over the stacked rows of its
-episodes, and each episode reads its own rows.  The batch is then scored
-in one ``batch_objective`` call, which forms every step's term of every
-sampled program and every changed revision in array operations and sums
-each program's terms in step order, as the per-step definition does;
-``hybrid_objective`` and ``reinforce_objective`` are the same kernel on a
-batch of one.  When revision leaves a program unchanged, the episode's
-revised rewards are its own, not a second lookup, and its J' is its J.
+``train`` runs batch by batch.  Once per epoch it gathers the compiled
+feature rows in the shuffled episode order, so that each batch's rows are
+one contiguous slice.  The probabilities depend only on the weights and a
+feature row, and the weights change once per batch, so each batch makes
+one ``step_distributions`` call over its slice, and each episode reads its
+own rows.  The batch is then scored in one ``batch_objective`` pass over
+the same stacked rows, with the rows of every changed revision appended by
+one index: ``_score`` forms every step's term of every program in array
+operations and sums each program's terms in step order from +0.0, as the
+per-step definition does; ``hybrid_objective`` and ``reinforce_objective``
+are the same kernel on a batch of one.  When revision leaves a program
+unchanged, the episode's revised rewards are its own, not a second lookup,
+and its J' is its J.  The batch's gradients are summed in one reduction
+that starts from +0.0, in episode order, as adding them one by one to a
+zero array does.
+
+The greedy accuracy after each epoch reads each example's kind: its class
+and the ids of its feature rows among the distinct rows of the set,
+interned once per ``train`` call.  Examples of one kind have one greedy
+program and one outcome, so each epoch decodes the distinct rows in one
+``step_distributions`` call and looks up each kind once; the augmented
+default compositional training set has 52 kinds and 40 distinct rows.
 
 Episode n of a run reads the uniforms of ``np.random.default_rng([seed,
 n])``, as one row of Python floats: the first m sample its program and
@@ -67,7 +79,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import islice
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -90,7 +102,6 @@ from .policy import (
     Compiled,
     PolicyParams,
     compile_examples,
-    decode,
     sample_program,
     step_distributions,
 )
@@ -388,10 +399,11 @@ def _score(
     ``probs`` (N, n_actions) and ``features`` (N, n_features) are the step
     rows, ``codes`` and ``rewards`` (N,) the actions taken and their
     rewards.  Zero-reward steps are masked before the log: their
-    log p_t[a_t] may be -inf, and -inf * 0 is NaN.  The step terms are
-    padded with zeros to (P, m_max) and subtracted in step order from +0.0;
-    a zero term leaves the running sum as it is.  Returns J (P,) and the
-    gradients (P, n_actions, n_features).
+    log p_t[a_t] may be -inf, and -inf * 0 is NaN.  The step terms are laid
+    out as (P, m_max), a reshape when every length is m_max and padded with
+    zeros otherwise, and subtracted in step order from +0.0; a zero term
+    leaves the running sum as it is.  Returns J (P,) and the gradients
+    (P, n_actions, n_features).
     """
     chosen = probs[np.arange(len(probs)), codes]
     log_terms = np.log(chosen, out=np.zeros_like(chosen), where=rewards != 0.0)
@@ -399,16 +411,21 @@ def _score(
     step_grads = rewards[:, None, None] * (
         (_ONEHOT[codes] - probs)[:, :, None] * features[:, None, :]
     )
-    steps = np.arange(max(lengths)) < np.array(lengths)[:, None]
-    padded_logs = np.zeros(steps.shape)
-    padded_logs[steps] = log_terms
-    padded_grads = np.zeros(steps.shape + step_grads.shape[1:])
-    padded_grads[steps] = step_grads
-    objective = np.zeros(len(lengths))
-    grad = np.zeros((len(lengths),) + step_grads.shape[1:])
-    for t in range(steps.shape[1]):
-        objective -= padded_logs[:, t]
-        grad -= padded_grads[:, t]
+    count, width = len(lengths), max(lengths)
+    if min(lengths) == width:
+        logs = log_terms.reshape(count, width)
+        grads = step_grads.reshape((count, width) + step_grads.shape[1:])
+    else:
+        steps = np.arange(width) < np.array(lengths)[:, None]
+        logs = np.zeros(steps.shape)
+        logs[steps] = log_terms
+        grads = np.zeros(steps.shape + step_grads.shape[1:])
+        grads[steps] = step_grads
+    objective = np.zeros(count)
+    grad = np.zeros((count,) + step_grads.shape[1:])
+    for t in range(width):
+        objective -= logs[:, t]
+        grad -= grads[:, t]
     return objective, grad
 
 
@@ -507,40 +524,59 @@ def introspective_revision(
 
 
 def batch_objective(
-    episodes: Sequence[Episode], lam: float
+    episodes: Sequence[Episode],
+    lam: float,
+    probs: Optional[np.ndarray] = None,
+    features: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each episode's lam * J + (1 - lam) * J' and its weight gradient.
+
+    ``probs`` and ``features`` are the episodes' step rows, stacked in
+    episode order, as ``train`` holds them; when they are not given, the
+    episodes' own ``probs`` and ``features`` are stacked.  The probabilities
+    are the distributions under the current weights as long as they have
+    not changed since the episodes ran.
 
     J scores the sampled program and J' the revised one.  Either every
     episode carries a revised program or none does; without revisions the
     result is J itself, unscaled.  A revision that changed nothing (the
     same program, and ``revised_rewards`` is ``rewards``) has J' = J and is
-    not scored again; the sampled programs and the changed revisions are
-    scored in one ``_score`` call.  Everything reads ``episode.probs``,
-    which are the distributions under the current weights as long as they
-    have not changed since the episodes ran.  Returns values (E,) and
-    gradients (E, n_actions, n_features).
+    not scored again; the changed revisions' rows are appended to the
+    stacked rows with one index, and every program is scored in one
+    ``_score`` call.  Returns values (E,) and gradients
+    (E, n_actions, n_features).
     """
     revised = episodes[0].revised_program is not None
     if any((e.revised_program is not None) != revised for e in episodes):
         raise ValueError("either every episode of a batch is revised or none is")
+    if probs is None:
+        probs = np.concatenate([e.probs for e in episodes])
+        features = np.concatenate([e.features for e in episodes])
     n = len(episodes)
+    programs = [e.program for e in episodes]
+    rewards = [e.rewards for e in episodes]
+    lengths = [len(p) for p in programs]
     changed = [
         i
         for i, e in enumerate(episodes)
         if revised
         and (e.revised_rewards is not e.rewards or e.revised_program != e.program)
     ]
-    again = [episodes[i] for i in changed]
-    rows = [*episodes, *again]
-    programs = [e.program for e in episodes] + [e.revised_program for e in again]
-    rewards = [e.rewards for e in episodes] + [e.revised_rewards for e in again]
+    if changed:
+        begins = list(accumulate(lengths, initial=0))
+        rows = [*range(begins[-1])]
+        for i in changed:
+            rows += range(begins[i], begins[i + 1])
+            programs.append(episodes[i].revised_program)
+            rewards.append(episodes[i].revised_rewards)
+            lengths.append(lengths[i])
+        probs, features = probs[rows], features[rows]
     j, grad = _score(
-        np.concatenate([e.probs for e in rows]),
-        np.concatenate([e.features for e in rows]),
+        probs,
+        features,
         np.array([a.code for p in programs for a in p], dtype=np.intp),
         np.array([r for rs in rewards for r in rs], dtype=float),
-        [len(p) for p in programs],
+        lengths,
     )
     if not revised:
         return j, grad
@@ -558,7 +594,7 @@ def hybrid_objective(
     ``params`` as long as the weights have not changed since the episode
     ran.
     """
-    values, grads = batch_objective([episode], lam)
+    values, grads = batch_objective([episode], lam, episode.probs, episode.features)
     return float(values[0]), grads[0]
 
 
@@ -733,6 +769,42 @@ def run_episode(
     return episode
 
 
+def _greedy_hits(
+    table: OutcomeTable,
+    classes: Sequence[int],
+    compiled: Sequence[Compiled],
+    features: np.ndarray,
+) -> Callable[[PolicyParams], int]:
+    """A function of the weights that counts the examples whose greedy
+    program reaches the target.
+
+    ``features`` are the examples' stacked rows and ``classes`` their
+    classes in ``table``.  The examples are interned once, by kind: a class
+    and the ids of its steps' rows among the distinct rows, so that the
+    examples of one kind have one greedy program and one outcome.  Each
+    count decodes the distinct rows in one ``step_distributions`` call and
+    looks each kind up in ``table`` once.
+    """
+    rows, inverse = np.unique(features, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1).tolist()  # numpy 2.0.x gives it another shape
+    kinds: dict[tuple, list] = {}  # (class, *row ids) -> [pair, row ids, count]
+    offset = 0
+    for cls, item in zip(classes, compiled):
+        ids = inverse[offset : offset + item.pair.m]
+        offset += len(ids)
+        kinds.setdefault((cls, *ids), [item.pair, ids, 0])[2] += 1
+
+    def hits(params: PolicyParams) -> int:
+        best = np.argmax(step_distributions(params, rows), axis=1).tolist()
+        return sum(
+            count
+            for (cls, *_), (pair, ids, count) in kinds.items()
+            if table.reaches(cls, pair, tuple(ACTIONS[best[r]] for r in ids))
+        )
+
+    return hits
+
+
 def _greedy_accuracy(
     params: PolicyParams,
     table: OutcomeTable,
@@ -740,15 +812,12 @@ def _greedy_accuracy(
     compiled: Sequence[Compiled],
     features: np.ndarray,
 ) -> float:
-    """Share of examples whose greedy program reaches the target; ``features``
-    are the examples' stacked rows, decoded in one call, and ``classes``
-    their classes in ``table``."""
-    actions = iter(decode(params, features))
-    hits = sum(
-        table.reaches(cls, item.pair, tuple(islice(actions, item.pair.m)))
-        for cls, item in zip(classes, compiled)
-    )
-    return hits / len(compiled) if compiled else 0.0
+    """Share of examples whose greedy program reaches the target, by
+    ``_greedy_hits``; ``train`` interns the examples once per run and counts
+    the hits every epoch."""
+    if not compiled:
+        return 0.0
+    return _greedy_hits(table, classes, compiled, features)(params) / len(compiled)
 
 
 # numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
@@ -900,19 +969,23 @@ def train(
 ) -> TrainResult:
     """Plain SGD over the hybrid objective, one weight update per batch.
 
-    Each epoch shuffles the examples with ``default_rng([seed, epoch])`` and
-    walks them in slices of ``batch_size``.  A slice gets one
-    ``step_distributions`` call over its stacked feature rows; its episodes
-    run under those weights, and their summed gradient updates the weights
-    once, at the end of the slice.  Episode n of the run (counted across
-    epochs) reads its row of uniforms, ``default_rng([seed, n]).random(w)``
-    for the widest episode's w (``_episode_width``); each epoch's rows are
-    drawn in one ``_episode_uniforms`` call and turned into Python floats
-    one slice at a time.  So results are byte-identical for identical seeds
-    regardless of wall clock.  A run
-    of more than 2**32 episodes is rejected up front, and a malformed
-    example (a sentence that cannot be chunked, no target) raises a
-    ValueError that names it by 0-based index and premise.
+    Each epoch shuffles the examples with ``default_rng([seed, epoch])``,
+    gathers their feature rows in that order once, and walks them in slices
+    of ``batch_size`` (module docstring).  A slice gets one
+    ``step_distributions`` call over its rows; its episodes run under those
+    weights, its objective is scored in one ``batch_objective`` call, and
+    the gradients' sum, seeded with +0.0, updates the weights once, at the
+    end of the slice.  The objective, reward and revision tallies are summed
+    episode by episode, in Python.  After each epoch the greedy accuracy is
+    counted by kind.  Episode n of the run (counted across epochs) reads its
+    row of uniforms, ``default_rng([seed, n]).random(w)`` for the widest
+    episode's w (``_episode_width``); each epoch's rows are drawn in one
+    ``_episode_uniforms`` call and turned into Python floats one slice at a
+    time.  So results are byte-identical for identical seeds regardless of
+    wall clock.  Training starts from a copy of ``params``, or from zero
+    weights.  A run of more than 2**32 episodes is rejected up front, and a
+    malformed example (a sentence that cannot be chunked, no target) raises
+    a ValueError that names it by 0-based index and premise.
     """
     if not examples:
         raise ValueError("cannot train on an empty dataset")
@@ -930,6 +1003,11 @@ def train(
     classes = [table.classify(item.pair, item.target) for item in compiled]
     width = max(_episode_width(item, config) for item in compiled)
 
+    ms = [item.pair.m for item in compiled]
+    lengths = np.array(ms)
+    starts = np.cumsum(lengths) - lengths  # each example's first row in features
+    greedy_hits = _greedy_hits(table, classes, compiled, features)
+
     metrics: list[EpochMetrics] = []
     n = len(compiled)
     for epoch in range(1, config.epochs + 1):
@@ -938,44 +1016,52 @@ def train(
         uniforms = _episode_uniforms(
             config.seed, np.arange((epoch - 1) * n, epoch * n), width
         )
+        # the epoch's rows in episode order, gathered once: episode k's rows
+        # are bounds[k] to bounds[k + 1], a copy of its example's
+        steps = lengths[order]
+        ends = np.cumsum(steps)
+        shift = np.repeat(starts[order] - (ends - steps), steps)
+        rows = features[np.arange(ends[-1]) + shift]
+        bounds = [0, *ends.tolist()]
 
         revisions = []
-        reward_total, reward_steps = 0.0, 0
+        reward_total = 0.0
         objective_total = 0.0
 
         for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size].tolist()
-            probs = step_distributions(
-                params, np.concatenate([compiled[i].features for i in batch])
-            )
-            draws = uniforms[start : start + config.batch_size].tolist()
+            stop = min(start + config.batch_size, n)
+            batch_rows = rows[bounds[start] : bounds[stop]]
+            probs = step_distributions(params, batch_rows)
+            draws = uniforms[start:stop].tolist()
             episodes = []
             offset = 0
-            for i, episode_draws in zip(batch, draws):
-                m = compiled[i].pair.m
-                rows = probs[offset : offset + m]
-                offset += m
+            for i, episode_draws in zip(order[start:stop].tolist(), draws):
+                m = ms[i]
                 episodes.append(
-                    run_episode(table, classes[i], compiled[i], rows, episode_draws)
+                    run_episode(
+                        table,
+                        classes[i],
+                        compiled[i],
+                        probs[offset : offset + m],
+                        episode_draws,
+                    )
                 )
+                offset += m
 
-            values, grads = batch_objective(episodes, config.lam)
-            batch_grad = np.zeros_like(params.weights)
-            for episode, value, grad in zip(episodes, values.tolist(), grads):
+            values, grads = batch_objective(episodes, config.lam, probs, batch_rows)
+            params.weights -= config.learning_rate * np.add.reduce(
+                grads, axis=0, initial=0.0
+            )
+            for episode, value in zip(episodes, values.tolist()):
                 objective_total += value
-                batch_grad += grad
                 reward_total += sum(episode.rewards)
-                reward_steps += len(episode.rewards)
                 revisions.append(episode.revisions)
-            params.weights -= config.learning_rate * batch_grad
 
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                train_accuracy=_greedy_accuracy(
-                    params, table, classes, compiled, features
-                ),
-                mean_reward=reward_total / max(reward_steps, 1),
+                train_accuracy=greedy_hits(params) / n,
+                mean_reward=reward_total / max(len(rows), 1),
                 objective=objective_total / n,
                 revisions=RevisionStats.tally(revisions),
             )

@@ -551,7 +551,45 @@ class TestCheckpoint:
         save_checkpoint(PolicyParams.zeros(), path)
         text = path.read_text()
         path.write_text(text[: len(text) - 20])
-        with pytest.raises(ValueError, match=f"^{path}: "):
+        # the cut ends the last row, line 8, inside a token
+        with pytest.raises(ValueError, match=f"^{path}:8: "):
+            load_checkpoint(path)
+
+    @staticmethod
+    def edited(path, lineno, edit):
+        """A zero checkpoint at ``path`` whose 1-based line ``lineno`` is
+        ``edit`` of its tokens."""
+        save_checkpoint(PolicyParams.zeros(), path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = " ".join(edit(lines[lineno - 1].split()))
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_bad_weight_token_names_path_and_line(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        self.edited(path, 5, lambda row: row[:3] + ["zz"] + row[4:])
+        with pytest.raises(
+            ValueError, match=f"^{path}:5: malformed weight row: invalid hexadecimal"
+        ):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("width", [N_FEATURES - 1, N_FEATURES + 1, 1])
+    def test_row_of_wrong_width_names_path_and_line(self, tmp_path, width):
+        path = tmp_path / "policy.ckpt"
+        self.edited(path, 7, lambda row: (row * 2)[:width])
+        with pytest.raises(
+            ValueError, match=f"^{path}:7: {width} weights, expected {N_FEATURES}$"
+        ):
+            load_checkpoint(path)
+
+    def test_missing_and_extra_rows_rejected(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        save_checkpoint(PolicyParams.zeros(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: 4 weight rows, expected 5$"):
+            load_checkpoint(path)
+        path.write_text("\n".join(lines + ["", lines[-1]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:10: more than 5 weight rows$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

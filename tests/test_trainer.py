@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import functools
+import inspect
 import itertools
 
 import numpy as np
@@ -1224,15 +1225,16 @@ def _reference_episode(params, compiled, config, rng):
     return episode
 
 
-def _reference_train(examples, config):
+def _reference_train(examples, config, params=None):
     """``train`` one episode at a time: a fresh ``default_rng`` per episode,
     the objective of each from ``per_step_objective``, a weight update after
     every ``batch_size`` episodes and after the last, and greedy accuracy
-    from ``execute``."""
+    from ``execute``.  It starts from a copy of ``params``, zero weights when
+    None."""
     if config.augmentation:
         examples = relation_augmentation(examples, RULES, LEX)
     compiled, _ = compile_examples(examples, RULES, LEX)
-    params = PolicyParams.zeros()
+    params = params.copy() if params is not None else PolicyParams.zeros()
     metrics = []
     ordinal = 0
     for epoch in range(1, config.epochs + 1):
@@ -1328,6 +1330,78 @@ class TestBatchedTrainEqualsReference:
             m.to_record() for m in expected.metrics
         ]
         assert got.params.weights.any()
+
+
+class TestTrainStartParams:
+    """``train`` from given weights, signed zeros among them, against the
+    reference loop from the same weights, byte for byte."""
+
+    @pytest.mark.parametrize("split", ["comp", "noisy"])
+    @pytest.mark.parametrize("ir", [True, False])
+    def test_start_params_with_negative_zeros_equal_reference(self, split, ir):
+        rng = np.random.default_rng(17)
+        weights = rng.normal(size=(5, N_FEATURES))
+        weights[rng.random(weights.shape) < 0.5] = -0.0
+        start = PolicyParams(weights=weights)
+        before = start.weights.tobytes()
+        config = TrainConfig(
+            epochs=2, learning_rate=0.05, batch_size=5, seed=6,
+            introspective_revision=ir,
+        )
+        got = train(equivalence_slice(split), RULES, LEX, config, params=start)
+        expected = _reference_train(equivalence_slice(split), config, params=start)
+        assert start.weights.tobytes() == before
+        assert got.params.weights.tobytes() == expected.params.weights.tobytes()
+        assert [m.to_record() for m in got.metrics] == [
+            m.to_record() for m in expected.metrics
+        ]
+        # some weights stay -0.0: their features are 0 at every step
+        assert np.signbit(got.params.weights[got.params.weights == 0.0]).any()
+
+
+def count_calls(monkeypatch, counts, module, name):
+    """Count the calls of ``module.name`` in ``counts`` under ``name``,
+    through the package and every layer module that binds it, as their
+    from-imports do."""
+    target = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return target(*args, **kwargs)
+
+    for bound in (natlog, *filter(inspect.ismodule, vars(natlog).values())):
+        if getattr(bound, name, None) is target:
+            monkeypatch.setattr(bound, name, counted)
+
+
+class TestTrainCallStructure:
+    """What one ``train`` call runs: one episode per example and epoch, one
+    ``step_distributions`` call per batch and one per epoch for the greedy
+    accuracy, and none of the one-row or one-episode references."""
+
+    @pytest.mark.parametrize("split", ["comp", "noisy"])
+    @pytest.mark.parametrize("ir", [True, False])
+    def test_calls_per_episode_batch_and_epoch(self, monkeypatch, split, ir):
+        examples = equivalence_slice(split)
+        n = len(relation_augmentation(examples, RULES, LEX))
+        config = TrainConfig(epochs=3, batch_size=7, seed=2, introspective_revision=ir)
+        assert n % config.batch_size  # the last batch of every epoch is short
+        counts = collections.Counter()
+        for module, name in [
+            (natlog.trainer, "run_episode"),
+            (natlog.policy, "step_distributions"),
+            (natlog.policy, "distribution"),
+            (natlog.policy, "grad_log_prob"),
+            (natlog.trainer, "reinforce_objective"),
+            (natlog.trainer, "hybrid_objective"),
+        ]:
+            count_calls(monkeypatch, counts, module, name)
+        train(examples, RULES, LEX, config)
+        batches = -(-n // config.batch_size)
+        assert counts == {
+            "run_episode": config.epochs * n,
+            "step_distributions": config.epochs * (batches + 1),
+        }
 
 
 @functools.lru_cache(maxsize=None)
