@@ -78,6 +78,7 @@ from .policy import (
     argmax,
     compile_examples,
     decode,
+    distinct_rows,
     distribution,
     featurize,
     featurize_pair,

@@ -23,10 +23,18 @@ When scopes overlap, the nearest preceding trigger wins.
 ``ChunkRules`` derives one word-class table at construction: each word of
 the five roles above maps to the OR of its role bits.  Chunking reads one
 list of bits per sentence, one lookup per token, and both the noun-phrase
-scan and the projectivity pass test bits.  Chunking is a pure function of
-the sentence: ``chunk_pairs`` chunks each distinct sentence of its pairs
-once, and ``chunk_pair`` is ``chunk_pairs`` on one pair.  Nothing is
-cached across calls.
+scan and the projectivity pass test bits.
+
+Chunking is a pure function of the sentence's *shape*: its role bits and
+its trigger tokens (the quantifiers and negators, whose words decide
+between the ``no``, ``some`` and universal scopes).  ``_shape`` maps a
+sentence to each chunk's (start, end, context), and ``chunk`` slices the
+tokens by it.  ``chunk_pairs`` reads each distinct sentence of its pairs
+once, chunks each distinct shape once and slices the tokens of each
+distinct sentence into ``Chunk``s; the noisy test split has 16 shapes
+among its 2036 distinct sentences.  ``chunk_pair`` chunks its two
+sentences directly, as a single pair has no other sentence to share a
+shape with.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -291,6 +299,16 @@ def _tokens(sentence: Sentence | Sequence[str]) -> tuple[str, ...]:
     return tuple(sentence.tokens if isinstance(sentence, Sentence) else sentence)
 
 
+def _shape(
+    tokens: Sequence[str], bits: Sequence[int]
+) -> list[tuple[int, int, ProjectivityContext]]:
+    """Each chunk's span and context: (start, end, context of its first
+    token).  It reads only ``bits`` and the trigger tokens, so sentences
+    that agree on both share it (module docstring)."""
+    contexts = _token_contexts(tokens, bits)
+    return [(a, b, contexts[a]) for a, b in _spans(bits)]
+
+
 def chunk(sentence: Sentence | Sequence[str], rules: ChunkRules) -> tuple[Chunk, ...]:
     """Split a sentence into noun-phrase and filler chunks, marked.
 
@@ -299,12 +317,10 @@ def chunk(sentence: Sentence | Sequence[str], rules: ChunkRules) -> tuple[Chunk,
     tokens = _tokens(sentence)
     if not tokens:
         raise ValueError("cannot chunk an empty sentence")
-    bits = _role_bits(tokens, rules)
-    contexts = _token_contexts(tokens, bits)
     return tuple(
         [  # a list comprehension runs faster than a generator here
-            Chunk(tokens=tokens[a:b], start=a, context=contexts[a])
-            for a, b in _spans(bits)
+            Chunk(tokens[a:b], a, context)
+            for a, b, context in _shape(tokens, _role_bits(tokens, rules))
         ]
     )
 
@@ -342,33 +358,58 @@ def chunk_pairs(
 
     A sentence is keyed as given: a string by its text, a ``Sentence`` or
     token sequence by its tokens.  Each pair's sides equal ``chunk`` of
-    each sentence alone.  ``memo`` (sentence key -> chunks) lives for
-    this call unless the caller passes one to share across calls.
+    each sentence alone.  Each distinct sentence shape is chunked once per
+    call, and each distinct sentence is sliced into chunks once (module
+    docstring).  ``memo`` (sentence key -> chunks) lives for this call
+    unless the caller passes one to share across calls; the table of
+    shapes always lives for one call.
     """
     memo = {} if memo is None else memo
+    shapes: dict = {}
     return [
         ChunkedPair(
-            premise=_chunked(premise, rules, memo),
-            hypothesis=_chunked(hypothesis, rules, memo),
+            premise=_chunked(premise, rules, memo, shapes),
+            hypothesis=_chunked(hypothesis, rules, memo, shapes),
         )
         for premise, hypothesis in pairs
     ]
 
 
 def _chunked(
-    sentence: SentenceLike, rules: ChunkRules, memo: dict
+    sentence: SentenceLike, rules: ChunkRules, memo: dict, shapes: dict
 ) -> tuple[Chunk, ...]:
-    """The chunks of a sentence, from ``memo`` or chunked and stored there."""
+    """The chunks of a sentence, from ``memo`` or sliced from its shape,
+    which comes from ``shapes`` or is chunked and stored there."""
     key = sentence if isinstance(sentence, str) else _tokens(sentence)
     chunks = memo.get(key)
     if chunks is None:
-        tokens = tokenize(key) if isinstance(key, str) else key
-        chunks = memo[key] = chunk(tokens, rules)
+        tokens = _sentence_tokens(key)
+        if not tokens:
+            raise ValueError("cannot chunk an empty sentence")
+        bits = _role_bits(tokens, rules)
+        shape_key = (
+            tuple(bits),
+            tuple([t for t, role in zip(tokens, bits) if role & _TRIGGER]),
+        )
+        shape = shapes.get(shape_key)
+        if shape is None:
+            shape = shapes[shape_key] = _shape(tokens, bits)
+        chunks = memo[key] = tuple(
+            [Chunk(tokens[a:b], a, context) for a, b, context in shape]
+        )
     return chunks
+
+
+def _sentence_tokens(sentence: SentenceLike) -> tuple[str, ...]:
+    return tokenize(sentence) if isinstance(sentence, str) else _tokens(sentence)
 
 
 def chunk_pair(
     premise: SentenceLike, hypothesis: SentenceLike, rules: ChunkRules
 ) -> ChunkedPair:
-    """Chunk and mark both sides of a sentence pair: ``chunk_pairs`` on one pair."""
-    return chunk_pairs([(premise, hypothesis)], rules)[0]
+    """Chunk and mark both sides of a sentence pair, each with ``chunk``: a
+    single pair has no other sentence to share a shape with."""
+    return ChunkedPair(
+        premise=chunk(_sentence_tokens(premise), rules),
+        hypothesis=chunk(_sentence_tokens(hypothesis), rules),
+    )

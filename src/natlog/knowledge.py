@@ -18,8 +18,7 @@ distinct (hypothesis tokens, premise tokens) pair once, and computes the
 flags once per distinct (hypothesis tokens, aligned tokens) pair; a call
 with one pair keeps only the roots, having no other pair to share the
 rest with.  Nothing is kept across calls.  ``align``, ``compare``,
-``compare_pair`` and ``propose`` are ``compare_pairs`` on one pair, as
-``chunker.chunk_pair`` is ``chunk_pairs`` on one pair.
+``compare_pair`` and ``propose`` are ``compare_pairs`` on one pair.
 
 Given an aligned premise chunk for a hypothesis chunk, simple rules propose
 candidate relations:

@@ -6,15 +6,28 @@ State accuracy compares intermediate execution states position by
 position, micro-averaged over all steps.  Label accuracy is three-way or
 binary, collapsing contradiction and neutral into non-entailment.
 
-``evaluate`` scores a whole split from its distinct parts.  A program's
-outcome depends only on the hypothesis chunks' context rows, so each
-call reads every predicted and gold program's states, label and
-rationales from one ``executor.ExecutionTable``, the library's one table
-of executions, which runs ``execute`` once per distinct (context rows,
-program) key; nothing is kept across calls.  The chunks of a pair are
-disjoint and non-empty, so two rationale phrases have IOU 1 (the same
-chunk) or 0, and greedy one-to-one matching at IOU >= 0.5 counts the
-steps that both rationales share.  ``phrasal_prf`` is the general reference.
+``evaluate`` scores a whole split from its distinct parts.  One
+``decode`` of the distinct feature rows of ``compile_examples`` gives
+every step's greedy action, and an example's program is its ``row_ids``
+read through them.  An example's contribution is fixed by its *kind*:
+its row ids (its program), its hypothesis context rows, chunk starts and
+last end, its target, label, gold program and gold states (keyed by enum
+``code``, since hashing an enum member runs in Python) and its gold
+rationale tokens.  Each kind is scored once, from its first example, and
+its counts are weighted by how often it occurs; the noisy test split has
+64 kinds among 2592 examples.  The counts are integers, so every ratio
+is the per-example one exactly, and the IOUs are laid out in example
+order again before their mean, which adds them in that order.  Kinds are
+scored in order of first occurrence, so a malformed example is named by
+the earliest index.  A program's outcome
+depends only on the hypothesis chunks' context rows, so each call reads
+every predicted and gold program's states, label and rationales from one
+``executor.ExecutionTable``, the library's one table of executions, which
+runs ``execute`` once per distinct (context rows, program) key; nothing is
+kept across calls.  The chunks of a pair are disjoint and non-empty, so
+two rationale phrases have IOU 1 (the same chunk) or 0, and greedy
+one-to-one matching at IOU >= 0.5 counts the steps that both rationales
+share.  ``phrasal_prf`` is the general reference.
 """
 
 from __future__ import annotations
@@ -22,16 +35,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import asdict, dataclass, fields
-from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .chunker import ChunkRules
 from .data import Example, example_error
-from .executor import ExecutionTable
+from .executor import ExecutionTable, program_code
 from .knowledge import Lexicon
-from .policy import PolicyParams, compile_examples, decode
+from .policy import PolicyParams, compile_examples, decode, distinct_rows
 from .relations import NLILabel, Relation, accepting
 
 __all__ = [
@@ -127,6 +139,13 @@ def state_accuracy(
     return hits / total
 
 
+def _code(member) -> Optional[int]:
+    """An enum member's code, or None; keys read codes, because hashing an
+    enum member runs in Python."""
+    return None if member is None else member.code
+
+
+
 def _collapse(label: NLILabel) -> str:
     return "entailment" if label == NLILabel.ENTAILMENT else "non-entailment"
 
@@ -191,11 +210,10 @@ def evaluate(
 ) -> EvalReport:
     """Greedy-decode every example and aggregate all metrics.
 
-    The examples are compiled once by ``compile_examples``, and one
-    ``decode`` call over their stacked feature rows gives every program.
-    Each distinct (hypothesis context rows, program) key among the
-    predicted and gold programs is executed once per call (module
-    docstring).
+    The examples are compiled once by ``compile_examples``, one ``decode``
+    call over the distinct feature rows gives every step's action, and
+    each kind of example is scored once and counted as often as it occurs
+    (module docstring).
     State and rationale metrics cover the examples carrying the relevant
     gold annotations; they are None when no example has them.  Phrase
     P/R/F1 is micro-averaged over phrases, IOU macro-averaged over
@@ -206,40 +224,64 @@ def evaluate(
     """
     if not examples:
         raise ValueError("cannot evaluate an empty dataset")
-    hits = 0
-    pred_labels: list[NLILabel] = []
-    gold_labels: list[NLILabel] = []
-    pred_states, gold_states = [], []
-    ious = []
-    match_count, pred_phrase_count, gold_phrase_count = 0, 0, 0
-    any_rationales = False
-    scored_phrases = False
-
     compiled, features = compile_examples(examples, rules, lexicon)
-    actions = iter(decode(params, features))
+    kinds: dict = {}  # everything an example's score reads -> its kind
+    firsts: list[int] = []  # each kind's first example
+    example_kinds: list[int] = []
+    for index, (example, item) in enumerate(zip(examples, compiled)):
+        hypothesis = item.pair.hypothesis
+        gold_program, gold_states = example.gold_program, example.gold_states
+        gold_tokens = example.gold_rationale_tokens
+        key = (
+            item.row_ids,
+            tuple([chunk.context.action_codes for chunk in hypothesis]),
+            tuple([chunk.start for chunk in hypothesis]),
+            hypothesis[-1].end,
+            _code(example.target_state),
+            _code(example.label),
+            None if gold_program is None else program_code(gold_program),
+            None if gold_states is None else tuple([s.code for s in gold_states]),
+            None if gold_tokens is None else tuple(gold_tokens),
+        )
+        kind = kinds.setdefault(key, len(firsts))
+        if kind == len(firsts):
+            firsts.append(index)
+        example_kinds.append(kind)
+    counts = np.bincount(example_kinds).tolist()
+
+    hits = labeled = label_hits = state_hits = state_total = 0
+    match_count = pred_phrase_count = gold_phrase_count = 0
+    scored_phrases = False
+    kind_ious: list[Optional[float]] = []
+    actions = decode(params, distinct_rows(compiled, features))
     table = ExecutionTable()
     index = 0
     try:
-        for index, (example, item) in enumerate(zip(examples, compiled)):
+        for index, count in zip(firsts, counts):
+            example, item = examples[index], compiled[index]
             pair = item.pair
             hypothesis = pair.hypothesis
             executions = table.executions(pair)
             _, states, label, rationales = executions.parts(
-                pair, tuple(islice(actions, pair.m))
+                pair, tuple([actions[r] for r in item.row_ids])
             )
             if accepting(example.target)[states[-1].code]:
-                hits += 1
+                hits += count
             if example.label is not None:
-                pred_labels.append(label)
-                gold_labels.append(example.label)
+                labeled += count
+                if _collapse(label) == _collapse(example.label):
+                    label_hits += count
             if example.gold_states is not None:
                 if len(example.gold_states) != pair.m:
                     raise ValueError(
                         f"gold states length {len(example.gold_states)} "
                         f"!= hypothesis chunks {pair.m}"
                     )
-                pred_states.append(states[1:])
-                gold_states.append(example.gold_states)
+                state_hits += count * sum(
+                    p == g for p, g in zip(states[1:], example.gold_states)
+                )
+                state_total += count * pair.m
+            kind_iou = None
             if example.gold_rationale_tokens is not None:
                 n_tokens = hypothesis[-1].end  # the chunks cover every token
                 for i in example.gold_rationale_tokens:
@@ -248,22 +290,26 @@ def evaluate(
                             f"gold rationale token {i} is not a hypothesis "
                             f"token index in 0..{n_tokens - 1}"
                         )
-                any_rationales = True
                 pred_tokens = [
                     i for t in rationales for i in hypothesis[t - 1].token_indices
                 ]
-                ious.append(iou(pred_tokens, example.gold_rationale_tokens))
+                kind_iou = iou(pred_tokens, example.gold_rationale_tokens)
                 if example.gold_program is not None:
                     scored_phrases = True
                     gold = executions.parts(pair, example.gold_program)[3]
                     # phrases match exactly when they are the same chunk
                     # (module docstring)
-                    match_count += len(set(rationales).intersection(gold))
-                    pred_phrase_count += len(rationales)
-                    gold_phrase_count += len(gold)
+                    match_count += count * len(set(rationales).intersection(gold))
+                    pred_phrase_count += count * len(rationales)
+                    gold_phrase_count += count * len(gold)
+            kind_ious.append(kind_iou)
     except ValueError as exc:
         raise example_error(index, examples[index], exc) from None
 
+    # one IOU per example, in example order, so the mean adds them as the
+    # per-example loop does
+    ious = [kind_ious[kind] for kind in example_kinds]
+    ious = [value for value in ious if value is not None]
     precision = recall = f1 = None
     if scored_phrases:
         precision, recall, f1 = _prf(
@@ -272,15 +318,9 @@ def evaluate(
     return EvalReport(
         examples=len(examples),
         accuracy=hits / len(examples),
-        accuracy_binary=(
-            label_accuracy(pred_labels, gold_labels, collapse_binary=True)
-            if gold_labels
-            else None
-        ),
-        state_accuracy=(
-            state_accuracy(pred_states, gold_states) if gold_states else None
-        ),
-        rationale_iou=float(np.mean(ious)) if any_rationales else None,
+        accuracy_binary=label_hits / labeled if labeled else None,
+        state_accuracy=state_hits / state_total if state_total else None,
+        rationale_iou=float(np.mean(ious)) if ious else None,
         rationale_precision=precision,
         rationale_recall=recall,
         rationale_f1=f1,

@@ -10,12 +10,17 @@ features; probabilities are their softmax.
 ``compile_examples`` is the one path from examples to features: it chunks
 every example with ``chunk_pairs``, aligns them all with one
 ``compare_pairs`` call, and writes the feature rows of all examples into
-one array, so that training, evaluation and the CLI read the same records
-and one ``decode`` call decodes a whole split.  A row depends only on the
-lexical flags, the step, m and the chunk's context, and a split holds few
-distinct rows, so each call builds each distinct row once and assembles
-the stacked array by integer indexing; nothing is kept across calls.
-``featurize_pair`` builds the same rows for a single pair.
+one array, so that training, evaluation and the CLI read the same records.
+A row depends only on the lexical flags, the step, m and the chunk's
+context, and a split holds few distinct rows, so each call builds each
+distinct row once and assembles the stacked array by integer indexing;
+nothing is kept across calls.  Each record's ``row_ids`` number its rows
+among the call's distinct rows, in order of first sight, and
+``distinct_rows`` gives those rows back, so that one ``decode`` of them
+decodes a whole split and the ids pick each example's program: the one
+numbering that training's greedy count and ``evaluate`` read.  The noisy
+test split has 42 distinct rows among its 7776.  ``featurize_pair``
+builds the same rows for a single pair.
 
 Feature extraction at step t looks only at the premise and hypothesis
 chunks up to t, so distributions are unaffected by later hypothesis
@@ -28,7 +33,9 @@ J = -sum_t R_t log p_t[a_t] of a program has the weight gradient
 which training evaluates from the step probabilities its episode already
 holds.  ``distribution``, ``sample`` and ``grad_log_prob`` are the
 one-row references of the softmax, of ``sample_program`` and of one
-step's gradient.
+step's gradient.  ``argmax`` calls the array's own ``argmax`` method,
+which ties to the first maximum as ``np.argmax`` does without its
+dispatch.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ __all__ = [
     "featurize_pair",
     "Compiled",
     "compile_examples",
+    "distinct_rows",
     "distribution",
     "step_distributions",
     "sample",
@@ -177,14 +185,17 @@ class Compiled:
 
     ``records`` are the pair's ``compare_pair`` records and ``features``
     its (m, N_FEATURES) rows, a view of the stacked rows of the examples
-    compiled with it.  ``target`` is None when the example has neither a
-    label nor a target state.
+    compiled with it.  ``row_ids`` number those rows among the distinct
+    rows of the call (``distinct_rows``): equal ids, equal rows.
+    ``target`` is None when the example has neither a label nor a target
+    state.
     """
 
     pair: ChunkedPair
     target: Optional[NLILabel | Relation]
     records: tuple[tuple, ...]
     features: np.ndarray
+    row_ids: tuple[int, ...]
 
     @cached_property
     def proposals(self) -> tuple[tuple[int, ActionRelation], ...]:
@@ -200,27 +211,46 @@ def compile_examples(
     Returns one ``Compiled`` per example and the stacked feature rows of
     all examples, shape (sum of m, N_FEATURES), byte-equal to stacking
     ``featurize_pair`` of each pair: each record's ``features`` is its
-    block of those rows, in example order, so one ``decode`` call decodes
-    the whole split.  Each distinct row is built once per call (module
-    docstring).  A sentence that cannot be chunked raises a
-    ValueError that names the example by 0-based index and premise.
+    block of those rows, in example order.  Each distinct row is built
+    once per call, and each record's ``row_ids`` number its rows among
+    them in order of first sight (module docstring).  A sentence that
+    cannot be chunked raises a ValueError that names the example by
+    0-based index and premise.
     """
     pairs = chunk_examples(examples, rules)
     all_records = compare_pairs(pairs, lexicon)
     # each distinct row built once; a key holds all the inputs of its row
-    row_ids: dict = {}
+    ids: dict = {}
     index: list[int] = []
     for pair, records in zip(pairs, all_records):
         for key in _row_keys(pair, records):
-            index.append(row_ids.setdefault(key, len(row_ids)))
-    features = _rows(row_ids)[np.array(index, dtype=np.intp)]
+            index.append(ids.setdefault(key, len(ids)))
+    features = _rows(ids)[np.array(index, dtype=np.intp)]
     compiled, offset = [], 0
     for example, pair, records in zip(examples, pairs, all_records):
         target = example.target_state or example.label
-        rows = features[offset : offset + pair.m]
-        compiled.append(Compiled(pair, target, records, rows))
-        offset += pair.m
+        end = offset + pair.m
+        compiled.append(
+            Compiled(
+                pair, target, records, features[offset:end], tuple(index[offset:end])
+            )
+        )
+        offset = end
     return compiled, features
+
+
+def distinct_rows(compiled: Sequence[Compiled], features: np.ndarray) -> np.ndarray:
+    """The distinct rows of one ``compile_examples`` call, by row id.
+
+    ``compiled`` and ``features`` are what the call returned, or the
+    records of a subset with their stacked rows.  Row r of the result is
+    every stacked row whose id is r, byte for byte, so one ``decode`` of it
+    decodes the whole split; an id that no record holds gets a zero row.
+    """
+    ids = [r for item in compiled for r in item.row_ids]
+    rows = np.zeros((max(ids, default=-1) + 1, N_FEATURES))
+    rows[ids] = features  # rows with one id are equal, so any write is the row
+    return rows
 
 
 def distribution(params: PolicyParams, features) -> np.ndarray:
@@ -294,7 +324,9 @@ def sample_program(
 
 def argmax(dist: np.ndarray) -> ActionRelation:
     """Most probable action; ties resolve to the earliest canonical action."""
-    return ACTIONS[int(np.argmax(dist))]
+    if not isinstance(dist, np.ndarray):
+        dist = np.asarray(dist)
+    return ACTIONS[dist.argmax()]
 
 
 def decode(params: PolicyParams, features: np.ndarray) -> tuple[ActionRelation, ...]:

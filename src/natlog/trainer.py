@@ -41,11 +41,12 @@ that starts from +0.0, in episode order, as adding them one by one to a
 zero array does.
 
 The greedy accuracy after each epoch reads each example's kind: its class
-and the ids of its feature rows among the distinct rows of the set,
-interned once per ``train`` call.  Examples of one kind have one greedy
-program and one outcome, so each epoch decodes the distinct rows in one
-``step_distributions`` call and looks up each kind once; the augmented
-default compositional training set has 52 kinds and 40 distinct rows.
+and its ``row_ids``, the numbering of distinct feature rows that
+``compile_examples`` made, interned once per ``train`` call.  Examples of
+one kind have one greedy program and one outcome, so each epoch decodes
+the distinct rows in one ``decode`` call and looks up each kind once; the
+augmented default compositional training set has 52 kinds and 40
+distinct rows.
 
 Episode n of a run reads the uniforms of ``np.random.default_rng([seed,
 n])``, as one row of Python floats: the first m sample its program and
@@ -102,6 +103,8 @@ from .policy import (
     Compiled,
     PolicyParams,
     compile_examples,
+    decode,
+    distinct_rows,
     sample_program,
     step_distributions,
 )
@@ -778,28 +781,24 @@ def _greedy_hits(
     """A function of the weights that counts the examples whose greedy
     program reaches the target.
 
-    ``features`` are the examples' stacked rows and ``classes`` their
-    classes in ``table``.  The examples are interned once, by kind: a class
-    and the ids of its steps' rows among the distinct rows, so that the
-    examples of one kind have one greedy program and one outcome.  Each
-    count decodes the distinct rows in one ``step_distributions`` call and
-    looks each kind up in ``table`` once.
+    ``compiled`` and ``features`` are what ``compile_examples`` returned
+    and ``classes`` the examples' classes in ``table``.  The examples are
+    interned once, by kind: a class and the ``row_ids`` of its steps, so
+    that the examples of one kind have one greedy program and one outcome.
+    Each count decodes the distinct rows in one ``decode`` call and looks
+    each kind up in ``table`` once.
     """
-    rows, inverse = np.unique(features, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1).tolist()  # numpy 2.0.x gives it another shape
-    kinds: dict[tuple, list] = {}  # (class, *row ids) -> [pair, row ids, count]
-    offset = 0
+    rows = distinct_rows(compiled, features)
+    kinds: dict[tuple, list] = {}  # (class, row ids) -> [pair, count]
     for cls, item in zip(classes, compiled):
-        ids = inverse[offset : offset + item.pair.m]
-        offset += len(ids)
-        kinds.setdefault((cls, *ids), [item.pair, ids, 0])[2] += 1
+        kinds.setdefault((cls, item.row_ids), [item.pair, 0])[1] += 1
 
     def hits(params: PolicyParams) -> int:
-        best = np.argmax(step_distributions(params, rows), axis=1).tolist()
+        best = decode(params, rows)
         return sum(
             count
-            for (cls, *_), (pair, ids, count) in kinds.items()
-            if table.reaches(cls, pair, tuple(ACTIONS[best[r]] for r in ids))
+            for (cls, ids), (pair, count) in kinds.items()
+            if table.reaches(cls, pair, tuple([best[r] for r in ids]))
         )
 
     return hits

@@ -384,24 +384,66 @@ class TestChunkPairs:
         assert chunk_pairs([], RULES) == []
 
     def test_shared_memo_chunks_each_sentence_once(self, monkeypatch):
+        """Each distinct sentence is read once (one ``_role_bits``) and each
+        distinct shape chunked once (one ``_shape``); the memo may be shared
+        across calls, the table of shapes never is."""
         import natlog.chunker as chunker
 
-        calls = []
-        original = chunker.chunk
+        sentences, shapes = [], []
+        role_bits, shape = chunker._role_bits, chunker._shape
 
-        def counting(sentence, rules):
-            calls.append(tuple(sentence))
-            return original(sentence, rules)
+        def counting_bits(tokens, rules):
+            sentences.append(tuple(tokens))
+            return role_bits(tokens, rules)
 
-        monkeypatch.setattr(chunker, "chunk", counting)
+        def counting_shape(tokens, bits):
+            shapes.append(tuple(tokens))
+            return shape(tokens, bits)
+
+        monkeypatch.setattr(chunker, "_role_bits", counting_bits)
+        monkeypatch.setattr(chunker, "_shape", counting_shape)
+        # "all dogs run" and "all animals run" share a shape; "some dogs run"
+        # has the same role bits but another trigger word
         pairs = [("all dogs run", "all animals run"), ("all dogs run", "some dogs run")]
         memo = {}
         chunk_pairs(pairs, RULES, memo)
-        assert len(calls) == 3
+        assert sentences == [
+            ("all", "dogs", "run"), ("all", "animals", "run"), ("some", "dogs", "run")
+        ]
+        assert shapes == [("all", "dogs", "run"), ("some", "dogs", "run")]
         chunk_pairs([("some dogs run", "all dogs run")], RULES, memo)
-        assert len(calls) == 3
+        assert len(sentences) == 3 and len(shapes) == 2
         chunk_pairs([("some dogs run", "all dogs run")], RULES)
-        assert len(calls) == 5  # a fresh memo per call
+        assert len(sentences) == 5  # a fresh memo per call
+        assert len(shapes) == 4  # and a fresh table of shapes
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rules=st.sampled_from([RULES, OVERLAPPING]))
+    def test_shapes_equal_reference_chunking(self, data, rules):
+        """A batch of random sentences, each also with every trigger word in
+        turn at one drawn position, so that shapes differ only in the
+        trigger: ``chunk_pairs`` equals ``reference_chunk`` of each."""
+        words = st.sampled_from(sorted(rules.vocabulary()) + ["run", "zorp"])
+        sentences = []
+        for body in data.draw(
+            st.lists(st.lists(words, max_size=8), min_size=1, max_size=4)
+        ):
+            at = data.draw(st.integers(0, len(body)))
+            sentences += [
+                tuple(body[:at]) + (trigger,) + tuple(body[at:])
+                for trigger in ("no", "every", "some", "not")
+            ]
+        sentences = data.draw(st.permutations(sentences))
+        pairs = list(zip(sentences, sentences[1:] + sentences[:1]))
+        # every other premise as text, which chunk_pairs tokenizes
+        as_given = [
+            (" ".join(p) if i % 2 else p, h) for i, (p, h) in enumerate(pairs)
+        ]
+        expected = [
+            ChunkedPair(reference_chunk(p, rules), reference_chunk(h, rules))
+            for p, h in pairs
+        ]
+        assert chunk_pairs(as_given, rules) == expected
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError, match="empty sentence"):

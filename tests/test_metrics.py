@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from natlog import executor, metrics
-from natlog.chunker import chunk_pair, chunk_pairs, default_rules
+from natlog.chunker import chunk_pair, chunk_pairs, default_rules, tokenize
 from natlog.data import Example
 from natlog.datagen import default_genspec, generate, generate_2hop
 from natlog.executor import execute, matches_target
@@ -458,28 +458,38 @@ def test_per_pair_decode_equals_evaluate_programs(
 ):
     """One pair at a time (chunk, featurize, softmax, argmax per step), as
     the benchmark's decode phase runs, against the programs ``evaluate``
-    decodes from the split's stacked rows."""
+    reads from its one decode of the distinct rows through each example's
+    row ids."""
     spec = dataclasses.replace(default_genspec(), noisy_test=noisy)
     _, test_set = generate(spec, rules)
+    compile_, compiled = metrics.compile_examples, []
     decode, decoded = metrics.decode, []
 
-    def recording(params, features):
-        decoded.append(decode(params, features))
-        return decoded[-1]
+    def recording_compile(examples, rules, lexicon):
+        compiled.append(compile_(examples, rules, lexicon))
+        return compiled[-1]
 
+    def recording(params, features):
+        decoded.append((features, decode(params, features)))
+        return decoded[-1][1]
+
+    monkeypatch.setattr(metrics, "compile_examples", recording_compile)
     monkeypatch.setattr(metrics, "decode", recording)
     evaluate(test_set, trained_policy, rules, lexicon)
     monkeypatch.undo()
-    (actions,) = decoded
-    actions = iter(actions)
+    ((items, features),) = compiled
+    ((rows, actions),) = decoded
+    ids = [r for item in items for r in item.row_ids]
+    # the distinct rows, each once, and every stacked row is its id's row
+    assert len(rows) == len(set(ids)) == max(ids) + 1 < len(features)
+    assert rows[ids].tobytes() == features.tobytes()
     programs = set()
-    for example in test_set:
+    for example, item in zip(test_set, items):
         pair = chunk_pair(example.premise, example.hypothesis, rules)
         probs = step_distributions(trained_policy, featurize_pair(pair, lexicon))
         program = tuple(argmax(p) for p in probs)
-        assert program == tuple(itertools.islice(actions, pair.m))
+        assert program == tuple(actions[r] for r in item.row_ids)
         programs.add(program)
-    assert next(actions, None) is None
     assert len(programs) > 1
 
 
@@ -656,6 +666,90 @@ class TestEvaluateByDistinctParts:
             f"example 1 ({example.premise!r}): "
             f"program length {m - 1} != hypothesis chunks {m}"
         )
+
+
+class TestEvaluateByKind:
+    """``evaluate`` scores each kind of example once: the distinct rows are
+    decoded once, errors name the earliest malformed example, and the mean
+    IOU adds the examples' IOUs in example order."""
+
+    @pytest.mark.parametrize("split, distinct", [("comp", 20), ("noisy", 42)])
+    def test_decodes_the_distinct_rows_once(
+        self, splits, policies, rules, lexicon, monkeypatch, split, distinct
+    ):
+        decoded = []
+
+        def recording(params, features):
+            decoded.append(len(features))
+            return decode(params, features)
+
+        monkeypatch.setattr(metrics, "decode", recording)
+        evaluate(splits[split], policies["trained"], rules, lexicon)
+        assert decoded == [distinct]
+
+    def test_earliest_malformed_example_named(self, splits, rules, lexicon):
+        """Malformed examples of three kinds, one kind repeated: the error
+        names the earliest, and, with it mended, the next."""
+        examples = splits["comp"][:40]
+        bad_token = dataclasses.replace(examples[7], gold_rationale_tokens=(0, 99))
+        short = dataclasses.replace(
+            examples[3], gold_program=examples[3].gold_program[:-1]
+        )
+        long_states = dataclasses.replace(
+            examples[5], gold_states=examples[5].gold_states + (Relation.EQUIVALENCE,)
+        )
+        broken = {12: bad_token, 20: short, 26: long_states, 33: bad_token}
+        m = len(short.gold_program) + 1
+        n_tokens = len(tokenize(bad_token.hypothesis))
+        messages = {
+            12: f"gold rationale token 99 is not a hypothesis token index "
+            f"in 0..{n_tokens - 1}",
+            20: f"program length {m - 1} != hypothesis chunks {m}",
+            26: f"gold states length {m + 1} != hypothesis chunks {m}",
+        }
+        messages[33] = messages[12]
+        for index in sorted(broken):
+            mixed = [broken.get(i, example) for i, example in enumerate(examples)]
+            with pytest.raises(ValueError) as info:
+                evaluate(mixed, PolicyParams.zeros(), rules, lexicon)
+            assert str(info.value) == (
+                f"example {index} ({broken[index].premise!r}): {messages[index]}"
+            )
+            del broken[index]
+        evaluate(examples, PolicyParams.zeros(), rules, lexicon)
+
+    def test_rationale_iou_adds_in_example_order(
+        self, splits, policies, rules, lexicon
+    ):
+        """Gold rationales cut to varied token prefixes give IOUs whose mean
+        depends on the order of addition; ``evaluate`` adds them as the
+        per-example loop does, not kind by kind."""
+        params = policies["trained"]
+        examples = [
+            dataclasses.replace(
+                example, gold_rationale_tokens=tuple(range(i % n + 1))
+            )
+            for i, example in enumerate(splits["noisy"])
+            for n in [len(tokenize(example.hypothesis))]
+        ]
+        ious = []
+        for example in examples:
+            pair = chunk_pair(example.premise, example.hypothesis, rules)
+            trace = execute(pair, decode(params, featurize_pair(pair, lexicon)))
+            ious.append(
+                iou(trace.rationale_token_indices(), example.gold_rationale_tokens)
+            )
+        expected = float(np.mean(ious))
+        # the order matters: the same IOUs grouped by value, or weighted by
+        # their counts, give other floats
+        by_value: dict = {}
+        for value in ious:
+            by_value.setdefault(value, []).append(value)
+        grouped = [value for values in by_value.values() for value in values]
+        assert float(np.mean(grouped)) != expected
+        assert sum(v * len(vs) for v, vs in by_value.items()) / len(ious) != expected
+        report = evaluate(examples, params, rules, lexicon)
+        assert report.rationale_iou == expected
 
 
 @pytest.fixture(scope="module")
