@@ -20,7 +20,7 @@ that the batched paths are checked against, each with a user outside it:
 ``build_queue`` (demo 05), ``phrasal_prf`` (criterion 08) and ``argmax``
 (``benchmarks/run.py``).  ``sample``, ``featurize`` and
 ``extract_rationales`` have no such user; only unit tests read them, as
-references of ``sample_program``, ``featurize_pair`` and ``execute``.
+references of ``policy.sample_codes``, ``featurize_pair`` and ``execute``.
 """
 
 from .chunker import (

@@ -30,12 +30,15 @@ J = -sum_t R_t log p_t[a_t] of a program has the weight gradient
 
     dJ / dW = -sum_t R_t (onehot(a_t) - p_t) outer f_t
 
-which training evaluates from the step probabilities its episode already
-holds.  ``distribution``, ``sample`` and ``grad_log_prob`` are the
-one-row references of the softmax, of ``sample_program`` and of one
-step's gradient.  ``argmax`` calls the array's own ``argmax`` method,
-which ties to the first maximum as ``np.argmax`` does without its
-dispatch.
+which training evaluates from the step probabilities its batch already
+holds.  ``sample_codes`` samples every step of a batch at once: one
+``cumsum`` over its probability rows, and each step takes the first
+action whose cumulative probability exceeds the step's draw, so training
+holds its actions as integer codes.  ``distribution``, ``sample`` and
+``grad_log_prob`` are the one-row references of the softmax, of
+``sample_codes`` and of one step's gradient.  ``argmax`` calls the
+array's own ``argmax`` method, which ties to the first maximum as
+``np.argmax`` does without its dispatch.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ __all__ = [
     "distribution",
     "step_distributions",
     "sample",
-    "sample_program",
+    "sample_codes",
     "argmax",
     "decode",
     "grad_log_prob",
@@ -217,7 +220,13 @@ def compile_examples(
     cannot be chunked raises a ValueError that names the example by
     0-based index and premise.
     """
-    pairs = chunk_examples(examples, rules)
+    return _compile(examples, chunk_examples(examples, rules), lexicon)
+
+
+def _compile(
+    examples: Sequence[Example], pairs: Sequence[ChunkedPair], lexicon: Lexicon
+) -> tuple[list[Compiled], np.ndarray]:
+    """``compile_examples`` of examples already chunked into ``pairs``."""
     all_records = compare_pairs(pairs, lexicon)
     # each distinct row built once; a key holds all the inputs of its row
     ids: dict = {}
@@ -291,35 +300,24 @@ def sample(dist: np.ndarray, rng: np.random.Generator) -> ActionRelation:
     return ACTIONS[-1]  # guard against rounding in the final bin
 
 
-def sample_program(
-    probs: Sequence[Sequence[float]], uniforms: Sequence[float]
-) -> tuple[ActionRelation, ...]:
-    """One action per row of ``probs``, as ``sample`` would draw them in turn.
+def sample_codes(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """One action code per row of ``probs``, as ``sample`` draws the rows in
+    turn, all rows at once.
 
-    ``probs`` may be any sequence of float rows: an (m, n_actions) array,
-    or the lists its ``tolist()`` gives, which training passes because a
-    Python float adds faster than a numpy scalar.  ``uniforms`` are draws
-    in [0, 1), one per row, of which the first m are read; a generator's
-    ``random(m)`` gives the numbers of m scalar draws.  Each row is scanned
-    left to right with the running sum ``sample`` keeps, so it takes the
-    first action whose cumulative probability exceeds its draw, falling
-    back to the last action.
+    ``probs`` is an (N, n_actions) array of distributions and ``draws`` its
+    N draws in [0, 1), one per row.  ``cumsum`` adds each row left to
+    right, as ``sample``'s running sum does, and each row takes the first
+    action whose cumulative probability exceeds its draw, or the last
+    action when none does: the guard against rounding in the final bin.
+    Returns the (N,) action codes.
     """
-    if len(uniforms) < len(probs):
+    if draws.shape != probs.shape[:1]:
         raise ValueError(
-            f"{len(probs)} steps need {len(probs)} uniforms, got {len(uniforms)}"
+            f"{len(probs)} steps need {len(probs)} draws, got shape {draws.shape}"
         )
-    program = []
-    for row, u in zip(probs, uniforms):
-        cum = 0.0
-        for action, p in zip(ACTIONS, row):
-            cum += p
-            if u < cum:
-                break
-        # a scan that never breaks leaves the last action: the guard
-        # against rounding in the final bin
-        program.append(action)
-    return tuple(program)
+    exceeds = draws[:, None] < probs.cumsum(axis=1)
+    exceeds[:, -1] = True  # the last action when no sum exceeds the draw
+    return exceeds.argmax(axis=1)
 
 
 def argmax(dist: np.ndarray) -> ActionRelation:

@@ -24,21 +24,31 @@ field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
 ``train`` all read and which checks each value's type and range once, when
 built.
 
-``train`` runs batch by batch.  Once per epoch it gathers the compiled
-feature rows in the shuffled episode order, so that each batch's rows are
-one contiguous slice.  The probabilities depend only on the weights and a
-feature row, and the weights change once per batch, so each batch makes
-one ``step_distributions`` call over its slice, and each episode reads its
-own rows.  The batch is then scored in one ``batch_objective`` pass over
-the same stacked rows, with the rows of every changed revision appended by
-one index: ``_score`` forms every step's term of every program in array
-operations and sums each program's terms in step order from +0.0, as the
-per-step definition does; ``hybrid_objective`` and ``reinforce_objective``
-are the same kernel on a batch of one.  When revision leaves a program
-unchanged, the episode's revised rewards are its own, not a second lookup,
-and its J' is its J.  The batch's gradients are summed in one reduction
-that starts from +0.0, in episode order, as adding them one by one to a
-zero array does.
+``train`` runs batch by batch, and a batch's actions are integer codes
+from the sampler to the gradient.  Once per epoch it gathers, in the
+shuffled episode order, the compiled feature rows, each step's draw (the
+first m of its episode's uniforms) and the layout of the program codes, so
+that each batch's steps are one contiguous slice of each.  The
+probabilities depend only on the weights and a feature row, and the
+weights change once per batch, so each batch makes one
+``step_distributions`` call over its slice, and one ``sample_codes`` call
+draws every step's action code from it.  One pass over those codes gives
+each episode's ``program_code`` (``_program_codes``), and ``run_episode``,
+the one per-episode call, looks its rewards up by (class, code): without
+revision that lookup is the whole episode, with no per-episode array,
+tuple or record.  With revision the episode builds its program's actions
+from the code and reads its probabilities as Python floats, from one
+``tolist()`` per batch.  The batch is then scored in one
+``batch_objective`` pass over the same stacked rows and sampled codes,
+with the rows and codes of every changed revision appended:
+``_score`` forms every step's term of every program in array operations
+and sums each program's terms in step order from +0.0, as the per-step
+definition does; ``hybrid_objective`` and ``reinforce_objective`` are the
+same kernel on a batch of one.  When revision leaves a program unchanged,
+the episode's revised rewards are its own, not a second lookup, and its
+J' is its J.  The batch's gradients are summed in one reduction that
+starts from +0.0, in episode order, as adding them one by one to a zero
+array does.
 
 The greedy accuracy after each epoch reads each example's kind: its class
 and its ``row_ids``, the numbering of distinct feature rows that
@@ -49,16 +59,18 @@ augmented default compositional training set has 52 kinds and 40
 distinct rows.
 
 Episode n of a run reads the uniforms of ``np.random.default_rng([seed,
-n])``, as one row of Python floats: the first m sample its program and
-the rest, one per coin flip, drive revision.  ``_episode_uniforms`` draws
-every row of an epoch at once, bit for bit as numpy does: ``_stream_words``
+n])``: the first m sample its program and the rest, one per coin flip,
+drive revision, which reads the row as Python floats.
+``_episode_uniforms`` draws every row of an epoch at once, bit for bit as
+numpy does: ``_stream_words``
 hashes every ordinal as numpy's ``SeedSequence`` does, and PCG64 (O'Neill
 2014) is seeded and stepped on 128-bit states held as four 32-bit limbs in
 uint64 arrays.  A row is as wide as the most any episode can read: m, plus
 two per proposal that revision may pop.  Nothing else reads an episode's
 stream, so an unread tail changes nothing.
 
-Every program outcome that training reads comes from one ``OutcomeTable``.
+Every program outcome that training reads comes from one ``OutcomeTable``,
+which looks rewards up by program code.
 What a program does to a pair depends only on the contexts of the pair's
 hypothesis chunks, its target and the program, and the augmented default
 compositional training set has 12 such (contexts, target) classes among
@@ -71,8 +83,10 @@ that reach the target, each computed on first use; episodes, revision,
 grid search and the greedy accuracy read them.  Rewards do not depend on
 the weights, so a table stays right for a whole run; ``train`` builds a
 fresh one in every call, so no state is shared between runs or configs.
-Sampling and revision read each episode's probabilities as Python floats,
-from one ``tolist()``.
+
+``train`` chunks each distinct training sentence once: relation
+augmentation reads the original examples' chunks, and a swapped pair's
+chunks are its original's with the sides exchanged.
 """
 
 from __future__ import annotations
@@ -80,14 +94,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .chunker import ChunkRules, chunk_pairs
-from .data import Example, example_error, require_targets
+from .data import Example, chunk_examples, example_error, require_targets
 from .executor import (
     ChunkedPair,
     ExecutionTable,
@@ -102,10 +116,10 @@ from .knowledge import Lexicon, ProposalQueue, queue_from_keys
 from .policy import (
     Compiled,
     PolicyParams,
-    compile_examples,
+    _compile,
     decode,
     distinct_rows,
-    sample_program,
+    sample_codes,
     step_distributions,
 )
 from .relations import (
@@ -140,6 +154,9 @@ Target = NLILabel | Relation
 
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 _EQUIVALENCE = Relation.EQUIVALENCE.code
+# program codes of up to 26 steps are below 2 * 5**26 < 2**63, so int64
+# holds them; longer programs are coded in Python ints
+_INT64_STEPS = 26
 
 # Seeds and episode ordinals stay below 2**32, where each is one entropy
 # word of SeedSequence([seed, ordinal]), the only case _stream_words derives.
@@ -256,13 +273,15 @@ class RevisionEvent:
 
 @dataclass
 class Episode:
-    """What training reads of one sample: its steps' features and
-    probabilities, the programs and their rewards, and the revisions.
+    """One sample as a record, which ``hybrid_objective`` scores: its
+    steps' features and probabilities, the programs and their rewards, and
+    the revisions.  ``train`` keeps no such record; its episodes are
+    codes (module docstring).
 
     The revised fields are None without introspective revision.  When
-    revision leaves the program unchanged, ``revised_rewards`` is
-    ``rewards``: the same object, not a copy.  The rewards come from the
-    run's ``OutcomeTable``: they are the table's tuple, shared with every
+    revision leaves the program unchanged, ``revised_rewards`` may be
+    ``rewards``, the same object, as ``run_episode`` returns it.  Rewards
+    read from an ``OutcomeTable`` are the table's tuple, shared with every
     episode of the same class and program, and equal what ``reward`` gives
     for the program's trace.
     """
@@ -305,6 +324,43 @@ def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ..
     )
 
 
+def _step_codes(code: int) -> list[int]:
+    """The action codes of the program whose ``program_code`` is ``code``:
+    its base-5 digits behind the leading 1."""
+    steps = []
+    while code > 1:
+        code, action = divmod(code, len(ACTIONS))
+        steps.append(action)
+    return steps[::-1]
+
+
+def _program(code: int) -> Program:
+    """The program whose ``program_code`` is ``code``."""
+    return tuple([ACTIONS[a] for a in _step_codes(code)])
+
+
+def _code_layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``_program_codes`` reads of programs of ``lengths`` steps,
+    stacked step after step: each step's place value 5**(m - t), each
+    program's first step and each program's leading 5**m.  The values are
+    int64 up to ``_INT64_STEPS`` steps and Python ints beyond."""
+    ends = np.cumsum(lengths)
+    dtype = np.int64 if lengths.max() <= _INT64_STEPS else object
+    base = np.array(len(ACTIONS), dtype=dtype)
+    places = base ** (np.repeat(ends, lengths) - np.arange(ends[-1]) - 1)
+    return places, ends - lengths, base**lengths
+
+
+def _program_codes(
+    codes: np.ndarray, places: np.ndarray, firsts: np.ndarray, leads: np.ndarray
+) -> list[int]:
+    """``program_code`` of every program whose step codes are stacked in
+    ``codes``, in one pass: each program's steps times their place values,
+    summed, behind its leading power.  ``places``, ``firsts`` and ``leads``
+    are a ``_code_layout`` of the programs' lengths."""
+    return (np.add.reduceat(codes * places, firsts) + leads).tolist()
+
+
 class OutcomeTable:
     """Program outcomes, computed once per (contexts, target) class.
 
@@ -338,14 +394,15 @@ class OutcomeTable:
             self._edits.append({})
         return self._classes[key]
 
-    def rewards(
-        self, cls: int, pair: ChunkedPair, program: Program
-    ) -> tuple[float, ...]:
-        """``reward`` of ``program`` over ``pair``, a pair of class ``cls``;
-        the trace it reads is built once per (class, program)."""
-        known, code = self._rewards[cls], program_code(program)
+    def rewards(self, cls: int, pair: ChunkedPair, code: int) -> tuple[float, ...]:
+        """``reward`` of the program with ``program_code`` ``code`` over
+        ``pair``, a pair of class ``cls``: a lookup by (class, code).  The
+        program's actions and the trace ``reward`` reads are built once per
+        (class, code), on the first lookup."""
+        known = self._rewards[cls]
         rewards = known.get(code)
         if rewards is None:
+            program = _program(code)
             parts = self._executions[cls].parts(pair, program)
             rewards = known[code] = reward(
                 Trace(pair, program, *parts), self._targets[cls], self.config
@@ -409,7 +466,7 @@ def _score(
     (P, n_actions, n_features).
     """
     chosen = probs[np.arange(len(probs)), codes]
-    log_terms = np.log(chosen, out=np.zeros_like(chosen), where=rewards != 0.0)
+    log_terms = np.log(chosen, out=np.zeros(len(chosen)), where=rewards != 0.0)
     log_terms *= rewards
     step_grads = rewards[:, None, None] * (
         (_ONEHOT[codes] - probs)[:, :, None] * features[:, None, :]
@@ -527,64 +584,65 @@ def introspective_revision(
 
 
 def batch_objective(
-    episodes: Sequence[Episode],
+    rewards: Sequence[Sequence[float]],
     lam: float,
-    probs: Optional[np.ndarray] = None,
-    features: Optional[np.ndarray] = None,
+    probs: np.ndarray,
+    features: np.ndarray,
+    codes: np.ndarray,
+    revised: Optional[dict[int, tuple[Sequence[int], Sequence[float]]]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each episode's lam * J + (1 - lam) * J' and its weight gradient.
 
-    ``probs`` and ``features`` are the episodes' step rows, stacked in
-    episode order, as ``train`` holds them; when they are not given, the
-    episodes' own ``probs`` and ``features`` are stacked.  The probabilities
-    are the distributions under the current weights as long as they have
-    not changed since the episodes ran.
+    The batch's episodes are stacked step after step, in episode order:
+    ``probs`` and ``features`` are the steps' rows, ``codes`` the actions
+    sampled there, and ``rewards`` holds each episode's per-step rewards,
+    whose lengths are the episodes' lengths.  The probabilities are the
+    distributions under the current weights as long as they have not
+    changed since the episodes ran.
 
-    J scores the sampled program and J' the revised one.  Either every
-    episode carries a revised program or none does; without revisions the
-    result is J itself, unscaled.  A revision that changed nothing (the
-    same program, and ``revised_rewards`` is ``rewards``) has J' = J and is
-    not scored again; the changed revisions' rows are appended to the
-    stacked rows with one index, and every program is scored in one
-    ``_score`` call.  Returns values (E,) and gradients
-    (E, n_actions, n_features).
+    J scores the sampled program and J' the revised one.  ``revised`` is
+    None without revisions, and the result is J itself, unscaled.  With
+    revisions it maps the index of each episode whose revision changed its
+    program to the revised action codes and their rewards; every other
+    episode's J' is its J and is not scored again.  The changed revisions'
+    rows are appended to the stacked rows with one index and their codes
+    to ``codes``, and every program is scored in one ``_score`` call.  An
+    empty batch, rows that do not match the rewards and a revision that
+    does not match its episode raise ``ValueError``.  Returns values (E,)
+    and gradients (E, n_actions, n_features).
     """
-    revised = episodes[0].revised_program is not None
-    if any((e.revised_program is not None) != revised for e in episodes):
-        raise ValueError("either every episode of a batch is revised or none is")
-    if probs is None:
-        probs = np.concatenate([e.probs for e in episodes])
-        features = np.concatenate([e.features for e in episodes])
-    n = len(episodes)
-    programs = [e.program for e in episodes]
-    rewards = [e.rewards for e in episodes]
-    lengths = [len(p) for p in programs]
-    changed = [
-        i
-        for i, e in enumerate(episodes)
-        if revised
-        and (e.revised_rewards is not e.rewards or e.revised_program != e.program)
-    ]
-    if changed:
-        begins = list(accumulate(lengths, initial=0))
-        rows = [*range(begins[-1])]
-        for i in changed:
+    if not rewards:
+        raise ValueError("cannot score an empty batch of episodes")
+    n = len(rewards)
+    lengths = [len(r) for r in rewards]
+    begins = list(accumulate(lengths, initial=0))
+    if not len(codes) == len(probs) == len(features) == begins[-1]:
+        raise ValueError(
+            f"{n} episodes of {begins[-1]} steps, but {len(codes)} codes, "
+            f"{len(probs)} probability rows and {len(features)} feature rows"
+        )
+    if revised:
+        rewards, rows, extra = list(rewards), [*range(begins[-1])], []
+        for i, (steps, step_rewards) in revised.items():
+            if not (0 <= i < n and len(steps) == lengths[i] == len(step_rewards)):
+                raise ValueError(f"revision {i} does not match an episode of the batch")
             rows += range(begins[i], begins[i + 1])
-            programs.append(episodes[i].revised_program)
-            rewards.append(episodes[i].revised_rewards)
+            extra += steps
+            rewards.append(step_rewards)
             lengths.append(lengths[i])
         probs, features = probs[rows], features[rows]
+        codes = np.concatenate([codes, np.array(extra, dtype=np.intp)])
     j, grad = _score(
         probs,
         features,
-        np.array([a.code for p in programs for a in p], dtype=np.intp),
-        np.array([r for rs in rewards for r in rs], dtype=float),
+        codes,
+        np.fromiter(chain.from_iterable(rewards), dtype=float, count=len(codes)),
         lengths,
     )
-    if not revised:
+    if revised is None:
         return j, grad
     at = np.arange(n)  # where each episode's J' sits in j
-    at[changed] = np.arange(n, len(j))
+    at[list(revised)] = np.arange(n, len(j))
     return lam * j[:n] + (1 - lam) * j[at], lam * grad[:n] + (1 - lam) * grad[at]
 
 
@@ -597,8 +655,29 @@ def hybrid_objective(
     ``params`` as long as the weights have not changed since the episode
     ran.
     """
-    values, grads = batch_objective([episode], lam, episode.probs, episode.features)
+    revised = None
+    if episode.revised_program is not None:
+        steps = [a.code for a in episode.revised_program]
+        revised = {0: (steps, episode.revised_rewards)}
+    values, grads = batch_objective(
+        [episode.rewards],
+        lam,
+        episode.probs,
+        episode.features,
+        np.array([a.code for a in episode.program], dtype=np.intp),
+        revised,
+    )
     return float(values[0]), grads[0]
+
+
+def _mutual(pair: ChunkedPair, lexicon: Lexicon) -> bool:
+    """Whether the pair's sides are equal chunk for chunk, up to synonyms."""
+    if len(pair.premise) != len(pair.hypothesis):
+        return False
+    return all(
+        lexicon.normalize(p.tokens) == lexicon.normalize(h.tokens)
+        for p, h in zip(pair.premise, pair.hypothesis)
+    )
 
 
 def mutual_entailment_filter(
@@ -615,12 +694,7 @@ def mutual_entailment_filter(
 
     def is_mutual(example: Example) -> bool:
         (pair,) = chunk_pairs([(example.premise, example.hypothesis)], rules, memo)
-        if len(pair.premise) != len(pair.hypothesis):
-            return False
-        return all(
-            lexicon.normalize(p.tokens) == lexicon.normalize(h.tokens)
-            for p, h in zip(pair.premise, pair.hypothesis)
-        )
+        return _mutual(pair, lexicon)
 
     return is_mutual
 
@@ -729,47 +803,47 @@ class TrainResult:
     metrics: tuple[EpochMetrics, ...]
 
 
+# what revision made of an episode: the revised program's code, its rewards
+# and the accepted edits
+Revision = tuple[int, tuple[float, ...], tuple[RevisionEvent, ...]]
+
+
 def run_episode(
     table: OutcomeTable,
     cls: int,
     compiled: Compiled,
-    probs: np.ndarray,
-    uniforms: Sequence[float],
-) -> Episode:
-    """Sample, execute, reward, and (optionally) revise one program.
+    code: int,
+    rows: Sequence[Sequence[float]] = (),
+    uniforms: Sequence[float] = (),
+) -> tuple[tuple[float, ...], Optional[Revision]]:
+    """Reward and (optionally) revise one sampled program.
 
-    ``probs`` holds the policy's distribution at each of the pair's steps,
-    shape (m, n_actions); sampling and revision read them as Python floats,
-    from one ``tolist()``.  ``uniforms`` is the episode's row of draws in
-    [0, 1): the first m sample the program and revision reads the rest, so
-    it needs ``_episode_width`` of them.  The rewards and edit sets come
-    from ``table``, where ``compiled`` is of class ``cls``, and the config
-    is the table's.  A revised program is looked up only when it differs
-    from the sampled one.
+    ``code`` is the ``program_code`` of the program sampled for
+    ``compiled``, which is of class ``cls`` in ``table``; the config is the
+    table's.  Returns the program's rewards, the table's tuple, and its
+    revision.  Without introspective revision the episode is one lookup by
+    (class, code) and the revision is None.  With it, ``rows`` holds the
+    policy's distribution at each of the pair's steps, as lists of Python
+    floats, and ``uniforms`` the episode's row of draws in [0, 1), of which
+    revision reads those past the first m, so it needs ``_episode_width``
+    of them.  The program's actions are built from its code and revised;
+    a revised program is looked up only when it differs from the sampled
+    one, and otherwise its code and rewards are the sampled program's.
     """
+    rewards = table.rewards(cls, compiled.pair, code)
     config = table.config
-    pair = compiled.pair
-    rows = probs.tolist()
-    program = sample_program(rows, uniforms)
-    rewards = table.rewards(cls, pair, program)
-    episode = Episode(
-        features=compiled.features,
-        probs=probs,
-        program=program,
-        rewards=rewards,
-    )
     if not config.introspective_revision:
-        return episode
+        return rewards, None
+    pair = compiled.pair
+    program = _program(code)
     phi = queue_from_keys(compiled.proposals if config.knowledge else (), rows)
     revised, events = introspective_revision(
         table, cls, pair, program, phi, rows, uniforms[pair.m :]
     )
-    episode.revised_program = revised
-    episode.revisions = events
-    episode.revised_rewards = (
-        rewards if revised == program else table.rewards(cls, pair, revised)
-    )
-    return episode
+    if revised == program:
+        return rewards, (code, rewards, events)
+    revised_code = program_code(revised)
+    return rewards, (revised_code, table.rewards(cls, pair, revised_code), events)
 
 
 def _greedy_hits(
@@ -969,33 +1043,46 @@ def train(
     """Plain SGD over the hybrid objective, one weight update per batch.
 
     Each epoch shuffles the examples with ``default_rng([seed, epoch])``,
-    gathers their feature rows in that order once, and walks them in slices
-    of ``batch_size`` (module docstring).  A slice gets one
-    ``step_distributions`` call over its rows; its episodes run under those
-    weights, its objective is scored in one ``batch_objective`` call, and
-    the gradients' sum, seeded with +0.0, updates the weights once, at the
-    end of the slice.  The objective, reward and revision tallies are summed
-    episode by episode, in Python.  After each epoch the greedy accuracy is
-    counted by kind.  Episode n of the run (counted across epochs) reads its
-    row of uniforms, ``default_rng([seed, n]).random(w)`` for the widest
-    episode's w (``_episode_width``); each epoch's rows are drawn in one
-    ``_episode_uniforms`` call and turned into Python floats one slice at a
-    time.  So results are byte-identical for identical seeds regardless of
-    wall clock.  Training starts from a copy of ``params``, or from zero
-    weights.  A run of more than 2**32 episodes is rejected up front, and a
-    malformed example (a sentence that cannot be chunked, no target) raises
-    a ValueError that names it by 0-based index and premise.
+    gathers their steps in that order once, and walks them in slices of
+    ``batch_size`` (module docstring).  A slice gets one
+    ``step_distributions`` and one ``sample_codes`` call over its rows; its
+    episodes run under those weights, one ``run_episode`` each, its
+    objective is scored in one ``batch_objective`` call, and the gradients'
+    sum, seeded with +0.0, updates the weights once, at the end of the
+    slice.  The objective, reward and revision tallies are summed episode
+    by episode, in Python.  After each epoch the greedy accuracy is counted
+    by kind.  Episode n of the run (counted across epochs) reads its row of
+    uniforms, ``default_rng([seed, n]).random(w)`` for the widest episode's
+    w (``_episode_width``); each epoch's rows are drawn in one
+    ``_episode_uniforms`` call.  So results are byte-identical for
+    identical seeds regardless of wall clock.  Training starts from a copy
+    of ``params``, or from zero weights.  A run of more than 2**32 episodes
+    is rejected up front, and a malformed example (a sentence that cannot
+    be chunked, no target) raises a ValueError that names it by 0-based
+    index and premise.
     """
     if not examples:
         raise ValueError("cannot train on an empty dataset")
+    pairs = chunk_examples(examples, rules)
     if config.augmentation:
-        examples = relation_augmentation(examples, rules, lexicon)
+        # one chunking of each distinct sentence: the filter reads the
+        # originals' chunks, and a swapped pair's are its original's, exchanged
+        chunked = {(e.premise, e.hypothesis): p for e, p in zip(examples, pairs)}
+        examples = relation_augmentation(
+            examples,
+            rules,
+            lexicon,
+            lambda e: _mutual(chunked[e.premise, e.hypothesis], lexicon),
+        )
+        for swapped in examples[len(pairs) :]:
+            pair = chunked[swapped.hypothesis, swapped.premise]
+            pairs.append(ChunkedPair(pair.hypothesis, pair.premise))
     if config.epochs * len(examples) > _ONE_WORD:
         raise ValueError(
             f"{config.epochs} epochs of {len(examples)} examples make more "
             "than 2**32 episodes"
         )
-    compiled, features = compile_examples(examples, rules, lexicon)
+    compiled, features = _compile(examples, pairs, lexicon)
     require_targets(examples)
     params = params.copy() if params is not None else PolicyParams.zeros()
     table = OutcomeTable(config)
@@ -1015,46 +1102,71 @@ def train(
         uniforms = _episode_uniforms(
             config.seed, np.arange((epoch - 1) * n, epoch * n), width
         )
-        # the epoch's rows in episode order, gathered once: episode k's rows
-        # are bounds[k] to bounds[k + 1], a copy of its example's
+        # the epoch's steps in episode order, gathered once: episode k's
+        # steps are bounds[k] to bounds[k + 1], with a copy of its example's
+        # rows, the first m of its uniforms as draws, and the layout of its
+        # program code
         steps = lengths[order]
-        ends = np.cumsum(steps)
-        shift = np.repeat(starts[order] - (ends - steps), steps)
-        rows = features[np.arange(ends[-1]) + shift]
-        bounds = [0, *ends.tolist()]
+        places, firsts, leads = _code_layout(steps)
+        t = np.arange(len(places)) - np.repeat(firsts, steps)  # 0-based step
+        rows = features[t + np.repeat(starts[order], steps)]
+        draws = uniforms[np.repeat(np.arange(n), steps), t]
+        bounds = [*firsts.tolist(), len(places)]
+        episodes = order.tolist()
 
-        revisions = []
+        revisions: list = [] if config.introspective_revision else [()] * n
         reward_total = 0.0
         objective_total = 0.0
 
         for start in range(0, n, config.batch_size):
             stop = min(start + config.batch_size, n)
-            batch_rows = rows[bounds[start] : bounds[stop]]
+            begin, end = bounds[start], bounds[stop]
+            batch_rows = rows[begin:end]
             probs = step_distributions(params, batch_rows)
-            draws = uniforms[start:stop].tolist()
-            episodes = []
-            offset = 0
-            for i, episode_draws in zip(order[start:stop].tolist(), draws):
-                m = ms[i]
-                episodes.append(
-                    run_episode(
+            codes = sample_codes(probs, draws[begin:end])
+            programs = _program_codes(
+                codes,
+                places[begin:end],
+                firsts[start:stop] - begin,
+                leads[start:stop],
+            )
+            batch = zip(episodes[start:stop], programs)
+            batch_rewards = []
+            revised = None
+            if not config.introspective_revision:
+                for i, code in batch:
+                    rewards = run_episode(table, classes[i], compiled[i], code)[0]
+                    batch_rewards.append(rewards)
+                    reward_total += sum(rewards)
+            else:
+                revised = {}
+                prob_rows = probs.tolist()
+                for k, ((i, code), episode_draws) in enumerate(
+                    zip(batch, uniforms[start:stop].tolist())
+                ):
+                    at = bounds[start + k] - begin
+                    rewards, (revised_code, revised_rewards, events) = run_episode(
                         table,
                         classes[i],
                         compiled[i],
-                        probs[offset : offset + m],
+                        code,
+                        prob_rows[at : at + ms[i]],
                         episode_draws,
                     )
-                )
-                offset += m
+                    batch_rewards.append(rewards)
+                    reward_total += sum(rewards)
+                    revisions.append(events)
+                    if revised_code != code:
+                        revised[k] = (_step_codes(revised_code), revised_rewards)
 
-            values, grads = batch_objective(episodes, config.lam, probs, batch_rows)
+            values, grads = batch_objective(
+                batch_rewards, config.lam, probs, batch_rows, codes, revised
+            )
             params.weights -= config.learning_rate * np.add.reduce(
                 grads, axis=0, initial=0.0
             )
-            for episode, value in zip(episodes, values.tolist()):
+            for value in values.tolist():
                 objective_total += value
-                reward_total += sum(episode.rewards)
-                revisions.append(episode.revisions)
 
         metrics.append(
             EpochMetrics(

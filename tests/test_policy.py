@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dataclasses
+from itertools import accumulate
 
 from natlog import policy
 from natlog.chunker import chunk_pair, chunk_pairs, default_rules
@@ -27,7 +28,7 @@ from natlog.policy import (
     grad_log_prob,
     load_checkpoint,
     sample,
-    sample_program,
+    sample_codes,
     save_checkpoint,
     step_distributions,
 )
@@ -388,6 +389,46 @@ class TestStackedDistributions:
         assert decode(params, np.zeros((0, N_FEATURES))) == ()
 
 
+class Fixed:
+    """A generator stand-in whose ``random()`` hands out one fixed draw."""
+
+    def __init__(self, u):
+        self.u = float(u)
+
+    def random(self):
+        return self.u
+
+
+def actions(codes):
+    return tuple(ACTIONS[c] for c in codes.tolist())
+
+
+@st.composite
+def sampling_cases(draw):
+    """Rows of non-negative weights, some zero, scaled to sum to 1 or just
+    below it, each with a draw: a uniform one, one equal to one of the
+    row's running sums (as ``sample`` adds them) or one past the row's total,
+    where only the guard of the final bin picks an action."""
+    weights = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    rows, draws = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        row = np.array(draw(st.lists(weights, min_size=N_ACTIONS, max_size=N_ACTIONS)))
+        if not row.any():
+            row[draw(st.integers(0, N_ACTIONS - 1))] = 1.0
+        row = row / row.sum() * draw(st.sampled_from([1.0, 1.0 - 2**-40]))
+        sums = list(accumulate(row.tolist()))
+        kind = draw(st.sampled_from(["uniform", "on a sum", "past the total"]))
+        if kind == "uniform":
+            u = draw(st.floats(0.0, 1.0, exclude_max=True))
+        elif kind == "on a sum":
+            u = draw(st.sampled_from(sums))
+        else:
+            u = float(np.nextafter(sums[-1], 2.0))
+        rows.append(row)
+        draws.append(min(u, 1.0 - 2**-53))
+    return np.array(rows), np.array(draws)
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         dist = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
@@ -426,11 +467,10 @@ class TestSampling:
     def test_program_equals_scalar_draws(self, scores, seed):
         params = PolicyParams(weights=np.eye(N_ACTIONS, N_FEATURES))
         probs = step_distributions(params, scores)
-        for rows in (probs, probs.tolist()):  # an array or its float lists
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            uniforms = a.random(len(rows)).tolist()
-            assert sample_program(rows, uniforms) == tuple(sample(p, b) for p in probs)
-            assert a.random() == b.random()  # both consumed the same draws
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        codes = sample_codes(probs, a.random(len(probs)))
+        assert actions(codes) == tuple(sample(p, b) for p in probs)
+        assert a.random() == b.random()  # both consumed the same draws
 
     def test_program_on_sums_just_below_one_and_draws_near_one(self):
         probs = np.array(
@@ -443,22 +483,10 @@ class TestSampling:
         )
         assert probs.sum(axis=1).max() < 1.0
         draws = np.array([1.0 - 2**-53, 0.9999999999995, 1.0 - 2**-52, 1.0 - 2**-53])
-
-        class Fixed:
-            """Hands out ``draws`` in order, one at a time."""
-
-            def __init__(self):
-                self.left = iter(draws.tolist())
-
-            def random(self):
-                return next(self.left)
-
-        rng = Fixed()
-        expected = tuple(sample(p, rng) for p in probs)
+        expected = tuple(sample(p, Fixed(u)) for p, u in zip(probs, draws))
         # rows 0 and 3 end below their draws: the guard picks the last action
         assert expected == (ACTIONS[-1], ACTIONS[-1], ACTIONS[0], ACTIONS[-1])
-        assert sample_program(probs, draws) == expected
-        assert sample_program(probs.tolist(), draws.tolist()) == expected
+        assert actions(sample_codes(probs, draws)) == expected
 
     def test_program_on_real_distributions(self):
         rng = np.random.default_rng(5)
@@ -466,17 +494,46 @@ class TestSampling:
         probs = step_distributions(params, rng.normal(size=(64, N_FEATURES)))
         for seed in range(50):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            uniforms = a.random(len(probs)).tolist()
-            assert sample_program(probs, uniforms) == tuple(sample(p, b) for p in probs)
+            codes = sample_codes(probs, a.random(len(probs)))
+            assert actions(codes) == tuple(sample(p, b) for p in probs)
 
-    def test_program_reads_the_first_m_uniforms(self):
+    def test_codes_take_one_draw_per_step(self):
         probs = np.full((3, N_ACTIONS), 0.2)
-        # draws past the third are never read; too few is an error
-        assert sample_program(probs, [0.1, 0.5, 0.9, 0.0]) == (
+        assert actions(sample_codes(probs, np.array([0.1, 0.5, 0.9]))) == (
             ACTIONS[0], ACTIONS[2], ACTIONS[4]
         )
-        with pytest.raises(ValueError, match="3 steps need 3 uniforms, got 2"):
-            sample_program(probs, [0.1, 0.5])
+        # too few, too many, and one draw that would broadcast over every row
+        for draws in ([0.1, 0.5], [0.1, 0.5, 0.9, 0.0], [0.1], [[0.1], [0.5], [0.9]]):
+            with pytest.raises(ValueError, match="3 steps need 3 draws"):
+                sample_codes(probs, np.array(draws))
+        assert sample_codes(probs[:0], np.zeros(0)).shape == (0,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampling_cases())
+    def test_codes_equal_sample_row_by_row(self, case):
+        probs, draws = case
+        codes = sample_codes(probs, draws)
+        assert codes.shape == (len(probs),)
+        for p, u, code in zip(probs, draws, codes.tolist()):
+            assert sample(p, Fixed(u)) is ACTIONS[code]
+
+    def test_codes_on_zeros_fallback_and_draws_on_a_sum(self):
+        probs = np.array(
+            [
+                [0.0, 0.5, 0.0, 0.0, 0.5],  # a zero entry is never drawn
+                [0.0, 0.5, 0.0, 0.0, 0.5],  # a draw on a sum moves past it
+                [0.1, 0.2, 0.3, 0.2, 0.2],  # a draw on the rounded 0.1 + 0.2
+                [0.1, 0.2, 0.3, 0.2, 0.2],  # a draw just below it
+                [0.3, 0.3, 0.3, 0.0, 0.0],  # sums to 0.8999999999999999
+                [0.3, 0.3, 0.3, 0.0, 0.0],
+            ]
+        )
+        assert 0.1 + 0.2 != 0.3 and probs[4].cumsum()[-1] < 0.9
+        draws = np.array([0.0, 0.5, 0.1 + 0.2, np.nextafter(0.1 + 0.2, 0.0), 0.95, 0.9])
+        # the last two rows end below their draws: the guard picks the last action
+        expected = tuple(ACTIONS[i] for i in (1, 4, 2, 1, 4, 4))
+        assert tuple(sample(p, Fixed(u)) for p, u in zip(probs, draws)) == expected
+        assert actions(sample_codes(probs, draws)) == expected
 
     def test_argmax_tie_resolves_to_canonical_order(self):
         assert argmax(np.full(N_ACTIONS, 0.2)) == ActionRelation.EQUIVALENCE

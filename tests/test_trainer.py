@@ -20,6 +20,7 @@ from natlog.executor import (
     ChunkedPair,
     execute,
     matches_target,
+    program_code,
     single_edits,
 )
 from natlog.knowledge import Proposal, ProposalQueue, default_lexicon, queue_from_keys
@@ -31,6 +32,7 @@ from natlog.policy import (
     distribution,
     grad_log_prob,
     sample,
+    sample_codes,
     step_distributions,
 )
 from natlog.relations import (
@@ -67,9 +69,12 @@ from natlog.trainer import (
     train,
 )
 from natlog.trainer import (
+    _code_layout,
     _episode_uniforms,
     _episode_width,
     _greedy_accuracy,
+    _program,
+    _program_codes,
     _stream_words,
 )
 
@@ -124,6 +129,26 @@ def episode_uniforms(item, config, rng):
     """As many of ``rng``'s draws as an episode of ``item`` may read, as the
     row of Python floats ``train`` hands ``run_episode``."""
     return rng.random(_episode_width(item, config)).tolist()
+
+
+def sampled_episode(table, cls, item, probs, uniforms):
+    """One episode as ``train`` runs it, as the ``Episode`` record that
+    ``hybrid_objective`` reads: ``sample_codes`` on the first m of
+    ``uniforms``, then ``run_episode`` on the program's code, with the
+    programs rebuilt from their codes."""
+    codes = sample_codes(probs, np.array(uniforms[: item.pair.m]))
+    program = tuple(ACTIONS[c] for c in codes.tolist())
+    code = program_code(program)
+    rewards, revision = run_episode(table, cls, item, code, probs.tolist(), uniforms)
+    episode = Episode(
+        features=item.features, probs=probs, program=program, rewards=rewards
+    )
+    if revision is not None:
+        revised_code, episode.revised_rewards, episode.revisions = revision
+        episode.revised_program = _program(revised_code)
+        # an unchanged revision is the sampled program, rewards and all
+        assert (revised_code == code) == (episode.revised_rewards is rewards)
+    return episode
 
 
 def grid(pair, program, phi, target, probs):
@@ -625,10 +650,14 @@ class TestFastPathsMatchExecution:
         pair = upward_pair(2)
         table = OutcomeTable(CFG)
         cls = table.classify(pair, NLILabel.ENTAILMENT)
-        table.rewards(cls, pair, (A_EQ, A_EQ))  # a right-length program first
-        for fast in (table.reaches, table.rewards, table.edits):
+        table.rewards(cls, pair, program_code((A_EQ, A_EQ)))  # a right length first
+        for fast, program in [
+            (table.reaches, (A_EQ,)),
+            (table.rewards, program_code((A_EQ,))),
+            (table.edits, (A_EQ,)),
+        ]:
             with pytest.raises(ValueError, match="program length 1"):
-                fast(cls, pair, (A_EQ,))
+                fast(cls, pair, program)
         with pytest.raises(ValueError, match="program length 1"):
             single_edits(pair, (A_EQ,), NLILabel.ENTAILMENT)
 
@@ -697,7 +726,7 @@ class TestHybridObjective:
         cls = table.classify(item.pair, item.target)
         probs = step_distributions(params, item.features)
         uniforms = episode_uniforms(item, table.config, np.random.default_rng(3))
-        return run_episode(table, cls, item, probs, uniforms)
+        return sampled_episode(table, cls, item, probs, uniforms)
 
     def test_lambda_one_is_pure_reinforce(self):
         params = PolicyParams.zeros()
@@ -766,7 +795,7 @@ def random_episodes(seed, introspective_revision=True):
     config = TrainConfig(seed=seed, introspective_revision=introspective_revision)
     table = OutcomeTable(config)
     episodes = [
-        run_episode(
+        sampled_episode(
             table,
             table.classify(item.pair, item.target),
             item,
@@ -907,6 +936,65 @@ def objective_batches(draw):
     return params, episodes, lam
 
 
+@st.composite
+def program_batches(draw):
+    """1-16 programs of 1-8 steps, all of one length or of mixed lengths."""
+    count = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(1, 8))] * count
+    else:
+        lengths = draw(st.lists(st.integers(1, 8), min_size=count, max_size=count))
+    return [
+        tuple(draw(st.lists(st.sampled_from(ACTIONS), min_size=m, max_size=m)))
+        for m in lengths
+    ]
+
+
+def one_pass_codes(programs):
+    """``_program_codes`` of stacked programs, as ``train`` runs it on a batch."""
+    lengths = np.array([len(p) for p in programs])
+    codes = np.array([a.code for p in programs for a in p], dtype=np.intp)
+    return _program_codes(codes, *_code_layout(lengths))
+
+
+class TestProgramCodes:
+    """The one-pass program codes against ``executor.program_code``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(program_batches())
+    def test_equal_program_code(self, programs):
+        got = one_pass_codes(programs)
+        assert got == [program_code(p) for p in programs]
+        assert all(type(code) is int for code in got)
+        assert [_program(code) for code in got] == programs
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_every_program_of_m_steps(self, m):
+        # past 5 steps, 5**m programs would be too many: every last 5 steps
+        # behind the first action, then behind the last
+        tails = list(itertools.product(ACTIONS, repeat=min(m, 5)))
+        heads = [()] if m <= 5 else [(ACTIONS[0],) * (m - 5), (ACTIONS[-1],) * (m - 5)]
+        programs = [head + tail for head in heads for tail in tails]
+        assert {len(p) for p in programs} == {m}
+        got = one_pass_codes(programs)
+        assert got == [program_code(p) for p in programs]
+        assert len(set(got)) == len(programs)
+
+    def test_programs_past_int64(self):
+        # 26 steps of the last action give 2 * 5**26 - 1 < 2**63; 27 would not
+        rng = np.random.default_rng(0)
+        programs = [(ACTIONS[-1],) * m for m in (1, 26, 27, 40)]
+        programs += [
+            tuple(ACTIONS[i] for i in rng.integers(5, size=m)) for m in (3, 33)
+        ]
+        assert 2 * 5**26 - 1 < 2**63 < 2 * 5**27 - 1
+        for batch in (programs[:2], programs[:3], programs):  # longest 26, 27, 40
+            got = one_pass_codes(batch)
+            assert got == [program_code(p) for p in batch]
+            assert all(type(code) is int for code in got)
+            assert [_program(code) for code in got] == batch
+
+
 class TestBatchObjective:
     """The batch kernel against ``per_step_objective``, one episode and one
     step at a time, bit for bit."""
@@ -915,7 +1003,7 @@ class TestBatchObjective:
     @given(objective_batches())
     def test_equals_per_episode_per_step_reference(self, case):
         params, episodes, lam = case
-        values, grads = batch_objective(episodes, lam)
+        values, grads = stacked_objective(episodes, lam)
         assert values.shape == (len(episodes),)
         assert grads.shape == (len(episodes),) + params.weights.shape
         for episode, value, grad in zip(episodes, values, grads):
@@ -927,11 +1015,54 @@ class TestBatchObjective:
             assert np.float64(one_value).tobytes() == np.float64(value).tobytes()
             assert one_grad.tobytes() == grad.tobytes()
 
-    def test_batch_with_and_without_revisions_rejected(self):
+    def test_revision_that_matches_no_episode_rejected(self):
         _, _, episodes = random_episodes(0)
-        plain = dataclasses.replace(episodes[1], revised_program=None)
-        with pytest.raises(ValueError, match="every episode"):
-            batch_objective([episodes[0], plain], 0.5)
+        rewards, probs, features, codes, _ = stacked(episodes[:3])
+        steps = [a.code for a in episodes[1].revised_program]
+        for revised in [
+            {3: (steps, episodes[1].revised_rewards)},  # past the batch
+            {-1: (steps, episodes[1].revised_rewards)},  # not an index
+            {1: (steps[:1], episodes[1].revised_rewards)},  # a step short
+            {1: (steps, episodes[1].revised_rewards + (0.0,))},  # a reward long
+        ]:
+            with pytest.raises(ValueError, match="does not match an episode"):
+                batch_objective(rewards, 0.5, probs, features, codes, revised)
+        with pytest.raises(ValueError, match="3 episodes of 6 steps, but 5 codes"):
+            batch_objective(rewards, 0.5, probs, features, codes[:5])
+        with pytest.raises(ValueError, match="but 6 codes, 4 probability rows"):
+            batch_objective(rewards, 0.5, probs[:4], features, codes)
+
+    def test_empty_batch_rejected(self):
+        empty = np.zeros((0, N_FEATURES))
+        for revised in (None, {}):
+            with pytest.raises(ValueError, match="empty batch"):
+                batch_objective([], 0.5, empty, empty, np.zeros(0, np.intp), revised)
+
+
+def stacked(episodes):
+    """The ``batch_objective`` arguments of ``Episode`` records, stacked as
+    ``train`` stacks a batch: an unchanged revision (its own program and
+    rewards objects, as ``run_episode`` leaves them) is not in ``revised``,
+    which is None when no episode is revised."""
+    revised = None
+    if episodes[0].revised_program is not None:
+        revised = {
+            i: ([a.code for a in e.revised_program], e.revised_rewards)
+            for i, e in enumerate(episodes)
+            if e.revised_program is not e.program or e.revised_rewards is not e.rewards
+        }
+    return (
+        [e.rewards for e in episodes],
+        np.concatenate([e.probs for e in episodes]),
+        np.concatenate([e.features for e in episodes]),
+        np.array([a.code for e in episodes for a in e.program], dtype=np.intp),
+        revised,
+    )
+
+
+def stacked_objective(episodes, lam):
+    rewards, probs, features, codes, revised = stacked(episodes)
+    return batch_objective(rewards, lam, probs, features, codes, revised)
 
 
 def assert_same_episode(got, expected):
@@ -955,7 +1086,7 @@ def episodes_with_references(seed, config, step):
         probs = step_distributions(params, item.features)
         cls = table.classify(item.pair, item.target)
         uniforms = episode_uniforms(item, config, np.random.default_rng([seed, i]))
-        episode = run_episode(table, cls, item, probs, uniforms)
+        episode = sampled_episode(table, cls, item, probs, uniforms)
         expected = _reference_episode(
             params, item, config, np.random.default_rng([seed, i])
         )
@@ -1404,6 +1535,52 @@ class TestTrainCallStructure:
         }
 
 
+    def test_default_train_chunks_each_sentence_once(self, monkeypatch):
+        # relation augmentation and compilation share one chunking: the
+        # swapped pairs are the originals' chunks with the sides exchanged
+        import natlog.chunker as chunker
+
+        examples = natlog.generate(natlog.default_genspec(), RULES)[0]
+        read = []
+        role_bits = chunker._role_bits
+
+        def counting_bits(tokens, rules):
+            read.append(tuple(tokens))
+            return role_bits(tokens, rules)
+
+        monkeypatch.setattr(chunker, "_role_bits", counting_bits)
+        train(examples, RULES, LEX, TrainConfig(epochs=1))
+        sentences = {s for e in examples for s in (e.premise, e.hypothesis)}
+        assert len(read) == len(set(read)) == len(sentences) == 917
+
+    @pytest.mark.parametrize("split", ["comp", "noisy"])
+    @pytest.mark.parametrize("ir", [True, False])
+    def test_programs_built_only_on_a_miss_or_for_revision(
+        self, monkeypatch, split, ir
+    ):
+        # without revision an episode is a lookup by (class, code): a
+        # program's actions are built once per table entry, on its first
+        # lookup; revision builds each sampled program once more
+        lookups, built = set(), collections.Counter()
+        rewards, program = OutcomeTable.rewards, natlog.trainer._program
+
+        def recording_rewards(table, cls, pair, code):
+            lookups.add((id(table), cls, code))
+            return rewards(table, cls, pair, code)
+
+        def counting_program(code):
+            built["programs"] += 1
+            return program(code)
+
+        monkeypatch.setattr(OutcomeTable, "rewards", recording_rewards)
+        monkeypatch.setattr(natlog.trainer, "_program", counting_program)
+        count_calls(monkeypatch, built, natlog.trainer, "run_episode")
+        config = TrainConfig(epochs=2, introspective_revision=ir)
+        train(equivalence_slice(split), RULES, LEX, config)
+        episodes = built["run_episode"] if ir else 0
+        assert built["programs"] == len(lookups) + episodes
+
+
 @functools.lru_cache(maxsize=None)
 def class_members(split):
     """The augmented comp training split or noisy test split, compiled, as
@@ -1451,7 +1628,7 @@ class TestOutcomeTable:
                     expected = execute(pair, program)
                     if pair is first:
                         edits, reaching = table.edits(cls, pair, program)
-                    rewards = table.rewards(cls, pair, program)
+                    rewards = table.rewards(cls, pair, program_code(program))
                     if pair is last:
                         edits, reaching = table.edits(cls, pair, program)
                     assert rewards == reward(expected, target, config)
