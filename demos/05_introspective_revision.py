@@ -10,10 +10,10 @@ original and revised programs, which is what makes early learning move.
 import numpy as np
 
 from natlog.chunker import chunk_pair, default_rules
-from natlog.executor import execute
-from natlog.knowledge import build_queue, default_lexicon
+from natlog.executor import execute, program_code
+from natlog.knowledge import default_lexicon, proposal_keys, queue_from_keys
 from natlog.policy import PolicyParams, featurize_pair, step_distributions
-from natlog.relations import ActionRelation, NLILabel
+from natlog.relations import ACTIONS, ActionRelation, NLILabel
 from natlog.trainer import OutcomeTable, TrainConfig, introspective_revision
 
 rules = default_rules()
@@ -37,20 +37,25 @@ print("executes to:    ", execute(pair, program).label.value,
       f"(want {target.value})")
 print()
 
-phi = build_queue(pair, probs, lexicon)
+# a proposal is a (step, relation) key; the queue is the keys ranked by the
+# policy's probability for them, best last, and revision pops from its end
+phi = queue_from_keys(proposal_keys(pair, lexicon), probs)
 print("lexical proposals, best first:")
-for p in phi.items():
-    print(f"  step {p.t}: {p.relation.symbol}  p={p.prob:.2f}")
+for t, relation in reversed(phi):
+    print(f"  step {t}: {relation.symbol}  p={probs[t - 1][relation.code]:.2f}")
 print()
 
 # revision reads what each program does from a table of outcomes per
 # (contexts, target) class, as training does, and its coin flips from
-# pre-drawn uniforms: at most two per proposal
+# pre-drawn uniforms: at most two per proposal.  It revises the program's
+# code, its actions as base-5 digits behind a leading 1
 table = OutcomeTable(TrainConfig())
 uniforms = np.random.default_rng(0).random(2 * len(phi)).tolist()
-revised, events = introspective_revision(
-    table, table.classify(pair, target), pair, program, phi, probs, uniforms
+code, events = introspective_revision(
+    table, table.classify(pair, target), pair, program_code(program), phi, probs,
+    uniforms,
 )
+revised = tuple(ACTIONS[int(d)] for d in np.base_repr(code, len(ACTIONS))[1:])
 print("revised program:", " ".join(a.symbol for a in revised))
 print("executes to:    ", execute(pair, revised).label.value)
 for e in events:

@@ -17,10 +17,9 @@ that the batched paths are checked against, each with a user outside it:
 ``reinforce_objective`` (criterion 04 and ``benchmarks/tracing.py``),
 ``featurize_pair`` (demo 05, ``benchmarks/tracing.py`` and ``run.py``),
 ``align`` (demo 03 and ``benchmarks/tracing.py``), ``propose`` (demo 03),
-``build_queue`` (demo 05), ``phrasal_prf`` (criterion 08) and ``argmax``
-(``benchmarks/run.py``).  ``sample``, ``featurize`` and
-``extract_rationales`` have no such user; only unit tests read them, as
-references of ``policy.sample_codes``, ``featurize_pair`` and ``execute``.
+``phrasal_prf`` (criterion 08) and ``argmax`` (``benchmarks/run.py``).
+``sample`` and ``extract_rationales`` have no such user; only unit tests
+read them, as references of ``policy.sample_codes`` and ``execute``.
 """
 
 from .chunker import (
@@ -53,10 +52,7 @@ from .executor import (
 )
 from .knowledge import (
     Lexicon,
-    Proposal,
-    ProposalQueue,
     align,
-    build_queue,
     default_lexicon,
     propose,
 )
@@ -80,7 +76,6 @@ from .policy import (
     decode,
     distinct_rows,
     distribution,
-    featurize,
     featurize_pair,
     grad_log_prob,
     load_checkpoint,

@@ -37,25 +37,24 @@ pair, and both the policy's features and the proposal rules read those
 records.
 
 The equivalence and forward entailment rules deliberately overlap on the
-sub-phrase case; both proposals are emitted.  Proposals are ranked by the
-policy's probability for the proposed relation, with ties broken by
-earlier position and then by canonical action order.
+sub-phrase case; both proposals are emitted.  A proposal is a plain
+(step, relation) key, as ``proposal_keys`` returns it and as
+``executor.single_edits`` returns an edit.  ``queue_from_keys`` ranks keys
+in one sort, by the policy's probability for the proposed relation, with
+ties broken by earlier position and then by canonical action order; the
+ranked list is the queue, best last, popped from its end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .executor import Chunk, ChunkedPair
-from .relations import ACTIONS, ActionRelation
+from .relations import ActionRelation
 
 __all__ = [
     "Lexicon",
-    "Proposal",
-    "ProposalQueue",
     "align",
     "compare",
     "compare_pair",
@@ -64,7 +63,6 @@ __all__ = [
     "proposal_keys",
     "keys_from_records",
     "queue_from_keys",
-    "build_queue",
     "default_lexicon",
 ]
 
@@ -247,91 +245,6 @@ def default_lexicon() -> Lexicon:
             ("big", "small"), ("white", "black"), ("young", "old"),
         ],
     )
-
-
-@dataclass(frozen=True, order=True, init=False)
-class Proposal:
-    """A candidate revision: set step t to relation, at policy probability.
-
-    Sorts by descending probability, then earlier step, then canonical
-    action order.  Built in one step, as the ``executor`` records are: the
-    hand-written ``__init__`` stores the fields and ``sort_key`` straight
-    into the instance ``__dict__``; equality, ordering, hashing, ``repr``,
-    ``dataclasses.replace`` and the ``FrozenInstanceError`` on assignment
-    stay the generated ones.
-    """
-
-    sort_key: tuple = field(init=False, repr=False)
-    t: int = field(compare=False)  # 1-based hypothesis chunk index
-    relation: ActionRelation = field(compare=False)
-    prob: float = field(compare=False)
-
-    def __init__(self, t: int, relation: ActionRelation, prob: float) -> None:
-        fields = self.__dict__
-        fields["sort_key"] = (-prob, t, relation.code)
-        fields["t"] = t
-        fields["relation"] = relation
-        fields["prob"] = prob
-
-    @property
-    def key(self) -> tuple[int, ActionRelation]:
-        return (self.t, self.relation)
-
-
-_sort_key = attrgetter("sort_key")
-
-
-class ProposalQueue:
-    """Priority queue of proposals, deduplicated on (step, relation).
-
-    The proposals sit in one list in descending ``sort_key`` order, so the
-    best is last and ``pop`` takes it from the end.  Deduplicated keys make
-    every ``sort_key`` distinct, so the order is total: a queue built in one
-    sort pops in the order a heap of the same proposals would.  ``push``
-    inserts into the list in order.  Keys are stored as (step, relation
-    code), so no enum is hashed.
-    """
-
-    def __init__(self, proposals: Iterable[Proposal] = ()):
-        self._ranked: list[Proposal] = []  # descending sort_key
-        self._keys: set[tuple[int, int]] = set()
-        for p in proposals:
-            key = (p.t, p.relation.code)
-            if key not in self._keys:
-                self._keys.add(key)
-                self._ranked.append(p)
-        self._ranked.sort(key=_sort_key, reverse=True)
-
-    def push(self, proposal: Proposal) -> None:
-        key = (proposal.t, proposal.relation.code)
-        if key in self._keys:
-            return
-        self._keys.add(key)
-        ranked, at = self._ranked, len(self._ranked)
-        while at and ranked[at - 1].sort_key < proposal.sort_key:
-            at -= 1
-        ranked.insert(at, proposal)
-
-    def pop(self) -> Proposal:
-        proposal = self._ranked.pop()
-        self._keys.discard((proposal.t, proposal.relation.code))
-        return proposal
-
-    def __len__(self) -> int:
-        return len(self._ranked)
-
-    def items(self) -> list[Proposal]:
-        """Remaining proposals in priority order, non-destructively."""
-        return self._ranked[::-1]
-
-    def keys(self) -> frozenset[tuple[int, ActionRelation]]:
-        return frozenset((t, ACTIONS[code]) for t, code in self._keys)
-
-    def intersect(self, keys: Iterable[tuple[int, ActionRelation]]) -> "ProposalQueue":
-        wanted = {(t, relation.code) for t, relation in keys}
-        return ProposalQueue(
-            p for p in self._ranked if (p.t, p.relation.code) in wanted
-        )
 
 
 def align(
@@ -543,23 +456,18 @@ def proposal_keys(
 
 def queue_from_keys(
     keys: Iterable[tuple[int, ActionRelation]], probs
-) -> ProposalQueue:
-    """Attach policy probabilities to proposal keys and rank them, in one
-    sort of the deduplicated keys."""
-    return ProposalQueue(
-        Proposal(t, relation, float(probs[t - 1][relation.code]))
-        for t, relation in keys
-    )
+) -> list[tuple[int, ActionRelation]]:
+    """The distinct proposal keys ranked by policy probability, in pop order.
 
-
-def build_queue(
-    pair: ChunkedPair,
-    probs,
-    lexicon: Lexicon,
-) -> ProposalQueue:
-    """Proposals for every hypothesis chunk, ranked by policy probability.
-
-    ``probs`` is an (m, 5) array of per-step action distributions, indexed
-    by the canonical action order.
+    ``probs`` holds the per-step action distributions, ``probs[t - 1][a]``
+    for step t and action code a.  One sort orders the keys by descending
+    probability, then earlier step, then canonical action order, and the
+    result lists them best last, so a caller pops the best from the end.
+    Keys are deduplicated as (step, action code), so no enum is hashed.
     """
-    return queue_from_keys(proposal_keys(pair, lexicon), probs)
+    entries: dict = {}  # (step, action code) -> (sort key, relation)
+    for t, relation in keys:
+        code = relation.code
+        entries.setdefault((t, code), (-probs[t - 1][code], t, code, relation))
+    ranked = sorted(entries.values(), reverse=True)
+    return [(t, relation) for _, t, _, relation in ranked]

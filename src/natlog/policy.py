@@ -54,20 +54,12 @@ import numpy as np
 from .chunker import ChunkRules
 from .data import Example, chunk_examples
 from .executor import ChunkedPair
-from .knowledge import (
-    Lexicon,
-    compare,
-    compare_pair,
-    compare_pairs,
-    keys_from_records,
-)
+from .knowledge import Lexicon, compare_pair, compare_pairs, keys_from_records
 from .relations import ACTIONS, ActionRelation, NLILabel, Relation
 
 __all__ = [
     "FEATURE_NAMES",
-    "FeatureVector",
     "PolicyParams",
-    "featurize",
     "featurize_pair",
     "Compiled",
     "compile_examples",
@@ -120,16 +112,6 @@ _NO_CONTEXT_TAIL = (0.0,) * len(_CONTEXT_NAMES) + (1.0,)
 CHECKPOINT_MAGIC = "natlog-policy v1"
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Feature values aligned with FEATURE_NAMES."""
-
-    values: np.ndarray
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[FEATURE_NAMES.index(name)])
-
-
 @dataclass
 class PolicyParams:
     """Weight matrix, one row per action in canonical order."""
@@ -164,17 +146,6 @@ def _rows(keys: Iterable[tuple]) -> np.ndarray:
         values.append(t / m)
         values += _ROW_TAILS.get(context, _NO_CONTEXT_TAIL)
     return np.array(values, dtype=float).reshape(-1, N_FEATURES)
-
-
-def featurize(
-    pair: ChunkedPair, t: int, lexicon: Lexicon
-) -> FeatureVector:
-    """Features for hypothesis chunk t (1-based) against the premise."""
-    if not 1 <= t <= pair.m:
-        raise ValueError(f"step {t} out of range 1..{pair.m}")
-    chunk = pair.hypothesis[t - 1]
-    _, flags = compare(chunk, pair.premise, lexicon)
-    return FeatureVector(values=_rows([(flags, t, pair.m, chunk.context.name)])[0])
 
 
 def featurize_pair(pair: ChunkedPair, lexicon: Lexicon) -> np.ndarray:
@@ -264,8 +235,7 @@ def distinct_rows(compiled: Sequence[Compiled], features: np.ndarray) -> np.ndar
 
 def distribution(params: PolicyParams, features) -> np.ndarray:
     """Softmax action distribution for one feature vector."""
-    f = features.values if isinstance(features, FeatureVector) else np.asarray(features)
-    scores = params.weights @ f
+    scores = params.weights @ np.asarray(features)
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite action scores")
     scores = scores - scores.max()
@@ -340,7 +310,7 @@ def grad_log_prob(
     params: PolicyParams, features, action: ActionRelation
 ) -> np.ndarray:
     """Analytic gradient of log p[action] with respect to the weights."""
-    f = features.values if isinstance(features, FeatureVector) else np.asarray(features)
+    f = np.asarray(features)
     probs = distribution(params, f)
     onehot = np.zeros(N_ACTIONS)
     onehot[action.code] = 1.0

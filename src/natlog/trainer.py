@@ -19,6 +19,13 @@ search over single-step edits supplies at most one answer-driven fix.
 The revised program is scored the same way and both objectives combine as
 lambda * J + (1 - lambda) * J_revised.
 
+Revision works on program codes and plain (step, relation) keys: ``fix``
+replaces one base-5 digit of a ``program_code``, a proposal or an edit is
+a key as ``knowledge.proposal_keys`` and ``executor.single_edits`` return
+it, and a queue is ``knowledge.queue_from_keys``'s ranked list, popped
+from its end.  Actions are built as a tuple only on an ``OutcomeTable``
+miss, where ``execute`` or ``single_edits`` needs them.
+
 Every hyperparameter (mu, gamma, M, epsilon, lambda and the rest) is a
 field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
 ``train`` all read and which checks each value's type and range once, when
@@ -36,19 +43,18 @@ draws every step's action code from it.  One pass over those codes gives
 each episode's ``program_code`` (``_program_codes``), and ``run_episode``,
 the one per-episode call, looks its rewards up by (class, code): without
 revision that lookup is the whole episode, with no per-episode array,
-tuple or record.  With revision the episode builds its program's actions
-from the code and reads its probabilities as Python floats, from one
-``tolist()`` per batch.  The batch is then scored in one
-``batch_objective`` pass over the same stacked rows and sampled codes,
-with the rows and codes of every changed revision appended:
-``_score`` forms every step's term of every program in array operations
-and sums each program's terms in step order from +0.0, as the per-step
-definition does; ``hybrid_objective`` and ``reinforce_objective`` are the
-same kernel on a batch of one.  When revision leaves a program unchanged,
-the episode's revised rewards are its own, not a second lookup, and its
-J' is its J.  The batch's gradients are summed in one reduction that
-starts from +0.0, in episode order, as adding them one by one to a zero
-array does.
+tuple or record.  With revision the episode revises that code and reads
+its probabilities as Python floats, from one ``tolist()`` per batch.  The
+batch is then scored in one ``batch_objective`` pass over the same
+stacked rows and sampled codes, with the rows and codes of every changed
+revision appended: ``_score`` forms every step's term of every program in
+array operations and sums each program's terms in step order from +0.0,
+as the per-step definition does; ``hybrid_objective`` and
+``reinforce_objective`` are the same kernel on a batch of one.  When
+revision leaves a program unchanged, the episode's revised rewards are its
+own, not a second lookup, and its J' is its J.  The batch's gradients are
+summed in one reduction that starts from +0.0, in episode order, as adding
+them one by one to a zero array does.
 
 The greedy accuracy after each epoch reads each example's kind: its class
 and its ``row_ids``, the numbering of distinct feature rows that
@@ -70,7 +76,7 @@ two per proposal that revision may pop.  Nothing else reads an episode's
 stream, so an unread tail changes nothing.
 
 Every program outcome that training reads comes from one ``OutcomeTable``,
-which looks rewards up by program code.
+which looks rewards, reachability and single edits up by program code.
 What a program does to a pair depends only on the contexts of the pair's
 hypothesis chunks, its target and the program, and the augmented default
 compositional training set has 12 such (contexts, target) classes among
@@ -112,7 +118,7 @@ from .executor import (
     program_code,
     single_edits,
 )
-from .knowledge import Lexicon, ProposalQueue, queue_from_keys
+from .knowledge import Lexicon, queue_from_keys
 from .policy import (
     Compiled,
     PolicyParams,
@@ -154,6 +160,7 @@ Target = NLILabel | Relation
 
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 _EQUIVALENCE = Relation.EQUIVALENCE.code
+_BASE = len(ACTIONS)  # a program code's digits are base 5
 # program codes of up to 26 steps are below 2 * 5**26 < 2**63, so int64
 # holds them; longer programs are coded in Python ints
 _INT64_STEPS = 26
@@ -329,9 +336,15 @@ def _step_codes(code: int) -> list[int]:
     its base-5 digits behind the leading 1."""
     steps = []
     while code > 1:
-        code, action = divmod(code, len(ACTIONS))
+        code, action = divmod(code, _BASE)
         steps.append(action)
     return steps[::-1]
+
+
+def _digit(code: int, m: int, t: int) -> int:
+    """The action code at step t (1-based) of the m-step program whose
+    ``program_code`` is ``code``."""
+    return code // _BASE ** (m - t) % _BASE
 
 
 def _program(code: int) -> Program:
@@ -346,7 +359,7 @@ def _code_layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     int64 up to ``_INT64_STEPS`` steps and Python ints beyond."""
     ends = np.cumsum(lengths)
     dtype = np.int64 if lengths.max() <= _INT64_STEPS else object
-    base = np.array(len(ACTIONS), dtype=dtype)
+    base = np.array(_BASE, dtype=dtype)
     places = base ** (np.repeat(ends, lengths) - np.arange(ends[-1]) - 1)
     return places, ends - lengths, base**lengths
 
@@ -409,20 +422,25 @@ class OutcomeTable:
             )
         return rewards
 
-    def reaches(self, cls: int, pair: ChunkedPair, program: Program) -> bool:
-        """Whether ``program`` reaches the class's target."""
-        states = self._executions[cls].parts(pair, program)[1]
-        return accepting(self._targets[cls])[states[-1].code]
+    def reaches(self, cls: int, pair: ChunkedPair, code: int) -> bool:
+        """Whether the program with ``program_code`` ``code`` reaches the
+        class's target; its actions are built only when the class's
+        executions do not hold the code yet."""
+        executions = self._executions[cls]
+        parts = executions.get(code) or executions.parts(pair, _program(code))
+        return accepting(self._targets[cls])[parts[1][-1].code]
 
     def edits(
-        self, cls: int, pair: ChunkedPair, program: Program
+        self, cls: int, pair: ChunkedPair, code: int
     ) -> tuple[list[tuple[int, ActionRelation]], frozenset[tuple[int, int]]]:
-        """``single_edits`` of ``program``, as a list in its order and as
-        the set of (t, action code) pairs."""
-        known, code = self._edits[cls], program_code(program)
+        """``single_edits`` of the program with ``program_code`` ``code``, as
+        a list in its order and as the set of (t, action code) pairs; the
+        program's actions are built once per (class, code), on the first
+        lookup."""
+        known = self._edits[cls]
         edits = known.get(code)
         if edits is None:
-            found = single_edits(pair, program, self._targets[cls])
+            found = single_edits(pair, _program(code), self._targets[cls])
             edits = known[code] = found, frozenset((t, a.code) for t, a in found)
         return edits
 
@@ -489,96 +507,111 @@ def _score(
     return objective, grad
 
 
-def fix(program: Sequence[ActionRelation], t: int, relation: ActionRelation) -> Program:
-    """Copy of the program with step t (1-based) set to ``relation``."""
-    program = tuple(program)
-    if not 1 <= t <= len(program):
-        raise ValueError(f"step {t} out of range 1..{len(program)}")
-    return program[: t - 1] + (relation,) + program[t:]
+def fix(code: int, t: int, relation: ActionRelation) -> int:
+    """The ``program_code`` of the program with code ``code`` with step t
+    (1-based) set to ``relation``: one base-5 digit replaced."""
+    m, rest = 0, code
+    while rest >= _BASE:  # a code of m steps is in [5**m, 2 * 5**m)
+        rest //= _BASE
+        m += 1
+    if not 1 <= t <= m:
+        raise ValueError(f"step {t} out of range 1..{m}")
+    place = _BASE ** (m - t)
+    return code + (relation.code - code // place % _BASE) * place
 
 
 def grid_search(
     table: OutcomeTable,
     cls: int,
     pair: ChunkedPair,
-    program: Sequence[ActionRelation],
-    phi: ProposalQueue,
+    code: int,
+    phi: Sequence[tuple[int, ActionRelation]],
     probs: Sequence[Sequence[float]],
-) -> ProposalQueue:
+) -> list[tuple[int, ActionRelation]]:
     """All single-step edits whose program reaches the target, ranked.
 
-    The edits are the program's ``single_edits`` list in ``table``, for
-    ``pair`` of class ``cls``.  If any candidate coincides with a pending
-    lexical proposal, the result is narrowed to those shared candidates.
+    The edits are the ``single_edits`` list, in ``table``, of the program
+    with ``program_code`` ``code``, for ``pair`` of class ``cls``.  If any
+    edit coincides with a pending lexical proposal in ``phi``, the result
+    is narrowed to those shared keys.  Returns the ``queue_from_keys``
+    list, best last.
     """
-    psi = queue_from_keys(table.edits(cls, pair, program)[0], probs)
-    shared = psi.keys() & phi.keys()
-    if shared:
-        psi = psi.intersect(shared)
-    return psi
+    edits, reaching = table.edits(cls, pair, code)
+    shared = [key for key in phi if (key[0], key[1].code) in reaching]
+    return queue_from_keys(shared or edits, probs)
 
 
 def introspective_revision(
     table: OutcomeTable,
     cls: int,
     pair: ChunkedPair,
-    program: Sequence[ActionRelation],
-    phi: ProposalQueue,
+    code: int,
+    phi: list[tuple[int, ActionRelation]],
     probs: Sequence[Sequence[float]],
-    uniforms: Iterable[float],
-) -> tuple[Program, tuple[RevisionEvent, ...]]:
+    uniforms: Sequence[float],
+) -> tuple[int, tuple[RevisionEvent, ...]]:
     """Revise a sampled program with lexical and answer-driven edits.
 
-    Knowledge phase: pop up to ``max_revisions`` proposals.  Each is
-    applied outright when the edited program reaches the target and an
+    ``code`` is the sampled program's ``program_code`` and ``phi`` the
+    ranked proposal keys (``queue_from_keys``), popped from the end in
+    place.  Knowledge phase: pop up to ``max_revisions`` proposals.  Each
+    is applied outright when the edited program reaches the target and an
     exploration draw clears epsilon; otherwise it survives a Metropolis
     test with ratio p_t[proposal] / p_t[sampled action].  Answer phase:
     if the program still misses the target, the best grid-search edit
     (if any) is applied.  Both checks read the edit set of the current
-    revised program in ``table`` (``pair`` is of class ``cls``): an edit
+    revised code in ``table`` (``pair`` is of class ``cls``): an edit
     (t, a) reaches the target iff it is in the set, and the program itself
-    iff its unchanged first step is.  The config is the table's.
+    iff its unchanged first step is.  The config is the table's.  Returns
+    the revised program's code and the accepted edits.
 
     Each coin flip takes the next of ``uniforms``, uniform draws in [0, 1):
     at most two per popped proposal, so at most
-    2 * min(max_revisions, len(phi)) in all.
+    2 * min(max_revisions, len(phi)) in all; a row that runs out first
+    raises ``ValueError``.
     """
     config = table.config
+    m = pair.m
     draws = iter(uniforms)
-    program = tuple(program)
-    revised = program
+    revised = code
     reaching = table.edits(cls, pair, revised)[1]
     events: list[RevisionEvent] = []
 
     def apply(t: int, relation: ActionRelation, source: str) -> None:
         nonlocal revised, reaching
-        if relation is not revised[t - 1]:
+        old = _digit(revised, m, t)
+        if relation.code != old:
             events.append(
-                RevisionEvent(t=t, old=revised[t - 1], new=relation, source=source)
+                RevisionEvent(t=t, old=ACTIONS[old], new=relation, source=source)
             )
             revised = fix(revised, t, relation)
             reaching = table.edits(cls, pair, revised)[1]
 
     popped = 0
-    while popped < config.max_revisions and phi:
-        proposal = phi.pop()
-        popped += 1
-        t, relation = proposal.t, proposal.relation
-        u = next(draws)
-        if (t, relation.code) in reaching and u > config.epsilon:
-            apply(t, relation, "knowledge")
-            continue
-        u = next(draws)
-        sampled_prob = probs[t - 1][program[t - 1].code]
-        ratio = proposal.prob / sampled_prob if sampled_prob > 0 else 1.0
-        if u < min(1.0, ratio):
-            apply(t, relation, "knowledge")
+    try:
+        while popped < config.max_revisions and phi:
+            t, relation = phi.pop()
+            popped += 1
+            u = next(draws)
+            if (t, relation.code) in reaching and u > config.epsilon:
+                apply(t, relation, "knowledge")
+                continue
+            u = next(draws)
+            row = probs[t - 1]
+            sampled_prob = row[_digit(code, m, t)]
+            ratio = row[relation.code] / sampled_prob if sampled_prob > 0 else 1.0
+            if u < min(1.0, ratio):
+                apply(t, relation, "knowledge")
+    except StopIteration:  # only next(draws) raises it here
+        raise ValueError(
+            f"revision ran out of uniforms at proposal {popped}: "
+            f"{len(uniforms)} given, and it reads up to two per proposal"
+        ) from None
 
-    if (1, revised[0].code) not in reaching:
+    if (1, _digit(revised, m, 1)) not in reaching:
         psi = grid_search(table, cls, pair, revised, phi, probs)
         if psi:
-            proposal = psi.pop()
-            apply(proposal.t, proposal.relation, "answer")
+            apply(*psi.pop(), "answer")
 
     return revised, tuple(events)
 
@@ -826,24 +859,23 @@ def run_episode(
     policy's distribution at each of the pair's steps, as lists of Python
     floats, and ``uniforms`` the episode's row of draws in [0, 1), of which
     revision reads those past the first m, so it needs ``_episode_width``
-    of them.  The program's actions are built from its code and revised;
-    a revised program is looked up only when it differs from the sampled
-    one, and otherwise its code and rewards are the sampled program's.
+    of them.  The episode ranks its proposal keys in one
+    ``queue_from_keys`` call and revises the code itself; a revised
+    program is looked up only when its code differs from the sampled one,
+    and otherwise its code and rewards are the sampled program's.
     """
     rewards = table.rewards(cls, compiled.pair, code)
     config = table.config
     if not config.introspective_revision:
         return rewards, None
     pair = compiled.pair
-    program = _program(code)
     phi = queue_from_keys(compiled.proposals if config.knowledge else (), rows)
     revised, events = introspective_revision(
-        table, cls, pair, program, phi, rows, uniforms[pair.m :]
+        table, cls, pair, code, phi, rows, uniforms[pair.m :]
     )
-    if revised == program:
+    if revised == code:
         return rewards, (code, rewards, events)
-    revised_code = program_code(revised)
-    return rewards, (revised_code, table.rewards(cls, pair, revised_code), events)
+    return rewards, (revised, table.rewards(cls, pair, revised), events)
 
 
 def _greedy_hits(
@@ -872,25 +904,10 @@ def _greedy_hits(
         return sum(
             count
             for (cls, ids), (pair, count) in kinds.items()
-            if table.reaches(cls, pair, tuple([best[r] for r in ids]))
+            if table.reaches(cls, pair, program_code([best[r] for r in ids]))
         )
 
     return hits
-
-
-def _greedy_accuracy(
-    params: PolicyParams,
-    table: OutcomeTable,
-    classes: Sequence[int],
-    compiled: Sequence[Compiled],
-    features: np.ndarray,
-) -> float:
-    """Share of examples whose greedy program reaches the target, by
-    ``_greedy_hits``; ``train`` interns the examples once per run and counts
-    the hits every epoch."""
-    if not compiled:
-        return 0.0
-    return _greedy_hits(table, classes, compiled, features)(params) / len(compiled)
 
 
 # numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)

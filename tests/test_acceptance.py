@@ -19,8 +19,8 @@ from natlog.chunker import chunk_pair, default_rules
 from natlog.cli import main
 from natlog.data import Example
 from natlog.datagen import default_genspec, generate, generate_2hop, save_genspec
-from natlog.executor import Chunk, ChunkedPair, execute, matches_target
-from natlog.knowledge import Proposal, ProposalQueue, default_lexicon
+from natlog.executor import Chunk, ChunkedPair, execute, matches_target, program_code
+from natlog.knowledge import default_lexicon, queue_from_keys
 from natlog.metrics import (
     evaluate,
     iou,
@@ -46,7 +46,6 @@ from natlog.relations import (
 from natlog.trainer import (
     OutcomeTable,
     TrainConfig,
-    fix,
     grid_search,
     introspective_revision,
     reinforce_objective,
@@ -329,7 +328,8 @@ def _exhaustive_single_edits(pair, program, target):
     keys = set()
     for t in range(1, len(program) + 1):
         for action in ACTIONS:
-            if matches_target(execute(pair, fix(program, t, action)), target):
+            edited = program[: t - 1] + (action,) + program[t:]
+            if matches_target(execute(pair, edited), target):
                 keys.add((t, action))
     return keys
 
@@ -359,8 +359,9 @@ def test_criterion_05_grid_search_oracle():
         target = list(NLILabel)[int(rng.integers(3))]
         probs = np.full((m, 5), 0.2)
         cls = table.classify(pair, target)
-        psi = grid_search(table, cls, pair, program, ProposalQueue(), probs)
-        assert psi.keys() == _exhaustive_single_edits(pair, program, target)
+        psi = grid_search(table, cls, pair, program_code(program), [], probs)
+        assert len(set(psi)) == len(psi)
+        assert set(psi) == _exhaustive_single_edits(pair, program, target)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
 
@@ -373,19 +374,20 @@ def test_criterion_06_metropolis_frequency():
         premise=(Chunk(tokens=("p",), start=0),),
         hypothesis=(Chunk(tokens=("h0",), start=0),),
     )
-    program = (A_EQ,)
+    code = program_code((A_EQ,))
+    # the proposal's probability is its entry in the step's row
     probs = np.array([[0.5, 0.25, 0.1, 0.1, 0.05]])
     table = OutcomeTable(TrainConfig(max_revisions=1, epsilon=0.2))
     cls = table.classify(pair, Relation.COVER)
     n = 100_000
     accepted = 0
     for i in range(n):
-        phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.25)])
+        phi = queue_from_keys([(1, A_FE)], probs)
         uniforms = np.random.default_rng([199, i]).random(2).tolist()
         revised, _ = introspective_revision(
-            table, cls, pair, program, phi, probs, uniforms
+            table, cls, pair, code, phi, probs, uniforms
         )
-        if revised == (A_FE,):
+        if revised == program_code((A_FE,)):
             accepted += 1
     p = 0.5
     sigma = np.sqrt(p * (1 - p) / n)

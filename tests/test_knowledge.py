@@ -3,29 +3,27 @@
 import dataclasses
 import enum
 import heapq
-import inspect
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from natlog.chunker import chunk_pair, default_rules
 from natlog.datagen import default_genspec, generate
 from natlog.executor import Chunk, ChunkedPair
 from natlog.knowledge import (
     Lexicon,
-    Proposal,
-    ProposalQueue,
     _proposed,
     align,
-    build_queue,
     compare,
     compare_pair,
     default_lexicon,
     proposal_keys,
     propose,
+    queue_from_keys,
 )
-from natlog.relations import ActionRelation
+from natlog.relations import ACTIONS, ActionRelation
 
 A_EQ = ActionRelation.EQUIVALENCE
 A_FE = ActionRelation.FORWARD_ENTAILMENT
@@ -228,193 +226,104 @@ class TestPropose:
         assert out == (A_EQ,)
 
 
-class TestProposalConstructor:
-    def test_keeps_frozen_dataclass_semantics(self):
-        """The hand-written ``__init__`` takes the init fields and keeps
-        frozen-dataclass equality, ordering, hashing, ``repr``, ``replace``
-        and assignment errors."""
-        fields = dataclasses.fields(Proposal)
-        params = list(inspect.signature(Proposal.__init__).parameters.values())[1:]
-        assert [(p.name, p.kind, p.default) for p in params] == [
-            (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
-            for f in fields
-            if f.init
-        ]
-        values = {"t": 2, "relation": A_FE, "prob": 0.25}
-        proposal = Proposal(**values)
-        stored = {"sort_key": (-0.25, 2, A_FE.code), **values}
-        assert vars(proposal) == stored
-        for again in (
-            Proposal(*values.values()),
-            Proposal(**values),
-            dataclasses.replace(proposal),
-        ):
-            assert type(again) is Proposal and vars(again) == stored
-            assert again == proposal and hash(again) == hash(proposal)
-            assert not again < proposal and again <= proposal
-            assert repr(again) == repr(proposal)
-        assert repr(proposal) == f"Proposal(t=2, relation={A_FE!r}, prob=0.25)"
-        likelier = dataclasses.replace(proposal, prob=0.5)
-        assert likelier.sort_key == (-0.5, 2, A_FE.code)
-        assert likelier < proposal and likelier != proposal
-        for f in fields:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(proposal, f.name, stored[f.name])
-        assert vars(proposal) == stored
+def rows_with(m, probs, default=0.2):
+    """An (m, 5) probability array: ``default`` everywhere, except
+    ``probs[(t, relation)]`` at step t's entry for the relation."""
+    rows = np.full((m, 5), default)
+    for (t, relation), p in probs.items():
+        rows[t - 1, ACTIONS.index(relation)] = p
+    return rows
+
+
+def popped(queue):
+    """Every key of a ``queue_from_keys`` list, popped from its end."""
+    return [queue.pop() for _ in range(len(queue))]
 
 
 class TestProposalQueue:
+    """``queue_from_keys``: the distinct keys in one list, best last."""
+
     def test_orders_by_probability(self):
-        q = ProposalQueue(
-            [
-                Proposal(t=2, relation=A_EQ, prob=0.3),
-                Proposal(t=1, relation=A_FE, prob=0.9),
-                Proposal(t=3, relation=A_RE, prob=0.5),
-            ]
-        )
-        assert [p.prob for p in (q.pop(), q.pop(), q.pop())] == [0.9, 0.5, 0.3]
+        keys = [(2, A_EQ), (1, A_FE), (3, A_RE)]
+        probs = rows_with(3, {(2, A_EQ): 0.3, (1, A_FE): 0.9, (3, A_RE): 0.5})
+        q = queue_from_keys(keys, probs)
+        assert [probs[t - 1, r.code] for t, r in popped(q)] == [0.9, 0.5, 0.3]
 
     def test_probability_ties_break_on_earlier_step(self):
-        q = ProposalQueue(
-            [
-                Proposal(t=3, relation=A_EQ, prob=0.5),
-                Proposal(t=1, relation=A_EQ, prob=0.5),
-                Proposal(t=2, relation=A_EQ, prob=0.5),
-            ]
-        )
-        assert [p.t for p in (q.pop(), q.pop(), q.pop())] == [1, 2, 3]
+        q = queue_from_keys([(3, A_EQ), (1, A_EQ), (2, A_EQ)], rows_with(3, {}))
+        assert [t for t, _ in popped(q)] == [1, 2, 3]
 
     def test_full_ties_break_on_action_order(self):
-        q = ProposalQueue(
-            [
-                Proposal(t=1, relation=A_NA, prob=0.5),
-                Proposal(t=1, relation=A_EQ, prob=0.5),
-                Proposal(t=1, relation=A_RE, prob=0.5),
-                Proposal(t=1, relation=A_FE, prob=0.5),
-            ]
-        )
-        rels = [q.pop().relation for _ in range(4)]
-        assert rels == [A_EQ, A_FE, A_RE, A_NA]
+        keys = [(1, A_NA), (1, A_EQ), (1, A_RE), (1, A_FE)]
+        q = queue_from_keys(keys, rows_with(1, {}, default=0.5))
+        assert [r for _, r in popped(q)] == [A_EQ, A_FE, A_RE, A_NA]
 
     def test_deduplicates_on_step_and_relation(self):
-        q = ProposalQueue()
-        q.push(Proposal(t=1, relation=A_EQ, prob=0.5))
-        q.push(Proposal(t=1, relation=A_EQ, prob=0.5))
-        assert len(q) == 1
+        q = queue_from_keys([(1, A_EQ), (1, A_EQ)], rows_with(1, {}, default=0.5))
+        assert q == [(1, A_EQ)]
 
     def test_items_is_non_destructive_and_sorted(self):
-        q = ProposalQueue(
-            [
-                Proposal(t=2, relation=A_EQ, prob=0.3),
-                Proposal(t=1, relation=A_FE, prob=0.9),
-            ]
-        )
-        items = q.items()
-        assert [p.prob for p in items] == [0.9, 0.3]
-        assert len(q) == 2
-
-    def test_intersect_filters_by_key(self):
-        q = ProposalQueue(
-            [
-                Proposal(t=1, relation=A_EQ, prob=0.4),
-                Proposal(t=2, relation=A_FE, prob=0.6),
-            ]
-        )
-        other = q.intersect([(2, A_FE), (3, A_RE)])
-        assert other.keys() == frozenset({(2, A_FE)})
-        assert len(q) == 2
+        # ranking leaves its keys and probabilities as they were, and the
+        # list read backwards is the pop order
+        keys = [(2, A_EQ), (1, A_FE)]
+        probs = rows_with(2, {(2, A_EQ): 0.3, (1, A_FE): 0.9})
+        before = probs.copy()
+        q = queue_from_keys(keys, probs)
+        assert q[::-1] == [(1, A_FE), (2, A_EQ)]
+        assert keys == [(2, A_EQ), (1, A_FE)]
+        assert np.array_equal(probs, before)
+        again = queue_from_keys(keys, probs)
+        assert again == q and again is not q
 
 
-def reference_queue_order(proposals):
-    """First proposal per (step, relation) key, in ``Proposal`` order."""
-    first = {}
-    for p in proposals:
-        first.setdefault(p.key, p)
-    return sorted(first.values())
+def reference_queue_order(keys, probs):
+    """First of each (step, relation) key, sorted on (-probability, step,
+    canonical action index): best first."""
+    def rank(key):
+        t, a = key[0], ACTIONS.index(key[1])
+        return (-probs[t - 1][a], t, a)
+
+    return sorted(dict.fromkeys(keys), key=rank)
 
 
-proposal_lists = st.lists(
-    st.builds(
-        Proposal,
-        t=st.integers(min_value=1, max_value=3),
-        relation=st.sampled_from(list(ActionRelation)),
-        prob=st.sampled_from([0.0, 0.25, 0.5, 1.0]),  # ties are common
-    ),
-    max_size=20,
+key_lists = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from(list(ActionRelation))), max_size=20
 )
-
-
-class TestProposalQueueEqualsSortedProposals:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        proposal_lists,
-        st.sets(st.tuples(st.integers(1, 3), st.sampled_from(list(ActionRelation)))),
-    )
-    def test_pop_items_and_intersect(self, proposals, wanted):
-        q = ProposalQueue(proposals)
-        expected = reference_queue_order(proposals)
-        assert q.items() == expected
-        assert q.keys() == frozenset(p.key for p in expected)
-        assert q.intersect(wanted).items() == [p for p in expected if p.key in wanted]
-        assert [q.pop() for _ in range(len(q))] == expected
-        assert not q and q.keys() == frozenset()
+# ties are common: every entry is one of four probabilities
+prob_rows = arrays(np.float64, (3, 5), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 
 
 class HeapQueue:
-    """Reference queue: a ``heapq`` heap of (sort_key, proposal) pairs,
-    deduplicated on (step, relation code) while a key is queued."""
+    """Reference queue: a ``heapq`` heap of ((-probability, step, action
+    index), key) pairs, deduplicated on (step, action index) while a key is
+    queued."""
 
-    def __init__(self, proposals=()):
+    def __init__(self, keys, probs):
         self.heap, self.queued = [], set()
-        for p in proposals:
-            self.push(p)
-
-    def push(self, proposal):
-        key = (proposal.t, proposal.relation.code)
-        if key not in self.queued:
-            self.queued.add(key)
-            heapq.heappush(self.heap, (proposal.sort_key, proposal))
+        for t, relation in keys:
+            a = ACTIONS.index(relation)
+            if (t, a) not in self.queued:
+                self.queued.add((t, a))
+                rank = (-float(probs[t - 1][a]), t, a)
+                heapq.heappush(self.heap, (rank, (t, relation)))
 
     def pop(self):
-        _, proposal = heapq.heappop(self.heap)
-        self.queued.discard((proposal.t, proposal.relation.code))
-        return proposal
-
-    def items(self):
-        return [p for _, p in sorted(self.heap)]
+        (_, t, a), key = heapq.heappop(self.heap)
+        self.queued.discard((t, a))
+        return key
 
 
 class TestProposalQueueEqualsHeap:
     @settings(max_examples=300, deadline=None)
-    @given(
-        proposal_lists,
-        st.lists(st.one_of(st.none(), proposal_lists.map(tuple)), max_size=12),
-        st.sets(st.tuples(st.integers(1, 3), st.sampled_from(list(ActionRelation)))),
-    )
-    def test_pushes_and_pops_interleaved(self, proposals, steps, wanted):
-        # a step is a pop (None) or pushes of proposals, whose keys may be
-        # queued, popped before or new
-        q, ref = ProposalQueue(proposals), HeapQueue(proposals)
-        for step in steps:
-            if step is None and not ref.heap:
-                with pytest.raises(IndexError):
-                    q.pop()
-            elif step is None:
-                assert q.pop() is ref.pop()
-            else:
-                for p in step:
-                    q.push(p)
-                    ref.push(p)
-            expected = ref.items()
-            assert q.items() == expected
-            assert all(a is b for a, b in zip(q.items(), expected))
-            assert len(q) == len(expected)
-            assert q.keys() == frozenset(p.key for p in expected)
-            narrowed = q.intersect(wanted)
-            assert narrowed.items() == [p for p in expected if p.key in wanted]
-            assert len(q) == len(expected)  # intersect leaves q as it was
-        popped = [q.pop() for _ in range(len(q))]
-        assert popped == [ref.pop() for _ in range(len(ref.heap))]
+    @given(key_lists, prob_rows)
+    def test_pops_in_heap_and_sorted_order(self, keys, probs):
+        q = queue_from_keys(keys, probs)
+        ref = HeapQueue(keys, probs)
+        assert q[::-1] == reference_queue_order(keys, probs)
+        assert len(q) == len(ref.heap)
+        assert popped(q) == [ref.pop() for _ in range(len(ref.heap))]
+        with pytest.raises(IndexError):
+            q.pop()
 
 
 @pytest.fixture
@@ -435,19 +344,18 @@ def enum_hashes(monkeypatch):
 
 
 def test_queue_hashes_no_enum(enum_hashes):
-    proposals = [
-        Proposal(t=t, relation=relation, prob=0.1 * t)
-        for t in (1, 2, 1)
-        for relation in ActionRelation
-    ]
-    q = ProposalQueue(proposals)
-    narrowed = q.intersect([(1, A_FE), (2, A_NA)])
+    keys = [(t, relation) for t in (1, 2, 1) for relation in ActionRelation]
+    probs = np.array([[0.1] * 5, [0.2] * 5])
+    q = queue_from_keys(keys, probs)
     popped = [q.pop() for _ in range(3)]
-    assert len(q) == 7 and len(narrowed) == 2 and len(popped) == 3
+    assert len(q) == 7 and len(popped) == 3
     assert enum_hashes == []
 
 
 class TestBuildQueue:
+    """``queue_from_keys`` of a pair's ``proposal_keys``, as training ranks
+    its proposals."""
+
     def test_sports_fixture_proposals(self):
         pair = chunk_pair(
             "the child does not love sports",
@@ -455,10 +363,10 @@ class TestBuildQueue:
             RULES,
         )
         probs = np.full((3, 5), 0.2)
-        queue = build_queue(pair, probs, LEX)
-        assert queue.keys() == frozenset({(1, A_EQ), (2, A_EQ), (3, A_RE)})
+        queue = queue_from_keys(proposal_keys(pair, LEX), probs)
+        assert set(queue) == {(1, A_EQ), (2, A_EQ), (3, A_RE)}
         # uniform probabilities: ties resolve by earlier step
-        assert [p.t for p in queue.items()] == [1, 2, 3]
+        assert [t for t, _ in popped(queue)] == [1, 2, 3]
 
     def test_probabilities_come_from_policy(self):
         pair = chunk_pair("some dogs run", "some animals run", RULES)
@@ -468,16 +376,17 @@ class TestBuildQueue:
                 [0.5, 0.2, 0.1, 0.1, 0.1],
             ]
         )
-        queue = build_queue(pair, probs, LEX)
-        top = queue.pop()
-        assert top.key == (1, A_FE)
-        assert top.prob == pytest.approx(0.6)
+        queue = queue_from_keys(proposal_keys(pair, LEX), probs)
+        best = max(probs[t - 1][relation.code] for t, relation in queue)
+        t, relation = queue.pop()
+        assert (t, relation) == (1, A_FE)
+        assert probs[t - 1][relation.code] == pytest.approx(0.6) == best
 
     def test_unalignable_chunk_contributes_nothing(self):
         pair = chunk_pair("some dogs run", "some dogs blarg", RULES)
         probs = np.full((2, 5), 0.2)
-        queue = build_queue(pair, probs, LEX)
-        assert all(p.t == 1 for p in queue.items())
+        queue = queue_from_keys(proposal_keys(pair, LEX), probs)
+        assert queue and all(t == 1 for t, _ in queue)
 
 
 class ReferenceLexicon:

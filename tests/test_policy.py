@@ -13,7 +13,7 @@ from natlog.chunker import chunk_pair, chunk_pairs, default_rules
 from natlog.data import Example
 from natlog.datagen import default_genspec, generate, generate_2hop
 from natlog.executor import Chunk, ChunkedPair
-from natlog.knowledge import compare_pair, default_lexicon
+from natlog.knowledge import compare, compare_pair, default_lexicon
 from natlog.policy import (
     FEATURE_NAMES,
     N_ACTIONS,
@@ -23,7 +23,6 @@ from natlog.policy import (
     compile_examples,
     decode,
     distribution,
-    featurize,
     featurize_pair,
     grad_log_prob,
     load_checkpoint,
@@ -65,6 +64,11 @@ def finite_difference_grad(params, features, action, h=1e-5):
     return grad
 
 
+def features_at(pair, t):
+    """Step t's row of ``featurize_pair``, by feature name."""
+    return dict(zip(FEATURE_NAMES, featurize_pair(pair, LEX)[t - 1].tolist()))
+
+
 class TestFeatures:
     def test_names_and_length(self):
         assert len(FEATURE_NAMES) == N_FEATURES
@@ -73,7 +77,7 @@ class TestFeatures:
 
     def test_exact_match_flags(self):
         pair = chunk_pair("the kid runs", "the child runs", RULES)
-        fv = featurize(pair, 1, LEX)
+        fv = features_at(pair, 1)
         assert fv["exact_match"] == 1.0
         assert fv["synonym"] == 1.0
         assert fv["antonym"] == 0.0
@@ -81,23 +85,23 @@ class TestFeatures:
 
     def test_hypernym_direction_flags(self):
         pair = chunk_pair("some dogs run", "some animals run", RULES)
-        fv = featurize(pair, 1, LEX)
+        fv = features_at(pair, 1)
         assert fv["hypernym_fwd"] == 1.0
         assert fv["hypernym_rev"] == 0.0
-        rev = featurize(chunk_pair("some animals run", "some dogs run", RULES), 1, LEX)
+        rev = features_at(chunk_pair("some animals run", "some dogs run", RULES), 1)
         assert rev["hypernym_fwd"] == 0.0
         assert rev["hypernym_rev"] == 1.0
 
     def test_subphrase_flags(self):
         pair = chunk_pair("some small dogs run", "some dogs run", RULES)
-        fv = featurize(pair, 1, LEX)
+        fv = features_at(pair, 1)
         assert fv["subphrase_fwd"] == 1.0
         assert fv["subphrase_rev"] == 0.0
 
     def test_position_and_context(self):
         pair = chunk_pair("no dogs run", "no dogs run", RULES)
-        first = featurize(pair, 1, LEX)
-        second = featurize(pair, 2, LEX)
+        first = features_at(pair, 1)
+        second = features_at(pair, 2)
         assert first["position"] == pytest.approx(0.5)
         assert second["position"] == pytest.approx(1.0)
         assert first["context_not"] == 1.0
@@ -106,17 +110,18 @@ class TestFeatures:
 
     def test_unaligned_chunk_has_zero_lexical_features(self):
         pair = chunk_pair("some dogs run", "some dogs blarg", RULES)
-        fv = featurize(pair, 2, LEX)
+        fv = features_at(pair, 2)
         for name in FEATURE_NAMES[:8]:
             assert fv[name] == 0.0
         assert fv["bias"] == 1.0
 
     def test_out_of_range_step_rejected(self):
+        # one row per step 1..m, and none for a step past m
         pair = chunk_pair("dogs run", "dogs run", RULES)
-        with pytest.raises(ValueError):
-            featurize(pair, 0, LEX)
-        with pytest.raises(ValueError):
-            featurize(pair, 3, LEX)
+        matrix = featurize_pair(pair, LEX)
+        assert matrix.shape == (pair.m, N_FEATURES) == (2, N_FEATURES)
+        with pytest.raises(IndexError):
+            matrix[pair.m]
 
     def test_untouched_by_later_hypothesis_chunks(self):
         # mutating hypothesis content after step t must not change step t
@@ -128,15 +133,16 @@ class TestFeatures:
             context=mutated_hyp[1].context,
         )
         mutated = ChunkedPair(premise=base.premise, hypothesis=tuple(mutated_hyp))
-        before = featurize(base, 1, LEX).values
-        after = featurize(mutated, 1, LEX).values
+        before = featurize_pair(base, LEX)[0]
+        after = featurize_pair(mutated, LEX)[0]
         assert np.array_equal(before, after)
 
     def test_featurize_pair_stacks_rows(self):
         pair = chunk_pair("some dogs run", "some animals run", RULES)
         mat = featurize_pair(pair, LEX)
         assert mat.shape == (2, N_FEATURES)
-        assert np.array_equal(mat[0], featurize(pair, 1, LEX).values)
+        for t, (_, flags) in enumerate(compare_pair(pair, LEX), 1):
+            assert np.array_equal(mat[t - 1], _reference_row(pair, t, flags))
 
 
 def _reference_row(pair, t, flags):
@@ -235,7 +241,9 @@ class TestFeatureMatrixEqualsRowStack:
             matrix = featurize_pair(case, LEX)
             for t, (_, flags) in enumerate(compare_pair(case, LEX), 1):
                 expected = _reference_row(case, t, flags).tobytes()
-                assert featurize(case, t, LEX).values.tobytes() == expected
+                # the chunk aligned on its own gives the same row
+                alone = compare(case.hypothesis[t - 1], case.premise, LEX)[1]
+                assert _reference_row(case, t, alone).tobytes() == expected
                 assert matrix[t - 1].tobytes() == expected
         assert not featurize_pair(_unknown_context(pair), LEX)[0, 9:15].any()
 
@@ -555,11 +563,11 @@ class TestGradient:
 
     def test_matches_finite_differences_real_features(self):
         pair = chunk_pair("some dogs run", "some animals run", RULES)
-        features = featurize(pair, 1, LEX)
+        features = featurize_pair(pair, LEX)[0]
         rng = np.random.default_rng(42)
         params = PolicyParams(weights=rng.normal(size=(N_ACTIONS, N_FEATURES)))
         analytic = grad_log_prob(params, features, ActionRelation.FORWARD_ENTAILMENT)
-        fd = finite_difference_grad(params, features.values, ActionRelation.FORWARD_ENTAILMENT)
+        fd = finite_difference_grad(params, features, ActionRelation.FORWARD_ENTAILMENT)
         assert relative_error(analytic, fd).max() <= 1e-6
 
     def test_gradient_rows_sum_against_probs(self):

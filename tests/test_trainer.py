@@ -23,7 +23,7 @@ from natlog.executor import (
     program_code,
     single_edits,
 )
-from natlog.knowledge import Proposal, ProposalQueue, default_lexicon, queue_from_keys
+from natlog.knowledge import default_lexicon, queue_from_keys
 from natlog.policy import (
     N_FEATURES,
     PolicyParams,
@@ -72,7 +72,7 @@ from natlog.trainer import (
     _code_layout,
     _episode_uniforms,
     _episode_width,
-    _greedy_accuracy,
+    _greedy_hits,
     _program,
     _program_codes,
     _stream_words,
@@ -99,14 +99,34 @@ def uniform_probs(m):
     return np.full((m, 5), 0.2)
 
 
-def revise(pair, program, target, phi, probs, config, rng):
-    """``introspective_revision`` on a fresh table, built as ``train`` builds
-    it, on the first 2 * min(M, len(phi)) draws of ``rng``: the most that
-    revision reads."""
+def with_probs(probs, cells):
+    """A copy of ``probs`` with ``cells[(t, relation)]`` at step t's entry
+    for the relation: a proposal's probability is its cell of the row."""
+    probs = np.array(probs, dtype=float)
+    for (t, relation), p in cells.items():
+        probs[t - 1, relation.code] = p
+    return probs
+
+
+def revise(pair, program, target, keys, probs, config, rng):
+    """``introspective_revision`` of ``program`` on a fresh table, built as
+    ``train`` builds it, with ``keys`` ranked by ``queue_from_keys`` as the
+    proposal queue, on the first 2 * min(M, proposals) draws of ``rng``: the
+    most that revision reads.  Returns the revised program as actions, the
+    events and the proposals left in the queue."""
     table = OutcomeTable(config)
     cls = table.classify(pair, target)
+    phi = queue_from_keys(keys, probs)
     uniforms = rng.random(2 * min(config.max_revisions, len(phi))).tolist()
-    return introspective_revision(table, cls, pair, program, phi, probs, uniforms)
+    code, events = introspective_revision(
+        table, cls, pair, program_code(program), phi, probs, uniforms
+    )
+    return _program(code), events, phi
+
+
+def edit(program, t, action):
+    """``program`` with step t set to ``action``, as a tuple."""
+    return program[: t - 1] + (action,) + program[t:]
 
 
 class CountingDraws:
@@ -152,9 +172,11 @@ def sampled_episode(table, cls, item, probs, uniforms):
 
 
 def grid(pair, program, phi, target, probs):
-    """``grid_search`` on a fresh table, built as ``train`` builds it."""
+    """``grid_search`` of ``program`` on a fresh table, built as ``train``
+    builds it; ``phi`` is a ``queue_from_keys`` list."""
     table = OutcomeTable(CFG)
-    return grid_search(table, table.classify(pair, target), pair, program, phi, probs)
+    cls = table.classify(pair, target)
+    return grid_search(table, cls, pair, program_code(program), phi, probs)
 
 
 class TestReward:
@@ -267,22 +289,38 @@ class TestReinforceObjective:
 
 class TestFix:
     def test_replaces_single_step(self):
-        program = (A_EQ, A_EQ, A_EQ)
-        assert fix(program, 2, A_FE) == (A_EQ, A_FE, A_EQ)
+        code = program_code((A_EQ, A_EQ, A_EQ))
+        assert fix(code, 2, A_FE) == program_code((A_EQ, A_FE, A_EQ))
 
     def test_one_based_bounds(self):
-        program = (A_EQ, A_EQ)
-        assert fix(program, 1, A_NA)[0] == A_NA
-        assert fix(program, 2, A_NA)[1] == A_NA
-        with pytest.raises(ValueError):
-            fix(program, 0, A_NA)
-        with pytest.raises(ValueError):
-            fix(program, 3, A_NA)
+        code = program_code((A_EQ, A_EQ))
+        assert fix(code, 1, A_NA) == program_code((A_NA, A_EQ))
+        assert fix(code, 2, A_NA) == program_code((A_EQ, A_NA))
+        with pytest.raises(ValueError, match=r"step 0 out of range 1\.\.2"):
+            fix(code, 0, A_NA)
+        with pytest.raises(ValueError, match=r"step 3 out of range 1\.\.2"):
+            fix(code, 3, A_NA)
+        with pytest.raises(ValueError, match=r"step 1 out of range 1\.\.0"):
+            fix(program_code(()), 1, A_NA)
 
     def test_original_untouched(self):
         program = (A_EQ, A_EQ)
-        fix(program, 1, A_IND)
-        assert program == (A_EQ, A_EQ)
+        code = program_code(program)
+        assert fix(code, 1, A_IND) != code
+        assert _program(code) == program
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_equals_editing_the_actions(self, program, data):
+        # programs of 1-40 steps, whose codes pass int64 from 27 steps on
+        program = tuple(program)
+        t = data.draw(st.integers(min_value=1, max_value=len(program)))
+        action = data.draw(st.sampled_from(ACTIONS))
+        fixed = fix(program_code(program), t, action)
+        assert fixed == program_code(edit(program, t, action))
 
 
 def exhaustive_single_edits(pair, program, target):
@@ -290,7 +328,7 @@ def exhaustive_single_edits(pair, program, target):
     keys = set()
     for t in range(1, len(program) + 1):
         for action in ACTIONS:
-            if matches_target(execute(pair, fix(program, t, action)), target):
+            if matches_target(execute(pair, edit(program, t, action)), target):
                 keys.add((t, action))
     return keys
 
@@ -312,51 +350,49 @@ class TestGridSearch:
             pair = ChunkedPair(premise=(Chunk(tokens=("p",), start=0),), hypothesis=hyp)
             program = tuple(ACTIONS[i] for i in rng.integers(0, 5, size=m))
             target = list(NLILabel)[int(rng.integers(3))]
-            psi = grid(pair, program, ProposalQueue(), target, uniform_probs(m))
-            assert psi.keys() == exhaustive_single_edits(pair, program, target)
+            psi = grid(pair, program, [], target, uniform_probs(m))
+            assert len(set(psi)) == len(psi)
+            assert set(psi) == exhaustive_single_edits(pair, program, target)
 
     def test_correct_program_keeps_identity_edits(self):
         pair = upward_pair(2)
         program = (A_FE, A_EQ)
-        psi = grid(
-            pair, program, ProposalQueue(), NLILabel.ENTAILMENT, uniform_probs(2)
-        )
-        assert (1, A_FE) in psi.keys()
-        assert (2, A_EQ) in psi.keys()
+        psi = grid(pair, program, [], NLILabel.ENTAILMENT, uniform_probs(2))
+        assert (1, A_FE) in psi
+        assert (2, A_EQ) in psi
 
     def test_intersects_with_pending_proposals(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
-        phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.2)])
+        phi = queue_from_keys([(1, A_FE)], uniform_probs(2))
         psi = grid(pair, program, phi, NLILabel.ENTAILMENT, uniform_probs(2))
-        assert psi.keys() == frozenset({(1, A_FE)})
+        assert psi == [(1, A_FE)]
+        assert phi == [(1, A_FE)]  # narrowing reads the queue, pops nothing
 
     def test_disjoint_proposals_leave_grid_untouched(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
-        phi = ProposalQueue([Proposal(t=1, relation=A_IND, prob=0.2)])
+        phi = queue_from_keys([(1, A_IND)], uniform_probs(2))
         psi = grid(pair, program, phi, NLILabel.CONTRADICTION, uniform_probs(2))
-        assert psi.keys() == exhaustive_single_edits(
+        assert set(psi) == exhaustive_single_edits(
             pair, program, NLILabel.CONTRADICTION
         )
 
     def test_unreachable_target_gives_empty_queue(self):
         pair = upward_pair(1)
-        psi = grid(
-            pair, (A_EQ,), ProposalQueue(), Relation.COVER, uniform_probs(1)
-        )
-        assert len(psi) == 0
+        psi = grid(pair, (A_EQ,), [], Relation.COVER, uniform_probs(1))
+        assert psi == []
 
 
 class TestIntrospectiveRevision:
     def test_knowledge_acceptance_with_zero_epsilon(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
-        phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.9)])
+        probs = with_probs(uniform_probs(2), {(1, A_FE): 0.9})
         cfg = TrainConfig(max_revisions=3, epsilon=0.0)
-        revised, events = revise(
-            pair, program, NLILabel.ENTAILMENT, phi,
-            uniform_probs(2), cfg, np.random.default_rng(0),
+        revised, events, _ = revise(
+            pair, program, NLILabel.ENTAILMENT, [(1, A_FE)],
+            probs, cfg, np.random.default_rng(0),
         )
         assert revised == (A_FE, A_EQ)
         assert len(events) == 1
@@ -366,28 +402,23 @@ class TestIntrospectiveRevision:
     def test_budget_limits_pops(self):
         pair = upward_pair(3)
         program = (A_EQ, A_EQ, A_EQ)
-        phi = ProposalQueue(
-            [
-                Proposal(t=1, relation=A_FE, prob=0.9),
-                Proposal(t=2, relation=A_FE, prob=0.8),
-                Proposal(t=3, relation=A_FE, prob=0.7),
-            ]
-        )
+        cells = {(1, A_FE): 0.9, (2, A_FE): 0.8, (3, A_FE): 0.7}
+        probs = with_probs(uniform_probs(3), cells)
         cfg = TrainConfig(max_revisions=1, epsilon=0.0)
-        revised, _ = revise(
-            pair, program, NLILabel.ENTAILMENT, phi,
-            uniform_probs(3), cfg, np.random.default_rng(0),
+        revised, _, phi = revise(
+            pair, program, NLILabel.ENTAILMENT, list(cells),
+            probs, cfg, np.random.default_rng(0),
         )
         # only the top proposal is consumed; the rest stay queued
         assert revised == (A_FE, A_EQ, A_EQ)
-        assert len(phi) == 2
+        assert phi == [(3, A_FE), (2, A_FE)]
 
     def test_no_budget_and_no_grid_fix_returns_unchanged(self):
         pair = upward_pair(1)
         program = (A_EQ,)
         cfg = TrainConfig(max_revisions=0, epsilon=0.2)
-        revised, events = revise(
-            pair, program, Relation.COVER, ProposalQueue(),
+        revised, events, _ = revise(
+            pair, program, Relation.COVER, [],
             uniform_probs(1), cfg, np.random.default_rng(0),
         )
         assert revised == program
@@ -403,8 +434,8 @@ class TestIntrospectiveRevision:
                 [0.6, 0.1, 0.1, 0.1, 0.1],
             ]
         )
-        revised, events = revise(
-            pair, program, NLILabel.NEUTRAL, ProposalQueue(),
+        revised, events, _ = revise(
+            pair, program, NLILabel.NEUTRAL, [],
             probs, cfg, np.random.default_rng(0),
         )
         # the most probable single edit to neutral is reverse entailment at 1
@@ -416,12 +447,12 @@ class TestIntrospectiveRevision:
         # the answer phase must then repair step 2
         pair = upward_pair(2)
         program = (A_EQ, A_IND)
-        phi = ProposalQueue([Proposal(t=1, relation=A_NA, prob=0.9)])
+        probs = with_probs(uniform_probs(2), {(1, A_NA): 0.9})
         cfg = TrainConfig(max_revisions=1, epsilon=0.0)
         rng = np.random.default_rng(1)
-        revised, events = revise(
-            pair, program, NLILabel.CONTRADICTION, phi,
-            uniform_probs(2), cfg, rng,
+        revised, events, _ = revise(
+            pair, program, NLILabel.CONTRADICTION, [(1, A_NA)],
+            probs, cfg, rng,
         )
         assert revised == (A_NA, A_EQ)
         assert [e.source for e in events] == ["knowledge", "answer"]
@@ -432,10 +463,9 @@ class TestIntrospectiveRevision:
         pair = upward_pair(1)
         program = (A_EQ,)
         probs = np.array([[0.999999, 1e-9, 1e-9, 1e-9, 1e-9]])
-        phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=1e-9)])
         cfg = TrainConfig(max_revisions=1, epsilon=1.0)
-        revised, events = revise(
-            pair, program, NLILabel.ENTAILMENT, phi, probs, cfg,
+        revised, events, _ = revise(
+            pair, program, NLILabel.ENTAILMENT, [(1, A_FE)], probs, cfg,
             np.random.default_rng(0),
         )
         # the answer phase may still fix it; the knowledge phase must not
@@ -451,9 +481,8 @@ class TestIntrospectiveRevision:
         n = 100_000
         accepted = 0
         for i in range(n):
-            phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.25)])
-            revised, _ = revise(
-                pair, program, Relation.COVER, phi, probs, cfg,
+            revised, _, _ = revise(
+                pair, program, Relation.COVER, [(1, A_FE)], probs, cfg,
                 np.random.default_rng([99, i]),
             )
             if revised == (A_FE,):
@@ -466,16 +495,36 @@ class TestIntrospectiveRevision:
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
         cfg = TrainConfig()
+        probs = with_probs(uniform_probs(2), {(1, A_FE): 0.4})
         out = []
         for _ in range(2):
-            phi = ProposalQueue([Proposal(t=1, relation=A_FE, prob=0.4)])
             out.append(
                 revise(
-                    pair, program, NLILabel.ENTAILMENT, phi,
-                    uniform_probs(2), cfg, np.random.default_rng(5),
+                    pair, program, NLILabel.ENTAILMENT, [(1, A_FE)],
+                    probs, cfg, np.random.default_rng(5),
                 )
             )
         assert out[0] == out[1]
+
+    @pytest.mark.parametrize(
+        "uniforms, proposal", [([], 1), ([0.9], 1), ([0.9, 0.9, 0.9], 2)]
+    )
+    def test_short_row_of_uniforms_rejected(self, uniforms, proposal):
+        # demo 05's pair: each of its three proposals needs two draws to
+        # leave an all-independence program, so each row runs dry
+        pair = chunk_pair(
+            "the child does not love sports", "the kid doesn't like table-tennis", RULES
+        )
+        probs = uniform_probs(pair.m)
+        table = OutcomeTable(CFG)
+        cls = table.classify(pair, NLILabel.ENTAILMENT)
+        phi = queue_from_keys(knowledge.proposal_keys(pair, LEX), probs)
+        assert len(phi) == 3
+        message = f"out of uniforms at proposal {proposal}: {len(uniforms)} given"
+        with pytest.raises(ValueError, match=message):
+            introspective_revision(
+                table, cls, pair, program_code((A_IND,) * 3), phi, probs, uniforms
+            )
 
 
 CONTEXT_POOL = tuple(CONTEXTS.values()) + (get_context("unknown-context"),)
@@ -517,19 +566,33 @@ def brute_force_edits(pair, program, target):
         (t, action)
         for t in range(1, len(program) + 1)
         for action in ACTIONS
-        if matches_target(execute(pair, fix(program, t, action)), target)
+        if matches_target(execute(pair, edit(program, t, action)), target)
     ]
 
 
+def reference_ranking(keys, probs):
+    """The distinct keys sorted on (-probability, step, canonical action
+    index), best first."""
+
+    def rank(key):
+        t, a = key[0], ACTIONS.index(key[1])
+        return (-probs[t - 1][a], t, a)
+
+    return sorted(dict.fromkeys(keys), key=rank)
+
+
 def reference_grid_search(pair, program, phi, target, probs):
-    """grid_search on the brute-force edit list."""
-    psi = queue_from_keys(brute_force_edits(pair, program, target), probs)
-    shared = psi.keys() & phi.keys()
-    return psi.intersect(shared) if shared else psi
+    """grid_search on the brute-force edit list, best first; ``phi`` is a
+    ``reference_ranking`` list."""
+    edits = brute_force_edits(pair, program, target)
+    shared = [key for key in edits if key in phi]
+    return reference_ranking(shared or edits, probs)
 
 
 def reference_revision(pair, program, target, phi, probs, config, rng):
-    """introspective_revision with every check an ``execute`` call."""
+    """introspective_revision with every check an ``execute`` call, on
+    actions; ``phi`` is a ``reference_ranking`` list, popped from its
+    front."""
     program = tuple(program)
     revised = program
     events = []
@@ -542,32 +605,31 @@ def reference_revision(pair, program, target, phi, probs, config, rng):
 
     popped = 0
     while popped < config.max_revisions and phi:
-        proposal = phi.pop()
+        t, relation = phi.pop(0)
         popped += 1
         u = rng.random()
-        candidate = fix(revised, proposal.t, proposal.relation)
+        candidate = edit(revised, t, relation)
         if matches_target(execute(pair, candidate), target) and u > config.epsilon:
-            apply(candidate, proposal.t, "knowledge")
+            apply(candidate, t, "knowledge")
             continue
         u = rng.random()
-        sampled_prob = float(probs[proposal.t - 1][ACTIONS.index(program[proposal.t - 1])])
-        ratio = proposal.prob / sampled_prob if sampled_prob > 0 else 1.0
+        row = probs[t - 1]
+        sampled_prob = float(row[ACTIONS.index(program[t - 1])])
+        proposal_prob = float(row[ACTIONS.index(relation)])
+        ratio = proposal_prob / sampled_prob if sampled_prob > 0 else 1.0
         if u < min(1.0, ratio):
-            apply(candidate, proposal.t, "knowledge")
+            apply(candidate, t, "knowledge")
     if not matches_target(execute(pair, revised), target):
         psi = reference_grid_search(pair, revised, phi, target, probs)
         if psi:
-            proposal = psi.pop()
-            apply(fix(revised, proposal.t, proposal.relation), proposal.t, "answer")
+            t, relation = psi[0]
+            apply(edit(revised, t, relation), t, "answer")
     return revised, tuple(events)
 
 
-def ranked(queue):
-    return [(p.t, p.relation, p.prob) for p in queue.items()]
-
-
 class TestFastPathsMatchExecution:
-    """The code folds and prefix/suffix search against ``execute``."""
+    """The code folds and prefix/suffix search against ``execute``, and
+    revision on codes and ranked keys against revision on actions."""
 
     @settings(max_examples=300, deadline=None)
     @given(revision_cases())
@@ -575,7 +637,7 @@ class TestFastPathsMatchExecution:
         pair, program, target, _, _ = case
         table = OutcomeTable(CFG)
         cls = table.classify(pair, target)
-        assert table.reaches(cls, pair, program) == matches_target(
+        assert table.reaches(cls, pair, program_code(program)) == matches_target(
             execute(pair, program), target
         )
 
@@ -586,16 +648,24 @@ class TestFastPathsMatchExecution:
         assert single_edits(pair, program, target) == brute_force_edits(
             pair, program, target
         )
+        table = OutcomeTable(CFG)
+        cls = table.classify(pair, target)
+        edits, reaching = table.edits(cls, pair, program_code(program))
+        assert edits == brute_force_edits(pair, program, target)
+        assert reaching == {(t, ACTIONS.index(a)) for t, a in edits}
 
     @settings(max_examples=300, deadline=None)
     @given(revision_cases())
     def test_grid_search_equals_brute_force(self, case):
         pair, program, target, probs, keys = case
-        psi = grid(pair, program, queue_from_keys(keys, probs), target, probs)
+        phi = queue_from_keys(keys, probs)
+        pending = list(phi)
+        psi = grid(pair, program, phi, target, probs)
         expected = reference_grid_search(
-            pair, program, queue_from_keys(keys, probs), target, probs
+            pair, program, reference_ranking(keys, probs), target, probs
         )
-        assert ranked(psi) == ranked(expected)
+        assert psi[::-1] == expected
+        assert phi == pending  # grid search pops nothing from the queue
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -607,18 +677,22 @@ class TestFastPathsMatchExecution:
     def test_revision_equals_execute_reference(self, case, budget, epsilon, seed):
         pair, program, target, probs, keys = case
         config = TrainConfig(max_revisions=budget, epsilon=epsilon)
-        phi, phi_ref = queue_from_keys(keys, probs), queue_from_keys(keys, probs)
+        phi, phi_ref = queue_from_keys(keys, probs), reference_ranking(keys, probs)
+        assert phi[::-1] == phi_ref
         uniforms = np.random.default_rng(seed).random(2 * len(keys)).tolist()
         draws = CountingDraws(uniforms)
         rng_ref = np.random.default_rng(seed)
         table = OutcomeTable(config)
         cls = table.classify(pair, target)
-        got = introspective_revision(table, cls, pair, program, phi, probs, draws)
-        expected = reference_revision(
+        code, events = introspective_revision(
+            table, cls, pair, program_code(program), phi, probs, draws
+        )
+        revised, expected_events = reference_revision(
             pair, program, target, phi_ref, probs, config, rng_ref
         )
-        assert got == expected
-        assert ranked(phi) == ranked(phi_ref)  # same proposals consumed
+        assert code == program_code(revised)
+        assert events == expected_events
+        assert phi[::-1] == phi_ref  # same proposals consumed
         # same number of draws: the reference's stream continues where a
         # fresh one does after as many draws as revision took
         rng = np.random.default_rng(seed)
@@ -643,7 +717,9 @@ class TestFastPathsMatchExecution:
         draws = CountingDraws(np.random.default_rng(seed).random(bound).tolist())
         table = OutcomeTable(config)
         cls = table.classify(pair, target)
-        introspective_revision(table, cls, pair, program, phi, probs, draws)
+        introspective_revision(
+            table, cls, pair, program_code(program), phi, probs, draws
+        )
         assert draws.taken <= bound
 
     def test_length_mismatch_rejected(self):
@@ -651,13 +727,9 @@ class TestFastPathsMatchExecution:
         table = OutcomeTable(CFG)
         cls = table.classify(pair, NLILabel.ENTAILMENT)
         table.rewards(cls, pair, program_code((A_EQ, A_EQ)))  # a right length first
-        for fast, program in [
-            (table.reaches, (A_EQ,)),
-            (table.rewards, program_code((A_EQ,))),
-            (table.edits, (A_EQ,)),
-        ]:
+        for fast in (table.reaches, table.rewards, table.edits):
             with pytest.raises(ValueError, match="program length 1"):
-                fast(cls, pair, program)
+                fast(cls, pair, program_code((A_EQ,)))
         with pytest.raises(ValueError, match="program length 1"):
             single_edits(pair, (A_EQ,), NLILabel.ENTAILMENT)
 
@@ -880,10 +952,9 @@ class TestObjectiveFromEpisodeProbs:
         features = np.concatenate([item.features for item in compiled])
         table = OutcomeTable(CFG)
         classes = [table.classify(item.pair, item.target) for item in compiled]
-        accuracy = _greedy_accuracy(params, table, classes, compiled, features)
-        assert accuracy == hits / len(compiled)
-        empty = _greedy_accuracy(params, table, [], [], np.zeros((0, N_FEATURES)))
-        assert empty == 0.0
+        assert _greedy_hits(table, classes, compiled, features)(params) == hits
+        empty = _greedy_hits(table, [], [], np.zeros((0, N_FEATURES)))
+        assert empty(params) == 0
 
 
 @st.composite
@@ -1344,7 +1415,7 @@ def _reference_episode(params, compiled, config, rng):
     if not config.introspective_revision:
         return episode
     keys = knowledge.proposal_keys(compiled.pair, LEX) if config.knowledge else ()
-    phi = queue_from_keys(keys, probs)
+    phi = reference_ranking(keys, probs)
     revised, events = reference_revision(
         compiled.pair, program, compiled.target, phi, probs, config, rng
     )
@@ -1558,27 +1629,42 @@ class TestTrainCallStructure:
     def test_programs_built_only_on_a_miss_or_for_revision(
         self, monkeypatch, split, ir
     ):
-        # without revision an episode is a lookup by (class, code): a
-        # program's actions are built once per table entry, on its first
-        # lookup; revision builds each sampled program once more
-        lookups, built = set(), collections.Counter()
-        rewards, program = OutcomeTable.rewards, natlog.trainer._program
+        # an episode, revised or not, works on program codes: a program's
+        # actions are built only inside an ``OutcomeTable`` lookup, once
+        # per (table, kind, class, code) entry, on its first lookup, and a
+        # reachability lookup builds none when the code was executed before
+        program = natlog.trainer._program
+        lookups, built = collections.defaultdict(set), collections.Counter()
+        inside = []
 
-        def recording_rewards(table, cls, pair, code):
-            lookups.add((id(table), cls, code))
-            return rewards(table, cls, pair, code)
+        def recording(kind):
+            method = getattr(OutcomeTable, kind)
+
+            def wrapped(table, cls, pair, code):
+                key = (id(table), kind, cls, code)
+                lookups[kind].add(key)
+                inside.append(key)
+                try:
+                    return method(table, cls, pair, code)
+                finally:
+                    inside.pop()
+
+            return wrapped
 
         def counting_program(code):
-            built["programs"] += 1
+            built[inside[-1]] += 1  # an IndexError outside every lookup
             return program(code)
 
-        monkeypatch.setattr(OutcomeTable, "rewards", recording_rewards)
+        for kind in ("rewards", "edits", "reaches"):
+            monkeypatch.setattr(OutcomeTable, kind, recording(kind))
         monkeypatch.setattr(natlog.trainer, "_program", counting_program)
-        count_calls(monkeypatch, built, natlog.trainer, "run_episode")
         config = TrainConfig(epochs=2, introspective_revision=ir)
         train(equivalence_slice(split), RULES, LEX, config)
-        episodes = built["run_episode"] if ir else 0
-        assert built["programs"] == len(lookups) + episodes
+        assert set(built.values()) == {1}
+        for kind in ("rewards", "edits"):
+            assert {key for key in built if key[1] == kind} == lookups[kind]
+        assert {key for key in built if key[1] == "reaches"} <= lookups["reaches"]
+        assert lookups["reaches"] and bool(lookups["edits"]) == ir
 
 
 @functools.lru_cache(maxsize=None)
@@ -1626,13 +1712,14 @@ class TestOutcomeTable:
             for program in itertools.product(ACTIONS, repeat=first.m):
                 for pair in (first, last):
                     expected = execute(pair, program)
+                    code = program_code(program)
                     if pair is first:
-                        edits, reaching = table.edits(cls, pair, program)
-                    rewards = table.rewards(cls, pair, program_code(program))
+                        edits, reaching = table.edits(cls, pair, code)
+                    rewards = table.rewards(cls, pair, code)
                     if pair is last:
-                        edits, reaching = table.edits(cls, pair, program)
+                        edits, reaching = table.edits(cls, pair, code)
                     assert rewards == reward(expected, target, config)
-                    assert table.reaches(cls, pair, program) == matches_target(
+                    assert table.reaches(cls, pair, code) == matches_target(
                         expected, target
                     )
                     assert edits == single_edits(pair, program, target)
