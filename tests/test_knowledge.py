@@ -299,18 +299,25 @@ class HeapQueue:
     queued."""
 
     def __init__(self, keys, probs):
-        self.heap, self.queued = [], set()
-        for t, relation in keys:
-            a = ACTIONS.index(relation)
-            if (t, a) not in self.queued:
-                self.queued.add((t, a))
-                rank = (-float(probs[t - 1][a]), t, a)
-                heapq.heappush(self.heap, (rank, (t, relation)))
+        self.heap, self.queued, self.probs = [], set(), probs
+        for key in keys:
+            self.push(key)
+
+    def push(self, key):
+        t, relation = key
+        a = ACTIONS.index(relation)
+        if (t, a) not in self.queued:
+            self.queued.add((t, a))
+            heapq.heappush(self.heap, ((-float(self.probs[t - 1][a]), t, a), key))
 
     def pop(self):
         (_, t, a), key = heapq.heappop(self.heap)
         self.queued.discard((t, a))
         return key
+
+    def items(self):
+        """The queued keys, best first, leaving the heap as it is."""
+        return [key for _, key in sorted(self.heap)]
 
 
 class TestProposalQueueEqualsHeap:
@@ -324,6 +331,46 @@ class TestProposalQueueEqualsHeap:
         assert popped(q) == [ref.pop() for _ in range(len(ref.heap))]
         with pytest.raises(IndexError):
             q.pop()
+
+    @settings(max_examples=300, deadline=None)
+    @given(key_lists, st.lists(st.one_of(st.none(), key_lists), max_size=12), prob_rows)
+    def test_pushes_and_pops_interleaved(self, keys, steps, probs):
+        # a step is a pop (None) or a push of keys, which may be queued,
+        # popped before or new; a push re-ranks the pending list with them
+        q, ref = queue_from_keys(keys, probs), HeapQueue(keys, probs)
+        for step in steps:
+            if step is None and not ref.heap:
+                with pytest.raises(IndexError):
+                    q.pop()
+            elif step is None:
+                assert q.pop() == ref.pop()
+            else:
+                q = queue_from_keys(q + step, probs)
+                for key in step:
+                    ref.push(key)
+            assert q[::-1] == ref.items()
+        assert popped(q) == [ref.pop() for _ in range(len(ref.heap))]
+
+
+class TestProposalQueueEqualsSortedProposals:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key_lists,
+        prob_rows,
+        st.integers(0, 20),
+        st.sets(st.tuples(st.integers(1, 3), st.sampled_from(list(ActionRelation)))),
+    )
+    def test_pop_items_and_intersect(self, keys, probs, pops, wanted):
+        # after some pops the pending list is the rest of the sorted order;
+        # narrowing it to wanted keys (as grid_search does) keeps that order
+        q = queue_from_keys(keys, probs)
+        expected = reference_queue_order(keys, probs)
+        pops = min(pops, len(q))
+        assert [q.pop() for _ in range(pops)] == expected[:pops]
+        assert q[::-1] == expected[pops:]
+        narrowed = [key for key in q if key in wanted]
+        assert queue_from_keys(narrowed, probs) == narrowed
+        assert narrowed[::-1] == [key for key in expected[pops:] if key in wanted]
 
 
 @pytest.fixture
