@@ -95,8 +95,6 @@ from .relations import (
     group,
     join,
     project,
-    reachable,
-    reachable_states,
 )
 from .trainer import (
     OutcomeTable,

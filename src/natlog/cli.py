@@ -5,7 +5,7 @@ Subcommands:
   train   run REINFORCE with introspective revision, save a checkpoint
   eval    score a checkpoint against a labeled dataset
   prove   print the greedy proof trace for one sentence pair
-  oracle  enumerate label-reaching programs and their spurious ratio
+  oracle  count the programs that reach each target, and their spurious ratio
 
 Human-readable summaries go to standard output; datasets, checkpoints,
 and metric records go to files as line-delimited JSON with a versioned
@@ -26,11 +26,11 @@ from typing import Iterator, Optional, Sequence
 from .chunker import ChunkRules, default_rules
 from .data import Example, dumps, load_dataset, require_targets, save_dataset, write_records
 from .datagen import default_genspec, generate, generate_2hop, load_genspec
-from .executor import ENUMERATION_CAP, enumerate_programs, execute
+from .executor import execute, matches_target, suffix_counts
 from .knowledge import Lexicon, default_lexicon
 from .metrics import evaluate, reports_to_csv
 from .policy import PolicyParams, compile_examples, decode, load_checkpoint, save_checkpoint
-from .relations import ACTIONS
+from .relations import ACTIONS, Relation, accepting
 from .trainer import RevisionStats, TrainConfig, load_train_config, train
 
 __all__ = ["main"]
@@ -177,35 +177,36 @@ def cmd_oracle(args) -> None:
     examples = load_dataset(args.data)
     records = []
     ratios = []
-    skipped = 0
     rules, lexicon = _rules(args), _lexicon(args)
     with _naming(args.data):
         compiled, _ = compile_examples(examples, rules, lexicon)
         require_targets(examples)
     for index, (example, item) in enumerate(zip(examples, compiled)):
-        pair = item.pair
-        if pair.m > args.max_m:
-            skipped += 1
-            records.append({"index": index, "m": pair.m, "skipped": True})
-            continue
-        reaching = list(enumerate_programs(pair, item.target, args.max_m))
+        pair, target, gold = item.pair, item.target, example.gold_program
+        rows = [chunk.context.action_codes for chunk in pair.hypothesis]
+        counts = suffix_counts(rows, accepting(target))
+        reaching = counts[pair.m][Relation.EQUIVALENCE.code]
         ratio: Optional[float] = None
-        if example.gold_program is not None and reaching:
-            off = sum(1 for p in reaching if p != example.gold_program)
-            ratio = off / len(reaching)
+        if gold is not None and reaching:
+            gold_reaches = len(gold) == pair.m and matches_target(
+                execute(pair, gold), target
+            )
+            ratio = (reaching - gold_reaches) / reaching
             ratios.append(ratio)
         records.append(
             {
                 "index": index,
                 "m": pair.m,
                 "programs": len(ACTIONS) ** pair.m,
-                "reaching": len(reaching),
+                "reaching": reaching,
                 "spurious_ratio": ratio,
             }
         )
     summary = {
         "examples": len(examples),
-        "skipped": skipped,
+        # the count is exact for every m, so nothing is skipped; the field
+        # stays until the format's next version
+        "skipped": 0,
         "mean_spurious_ratio": (
             sum(ratios) / len(ratios) if ratios else None
         ),
@@ -217,7 +218,7 @@ def cmd_oracle(args) -> None:
     mean = summary["mean_spurious_ratio"]
     shown = "n/a" if mean is None else f"{mean:.3f}"
     print(
-        f"{summary['examples']} examples ({skipped} skipped); "
+        f"{summary['examples']} examples (0 skipped); "
         f"mean spurious-program ratio {shown}"
     )
 
@@ -229,22 +230,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, seed=False, lexicon=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--grammar", help="chunker grammar file")
-        p.add_argument("--lexicon", help="knowledge-base lexicon file")
-        p.add_argument("--seed", type=int, help="seed override")
+        if lexicon:
+            p.add_argument("--lexicon", help="knowledge-base lexicon file")
+        if seed:
+            p.add_argument("--seed", type=int, help="seed override")
         return p
 
-    p = add(name="gen", func=cmd_gen, help_text="synthesize datasets")
+    p = add(
+        name="gen", func=cmd_gen, help_text="synthesize datasets",
+        seed=True, lexicon=False,
+    )
     p.add_argument("--config", help="generation spec (JSON)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--two-hop", action="store_true", help="also write twohop.jsonl"
     )
 
-    p = add(name="train", func=cmd_train, help_text="train a policy")
+    p = add(name="train", func=cmd_train, help_text="train a policy", seed=True)
     p.add_argument("--config", help="training config (key = value lines)")
     p.add_argument("--data", required=True, help="training dataset")
     p.add_argument("--checkpoint", required=True, help="checkpoint to write")
@@ -268,12 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add(name="oracle", func=cmd_oracle, help_text="program search stats")
     p.add_argument("--data", required=True, help="dataset to analyze")
     p.add_argument("--out", help="per-example records file (JSONL)")
-    p.add_argument(
-        "--max-m",
-        type=int,
-        default=ENUMERATION_CAP,
-        help="skip examples with more hypothesis chunks than this",
-    )
     return parser
 
 

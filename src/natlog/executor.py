@@ -34,18 +34,30 @@ per pair and per executed program.  Equality, hashing, ``repr``,
 ``dataclasses.replace`` and the ``FrozenInstanceError`` on assignment stay
 the generated ones.
 
-Two searches run on top.  ``enumerate_programs`` executes all 5^m programs.
-It deliberately runs ``execute`` on every one, without pruning, because it
-is the brute-force reference that the tests and the benchmark check the
-faster searches against and count calls on.
-``single_edits`` finds every single-step edit of a program that reaches a
-target in O(5m) lookups: one forward fold gives the prefix states
-z_0 .. z_{m-1}, and one backward pass gives, for each step t, a suffix
-table over the 7 states that says whether steps t+1 .. m, started in that
-state, end in a state meeting the target.  Join is not associative, so the
-suffix composes as a map over states, not as a single relation.  An edit
-(t, a) then reaches the target iff its suffix table holds at
-JOIN[z_{t-1}][projected(a)].
+Every question of the form "which programs reach the target from here?"
+is one backward count over ``JOIN``: ``suffix_counts(rows, accept)``.
+``rows`` lists, per step, the projected relation code of each choice that
+step allows, and entry k of the result gives, for each of the 7 start
+states, how many sequences of choices over the last k rows end in a
+state that ``accept`` holds.  Join is not associative, so the count composes as a map
+over states, not as a single relation.  It has three readers, which differ
+only in their rows:
+
+* ``single_edits`` gives each step the one projected relation of the
+  program's action there.  One forward fold gives the prefix states
+  z_0 .. z_{m-1}, and an edit (t, a) reaches the target iff entry m - t
+  holds at JOIN[z_{t-1}][projected(a)]: O(5m) lookups for every edit.
+* ``natlog oracle`` gives each step all five projected actions of its
+  context, so entry m at equivalence is the number of programs that reach
+  the target, without enumerating them.
+* ``trainer.reward`` gives every remaining step the five bare action
+  images (upward rows) to decide whether a partial program can still
+  reach the target.
+
+``enumerate_programs`` executes all 5^m programs.  It deliberately runs
+``execute`` on every one, without pruning, because it is the brute-force
+reference that the tests and the benchmark check the faster searches
+against and count calls on.
 """
 
 from __future__ import annotations
@@ -80,6 +92,7 @@ __all__ = [
     "program_code",
     "Executions",
     "ExecutionTable",
+    "suffix_counts",
     "single_edits",
     "enumerate_programs",
 ]
@@ -284,6 +297,26 @@ class ExecutionTable(dict):
         return executions
 
 
+def suffix_counts(
+    rows: Sequence[Sequence[int]], accept: Sequence[bool]
+) -> list[tuple[int, ...]]:
+    """Backward counts over ``JOIN`` (module docstring).
+
+    ``rows[t - 1]`` holds the projected relation code of each choice that
+    step t allows, and ``accept`` is an ``accepting`` row.  Entry k of the
+    result maps each start state code to the number of choice sequences
+    over the last k rows that end in an accepted state; entry 0 is
+    ``accept`` itself.
+    """
+    counts = [accept]
+    for row in reversed(rows):
+        after = counts[-1]
+        counts.append(
+            tuple(sum([after[joined[p]] for p in row]) for joined in JOIN)
+        )
+    return counts
+
+
 def single_edits(
     pair: ChunkedPair,
     program: Sequence[ActionRelation],
@@ -292,24 +325,25 @@ def single_edits(
     """Every (t, action) whose one-step edit of ``program`` reaches ``target``.
 
     Steps ascend from 1 and actions follow ``ACTIONS`` within a step; the
-    unchanged action counts as an edit.  Prefix states and suffix tables
-    (module docstring) make this O(5m) lookups instead of 5m executions.
+    unchanged action counts as an edit.  Prefix states and the program's
+    ``suffix_counts`` (module docstring) make this O(5m) lookups instead of
+    5m executions.
     """
     hypothesis = pair.hypothesis
-    if len(program) != len(hypothesis):
+    m = len(hypothesis)
+    if len(program) != m:
         _check_length(pair, program)
     rows = [chunk.context.action_codes for chunk in hypothesis]
     codes = [action.code for action in program]
     prefix = [0]  # z_0 .. z_{m-1}
     for row, a in zip(rows[:-1], codes):
         prefix.append(JOIN[prefix[-1]][row[a]])
-    suffix = [accepting(target)]  # built from step m backwards
-    for row, a in zip(rows[:0:-1], codes[:0:-1]):
-        ok, projected = suffix[-1], row[a]
-        suffix.append(tuple(ok[joined[projected]] for joined in JOIN))
+    suffix = suffix_counts(
+        [(row[a],) for row, a in zip(rows, codes)], accepting(target)
+    )
     edits = []
-    for t, (row, z, ok) in enumerate(zip(rows, prefix, reversed(suffix)), 1):
-        joined = JOIN[z]
+    for t, (row, z) in enumerate(zip(rows, prefix), 1):
+        joined, ok = JOIN[z], suffix[m - t]
         edits.extend((t, action) for action, p in zip(ACTIONS, row) if ok[joined[p]])
     return edits
 

@@ -464,9 +464,13 @@ def queue_from_keys(
     probability, then earlier step, then canonical action order, and the
     result lists them best last, so a caller pops the best from the end.
     Keys are deduplicated as (step, action code), so no enum is hashed.
+    A key whose step is not in 1..m raises ``ValueError``.
     """
+    m = len(probs)
     entries: dict = {}  # (step, action code) -> (sort key, relation)
     for t, relation in keys:
+        if not 0 < t <= m:
+            raise ValueError(f"key ({t}, {relation!r}) has no step among {m} steps")
         code = relation.code
         entries.setdefault((t, code), (-probs[t - 1][code], t, code, relation))
     ranked = sorted(entries.values(), reverse=True)

@@ -40,8 +40,6 @@ its projection row ``codes``, one row of the projectivity table, which
 maps a relation code to the projected relation code.  ``join``,
 ``project``, ``group`` and ``to_relation`` keep their enum signatures and
 index these tuples, so no lookup hashes an enum.
-``reachable_states`` and ``reachable`` read a table of closures that is
-computed once; every closure saturates after ``SATURATION`` steps.
 """
 
 from __future__ import annotations
@@ -63,13 +61,10 @@ __all__ = [
     "JOIN",
     "GROUP",
     "ACTION_IMAGE",
-    "SATURATION",
     "join",
     "project",
     "group",
     "accepting",
-    "reachable",
-    "reachable_states",
 ]
 
 
@@ -335,56 +330,3 @@ def accepting(target: NLILabel | Relation) -> tuple[bool, ...]:
     Reads the row stored on the member, so no enum is hashed.
     """
     return target.accepts
-
-
-def _closure(start: int) -> list[frozenset[int]]:
-    # codes reachable from start by at most k actions, for k = 0, 1, ...
-    # up to the first k at which the set stops growing
-    sets = [frozenset({start})]
-    while True:
-        grown = sets[-1] | {JOIN[s][r] for s in sets[-1] for r in ACTION_IMAGE}
-        if grown == sets[-1]:
-            return sets
-        sets.append(grown)
-
-
-_CLOSURES = [_closure(code) for code in range(len(RELATIONS))]
-
-# steps after which every closure has stopped growing
-SATURATION = max(len(sets) for sets in _CLOSURES) - 1
-
-# _REACHABLE_STATES[s][k] and _REACHABLE_LABELS[s][k]: what is reachable
-# from state code s by at most k <= SATURATION actions
-_REACHABLE_STATES = tuple(
-    tuple(
-        frozenset(RELATIONS[c] for c in sets[min(k, len(sets) - 1)])
-        for k in range(SATURATION + 1)
-    )
-    for sets in _CLOSURES
-)
-_REACHABLE_LABELS = tuple(
-    tuple(frozenset(group(s) for s in states) for states in row)
-    for row in _REACHABLE_STATES
-)
-
-
-def reachable_states(state: Relation, steps: int) -> frozenset[Relation]:
-    """States reachable from ``state`` by joining at most ``steps`` actions.
-
-    The closure is taken over the images of the five program actions; it is
-    the basis for deciding whether a partially executed program can still
-    reach a target state.
-    """
-    return _REACHABLE_STATES[state.code][_horizon(steps)]
-
-
-def reachable(state: Relation, steps: int) -> frozenset[NLILabel]:
-    """Labels reachable from ``state`` within ``steps`` further actions."""
-    return _REACHABLE_LABELS[state.code][_horizon(steps)]
-
-
-def _horizon(steps: int) -> int:
-    # the table column for ``steps``: closures stop growing at SATURATION
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    return min(steps, SATURATION)

@@ -10,6 +10,15 @@ later steps in a failed program carry more blame.  Two exceptions:
   when ``prefer_forward_entailment`` is set, nudging the policy toward
   the more informative forward entailment state.
 
+The early stop reads ``executor.suffix_counts`` over upward rows: a
+completion may pick any of the five bare action images at each remaining
+step, whatever that step's context.  This is a known defect.  It misses
+states that only a later step's projection reaches (cover under "not"),
+so with contexts (upward, not) and target entailment the program
+(NEG_ALT, EQUIVALENCE) is stopped at step 1, although (NEG_ALT, NEG_ALT)
+reaches the target.  Counting over the pair's own context rows mends it,
+but changes rewards and so checkpoint bytes.
+
 The REINFORCE objective is J = -sum_t log p_t[a_t] * R_t.  Introspective
 revision then repairs the sampled program: lexical proposals are popped
 from a priority queue and either accepted outright (correct execution and
@@ -117,6 +126,7 @@ from .executor import (
     matches_target,
     program_code,
     single_edits,
+    suffix_counts,
 )
 from .knowledge import Lexicon, queue_from_keys
 from .policy import (
@@ -133,9 +143,8 @@ from .relations import (
     ActionRelation,
     NLILabel,
     Relation,
+    UPWARD,
     accepting,
-    reachable,
-    reachable_states,
 )
 
 __all__ = [
@@ -302,12 +311,6 @@ class Episode:
     revisions: tuple[RevisionEvent, ...] = ()
 
 
-def _still_reachable(state: Relation, steps: int, target: Target) -> bool:
-    if isinstance(target, NLILabel):
-        return target in reachable(state, steps)
-    return target in reachable_states(state, steps)
-
-
 def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ...]:
     """Shaped per-step rewards for an executed program."""
     m = trace.m
@@ -320,9 +323,12 @@ def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ..
         return (config.mu,) * m
     # wrong answer: stop at the first intermediate step from which the
     # target is unreachable, otherwise blame later steps more; the final
-    # step is never a termination point, it is just wrong
+    # step is never a termination point, it is just wrong.  Reachability
+    # is counted over upward rows, not the pair's own (module docstring).
+    counts = suffix_counts((UPWARD.action_codes,) * (m - 1), accepting(target))
+    states = trace.states
     for t in range(1, m):
-        if not _still_reachable(trace.states[t], m - t, target):
+        if not counts[m - t][states[t].code]:
             out = [0.0] * m
             out[t - 1] = -config.mu
             return tuple(out)

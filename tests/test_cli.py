@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -11,14 +12,15 @@ import pytest
 
 import natlog
 import natlog.cli
-import natlog.executor
 from natlog.cli import main
 from natlog.data import load_dataset, save_dataset
 from natlog.datagen import default_genspec, save_genspec
+from natlog.executor import enumerate_programs
 from natlog.metrics import evaluate
 from natlog.chunker import default_rules
 from natlog.knowledge import default_lexicon
-from natlog.policy import load_checkpoint
+from natlog.policy import compile_examples, load_checkpoint
+from natlog.relations import ACTIONS
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,18 @@ def workspace(tmp_path_factory):
         == 0
     )
     return root
+
+
+@pytest.fixture(scope="module")
+def noisy_split(tmp_path_factory):
+    """The noisy split, whose test pairs have m = 2 and m = 4."""
+    root = tmp_path_factory.mktemp("noisy")
+    save_genspec(
+        dataclasses.replace(default_genspec(), noisy_test=True), root / "spec.json"
+    )
+    out = root / "data"
+    assert main(["gen", "--config", str(root / "spec.json"), "--out", str(out)]) == 0
+    return out
 
 
 def _records(path):
@@ -311,30 +325,109 @@ class TestOracle:
             assert 0.0 <= record["spurious_ratio"] <= 1.0
         assert "spurious-program ratio" in capsys.readouterr().out
 
-    def test_max_m_skips(self, workspace, tmp_path, capsys):
-        out = tmp_path / "skipped.jsonl"
-        assert (
-            main(
-                [
-                    "oracle",
-                    "--data",
-                    str(workspace / "data" / "twohop.jsonl"),
-                    "--max-m",
-                    "1",
-                    "--out",
-                    str(out),
-                ]
+    def test_max_m_rejected(self, capsys):
+        # the count is exact for every m, so there is nothing to skip
+        with pytest.raises(SystemExit):
+            natlog.cli._build_parser().parse_args(
+                ["oracle", "--data", "d", "--max-m", "8"]
             )
-            == 0
-        )
-        _, records = _records(out)
-        assert all(r.get("skipped") for r in records[:-1])
-        assert records[-1]["summary"]["skipped"] == 25
-        assert "n/a" in capsys.readouterr().out
+        assert "--max-m" in capsys.readouterr().err
 
-    def test_max_m_defaults_to_enumeration_cap(self):
-        args = natlog.cli._build_parser().parse_args(["oracle", "--data", "d"])
-        assert args.max_m == natlog.executor.ENUMERATION_CAP
+    def test_records_equal_enumeration_on_noisy_split(self, noisy_split, tmp_path):
+        # one example of each (context rows, target, gold program) kind
+        # against the programs that enumerate_programs yields
+        path = noisy_split / "test.jsonl"
+        out = tmp_path / "oracle.jsonl"
+        assert main(["oracle", "--data", str(path), "--out", str(out)]) == 0
+        examples = load_dataset(path)
+        compiled, _ = compile_examples(examples, default_rules(), default_lexicon())
+        _, records = _records(out)
+        assert len(records) == len(examples) + 1
+        assert records[-1]["summary"]["skipped"] == 0
+        kinds = {}
+        for index, (example, item) in enumerate(zip(examples, compiled)):
+            rows = tuple(c.context.action_codes for c in item.pair.hypothesis)
+            kinds.setdefault((rows, item.target, example.gold_program), index)
+        assert {examples[i].gold_program is None for i in kinds.values()} == {False}
+        assert {compiled[i].pair.m for i in kinds.values()} == {2, 4}
+        for index in kinds.values():
+            item, gold = compiled[index], examples[index].gold_program
+            reaching = list(enumerate_programs(item.pair, item.target))
+            ratio = None
+            if reaching:
+                ratio = sum(p != gold for p in reaching) / len(reaching)
+            assert records[index] == {
+                "index": index,
+                "m": item.pair.m,
+                "programs": 5**item.pair.m,
+                "reaching": len(reaching),
+                "spurious_ratio": ratio,
+            }
+
+
+    def test_gold_program_that_misses_counts_as_spurious(self, workspace, tmp_path):
+        # a gold program of the wrong length, or one that misses the
+        # target, is not among the reaching programs: all of them are spurious
+        (example,) = load_dataset(workspace / "data" / "twohop.jsonl")[:1]
+        gold = example.gold_program
+        (item,), _ = compile_examples([example], default_rules(), default_lexicon())
+        reaching = set(enumerate_programs(item.pair, item.target))
+        miss = next(
+            p for p in itertools.product(ACTIONS, repeat=len(gold)) if p not in reaching
+        )
+        wrong = dataclasses.replace(example, gold_program=gold + (ACTIONS[0],))
+        missing = dataclasses.replace(example, gold_program=miss)
+        path, out = tmp_path / "data.jsonl", tmp_path / "oracle.jsonl"
+        save_dataset([example, wrong, missing], path)
+        assert main(["oracle", "--data", str(path), "--out", str(out)]) == 0
+        _, records = _records(out)
+        reaching = records[0]["reaching"]
+        assert records[0]["spurious_ratio"] == (reaching - 1) / reaching
+        for record in records[1:3]:
+            assert record["reaching"] == reaching
+            assert record["spurious_ratio"] == 1.0
+
+
+class TestOptions:
+    """Each subcommand takes only the common options it reads: ``--seed``
+    for ``gen`` and ``train``, ``--lexicon`` for all but ``gen``."""
+
+    REQUIRED = {
+        "gen": ["--out", "o"],
+        "train": ["--data", "d", "--checkpoint", "c"],
+        "eval": ["--data", "d", "--checkpoint", "c"],
+        "prove": ["p", "h"],
+        "oracle": ["--data", "d"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("eval", "--seed"),
+            ("prove", "--seed"),
+            ("oracle", "--seed"),
+            ("gen", "--lexicon"),
+        ],
+    )
+    def test_unread_option_rejected(self, command, option, capsys):
+        parser = natlog.cli._build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, *self.REQUIRED[command], option, "1"])
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_seed_accepted(self, command):
+        args = natlog.cli._build_parser().parse_args(
+            [command, *self.REQUIRED[command], "--seed", "3"]
+        )
+        assert args.seed == 3
+
+    @pytest.mark.parametrize("command", ["train", "eval", "prove", "oracle"])
+    def test_lexicon_accepted(self, command):
+        args = natlog.cli._build_parser().parse_args(
+            [command, *self.REQUIRED[command], "--lexicon", "lex"]
+        )
+        assert args.lexicon == "lex"
 
 
 class TestErrors:

@@ -13,7 +13,8 @@ file the two runs write is compared byte for byte:
   examples end in a batch of one), and on the noisy test split, which
   mixes m = 2 and m = 4 programs in a batch, with revision on and off;
 * ``eval`` to csv and to jsonl, on the noisy split too;
-* ``oracle`` on the two-hop data.
+* ``oracle`` on the two-hop data and on the noisy test split (m = 2 and
+  m = 4).
 
 No digest is pinned: the two runs are compared with each other.
 """
@@ -51,6 +52,7 @@ FILES = (
     "noisy/test.jsonl",
     "noisy/report.csv",
     "noisy/report.jsonl",
+    "noisy/oracle.jsonl",
     "noisy/mixed-train.ckpt",
     "noisy/mixed-noir.ckpt",
 )
@@ -99,6 +101,9 @@ def pipeline(root: Path, configs: Path, hashseed: int) -> Path:
             "eval", "--checkpoint", out / "policy.ckpt",
             "--data", noisy / "test.jsonl", "--out", noisy / report,
         )
+    natlog_cli(
+        "oracle", "--data", noisy / "test.jsonl", "--out", noisy / "oracle.jsonl"
+    )
     for variant in ("train", "noir"):
         natlog_cli(
             "train", "--data", noisy / "test.jsonl",

@@ -17,6 +17,7 @@ from natlog.executor import (
     extract_rationales,
     matches_target,
     single_edits,
+    suffix_counts,
 )
 from natlog.relations import (
     ACTIONS,
@@ -25,6 +26,7 @@ from natlog.relations import (
     NLILabel,
     Relation,
     UPWARD,
+    accepting,
     get_context,
     group,
     join,
@@ -430,3 +432,73 @@ class TestExecutorEqualsReference:
             for program in itertools.product(ACTIONS, repeat=pair.m)
             if reference_matches(reference_execute(pair, program), target)
         ]
+
+
+def reference_counts(rows, target):
+    """Entry k, state s: how many choices over the last k rows lead from s
+    to a state meeting ``target``, by folding every choice sequence with
+    the enum-level ``join``."""
+    relations = list(Relation)
+    counts = []
+    for k in range(len(rows) + 1):
+        tail = [[relations[p] for p in row] for row in rows[len(rows) - k :]]
+        entry = []
+        for start in relations:
+            n = 0
+            for seq in itertools.product(*tail):
+                state = start
+                for r in seq:
+                    state = join(state, r)
+                final = group(state) if isinstance(target, NLILabel) else state
+                n += final == target
+            entry.append(n)
+        counts.append(tuple(entry))
+    return counts
+
+
+def context_rows(pair):
+    return [chunk.context.action_codes for chunk in pair.hypothesis]
+
+
+class TestSuffixCounts:
+    """The backward count that ``single_edits``, ``natlog oracle`` and
+    ``trainer.reward`` read, against ``enumerate_programs`` and a fold of
+    every choice sequence."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_enumeration_for_every_context_combination(self, m):
+        targets = list(NLILabel) + list(Relation)
+        for contexts in itertools.product(CONTEXTS.values(), repeat=m):
+            pair = upward_pair(1, m, contexts)
+            for target in targets:
+                counts = suffix_counts(context_rows(pair), accepting(target))
+                assert counts[m][EQ.code] == len(
+                    list(enumerate_programs(pair, target))
+                ), (contexts, target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        contexts=st.integers(4, 6).flatmap(
+            lambda m: st.lists(any_context, min_size=m, max_size=m)
+        ),
+        target=any_target,
+    )
+    def test_equals_enumeration_for_long_programs(self, contexts, target):
+        pair = upward_pair(1, len(contexts), contexts)
+        event(f"m = {pair.m}")
+        counts = suffix_counts(context_rows(pair), accepting(target))
+        assert counts[pair.m][EQ.code] == len(list(enumerate_programs(pair, target)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(0, 6), min_size=0, max_size=5).map(tuple),
+            min_size=0,
+            max_size=4,
+        ),
+        target=any_target,
+    )
+    def test_every_entry_and_start_state_equals_folded_sequences(self, rows, target):
+        counts = suffix_counts(rows, accepting(target))
+        assert counts[0] is accepting(target)
+        assert [tuple(map(int, c)) for c in counts] == reference_counts(rows, target)

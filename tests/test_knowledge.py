@@ -275,6 +275,13 @@ class TestProposalQueue:
         again = queue_from_keys(keys, probs)
         assert again == q and again is not q
 
+    @pytest.mark.parametrize("step", [0, -1, 3, 7])
+    def test_step_outside_the_program_rejected(self, step):
+        # step 0 would read the last row and step 3 past the end of 2 rows
+        rows = [[0.1] * 5, [0.9] * 5]
+        with pytest.raises(ValueError, match=rf"key \({step}, <≡>\).* 2 steps"):
+            queue_from_keys([(step, A_EQ), (1, A_EQ)], rows)
+
 
 def reference_queue_order(keys, probs):
     """First of each (step, relation) key, sorted on (-probability, step,

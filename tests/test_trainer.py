@@ -44,6 +44,8 @@ from natlog.relations import (
     Relation,
     UPWARD,
     get_context,
+    group,
+    join,
 )
 from natlog.trainer import (
     Episode,
@@ -237,6 +239,81 @@ class TestReward:
         trace = execute(pair, (A_EQ, A_EQ))
         cfg = TrainConfig(mu=2.0, gamma=0.1, prefer_forward_entailment=False)
         assert reward(trace, NLILabel.CONTRADICTION, cfg) == (-0.2, -2.0)
+
+
+def layered_reachable_states(state, steps):
+    """The states that at most ``steps`` bare actions lead to from
+    ``state``, grown one layer at a time (as in ``test_relations.py``)."""
+    images = [a.to_relation() for a in ACTIONS]
+    layer, found = {state}, {state}
+    for _ in range(steps):
+        layer = {join(z, r) for z in layer for r in images}
+        found |= layer
+    return frozenset(found)
+
+
+def reference_reward(trace, target, config):
+    """``reward`` with its early stop read from ``layered_reachable_states``."""
+    m, states = trace.m, trace.states
+
+    def meets(state):
+        return (group(state) if isinstance(target, NLILabel) else state) == target
+
+    if meets(states[-1]):
+        if config.prefer_forward_entailment and states[-1] == Relation.EQUIVALENCE:
+            return (0.0,) * m
+        return (config.mu,) * m
+    for t in range(1, m):
+        if not any(map(meets, layered_reachable_states(states[t], m - t))):
+            return tuple(-config.mu if s == t else 0.0 for s in range(1, m + 1))
+    return tuple(-(config.gamma ** (m - t)) * config.mu for t in range(1, m + 1))
+
+
+@st.composite
+def reward_cases(draw):
+    m = draw(st.integers(1, 6))
+    contexts = draw(
+        st.lists(
+            st.sampled_from(list(CONTEXTS.values()) + [get_context("unnamed")]),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    pair = ChunkedPair(
+        (Chunk(("p",), 0),),
+        tuple(Chunk((f"h{i}",), i, c) for i, c in enumerate(contexts)),
+    )
+    program = tuple(draw(st.lists(st.sampled_from(ACTIONS), min_size=m, max_size=m)))
+    return execute(pair, program)
+
+
+class TestRewardEqualsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        trace=reward_cases(),
+        target=st.sampled_from(list(NLILabel) + list(Relation)),
+        prefer=st.booleans(),
+        mu=st.floats(0.01, 10.0),
+        gamma=st.floats(0.0, 1.0),
+    )
+    def test_random_traces(self, trace, target, prefer, mu, gamma):
+        config = TrainConfig(mu=mu, gamma=gamma, prefer_forward_entailment=prefer)
+        assert reward(trace, target, config) == reference_reward(trace, target, config)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the early stop counts over upward rows, not the pair's contexts",
+    )
+    def test_early_stop_reads_the_pairs_contexts(self):
+        # (NEG_ALT, NEG_ALT) reaches entailment under (upward, not), so
+        # step 1 of (NEG_ALT, EQUIVALENCE) is not hopeless: step 2 is wrong
+        pair = ChunkedPair(
+            (Chunk(("p",), 0),),
+            (Chunk(("a",), 0), Chunk(("b",), 1, CONTEXTS["not"])),
+        )
+        assert matches_target(execute(pair, (A_NA, A_NA)), NLILabel.ENTAILMENT)
+        trace = execute(pair, (A_NA, A_EQ))
+        assert reward(trace, NLILabel.ENTAILMENT, CFG) == (-0.5, -1.0)
 
 
 class TestReinforceObjective:
