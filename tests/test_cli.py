@@ -325,11 +325,35 @@ class TestOracle:
             assert 0.0 <= record["spurious_ratio"] <= 1.0
         assert "spurious-program ratio" in capsys.readouterr().out
 
-    def test_max_m_rejected(self, capsys):
-        # the count is exact for every m, so there is nothing to skip
+    def test_max_m_skips(self, workspace, tmp_path, capsys):
+        # the count is exact for every m: --max-m is gone and no example
+        # is skipped, however small the old cap would have been
+        data = str(workspace / "data" / "twohop.jsonl")
+        out = tmp_path / "oracle.jsonl"
+        with pytest.raises(SystemExit):
+            main(["oracle", "--data", data, "--max-m", "1", "--out", str(out)])
+        assert "--max-m" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["oracle", "--data", data, "--out", str(out)]) == 0
+        _, records = _records(out)
+        assert not any("skipped" in r for r in records[:-1])
+        assert all(r["spurious_ratio"] is not None for r in records[:-1])
+        assert records[-1]["summary"]["skipped"] == 0
+        assert "(0 skipped)" in capsys.readouterr().out
+
+    def test_max_m_defaults_to_enumeration_cap(self, capsys):
+        # the option and its default (the enumeration cap) are removed
+        args = natlog.cli._build_parser().parse_args(["oracle", "--data", "d"])
+        assert not hasattr(args, "max_m")
         with pytest.raises(SystemExit):
             natlog.cli._build_parser().parse_args(
-                ["oracle", "--data", "d", "--max-m", "8"]
+                [
+                    "oracle",
+                    "--data",
+                    "d",
+                    "--max-m",
+                    str(natlog.executor.ENUMERATION_CAP),
+                ]
             )
         assert "--max-m" in capsys.readouterr().err
 
