@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from ._text import read_text
 from .executor import Chunk, ChunkedPair
 from .relations import CONTEXTS, ProjectivityContext, UPWARD
 
@@ -161,7 +162,7 @@ class ChunkRules:
         named twice is an error.
         """
         sections: dict[str, frozenset[str]] = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -182,7 +183,7 @@ class ChunkRules:
             lines.append(f"{key}: {words}")
         for key in sorted(self.extra):
             lines.append(f"{key}: {' '.join(sorted(self.extra[key]))}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def default_rules() -> ChunkRules:

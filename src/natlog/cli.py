@@ -116,7 +116,7 @@ def cmd_eval(args) -> None:
     if args.out:
         out = Path(args.out)
         if out.suffix == ".csv":
-            out.write_text(reports_to_csv({name: report}))
+            out.write_text(reports_to_csv({name: report}), encoding="utf-8")
         else:
             record = {"dataset": name}
             record.update(report.to_record())

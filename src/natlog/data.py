@@ -3,7 +3,9 @@
 Every dataset file starts with a header record naming the schema and
 version, followed by one JSON object per example.  Keys are sorted and
 separators fixed so identical data serializes to identical bytes; one
-module-level encoder writes every record.
+module-level encoder writes every record.  Files are UTF-8, and a
+dataset splits into lines at ``\\n`` only, so a U+0085 or U+2028 that a
+writer with ``ensure_ascii=False`` left inside a string stays in its line.
 
 ``Example`` is a frozen dataclass built in one step: its hand-written
 ``__init__`` stores the fields straight into the instance ``__dict__``,
@@ -18,15 +20,54 @@ name the table misses, or an unhashable one, falls back to the enum
 constructor (``ActionRelation.parse`` for actions), so a malformed line
 is rejected with the enum's own message, e.g. ``path:2: ['x'] is not a
 valid NLILabel``, where a bare dict lookup would say ``unhashable type``.
+
+A dataset holds few distinct annotations (an example's fields but its
+two sentences): the compositional train split has 19 among 1896
+examples.  So ``save_dataset`` and ``load_dataset`` move a line as a
+*frame* and two sentences.  The frame is the line's text with the
+``hypothesis`` and ``premise`` JSON strings cut out, ``(head, middle,
+tail)`` (``_cut``), and a sentence goes into it as
+``encode_basestring_ascii(sentence)``, the function ``_ENCODER`` itself
+writes a string with.  Nothing is kept between calls.
+
+* ``save_dataset`` writes an annotation's first example as
+  ``dumps(ex.to_record())``.  At the annotation's second example it cuts
+  the frame out of the first one's line, if every field of the first
+  example has the exact type ``from_record`` gives it (``_plain``).  From
+  then on an example with an equal annotation, whose sentences are strs
+  and tokens ints (``_spliceable``), is written as the frame around its
+  two encoded sentences.  That is ``dumps(ex.to_record())``: the record
+  differs from the first example's in the two sentences only, and equal
+  fields encode alike, since an enum member equals only itself and equal
+  strs or ints print alike.  The int check keeps ``True``, ``1.0`` or
+  ``np.int64(1)`` out of a frame learned from ``1``, and a list field is
+  unhashable, so its example takes the first path.
+* ``load_dataset`` cuts every line.  A frame is learned when its text
+  recurs, from a line that writes back to itself
+  (``dumps(ex.to_record()) == line``); if that line does not, the frame
+  is never learned.  A line in a learned frame is read from the two
+  strings ``scanstring`` returned, provided the frame around their
+  encodings is the line itself.  The line is then the canonical line of
+  ``Example(premise, hypothesis, *annotation)``, which ``json.loads`` and
+  ``from_record`` would read back.  Every other line (a first sighting, a
+  line that is not canonical, a malformed one) is read by
+  ``Example.from_record(json.loads(line))``, so each error keeps its
+  ``path:line`` message; a line that is one object and nothing else is
+  decoded by ``raw_decode``, the call ``json.loads`` makes after its
+  whitespace scans.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._text import read_text
 from .chunker import ChunkRules, chunk_pair, chunk_pairs
 from .executor import ChunkedPair
 from .relations import (
@@ -241,6 +282,7 @@ def chunk_examples(
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
 
 
 def dumps(obj: dict) -> str:
@@ -254,33 +296,185 @@ def write_records(
     """Canonical JSON lines behind a ``{"schema", "version"}`` header."""
     lines = [dumps({"schema": schema, "version": version})]
     lines.extend(dumps(record) for record in records)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# an example's fields but its sentences: its annotation
+_annotation = attrgetter(
+    "label",
+    "gold_program",
+    "gold_states",
+    "gold_rationale_tokens",
+    "split_tag",
+    "target_state",
+)
+
+# In a canonical line each sentence's JSON string starts at the quote
+# that ends one of these keys.
+_HYPOTHESIS_KEY = ',"hypothesis":"'
+_PREMISE_KEY = ',"premise":"'
+_HYPOTHESIS_OFFSET = len(_HYPOTHESIS_KEY) - 1
+_PREMISE_OFFSET = len(_PREMISE_KEY) - 1
+
+
+def _cut(line: str):
+    """``(frame, hypothesis, premise)`` of a line, or None when the line
+    has no such two strings.
+
+    The sentences are the JSON strings after the first ``,"hypothesis":``
+    and the next ``,"premise":``, read with ``scanstring``; the frame
+    ``(head, middle, tail)`` is the text around them.
+    """
+    start = line.find(_HYPOTHESIS_KEY)
+    if start < 0:
+        return None
+    start += _HYPOTHESIS_OFFSET  # the opening quote
+    try:
+        hypothesis, end = scanstring(line, start + 1)
+        premise_start = line.find(_PREMISE_KEY, end)
+        if premise_start < 0:
+            return None
+        premise_start += _PREMISE_OFFSET
+        premise, premise_end = scanstring(line, premise_start + 1)
+    except ValueError:
+        return None
+    frame = (line[:start], line[end:premise_start], line[premise_end:])
+    return frame, hypothesis, premise
+
+
+def _splice(frame: tuple[str, str, str], hypothesis: str, premise: str) -> str:
+    """The line of a frame and two sentences."""
+    head, middle, tail = frame
+    encode = encode_basestring_ascii
+    return f"{head}{encode(hypothesis)}{middle}{encode(premise)}{tail}"
+
+
+def _spliceable(ex: Example) -> bool:
+    """Whether ``ex``, its annotation equal to a ``_plain`` example's, is
+    written as that annotation's frame around its sentences: it is an
+    ``Example``, so its ``to_record`` is the frame's, its sentences are
+    strs and its tokens ints (``True``, ``1.0`` and ``np.int64(1)`` equal
+    ``1`` but do not encode like it)."""
+    tokens = ex.gold_rationale_tokens
+    return (
+        type(ex) is Example
+        and type(ex.premise) is str
+        and type(ex.hypothesis) is str
+        and (tokens is None or _INT.issuperset(map(type, tokens)))
+    )
+
+
+def _plain(ex: Example) -> bool:
+    """Whether every field of ``ex`` has the exact type ``from_record``
+    gives it."""
+    label, program, states, tokens, tag, target = _annotation(ex)
+    return (
+        type(tag) is str
+        and (label is None or type(label) is NLILabel)
+        and (target is None or type(target) is Relation)
+        and _all_of(ActionRelation, program)
+        and _all_of(Relation, states)
+        and _all_of(int, tokens)
+        and _spliceable(ex)
+    )
+
+
+def _all_of(kind: type, values) -> bool:
+    """Whether ``values`` is None or a tuple of values of type ``kind``."""
+    return values is None or type(values) is tuple and all(
+        type(value) is kind for value in values
+    )
 
 
 def save_dataset(examples: Iterable[Example], path: str | Path) -> None:
-    write_records(path, SCHEMA, VERSION, (ex.to_record() for ex in examples))
+    """``write_records`` of the examples' ``to_record()``, from an
+    annotation's second example on spliced into its frame (module
+    docstring)."""
+    lines = [dumps({"schema": SCHEMA, "version": VERSION})]
+    # annotation -> its first example, then its frame, or None
+    frames: dict = {}
+    for ex in examples:
+        try:
+            frame = frames.setdefault(_annotation(ex), ex)
+        except (AttributeError, TypeError):  # not an Example, or unhashable
+            frame = None
+        if frame is not ex and frame is not None and type(frame) is not tuple:
+            # the annotation's second example: learn the first one's frame
+            frame = frames[_annotation(ex)] = (
+                _cut(dumps(frame.to_record()))[0] if _plain(frame) else None
+            )
+        if type(frame) is tuple and _spliceable(ex):
+            lines.append(_splice(frame, ex.hypothesis, ex.premise))
+        else:
+            lines.append(dumps(ex.to_record()))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_dataset(path: str | Path) -> list[Example]:
-    """Examples of a dataset file; a malformed line is named as path:line."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    """Examples of a dataset file; a malformed line is named as path:line.
+
+    Lines end at ``\\n`` (a ``\\r`` before it is dropped), and a line in a
+    learned frame is read from its two strings (module docstring).
+    """
+    text = read_text(path)
+    if not text:
         raise ValueError(f"{path}: empty dataset file")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
     header = _parse_line(path, 1, lines[0], dict)
     if header.get("schema") != SCHEMA:
         raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {header!r}")
     if header.get("version") != VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    return [
-        _parse_line(path, lineno, line, Example.from_record)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line
-    ]
+    examples = []
+    # frame -> _SEEN, then the annotation it holds, or _NEVER
+    frames: dict = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cut = _cut(line)
+        if cut is not None:
+            frame, hypothesis, premise = cut
+            annotation = frames.get(frame, _NEW)
+            if (
+                type(annotation) is tuple
+                and _splice(frame, hypothesis, premise) == line
+            ):
+                examples.append(Example(premise, hypothesis, *annotation))
+                continue
+        ex = _parse_line(path, lineno, line, Example.from_record)
+        examples.append(ex)
+        if cut is None:
+            continue
+        if annotation is _NEW:
+            frames[frame] = _SEEN
+        elif annotation is _SEEN:  # recurring: learned if this line is canonical
+            frames[frame] = (
+                _annotation(ex) if dumps(ex.to_record()) == line else _NEVER
+            )
+    return examples
+
+
+# the states of a frame in ``load_dataset``
+_NEW, _SEEN, _NEVER = object(), object(), object()
 
 
 def _parse_line(path, lineno: int, line: str, build):
+    """``build(json.loads(line))``, each error named as path:line.
+
+    A line that is one object and nothing else is decoded by
+    ``raw_decode``, the call ``json.loads`` makes after its whitespace
+    scans; any other line, or one ``raw_decode`` rejects, by ``json.loads``.
+    """
     try:
-        return build(json.loads(line))
+        end = -1
+        if line[:1] == "{":
+            try:
+                value, end = _DECODER.raw_decode(line)
+            except ValueError:
+                pass
+        return build(value if end == len(line) else json.loads(line))
     except KeyError as exc:
         raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

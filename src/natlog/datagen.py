@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._text import read_text
 from .chunker import ChunkRules, chunk_pairs, default_rules, tokenize
 from .data import Example
 from .executor import ChunkedPair, ExecutionTable
@@ -146,7 +147,7 @@ class GenSpec:
 def load_genspec(path: str | Path) -> GenSpec:
     """Read a spec saved by ``save_genspec``; errors name the file."""
     try:
-        record = json.loads(Path(path).read_text())
+        record = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
     if not isinstance(record, dict):
@@ -161,7 +162,7 @@ def load_genspec(path: str | Path) -> GenSpec:
 
 def save_genspec(spec: GenSpec, path: str | Path) -> None:
     text = json.dumps(spec.to_record(), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def default_genspec() -> GenSpec:
@@ -294,6 +295,20 @@ def _sentence(quantifier: str, subject: str, predicate: str) -> str:
 # chunks, and its split tag.
 _Plan = tuple[str, str, tuple[ActionRelation, ...], str]
 
+# A pair to plan: the (quantifier, subject, predicate) of its premise and
+# of its hypothesis in place of the two sentences.  Plans are subsampled
+# in this form, so only the kept ones are formatted.
+_Parts = tuple[str, str, str]
+_Draft = tuple[_Parts, _Parts, tuple[ActionRelation, ...], str]
+
+
+def _formatted(drafts: Sequence[_Draft]) -> list[_Plan]:
+    """The plans of the drafts, each sentence formatted once."""
+    return [
+        (_sentence(*premise), _sentence(*hypothesis), actions, tag)
+        for premise, hypothesis, actions, tag in drafts
+    ]
+
 
 def _build_all(plans: Sequence[_Plan], rules: ChunkRules) -> list[Example]:
     """``_build`` every planned pair, chunking each distinct sentence once
@@ -348,7 +363,7 @@ def _replacement_pairs(r: Replacement):
 
 def _one_hop(
     quantifier: str, r: Replacement, spec: GenSpec, tag: str
-) -> list[_Plan]:
+) -> list[_Draft]:
     fillers = (
         spec.predicate_fillers if r.site == SUBJECT else spec.subject_fillers
     )
@@ -356,11 +371,11 @@ def _one_hop(
     for filler in fillers:
         for premise_phrase, hyp_phrase, action in _replacement_pairs(r):
             if r.site == SUBJECT:
-                premise = _sentence(quantifier, premise_phrase, filler)
-                hypothesis = _sentence(quantifier, hyp_phrase, filler)
+                premise = (quantifier, premise_phrase, filler)
+                hypothesis = (quantifier, hyp_phrase, filler)
             else:
-                premise = _sentence(quantifier, filler, premise_phrase)
-                hypothesis = _sentence(quantifier, filler, hyp_phrase)
+                premise = (quantifier, filler, premise_phrase)
+                hypothesis = (quantifier, filler, hyp_phrase)
             out.append((premise, hypothesis, (action,), tag))
     return out
 
@@ -389,8 +404,8 @@ def generate(
     _validate_split(spec)
     _validate_vocabulary(spec, rules)
 
-    train: list[_Plan] = []
-    test: list[_Plan] = []
+    train: list[_Draft] = []
+    test: list[_Draft] = []
     held_q = set(spec.held_out_quantifiers)
     held_r = set(spec.held_out_replacements)
     for q in spec.quantifiers:
@@ -405,12 +420,12 @@ def generate(
                 predicate = spec.predicate_fillers[
                     (qi + si) % len(spec.predicate_fillers)
                 ]
-                sentence = _sentence(q, subject, predicate)
-                train.append((sentence, sentence, (), "train"))
+                parts = (q, subject, predicate)
+                train.append((parts, parts, (), "train"))
 
     train = _subsample(train, spec.train_size, spec.seed, 0)
     test = _subsample(test, spec.test_size, spec.seed, 1)
-    built = _build_all(train + test, rules)
+    built = _build_all(_formatted(train + test), rules)
     train_set, test_set = built[: len(train)], built[len(train) :]
     if spec.noisy_test:
         if not spec.noise_prefixes:
@@ -456,10 +471,10 @@ def generate_2hop(
             "two-hop generation needs quantifiers, subject replacements, "
             "and predicate replacements or alternations"
         )
-    plans = [
+    drafts = [
         (
-            _sentence(q, subj_p, pred_p),
-            _sentence(q, subj_h, pred_h),
+            (q, subj_p, pred_p),
+            (q, subj_h, pred_h),
             (subj_action, pred_action),
             "2hop",
         )
@@ -468,5 +483,5 @@ def generate_2hop(
         for subj_p, subj_h, subj_action in _replacement_pairs(r)
         for pred_p, pred_h, pred_action in predicate_moves
     ]
-    kept = _subsample(plans, spec.two_hop_size, spec.seed, 2)
-    return tuple(_build_all(kept, rules))
+    kept = _subsample(drafts, spec.two_hop_size, spec.seed, 2)
+    return tuple(_build_all(_formatted(kept), rules))

@@ -50,6 +50,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from ._text import read_text
 from .executor import Chunk, ChunkedPair
 from .relations import ActionRelation
 
@@ -185,7 +186,7 @@ class Lexicon:
         """
         syn, hyper, ant = [], [], []
         buckets = {"syn": syn, "hyper": hyper, "ant": ant}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -204,7 +205,7 @@ class Lexicon:
         lines = [f"syn {a} {b}" for a, b in sorted(self._syn_edges)]
         lines += [f"hyper {a} {b}" for a, b in sorted(self._hyper_edges)]
         lines += [f"ant {a} {b}" for a, b in sorted(self._ant_edges)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def default_lexicon() -> Lexicon:

@@ -115,6 +115,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._text import read_text
 from .chunker import ChunkRules, chunk_pairs
 from .data import Example, chunk_examples, example_error, require_targets
 from .executor import (
@@ -256,7 +257,7 @@ def load_train_config(path: str | Path) -> TrainConfig:
     reported as ``path:line: key: ...``.
     """
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,17 +1,38 @@
 """Tests for dataset records: the ``Example`` constructor, the name code
-tables, malformed-line messages and the bytes ``natlog gen`` writes."""
+tables, malformed-line messages, the frame codec against its reference,
+UTF-8 files and the bytes ``natlog gen`` writes."""
 
 import dataclasses
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import natlog
 from natlog import data
+from natlog._text import read_text
+from natlog.chunker import ChunkRules
 from natlog.cli import main
-from natlog.data import Example, dumps, load_dataset, save_dataset
-from natlog.datagen import default_genspec, save_genspec
+from natlog.data import (
+    SCHEMA,
+    VERSION,
+    Example,
+    dumps,
+    load_dataset,
+    save_dataset,
+    write_records,
+)
+from natlog.datagen import default_genspec, load_genspec, save_genspec
+from natlog.knowledge import Lexicon
+from natlog.policy import load_checkpoint
+from natlog.trainer import load_train_config
 from natlog.relations import (
     ACTIONS,
     LABELS,
@@ -350,3 +371,323 @@ class TestPinnedBytes:
         path = generated / name
         save_dataset(load_dataset(path), tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+# -- the frame codec against its reference ----------------------------------
+
+
+def _reference_save(examples, path):
+    """``save_dataset`` before frames: every line ``dumps(ex.to_record())``."""
+    write_records(path, SCHEMA, VERSION, (ex.to_record() for ex in examples))
+
+
+def _reference_line(path, lineno, line, build):
+    try:
+        return build(json.loads(line))
+    except KeyError as exc:
+        raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _reference_load(path):
+    """``load_dataset`` before frames: every line through ``json.loads`` and
+    ``Example.from_record``, on the UTF-8 text split at ``\\n``."""
+    text = read_text(path).replace("\r\n", "\n")
+    if not text:
+        raise ValueError(f"{path}: empty dataset file")
+    lines = text.split("\n")
+    header = _reference_line(path, 1, lines[0], dict)
+    if header.get("schema") != SCHEMA:
+        raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {header!r}")
+    if header.get("version") != VERSION:
+        raise ValueError(f"{path}: unsupported version {header.get('version')}")
+    return [
+        _reference_line(path, lineno, line, Example.from_record)
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line
+    ]
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returned", call(*args)
+    except Exception as exc:  # compared, not handled
+        return "raised", type(exc), str(exc)
+
+
+def _saved(save, examples, path):
+    """The bytes ``save`` writes, or what it raises and whether it wrote."""
+    path.unlink(missing_ok=True)
+    outcome = _outcome(save, examples, path)
+    return outcome[0] == "raised" and outcome, path.exists() and path.read_bytes()
+
+
+# sentences with quotes, backslashes, control characters, non-ASCII text,
+# line separators and lone surrogates
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('ab "\\/\x00\x1f\x7f\x85 é∑𐏿'),
+        st.characters(),
+    ),
+    max_size=6,
+)
+# ints, and values equal to one that encode differently or not at all
+_TOKEN = st.sampled_from([0, 1, 2, True, False, 1.0, np.int64(1)])
+
+
+def _sequence(elements):
+    """None, a tuple, or a list where a tuple belongs."""
+    items = st.lists(elements, max_size=3)
+    return st.one_of(st.none(), items.map(tuple), items)
+
+
+_ANNOTATION = st.tuples(
+    st.sampled_from([None, *NLILabel, 0, "entailment"]),
+    _sequence(st.sampled_from(ACTIONS)),
+    _sequence(st.sampled_from(RELATIONS)),
+    _sequence(_TOKEN),
+    st.sampled_from(["train", "test", 'q"\\', "é"]),
+    st.sampled_from([None, *RELATIONS]),
+)
+# mostly strings; now and then a value that is not one
+_SENTENCE = st.one_of(_TEXT, _TEXT, _TEXT, st.sampled_from([5, None, ["a"]]))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+class TestFrameWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(_ANNOTATION, min_size=1, max_size=4),
+        picks=st.lists(st.tuples(st.integers(0, 3), _SENTENCE, _SENTENCE), max_size=24),
+    )
+    def test_writes_reference_bytes(self, scratch, pool, picks):
+        """Every line is ``dumps(ex.to_record())``, or the call raises what
+        the reference raises and writes nothing."""
+        examples = [Example(p, h, *pool[i % len(pool)]) for i, p, h in picks]
+        assert _saved(save_dataset, examples, scratch / "new.jsonl") == _saved(
+            _reference_save, examples, scratch / "ref.jsonl"
+        )
+
+    @pytest.mark.parametrize("first", [(1,), (True,), (1.0,), (np.int64(1),)])
+    @pytest.mark.parametrize("other", [(1,), (True,), (1.0,), (np.int64(1),)])
+    def test_equal_tokens_keep_their_own_encoding(self, tmp_path, first, other):
+        """``(1,)``, ``(True,)``, ``(1.0,)`` and ``(np.int64(1),)`` are equal
+        annotation fields but not one frame."""
+        assert first == other and hash(first) == hash(other)
+        examples = [
+            Example(f"p{i}", f"h{i}", NLILabel.ENTAILMENT, (A_EQ,), (R_EQ,), tokens)
+            for i, tokens in enumerate([first, first, other, other, first])
+        ]
+        assert _saved(save_dataset, examples, tmp_path / "new.jsonl") == _saved(
+            _reference_save, examples, tmp_path / "ref.jsonl"
+        )
+
+    def test_fields_load_dataset_never_gives(self, tmp_path):
+        """A list where a tuple belongs, a sentence that is not a string and
+        a subclass with its own ``to_record`` are written as ``to_record``
+        gives them, around learned frames."""
+
+        class Extra(Example):
+            def to_record(self):
+                return super().to_record() | {"extra": 1}
+
+        annotation = (NLILabel.NEUTRAL, (A_EQ, A_FE), (R_EQ, R_FE), (1,), "train", None)
+        listed = (NLILabel.NEUTRAL, [A_EQ, A_FE], [R_EQ, R_FE], [1], "train", None)
+        examples = [
+            Example("a dog", "a dog", *annotation),
+            Example("a cat", "an animal", *annotation),
+            Example("a dog", "an animal", *listed),
+            Example(5, "an animal", *annotation),
+            Example("a dog", None, *annotation),
+            Example("a \"dog\"\\", "é\ud800", *annotation),
+            Extra("a cat", "a cat", *annotation),
+        ]
+        new = _saved(save_dataset, examples, tmp_path / "new.jsonl")
+        assert new == _saved(_reference_save, examples, tmp_path / "ref.jsonl")
+        assert b'"premise":5' in new[1] and b'"hypothesis":null' in new[1]
+        assert b'"extra":1' in new[1]
+        # an object that is not an Example fails as ``to_record`` makes it
+        for stranger in ({"premise": "a dog"}, ("a dog", "a dog")):
+            failing = [*examples, stranger]
+            failed = _saved(save_dataset, failing, tmp_path / "new.jsonl")
+            assert failed == _saved(_reference_save, failing, tmp_path / "ref.jsonl")
+            assert failed[0][1] is AttributeError and "to_record" in failed[0][2]
+
+
+def _variants(record: dict) -> dict[str, str]:
+    """Lines of one record: the canonical one and lines that are not."""
+    line = dumps(record)
+    return {
+        "canonical": line,
+        "key order": json.dumps(record, separators=(",", ":")),
+        "spaces": json.dumps(record, sort_keys=True),
+        "raw text": json.dumps(
+            record, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        ),
+        "escape": line.replace('"hypothesis":"', '"hypothesis":"\\u0041', 1),
+        "duplicate key first": '{"hypothesis":"x",' + line[1:],
+        "duplicate key last": line[:-1] + ',"hypothesis":"y"}',
+        "nested hypothesis": '{"a":{"b":1,"hypothesis":"z"},' + line[1:],
+        "negation": line.replace('"neg_alt"', '"negation"'),
+        "trailing space": line + " ",
+        "trailing tab": line + "\t",
+        "crlf": line + "\r",
+    }
+
+
+_VARIANT_NAMES = list(_variants(Example("p", "h").to_record()))
+# annotations load_dataset gives
+_LOADED = st.tuples(
+    st.sampled_from([None, *NLILabel]),
+    st.one_of(st.none(), st.lists(st.sampled_from(ACTIONS), max_size=3).map(tuple)),
+    st.one_of(st.none(), st.lists(st.sampled_from(RELATIONS), max_size=3).map(tuple)),
+    st.one_of(st.none(), st.lists(st.integers(0, 300), max_size=3).map(tuple)),
+    st.sampled_from(["train", "test", 'q"\\']),
+    st.sampled_from([None, *RELATIONS]),
+)
+
+
+@st.composite
+def _dataset_lines(draw):
+    """Lines of a dataset body: canonical lines and their repeats among
+    lines that are not canonical, and at most one malformed line."""
+    pool = draw(st.lists(_LOADED, min_size=1, max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        annotation = pool[draw(st.integers(0, len(pool) - 1))]
+        example = Example(draw(_TEXT), draw(_TEXT), *annotation)
+        if lines and draw(st.integers(0, 4)) == 0:
+            lines.append(lines[draw(st.integers(0, len(lines) - 1))])
+            continue
+        name = draw(st.sampled_from(["canonical"] * 8 + _VARIANT_NAMES))
+        lines.append(_variants(example.to_record())[name])
+    if lines and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        lines[at] = draw(
+            st.one_of(
+                st.integers(0, max(len(line) - 1, 0)).map(lambda k: line[:k]),
+                st.sampled_from(["[1, 2]", "5", "null", "{}", "{"]),
+            )
+        )
+    return lines
+
+
+class TestFrameReader:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=_dataset_lines())
+    def test_reads_reference_examples(self, scratch, lines):
+        """``load_dataset`` returns what the reference loader returns, field
+        types included, or raises its ``path:line`` message."""
+        path = scratch / "lines.jsonl"
+        header = dumps({"schema": SCHEMA, "version": VERSION})
+        body = "\n".join([header, *lines]) + "\n"
+        # a lone surrogate in raw text makes the file undecodable
+        path.write_bytes(body.encode("utf-8", "surrogatepass"))
+        new, ref = _outcome(load_dataset, path), _outcome(_reference_load, path)
+        assert new == ref
+        assert repr(new) == repr(ref)
+
+    def test_learned_frame_reads_every_repeat(self, tmp_path, monkeypatch):
+        """After a frame recurs on a canonical line, its lines skip
+        ``from_record``."""
+        examples = [
+            Example(f"p{i}", f"h{i}", NLILabel.ENTAILMENT, (A_FE,), (R_FE,), (0,))
+            for i in range(10)
+        ]
+        save_dataset(examples, tmp_path / "d.jsonl")
+        calls = []
+        from_record = Example.from_record.__func__
+        monkeypatch.setattr(
+            Example,
+            "from_record",
+            classmethod(lambda cls, r: calls.append(r) or from_record(cls, r)),
+        )
+        assert load_dataset(tmp_path / "d.jsonl") == examples
+        assert len(calls) == 2
+
+
+# -- UTF-8 files ---------------------------------------------------------------
+
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _in_c_locale(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter under the C locale."""
+    package_root = Path(natlog.__file__).resolve().parents[1]
+    env = dict(os.environ, **C_LOCALE)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+
+
+def _c_locale_encoding() -> str:
+    result = _in_c_locale("import locale; print(locale.getpreferredencoding(False))")
+    return result.stdout.strip()
+
+
+READERS = {
+    "load_dataset": load_dataset,
+    "load_checkpoint": load_checkpoint,
+    "Lexicon.load": Lexicon.load,
+    "ChunkRules.load": ChunkRules.load,
+    "load_train_config": load_train_config,
+    "load_genspec": load_genspec,
+}
+
+
+class TestUtf8Files:
+    @pytest.mark.parametrize("reader", READERS)
+    def test_undecodable_byte_is_named_as_path_line(self, tmp_path, reader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# fine\nthen \xff here\n")
+        with pytest.raises(ValueError) as info:
+            READERS[reader](path)
+        assert str(info.value) == (
+            f"{path}:2: not UTF-8: byte 0xff, invalid start byte"
+        )
+
+    def test_lines_split_at_newline_only(self, tmp_path):
+        """U+0085, U+2028 and U+2029 inside a string stay in their line,
+        and a line may end in ``\\r\\n``."""
+        example = Example("a\x85b c", "d e", NLILabel.NEUTRAL)
+        raw = json.dumps(
+            example.to_record(), sort_keys=True, separators=(",", ":"),
+            ensure_ascii=False,
+        )
+        header = dumps({"schema": SCHEMA, "version": VERSION})
+        path = tmp_path / "raw.jsonl"
+        path.write_bytes(f"{header}\r\n{raw}\n{raw}\r\n".encode("utf-8"))
+        assert load_dataset(path) == [example, example]
+
+    def test_files_are_utf8_under_the_c_locale(self, tmp_path):
+        """A word outside ASCII is written as UTF-8 and read back whatever
+        the locale says."""
+        encoding = _c_locale_encoding()
+        if encoding.lower().replace("-", "") == "utf8":
+            pytest.skip("the C locale reports UTF-8 here")
+        lexicon, rules = tmp_path / "lexicon.txt", tmp_path / "rules.txt"
+        result = _in_c_locale(
+            "from natlog import ChunkRules, Lexicon\n"
+            "lexicon = Lexicon(synonyms=[('caf\\u00e9', 'coffee')])\n"
+            f"lexicon.dump({str(lexicon)!r})\n"
+            f"loaded = Lexicon.load({str(lexicon)!r})\n"
+            "assert loaded.synonymous('caf\\u00e9', 'coffee')\n"
+            "rules = ChunkRules(extra={'drinks': frozenset({'caf\\u00e9'})})\n"
+            f"rules.dump({str(rules)!r})\n"
+            f"assert ChunkRules.load({str(rules)!r}) == rules\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert lexicon.read_bytes() == "syn café coffee\n".encode("utf-8")
+        assert "drinks: café\n".encode("utf-8") in rules.read_bytes()
+        assert Lexicon.load(lexicon).synonymous("café", "coffee")

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from natlog import datagen
 from natlog.chunker import chunk_pair, default_rules
 from natlog.cli import main
 from natlog.data import load_dataset, save_dataset
@@ -278,15 +279,32 @@ class TestDeterminism:
         assert positions == sorted(positions)
 
     def test_subsample_keeps_examples_of_full_split(self, spec, rules):
-        # plans are subsampled before they are built: the kept examples are
-        # the full split's, at the positions its size and the seed pick
-        small = dataclasses.replace(spec, train_size=60, test_size=40)
+        # plans are subsampled before they are formatted and built: the kept
+        # examples are the full split's, at the positions its size and the
+        # seed pick
         full = generate(spec, rules)
-        for key, (kept, pool, size) in enumerate(
-            zip(generate(small, rules), full, (60, 40))
-        ):
-            picked = _subsample(list(range(len(pool))), size, spec.seed, key)
-            assert kept == tuple(pool[i] for i in picked)
+        for sizes in [(60, 40), (1, 1), (500, 7), (1896, 2000)]:
+            small = dataclasses.replace(spec, train_size=sizes[0], test_size=sizes[1])
+            for key, (kept, pool, size) in enumerate(
+                zip(generate(small, rules), full, sizes)
+            ):
+                picked = _subsample(list(range(len(pool))), size, spec.seed, key)
+                assert kept == tuple(pool[i] for i in picked)
+
+    def test_formats_only_kept_pairs(self, spec, rules, monkeypatch):
+        """Each kept pair's two sentences are formatted once; the pairs
+        subsampling drops are never formatted."""
+        calls = []
+        sentence = datagen._sentence
+        monkeypatch.setattr(
+            datagen, "_sentence", lambda *parts: calls.append(parts) or sentence(*parts)
+        )
+        small = dataclasses.replace(spec, train_size=60, test_size=40, two_hop_size=50)
+        train, test = generate(small, rules)
+        assert len(calls) == 2 * (len(train) + len(test)) == 200
+        calls.clear()
+        assert len(generate_2hop(small, rules)) == 50
+        assert len(calls) == 100
 
 
 class TestValidation:
@@ -369,13 +387,14 @@ class TestTwoHop:
         }
 
     def test_subsampling(self, spec, rules):
-        small = dataclasses.replace(spec, two_hop_size=25)
-        hop = generate_2hop(small, rules)
-        assert len(hop) == 25
-        assert hop == generate_2hop(small, rules)
         full = generate_2hop(spec, rules)
-        picked = _subsample(list(range(len(full))), 25, spec.seed, 2)
-        assert hop == tuple(full[i] for i in picked)
+        for size in [25, 1, 1000, 2240]:
+            small = dataclasses.replace(spec, two_hop_size=size)
+            hop = generate_2hop(small, rules)
+            assert len(hop) == size
+            assert hop == generate_2hop(small, rules)
+            picked = _subsample(list(range(len(full))), size, spec.seed, 2)
+            assert hop == tuple(full[i] for i in picked)
 
     def test_degenerate_spec_rejected(self, rules):
         with pytest.raises(ValueError):

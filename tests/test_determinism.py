@@ -16,7 +16,13 @@ file the two runs write is compared byte for byte:
 * ``oracle`` on the two-hop data and on the noisy test split (m = 2 and
   m = 4).
 
-No digest is pinned: the two runs are compared with each other.
+A third leg runs ``gen`` of both specs and ``eval --out report.jsonl``
+under the C locale with UTF-8 mode off (``LC_ALL=C PYTHONUTF8=0
+PYTHONCOERCECLOCALE=0``), where the locale's encoding is ASCII, and
+compares its files with the first run's.  It is skipped where that
+environment still reports UTF-8.
+
+No digest is pinned: the runs are compared with each other.
 """
 
 import dataclasses
@@ -58,16 +64,31 @@ FILES = (
 )
 
 
-def pipeline(root: Path, configs: Path, hashseed: int) -> Path:
-    """Every command of the pipeline under one hash seed; returns the run's
-    directory."""
+# files the C-locale leg writes, each compared with the first run's
+LOCALE_FILES = (
+    "hash/train.jsonl",
+    "hash/test.jsonl",
+    "hash/twohop.jsonl",
+    "noisy/train.jsonl",
+    "noisy/test.jsonl",
+    "noisy/report.jsonl",
+)
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def environment(**overrides: str) -> dict:
+    """This process's environment with natlog importable and the
+    overrides set."""
     package_root = Path(natlog.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+    env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package_root), env.get("PYTHONPATH")])
     )
-    run = root / f"hash{hashseed}"
-    out, noisy = run / "hash", run / "noisy"
+    return env
+
+
+def runner(env: dict):
+    """Run ``python -m natlog.cli`` with ``env``, asserting it succeeds."""
 
     def natlog_cli(*args):
         result = subprocess.run(
@@ -78,6 +99,16 @@ def pipeline(root: Path, configs: Path, hashseed: int) -> Path:
             timeout=600,
         )
         assert result.returncode == 0, (args, result.stderr)
+
+    return natlog_cli
+
+
+def pipeline(root: Path, configs: Path, hashseed: int) -> Path:
+    """Every command of the pipeline under one hash seed; returns the run's
+    directory."""
+    natlog_cli = runner(environment(PYTHONHASHSEED=str(hashseed)))
+    run = root / f"hash{hashseed}"
+    out, noisy = run / "hash", run / "noisy"
 
     natlog_cli("gen", "--two-hop", "--out", out)
     natlog_cli(
@@ -138,3 +169,42 @@ def test_same_bytes_under_two_hash_seeds(runs, name):
     first, second = ((run / name).read_bytes() for run in runs)
     assert first, name
     assert first == second, name
+
+
+@pytest.fixture(scope="module")
+def c_locale_run(runs):
+    """``gen`` of both specs and an ``eval`` to jsonl under the C locale,
+    with the first run's configs and checkpoint."""
+    env = environment(PYTHONHASHSEED="1", **C_LOCALE)
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import locale; print(locale.getpreferredencoding(False))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    if probe.stdout.strip().lower().replace("-", "") == "utf8":
+        pytest.skip("the C locale reports UTF-8 here")
+    natlog_cli = runner(env)
+    first = runs[0]
+    run = first.parent / "c-locale"
+    out, noisy = run / "hash", run / "noisy"
+    natlog_cli("gen", "--two-hop", "--out", out)
+    spec = first.parent / "configs" / "noisy.json"
+    natlog_cli("gen", "--config", spec, "--out", noisy)
+    natlog_cli(
+        "eval", "--checkpoint", first / "hash" / "policy.ckpt",
+        "--data", noisy / "test.jsonl", "--out", noisy / "report.jsonl",
+    )
+    return run
+
+
+@pytest.mark.parametrize("name", LOCALE_FILES)
+def test_same_bytes_under_the_c_locale(runs, c_locale_run, name):
+    written = (c_locale_run / name).read_bytes()
+    assert written, name
+    assert written == (runs[0] / name).read_bytes(), name
