@@ -41,7 +41,11 @@ writes a string with.  Nothing is kept between calls.
   fields encode alike, since an enum member equals only itself and equal
   strs or ints print alike.  The int check keeps ``True``, ``1.0`` or
   ``np.int64(1)`` out of a frame learned from ``1``, and a list field is
-  unhashable, so its example takes the first path.
+  unhashable, so its example takes the first path.  Annotations are
+  looked up within groups of equal split tag and rationale tokens, two
+  fields whose hash runs no Python code, so an example that opens a
+  group, as most do in a file whose annotations never repeat, costs no
+  enum hashing.
 * ``load_dataset`` cuts every line.  A frame is learned when its text
   recurs, from a line that writes back to itself
   (``dumps(ex.to_record()) == line``); if that line does not, the frame
@@ -299,6 +303,8 @@ def write_records(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# the annotation fields whose hash runs no Python code (module docstring)
+_tag_tokens = attrgetter("split_tag", "gold_rationale_tokens")
 # an example's fields but its sentences: its annotation
 _annotation = attrgetter(
     "label",
@@ -391,16 +397,24 @@ def save_dataset(examples: Iterable[Example], path: str | Path) -> None:
     annotation's second example on spliced into its frame (module
     docstring)."""
     lines = [dumps({"schema": SCHEMA, "version": VERSION})]
-    # annotation -> its first example, then its frame, or None
-    frames: dict = {}
+    # (split tag, tokens) -> the first example with them, then a dict from
+    # each annotation with them to its first example, then its frame or None
+    groups: dict = {}
     for ex in examples:
+        frame = None
         try:
-            frame = frames.setdefault(_annotation(ex), ex)
+            group = groups.setdefault(_tag_tokens(ex), ex)
+            if group is not ex:
+                if type(group) is not dict:  # the pair's second example
+                    first, group = group, {}
+                    groups[_tag_tokens(ex)] = group
+                    group[_annotation(first)] = first
+                frame = group.setdefault(_annotation(ex), ex)
         except (AttributeError, TypeError):  # not an Example, or unhashable
-            frame = None
+            pass
         if frame is not ex and frame is not None and type(frame) is not tuple:
             # the annotation's second example: learn the first one's frame
-            frame = frames[_annotation(ex)] = (
+            frame = group[_annotation(ex)] = (
                 _cut(dumps(frame.to_record()))[0] if _plain(frame) else None
             )
         if type(frame) is tuple and _spliceable(ex):
