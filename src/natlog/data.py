@@ -26,34 +26,40 @@ two sentences): the compositional train split has 19 among 1896
 examples.  So ``save_dataset`` and ``load_dataset`` move a line as a
 *frame* and two sentences.  The frame is the line's text with the
 ``hypothesis`` and ``premise`` JSON strings cut out, ``(head, middle,
-tail)`` (``_cut``), and a sentence goes into it as
+tail)``, and a sentence goes into it as
 ``encode_basestring_ascii(sentence)``, the function ``_ENCODER`` itself
 writes a string with.  Nothing is kept between calls.
 
 * ``save_dataset`` writes an annotation's first example as
-  ``dumps(ex.to_record())``.  At the annotation's second example it cuts
-  the frame out of the first one's line, if every field of the first
-  example has the exact type ``from_record`` gives it (``_plain``).  From
-  then on an example with an equal annotation, whose sentences are strs
-  and tokens ints (``_spliceable``), is written as the frame around its
-  two encoded sentences.  That is ``dumps(ex.to_record())``: the record
-  differs from the first example's in the two sentences only, and equal
-  fields encode alike, since an enum member equals only itself and equal
-  strs or ints print alike.  The int check keeps ``True``, ``1.0`` or
-  ``np.int64(1)`` out of a frame learned from ``1``, and a list field is
-  unhashable, so its example takes the first path.  Annotations are
-  looked up within groups of equal split tag and rationale tokens, two
-  fields whose hash runs no Python code, so an example that opens a
-  group, as most do in a file whose annotations never repeat, costs no
-  enum hashing.
-* ``load_dataset`` cuts every line.  A frame is learned when its text
+  ``dumps(ex.to_record())``.  At the annotation's second example it
+  learns the frame, if every field of the first example has the exact
+  type ``from_record`` gives it (``_plain``): the first example's line
+  with empty sentences, split at its first two ``""``, which are the
+  sentences, since a plain record's values before them are names, ints
+  and nulls.  From then on an example with an equal annotation, whose
+  sentences are strs and tokens ints (``_spliceable``), is written as the
+  frame around its two encoded sentences.  That is
+  ``dumps(ex.to_record())``: the record differs from the first example's
+  in the two sentences only, and equal fields encode alike, since an enum
+  member equals only itself and equal strs or ints print alike.  The int
+  check keeps ``True``, ``1.0`` or ``np.int64(1)`` out of a frame learned
+  from ``1``, and a list field is unhashable, so its example takes the
+  first path.  Annotations are looked up within groups of equal split tag
+  and rationale tokens, two fields whose hash runs no Python code, so an
+  example that opens a group, as most do in a file whose annotations
+  never repeat, costs no enum hashing.
+* ``load_dataset`` groups lines by head and tail, the text before the
+  first ``,"hypothesis":"`` and after the last ``","split_tag":`` (one
+  ``find``, one ``rfind``), so a line that opens a group costs little
+  more than the reference.  In a group it reads the two strings with
+  ``scanstring`` (``_middle``), and a frame is learned when its text
   recurs, from a line that writes back to itself
   (``dumps(ex.to_record()) == line``); if that line does not, the frame
-  is never learned.  A line in a learned frame is read from the two
-  strings ``scanstring`` returned, provided the frame around their
-  encodings is the line itself.  The line is then the canonical line of
-  ``Example(premise, hypothesis, *annotation)``, which ``json.loads`` and
-  ``from_record`` would read back.  Every other line (a first sighting, a
+  is never learned.  A line in a learned frame is read from its two
+  strings, provided the frame around their encodings is the line itself.
+  The line is then the canonical line of ``Example(premise, hypothesis,
+  *annotation)``, which ``json.loads`` and ``from_record`` would read
+  back.  Every other line (one that opens its group, a first sighting, a
   line that is not canonical, a malformed one) is read by
   ``Example.from_record(json.loads(line))``, so each error keeps its
   ``path:line`` message; a line that is one object and nothing else is
@@ -303,6 +309,8 @@ def write_records(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# the sentences of a record whose line shows its frame (module docstring)
+_NO_SENTENCES = {"hypothesis": "", "premise": ""}
 # the annotation fields whose hash runs no Python code (module docstring)
 _tag_tokens = attrgetter("split_tag", "gold_rationale_tokens")
 # an example's fields but its sentences: its annotation
@@ -315,26 +323,25 @@ _annotation = attrgetter(
     "target_state",
 )
 
-# In a canonical line each sentence's JSON string starts at the quote
-# that ends one of these keys.
+# In a canonical line the hypothesis string opens at the last quote of the
+# first ``_HYPOTHESIS_KEY``, the premise string at the last quote of the
+# next ``_PREMISE_KEY``, and the premise string closes at the first quote
+# of the last ``_TAIL_KEY``, since no JSON string holds an unescaped quote.
+# In any other line ``_middle`` may cut elsewhere; such a frame is never
+# learned, and a line is read from its strings only if it is the frame's
+# canonical line.
 _HYPOTHESIS_KEY = ',"hypothesis":"'
 _PREMISE_KEY = ',"premise":"'
+_TAIL_KEY = '","split_tag":'
 _HYPOTHESIS_OFFSET = len(_HYPOTHESIS_KEY) - 1
 _PREMISE_OFFSET = len(_PREMISE_KEY) - 1
 
 
-def _cut(line: str):
-    """``(frame, hypothesis, premise)`` of a line, or None when the line
-    has no such two strings.
-
-    The sentences are the JSON strings after the first ``,"hypothesis":``
-    and the next ``,"premise":``, read with ``scanstring``; the frame
-    ``(head, middle, tail)`` is the text around them.
+def _middle(line: str, start: int, tail: int):
+    """``(middle, hypothesis, premise)`` of a line whose hypothesis string
+    opens at ``start`` and whose premise string closes just before
+    ``tail``, read with ``scanstring``; None when it has no such strings.
     """
-    start = line.find(_HYPOTHESIS_KEY)
-    if start < 0:
-        return None
-    start += _HYPOTHESIS_OFFSET  # the opening quote
     try:
         hypothesis, end = scanstring(line, start + 1)
         premise_start = line.find(_PREMISE_KEY, end)
@@ -344,8 +351,9 @@ def _cut(line: str):
         premise, premise_end = scanstring(line, premise_start + 1)
     except ValueError:
         return None
-    frame = (line[:start], line[end:premise_start], line[premise_end:])
-    return frame, hypothesis, premise
+    if premise_end != tail:
+        return None
+    return line[end:premise_start], hypothesis, premise
 
 
 def _splice(frame: tuple[str, str, str], hypothesis: str, premise: str) -> str:
@@ -415,7 +423,9 @@ def save_dataset(examples: Iterable[Example], path: str | Path) -> None:
         if frame is not ex and frame is not None and type(frame) is not tuple:
             # the annotation's second example: learn the first one's frame
             frame = group[_annotation(ex)] = (
-                _cut(dumps(frame.to_record()))[0] if _plain(frame) else None
+                tuple(dumps(frame.to_record() | _NO_SENTENCES).split('""', 2))
+                if _plain(frame)
+                else None
             )
         if type(frame) is tuple and _spliceable(ex):
             lines.append(_splice(frame, ex.hypothesis, ex.premise))
@@ -442,15 +452,29 @@ def load_dataset(path: str | Path) -> list[Example]:
     if header.get("version") != VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
     examples = []
-    # frame -> _SEEN, then the annotation it holds, or _NEVER
-    frames: dict = {}
+    # (head, tail) -> _SEEN, then a dict from each middle with them to
+    # _SEEN, then to the annotation its frame holds, or _NEVER
+    groups: dict = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        cut = _cut(line)
+        cut = None
+        start = line.find(_HYPOTHESIS_KEY)
+        tail = line.rfind(_TAIL_KEY) + 1
+        if 0 <= start < tail:
+            start += _HYPOTHESIS_OFFSET  # the hypothesis string's opening quote
+            head_tail = (line[:start], line[tail:])
+            group = groups.get(head_tail)
+            if group is None:  # the pair's first line
+                groups[head_tail] = _SEEN
+            else:
+                if group is _SEEN:
+                    group = groups[head_tail] = {}
+                cut = _middle(line, start, tail)
         if cut is not None:
-            frame, hypothesis, premise = cut
-            annotation = frames.get(frame, _NEW)
+            middle, hypothesis, premise = cut
+            frame = (head_tail[0], middle, head_tail[1])
+            annotation = group.get(middle, _NEW)
             if (
                 type(annotation) is tuple
                 and _splice(frame, hypothesis, premise) == line
@@ -462,9 +486,9 @@ def load_dataset(path: str | Path) -> list[Example]:
         if cut is None:
             continue
         if annotation is _NEW:
-            frames[frame] = _SEEN
+            group[middle] = _SEEN
         elif annotation is _SEEN:  # recurring: learned if this line is canonical
-            frames[frame] = (
+            group[middle] = (
                 _annotation(ex) if dumps(ex.to_record()) == line else _NEVER
             )
     return examples

@@ -595,8 +595,9 @@ class TestFrameReader:
         assert repr(new) == repr(ref)
 
     def test_learned_frame_reads_every_repeat(self, tmp_path, monkeypatch):
-        """After a frame recurs on a canonical line, its lines skip
-        ``from_record``."""
+        """Once a frame recurs on a canonical line, its lines skip
+        ``from_record``: the first line opens its (head, tail) group, the
+        next two see the frame, and the rest are read from their strings."""
         examples = [
             Example(f"p{i}", f"h{i}", NLILabel.ENTAILMENT, (A_FE,), (R_FE,), (0,))
             for i in range(10)
@@ -610,7 +611,7 @@ class TestFrameReader:
             classmethod(lambda cls, r: calls.append(r) or from_record(cls, r)),
         )
         assert load_dataset(tmp_path / "d.jsonl") == examples
-        assert len(calls) == 2
+        assert len(calls) == 3
 
 
 # -- UTF-8 files ---------------------------------------------------------------
