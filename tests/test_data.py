@@ -456,7 +456,7 @@ _SENTENCE = st.one_of(_TEXT, _TEXT, _TEXT, st.sampled_from([5, None, ["a"]]))
 
 
 @pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
+def codec_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("codec")
 
 
@@ -466,12 +466,12 @@ class TestFrameWriter:
         pool=st.lists(_ANNOTATION, min_size=1, max_size=4),
         picks=st.lists(st.tuples(st.integers(0, 3), _SENTENCE, _SENTENCE), max_size=24),
     )
-    def test_writes_reference_bytes(self, scratch, pool, picks):
+    def test_writes_reference_bytes(self, codec_dir, pool, picks):
         """Every line is ``dumps(ex.to_record())``, or the call raises what
         the reference raises and writes nothing."""
         examples = [Example(p, h, *pool[i % len(pool)]) for i, p, h in picks]
-        assert _saved(save_dataset, examples, scratch / "new.jsonl") == _saved(
-            _reference_save, examples, scratch / "ref.jsonl"
+        assert _saved(save_dataset, examples, codec_dir / "new.jsonl") == _saved(
+            _reference_save, examples, codec_dir / "ref.jsonl"
         )
 
     @pytest.mark.parametrize("first", [(1,), (True,), (1.0,), (np.int64(1),)])
@@ -582,10 +582,10 @@ def _dataset_lines(draw):
 class TestFrameReader:
     @settings(max_examples=300, deadline=None)
     @given(lines=_dataset_lines())
-    def test_reads_reference_examples(self, scratch, lines):
+    def test_reads_reference_examples(self, codec_dir, lines):
         """``load_dataset`` returns what the reference loader returns, field
         types included, or raises its ``path:line`` message."""
-        path = scratch / "lines.jsonl"
+        path = codec_dir / "lines.jsonl"
         header = dumps({"schema": SCHEMA, "version": VERSION})
         body = "\n".join([header, *lines]) + "\n"
         # a lone surrogate in raw text makes the file undecodable
