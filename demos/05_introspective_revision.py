@@ -46,14 +46,15 @@ for t, relation in reversed(phi):
 print()
 
 # revision reads what each program does from a table of outcomes per
-# (contexts, target) class, as training does, and its coin flips from
-# pre-drawn uniforms: at most two per proposal.  It revises the program's
-# code, its actions as base-5 digits behind a leading 1
+# (contexts, target) class, as training does: the pair is classified once
+# and every lookup is by class.  Its coin flips come from pre-drawn
+# uniforms, at most two per proposal.  It revises the program's code, its
+# actions as base-5 digits behind a leading 1
 table = OutcomeTable(TrainConfig())
+cls = table.classify(pair, target)
 uniforms = np.random.default_rng(0).random(2 * len(phi)).tolist()
 code, events = introspective_revision(
-    table, table.classify(pair, target), pair, program_code(program), phi, probs,
-    uniforms,
+    table, cls, program_code(program), phi, probs, uniforms
 )
 revised = tuple(ACTIONS[int(d)] for d in np.base_repr(code, len(ACTIONS))[1:])
 print("revised program:", " ".join(a.symbol for a in revised))

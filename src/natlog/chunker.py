@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from ._text import read_text
 from .executor import Chunk, ChunkedPair
@@ -353,7 +353,6 @@ SentenceLike = Union[Sentence, Sequence[str], str]
 def chunk_pairs(
     pairs: Iterable[tuple[SentenceLike, SentenceLike]],
     rules: ChunkRules,
-    memo: Optional[dict] = None,
 ) -> list[ChunkedPair]:
     """Chunk and mark both sides of every pair, each distinct sentence once.
 
@@ -361,11 +360,9 @@ def chunk_pairs(
     token sequence by its tokens.  Each pair's sides equal ``chunk`` of
     each sentence alone.  Each distinct sentence shape is chunked once per
     call, and each distinct sentence is sliced into chunks once (module
-    docstring).  ``memo`` (sentence key -> chunks) lives for this call
-    unless the caller passes one to share across calls; the table of
-    shapes always lives for one call.
+    docstring); both tables live for one call.
     """
-    memo = {} if memo is None else memo
+    memo: dict = {}  # sentence key -> chunks
     shapes: dict = {}
     return [
         ChunkedPair(

@@ -24,7 +24,15 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .chunker import ChunkRules, default_rules
-from .data import Example, dumps, load_dataset, require_targets, save_dataset, write_records
+from .data import (
+    Example,
+    chunk_examples,
+    dumps,
+    load_dataset,
+    require_targets,
+    save_dataset,
+    write_records,
+)
 from .datagen import default_genspec, generate, generate_2hop, load_genspec
 from .executor import execute, matches_target, suffix_counts
 from .knowledge import Lexicon, default_lexicon
@@ -133,6 +141,13 @@ def cmd_eval(args) -> None:
     print("; ".join(parts))
 
 
+def _printable(symbol: str) -> str:
+    """``symbol`` as standard output can encode it: backslash-escaped where
+    the stream's encoding lacks it, as ASCII under the C locale does."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    return symbol.encode(encoding, "backslashreplace").decode(encoding)
+
+
 def cmd_prove(args) -> None:
     params = (
         load_checkpoint(args.checkpoint)
@@ -154,9 +169,9 @@ def cmd_prove(args) -> None:
                 str(t),
                 hyp_chunk.text(),
                 aligned.text() if aligned else "-",
-                program[t - 1].symbol,
-                trace.projected[t - 1].symbol,
-                trace.states[t].symbol,
+                _printable(program[t - 1].symbol),
+                _printable(trace.projected[t - 1].symbol),
+                _printable(trace.states[t].symbol),
             )
         )
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
@@ -177,12 +192,11 @@ def cmd_oracle(args) -> None:
     examples = load_dataset(args.data)
     records = []
     ratios = []
-    rules, lexicon = _rules(args), _lexicon(args)
     with _naming(args.data):
-        compiled, _ = compile_examples(examples, rules, lexicon)
+        pairs = chunk_examples(examples, _rules(args))
         require_targets(examples)
-    for index, (example, item) in enumerate(zip(examples, compiled)):
-        pair, target, gold = item.pair, item.target, example.gold_program
+    for index, (example, pair) in enumerate(zip(examples, pairs)):
+        target, gold = example.target, example.gold_program
         rows = [chunk.context.action_codes for chunk in pair.hypothesis]
         counts = suffix_counts(rows, accepting(target))
         reaching = counts[pair.m][Relation.EQUIVALENCE.code]
@@ -271,7 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("premise")
     p.add_argument("hypothesis")
 
-    p = add(name="oracle", func=cmd_oracle, help_text="program search stats")
+    p = add(
+        name="oracle", func=cmd_oracle, help_text="program search stats",
+        lexicon=False,
+    )
     p.add_argument("--data", required=True, help="dataset to analyze")
     p.add_argument("--out", help="per-example records file (JSONL)")
     return parser

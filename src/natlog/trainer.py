@@ -21,10 +21,11 @@ but changes rewards and so checkpoint bytes.
 
 The REINFORCE objective is J = -sum_t log p_t[a_t] * R_t.  Introspective
 revision then repairs the sampled program: lexical proposals are popped
-from a priority queue and either accepted outright (correct execution and
-an exploration coin-flip above epsilon) or subjected to a Metropolis test
-on the policy's own probabilities; if the program is still wrong, a grid
-search over single-step edits supplies at most one answer-driven fix.
+from the end of a list ranked by the policy's probabilities and either
+accepted outright (correct execution and an exploration coin-flip above
+epsilon) or subjected to a Metropolis test on the policy's own
+probabilities; if the program is still wrong, a grid search over
+single-step edits supplies at most one answer-driven fix.
 The revised program is scored the same way and both objectives combine as
 lambda * J + (1 - lambda) * J_revised.
 
@@ -85,23 +86,25 @@ two per proposal that revision may pop.  Nothing else reads an episode's
 stream, so an unread tail changes nothing.
 
 Every program outcome that training reads comes from one ``OutcomeTable``,
-which looks rewards, reachability and single edits up by program code.
-What a program does to a pair depends only on the contexts of the pair's
-hypothesis chunks, its target and the program, and the augmented default
-compositional training set has 12 such (contexts, target) classes among
-its 2816 examples.  Executions depend only on the contexts, so they come
-from the library's one ``executor.ExecutionTable``, which classes with the
-same contexts share (augmentation's reverse-entailment classes reuse the
-label classes' executions).  The table keeps, per (class, program), what
-depends on the target or the config: the ``reward`` and the single edits
-that reach the target, each computed on first use; episodes, revision,
-grid search and the greedy accuracy read them.  Rewards do not depend on
-the weights, so a table stays right for a whole run; ``train`` builds a
-fresh one in every call, so no state is shared between runs or configs.
+which looks rewards, reachability and single edits up by (class, program
+code).  What a program does to a pair depends only on the contexts of the
+pair's hypothesis chunks, its target and the program, and the augmented
+default compositional training set has 12 such (contexts, target) classes
+among its 2816 examples.  So a class's first pair stands for all of its
+pairs, and no lookup takes a pair.  Executions depend only on the
+contexts, so they come from the library's one ``executor.ExecutionTable``,
+which classes with the same contexts share (augmentation's
+reverse-entailment classes reuse the label classes' executions).  The
+table keeps, per (class, program), what depends on the target or the
+config: the ``reward`` and the single edits that reach the target, each
+computed on first use; episodes, revision, grid search and the greedy
+accuracy read them.  Rewards do not depend on the weights, so a table
+stays right for a whole run; ``train`` builds a fresh one in every call,
+so no state is shared between runs or configs.
 
-``train`` chunks each distinct training sentence once: relation
-augmentation reads the original examples' chunks, and a swapped pair's
-chunks are its original's with the sides exchanged.
+``train`` chunks each distinct training sentence once, in one
+``chunk_examples`` call: relation augmentation reads those chunked pairs,
+and a swapped pair is its original with the sides exchanged.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from ._text import read_text
-from .chunker import ChunkRules, chunk_pairs
-from .data import Example, chunk_examples, example_error, require_targets
+from .chunker import ChunkRules
+from .data import Example, chunk_examples, require_targets
 from .executor import (
     ChunkedPair,
     ExecutionTable,
@@ -161,7 +164,6 @@ __all__ = [
     "hybrid_objective",
     "batch_objective",
     "relation_augmentation",
-    "mutual_entailment_filter",
     "train",
     "load_train_config",
 ]
@@ -385,19 +387,23 @@ class OutcomeTable:
     """Program outcomes, computed once per (contexts, target) class.
 
     A class is the tuple of the hypothesis chunks' context rows
-    (``action_codes``) and the target, interned as an integer.  Executions
-    come from one ``ExecutionTable``; the classes with the same context
-    rows share their ``Executions``.  For each (class, program code) the
-    table keeps ``reward`` under its config and the single edits that
-    reach the target, each computed the first time it is asked for (module
-    docstring).  A table serves one config; ``train`` builds a fresh one in
-    every call.
+    (``action_codes``) and the target, interned as an integer, and every
+    lookup is by (class, program code).  Everything the table keeps
+    depends only on the class: ``execute``'s parts, from one
+    ``ExecutionTable`` whose ``Executions`` the classes with the same
+    context rows share, and per (class, code) ``reward`` under the table's
+    config and the single edits that reach the target, each computed the
+    first time it is asked for (module docstring).  The class keeps the
+    first pair it was interned from and builds a trace or edits from it
+    only on a miss.  A table serves one config; ``train`` builds a fresh
+    one in every call.
     """
 
     def __init__(self, config: TrainConfig) -> None:
         self.config = config
         self._table = ExecutionTable()
         self._classes: dict = {}  # (context rows, target) -> class
+        self._pairs: list[ChunkedPair] = []  # class -> its first pair
         self._targets: list[Target] = []  # class -> target
         self._executions: list[Executions] = []  # class -> its rows' executions
         self._rewards: list[dict] = []  # class -> program code -> reward
@@ -408,37 +414,44 @@ class OutcomeTable:
         key = (tuple(chunk.context.action_codes for chunk in pair.hypothesis), target)
         if key not in self._classes:
             self._classes[key] = len(self._targets)
+            self._pairs.append(pair)
             self._targets.append(target)
             self._executions.append(self._table.executions(pair))
             self._rewards.append({})
             self._edits.append({})
         return self._classes[key]
 
-    def rewards(self, cls: int, pair: ChunkedPair, code: int) -> tuple[float, ...]:
-        """``reward`` of the program with ``program_code`` ``code`` over
-        ``pair``, a pair of class ``cls``: a lookup by (class, code).  The
-        program's actions and the trace ``reward`` reads are built once per
-        (class, code), on the first lookup."""
+    def m(self, cls: int) -> int:
+        """The number of hypothesis chunks of the pairs of class ``cls``."""
+        return self._pairs[cls].m
+
+    def rewards(self, cls: int, code: int) -> tuple[float, ...]:
+        """``reward`` of the program with ``program_code`` ``code`` over the
+        pairs of class ``cls``.  The program's actions and the trace
+        ``reward`` reads are built once per (class, code), on the first
+        lookup."""
         known = self._rewards[cls]
         rewards = known.get(code)
         if rewards is None:
-            program = _program(code)
+            pair, program = self._pairs[cls], _program(code)
             parts = self._executions[cls].parts(pair, program)
             rewards = known[code] = reward(
                 Trace(pair, program, *parts), self._targets[cls], self.config
             )
         return rewards
 
-    def reaches(self, cls: int, pair: ChunkedPair, code: int) -> bool:
+    def reaches(self, cls: int, code: int) -> bool:
         """Whether the program with ``program_code`` ``code`` reaches the
         class's target; its actions are built only when the class's
         executions do not hold the code yet."""
         executions = self._executions[cls]
-        parts = executions.get(code) or executions.parts(pair, _program(code))
+        parts = executions.get(code) or executions.parts(
+            self._pairs[cls], _program(code)
+        )
         return accepting(self._targets[cls])[parts[1][-1].code]
 
     def edits(
-        self, cls: int, pair: ChunkedPair, code: int
+        self, cls: int, code: int
     ) -> tuple[list[tuple[int, ActionRelation]], frozenset[tuple[int, int]]]:
         """``single_edits`` of the program with ``program_code`` ``code``, as
         a list in its order and as the set of (t, action code) pairs; the
@@ -447,7 +460,9 @@ class OutcomeTable:
         known = self._edits[cls]
         edits = known.get(code)
         if edits is None:
-            found = single_edits(pair, _program(code), self._targets[cls])
+            found = single_edits(
+                self._pairs[cls], _program(code), self._targets[cls]
+            )
             edits = known[code] = found, frozenset((t, a.code) for t, a in found)
         return edits
 
@@ -530,7 +545,6 @@ def fix(code: int, t: int, relation: ActionRelation) -> int:
 def grid_search(
     table: OutcomeTable,
     cls: int,
-    pair: ChunkedPair,
     code: int,
     phi: Sequence[tuple[int, ActionRelation]],
     probs: Sequence[Sequence[float]],
@@ -538,12 +552,12 @@ def grid_search(
     """All single-step edits whose program reaches the target, ranked.
 
     The edits are the ``single_edits`` list, in ``table``, of the program
-    with ``program_code`` ``code``, for ``pair`` of class ``cls``.  If any
+    with ``program_code`` ``code`` over the pairs of class ``cls``.  If any
     edit coincides with a pending lexical proposal in ``phi``, the result
     is narrowed to those shared keys.  Returns the ``queue_from_keys``
     list, best last.
     """
-    edits, reaching = table.edits(cls, pair, code)
+    edits, reaching = table.edits(cls, code)
     shared = [key for key in phi if (key[0], key[1].code) in reaching]
     return queue_from_keys(shared or edits, probs)
 
@@ -551,7 +565,6 @@ def grid_search(
 def introspective_revision(
     table: OutcomeTable,
     cls: int,
-    pair: ChunkedPair,
     code: int,
     phi: list[tuple[int, ActionRelation]],
     probs: Sequence[Sequence[float]],
@@ -567,9 +580,9 @@ def introspective_revision(
     test with ratio p_t[proposal] / p_t[sampled action].  Answer phase:
     if the program still misses the target, the best grid-search edit
     (if any) is applied.  Both checks read the edit set of the current
-    revised code in ``table`` (``pair`` is of class ``cls``): an edit
-    (t, a) reaches the target iff it is in the set, and the program itself
-    iff its unchanged first step is.  The config is the table's.  Returns
+    revised code in ``table``, under class ``cls``: an edit (t, a) reaches
+    the target iff it is in the set, and the program itself iff its
+    unchanged first step is.  The config is the table's.  Returns
     the revised program's code and the accepted edits.
 
     Each coin flip takes the next of ``uniforms``, uniform draws in [0, 1):
@@ -578,10 +591,10 @@ def introspective_revision(
     raises ``ValueError``.
     """
     config = table.config
-    m = pair.m
+    m = table.m(cls)
     draws = iter(uniforms)
     revised = code
-    reaching = table.edits(cls, pair, revised)[1]
+    reaching = table.edits(cls, revised)[1]
     events: list[RevisionEvent] = []
 
     def apply(t: int, relation: ActionRelation, source: str) -> None:
@@ -592,7 +605,7 @@ def introspective_revision(
                 RevisionEvent(t=t, old=ACTIONS[old], new=relation, source=source)
             )
             revised = fix(revised, t, relation)
-            reaching = table.edits(cls, pair, revised)[1]
+            reaching = table.edits(cls, revised)[1]
 
     popped = 0
     try:
@@ -616,7 +629,7 @@ def introspective_revision(
         ) from None
 
     if (1, _digit(revised, m, 1)) not in reaching:
-        psi = grid_search(table, cls, pair, revised, phi, probs)
+        psi = grid_search(table, cls, revised, phi, probs)
         if psi:
             apply(*psi.pop(), "answer")
 
@@ -720,48 +733,29 @@ def _mutual(pair: ChunkedPair, lexicon: Lexicon) -> bool:
     )
 
 
-def mutual_entailment_filter(
-    rules: ChunkRules, lexicon: Lexicon
-) -> Callable[[Example], bool]:
-    """True when premise and hypothesis entail each other.
-
-    Chunk both sides and compare chunkwise, equal up to synonyms; such
-    pairs stay entailments after swapping and must not be retargeted to
-    reverse entailment.
-    """
-
-    memo: dict = {}  # one chunking per distinct sentence for this filter
-
-    def is_mutual(example: Example) -> bool:
-        (pair,) = chunk_pairs([(example.premise, example.hypothesis)], rules, memo)
-        return _mutual(pair, lexicon)
-
-    return is_mutual
-
-
 def relation_augmentation(
     examples: Sequence[Example],
-    rules: ChunkRules,
+    pairs: Sequence[ChunkedPair],
     lexicon: Lexicon,
-    entailment_filter: Optional[Callable[[Example], bool]] = None,
-) -> list[Example]:
+) -> tuple[list[Example], list[ChunkedPair]]:
     """Append swapped entailment pairs targeting reverse entailment.
 
-    For every entailment example whose sides are not mutually entailing,
-    a new sample swaps premise and hypothesis; the swapped pair is only
-    correct when execution ends exactly in the reverse entailment state,
-    which teaches the policy to separate it from plain entailment.
+    ``pairs`` are the examples' chunked pairs, as ``chunk_examples``
+    returns them.  For every entailment example whose sides are not
+    mutually entailing (equal chunk for chunk, up to synonyms: such pairs
+    stay entailments after swapping), a new sample swaps premise and
+    hypothesis, and its pair is the original's with the sides exchanged.
+    The swapped pair is only correct when execution ends exactly in the
+    reverse entailment state, which teaches the policy to separate it
+    from plain entailment.  Returns the examples and their pairs, each
+    original first; a ``pairs`` of another length raises ``ValueError``.
     """
-    is_mutual = entailment_filter or mutual_entailment_filter(rules, lexicon)
-    out = list(examples)
-    for index, example in enumerate(examples):
-        if example.label != NLILabel.ENTAILMENT:
+    if len(pairs) != len(examples):
+        raise ValueError(f"{len(examples)} examples but {len(pairs)} chunked pairs")
+    out, out_pairs = list(examples), list(pairs)
+    for example, pair in zip(examples, pairs):
+        if example.label != NLILabel.ENTAILMENT or _mutual(pair, lexicon):
             continue
-        try:
-            if is_mutual(example):
-                continue
-        except ValueError as exc:
-            raise example_error(index, example, exc) from None
         out.append(
             Example(
                 premise=example.hypothesis,
@@ -771,7 +765,8 @@ def relation_augmentation(
                 target_state=Relation.REVERSE_ENTAILMENT,
             )
         )
-    return out
+        out_pairs.append(ChunkedPair(pair.hypothesis, pair.premise))
+    return out, out_pairs
 
 
 _KINDS = {
@@ -871,18 +866,17 @@ def run_episode(
     program is looked up only when its code differs from the sampled one,
     and otherwise its code and rewards are the sampled program's.
     """
-    rewards = table.rewards(cls, compiled.pair, code)
+    rewards = table.rewards(cls, code)
     config = table.config
     if not config.introspective_revision:
         return rewards, None
-    pair = compiled.pair
     phi = queue_from_keys(compiled.proposals if config.knowledge else (), rows)
     revised, events = introspective_revision(
-        table, cls, pair, code, phi, rows, uniforms[pair.m :]
+        table, cls, code, phi, rows, uniforms[compiled.pair.m :]
     )
     if revised == code:
         return rewards, (code, rewards, events)
-    return rewards, (revised, table.rewards(cls, pair, revised), events)
+    return rewards, (revised, table.rewards(cls, revised), events)
 
 
 def _greedy_hits(
@@ -902,16 +896,14 @@ def _greedy_hits(
     each kind up in ``table`` once.
     """
     rows = distinct_rows(compiled, features)
-    kinds: dict[tuple, list] = {}  # (class, row ids) -> [pair, count]
-    for cls, item in zip(classes, compiled):
-        kinds.setdefault((cls, item.row_ids), [item.pair, 0])[1] += 1
+    kinds = Counter(zip(classes, [item.row_ids for item in compiled]))
 
     def hits(params: PolicyParams) -> int:
         best = decode(params, rows)
         return sum(
             count
-            for (cls, ids), (pair, count) in kinds.items()
-            if table.reaches(cls, pair, program_code([best[r] for r in ids]))
+            for (cls, ids), count in kinds.items()
+            if table.reaches(cls, program_code([best[r] for r in ids]))
         )
 
     return hits
@@ -1089,18 +1081,7 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     pairs = chunk_examples(examples, rules)
     if config.augmentation:
-        # one chunking of each distinct sentence: the filter reads the
-        # originals' chunks, and a swapped pair's are its original's, exchanged
-        chunked = {(e.premise, e.hypothesis): p for e, p in zip(examples, pairs)}
-        examples = relation_augmentation(
-            examples,
-            rules,
-            lexicon,
-            lambda e: _mutual(chunked[e.premise, e.hypothesis], lexicon),
-        )
-        for swapped in examples[len(pairs) :]:
-            pair = chunked[swapped.hypothesis, swapped.premise]
-            pairs.append(ChunkedPair(pair.hypothesis, pair.premise))
+        examples, pairs = relation_augmentation(examples, pairs, lexicon)
     if config.epochs * len(examples) > _ONE_WORD:
         raise ValueError(
             f"{config.epochs} epochs of {len(examples)} examples make more "

@@ -359,7 +359,7 @@ def test_criterion_05_grid_search_oracle():
         target = list(NLILabel)[int(rng.integers(3))]
         probs = np.full((m, 5), 0.2)
         cls = table.classify(pair, target)
-        psi = grid_search(table, cls, pair, program_code(program), [], probs)
+        psi = grid_search(table, cls, program_code(program), [], probs)
         assert len(set(psi)) == len(psi)
         assert set(psi) == _exhaustive_single_edits(pair, program, target)
     elapsed = time.perf_counter() - started
@@ -384,9 +384,7 @@ def test_criterion_06_metropolis_frequency():
     for i in range(n):
         phi = queue_from_keys([(1, A_FE)], probs)
         uniforms = np.random.default_rng([199, i]).random(2).tolist()
-        revised, _ = introspective_revision(
-            table, cls, pair, code, phi, probs, uniforms
-        )
+        revised, _ = introspective_revision(table, cls, code, phi, probs, uniforms)
         if revised == program_code((A_FE,)):
             accepted += 1
     p = 0.5

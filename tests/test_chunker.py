@@ -385,8 +385,8 @@ class TestChunkPairs:
 
     def test_shared_memo_chunks_each_sentence_once(self, monkeypatch):
         """Each distinct sentence is read once (one ``_role_bits``) and each
-        distinct shape chunked once (one ``_shape``); the memo may be shared
-        across calls, the table of shapes never is."""
+        distinct shape chunked once (one ``_shape``) per call; neither table
+        outlives the call."""
         import natlog.chunker as chunker
 
         sentences, shapes = [], []
@@ -405,14 +405,11 @@ class TestChunkPairs:
         # "all dogs run" and "all animals run" share a shape; "some dogs run"
         # has the same role bits but another trigger word
         pairs = [("all dogs run", "all animals run"), ("all dogs run", "some dogs run")]
-        memo = {}
-        chunk_pairs(pairs, RULES, memo)
+        chunk_pairs(pairs, RULES)
         assert sentences == [
             ("all", "dogs", "run"), ("all", "animals", "run"), ("some", "dogs", "run")
         ]
         assert shapes == [("all", "dogs", "run"), ("some", "dogs", "run")]
-        chunk_pairs([("some dogs run", "all dogs run")], RULES, memo)
-        assert len(sentences) == 3 and len(shapes) == 2
         chunk_pairs([("some dogs run", "all dogs run")], RULES)
         assert len(sentences) == 5  # a fresh memo per call
         assert len(shapes) == 4  # and a fresh table of shapes

@@ -414,7 +414,8 @@ class TestOracle:
 
 class TestOptions:
     """Each subcommand takes only the common options it reads: ``--seed``
-    for ``gen`` and ``train``, ``--lexicon`` for all but ``gen``."""
+    for ``gen`` and ``train``, ``--lexicon`` for ``train``, ``eval`` and
+    ``prove``."""
 
     REQUIRED = {
         "gen": ["--out", "o"],
@@ -431,6 +432,7 @@ class TestOptions:
             ("prove", "--seed"),
             ("oracle", "--seed"),
             ("gen", "--lexicon"),
+            ("oracle", "--lexicon"),
         ],
     )
     def test_unread_option_rejected(self, command, option, capsys):
@@ -446,7 +448,7 @@ class TestOptions:
         )
         assert args.seed == 3
 
-    @pytest.mark.parametrize("command", ["train", "eval", "prove", "oracle"])
+    @pytest.mark.parametrize("command", ["train", "eval", "prove"])
     def test_lexicon_accepted(self, command):
         args = natlog.cli._build_parser().parse_args(
             [command, *self.REQUIRED[command], "--lexicon", "lex"]
@@ -605,6 +607,43 @@ def test_console_script_installed():
     )
     assert result.returncode == 0, result.stderr
     assert "prove" in result.stdout
+
+
+def test_prove_escapes_symbols_that_stdout_cannot_encode():
+    """Under the C locale with UTF-8 mode off, standard output is ASCII:
+    ``prove`` prints each relation symbol backslash-escaped and exits 0.
+    Skipped where that environment's standard output is UTF-8."""
+    package_root = Path(natlog.__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.pop("PYTHONIOENCODING", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.stdout.encoding)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    if probe.stdout.strip().lower().replace("-", "") == "utf8":
+        pytest.skip("standard output is UTF-8 under the C locale here")
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "natlog.cli",
+            "prove", "every dog runs", "every animal runs",
+        ],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.decode("ascii").splitlines()
+    assert lines[0].split()[-3:] == ["r", "proj", "z"]
+    assert lines[1].split() == ["1", "every", "animal", "every", "dog"] + [
+        "\\u2261"
+    ] * 3
+    assert lines[3:] == ["label: entailment", "rationale: none"]
 
 
 def test_console_entry_point(tmp_path):

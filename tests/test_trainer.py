@@ -14,7 +14,7 @@ import natlog
 import natlog.cli
 from natlog import knowledge
 from natlog.chunker import chunk_pair, default_rules
-from natlog.data import Example, dumps
+from natlog.data import Example, chunk_examples, dumps
 from natlog.executor import (
     Chunk,
     ChunkedPair,
@@ -63,7 +63,6 @@ from natlog.trainer import (
     hybrid_objective,
     introspective_revision,
     load_train_config,
-    mutual_entailment_filter,
     reinforce_objective,
     relation_augmentation,
     reward,
@@ -121,7 +120,7 @@ def revise(pair, program, target, keys, probs, config, rng):
     phi = queue_from_keys(keys, probs)
     uniforms = rng.random(2 * min(config.max_revisions, len(phi))).tolist()
     code, events = introspective_revision(
-        table, cls, pair, program_code(program), phi, probs, uniforms
+        table, cls, program_code(program), phi, probs, uniforms
     )
     return _program(code), events, phi
 
@@ -178,7 +177,13 @@ def grid(pair, program, phi, target, probs):
     builds it; ``phi`` is a ``queue_from_keys`` list."""
     table = OutcomeTable(CFG)
     cls = table.classify(pair, target)
-    return grid_search(table, cls, pair, program_code(program), phi, probs)
+    return grid_search(table, cls, program_code(program), phi, probs)
+
+
+def augment(examples):
+    """``relation_augmentation`` of ``examples`` on their ``chunk_examples``
+    pairs, as ``train`` runs it: the examples and their pairs."""
+    return relation_augmentation(examples, chunk_examples(examples, RULES), LEX)
 
 
 class TestReward:
@@ -600,7 +605,7 @@ class TestIntrospectiveRevision:
         message = f"out of uniforms at proposal {proposal}: {len(uniforms)} given"
         with pytest.raises(ValueError, match=message):
             introspective_revision(
-                table, cls, pair, program_code((A_IND,) * 3), phi, probs, uniforms
+                table, cls, program_code((A_IND,) * 3), phi, probs, uniforms
             )
 
 
@@ -714,7 +719,7 @@ class TestFastPathsMatchExecution:
         pair, program, target, _, _ = case
         table = OutcomeTable(CFG)
         cls = table.classify(pair, target)
-        assert table.reaches(cls, pair, program_code(program)) == matches_target(
+        assert table.reaches(cls, program_code(program)) == matches_target(
             execute(pair, program), target
         )
 
@@ -727,7 +732,7 @@ class TestFastPathsMatchExecution:
         )
         table = OutcomeTable(CFG)
         cls = table.classify(pair, target)
-        edits, reaching = table.edits(cls, pair, program_code(program))
+        edits, reaching = table.edits(cls, program_code(program))
         assert edits == brute_force_edits(pair, program, target)
         assert reaching == {(t, ACTIONS.index(a)) for t, a in edits}
 
@@ -762,7 +767,7 @@ class TestFastPathsMatchExecution:
         table = OutcomeTable(config)
         cls = table.classify(pair, target)
         code, events = introspective_revision(
-            table, cls, pair, program_code(program), phi, probs, draws
+            table, cls, program_code(program), phi, probs, draws
         )
         revised, expected_events = reference_revision(
             pair, program, target, phi_ref, probs, config, rng_ref
@@ -794,19 +799,17 @@ class TestFastPathsMatchExecution:
         draws = CountingDraws(np.random.default_rng(seed).random(bound).tolist())
         table = OutcomeTable(config)
         cls = table.classify(pair, target)
-        introspective_revision(
-            table, cls, pair, program_code(program), phi, probs, draws
-        )
+        introspective_revision(table, cls, program_code(program), phi, probs, draws)
         assert draws.taken <= bound
 
     def test_length_mismatch_rejected(self):
         pair = upward_pair(2)
         table = OutcomeTable(CFG)
         cls = table.classify(pair, NLILabel.ENTAILMENT)
-        table.rewards(cls, pair, program_code((A_EQ, A_EQ)))  # a right length first
+        table.rewards(cls, program_code((A_EQ, A_EQ)))  # a right length first
         for fast in (table.reaches, table.rewards, table.edits):
             with pytest.raises(ValueError, match="program length 1"):
-                fast(cls, pair, program_code((A_EQ,)))
+                fast(cls, program_code((A_EQ,)))
         with pytest.raises(ValueError, match="program length 1"):
             single_edits(pair, (A_EQ,), NLILabel.ENTAILMENT)
 
@@ -1274,8 +1277,8 @@ class TestRelationAugmentation:
                 label=NLILabel.ENTAILMENT,
             )
         ]
-        out = relation_augmentation(examples, RULES, LEX)
-        assert len(out) == 2
+        out, pairs = augment(examples)
+        assert len(out) == len(pairs) == 2
         assert out[0] is examples[0]
         swapped = out[1]
         assert swapped.premise == "some animals run"
@@ -1292,7 +1295,8 @@ class TestRelationAugmentation:
                 label=NLILabel.ENTAILMENT,
             )
         ]
-        assert len(relation_augmentation(examples, RULES, LEX)) == 1
+        out, pairs = augment(examples)
+        assert len(out) == len(pairs) == 1
 
     def test_non_entailment_untouched(self):
         examples = [
@@ -1307,29 +1311,48 @@ class TestRelationAugmentation:
                 label=NLILabel.CONTRADICTION,
             ),
         ]
-        assert relation_augmentation(examples, RULES, LEX) == examples
+        chunked = chunk_examples(examples, RULES)
+        assert relation_augmentation(examples, chunked, LEX) == (examples, chunked)
 
-    def test_custom_filter_wins(self):
+    def test_mutual_filter_detects_synonym_rewrites(self):
+        # equal chunk for chunk up to synonyms: no swap; a hypernym: a swap
         examples = [
+            Example(
+                premise="the kid runs",
+                hypothesis="the child runs",
+                label=NLILabel.ENTAILMENT,
+            ),
             Example(
                 premise="some dogs run",
                 hypothesis="some animals run",
                 label=NLILabel.ENTAILMENT,
-            )
+            ),
         ]
-        out = relation_augmentation(
-            examples, RULES, LEX, entailment_filter=lambda ex: True
-        )
-        assert len(out) == 1
+        out, _ = augment(examples)
+        assert [(e.premise, e.hypothesis) for e in out[2:]] == [
+            ("some animals run", "some dogs run")
+        ]
 
-    def test_mutual_filter_detects_synonym_rewrites(self):
-        flt = mutual_entailment_filter(RULES, LEX)
-        assert flt(
-            Example(premise="the kid runs", hypothesis="the child runs")
-        )
-        assert not flt(
-            Example(premise="some dogs run", hypothesis="some animals run")
-        )
+    def test_swapped_pairs_are_their_originals_with_the_sides_exchanged(self):
+        examples = natlog.generate(natlog.default_genspec(), RULES)[0]
+        chunked = chunk_examples(examples, RULES)
+        out, pairs = relation_augmentation(examples, chunked, LEX)
+        assert len(out) == len(pairs) == 2816
+        assert all(a is b for a, b in zip(pairs, chunked))
+        originals = {(e.premise, e.hypothesis): p for e, p in zip(examples, chunked)}
+        for example, pair in zip(out[len(examples) :], pairs[len(examples) :]):
+            original = originals[example.hypothesis, example.premise]
+            assert pair == ChunkedPair(original.hypothesis, original.premise)
+        # and each equals the swapped example chunked on its own
+        assert pairs == chunk_examples(out, RULES)
+
+    def test_pairs_of_another_length_rejected(self):
+        examples = list(tiny_dataset())
+        chunked = chunk_examples(examples, RULES)
+        for pairs in (chunked[:-1], chunked + chunked[:1]):
+            message = f"{len(examples)} examples but {len(pairs)} chunked pairs"
+            with pytest.raises(ValueError, match=message):
+                relation_augmentation(examples, pairs, LEX)
 
 
 def tiny_dataset():
@@ -1511,7 +1534,7 @@ def _reference_train(examples, config, params=None):
     from ``execute``.  It starts from a copy of ``params``, zero weights when
     None."""
     if config.augmentation:
-        examples = relation_augmentation(examples, RULES, LEX)
+        examples = augment(examples)[0]
     compiled, _ = compile_examples(examples, RULES, LEX)
     params = params.copy() if params is not None else PolicyParams.zeros()
     metrics = []
@@ -1662,7 +1685,7 @@ class TestTrainCallStructure:
     @pytest.mark.parametrize("ir", [True, False])
     def test_calls_per_episode_batch_and_epoch(self, monkeypatch, split, ir):
         examples = equivalence_slice(split)
-        n = len(relation_augmentation(examples, RULES, LEX))
+        n = len(augment(examples)[0])
         config = TrainConfig(epochs=3, batch_size=7, seed=2, introspective_revision=ir)
         assert n % config.batch_size  # the last batch of every epoch is short
         counts = collections.Counter()
@@ -1717,12 +1740,12 @@ class TestTrainCallStructure:
         def recording(kind):
             method = getattr(OutcomeTable, kind)
 
-            def wrapped(table, cls, pair, code):
+            def wrapped(table, cls, code):
                 key = (id(table), kind, cls, code)
                 lookups[kind].add(key)
                 inside.append(key)
                 try:
-                    return method(table, cls, pair, code)
+                    return method(table, cls, code)
                 finally:
                     inside.pop()
 
@@ -1753,13 +1776,14 @@ def class_members(split):
     else:
         spec = dataclasses.replace(natlog.default_genspec(), noisy_test=True)
         examples = natlog.generate(spec, RULES)[1]
-    examples = relation_augmentation(examples, RULES, LEX)
+    examples = augment(examples)[0]
     table = OutcomeTable(CFG)
     members, targets = {}, {}
-    for item in compile_examples(examples, RULES, LEX)[0]:
-        cls = table.classify(item.pair, item.target)
-        members.setdefault(cls, []).append(item.pair)
-        targets[cls] = item.target
+    # chunked again, swapped examples and all, apart from augmentation
+    for example, pair in zip(examples, chunk_examples(examples, RULES)):
+        cls = table.classify(pair, example.target)
+        members.setdefault(cls, []).append(pair)
+        targets[cls] = example.target
     return members, targets
 
 
@@ -1781,24 +1805,35 @@ class TestOutcomeTable:
         table = OutcomeTable(config)
         for key, pairs in members.items():
             target = targets[key]
-            # the first pair fills each entry, its edits first; the last pair
-            # reads what the first filled, its rewards first
-            first, last = pairs[0], pairs[-1]
-            cls = table.classify(first, target)
-            assert table.classify(last, target) == cls
-            for program in itertools.product(ACTIONS, repeat=first.m):
-                for pair in (first, last):
+            cls = table.classify(pairs[0], target)
+            assert {table.classify(pair, target) for pair in pairs} == {cls}
+            programs = list(itertools.product(ACTIONS, repeat=pairs[0].m))
+            # the table's answer for every program, the lookups in two
+            # orders: reachability on a miss and on a hit
+            answers = []
+            for program in programs:
+                code = program_code(program)
+                if code % 2:
+                    reaches = table.reaches(cls, code)
+                    rewards = table.rewards(cls, code)
+                    edits, reaching = table.edits(cls, code)
+                else:
+                    edits, reaching = table.edits(cls, code)
+                    rewards = table.rewards(cls, code)
+                    reaches = table.reaches(cls, code)
+                answers.append((rewards, reaches, edits, reaching))
+            # each answer against the references on every member pair: the
+            # first and the last on every program, every other member on
+            # five programs spread over them, each member another five
+            stride = len(programs) // 5
+            for index, pair in enumerate(pairs):
+                step = 1 if index in (0, len(pairs) - 1) else stride
+                for program, (rewards, reaches, edits, reaching) in itertools.islice(
+                    zip(programs, answers), index % step, None, step
+                ):
                     expected = execute(pair, program)
-                    code = program_code(program)
-                    if pair is first:
-                        edits, reaching = table.edits(cls, pair, code)
-                    rewards = table.rewards(cls, pair, code)
-                    if pair is last:
-                        edits, reaching = table.edits(cls, pair, code)
                     assert rewards == reward(expected, target, config)
-                    assert table.reaches(cls, pair, code) == matches_target(
-                        expected, target
-                    )
+                    assert reaches == matches_target(expected, target)
                     assert edits == single_edits(pair, program, target)
                     assert reaching == {(t, a.code) for t, a in edits}
         assert any(pairs[0] != pairs[-1] for pairs in members.values())
