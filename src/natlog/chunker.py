@@ -52,7 +52,6 @@ __all__ = [
     "ChunkRules",
     "tokenize",
     "chunk",
-    "mark_projectivity",
     "chunk_pair",
     "chunk_pairs",
     "default_rules",
@@ -324,27 +323,6 @@ def chunk(sentence: Sentence | Sequence[str], rules: ChunkRules) -> tuple[Chunk,
             for a, b, context in _shape(tokens, _role_bits(tokens, rules))
         ]
     )
-
-
-def mark_projectivity(
-    chunks: Iterable[Chunk], rules: ChunkRules
-) -> tuple[Chunk, ...]:
-    """Assign each chunk the context of its first token.
-
-    Recomputes contexts from the flat token sequence, so applying it twice
-    gives the same result.
-    """
-    chunks = tuple(chunks)
-    tokens: list[str] = []
-    for c in chunks:
-        tokens.extend(c.tokens)
-    contexts = _token_contexts(tokens, _role_bits(tokens, rules))
-    out = []
-    offset = 0
-    for c in chunks:
-        out.append(Chunk(tokens=c.tokens, start=c.start, context=contexts[offset]))
-        offset += len(c.tokens)
-    return tuple(out)
 
 
 SentenceLike = Union[Sentence, Sequence[str], str]

@@ -13,14 +13,6 @@ the idiom of ``executor.Chunk``.  Equality, hashing, ``repr``,
 ``dataclasses.replace`` and the ``FrozenInstanceError`` on assignment
 stay the generated ones.
 
-Relation, label and action names go through code tables: a record reads
-a member's name from a tuple indexed by its ``code`` and resolves a name
-with one dict lookup, instead of an ``Enum`` value lookup either way.  A
-name the table misses, or an unhashable one, falls back to the enum
-constructor (``ActionRelation.parse`` for actions), so a malformed line
-is rejected with the enum's own message, e.g. ``path:2: ['x'] is not a
-valid NLILabel``, where a bare dict lookup would say ``unhashable type``.
-
 A dataset holds few distinct annotations (an example's fields but its
 two sentences): the compositional train split has 19 among 1896
 examples.  So ``save_dataset`` and ``load_dataset`` move a line as a
@@ -28,7 +20,9 @@ examples.  So ``save_dataset`` and ``load_dataset`` move a line as a
 ``hypothesis`` and ``premise`` JSON strings cut out, ``(head, middle,
 tail)``, and a sentence goes into it as
 ``encode_basestring_ascii(sentence)``, the function ``_ENCODER`` itself
-writes a string with.  Nothing is kept between calls.
+writes a string with.  Nothing is kept between calls, and a first
+sighting (an annotation's first example, a frame's first line) takes the
+plain path.
 
 * ``save_dataset`` writes an annotation's first example as
   ``dumps(ex.to_record())``.  At the annotation's second example it
@@ -44,27 +38,19 @@ writes a string with.  Nothing is kept between calls.
   member equals only itself and equal strs or ints print alike.  The int
   check keeps ``True``, ``1.0`` or ``np.int64(1)`` out of a frame learned
   from ``1``, and a list field is unhashable, so its example takes the
-  first path.  Annotations are looked up within groups of equal split tag
-  and rationale tokens, two fields whose hash runs no Python code, so an
-  example that opens a group, as most do in a file whose annotations
-  never repeat, costs no enum hashing.
-* ``load_dataset`` groups lines by head and tail, the text before the
-  first ``,"hypothesis":"`` and after the last ``","split_tag":`` (one
-  ``find``, one ``rfind``), so a line that opens a group costs little
-  more than the reference.  In a group it reads the two strings with
-  ``scanstring`` (``_middle``), and a frame is learned when its text
-  recurs, from a line that writes back to itself
+  first path.
+* ``load_dataset`` cuts each line into its frame and two strings, read
+  with ``scanstring`` (``_cut``).  A frame is learned when it recurs,
+  from a line that writes back to itself
   (``dumps(ex.to_record()) == line``); if that line does not, the frame
   is never learned.  A line in a learned frame is read from its two
   strings, provided the frame around their encodings is the line itself.
   The line is then the canonical line of ``Example(premise, hypothesis,
   *annotation)``, which ``json.loads`` and ``from_record`` would read
-  back.  Every other line (one that opens its group, a first sighting, a
-  line that is not canonical, a malformed one) is read by
+  back.  Every other line (a first sighting, a line that is not
+  canonical, a malformed one) is read by
   ``Example.from_record(json.loads(line))``, so each error keeps its
-  ``path:line`` message; a line that is one object and nothing else is
-  decoded by ``raw_decode``, the call ``json.loads`` makes after its
-  whitespace scans.
+  ``path:line`` message.
 """
 
 from __future__ import annotations
@@ -75,19 +61,12 @@ from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._text import read_text
 from .chunker import ChunkRules, chunk_pair, chunk_pairs
 from .executor import ChunkedPair
-from .relations import (
-    ACTIONS,
-    LABELS,
-    RELATIONS,
-    ActionRelation,
-    NLILabel,
-    Relation,
-)
+from .relations import ActionRelation, NLILabel, Relation
 
 __all__ = [
     "Example",
@@ -104,17 +83,6 @@ __all__ = [
 
 SCHEMA = "natlog.dataset"
 VERSION = 1
-
-# code tables: a member's name by its code, and the member a name stands for
-_LABEL_NAMES = tuple(label.value for label in LABELS)
-_ACTION_NAMES = tuple(action.value for action in ACTIONS)
-_RELATION_NAMES = tuple(relation.value for relation in RELATIONS)
-_LABEL_BY_NAME = dict(zip(_LABEL_NAMES, LABELS))
-_RELATION_BY_NAME = dict(zip(_RELATION_NAMES, RELATIONS))
-_ACTION_BY_NAME = {
-    name: ActionRelation.parse(name)
-    for name in (*_ACTION_NAMES, "negation", "alternation")
-}
 
 
 @dataclass(frozen=True, init=False)
@@ -172,16 +140,12 @@ class Example:
         return {
             "premise": self.premise,
             "hypothesis": self.hypothesis,
-            "label": _LABEL_NAMES[label.code] if label else None,
-            "gold_program": (
-                None if program is None else [_ACTION_NAMES[a.code] for a in program]
-            ),
-            "gold_states": (
-                None if states is None else [_RELATION_NAMES[s.code] for s in states]
-            ),
+            "label": label.value if label else None,
+            "gold_program": None if program is None else [a.value for a in program],
+            "gold_states": None if states is None else [s.value for s in states],
             "gold_rationale_tokens": None if tokens is None else list(tokens),
             "split_tag": self.split_tag,
-            "target_state": _RELATION_NAMES[target.code] if target else None,
+            "target_state": target.value if target else None,
         }
 
     @classmethod
@@ -202,15 +166,15 @@ class Example:
         label, program, states = get("label"), get("gold_program"), get("gold_states")
         tokens, target = get("gold_rationale_tokens"), get("target_state")
         if label is not None:
-            label = _member(_LABEL_BY_NAME, NLILabel, label)
+            label = NLILabel(label)
         if program is not None:
             if type(program) is str:
                 raise _string_error("gold_program", program)
-            program = _members(_ACTION_BY_NAME, ActionRelation.parse, program)
+            program = tuple([ActionRelation.parse(name) for name in program])
         if states is not None:
             if type(states) is str:
                 raise _string_error("gold_states", states)
-            states = _members(_RELATION_BY_NAME, Relation, states)
+            states = tuple([Relation(name) for name in states])
         if tokens is not None:
             values = tuple(tokens)  # a non-iterable fails here
             if type(tokens) is not list or not _INT.issuperset(map(type, values)):
@@ -229,7 +193,7 @@ class Example:
             states,
             tokens,
             tag,
-            None if target is None else _member(_RELATION_BY_NAME, Relation, target),
+            None if target is None else Relation(target),
         )
 
 
@@ -240,22 +204,6 @@ def _string_error(key: str, names: str) -> ValueError:
     """The error for a string where a list of names belongs, which would
     otherwise be read letter by letter."""
     return ValueError(f"{key} must be a list of names, got {names!r}")
-
-
-def _member(by_name: dict, parse: Callable, name):
-    """``by_name[name]``, or on a miss ``parse(name)`` and its error."""
-    try:
-        return by_name[name]
-    except (KeyError, TypeError):
-        return parse(name)
-
-
-def _members(by_name: dict, parse: Callable, names) -> tuple:
-    """``_member`` of each name; on a miss ``parse`` names the culprit."""
-    try:
-        return tuple([by_name[name] for name in names])
-    except (KeyError, TypeError):
-        return tuple(parse(name) for name in names)
 
 
 def example_error(index: int, example: Example, exc: Exception) -> ValueError:
@@ -292,7 +240,6 @@ def chunk_examples(
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_DECODER = json.JSONDecoder()
 
 
 def dumps(obj: dict) -> str:
@@ -311,8 +258,6 @@ def write_records(
 
 # the sentences of a record whose line shows its frame (module docstring)
 _NO_SENTENCES = {"hypothesis": "", "premise": ""}
-# the annotation fields whose hash runs no Python code (module docstring)
-_tag_tokens = attrgetter("split_tag", "gold_rationale_tokens")
 # an example's fields but its sentences: its annotation
 _annotation = attrgetter(
     "label",
@@ -323,25 +268,29 @@ _annotation = attrgetter(
     "target_state",
 )
 
-# In a canonical line the hypothesis string opens at the last quote of the
-# first ``_HYPOTHESIS_KEY``, the premise string at the last quote of the
-# next ``_PREMISE_KEY``, and the premise string closes at the first quote
-# of the last ``_TAIL_KEY``, since no JSON string holds an unescaped quote.
-# In any other line ``_middle`` may cut elsewhere; such a frame is never
-# learned, and a line is read from its strings only if it is the frame's
-# canonical line.
+# In a canonical line each sentence's JSON string starts at the quote
+# that ends one of these keys.
 _HYPOTHESIS_KEY = ',"hypothesis":"'
 _PREMISE_KEY = ',"premise":"'
-_TAIL_KEY = '","split_tag":'
 _HYPOTHESIS_OFFSET = len(_HYPOTHESIS_KEY) - 1
 _PREMISE_OFFSET = len(_PREMISE_KEY) - 1
 
 
-def _middle(line: str, start: int, tail: int):
-    """``(middle, hypothesis, premise)`` of a line whose hypothesis string
-    opens at ``start`` and whose premise string closes just before
-    ``tail``, read with ``scanstring``; None when it has no such strings.
+def _cut(line: str):
+    """``(frame, hypothesis, premise)`` of a line, or None when the line
+    has no such two strings.
+
+    The sentences are the JSON strings after the first ``,"hypothesis":``
+    and the next ``,"premise":``, read with ``scanstring``; the frame
+    ``(head, middle, tail)`` is the text around them.  In a line that is
+    not canonical they may be other strings; such a frame is never
+    learned, and a line is read from its strings only if it is the
+    frame's canonical line.
     """
+    start = line.find(_HYPOTHESIS_KEY)
+    if start < 0:
+        return None
+    start += _HYPOTHESIS_OFFSET  # the opening quote
     try:
         hypothesis, end = scanstring(line, start + 1)
         premise_start = line.find(_PREMISE_KEY, end)
@@ -351,9 +300,8 @@ def _middle(line: str, start: int, tail: int):
         premise, premise_end = scanstring(line, premise_start + 1)
     except ValueError:
         return None
-    if premise_end != tail:
-        return None
-    return line[end:premise_start], hypothesis, premise
+    frame = (line[:start], line[end:premise_start], line[premise_end:])
+    return frame, hypothesis, premise
 
 
 def _splice(frame: tuple[str, str, str], hypothesis: str, premise: str) -> str:
@@ -405,24 +353,16 @@ def save_dataset(examples: Iterable[Example], path: str | Path) -> None:
     annotation's second example on spliced into its frame (module
     docstring)."""
     lines = [dumps({"schema": SCHEMA, "version": VERSION})]
-    # (split tag, tokens) -> the first example with them, then a dict from
-    # each annotation with them to its first example, then its frame or None
-    groups: dict = {}
+    # annotation -> its first example, then its frame, or None
+    frames: dict = {}
     for ex in examples:
-        frame = None
         try:
-            group = groups.setdefault(_tag_tokens(ex), ex)
-            if group is not ex:
-                if type(group) is not dict:  # the pair's second example
-                    first, group = group, {}
-                    groups[_tag_tokens(ex)] = group
-                    group[_annotation(first)] = first
-                frame = group.setdefault(_annotation(ex), ex)
+            frame = frames.setdefault(_annotation(ex), ex)
         except (AttributeError, TypeError):  # not an Example, or unhashable
-            pass
+            frame = None
         if frame is not ex and frame is not None and type(frame) is not tuple:
             # the annotation's second example: learn the first one's frame
-            frame = group[_annotation(ex)] = (
+            frame = frames[_annotation(ex)] = (
                 tuple(dumps(frame.to_record() | _NO_SENTENCES).split('""', 2))
                 if _plain(frame)
                 else None
@@ -452,29 +392,15 @@ def load_dataset(path: str | Path) -> list[Example]:
     if header.get("version") != VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
     examples = []
-    # (head, tail) -> _SEEN, then a dict from each middle with them to
-    # _SEEN, then to the annotation its frame holds, or _NEVER
-    groups: dict = {}
+    # frame -> _SEEN, then the annotation it holds, or _NEVER
+    frames: dict = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        cut = None
-        start = line.find(_HYPOTHESIS_KEY)
-        tail = line.rfind(_TAIL_KEY) + 1
-        if 0 <= start < tail:
-            start += _HYPOTHESIS_OFFSET  # the hypothesis string's opening quote
-            head_tail = (line[:start], line[tail:])
-            group = groups.get(head_tail)
-            if group is None:  # the pair's first line
-                groups[head_tail] = _SEEN
-            else:
-                if group is _SEEN:
-                    group = groups[head_tail] = {}
-                cut = _middle(line, start, tail)
+        cut = _cut(line)
         if cut is not None:
-            middle, hypothesis, premise = cut
-            frame = (head_tail[0], middle, head_tail[1])
-            annotation = group.get(middle, _NEW)
+            frame, hypothesis, premise = cut
+            annotation = frames.get(frame, _NEW)
             if (
                 type(annotation) is tuple
                 and _splice(frame, hypothesis, premise) == line
@@ -486,9 +412,9 @@ def load_dataset(path: str | Path) -> list[Example]:
         if cut is None:
             continue
         if annotation is _NEW:
-            group[middle] = _SEEN
+            frames[frame] = _SEEN
         elif annotation is _SEEN:  # recurring: learned if this line is canonical
-            group[middle] = (
+            frames[frame] = (
                 _annotation(ex) if dumps(ex.to_record()) == line else _NEVER
             )
     return examples
@@ -499,20 +425,9 @@ _NEW, _SEEN, _NEVER = object(), object(), object()
 
 
 def _parse_line(path, lineno: int, line: str, build):
-    """``build(json.loads(line))``, each error named as path:line.
-
-    A line that is one object and nothing else is decoded by
-    ``raw_decode``, the call ``json.loads`` makes after its whitespace
-    scans; any other line, or one ``raw_decode`` rejects, by ``json.loads``.
-    """
+    """``build(json.loads(line))``, each error named as path:line."""
     try:
-        end = -1
-        if line[:1] == "{":
-            try:
-                value, end = _DECODER.raw_decode(line)
-            except ValueError:
-                pass
-        return build(value if end == len(line) else json.loads(line))
+        return build(json.loads(line))
     except KeyError as exc:
         raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -345,8 +345,9 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
     """Read a ``save_checkpoint`` file.
 
     A malformed file raises ``ValueError`` naming the path, and a bad weight
-    row (a token that is not a hex float, the wrong number of weights, a
-    non-finite weight, a row past the last action) also its line.
+    row (a token that is not a hex float or overflows one, the wrong number
+    of weights, a non-finite weight, a row past the last action) also its
+    line.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
@@ -365,7 +366,7 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
             raise ValueError(f"{path}:{lineno}: more than {N_ACTIONS} weight rows")
         try:
             row = [float.fromhex(x) for x in line.split()]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # overflow: 0x1p+99999
             raise ValueError(f"{path}:{lineno}: malformed weight row: {exc}") from None
         if len(row) != N_FEATURES:
             raise ValueError(

@@ -288,11 +288,6 @@ CONTEXTS: Mapping[str, ProjectivityContext] = {
 }
 
 
-def get_context(name: str) -> ProjectivityContext:
-    """Look up a context by name; unknown names project as identity."""
-    return CONTEXTS.get(name, ProjectivityContext(name))
-
-
 def project(context: ProjectivityContext, relation: Relation) -> Relation:
     """Project a phrase-level relation through a monotonicity context."""
     return context.project(relation)

@@ -12,7 +12,6 @@ from natlog.chunker import (
     chunk_pair,
     chunk_pairs,
     default_rules,
-    mark_projectivity,
     tokenize,
 )
 from natlog.datagen import default_genspec, generate, generate_2hop
@@ -172,11 +171,6 @@ class TestProjectivity:
 
     def test_context_comes_from_first_token(self):
         chunks = chunk(Sentence.parse("the kid does n't like table-tennis"), RULES)
-        for c in chunks:
-            single = mark_projectivity(
-                chunk(Sentence.parse(" ".join(c.tokens)), RULES), RULES
-            )
-            del single  # contexts depend on position, checked below instead
         assert chunks[1].tokens[0] == "does"
         assert chunks[1].context.name == "upward-default"
 
@@ -189,15 +183,9 @@ class TestProjectivity:
             "the dog isn't the cat"
         ) == ["upward-default", "upward-default", "not"]
 
-    def test_mark_projectivity_idempotent(self):
-        for sentence in ("all dogs run", "no small dogs run", "some cats sleep"):
-            once = chunk(Sentence.parse(sentence), RULES)
-            twice = mark_projectivity(once, RULES)
-            assert once == twice
-
-    def test_chunk_marks_like_mark_projectivity_on_split_sentences(self):
-        # chunk builds each chunk with its context in one pass; marking the
-        # result again, or marking unmarked copies, must not change it
+    def test_chunk_equals_reference_on_split_sentences(self):
+        # chunk builds each chunk with its context in one pass; the
+        # frozenset chunker below must agree on every generated sentence
         spec = default_genspec()
         sentences = set()
         for noisy in (False, True):
@@ -205,10 +193,8 @@ class TestProjectivity:
             sentences |= {s for ex in train + test for s in (ex.premise, ex.hypothesis)}
         assert len(sentences) > 500
         for text in sorted(sentences):
-            chunks = chunk(Sentence.parse(text), RULES)
-            unmarked = [Chunk(tokens=c.tokens, start=c.start) for c in chunks]
-            assert chunks == mark_projectivity(chunks, RULES)
-            assert chunks == mark_projectivity(unmarked, RULES)
+            sentence = Sentence.parse(text)
+            assert chunk(sentence, RULES) == reference_chunk(sentence.tokens, RULES)
 
 
 # The chunker before the word-class table: frozenset tests per token.
@@ -302,8 +288,6 @@ class TestWordClassTable:
     def test_equals_frozenset_chunker(self, tokens, rules):
         tokens = tuple(tokens)
         assert chunk(tokens, rules) == reference_chunk(tokens, rules)
-        unmarked = [Chunk(tokens=c.tokens, start=c.start) for c in chunk(tokens, rules)]
-        assert mark_projectivity(unmarked, rules) == reference_chunk(tokens, rules)
 
     @settings(max_examples=500, deadline=None)
     @given(

@@ -509,6 +509,19 @@ class TestErrors:
         assert err["message"].startswith(f"{cfg}:1: epochs: ")
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_overflowing_checkpoint_weight_gives_value_error_record(
+        self, workspace, capsys, tmp_path
+    ):
+        lines = (workspace / "policy.ckpt").read_text().splitlines()
+        lines[4] = " ".join(["0x1p+99999", *lines[4].split()[1:]])
+        bad = tmp_path / "overflow.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        args = ["--checkpoint", str(bad), "some dogs run", "some animals run"]
+        assert main(["prove", *args]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{bad}:5: malformed weight row: ")
+
     @pytest.mark.parametrize("command", ["eval", "train", "oracle"])
     def test_malformed_example_names_dataset_index_and_premise(
         self, workspace, capsys, tmp_path, command

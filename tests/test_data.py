@@ -1,6 +1,6 @@
-"""Tests for dataset records: the ``Example`` constructor, the name code
-tables, malformed-line messages, the frame codec against its reference,
-UTF-8 files and the bytes ``natlog gen`` writes."""
+"""Tests for dataset records: the ``Example`` constructor, member names,
+malformed-line messages, the frame codec against its reference, UTF-8
+files and the bytes ``natlog gen`` writes."""
 
 import dataclasses
 import hashlib
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natlog
-from natlog import data
 from natlog._text import read_text
 from natlog.chunker import ChunkRules
 from natlog.cli import main
@@ -108,22 +107,7 @@ class TestExampleConstructor:
 
 
 class TestCodeTables:
-    def test_names_are_enum_values(self):
-        assert data._LABEL_NAMES == tuple(label.value for label in LABELS)
-        assert data._ACTION_NAMES == tuple(a.value for a in ACTIONS)
-        assert data._RELATION_NAMES == tuple(r.value for r in RELATIONS)
-        assert data._LABEL_BY_NAME == {label.value: label for label in NLILabel}
-        assert data._RELATION_BY_NAME == {r.value: r for r in Relation}
-
-    def test_action_table_agrees_with_parse(self):
-        # every name ``ActionRelation.parse`` accepts, and only those
-        for name in {*data._ACTION_NAMES, *data._RELATION_NAMES, "bogus"}:
-            try:
-                parsed = ActionRelation.parse(name)
-            except ValueError:
-                assert name not in data._ACTION_BY_NAME
-            else:
-                assert data._ACTION_BY_NAME[name] is parsed
+    """A record holds each member's ``value`` and reads it back."""
 
     def test_every_member_round_trips(self):
         for label in LABELS:
@@ -596,22 +580,56 @@ class TestFrameReader:
 
     def test_learned_frame_reads_every_repeat(self, tmp_path, monkeypatch):
         """Once a frame recurs on a canonical line, its lines skip
-        ``from_record``: the first line opens its (head, tail) group, the
-        next two see the frame, and the rest are read from their strings."""
+        ``from_record``: the first line sees the frame, the second learns
+        it, and the rest are read from their strings."""
         examples = [
             Example(f"p{i}", f"h{i}", NLILabel.ENTAILMENT, (A_FE,), (R_FE,), (0,))
             for i in range(10)
         ]
         save_dataset(examples, tmp_path / "d.jsonl")
-        calls = []
-        from_record = Example.from_record.__func__
-        monkeypatch.setattr(
-            Example,
-            "from_record",
-            classmethod(lambda cls, r: calls.append(r) or from_record(cls, r)),
-        )
+        calls = _count_from_record(monkeypatch)
         assert load_dataset(tmp_path / "d.jsonl") == examples
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_annotations_that_never_repeat(self, tmp_path, monkeypatch):
+        """A file where every example has its own annotation saves the
+        reference bytes and loads the reference examples, every line a
+        first sighting read by ``from_record``."""
+        examples = [
+            Example(
+                f"p{i}",
+                f'h "{i}"',
+                LABELS[i % 3],
+                ACTIONS[: i % 4 + 1],
+                RELATIONS[i % 3 :][:2],
+                tuple(range(i % 3, i + 1)),
+                ("train", "test")[i % 2],
+                RELATIONS[i % 7] if i % 4 else None,
+            )
+            for i in range(60)
+        ]
+        assert len({ex.gold_rationale_tokens for ex in examples}) == len(examples)
+        new, ref = tmp_path / "new.jsonl", tmp_path / "ref.jsonl"
+        save_dataset(examples, new)
+        _reference_save(examples, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        calls = _count_from_record(monkeypatch)
+        loaded = load_dataset(new)
+        assert len(calls) == len(examples)
+        assert loaded == _reference_load(ref) == examples
+        assert repr(loaded) == repr(examples)
+
+
+def _count_from_record(monkeypatch) -> list:
+    """The records ``Example.from_record`` is called with from now on."""
+    calls = []
+    from_record = Example.from_record.__func__
+    monkeypatch.setattr(
+        Example,
+        "from_record",
+        classmethod(lambda cls, r: calls.append(r) or from_record(cls, r)),
+    )
+    return calls
 
 
 # -- UTF-8 files ---------------------------------------------------------------

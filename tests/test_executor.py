@@ -24,10 +24,10 @@ from natlog.relations import (
     CONTEXTS,
     ActionRelation,
     NLILabel,
+    ProjectivityContext,
     Relation,
     UPWARD,
     accepting,
-    get_context,
     group,
     join,
     project,
@@ -381,7 +381,9 @@ def reference_matches(fields, target):
 
 
 # the six named contexts and an unknown name, which projects as identity
-any_context = st.sampled_from(list(CONTEXTS.values()) + [get_context("unnamed")])
+any_context = st.sampled_from(
+    list(CONTEXTS.values()) + [ProjectivityContext("unnamed")]
+)
 any_target = st.sampled_from(list(NLILabel) + list(Relation))
 
 

@@ -637,6 +637,15 @@ class TestCheckpoint:
         ):
             load_checkpoint(path)
 
+    def test_overflowing_weight_names_path_and_line(self, tmp_path):
+        # float.fromhex raises OverflowError, not ValueError, on this token
+        path = tmp_path / "policy.ckpt"
+        self.edited(path, 4, lambda row: ["0x1p+99999"] + row[1:])
+        with pytest.raises(
+            ValueError, match=f"^{path}:4: malformed weight row: hexadecimal value"
+        ):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("width", [N_FEATURES - 1, N_FEATURES + 1, 1])
     def test_row_of_wrong_width_names_path_and_line(self, tmp_path, width):
         path = tmp_path / "policy.ckpt"

@@ -23,7 +23,6 @@ from natlog.relations import (
     Relation,
     UPWARD,
     accepting,
-    get_context,
     group,
     join,
     project,
@@ -107,7 +106,7 @@ class TestProjection:
             assert project(CONTEXTS["upward-default"], r) == r
 
     def test_unknown_context_projects_as_identity(self):
-        ctx = get_context("mystery-context")
+        ctx = ProjectivityContext("mystery-context")
         for r in RELATIONS:
             assert project(ctx, r) == r
 
@@ -136,7 +135,7 @@ class TestContextValues:
         assert f"codes={ctx.codes!r}" in repr(ctx)
 
     def test_unknown_context_is_a_hashable_identity(self):
-        a, b = get_context("mystery"), get_context("mystery")
+        a, b = ProjectivityContext("mystery"), ProjectivityContext("mystery")
         assert a == b and hash(a) == hash(b)
         assert a.codes == tuple(range(len(RELATIONS)))
         assert a.codes == UPWARD.codes and a != UPWARD
@@ -182,13 +181,14 @@ class TestCodeTables:
         )
 
     def test_unknown_context_rows_are_identity(self):
-        ctx = get_context("mystery-context")
+        ctx = ProjectivityContext("mystery-context")
         assert ctx.codes == tuple(range(7))
         assert ctx.action_codes == tuple(r.code for r in ACTION_IMAGE_EXPECTED)
 
     def test_code_rows_do_not_change_context_equality(self):
-        assert get_context("mystery-context") == get_context("mystery-context")
-        assert get_context("mystery-context") != CONTEXTS["upward-default"]
+        mystery = ProjectivityContext("mystery-context")
+        assert mystery == ProjectivityContext("mystery-context")
+        assert mystery != CONTEXTS["upward-default"]
 
     def test_group_row(self):
         assert GROUP == tuple(GROUP_EXPECTED[r].code for r in RELATIONS)

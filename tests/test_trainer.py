@@ -40,10 +40,10 @@ from natlog.relations import (
     ActionRelation,
     CONTEXTS,
     NLILabel,
+    ProjectivityContext,
     RELATIONS,
     Relation,
     UPWARD,
-    get_context,
     group,
     join,
 )
@@ -279,7 +279,7 @@ def reward_cases(draw):
     m = draw(st.integers(1, 6))
     contexts = draw(
         st.lists(
-            st.sampled_from(list(CONTEXTS.values()) + [get_context("unnamed")]),
+            st.sampled_from(list(CONTEXTS.values()) + [ProjectivityContext("unnamed")]),
             min_size=m,
             max_size=m,
         )
@@ -609,7 +609,7 @@ class TestIntrospectiveRevision:
             )
 
 
-CONTEXT_POOL = tuple(CONTEXTS.values()) + (get_context("unknown-context"),)
+CONTEXT_POOL = tuple(CONTEXTS.values()) + (ProjectivityContext("unknown-context"),)
 TARGETS = tuple(NLILabel) + RELATIONS
 
 
