@@ -11,20 +11,20 @@ evaluation and the ``prove`` and ``oracle`` commands all start from its
 records, and data generation, evaluation and training read every
 execution from one ``executor.ExecutionTable``.
 
-Exports with no caller in the library are kept as the one-item references
-that the batched paths are checked against, each with a user outside it:
-``distribution`` and ``grad_log_prob`` (``benchmarks/tracing.py``),
-``reinforce_objective`` (criterion 04 and ``benchmarks/tracing.py``),
-``featurize_pair`` (demo 05, ``benchmarks/tracing.py`` and ``run.py``),
-``align`` (demo 03 and ``benchmarks/tracing.py``), ``propose`` (demo 03),
-``phrasal_prf`` (criterion 08) and ``argmax`` (``benchmarks/run.py``).
-``sample`` and ``extract_rationales`` have no such user; only unit tests
-read them, as references of ``policy.sample_codes`` and ``execute``.
+Exports that no library module reaches from the command line are kept
+for a user outside the library, most as the one-item references that the
+batched paths are checked against: ``distribution`` and ``grad_log_prob``
+(``benchmarks/tracing.py``), ``argmax``, ``enumerate_programs`` and
+``save_genspec`` (``benchmarks/run.py``), ``reinforce_objective``,
+``label_accuracy`` and ``phrasal_prf`` (the criterion tests),
+``featurize_pair`` (demo 05), ``align`` and ``propose`` (demo 03), and
+``group`` and ``project`` (demo 01).  Only unit tests read ``sample`` and
+``extract_rationales``, the references of ``policy.sample_codes`` and of
+the executor's rationales.  ``tests/test_exports.py`` keeps this true.
 """
 
 from .chunker import (
     ChunkRules,
-    Sentence,
     chunk,
     chunk_pair,
     chunk_pairs,

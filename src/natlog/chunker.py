@@ -28,27 +28,27 @@ scan and the projectivity pass test bits.
 Chunking is a pure function of the sentence's *shape*: its role bits and
 its trigger tokens (the quantifiers and negators, whose words decide
 between the ``no``, ``some`` and universal scopes).  ``_shape`` maps a
-sentence to each chunk's (start, end, context), and ``chunk`` slices the
-tokens by it.  ``chunk_pairs`` reads each distinct sentence of its pairs
-once, chunks each distinct shape once and slices the tokens of each
-distinct sentence into ``Chunk``s; the noisy test split has 16 shapes
-among its 2036 distinct sentences.  ``chunk_pair`` chunks its two
-sentences directly, as a single pair has no other sentence to share a
-shape with.  Nothing is cached across calls.
+sentence to each chunk's (start, end, context), and ``chunk`` slices a
+token sequence by it.  ``chunk_pairs`` and ``chunk_pair`` take sentences
+as strings, as datasets hold them.  ``chunk_pairs`` tokenizes each
+distinct sentence of its pairs once, chunks each distinct shape once and
+slices the tokens of each distinct sentence into ``Chunk``s; the noisy
+test split has 16 shapes among its 2036 distinct sentences.
+``chunk_pair`` chunks its two sentences directly, as a single pair has
+no other sentence to share a shape with.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-from ._text import read_text
+from ._text import config_lines, write_lines
 from .executor import Chunk, ChunkedPair
 from .relations import CONTEXTS, ProjectivityContext, UPWARD
 
 __all__ = [
-    "Sentence",
     "ChunkRules",
     "tokenize",
     "chunk",
@@ -101,20 +101,6 @@ def tokenize(text: str) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class Sentence:
-    """A tokenized sentence."""
-
-    tokens: tuple[str, ...]
-
-    @classmethod
-    def parse(cls, text: str) -> "Sentence":
-        return cls(tokens=tokenize(text))
-
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
-
-@dataclass(frozen=True)
 class ChunkRules:
     """Closed word classes of the sentence fragment.
 
@@ -161,10 +147,7 @@ class ChunkRules:
         named twice is an error.
         """
         sections: dict[str, frozenset[str]] = {}
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in config_lines(path):
             if ":" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'section: words'")
             key, _, words = line.partition(":")
@@ -182,7 +165,7 @@ class ChunkRules:
             lines.append(f"{key}: {words}")
         for key in sorted(self.extra):
             lines.append(f"{key}: {' '.join(sorted(self.extra[key]))}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, lines)
 
 
 def default_rules() -> ChunkRules:
@@ -295,10 +278,6 @@ def _token_contexts(
     return contexts
 
 
-def _tokens(sentence: Sentence | Sequence[str]) -> tuple[str, ...]:
-    return tuple(sentence.tokens if isinstance(sentence, Sentence) else sentence)
-
-
 def _shape(
     tokens: Sequence[str], bits: Sequence[int]
 ) -> list[tuple[int, int, ProjectivityContext]]:
@@ -309,12 +288,12 @@ def _shape(
     return [(a, b, contexts[a]) for a, b in _spans(bits)]
 
 
-def chunk(sentence: Sentence | Sequence[str], rules: ChunkRules) -> tuple[Chunk, ...]:
-    """Split a sentence into noun-phrase and filler chunks, marked.
+def chunk(tokens: Sequence[str], rules: ChunkRules) -> tuple[Chunk, ...]:
+    """Split a token sequence into noun-phrase and filler chunks, marked.
 
     Each chunk is built once, with the context of its first token.
     """
-    tokens = _tokens(sentence)
+    tokens = tuple(tokens)
     if not tokens:
         raise ValueError("cannot chunk an empty sentence")
     return tuple(
@@ -325,22 +304,17 @@ def chunk(sentence: Sentence | Sequence[str], rules: ChunkRules) -> tuple[Chunk,
     )
 
 
-SentenceLike = Union[Sentence, Sequence[str], str]
-
-
 def chunk_pairs(
-    pairs: Iterable[tuple[SentenceLike, SentenceLike]],
-    rules: ChunkRules,
+    pairs: Iterable[tuple[str, str]], rules: ChunkRules
 ) -> list[ChunkedPair]:
     """Chunk and mark both sides of every pair, each distinct sentence once.
 
-    A sentence is keyed as given: a string by its text, a ``Sentence`` or
-    token sequence by its tokens.  Each pair's sides equal ``chunk`` of
-    each sentence alone.  Each distinct sentence shape is chunked once per
-    call, and each distinct sentence is sliced into chunks once (module
-    docstring); both tables live for one call.
+    Each pair's sides equal ``chunk`` of each sentence's ``tokenize``.
+    Each distinct sentence shape is chunked once per call, and each
+    distinct sentence is sliced into chunks once (module docstring); both
+    tables live for one call.
     """
-    memo: dict = {}  # sentence key -> chunks
+    memo: dict = {}  # sentence -> chunks
     shapes: dict = {}
     return [
         ChunkedPair(
@@ -352,14 +326,13 @@ def chunk_pairs(
 
 
 def _chunked(
-    sentence: SentenceLike, rules: ChunkRules, memo: dict, shapes: dict
+    sentence: str, rules: ChunkRules, memo: dict, shapes: dict
 ) -> tuple[Chunk, ...]:
     """The chunks of a sentence, from ``memo`` or sliced from its shape,
     which comes from ``shapes`` or is chunked and stored there."""
-    key = sentence if isinstance(sentence, str) else _tokens(sentence)
-    chunks = memo.get(key)
+    chunks = memo.get(sentence)
     if chunks is None:
-        tokens = _sentence_tokens(key)
+        tokens = tokenize(sentence)
         if not tokens:
             raise ValueError("cannot chunk an empty sentence")
         bits = _role_bits(tokens, rules)
@@ -370,22 +343,16 @@ def _chunked(
         shape = shapes.get(shape_key)
         if shape is None:
             shape = shapes[shape_key] = _shape(tokens, bits)
-        chunks = memo[key] = tuple(
+        chunks = memo[sentence] = tuple(
             [Chunk(tokens[a:b], a, context) for a, b, context in shape]
         )
     return chunks
 
 
-def _sentence_tokens(sentence: SentenceLike) -> tuple[str, ...]:
-    return tokenize(sentence) if isinstance(sentence, str) else _tokens(sentence)
-
-
-def chunk_pair(
-    premise: SentenceLike, hypothesis: SentenceLike, rules: ChunkRules
-) -> ChunkedPair:
+def chunk_pair(premise: str, hypothesis: str, rules: ChunkRules) -> ChunkedPair:
     """Chunk and mark both sides of a sentence pair, each with ``chunk``: a
     single pair has no other sentence to share a shape with."""
     return ChunkedPair(
-        premise=chunk(_sentence_tokens(premise), rules),
-        hypothesis=chunk(_sentence_tokens(hypothesis), rules),
+        premise=chunk(tokenize(premise), rules),
+        hypothesis=chunk(tokenize(hypothesis), rules),
     )

@@ -69,7 +69,7 @@ def _naming(path: str) -> Iterator[None]:
 def cmd_gen(args) -> None:
     spec = load_genspec(args.config) if args.config else default_genspec()
     if args.seed is not None:
-        spec = spec.with_seed(args.seed)
+        spec = dataclasses.replace(spec, seed=args.seed)
     rules = _rules(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

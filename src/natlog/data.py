@@ -63,7 +63,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ._text import read_text
+from ._text import read_lines, write_lines
 from .chunker import ChunkRules, chunk_pair, chunk_pairs
 from .executor import ChunkedPair
 from .relations import ActionRelation, NLILabel, Relation
@@ -253,7 +253,7 @@ def write_records(
     """Canonical JSON lines behind a ``{"schema", "version"}`` header."""
     lines = [dumps({"schema": schema, "version": version})]
     lines.extend(dumps(record) for record in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 # the sentences of a record whose line shows its frame (module docstring)
@@ -371,7 +371,7 @@ def save_dataset(examples: Iterable[Example], path: str | Path) -> None:
             lines.append(_splice(frame, ex.hypothesis, ex.premise))
         else:
             lines.append(dumps(ex.to_record()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_dataset(path: str | Path) -> list[Example]:
@@ -380,12 +380,9 @@ def load_dataset(path: str | Path) -> list[Example]:
     Lines end at ``\\n`` (a ``\\r`` before it is dropped), and a line in a
     learned frame is read from its two strings (module docstring).
     """
-    text = read_text(path)
-    if not text:
+    lines = read_lines(path)
+    if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
     header = _parse_line(path, 1, lines[0], dict)
     if header.get("schema") != SCHEMA:
         raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {header!r}")

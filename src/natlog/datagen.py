@@ -7,6 +7,10 @@ all come from executing the constructed program, so annotations are
 consistent with the engine by construction.  A generator call reads them
 from one ``executor.ExecutionTable``, the library's one execution table.
 
+Every pair is drafted from its sentences' parts and subsampled before it
+is formatted.  A noisy test pair is a kept test draft with a noise prefix
+before both sentences' parts, built in the same call as train and test.
+
 The compositional split keeps a subset of quantifiers and a subset of
 replacements out of the test set: training pairs either use a held-out
 quantifier (with any replacement) or a held-out replacement (with any
@@ -17,13 +21,14 @@ quantifier-replacement combination appears in both splits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, fields
+from itertools import cycle
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._text import read_text
+from ._text import read_text, write_lines
 from .chunker import ChunkRules, chunk_pairs, default_rules, tokenize
 from .data import Example
 from .executor import ChunkedPair, ExecutionTable
@@ -56,11 +61,10 @@ class Replacement:
     site: str = SUBJECT
 
     def __post_init__(self):
+        if type(self.narrow) is not str or type(self.broad) is not str:
+            raise ValueError(f"replacement phrases must be strings: {self!r}")
         if self.site not in (SUBJECT, PREDICATE):
             raise ValueError(f"unknown replacement site: {self.site!r}")
-
-    def to_record(self) -> dict:
-        return {"narrow": self.narrow, "broad": self.broad, "site": self.site}
 
     @classmethod
     def from_record(cls, record: dict) -> "Replacement":
@@ -75,7 +79,8 @@ class GenSpec:
     of the *test* set: training covers them against everything, and the
     test set covers only the complementary combinations.  Noise prefixes
     are prepended to both sentences of test examples when ``noisy_test``
-    is set, and never to training examples.
+    is set, and never to training examples.  A field of another type, a
+    negative size or a negative seed raises ``ValueError``.
     """
 
     quantifiers: tuple = ()
@@ -93,55 +98,65 @@ class GenSpec:
     two_hop_size: Optional[int] = None
     seed: int = 0
 
-    def with_seed(self, seed: int) -> "GenSpec":
-        return dc_replace(self, seed=seed)
+    def __post_init__(self):
+        for f in fields(self):
+            ok, wanted = _SPEC_TYPES.get(f.name, (_phrases, "a tuple of strings"))
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
 
     def to_record(self) -> dict:
-        return {
-            "quantifiers": list(self.quantifiers),
-            "replacements": [r.to_record() for r in self.replacements],
-            "held_out_quantifiers": list(self.held_out_quantifiers),
-            "held_out_replacements": [
-                r.to_record() for r in self.held_out_replacements
-            ],
-            "subject_fillers": list(self.subject_fillers),
-            "predicate_fillers": list(self.predicate_fillers),
-            "alternations": [list(pair) for pair in self.alternations],
-            "noise_prefixes": list(self.noise_prefixes),
-            "include_identity": self.include_identity,
-            "noisy_test": self.noisy_test,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "two_hop_size": self.two_hop_size,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_record(cls, record: dict) -> "GenSpec":
-        known = {k for k in cls.__dataclass_fields__}
-        unknown = set(record) - known
+        """The spec a record holds; a tuple field must be a list, and a
+        pair in it a list too."""
+        unknown = set(record) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown generation keys: {sorted(unknown)}")
         kwargs = dict(record)
+        for key, value in record.items():
+            if key in _SEQUENCES:
+                if type(value) is not list:
+                    raise ValueError(f"{key} must be a list, got {value!r}")
+                kwargs[key] = tuple(tuple(v) if type(v) is list else v for v in value)
         for key in ("replacements", "held_out_replacements"):
             if key in kwargs:
-                kwargs[key] = tuple(
-                    Replacement.from_record(r) for r in kwargs[key]
-                )
-        for key in (
-            "quantifiers",
-            "held_out_quantifiers",
-            "subject_fillers",
-            "predicate_fillers",
-            "noise_prefixes",
-        ):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "alternations" in kwargs:
-            kwargs["alternations"] = tuple(
-                (a, b) for a, b in kwargs["alternations"]
-            )
+                kwargs[key] = tuple(Replacement.from_record(r) for r in kwargs[key])
         return cls(**kwargs)
+
+
+def _tuple_of(item_ok):
+    return lambda value: type(value) is tuple and all(map(item_ok, value))
+
+
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+_phrases = _tuple_of(lambda v: type(v) is str)
+_REPLACEMENTS = (
+    _tuple_of(lambda v: isinstance(v, Replacement)), "a tuple of Replacements"
+)
+_FLAG = (lambda v: type(v) is bool, "a bool")
+_SIZE = (lambda v: v is None or _count(v), "None or an int >= 0")
+# GenSpec field -> (check, what it wants); every other field holds phrases
+_SPEC_TYPES = {
+    "replacements": _REPLACEMENTS,
+    "held_out_replacements": _REPLACEMENTS,
+    "alternations": (
+        _tuple_of(lambda v: _phrases(v) and len(v) == 2), "a tuple of phrase pairs"
+    ),
+    "include_identity": _FLAG,
+    "noisy_test": _FLAG,
+    "train_size": _SIZE,
+    "test_size": _SIZE,
+    "two_hop_size": _SIZE,
+    "seed": (_count, "an int >= 0"),
+}
+# the tuple fields, which a record holds as lists
+_SEQUENCES = frozenset(f.name for f in fields(GenSpec) if f.default == ())
 
 
 def load_genspec(path: str | Path) -> GenSpec:
@@ -161,8 +176,7 @@ def load_genspec(path: str | Path) -> GenSpec:
 
 
 def save_genspec(spec: GenSpec, path: str | Path) -> None:
-    text = json.dumps(spec.to_record(), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(spec.to_record(), indent=2, sort_keys=True)])
 
 
 def default_genspec() -> GenSpec:
@@ -287,33 +301,22 @@ def _validate_split(spec: GenSpec) -> None:
             raise ValueError(f"held-out {what} set must be a proper subset")
 
 
-def _sentence(quantifier: str, subject: str, predicate: str) -> str:
-    return " ".join(filter(None, (quantifier, subject, predicate)))
+def _sentence(*parts: str) -> str:
+    """The sentence of its parts, the empty ones left out."""
+    return " ".join(filter(None, parts))
 
 
-# A pair to build: premise, hypothesis, the actions at its differing
+# A pair to build: the ([noise prefix,] quantifier, subject, predicate)
+# of its premise and of its hypothesis, the actions at its differing
 # chunks, and its split tag.
-_Plan = tuple[str, str, tuple[ActionRelation, ...], str]
-
-# A pair to plan: the (quantifier, subject, predicate) of its premise and
-# of its hypothesis in place of the two sentences.  Plans are subsampled
-# in this form, so only the kept ones are formatted.
-_Parts = tuple[str, str, str]
-_Draft = tuple[_Parts, _Parts, tuple[ActionRelation, ...], str]
+_Draft = tuple[tuple[str, ...], tuple[str, ...], tuple[ActionRelation, ...], str]
 
 
-def _formatted(drafts: Sequence[_Draft]) -> list[_Plan]:
-    """The plans of the drafts, each sentence formatted once."""
-    return [
-        (_sentence(*premise), _sentence(*hypothesis), actions, tag)
-        for premise, hypothesis, actions, tag in drafts
-    ]
-
-
-def _build_all(plans: Sequence[_Plan], rules: ChunkRules) -> list[Example]:
-    """``_build`` every planned pair, chunking each distinct sentence once
-    and executing each distinct (contexts, program) class once."""
-    pairs = chunk_pairs([(plan[0], plan[1]) for plan in plans], rules)
+def _build_all(drafts: Sequence[_Draft], rules: ChunkRules) -> list[Example]:
+    """``_build`` every draft, formatting each sentence once, chunking each
+    distinct sentence once and executing each distinct class once."""
+    plans = [(_sentence(*p), _sentence(*h), *rest) for p, h, *rest in drafts]
+    pairs = chunk_pairs([plan[:2] for plan in plans], rules)
     table = ExecutionTable()
     return [_build(pair, *plan, table) for pair, plan in zip(pairs, plans)]
 
@@ -385,8 +388,6 @@ def _subsample(pool: list, size: Optional[int], seed: int, key: int) -> list:
     # before they are built and a kept example keeps its bytes.
     if size is None or size >= len(pool):
         return pool
-    if size < 0:
-        raise ValueError("requested size is negative")
     rng = np.random.default_rng([seed, key])
     keep = sorted(rng.choice(len(pool), size=size, replace=False))
     return [pool[i] for i in keep]
@@ -425,22 +426,15 @@ def generate(
 
     train = _subsample(train, spec.train_size, spec.seed, 0)
     test = _subsample(test, spec.test_size, spec.seed, 1)
-    built = _build_all(_formatted(train + test), rules)
-    train_set, test_set = built[: len(train)], built[len(train) :]
-    if spec.noisy_test:
-        if not spec.noise_prefixes:
-            raise ValueError("noisy_test requires noise prefixes")
-        noised = []
-        for i, ex in enumerate(test_set):
-            prefix = spec.noise_prefixes[i % len(spec.noise_prefixes)]
-            actions = tuple(
-                a for a in ex.gold_program if a != ActionRelation.EQUIVALENCE
-            )
-            premise = f"{prefix} {ex.premise}"
-            hypothesis = f"{prefix} {ex.hypothesis}"
-            noised.append((premise, hypothesis, actions, "test-noise"))
-        test_set = test_set + _build_all(noised, rules)
-    return tuple(train_set), tuple(test_set)
+    if spec.noisy_test and not spec.noise_prefixes:
+        raise ValueError("noisy_test requires noise prefixes")
+    prefixes = cycle(spec.noise_prefixes) if spec.noisy_test else ()
+    noised = [
+        ((prefix, *premise), (prefix, *hypothesis), actions, "test-noise")
+        for (premise, hypothesis, actions, _), prefix in zip(test, prefixes)
+    ]
+    built = _build_all(train + test + noised, rules)
+    return tuple(built[: len(train)]), tuple(built[len(train) :])
 
 
 def generate_2hop(
@@ -484,4 +478,4 @@ def generate_2hop(
         for pred_p, pred_h, pred_action in predicate_moves
     ]
     kept = _subsample(drafts, spec.two_hop_size, spec.seed, 2)
-    return tuple(_build_all(_formatted(kept), rules))
+    return tuple(_build_all(kept, rules))

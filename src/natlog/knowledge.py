@@ -17,8 +17,9 @@ normalizes each distinct tuple and builds each near set once, scores each
 distinct (hypothesis tokens, premise tokens) pair once, and computes the
 flags once per distinct (hypothesis tokens, aligned tokens) pair; a call
 with one pair keeps only the roots, having no other pair to share the
-rest with.  Nothing is kept across calls.  ``align``, ``compare``,
-``compare_pair`` and ``propose`` are ``compare_pairs`` on one pair.
+rest with.  Nothing is kept across calls.  ``compare_pair`` is
+``compare_pairs`` on one pair, and ``align`` and ``propose`` are
+``compare_pair`` on a pair with one hypothesis chunk.
 
 Given an aligned premise chunk for a hypothesis chunk, simple rules propose
 candidate relations:
@@ -50,14 +51,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ._text import read_text
+from ._text import config_lines, write_lines
 from .executor import Chunk, ChunkedPair
 from .relations import ActionRelation
 
 __all__ = [
     "Lexicon",
     "align",
-    "compare",
     "compare_pair",
     "compare_pairs",
     "propose",
@@ -166,11 +166,6 @@ class Lexicon:
     def antonymous(self, a: str, b: str) -> bool:
         return bool(self._links.get((self.root(a), self.root(b)), 0) & _ANTONYM)
 
-    def related(self, a: str, b: str) -> bool:
-        """Any lexical link usable for alignment, including equality."""
-        ra, rb = self.root(a), self.root(b)
-        return ra == rb or (ra, rb) in self._links
-
     def normalize(self, tokens: Sequence[str]) -> tuple[str, ...]:
         """The root of each token."""
         return tuple(map(self._root.get, tokens, tokens))
@@ -186,10 +181,7 @@ class Lexicon:
         """
         syn, hyper, ant = [], [], []
         buckets = {"syn": syn, "hyper": hyper, "ant": ant}
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in config_lines(path):
             parts = line.split()
             if len(parts) != 3 or parts[0] not in buckets:
                 raise ValueError(
@@ -205,7 +197,7 @@ class Lexicon:
         lines = [f"syn {a} {b}" for a, b in sorted(self._syn_edges)]
         lines += [f"hyper {a} {b}" for a, b in sorted(self._hyper_edges)]
         lines += [f"ant {a} {b}" for a, b in sorted(self._ant_edges)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, lines)
 
 
 def default_lexicon() -> Lexicon:
@@ -260,7 +252,8 @@ def align(
     the premise chunk.  Ties go to the leftmost premise chunk; zero
     overlap aligns nothing.
     """
-    return compare(hyp_chunk, premise_chunks, lexicon)[0]
+    pair = ChunkedPair(tuple(premise_chunks), (hyp_chunk,))
+    return compare_pair(pair, lexicon)[0][0]
 
 
 def _subphrase(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
@@ -388,24 +381,15 @@ def _flags(
     )
 
 
-def compare(
-    hyp_chunk: Chunk, premise_chunks: Sequence[Chunk], lexicon: Lexicon
-) -> tuple[Optional[Chunk], tuple]:
-    """Aligned premise chunk (or None) and the lexical flags of the pair.
-
-    The flags are exact match and sub-phrase both ways (up to synonyms),
-    synonymy between distinct tokens, hypernymy both ways, antonymy, and
-    the share of hypothesis tokens related to some premise token:
-    ``align``'s score.  They are all false when nothing aligns.  Features
-    and proposals both read this record, so a chunk is aligned once.
-    """
-    pair = ChunkedPair(tuple(premise_chunks), (hyp_chunk,))
-    return compare_pairs([pair], lexicon)[0][0]
-
-
 def compare_pair(pair: ChunkedPair, lexicon: Lexicon) -> tuple[tuple, ...]:
-    """``compare`` for every hypothesis chunk, in order: ``compare_pairs``
-    on one pair."""
+    """Per hypothesis chunk, the aligned premise chunk (or None) and the
+    lexical flags of the two: exact match and sub-phrase both ways (up to
+    synonyms), synonymy between distinct tokens, hypernymy both ways,
+    antonymy, and the share of hypothesis tokens related to some premise
+    token, ``align``'s score.  They are all false when nothing aligns.
+    Features and proposals both read these records, so a chunk is aligned
+    once.
+    """
     return compare_pairs([pair], lexicon)[0]
 
 
@@ -434,7 +418,8 @@ def propose(
     Returned in canonical action order; may be empty, as it is when the
     chunks share no related token.
     """
-    return _proposed(compare(hyp_chunk, (premise_chunk,), lexicon)[1])
+    pair = ChunkedPair((premise_chunk,), (hyp_chunk,))
+    return _proposed(compare_pair(pair, lexicon)[0][1])
 
 
 def keys_from_records(

@@ -51,7 +51,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._text import read_text
+from ._text import read_lines, write_lines
 from .chunker import ChunkRules
 from .data import Example, chunk_examples
 from .executor import ChunkedPair
@@ -338,7 +338,7 @@ def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
     ]
     for row in params.weights:
         lines.append(" ".join(float(x).hex() for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_checkpoint(path: str | Path) -> PolicyParams:
@@ -349,7 +349,7 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
     of weights, a non-finite weight, a row past the last action) also its
     line.
     """
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
     if len(lines) < 3:

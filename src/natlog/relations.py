@@ -129,13 +129,6 @@ class ActionRelation(Enum):
         return RELATIONS[ACTION_IMAGE[self.code]]
 
     @classmethod
-    def from_relation(cls, relation: Relation) -> "ActionRelation":
-        try:
-            return _RELATION_TO_ACTION[relation]
-        except KeyError:
-            raise ValueError(f"{relation} has no action-space counterpart")
-
-    @classmethod
     def parse(cls, name: str) -> "ActionRelation":
         # accept the merged name or either of its seven-relation spellings
         if name in ("negation", "alternation"):
@@ -199,15 +192,6 @@ _ACTION_TO_RELATION = {
     ActionRelation.INDEPENDENCE: Relation.INDEPENDENCE,
 }
 
-_RELATION_TO_ACTION = {
-    Relation.EQUIVALENCE: ActionRelation.EQUIVALENCE,
-    Relation.FORWARD_ENTAILMENT: ActionRelation.FORWARD_ENTAILMENT,
-    Relation.REVERSE_ENTAILMENT: ActionRelation.REVERSE_ENTAILMENT,
-    Relation.NEGATION: ActionRelation.NEG_ALT,
-    Relation.ALTERNATION: ActionRelation.NEG_ALT,
-    Relation.INDEPENDENCE: ActionRelation.INDEPENDENCE,
-}
-
 # ACTION_IMAGE[a]: the code of the relation action code a stands for
 ACTION_IMAGE: tuple[int, ...] = tuple(_ACTION_TO_RELATION[a].code for a in ACTIONS)
 
@@ -262,9 +246,6 @@ class ProjectivityContext:
             self, "action_codes", tuple(self.codes[r] for r in ACTION_IMAGE)
         )
 
-    def project(self, relation: Relation) -> Relation:
-        return RELATIONS[self.codes[relation.code]]
-
 
 def _context(name: str, cells: str) -> ProjectivityContext:
     return ProjectivityContext(name, _row(cells))
@@ -290,7 +271,7 @@ CONTEXTS: Mapping[str, ProjectivityContext] = {
 
 def project(context: ProjectivityContext, relation: Relation) -> Relation:
     """Project a phrase-level relation through a monotonicity context."""
-    return context.project(relation)
+    return RELATIONS[context.codes[relation.code]]
 
 
 _GROUPS = {

@@ -118,7 +118,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._text import read_text
+from ._text import config_lines
 from .chunker import ChunkRules
 from .data import Example, chunk_examples, require_targets
 from .executor import (
@@ -259,10 +259,7 @@ def load_train_config(path: str | Path) -> TrainConfig:
     reported as ``path:line: key: ...``.
     """
     overrides = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in config_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = line.partition("=")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from natlog.chunker import (
     ChunkRules,
-    Sentence,
     chunk,
     chunk_pair,
     chunk_pairs,
@@ -22,11 +21,11 @@ RULES = default_rules()
 
 
 def chunk_texts(sentence):
-    return [c.text() for c in chunk(Sentence.parse(sentence), RULES)]
+    return [c.text() for c in chunk(tokenize(sentence), RULES)]
 
 
 def chunk_contexts(sentence):
-    return [c.context.name for c in chunk(Sentence.parse(sentence), RULES)]
+    return [c.context.name for c in chunk(tokenize(sentence), RULES)]
 
 
 class TestTokenize:
@@ -92,7 +91,7 @@ class TestChunking:
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
-            chunk(Sentence(tokens=()), RULES)
+            chunk((), RULES)
 
     def test_chunks_partition_tokens(self):
         for sentence in (
@@ -101,7 +100,7 @@ class TestChunking:
             "near the shore no small dogs run quickly",
         ):
             tokens = tokenize(sentence)
-            chunks = chunk(Sentence(tokens=tokens), RULES)
+            chunks = chunk(tokens, RULES)
             flat = tuple(t for c in chunks for t in c.tokens)
             assert flat == tokens
             starts = [c.start for c in chunks]
@@ -121,7 +120,7 @@ class TestChunking:
         )
     )
     def test_partition_property(self, tokens):
-        chunks = chunk(Sentence(tokens=tuple(tokens)), RULES)
+        chunks = chunk(tokens, RULES)
         flat = [t for c in chunks for t in c.tokens]
         assert flat == tokens
         assert all(len(c.tokens) > 0 for c in chunks)
@@ -170,7 +169,7 @@ class TestProjectivity:
         ]
 
     def test_context_comes_from_first_token(self):
-        chunks = chunk(Sentence.parse("the kid does n't like table-tennis"), RULES)
+        chunks = chunk(tokenize("the kid does n't like table-tennis"), RULES)
         assert chunks[1].tokens[0] == "does"
         assert chunks[1].context.name == "upward-default"
 
@@ -193,8 +192,8 @@ class TestProjectivity:
             sentences |= {s for ex in train + test for s in (ex.premise, ex.hypothesis)}
         assert len(sentences) > 500
         for text in sorted(sentences):
-            sentence = Sentence.parse(text)
-            assert chunk(sentence, RULES) == reference_chunk(sentence.tokens, RULES)
+            tokens = tokenize(text)
+            assert chunk(tokens, RULES) == reference_chunk(tokens, RULES)
 
 
 # The chunker before the word-class table: frozenset tests per token.
@@ -337,8 +336,8 @@ class TestChunkPairs:
         assert len(distinct) < len(pairs)  # sentences repeat across pairs
         expected = [
             ChunkedPair(
-                premise=chunk(Sentence.parse(p), RULES),
-                hypothesis=chunk(Sentence.parse(h), RULES),
+                premise=chunk(tokenize(p), RULES),
+                hypothesis=chunk(tokenize(h), RULES),
             )
             for p, h in pairs
         ]
@@ -346,20 +345,14 @@ class TestChunkPairs:
         assert [chunk_pair(p, h, RULES) for p, h in pairs] == expected
 
     def test_duplicates_and_mixed_inputs(self):
-        # strings, Sentences and token lists, the same sentence in several
-        # forms within one call
+        # every split's pairs, then every other pair again and pairs of a
+        # sentence with itself, all within one call
         examples = _split_sentences()
-        forms = (str, Sentence.parse, lambda text: list(tokenize(text)))
-        mixed = [
-            (forms[i % 3](e.premise), forms[i % 2](e.hypothesis))
-            for i, e in enumerate(examples)
-        ]
+        mixed = [(e.premise, e.hypothesis) for e in examples]
         mixed += mixed[::2] + [(e.premise, e.premise) for e in examples[:20]]
 
         def alone(sentence):
-            if isinstance(sentence, str):
-                sentence = Sentence.parse(sentence)
-            return chunk(sentence, RULES)
+            return chunk(tokenize(sentence), RULES)
 
         expected = [ChunkedPair(alone(p), alone(h)) for p, h in mixed]
         assert [chunk_pair(p, h, RULES) for p, h in mixed] == expected
@@ -416,10 +409,9 @@ class TestChunkPairs:
             ]
         sentences = data.draw(st.permutations(sentences))
         pairs = list(zip(sentences, sentences[1:] + sentences[:1]))
-        # every other premise as text, which chunk_pairs tokenizes
-        as_given = [
-            (" ".join(p) if i % 2 else p, h) for i, (p, h) in enumerate(pairs)
-        ]
+        # as text, which chunk_pairs tokenizes back into the drawn tokens
+        as_given = [(" ".join(p), " ".join(h)) for p, h in pairs]
+        assert [tuple(map(tokenize, texts)) for texts in as_given] == pairs
         expected = [
             ChunkedPair(reference_chunk(p, rules), reference_chunk(h, rules))
             for p, h in pairs
@@ -491,6 +483,14 @@ class TestGrammarFile:
         path.write_text("quantifiers all some\n")
         with pytest.raises(ValueError):
             ChunkRules.load(path)
+
+    def test_line_numbers_count_newlines_only(self, tmp_path):
+        # a line separator (U+2028) ends no line, so the bad line is line 2
+        path = tmp_path / "grammar.txt"
+        path.write_text("nouns: dog\u2028\nverbs run\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            ChunkRules.load(path)
+        assert str(info.value) == f"{path}:2: expected 'section: words'"
 
     def test_duplicate_section_rejected(self, tmp_path):
         path = tmp_path / "grammar.txt"

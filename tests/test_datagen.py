@@ -7,7 +7,7 @@ import re
 import pytest
 
 from natlog import datagen
-from natlog.chunker import chunk_pair, default_rules
+from natlog.chunker import chunk_pair, chunk_pairs, default_rules
 from natlog.cli import main
 from natlog.data import load_dataset, save_dataset
 from natlog.datagen import (
@@ -20,7 +20,7 @@ from natlog.datagen import (
     save_genspec,
     _subsample,
 )
-from natlog.executor import execute
+from natlog.executor import ExecutionTable, execute
 from natlog.relations import ActionRelation, NLILabel
 
 A_EQ = ActionRelation.EQUIVALENCE
@@ -210,6 +210,32 @@ class TestNoise:
             trace = execute(pair, twin.gold_program)
             assert trace.label == twin.label
 
+    @pytest.mark.parametrize(
+        "sizes", [{}, {"train_size": 60, "test_size": 40, "seed": 3}]
+    )
+    def test_equals_noise_added_to_built_examples(self, spec, rules, sizes):
+        """The noisy pairs equal those derived from the built test examples:
+        each one's strings behind a prefix, with its gold program's steps
+        that are not equivalence as the actions, built in a second call."""
+        clean = dataclasses.replace(spec, **sizes)
+        train, test = generate(clean, rules)
+        derived = []
+        for i, ex in enumerate(test):
+            prefix = spec.noise_prefixes[i % len(spec.noise_prefixes)]
+            actions = tuple(a for a in ex.gold_program if a != A_EQ)
+            derived.append(
+                (f"{prefix} {ex.premise}", f"{prefix} {ex.hypothesis}", actions)
+            )
+        pairs = chunk_pairs([d[:2] for d in derived], rules)
+        table = ExecutionTable()
+        noised = tuple(
+            datagen._build(pair, *d, "test-noise", table)
+            for pair, d in zip(pairs, derived)
+        )
+        assert len(noised) == len(test) > 0
+        noisy = dataclasses.replace(clean, noisy_test=True)
+        assert generate(noisy, rules) == (train, test + noised)
+
     def test_noise_requires_prefixes(self, spec, rules):
         bad = dataclasses.replace(spec, noisy_test=True, noise_prefixes=())
         with pytest.raises(ValueError):
@@ -268,7 +294,7 @@ class TestDeterminism:
         second = generate(small, rules)
         assert first == second
         assert len(first[0]) == 50 and len(first[1]) == 50
-        other = generate(small.with_seed(1), rules)
+        other = generate(dataclasses.replace(small, seed=1), rules)
         assert other != first
 
     def test_subsample_keeps_generation_order(self, spec, rules):
@@ -439,6 +465,58 @@ class TestSpecSerialization:
         assert record["error"] == "ValueError"
         assert record["message"].startswith(f"{path}:1: malformed JSON")
 
-    def test_with_seed(self, spec):
-        assert spec.with_seed(7).seed == 7
-        assert spec.with_seed(7).replacements == spec.replacements
+    def test_seed_override_keeps_other_fields(self, spec):
+        reseeded = dataclasses.replace(spec, seed=7)
+        assert reseeded.seed == 7
+        assert dataclasses.replace(reseeded, seed=spec.seed) == spec
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("train_size", "5"),
+            ("two_hop_size", -3),
+            ("quantifiers", "all"),
+            ("include_identity", "no"),
+            ("seed", -1),
+            ("seed", 1.5),
+        ],
+    )
+    def test_gen_command_names_spec_with_bad_field(
+        self, spec, tmp_path, capsys, field, value
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_record() | {field: value}))
+        out = tmp_path / "out"
+        code = main(["gen", "--config", str(path), "--out", str(out), "--two-hop"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{path}: bad generation spec: {field} ")
+        assert repr(value) in record["message"]
+        assert not out.exists()
+
+    def test_record_lists_every_field(self, spec, tmp_path):
+        """``save_genspec`` writes the spec's record listed field by field,
+        each sequence as a JSON list."""
+
+        def replacement(r):
+            return {"narrow": r.narrow, "broad": r.broad, "site": r.site}
+
+        record = {
+            f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
+        } | {
+            "quantifiers": list(spec.quantifiers),
+            "replacements": [replacement(r) for r in spec.replacements],
+            "held_out_quantifiers": list(spec.held_out_quantifiers),
+            "held_out_replacements": [
+                replacement(r) for r in spec.held_out_replacements
+            ],
+            "subject_fillers": list(spec.subject_fillers),
+            "predicate_fillers": list(spec.predicate_fillers),
+            "alternations": [list(pair) for pair in spec.alternations],
+            "noise_prefixes": list(spec.noise_prefixes),
+        }
+        save_genspec(spec, tmp_path / "spec.json")
+        assert (tmp_path / "spec.json").read_text() == (
+            json.dumps(record, indent=2, sort_keys=True) + "\n"
+        )

@@ -16,7 +16,6 @@ from natlog.knowledge import (
     Lexicon,
     _proposed,
     align,
-    compare,
     compare_pair,
     default_lexicon,
     proposal_keys,
@@ -121,13 +120,21 @@ class TestLexicon:
         ):
             Lexicon.load(path)
 
-    def test_related_covers_all_edge_kinds(self):
-        assert LEX.related("dog", "dog")
-        assert LEX.related("kid", "child")
-        assert LEX.related("dog", "animal")
-        assert LEX.related("animal", "dog")
-        assert LEX.related("run", "sleep")
-        assert not LEX.related("dog", "run")
+    def test_related_covers_all_edge_kinds(self, tmp_path):
+        # every edge kind relates two words, and one-word chunks align
+        # exactly when their words are related
+        ref = ReferenceLexicon.of(LEX, tmp_path / "default.lex")
+        for a, b, related in [
+            ("dog", "dog", True),
+            ("kid", "child", True),
+            ("dog", "animal", True),
+            ("animal", "dog", True),
+            ("run", "sleep", True),
+            ("dog", "run", False),
+        ]:
+            assert ref.related(a, b) == related
+            aligned = align(make_chunk(a), [make_chunk(b)], LEX)
+            assert (aligned is not None) == related
 
     def test_load_dump_round_trip(self, tmp_path):
         path = tmp_path / "lexicon.txt"
@@ -145,6 +152,14 @@ class TestLexicon:
         path.write_text("# edges\nsyn kid child\n\nhyper animal dog\nant run sleep\n")
         lex = Lexicon.load(path)
         assert lex.synonymous("kid", "child")
+
+    def test_line_numbers_count_newlines_only(self, tmp_path):
+        # a form feed ends no line, so the bad line is line 2
+        path = tmp_path / "l.txt"
+        path.write_text("syn kid child\x0c\nsyn kid\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            Lexicon.load(path)
+        assert str(info.value) == f"{path}:2: expected 'syn|hyper|ant word word'"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "lexicon.txt"
@@ -570,14 +585,15 @@ class TestOneComparison:
         ref = ReferenceLexicon.of(LEX, tmp_path / "default.lex")
         for pair in split_pairs:
             for hyp in pair.hypothesis:
-                aligned, flags = compare(hyp, pair.premise, LEX)
+                aligned, flags = compare_pair(ChunkedPair(pair.premise, (hyp,)), LEX)[0]
                 ref_aligned, ref_flags = _reference_compare(hyp, pair.premise, ref)
                 assert aligned is ref_aligned
                 assert tuple(float(f) for f in flags) == ref_flags
 
     def test_unaligned_chunk_has_no_flags_or_proposals(self):
         pair = chunk_pair("some dogs run", "some dogs blarg", RULES)
-        aligned, flags = compare(pair.hypothesis[1], pair.premise, LEX)
+        hyp = pair.hypothesis[1]
+        aligned, flags = compare_pair(ChunkedPair(pair.premise, (hyp,)), LEX)[0]
         assert aligned is None
         assert flags == (False,) * 7 + (0.0,)
         assert all(t == 1 for t, _ in proposal_keys(pair, LEX))
@@ -649,7 +665,6 @@ class TestLexiconEqualsReference:
                 assert lex.synonymous(a, b) == ref.synonymous(a, b)
                 assert lex.hypernym_of(a, b) == ref.hypernym_of(a, b)
                 assert lex.antonymous(a, b) == ref.antonymous(a, b)
-                assert lex.related(a, b) == ref.related(a, b)
         premise = tuple(Chunk(tokens=tuple(t), start=i) for i, t in enumerate(premise_chunks))
         hypothesis = tuple(Chunk(tokens=tuple(t), start=0) for t in hypothesis_chunks)
         records = compare_pair(ChunkedPair(premise=premise, hypothesis=hypothesis), lex)
@@ -658,7 +673,7 @@ class TestLexiconEqualsReference:
             ref_aligned, ref_flags = _reference_compare(hyp, premise, ref)
             assert aligned is ref_aligned
             assert tuple(float(f) for f in flags) == ref_flags
-            assert compare(hyp, premise, lex) == (aligned, flags)
+            assert compare_pair(ChunkedPair(premise, (hyp,)), lex) == ((aligned, flags),)
             assert align(hyp, premise, lex) is aligned
             event(_overlap_kind(hyp, premise, ref))
             for chunk in premise:

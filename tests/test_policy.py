@@ -13,7 +13,7 @@ from natlog.chunker import chunk_pair, chunk_pairs, default_rules
 from natlog.data import Example
 from natlog.datagen import default_genspec, generate, generate_2hop
 from natlog.executor import Chunk, ChunkedPair
-from natlog.knowledge import compare, compare_pair, default_lexicon
+from natlog.knowledge import compare_pair, default_lexicon
 from natlog.policy import (
     FEATURE_NAMES,
     N_ACTIONS,
@@ -162,8 +162,16 @@ def _separate_compare(hyp, premise, lexicon):
     candidate's overlap counted on its own, then the flags of the winner
     computed afresh."""
 
+    def related(u, v):
+        return (
+            lexicon.synonymous(u, v)
+            or lexicon.hypernym_of(u, v)
+            or lexicon.hypernym_of(v, u)
+            or lexicon.antonymous(u, v)
+        )
+
     def overlap(chunk):
-        return sum(any(lexicon.related(u, v) for v in chunk.tokens) for u in hyp.tokens)
+        return sum(any(related(u, v) for v in chunk.tokens) for u in hyp.tokens)
 
     scores = [overlap(c) for c in premise]
     if max(scores, default=0) == 0:
@@ -242,7 +250,9 @@ class TestFeatureMatrixEqualsRowStack:
             for t, (_, flags) in enumerate(compare_pair(case, LEX), 1):
                 expected = _reference_row(case, t, flags).tobytes()
                 # the chunk aligned on its own gives the same row
-                alone = compare(case.hypothesis[t - 1], case.premise, LEX)[1]
+                alone = compare_pair(
+                    ChunkedPair(case.premise, (case.hypothesis[t - 1],)), LEX
+                )[0][1]
                 assert _reference_row(case, t, alone).tobytes() == expected
                 assert matrix[t - 1].tobytes() == expected
         assert not featurize_pair(_unknown_context(pair), LEX)[0, 9:15].any()
@@ -644,6 +654,18 @@ class TestCheckpoint:
         with pytest.raises(
             ValueError, match=f"^{path}:4: malformed weight row: hexadecimal value"
         ):
+            load_checkpoint(path)
+
+    def test_line_numbers_count_newlines_only(self, tmp_path):
+        # a NEL (\x85) after the first row ends no line, so the bad second
+        # row is line 5
+        path = tmp_path / "policy.ckpt"
+        save_checkpoint(PolicyParams.zeros(), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[3] += "\x85"
+        lines[4] = "zz"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{path}:5: malformed weight row"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("width", [N_FEATURES - 1, N_FEATURES + 1, 1])

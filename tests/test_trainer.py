@@ -1990,6 +1990,14 @@ class TestTrainConfigFile:
         assert str(info.value).startswith(f"{path}:2: epochs: ")
         assert "'two'" in str(info.value)
 
+    def test_line_numbers_count_newlines_only(self, tmp_path):
+        # a record separator (\x1e) ends no line, so the bad line is line 2
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs = 2\x1e\nmu 1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_train_config(path)
+        assert str(info.value) == f"{path}:2: expected 'key = value'"
+
     def test_bad_bool_names_file_and_line(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("seed = 3\n\nknowledge = maybe\n")
