@@ -80,7 +80,8 @@ class GenSpec:
     test set covers only the complementary combinations.  Noise prefixes
     are prepended to both sentences of test examples when ``noisy_test``
     is set, and never to training examples.  A field of another type, a
-    negative size or a negative seed raises ``ValueError``.
+    negative size, a negative seed or an empty or whitespace-only noise
+    prefix raises ``ValueError``.
     """
 
     quantifiers: tuple = ()
@@ -147,6 +148,11 @@ _SPEC_TYPES = {
     "held_out_replacements": _REPLACEMENTS,
     "alternations": (
         _tuple_of(lambda v: _phrases(v) and len(v) == 2), "a tuple of phrase pairs"
+    ),
+    # a blank prefix would make a noised pair its clean twin
+    "noise_prefixes": (
+        _tuple_of(lambda v: type(v) is str and v.strip() != ""),
+        "a tuple of non-blank strings",
     ),
     "include_identity": _FLAG,
     "noisy_test": _FLAG,

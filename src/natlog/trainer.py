@@ -29,6 +29,23 @@ single-step edits supplies at most one answer-driven fix.
 The revised program is scored the same way and both objectives combine as
 lambda * J + (1 - lambda) * J_revised.
 
+Only the episodes that revision can change are revised.  Take an episode
+whose every proposal key (t, a) has a equal to the action sampled at step
+t, and whose sampled program reaches the target.  Every pop is then an
+outright accept of the unchanged action, whose key is in the reaching
+edit set because the unchanged action counts as an edit, or a Metropolis
+test with ratio 1; either way ``apply`` changes nothing.  Grid search does
+not fire, since step 1's own action is in the reaching set.  So revision
+returns (code, ()) whatever the probabilities and draws, and as each
+episode owns its row of uniforms, skipping it shifts no other episode's
+draws.  ``train`` therefore marks each episode that "clashes": some step's
+proposed action (``_proposed_actions``, one entry per stacked row, with a
+code no action equals where two relations are proposed at one step)
+differs from the action sampled there.  ``run_episode`` revises an episode
+that clashes or misses the target, and returns every other one unchanged
+with no queue built and no draw read.  Without knowledge nothing is
+proposed, so only the episodes that miss are revised.
+
 Revision works on program codes and plain (step, relation) keys: ``fix``
 replaces one base-5 digit of a ``program_code``, a proposal or an edit is
 a key as ``knowledge.proposal_keys`` and ``executor.single_edits`` return
@@ -43,18 +60,21 @@ built.
 
 ``train`` runs batch by batch, and a batch's actions are integer codes
 from the sampler to the gradient.  Once per epoch it gathers, in the
-shuffled episode order, the compiled feature rows, each step's draw (the
-first m of its episode's uniforms) and the layout of the program codes, so
-that each batch's steps are one contiguous slice of each.  The
-probabilities depend only on the weights and a feature row, and the
-weights change once per batch, so each batch makes one
-``step_distributions`` call over its slice, and one ``sample_codes`` call
-draws every step's action code from it.  One pass over those codes gives
-each episode's ``program_code`` (``_program_codes``), and ``run_episode``,
-the one per-episode call, looks its rewards up by (class, code): without
-revision that lookup is the whole episode, with no per-episode array,
-tuple or record.  With revision the episode revises that code and reads
-its probabilities as Python floats, from one ``tolist()`` per batch.  The
+shuffled episode order, the compiled feature rows, with revision each
+step's proposed action, each step's draw (the first m of its episode's
+uniforms) and the layout of the program codes, so that each batch's
+steps are one contiguous slice of each.  The probabilities depend only on
+the weights and a feature row, and the weights change once per batch, so
+each batch makes one ``step_distributions`` call over its slice, and one
+``sample_codes`` call draws every step's action code from it.  One pass
+over those codes gives each episode's ``program_code``
+(``_program_codes``), and ``run_episode``, the one per-episode call,
+looks its rewards up by (class, code): without revision that lookup is
+the whole episode, with no per-episode array, tuple or record.  With
+revision, one comparison of the batch's sampled codes with its gathered
+proposed actions and one ``logical_or.reduceat`` over the episode starts
+give each episode's clash bit, and an episode that revises reads its
+probabilities as Python floats, from one ``tolist()`` per batch.  The
 batch is then scored in one ``batch_objective`` pass over the same
 stacked rows and sampled codes, with the rows and codes of every changed
 revision appended: ``_score`` forms every step's term of every program in
@@ -176,6 +196,9 @@ _BASE = len(ACTIONS)  # a program code's digits are base 5
 # program codes of up to 26 steps are below 2 * 5**26 < 2**63, so int64
 # holds them; longer programs are coded in Python ints
 _INT64_STEPS = 26
+
+# a step's proposed action where two relations are proposed: no code equals it
+_CLASH = _BASE
 
 # Seeds and episode ordinals stay below 2**32, where each is one entropy
 # word of SeedSequence([seed, ordinal]), the only case _stream_words derives.
@@ -847,6 +870,7 @@ def run_episode(
     code: int,
     rows: Sequence[Sequence[float]] = (),
     uniforms: Sequence[float] = (),
+    clashes: bool = True,
 ) -> tuple[tuple[float, ...], Optional[Revision]]:
     """Reward and (optionally) revise one sampled program.
 
@@ -862,11 +886,22 @@ def run_episode(
     ``queue_from_keys`` call and revises the code itself; a revised
     program is looked up only when its code differs from the sampled one,
     and otherwise its code and rewards are the sampled program's.
+
+    ``clashes`` False tells the episode that every proposal key (t, a) of
+    ``compiled`` has a equal to the sampled action at step t, as holds
+    for every program without knowledge.  Such an episode whose program
+    reaches the target is one that revision cannot change (module
+    docstring): it returns the sampled program's code and rewards with no
+    events, builds no queue and reads neither ``rows`` nor ``uniforms``.
+    Every other episode, and every episode under the default True, is
+    revised.
     """
     rewards = table.rewards(cls, code)
     config = table.config
     if not config.introspective_revision:
         return rewards, None
+    if not clashes and table.reaches(cls, code):
+        return rewards, (code, rewards, ())
     phi = queue_from_keys(compiled.proposals if config.knowledge else (), rows)
     revised, events = introspective_revision(
         table, cls, code, phi, rows, uniforms[compiled.pair.m :]
@@ -1038,6 +1073,22 @@ def _episode_uniforms(seed: int, ordinals: np.ndarray, width: int) -> np.ndarray
     return uniforms
 
 
+def _proposed_actions(compiled: Sequence[Compiled], knowledge: bool) -> np.ndarray:
+    """What revision may propose at each step of ``compiled``, stacked as
+    its feature rows are: the action code of the one relation proposed
+    there, -1 where none is (every step without ``knowledge``) and
+    ``_CLASH``, which no action code equals, where two or more are."""
+    proposed: list[int] = []
+    for item in compiled:
+        steps = [-1] * item.pair.m
+        if knowledge:
+            for t, relation in item.proposals:
+                known = steps[t - 1]
+                steps[t - 1] = relation.code if known in (-1, relation.code) else _CLASH
+        proposed += steps
+    return np.array(proposed, dtype=np.intp)
+
+
 def _episode_width(item: Compiled, config: TrainConfig) -> int:
     """The most uniforms an episode of ``item`` reads: one per step, and two
     per proposal that revision may pop."""
@@ -1059,7 +1110,8 @@ def train(
     gathers their steps in that order once, and walks them in slices of
     ``batch_size`` (module docstring).  A slice gets one
     ``step_distributions`` and one ``sample_codes`` call over its rows; its
-    episodes run under those weights, one ``run_episode`` each, its
+    episodes run under those weights, one ``run_episode`` each, told
+    whether any proposal clashes with the sampled program, its
     objective is scored in one ``batch_objective`` call, and the gradients'
     sum, seeded with +0.0, updates the weights once, at the end of the
     slice.  The objective, reward and revision tallies are summed episode
@@ -1094,6 +1146,8 @@ def train(
     ms = [item.pair.m for item in compiled]
     lengths = np.array(ms)
     starts = np.cumsum(lengths) - lengths  # each example's first row in features
+    if config.introspective_revision:
+        proposed = _proposed_actions(compiled, config.knowledge)
     greedy_hits = _greedy_hits(table, classes, compiled, features)
 
     metrics: list[EpochMetrics] = []
@@ -1106,13 +1160,16 @@ def train(
         )
         # the epoch's steps in episode order, gathered once: episode k's
         # steps are bounds[k] to bounds[k + 1], with a copy of its example's
-        # rows, the first m of its uniforms as draws, and the layout of its
-        # program code
+        # rows and proposed actions, the first m of its uniforms as draws,
+        # and the layout of its program code
         steps = lengths[order]
         places, firsts, leads = _code_layout(steps)
         t = np.arange(len(places)) - np.repeat(firsts, steps)  # 0-based step
-        rows = features[t + np.repeat(starts[order], steps)]
+        at_rows = t + np.repeat(starts[order], steps)
+        rows = features[at_rows]
         draws = uniforms[np.repeat(np.arange(n), steps), t]
+        if config.introspective_revision:
+            epoch_proposed = proposed[at_rows]
         bounds = [*firsts.tolist(), len(places)]
         episodes = order.tolist()
 
@@ -1126,11 +1183,9 @@ def train(
             batch_rows = rows[begin:end]
             probs = step_distributions(params, batch_rows)
             codes = sample_codes(probs, draws[begin:end])
+            batch_firsts = firsts[start:stop] - begin
             programs = _program_codes(
-                codes,
-                places[begin:end],
-                firsts[start:stop] - begin,
-                leads[start:stop],
+                codes, places[begin:end], batch_firsts, leads[start:stop]
             )
             batch = zip(episodes[start:stop], programs)
             batch_rewards = []
@@ -1143,8 +1198,14 @@ def train(
             else:
                 revised = {}
                 prob_rows = probs.tolist()
-                for k, ((i, code), episode_draws) in enumerate(
-                    zip(batch, uniforms[start:stop].tolist())
+                # an episode clashes when a step's proposal differs from the
+                # action sampled there
+                batch_proposed = epoch_proposed[begin:end]
+                clashes = np.logical_or.reduceat(
+                    (batch_proposed != -1) & (batch_proposed != codes), batch_firsts
+                ).tolist()
+                for k, ((i, code), episode_draws, clash) in enumerate(
+                    zip(batch, uniforms[start:stop].tolist(), clashes)
                 ):
                     at = bounds[start + k] - begin
                     rewards, (revised_code, revised_rewards, events) = run_episode(
@@ -1154,6 +1215,7 @@ def train(
                         code,
                         prob_rows[at : at + ms[i]],
                         episode_draws,
+                        clashes=clash,
                     )
                     batch_rewards.append(rewards)
                     reward_total += sum(rewards)

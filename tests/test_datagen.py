@@ -241,6 +241,24 @@ class TestNoise:
         with pytest.raises(ValueError):
             generate(bad, rules)
 
+    @pytest.mark.parametrize(
+        "prefixes", [("",), (" ",), ("in the park", "\t \n"), ("\u2028",)]
+    )
+    def test_blank_prefix_rejected(self, spec, prefixes, tmp_path, capsys):
+        # a blank prefix would give test-noise sentences equal to their
+        # clean twins, so the noisy split would not be noisy
+        message = "noise_prefixes must be a tuple of non-blank strings"
+        for noisy in (True, False):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(spec, noisy_test=noisy, noise_prefixes=prefixes)
+        path = tmp_path / "spec.json"
+        record = spec.to_record() | {"noise_prefixes": list(prefixes)}
+        path.write_text(json.dumps(record))
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith(f"{path}: bad generation spec: {message}")
+
     def test_train_is_never_noised(self, splits, spec):
         train, _ = splits
         for example in train:

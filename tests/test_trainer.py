@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import inspect
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -76,6 +77,7 @@ from natlog.trainer import (
     _greedy_hits,
     _program,
     _program_codes,
+    _proposed_actions,
     _stream_words,
 )
 
@@ -812,6 +814,73 @@ class TestFastPathsMatchExecution:
                 fast(cls, program_code((A_EQ,)))
         with pytest.raises(ValueError, match="program length 1"):
             single_edits(pair, (A_EQ,), NLILabel.ENTAILMENT)
+
+
+def proposing(pair, keys):
+    """An example of ``pair`` with proposal keys ``keys``: the two fields of
+    a ``Compiled`` that ``run_episode`` and ``_proposed_actions`` read."""
+    return types.SimpleNamespace(pair=pair, proposals=tuple(keys))
+
+
+def takes_every_proposal(program, keys):
+    """Whether ``program`` already takes the action of every key (t, a)."""
+    return all(program[t - 1] is a for t, a in keys)
+
+
+class TestRevisionSkip:
+    """A program that takes every proposal and reaches its target is one
+    that revision cannot change, and the clash bit tells it apart."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        revision_cases(),
+        st.sampled_from([0, 1, 3]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([0.0, 0.2, 1.0]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_skip_is_exact(self, case, budget, knowledge, single, epsilon, seed):
+        pair, program, target, probs, keys = case
+        if single:  # one relation per step, each key kept as often as drawn
+            first = dict(reversed(keys))
+            keys = [(t, first[t]) for t, _ in keys]
+        config = TrainConfig(max_revisions=budget, epsilon=epsilon, knowledge=knowledge)
+        item = proposing(pair, keys)
+        keys = keys if knowledge else []
+        # the clash bit of the case's program, as train forms it
+        proposed = _proposed_actions([item], knowledge)
+        codes = np.array([a.code for a in program])
+        clashes = bool(((proposed != -1) & (proposed != codes)).any())
+        assert clashes != takes_every_proposal(program, keys)
+
+        table = OutcomeTable(config)
+        cls = table.classify(pair, target)
+        rows = probs.tolist()
+        width = pair.m + 2 * min(budget, len(keys))
+        uniforms = np.random.default_rng(seed).random(width).tolist()
+        # every program that takes every proposal takes the proposed action
+        # at each step with one (none is left where a step has two) and any
+        # action elsewhere; the first 200 of them, in product order
+        choices = [
+            [a for a in ACTIONS if (t, a) in keys] or ACTIONS
+            for t in range(1, pair.m + 1)
+        ]
+        candidates = itertools.product(*choices)
+        for taken in itertools.islice(candidates, 200):
+            code = program_code(taken)
+            if not takes_every_proposal(taken, keys) or not table.reaches(cls, code):
+                continue
+            phi = queue_from_keys(keys, probs)
+            revision = introspective_revision(
+                table, cls, code, phi, probs, uniforms[pair.m :]
+            )
+            assert revision == (code, ())
+            rewards = table.rewards(cls, code)
+            skipped = run_episode(table, cls, item, code, rows, uniforms, clashes=False)
+            full = run_episode(table, cls, item, code, rows, uniforms)
+            assert skipped == full == (rewards, (code, rewards, ()))
+            assert skipped[1][1] is full[1][1] is rewards
 
 
 class TestOneNormalizationPerChunk:
@@ -1705,6 +1774,41 @@ class TestTrainCallStructure:
             "step_distributions": config.epochs * (batches + 1),
         }
 
+    @pytest.mark.parametrize("split", ["comp", "noisy"])
+    @pytest.mark.parametrize("knowledge", [True, False])
+    def test_only_episodes_that_clash_or_miss_revise(
+        self, monkeypatch, split, knowledge
+    ):
+        # each episode's clash bit, as train vectorizes it, against the
+        # per-episode definition; revision and its queue run once per
+        # episode that clashes or misses, and grid search ranks one more
+        examples = equivalence_slice(split)
+        n = len(augment(examples)[0])
+        config = TrainConfig(epochs=2, batch_size=7, seed=3, knowledge=knowledge)
+        counts = collections.Counter()
+        for name in ("introspective_revision", "queue_from_keys", "grid_search"):
+            count_calls(monkeypatch, counts, natlog.trainer, name)
+        episodes = []
+        run = natlog.trainer.run_episode
+
+        def recording(table, cls, item, code, rows, uniforms, clashes):
+            episodes.append((item, code, clashes))
+            return run(table, cls, item, code, rows, uniforms, clashes=clashes)
+
+        monkeypatch.setattr(natlog.trainer, "run_episode", recording)
+        train(examples, RULES, LEX, config)
+        assert len(episodes) == config.epochs * n
+        revising = 0
+        for item, code, clashes in episodes:
+            program = _program(code)
+            proposals = item.proposals if knowledge else ()
+            assert clashes is any(program[t - 1] is not a for t, a in proposals)
+            hit = matches_target(execute(item.pair, program), item.target)
+            revising += clashes or not hit
+        assert 0 < revising < len(episodes)
+        assert counts["introspective_revision"] == revising
+        assert counts["queue_from_keys"] == revising + counts["grid_search"]
+        assert any(clashes for *_, clashes in episodes) == knowledge
 
     def test_default_train_chunks_each_sentence_once(self, monkeypatch):
         # relation augmentation and compilation share one chunking: the
