@@ -16,11 +16,11 @@ for a user outside the library, most as the one-item references that the
 batched paths are checked against: ``distribution`` and ``grad_log_prob``
 (``benchmarks/tracing.py``), ``argmax``, ``enumerate_programs`` and
 ``save_genspec`` (``benchmarks/run.py``), ``reinforce_objective``,
-``label_accuracy`` and ``phrasal_prf`` (the criterion tests),
-``featurize_pair`` (demo 05), ``align`` and ``propose`` (demo 03), and
-``group`` and ``project`` (demo 01).  Only unit tests read ``sample`` and
-``extract_rationales``, the references of ``policy.sample_codes`` and of
-the executor's rationales.  ``tests/test_exports.py`` keeps this true.
+``label_accuracy``, ``phrasal_prf`` and ``state_accuracy`` (the criterion
+tests), ``featurize_pair`` (demo 05), ``align`` and ``propose`` (demo 03),
+and ``group`` and ``project`` (demo 01).  Only unit tests read ``sample``
+and ``extract_rationales``, the references of ``policy.sample_codes`` and
+of the executor's rationales.  ``tests/test_exports.py`` keeps this true.
 """
 
 from .chunker import (

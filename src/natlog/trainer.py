@@ -38,13 +38,11 @@ test with ratio 1; either way ``apply`` changes nothing.  Grid search does
 not fire, since step 1's own action is in the reaching set.  So revision
 returns (code, ()) whatever the probabilities and draws, and as each
 episode owns its row of uniforms, skipping it shifts no other episode's
-draws.  ``train`` therefore marks each episode that "clashes": some step's
-proposed action (``_proposed_actions``, one entry per stacked row, with a
-code no action equals where two relations are proposed at one step)
-differs from the action sampled there.  ``run_episode`` revises an episode
-that clashes or misses the target, and returns every other one unchanged
-with no queue built and no draw read.  Without knowledge nothing is
-proposed, so only the episodes that miss are revised.
+draws.  ``run_episode`` therefore walks the proposal keys against the
+sampled action codes, stopping at the first that differs; when none does
+and the program reaches the target, it returns the episode unchanged with
+no queue built and no draw read.  Without knowledge nothing is proposed,
+so only the episodes that miss are revised.
 
 Revision works on program codes and plain (step, relation) keys: ``fix``
 replaces one base-5 digit of a ``program_code``, a proposal or an edit is
@@ -60,26 +58,23 @@ built.
 
 ``train`` runs batch by batch, and a batch's actions are integer codes
 from the sampler to the gradient.  Once per epoch it gathers, in the
-shuffled episode order, the compiled feature rows, with revision each
-step's proposed action, each step's draw (the first m of its episode's
-uniforms) and the layout of the program codes, so that each batch's
-steps are one contiguous slice of each.  The probabilities depend only on
-the weights and a feature row, and the weights change once per batch, so
-each batch makes one ``step_distributions`` call over its slice, and one
-``sample_codes`` call draws every step's action code from it.  One pass
-over those codes gives each episode's ``program_code``
-(``_program_codes``), and ``run_episode``, the one per-episode call,
-looks its rewards up by (class, code): without revision that lookup is
-the whole episode, with no per-episode array, tuple or record.  With
-revision, one comparison of the batch's sampled codes with its gathered
-proposed actions and one ``logical_or.reduceat`` over the episode starts
-give each episode's clash bit, and an episode that revises reads its
-probabilities as Python floats, from one ``tolist()`` per batch.  The
-batch is then scored in one ``batch_objective`` pass over the same
-stacked rows and sampled codes, with the rows and codes of every changed
-revision appended: ``_score`` forms every step's term of every program in
-array operations and sums each program's terms in step order from +0.0,
-as the per-step definition does; ``hybrid_objective`` and
+shuffled episode order, the compiled feature rows and each step's draw
+(the first m of its episode's uniforms), so that each batch's steps are
+one contiguous slice of each.  The probabilities depend only on the
+weights and a feature row, and the weights change once per batch, so each
+batch makes one ``step_distributions`` call over its slice, and one
+``sample_codes`` call draws every step's action code from it.
+``run_episode``, the one per-episode call, takes the episode's slice of
+those codes as Python ints, folds it into the ``program_code`` and looks
+its rewards up by (class, code): without revision that lookup is the whole
+episode, with no per-episode array, tuple or record.  With revision, an
+episode that revises reads its probabilities as Python floats, from one
+``tolist()`` per batch, and returns the revised action codes only when its
+program changed.  The batch is then scored in one ``batch_objective`` pass
+over the same stacked rows and sampled codes, with the rows and codes of
+every changed revision appended: ``_score`` forms every step's term of
+every program in array operations and sums each program's terms in step
+order from +0.0, as the per-step definition does; ``hybrid_objective`` and
 ``reinforce_objective`` are the same kernel on a batch of one.  When
 revision leaves a program unchanged, the episode's revised rewards are its
 own, not a second lookup, and its J' is its J.  The batch's gradients are
@@ -193,12 +188,6 @@ Target = NLILabel | Relation
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 _EQUIVALENCE = Relation.EQUIVALENCE.code
 _BASE = len(ACTIONS)  # a program code's digits are base 5
-# program codes of up to 26 steps are below 2 * 5**26 < 2**63, so int64
-# holds them; longer programs are coded in Python ints
-_INT64_STEPS = 26
-
-# a step's proposed action where two relations are proposed: no code equals it
-_CLASH = _BASE
 
 # Seeds and episode ordinals stay below 2**32, where each is one entropy
 # word of SeedSequence([seed, ordinal]), the only case _stream_words derives.
@@ -379,28 +368,6 @@ def _digit(code: int, m: int, t: int) -> int:
 def _program(code: int) -> Program:
     """The program whose ``program_code`` is ``code``."""
     return tuple([ACTIONS[a] for a in _step_codes(code)])
-
-
-def _code_layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What ``_program_codes`` reads of programs of ``lengths`` steps,
-    stacked step after step: each step's place value 5**(m - t), each
-    program's first step and each program's leading 5**m.  The values are
-    int64 up to ``_INT64_STEPS`` steps and Python ints beyond."""
-    ends = np.cumsum(lengths)
-    dtype = np.int64 if lengths.max() <= _INT64_STEPS else object
-    base = np.array(_BASE, dtype=dtype)
-    places = base ** (np.repeat(ends, lengths) - np.arange(ends[-1]) - 1)
-    return places, ends - lengths, base**lengths
-
-
-def _program_codes(
-    codes: np.ndarray, places: np.ndarray, firsts: np.ndarray, leads: np.ndarray
-) -> list[int]:
-    """``program_code`` of every program whose step codes are stacked in
-    ``codes``, in one pass: each program's steps times their place values,
-    summed, behind its leading power.  ``places``, ``firsts`` and ``leads``
-    are a ``_code_layout`` of the programs' lengths."""
-    return (np.add.reduceat(codes * places, firsts) + leads).tolist()
 
 
 class OutcomeTable:
@@ -858,57 +825,57 @@ class TrainResult:
     metrics: tuple[EpochMetrics, ...]
 
 
-# what revision made of an episode: the revised program's code, its rewards
-# and the accepted edits
-Revision = tuple[int, tuple[float, ...], tuple[RevisionEvent, ...]]
+# what revision made of an episode: the revised program's action codes, None
+# when it is the sampled program, its rewards and the accepted edits
+Revision = tuple[Optional[list[int]], tuple[float, ...], tuple[RevisionEvent, ...]]
 
 
 def run_episode(
     table: OutcomeTable,
     cls: int,
     compiled: Compiled,
-    code: int,
+    steps: Sequence[int],
     rows: Sequence[Sequence[float]] = (),
     uniforms: Sequence[float] = (),
-    clashes: bool = True,
 ) -> tuple[tuple[float, ...], Optional[Revision]]:
     """Reward and (optionally) revise one sampled program.
 
-    ``code`` is the ``program_code`` of the program sampled for
-    ``compiled``, which is of class ``cls`` in ``table``; the config is the
-    table's.  Returns the program's rewards, the table's tuple, and its
-    revision.  Without introspective revision the episode is one lookup by
-    (class, code) and the revision is None.  With it, ``rows`` holds the
-    policy's distribution at each of the pair's steps, as lists of Python
-    floats, and ``uniforms`` the episode's row of draws in [0, 1), of which
-    revision reads those past the first m, so it needs ``_episode_width``
-    of them.  The episode ranks its proposal keys in one
-    ``queue_from_keys`` call and revises the code itself; a revised
-    program is looked up only when its code differs from the sampled one,
-    and otherwise its code and rewards are the sampled program's.
-
-    ``clashes`` False tells the episode that every proposal key (t, a) of
-    ``compiled`` has a equal to the sampled action at step t, as holds
-    for every program without knowledge.  Such an episode whose program
-    reaches the target is one that revision cannot change (module
-    docstring): it returns the sampled program's code and rewards with no
-    events, builds no queue and reads neither ``rows`` nor ``uniforms``.
-    Every other episode, and every episode under the default True, is
-    revised.
+    ``steps`` are the action codes sampled at the steps of ``compiled``,
+    which is of class ``cls`` in ``table``; the config is the table's.
+    Returns the program's rewards, the table's tuple, and its revision.
+    Without introspective revision the episode is one lookup by (class,
+    ``program_code``) and the revision is None.  With it, ``rows`` holds
+    the policy's distribution at each step, as lists of Python floats, and
+    ``uniforms`` the episode's ``_episode_width`` draws in [0, 1), of which
+    revision reads those past the first m.  An episode that takes every
+    proposal key (t, a) at its step t and reaches the target, one that
+    revision cannot change (module docstring), is returned unchanged with
+    no events, no queue built and neither ``rows`` nor ``uniforms`` read.
+    Every other one ranks its proposal keys in one ``queue_from_keys`` call
+    and revises the code; a revised program is looked up, and its action
+    codes returned, only when its code differs from the sampled one.
     """
+    code = 1
+    for action in steps:
+        code = code * _BASE + action
     rewards = table.rewards(cls, code)
     config = table.config
     if not config.introspective_revision:
         return rewards, None
-    if not clashes and table.reaches(cls, code):
-        return rewards, (code, rewards, ())
-    phi = queue_from_keys(compiled.proposals if config.knowledge else (), rows)
+    proposals = compiled.proposals if config.knowledge else ()
+    for t, relation in proposals:
+        if relation.code != steps[t - 1]:
+            break
+    else:
+        if table.reaches(cls, code):
+            return rewards, (None, rewards, ())
+    phi = queue_from_keys(proposals, rows)
     revised, events = introspective_revision(
         table, cls, code, phi, rows, uniforms[compiled.pair.m :]
     )
     if revised == code:
-        return rewards, (code, rewards, events)
-    return rewards, (revised, table.rewards(cls, revised), events)
+        return rewards, (None, rewards, events)
+    return rewards, (_step_codes(revised), table.rewards(cls, revised), events)
 
 
 def _greedy_hits(
@@ -1073,22 +1040,6 @@ def _episode_uniforms(seed: int, ordinals: np.ndarray, width: int) -> np.ndarray
     return uniforms
 
 
-def _proposed_actions(compiled: Sequence[Compiled], knowledge: bool) -> np.ndarray:
-    """What revision may propose at each step of ``compiled``, stacked as
-    its feature rows are: the action code of the one relation proposed
-    there, -1 where none is (every step without ``knowledge``) and
-    ``_CLASH``, which no action code equals, where two or more are."""
-    proposed: list[int] = []
-    for item in compiled:
-        steps = [-1] * item.pair.m
-        if knowledge:
-            for t, relation in item.proposals:
-                known = steps[t - 1]
-                steps[t - 1] = relation.code if known in (-1, relation.code) else _CLASH
-        proposed += steps
-    return np.array(proposed, dtype=np.intp)
-
-
 def _episode_width(item: Compiled, config: TrainConfig) -> int:
     """The most uniforms an episode of ``item`` reads: one per step, and two
     per proposal that revision may pop."""
@@ -1110,15 +1061,15 @@ def train(
     gathers their steps in that order once, and walks them in slices of
     ``batch_size`` (module docstring).  A slice gets one
     ``step_distributions`` and one ``sample_codes`` call over its rows; its
-    episodes run under those weights, one ``run_episode`` each, told
-    whether any proposal clashes with the sampled program, its
-    objective is scored in one ``batch_objective`` call, and the gradients'
-    sum, seeded with +0.0, updates the weights once, at the end of the
-    slice.  The objective, reward and revision tallies are summed episode
-    by episode, in Python.  After each epoch the greedy accuracy is counted
-    by kind.  Episode n of the run (counted across epochs) reads its row of
-    uniforms, ``default_rng([seed, n]).random(w)`` for the widest episode's
-    w (``_episode_width``); each epoch's rows are drawn in one
+    episodes run under those weights, one ``run_episode`` each on its own
+    sampled action codes, its objective is scored in one
+    ``batch_objective`` call, and the gradients' sum, seeded with +0.0,
+    updates the weights once, at the end of the slice.  The objective,
+    reward and revision tallies are summed episode by episode, in Python.
+    After each epoch the greedy accuracy is counted by kind.  Episode n of
+    the run (counted across epochs) reads its row of uniforms,
+    ``default_rng([seed, n]).random(w)`` for the widest episode's w
+    (``_episode_width``); each epoch's rows are drawn in one
     ``_episode_uniforms`` call.  So results are byte-identical for
     identical seeds regardless of wall clock.  Training starts from a copy
     of ``params``, or from zero weights.  A run of more than 2**32 episodes
@@ -1146,8 +1097,6 @@ def train(
     ms = [item.pair.m for item in compiled]
     lengths = np.array(ms)
     starts = np.cumsum(lengths) - lengths  # each example's first row in features
-    if config.introspective_revision:
-        proposed = _proposed_actions(compiled, config.knowledge)
     greedy_hits = _greedy_hits(table, classes, compiled, features)
 
     metrics: list[EpochMetrics] = []
@@ -1160,17 +1109,13 @@ def train(
         )
         # the epoch's steps in episode order, gathered once: episode k's
         # steps are bounds[k] to bounds[k + 1], with a copy of its example's
-        # rows and proposed actions, the first m of its uniforms as draws,
-        # and the layout of its program code
+        # rows and the first m of its uniforms as draws
         steps = lengths[order]
-        places, firsts, leads = _code_layout(steps)
-        t = np.arange(len(places)) - np.repeat(firsts, steps)  # 0-based step
-        at_rows = t + np.repeat(starts[order], steps)
-        rows = features[at_rows]
+        ends = np.cumsum(steps)
+        t = np.arange(ends[-1]) - np.repeat(ends - steps, steps)  # 0-based step
+        rows = features[t + np.repeat(starts[order], steps)]
         draws = uniforms[np.repeat(np.arange(n), steps), t]
-        if config.introspective_revision:
-            epoch_proposed = proposed[at_rows]
-        bounds = [*firsts.tolist(), len(places)]
+        bounds = [0, *ends.tolist()]
         episodes = order.tolist()
 
         revisions: list = [] if config.introspective_revision else [()] * n
@@ -1183,45 +1128,40 @@ def train(
             batch_rows = rows[begin:end]
             probs = step_distributions(params, batch_rows)
             codes = sample_codes(probs, draws[begin:end])
-            batch_firsts = firsts[start:stop] - begin
-            programs = _program_codes(
-                codes, places[begin:end], batch_firsts, leads[start:stop]
-            )
-            batch = zip(episodes[start:stop], programs)
+            sampled = codes.tolist()
             batch_rewards = []
             revised = None
+            at = 0  # the episode's first step in the batch
             if not config.introspective_revision:
-                for i, code in batch:
-                    rewards = run_episode(table, classes[i], compiled[i], code)[0]
+                for i in episodes[start:stop]:
+                    m = ms[i]
+                    rewards = run_episode(
+                        table, classes[i], compiled[i], sampled[at : at + m]
+                    )[0]
+                    at += m
                     batch_rewards.append(rewards)
                     reward_total += sum(rewards)
             else:
                 revised = {}
                 prob_rows = probs.tolist()
-                # an episode clashes when a step's proposal differs from the
-                # action sampled there
-                batch_proposed = epoch_proposed[begin:end]
-                clashes = np.logical_or.reduceat(
-                    (batch_proposed != -1) & (batch_proposed != codes), batch_firsts
-                ).tolist()
-                for k, ((i, code), episode_draws, clash) in enumerate(
-                    zip(batch, uniforms[start:stop].tolist(), clashes)
+                for k, (i, episode_draws) in enumerate(
+                    zip(episodes[start:stop], uniforms[start:stop].tolist())
                 ):
-                    at = bounds[start + k] - begin
-                    rewards, (revised_code, revised_rewards, events) = run_episode(
+                    m = ms[i]
+                    rewards, (revised_steps, revised_rewards, events) = run_episode(
                         table,
                         classes[i],
                         compiled[i],
-                        code,
-                        prob_rows[at : at + ms[i]],
+                        sampled[at : at + m],
+                        prob_rows[at : at + m],
                         episode_draws,
-                        clashes=clash,
                     )
+                    at += m
                     batch_rewards.append(rewards)
                     reward_total += sum(rewards)
                     revisions.append(events)
-                    if revised_code != code:
-                        revised[k] = (_step_codes(revised_code), revised_rewards)
+                    if revised_steps is not None:
+                        revised[k] = (revised_steps, revised_rewards)
 
             values, grads = batch_objective(
                 batch_rewards, config.lam, probs, batch_rows, codes, revised

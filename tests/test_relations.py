@@ -153,6 +153,56 @@ class TestGrouping:
             assert group(r) == GROUP_EXPECTED[r]
 
 
+def set_relation(x, y, universe):
+    """The one of the seven relations that holds between the sets ``x`` and
+    ``y`` (bit masks) in the universe ``universe``, by the definitions in
+    the ``relations`` module docstring."""
+    if x == y:
+        return EQ
+    if x & y == x:
+        return FE
+    if x & y == y:
+        return RE
+    if not x & y:
+        return NEG if x | y == universe else ALT
+    return COV if x | y == universe else IND
+
+
+def proper_subsets(size):
+    """Every non-empty, non-universal subset of a universe of ``size``
+    elements, as bit masks, and the universe."""
+    universe = (1 << size) - 1
+    return range(1, universe), universe
+
+
+class TestSetSemantics:
+    """The join table and the ``not`` row derived from set semantics, on
+    every pair and triple of subsets of small universes."""
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_join_is_the_one_relation_every_triple_gives(self, size):
+        sets, universe = proper_subsets(size)
+        relation = {(x, y): set_relation(x, y, universe) for x in sets for y in sets}
+        found = {(a, b): set() for a in RELATIONS for b in RELATIONS}
+        for x, y, z in itertools.product(sets, repeat=3):
+            found[relation[x, y], relation[y, z]].add(relation[x, z])
+        for (a, b), relations in found.items():
+            assert relations, (a, b)
+            expected = relations.pop() if len(relations) == 1 else IND
+            assert join(a, b) == expected, (a, b)
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_not_row_relates_the_complements(self, size):
+        sets, universe = proper_subsets(size)
+        found = {r: set() for r in RELATIONS}
+        for x, y in itertools.product(sets, repeat=2):
+            complements = set_relation(universe ^ x, universe ^ y, universe)
+            found[set_relation(x, y, universe)].add(complements)
+        for r, relations in found.items():
+            assert len(relations) == 1, r
+            assert project(CONTEXTS["not"], r) == relations.pop(), r
+
+
 class TestCodeTables:
     """Each integer-coded table, cell by cell, against the transcriptions."""
 

@@ -71,13 +71,10 @@ from natlog.trainer import (
     train,
 )
 from natlog.trainer import (
-    _code_layout,
     _episode_uniforms,
     _episode_width,
     _greedy_hits,
     _program,
-    _program_codes,
-    _proposed_actions,
     _stream_words,
 )
 
@@ -157,20 +154,22 @@ def episode_uniforms(item, config, rng):
 def sampled_episode(table, cls, item, probs, uniforms):
     """One episode as ``train`` runs it, as the ``Episode`` record that
     ``hybrid_objective`` reads: ``sample_codes`` on the first m of
-    ``uniforms``, then ``run_episode`` on the program's code, with the
+    ``uniforms``, then ``run_episode`` on the sampled action codes, with the
     programs rebuilt from their codes."""
-    codes = sample_codes(probs, np.array(uniforms[: item.pair.m]))
-    program = tuple(ACTIONS[c] for c in codes.tolist())
-    code = program_code(program)
-    rewards, revision = run_episode(table, cls, item, code, probs.tolist(), uniforms)
+    steps = sample_codes(probs, np.array(uniforms[: item.pair.m])).tolist()
+    program = tuple(ACTIONS[c] for c in steps)
+    rewards, revision = run_episode(table, cls, item, steps, probs.tolist(), uniforms)
     episode = Episode(
         features=item.features, probs=probs, program=program, rewards=rewards
     )
     if revision is not None:
-        revised_code, episode.revised_rewards, episode.revisions = revision
-        episode.revised_program = _program(revised_code)
+        revised_steps, episode.revised_rewards, episode.revisions = revision
+        episode.revised_program = program
+        if revised_steps is not None:
+            episode.revised_program = tuple(ACTIONS[c] for c in revised_steps)
+            assert episode.revised_program != program
         # an unchanged revision is the sampled program, rewards and all
-        assert (revised_code == code) == (episode.revised_rewards is rewards)
+        assert (revised_steps is None) == (episode.revised_rewards is rewards)
     return episode
 
 
@@ -818,7 +817,7 @@ class TestFastPathsMatchExecution:
 
 def proposing(pair, keys):
     """An example of ``pair`` with proposal keys ``keys``: the two fields of
-    a ``Compiled`` that ``run_episode`` and ``_proposed_actions`` read."""
+    a ``Compiled`` that ``run_episode`` reads."""
     return types.SimpleNamespace(pair=pair, proposals=tuple(keys))
 
 
@@ -829,7 +828,7 @@ def takes_every_proposal(program, keys):
 
 class TestRevisionSkip:
     """A program that takes every proposal and reaches its target is one
-    that revision cannot change, and the clash bit tells it apart."""
+    that revision cannot change, and ``run_episode`` skips exactly those."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -848,39 +847,46 @@ class TestRevisionSkip:
         config = TrainConfig(max_revisions=budget, epsilon=epsilon, knowledge=knowledge)
         item = proposing(pair, keys)
         keys = keys if knowledge else []
-        # the clash bit of the case's program, as train forms it
-        proposed = _proposed_actions([item], knowledge)
-        codes = np.array([a.code for a in program])
-        clashes = bool(((proposed != -1) & (proposed != codes)).any())
-        assert clashes != takes_every_proposal(program, keys)
-
         table = OutcomeTable(config)
         cls = table.classify(pair, target)
         rows = probs.tolist()
         width = pair.m + 2 * min(budget, len(keys))
         uniforms = np.random.default_rng(seed).random(width).tolist()
-        # every program that takes every proposal takes the proposed action
-        # at each step with one (none is left where a step has two) and any
-        # action elsewhere; the first 200 of them, in product order
+        # the case's program, the first 200 programs that take every
+        # proposal (the proposed action at each step with one, none left
+        # where a step has two, any action elsewhere) and the first 50 of
+        # all programs, each in product order
         choices = [
             [a for a in ACTIONS if (t, a) in keys] or ACTIONS
             for t in range(1, pair.m + 1)
         ]
-        candidates = itertools.product(*choices)
-        for taken in itertools.islice(candidates, 200):
+        taking = itertools.islice(itertools.product(*choices), 200)
+        every = itertools.islice(itertools.product(ACTIONS, repeat=pair.m), 50)
+        for taken in itertools.chain([program], taking, every):
             code = program_code(taken)
-            if not takes_every_proposal(taken, keys) or not table.reaches(cls, code):
+            skip = takes_every_proposal(taken, keys) and table.reaches(cls, code)
+            counts = collections.Counter()
+            with pytest.MonkeyPatch.context() as patch:
+                for name in ("queue_from_keys", "introspective_revision"):
+                    count_calls(patch, counts, natlog.trainer, name)
+                got = run_episode(
+                    table, cls, item, [a.code for a in taken], rows, uniforms
+                )
+            rewards = table.rewards(cls, code)
+            assert got[0] is rewards
+            if not skip:
+                assert counts["introspective_revision"] == 1
+                assert counts["queue_from_keys"] >= 1
                 continue
+            assert not counts
+            assert got == (rewards, (None, rewards, ()))
+            assert got[1][1] is rewards
+            # revision itself would have changed nothing
             phi = queue_from_keys(keys, probs)
             revision = introspective_revision(
                 table, cls, code, phi, probs, uniforms[pair.m :]
             )
             assert revision == (code, ())
-            rewards = table.rewards(cls, code)
-            skipped = run_episode(table, cls, item, code, rows, uniforms, clashes=False)
-            full = run_episode(table, cls, item, code, rows, uniforms)
-            assert skipped == full == (rewards, (code, rewards, ()))
-            assert skipped[1][1] is full[1][1] is rewards
 
 
 class TestOneNormalizationPerChunk:
@@ -1170,20 +1176,39 @@ def program_batches(draw):
     ]
 
 
-def one_pass_codes(programs):
-    """``_program_codes`` of stacked programs, as ``train`` runs it on a batch."""
-    lengths = np.array([len(p) for p in programs])
-    codes = np.array([a.code for p in programs for a in p], dtype=np.intp)
-    return _program_codes(codes, *_code_layout(lengths))
+def looked_up_codes(programs):
+    """The code that ``run_episode`` looks each program's rewards up by,
+    read by a spy on ``OutcomeTable.rewards``; each program runs, without
+    revision, on an upward pair of its length."""
+    table = OutcomeTable(TrainConfig(introspective_revision=False))
+    rewards, looked = table.rewards, []
+
+    def spy(cls, code):
+        looked.append(code)
+        return rewards(cls, code)
+
+    table.rewards = spy
+    items = {}
+    for program in programs:
+        m = len(program)
+        if m not in items:
+            item = proposing(upward_pair(m), ())
+            items[m] = item, table.classify(item.pair, NLILabel.ENTAILMENT)
+        item, cls = items[m]
+        steps = [a.code for a in program]
+        assert run_episode(table, cls, item, steps)[1] is None
+    assert len(looked) == len(programs)
+    return looked
 
 
 class TestProgramCodes:
-    """The one-pass program codes against ``executor.program_code``."""
+    """The program code that ``run_episode`` folds from the sampled action
+    codes against ``executor.program_code``."""
 
     @settings(max_examples=300, deadline=None)
     @given(program_batches())
     def test_equal_program_code(self, programs):
-        got = one_pass_codes(programs)
+        got = looked_up_codes(programs)
         assert got == [program_code(p) for p in programs]
         assert all(type(code) is int for code in got)
         assert [_program(code) for code in got] == programs
@@ -1196,7 +1221,7 @@ class TestProgramCodes:
         heads = [()] if m <= 5 else [(ACTIONS[0],) * (m - 5), (ACTIONS[-1],) * (m - 5)]
         programs = [head + tail for head in heads for tail in tails]
         assert {len(p) for p in programs} == {m}
-        got = one_pass_codes(programs)
+        got = looked_up_codes(programs)
         assert got == [program_code(p) for p in programs]
         assert len(set(got)) == len(programs)
 
@@ -1208,11 +1233,10 @@ class TestProgramCodes:
             tuple(ACTIONS[i] for i in rng.integers(5, size=m)) for m in (3, 33)
         ]
         assert 2 * 5**26 - 1 < 2**63 < 2 * 5**27 - 1
-        for batch in (programs[:2], programs[:3], programs):  # longest 26, 27, 40
-            got = one_pass_codes(batch)
-            assert got == [program_code(p) for p in batch]
-            assert all(type(code) is int for code in got)
-            assert [_program(code) for code in got] == batch
+        got = looked_up_codes(programs)
+        assert got == [program_code(p) for p in programs]
+        assert all(type(code) is int for code in got)
+        assert [_program(code) for code in got] == programs
 
 
 class TestBatchObjective:
@@ -1692,6 +1716,24 @@ class TestBatchedTrainEqualsReference:
         )
         self.assert_equal(equivalence_slice(split), config)
 
+    @pytest.mark.parametrize("ir", [True, False])
+    def test_programs_past_int64_equal(self, ir):
+        # 28 chunks a side: program codes pass 2**63, where int64 would wrap
+        premise = " ".join(["dogs run"] * 14)
+        examples = [
+            Example(
+                premise=premise,
+                hypothesis="animals run " + " ".join(["dogs run"] * 13),
+                label=NLILabel.ENTAILMENT,
+            )
+        ]
+        assert chunk_pair(examples[0].premise, examples[0].hypothesis, RULES).m == 28
+        assert 5**28 > 2**63  # the least code of 28 steps
+        config = TrainConfig(
+            epochs=4, batch_size=1, seed=1, introspective_revision=ir
+        )
+        self.assert_equal(examples, config)
+
     @staticmethod
     def assert_equal(examples, config):
         got = train(examples, RULES, LEX, config)
@@ -1779,9 +1821,9 @@ class TestTrainCallStructure:
     def test_only_episodes_that_clash_or_miss_revise(
         self, monkeypatch, split, knowledge
     ):
-        # each episode's clash bit, as train vectorizes it, against the
-        # per-episode definition; revision and its queue run once per
-        # episode that clashes or misses, and grid search ranks one more
+        # revision and its queue run once per episode whose program differs
+        # from some proposal (clashes) or misses, and grid search ranks one
+        # more
         examples = equivalence_slice(split)
         n = len(augment(examples)[0])
         config = TrainConfig(epochs=2, batch_size=7, seed=3, knowledge=knowledge)
@@ -1791,18 +1833,18 @@ class TestTrainCallStructure:
         episodes = []
         run = natlog.trainer.run_episode
 
-        def recording(table, cls, item, code, rows, uniforms, clashes):
-            episodes.append((item, code, clashes))
-            return run(table, cls, item, code, rows, uniforms, clashes=clashes)
+        def recording(table, cls, item, steps, rows, uniforms):
+            program = tuple(ACTIONS[a] for a in steps)
+            proposals = item.proposals if knowledge else ()
+            clashes = any(program[t - 1] is not a for t, a in proposals)
+            episodes.append((item, program, clashes))
+            return run(table, cls, item, steps, rows, uniforms)
 
         monkeypatch.setattr(natlog.trainer, "run_episode", recording)
         train(examples, RULES, LEX, config)
         assert len(episodes) == config.epochs * n
         revising = 0
-        for item, code, clashes in episodes:
-            program = _program(code)
-            proposals = item.proposals if knowledge else ()
-            assert clashes is any(program[t - 1] is not a for t, a in proposals)
+        for item, program, clashes in episodes:
             hit = matches_target(execute(item.pair, program), item.target)
             revising += clashes or not hit
         assert 0 < revising < len(episodes)
