@@ -10,7 +10,7 @@ original and revised programs, which is what makes early learning move.
 import numpy as np
 
 from natlog.chunker import chunk_pair, default_rules
-from natlog.executor import execute, program_code
+from natlog.executor import execute
 from natlog.knowledge import default_lexicon, proposal_keys, queue_from_keys
 from natlog.policy import PolicyParams, featurize_pair, step_distributions
 from natlog.relations import ACTIONS, ActionRelation, NLILabel
@@ -48,15 +48,15 @@ print()
 # revision reads what each program does from a table of outcomes per
 # (contexts, target) class, as training does: the pair is classified once
 # and every lookup is by class.  Its coin flips come from pre-drawn
-# uniforms, at most two per proposal.  It revises the program's code, its
-# actions as base-5 digits behind a leading 1
+# uniforms, at most two per proposal.  It revises the program's tuple of
+# action codes
 table = OutcomeTable(TrainConfig())
 cls = table.classify(pair, target)
 uniforms = np.random.default_rng(0).random(2 * len(phi)).tolist()
-code, events = introspective_revision(
-    table, cls, program_code(program), phi, probs, uniforms
+steps, events = introspective_revision(
+    table, cls, tuple(a.code for a in program), phi, probs, uniforms
 )
-revised = tuple(ACTIONS[int(d)] for d in np.base_repr(code, len(ACTIONS))[1:])
+revised = tuple(ACTIONS[c] for c in steps)
 print("revised program:", " ".join(a.symbol for a in revised))
 print("executes to:    ", execute(pair, revised).label.value)
 for e in events:

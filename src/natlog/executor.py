@@ -20,10 +20,10 @@ builds the enum-valued ``Trace`` from those lookups.
 A trace depends only on the hypothesis chunks' context rows and the
 program, so the library keeps one table of executions: an
 ``ExecutionTable`` maps context rows to ``Executions``, which map a
-``program_code`` (the actions as base-5 digits behind a leading 1, so that
-a program of the wrong length gets its own code and reaches ``execute``'s
-error) to ``execute``'s parts.  ``datagen``, ``metrics`` and ``trainer``
-build one table per call; nothing is kept across calls.
+program's tuple of action codes (so that a program of the wrong length
+gets its own key and reaches ``execute``'s error) to ``execute``'s parts.
+``datagen``, ``metrics`` and ``trainer`` build one table per call; nothing
+is kept across calls.
 
 ``Chunk``, ``ChunkedPair`` and ``Trace`` are frozen dataclasses built in one
 step: each has a hand-written ``__init__`` that stores its fields straight
@@ -89,7 +89,6 @@ __all__ = [
     "execute",
     "extract_rationales",
     "matches_target",
-    "program_code",
     "Executions",
     "ExecutionTable",
     "suffix_counts",
@@ -259,26 +258,18 @@ def matches_target(trace: Trace, target: NLILabel | Relation) -> bool:
     return accepting(target)[trace.final_state.code]
 
 
-def program_code(program: Sequence[ActionRelation]) -> int:
-    """The actions as base-5 digits behind a leading 1 (module docstring)."""
-    code = 1
-    for action in program:
-        code = code * len(ACTIONS) + action.code
-    return code
-
-
 class Executions(dict):
-    """Program code -> ``execute``'s parts, for the pairs with one tuple of
-    hypothesis context rows; each entry is made on first use."""
+    """A program's action codes -> ``execute``'s parts, for the pairs with
+    one tuple of hypothesis context rows; each entry is made on first use."""
 
     def parts(self, pair: ChunkedPair, program: Program) -> tuple:
         """``execute(pair, program)``'s projected relations, states, label and
         rationales, for a pair with these executions' context rows."""
-        code = program_code(program)
-        parts = self.get(code)
+        key = tuple([action.code for action in program])
+        parts = self.get(key)
         if parts is None:
             trace = execute(pair, program)
-            parts = self[code] = (
+            parts = self[key] = (
                 trace.projected, trace.states, trace.label, trace.rationales
             )
         return parts

@@ -41,7 +41,7 @@ import numpy as np
 
 from .chunker import ChunkRules
 from .data import Example, example_error
-from .executor import ExecutionTable, program_code
+from .executor import ExecutionTable
 from .knowledge import Lexicon
 from .policy import PolicyParams, compile_examples, decode, distinct_rows
 from .relations import NLILabel, Relation, accepting
@@ -239,7 +239,7 @@ def evaluate(
             hypothesis[-1].end,
             _code(example.target_state),
             _code(example.label),
-            None if gold_program is None else program_code(gold_program),
+            None if gold_program is None else tuple([a.code for a in gold_program]),
             None if gold_states is None else tuple([s.code for s in gold_states]),
             None if gold_tokens is None else tuple(gold_tokens),
         )

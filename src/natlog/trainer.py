@@ -32,24 +32,24 @@ lambda * J + (1 - lambda) * J_revised.
 Only the episodes that revision can change are revised.  Take an episode
 whose every proposal key (t, a) has a equal to the action sampled at step
 t, and whose sampled program reaches the target.  Every pop is then an
-outright accept of the unchanged action, whose key is in the reaching
-edit set because the unchanged action counts as an edit, or a Metropolis
-test with ratio 1; either way ``apply`` changes nothing.  Grid search does
-not fire, since step 1's own action is in the reaching set.  So revision
-returns (code, ()) whatever the probabilities and draws, and as each
-episode owns its row of uniforms, skipping it shifts no other episode's
-draws.  ``run_episode`` therefore walks the proposal keys against the
-sampled action codes, stopping at the first that differs; when none does
-and the program reaches the target, it returns the episode unchanged with
-no queue built and no draw read.  Without knowledge nothing is proposed,
-so only the episodes that miss are revised.
+outright accept of the unchanged action, whose key is in the reaching edit
+set because the unchanged action counts as an edit, or a Metropolis test
+with ratio 1; either way ``apply`` changes nothing.  Grid search does not
+fire, since step 1's own action is in the reaching set.  So revision
+returns the sampled codes and no events whatever the probabilities and
+draws, and as each episode owns its row of uniforms, skipping it shifts no
+other episode's draws.  ``run_episode`` therefore walks the proposal keys
+against the sampled action codes, stopping at the first that differs; when
+none does and the program reaches the target, it returns the episode
+unchanged with no queue built and no draw read.  Without knowledge nothing
+is proposed, so only the episodes that miss are revised.
 
-Revision works on program codes and plain (step, relation) keys: ``fix``
-replaces one base-5 digit of a ``program_code``, a proposal or an edit is
-a key as ``knowledge.proposal_keys`` and ``executor.single_edits`` return
-it, and a queue is ``knowledge.queue_from_keys``'s ranked list, popped
-from its end.  Actions are built as a tuple only on an ``OutcomeTable``
-miss, where ``execute`` or ``single_edits`` needs them.
+Revision works on the tuple of a program's action codes, which keys
+every outcome, and on plain (step, relation) keys as
+``knowledge.proposal_keys`` and ``executor.single_edits`` return them; a
+queue is ``knowledge.queue_from_keys``'s ranked list, popped from its
+end.  Actions are built as enums only on an ``OutcomeTable`` miss, where
+``execute`` or ``single_edits`` needs them.
 
 Every hyperparameter (mu, gamma, M, epsilon, lambda and the rest) is a
 field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
@@ -65,12 +65,12 @@ weights and a feature row, and the weights change once per batch, so each
 batch makes one ``step_distributions`` call over its slice, and one
 ``sample_codes`` call draws every step's action code from it.
 ``run_episode``, the one per-episode call, takes the episode's slice of
-those codes as Python ints, folds it into the ``program_code`` and looks
-its rewards up by (class, code): without revision that lookup is the whole
-episode, with no per-episode array, tuple or record.  With revision, an
-episode that revises reads its probabilities as Python floats, from one
-``tolist()`` per batch, and returns the revised action codes only when its
-program changed.  The batch is then scored in one ``batch_objective`` pass
+those codes as Python ints and looks its rewards up by (class, tuple of
+the codes): without revision that lookup is the whole episode, with no
+per-episode array or record.  With revision, an episode that revises
+reads its probabilities as Python floats, from one ``tolist()`` per
+batch, and returns the revised action codes only when its program
+changed.  The batch is then scored in one ``batch_objective`` pass
 over the same stacked rows and sampled codes, with the rows and codes of
 every changed revision appended: ``_score`` forms every step's term of
 every program in array operations and sums each program's terms in step
@@ -101,8 +101,8 @@ two per proposal that revision may pop.  Nothing else reads an episode's
 stream, so an unread tail changes nothing.
 
 Every program outcome that training reads comes from one ``OutcomeTable``,
-which looks rewards, reachability and single edits up by (class, program
-code).  What a program does to a pair depends only on the contexts of the
+which looks rewards, reachability and single edits up by (class, action
+codes).  What a program does to a pair depends only on the contexts of the
 pair's hypothesis chunks, its target and the program, and the augmented
 default compositional training set has 12 such (contexts, target) classes
 among its 2816 examples.  So a class's first pair stands for all of its
@@ -143,7 +143,6 @@ from .executor import (
     Program,
     Trace,
     matches_target,
-    program_code,
     single_edits,
     suffix_counts,
 )
@@ -173,7 +172,6 @@ __all__ = [
     "OutcomeTable",
     "reward",
     "reinforce_objective",
-    "fix",
     "grid_search",
     "introspective_revision",
     "hybrid_objective",
@@ -187,7 +185,6 @@ Target = NLILabel | Relation
 
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 _EQUIVALENCE = Relation.EQUIVALENCE.code
-_BASE = len(ACTIONS)  # a program code's digits are base 5
 
 # Seeds and episode ordinals stay below 2**32, where each is one entropy
 # word of SeedSequence([seed, ordinal]), the only case _stream_words derives.
@@ -210,8 +207,8 @@ _BOUNDS = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; out-of-range values, and an int field or a
-    flag given a value of another type, raise ``ValueError``."""
+    """Training hyperparameters; a value out of its range or of the wrong
+    type raises ``ValueError``.  Float fields take ints; only flags take bools."""
 
     mu: float = 1.0  # reward magnitude
     gamma: float = 0.5  # per-step discount of the blame for a wrong program
@@ -233,6 +230,8 @@ class TrainConfig:
             is_int = isinstance(value, int) and not isinstance(value, bool)
             if f.name in _INTS and not is_int:
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.name in _FLOATS and not (is_int or isinstance(value, float)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if f.name in _FLAGS and not isinstance(value, bool):
                 raise ValueError(f"{f.name} must be a bool, got {value!r}")
         for name, (ok, wanted) in _BOUNDS.items():
@@ -241,8 +240,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
 
-# the int fields and the flags, by the type of their defaults
+# the int fields, the float fields and the flags, by their defaults' types
 _INTS = frozenset(f.name for f in fields(TrainConfig) if type(f.default) is int)
+_FLOATS = frozenset(f.name for f in fields(TrainConfig) if type(f.default) is float)
 _FLAGS = frozenset(f.name for f in fields(TrainConfig) if type(f.default) is bool)
 
 
@@ -349,25 +349,9 @@ def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ..
     )
 
 
-def _step_codes(code: int) -> list[int]:
-    """The action codes of the program whose ``program_code`` is ``code``:
-    its base-5 digits behind the leading 1."""
-    steps = []
-    while code > 1:
-        code, action = divmod(code, _BASE)
-        steps.append(action)
-    return steps[::-1]
-
-
-def _digit(code: int, m: int, t: int) -> int:
-    """The action code at step t (1-based) of the m-step program whose
-    ``program_code`` is ``code``."""
-    return code // _BASE ** (m - t) % _BASE
-
-
-def _program(code: int) -> Program:
-    """The program whose ``program_code`` is ``code``."""
-    return tuple([ACTIONS[a] for a in _step_codes(code)])
+def _program(steps: Sequence[int]) -> Program:
+    """The program whose action codes are ``steps``."""
+    return tuple([ACTIONS[a] for a in steps])
 
 
 class OutcomeTable:
@@ -375,12 +359,12 @@ class OutcomeTable:
 
     A class is the tuple of the hypothesis chunks' context rows
     (``action_codes``) and the target, interned as an integer, and every
-    lookup is by (class, program code).  Everything the table keeps
-    depends only on the class: ``execute``'s parts, from one
-    ``ExecutionTable`` whose ``Executions`` the classes with the same
-    context rows share, and per (class, code) ``reward`` under the table's
-    config and the single edits that reach the target, each computed the
-    first time it is asked for (module docstring).  The class keeps the
+    lookup is by (class, the program's tuple of action codes).  Everything
+    the table keeps depends only on the class: ``execute``'s parts, from
+    one ``ExecutionTable`` whose ``Executions`` the classes with the same
+    context rows share, and per (class, program) ``reward`` under the
+    table's config and the single edits that reach the target, each
+    computed the first time it is asked for (module docstring).  The class keeps the
     first pair it was interned from and builds a trace or edits from it
     only on a miss.  A table serves one config; ``train`` builds a fresh
     one in every call.
@@ -393,8 +377,8 @@ class OutcomeTable:
         self._pairs: list[ChunkedPair] = []  # class -> its first pair
         self._targets: list[Target] = []  # class -> target
         self._executions: list[Executions] = []  # class -> its rows' executions
-        self._rewards: list[dict] = []  # class -> program code -> reward
-        self._edits: list[dict] = []  # class -> program code -> edits, list and set
+        self._rewards: list[dict] = []  # class -> action codes -> reward
+        self._edits: list[dict] = []  # class -> action codes -> edits, list and set
 
     def classify(self, pair: ChunkedPair, target: Target) -> int:
         """The class of ``pair`` and ``target``, interned on first sight."""
@@ -408,49 +392,45 @@ class OutcomeTable:
             self._edits.append({})
         return self._classes[key]
 
-    def m(self, cls: int) -> int:
-        """The number of hypothesis chunks of the pairs of class ``cls``."""
-        return self._pairs[cls].m
-
-    def rewards(self, cls: int, code: int) -> tuple[float, ...]:
-        """``reward`` of the program with ``program_code`` ``code`` over the
+    def rewards(self, cls: int, steps: tuple[int, ...]) -> tuple[float, ...]:
+        """``reward`` of the program with action codes ``steps`` over the
         pairs of class ``cls``.  The program's actions and the trace
-        ``reward`` reads are built once per (class, code), on the first
+        ``reward`` reads are built once per (class, program), on the first
         lookup."""
         known = self._rewards[cls]
-        rewards = known.get(code)
+        rewards = known.get(steps)
         if rewards is None:
-            pair, program = self._pairs[cls], _program(code)
+            pair, program = self._pairs[cls], _program(steps)
             parts = self._executions[cls].parts(pair, program)
-            rewards = known[code] = reward(
+            rewards = known[steps] = reward(
                 Trace(pair, program, *parts), self._targets[cls], self.config
             )
         return rewards
 
-    def reaches(self, cls: int, code: int) -> bool:
-        """Whether the program with ``program_code`` ``code`` reaches the
+    def reaches(self, cls: int, steps: tuple[int, ...]) -> bool:
+        """Whether the program with action codes ``steps`` reaches the
         class's target; its actions are built only when the class's
-        executions do not hold the code yet."""
+        executions do not hold it yet."""
         executions = self._executions[cls]
-        parts = executions.get(code) or executions.parts(
-            self._pairs[cls], _program(code)
+        parts = executions.get(steps) or executions.parts(
+            self._pairs[cls], _program(steps)
         )
         return accepting(self._targets[cls])[parts[1][-1].code]
 
     def edits(
-        self, cls: int, code: int
+        self, cls: int, steps: tuple[int, ...]
     ) -> tuple[list[tuple[int, ActionRelation]], frozenset[tuple[int, int]]]:
-        """``single_edits`` of the program with ``program_code`` ``code``, as
-        a list in its order and as the set of (t, action code) pairs; the
-        program's actions are built once per (class, code), on the first
+        """``single_edits`` of the program with action codes ``steps``, as a
+        list in its order and as the set of (t, action code) pairs; the
+        program's actions are built once per (class, program), on the first
         lookup."""
         known = self._edits[cls]
-        edits = known.get(code)
+        edits = known.get(steps)
         if edits is None:
             found = single_edits(
-                self._pairs[cls], _program(code), self._targets[cls]
+                self._pairs[cls], _program(steps), self._targets[cls]
             )
-            edits = known[code] = found, frozenset((t, a.code) for t, a in found)
+            edits = known[steps] = found, frozenset((t, a.code) for t, a in found)
         return edits
 
 
@@ -516,35 +496,22 @@ def _score(
     return objective, grad
 
 
-def fix(code: int, t: int, relation: ActionRelation) -> int:
-    """The ``program_code`` of the program with code ``code`` with step t
-    (1-based) set to ``relation``: one base-5 digit replaced."""
-    m, rest = 0, code
-    while rest >= _BASE:  # a code of m steps is in [5**m, 2 * 5**m)
-        rest //= _BASE
-        m += 1
-    if not 1 <= t <= m:
-        raise ValueError(f"step {t} out of range 1..{m}")
-    place = _BASE ** (m - t)
-    return code + (relation.code - code // place % _BASE) * place
-
-
 def grid_search(
     table: OutcomeTable,
     cls: int,
-    code: int,
+    steps: tuple[int, ...],
     phi: Sequence[tuple[int, ActionRelation]],
     probs: Sequence[Sequence[float]],
 ) -> list[tuple[int, ActionRelation]]:
     """All single-step edits whose program reaches the target, ranked.
 
     The edits are the ``single_edits`` list, in ``table``, of the program
-    with ``program_code`` ``code`` over the pairs of class ``cls``.  If any
+    with action codes ``steps`` over the pairs of class ``cls``.  If any
     edit coincides with a pending lexical proposal in ``phi``, the result
     is narrowed to those shared keys.  Returns the ``queue_from_keys``
     list, best last.
     """
-    edits, reaching = table.edits(cls, code)
+    edits, reaching = table.edits(cls, steps)
     shared = [key for key in phi if (key[0], key[1].code) in reaching]
     return queue_from_keys(shared or edits, probs)
 
@@ -552,25 +519,26 @@ def grid_search(
 def introspective_revision(
     table: OutcomeTable,
     cls: int,
-    code: int,
+    steps: tuple[int, ...],
     phi: list[tuple[int, ActionRelation]],
     probs: Sequence[Sequence[float]],
     uniforms: Sequence[float],
-) -> tuple[int, tuple[RevisionEvent, ...]]:
+) -> tuple[tuple[int, ...], tuple[RevisionEvent, ...]]:
     """Revise a sampled program with lexical and answer-driven edits.
 
-    ``code`` is the sampled program's ``program_code`` and ``phi`` the
-    ranked proposal keys (``queue_from_keys``), popped from the end in
-    place.  Knowledge phase: pop up to ``max_revisions`` proposals.  Each
-    is applied outright when the edited program reaches the target and an
-    exploration draw clears epsilon; otherwise it survives a Metropolis
-    test with ratio p_t[proposal] / p_t[sampled action].  Answer phase:
-    if the program still misses the target, the best grid-search edit
-    (if any) is applied.  Both checks read the edit set of the current
-    revised code in ``table``, under class ``cls``: an edit (t, a) reaches
-    the target iff it is in the set, and the program itself iff its
-    unchanged first step is.  The config is the table's.  Returns
-    the revised program's code and the accepted edits.
+    ``steps`` is the sampled program's action codes and ``phi`` the ranked
+    proposal keys (``queue_from_keys``), popped from the end in place; a
+    popped key whose step is not in 1..m raises ``ValueError``.  Knowledge
+    phase: pop up to ``max_revisions`` proposals.  Each is applied outright
+    when the edited program reaches the target and an exploration draw
+    clears epsilon; otherwise it survives a Metropolis test with ratio
+    p_t[proposal] / p_t[sampled action].  Answer phase: if the program
+    still misses the target, the best grid-search edit (if any) is
+    applied.  Both checks read the edit set of the current revised
+    program in ``table``, under class ``cls``: an edit (t, a) reaches the
+    target iff it is in the set, and the program itself iff its unchanged
+    first step is.  The config is the table's.  Returns the revised
+    action codes and the accepted edits.
 
     Each coin flip takes the next of ``uniforms``, uniform draws in [0, 1):
     at most two per popped proposal, so at most
@@ -578,20 +546,20 @@ def introspective_revision(
     raises ``ValueError``.
     """
     config = table.config
-    m = table.m(cls)
+    m = len(steps)
     draws = iter(uniforms)
-    revised = code
+    revised = steps
     reaching = table.edits(cls, revised)[1]
     events: list[RevisionEvent] = []
 
     def apply(t: int, relation: ActionRelation, source: str) -> None:
         nonlocal revised, reaching
-        old = _digit(revised, m, t)
+        old = revised[t - 1]
         if relation.code != old:
             events.append(
                 RevisionEvent(t=t, old=ACTIONS[old], new=relation, source=source)
             )
-            revised = fix(revised, t, relation)
+            revised = (*revised[: t - 1], relation.code, *revised[t:])
             reaching = table.edits(cls, revised)[1]
 
     popped = 0
@@ -599,13 +567,15 @@ def introspective_revision(
         while popped < config.max_revisions and phi:
             t, relation = phi.pop()
             popped += 1
+            if not 1 <= t <= m:
+                raise ValueError(f"proposal step {t} out of range 1..{m}")
             u = next(draws)
             if (t, relation.code) in reaching and u > config.epsilon:
                 apply(t, relation, "knowledge")
                 continue
             u = next(draws)
             row = probs[t - 1]
-            sampled_prob = row[_digit(code, m, t)]
+            sampled_prob = row[steps[t - 1]]
             ratio = row[relation.code] / sampled_prob if sampled_prob > 0 else 1.0
             if u < min(1.0, ratio):
                 apply(t, relation, "knowledge")
@@ -615,7 +585,7 @@ def introspective_revision(
             f"{len(uniforms)} given, and it reads up to two per proposal"
         ) from None
 
-    if (1, _digit(revised, m, 1)) not in reaching:
+    if (1, revised[0]) not in reaching:
         psi = grid_search(table, cls, revised, phi, probs)
         if psi:
             apply(*psi.pop(), "answer")
@@ -825,9 +795,9 @@ class TrainResult:
     metrics: tuple[EpochMetrics, ...]
 
 
-# what revision made of an episode: the revised program's action codes, None
-# when it is the sampled program, its rewards and the accepted edits
-Revision = tuple[Optional[list[int]], tuple[float, ...], tuple[RevisionEvent, ...]]
+# what revision made of an episode: the revised action codes, None when they
+# are the sampled ones, their rewards and the accepted edits
+Revision = tuple[tuple[int, ...] | None, tuple[float, ...], tuple[RevisionEvent, ...]]
 
 
 def run_episode(
@@ -844,7 +814,7 @@ def run_episode(
     which is of class ``cls`` in ``table``; the config is the table's.
     Returns the program's rewards, the table's tuple, and its revision.
     Without introspective revision the episode is one lookup by (class,
-    ``program_code``) and the revision is None.  With it, ``rows`` holds
+    ``tuple(steps)``) and the revision is None.  With it, ``rows`` holds
     the policy's distribution at each step, as lists of Python floats, and
     ``uniforms`` the episode's ``_episode_width`` draws in [0, 1), of which
     revision reads those past the first m.  An episode that takes every
@@ -852,13 +822,11 @@ def run_episode(
     revision cannot change (module docstring), is returned unchanged with
     no events, no queue built and neither ``rows`` nor ``uniforms`` read.
     Every other one ranks its proposal keys in one ``queue_from_keys`` call
-    and revises the code; a revised program is looked up, and its action
-    codes returned, only when its code differs from the sampled one.
+    and revises the program; a revised program is looked up, and its
+    action codes returned, only when they differ from the sampled ones.
     """
-    code = 1
-    for action in steps:
-        code = code * _BASE + action
-    rewards = table.rewards(cls, code)
+    sampled = tuple(steps)
+    rewards = table.rewards(cls, sampled)
     config = table.config
     if not config.introspective_revision:
         return rewards, None
@@ -867,15 +835,15 @@ def run_episode(
         if relation.code != steps[t - 1]:
             break
     else:
-        if table.reaches(cls, code):
+        if table.reaches(cls, sampled):
             return rewards, (None, rewards, ())
     phi = queue_from_keys(proposals, rows)
     revised, events = introspective_revision(
-        table, cls, code, phi, rows, uniforms[compiled.pair.m :]
+        table, cls, sampled, phi, rows, uniforms[compiled.pair.m :]
     )
-    if revised == code:
+    if revised == sampled:
         return rewards, (None, rewards, events)
-    return rewards, (_step_codes(revised), table.rewards(cls, revised), events)
+    return rewards, (revised, table.rewards(cls, revised), events)
 
 
 def _greedy_hits(
@@ -898,11 +866,11 @@ def _greedy_hits(
     kinds = Counter(zip(classes, [item.row_ids for item in compiled]))
 
     def hits(params: PolicyParams) -> int:
-        best = decode(params, rows)
+        best = [action.code for action in decode(params, rows)]
         return sum(
             count
             for (cls, ids), count in kinds.items()
-            if table.reaches(cls, program_code([best[r] for r in ids]))
+            if table.reaches(cls, tuple([best[r] for r in ids]))
         )
 
     return hits

@@ -19,7 +19,7 @@ from natlog.chunker import chunk_pair, default_rules
 from natlog.cli import main
 from natlog.data import Example
 from natlog.datagen import default_genspec, generate, generate_2hop, save_genspec
-from natlog.executor import Chunk, ChunkedPair, execute, matches_target, program_code
+from natlog.executor import Chunk, ChunkedPair, execute, matches_target
 from natlog.knowledge import default_lexicon, queue_from_keys
 from natlog.metrics import (
     evaluate,
@@ -359,7 +359,8 @@ def test_criterion_05_grid_search_oracle():
         target = list(NLILabel)[int(rng.integers(3))]
         probs = np.full((m, 5), 0.2)
         cls = table.classify(pair, target)
-        psi = grid_search(table, cls, program_code(program), [], probs)
+        steps = tuple([a.code for a in program])
+        psi = grid_search(table, cls, steps, [], probs)
         assert len(set(psi)) == len(psi)
         assert set(psi) == _exhaustive_single_edits(pair, program, target)
     elapsed = time.perf_counter() - started
@@ -374,7 +375,7 @@ def test_criterion_06_metropolis_frequency():
         premise=(Chunk(tokens=("p",), start=0),),
         hypothesis=(Chunk(tokens=("h0",), start=0),),
     )
-    code = program_code((A_EQ,))
+    steps = (A_EQ.code,)
     # the proposal's probability is its entry in the step's row
     probs = np.array([[0.5, 0.25, 0.1, 0.1, 0.05]])
     table = OutcomeTable(TrainConfig(max_revisions=1, epsilon=0.2))
@@ -384,8 +385,8 @@ def test_criterion_06_metropolis_frequency():
     for i in range(n):
         phi = queue_from_keys([(1, A_FE)], probs)
         uniforms = np.random.default_rng([199, i]).random(2).tolist()
-        revised, _ = introspective_revision(table, cls, code, phi, probs, uniforms)
-        if revised == program_code((A_FE,)):
+        revised, _ = introspective_revision(table, cls, steps, phi, probs, uniforms)
+        if revised == (A_FE.code,):
             accepted += 1
     p = 0.5
     sigma = np.sqrt(p * (1 - p) / n)

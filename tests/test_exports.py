@@ -6,6 +6,10 @@ top-level functions and classes it refers to.  Every export that is not
 reached must have a user outside the library, named in ``USERS``, and
 the package docstring must list it; a new export with no caller fails
 here until it is deleted or its user is named.
+
+Every string in a module's ``__all__`` names a top-level definition,
+assignment or import of that module, so deleting a public name deletes
+its entry too.
 """
 
 import ast
@@ -126,3 +130,52 @@ def test_a_new_export_with_no_caller_is_found():
     imports = "from .relations import orphan, orphan_field"
     trees["__init__"].body.append(ast.parse(imports).body[0])
     assert _unreached(trees) == set(USERS) | {"orphan", "orphan_field"}
+
+
+
+def _listing(tree):
+    """A module's ``__all__`` strings, None without one, and the names of
+    its top-level definitions, assignments and imports."""
+    listed, defined = None, set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            }
+            defined |= names
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+    return listed, defined
+
+
+def _unresolved(tree):
+    """The strings of a module's ``__all__`` that name nothing it defines
+    or imports at top level, in list order."""
+    listed, defined = _listing(tree)
+    return [name for name in listed or () if name not in defined]
+
+
+def test_every_all_entry_names_a_top_level_definition():
+    trees = _trees()
+    assert sum(_listing(tree)[0] is not None for tree in trees.values()) == 10
+    for module, tree in trees.items():
+        assert _unresolved(tree) == [], module
+
+
+def test_an_all_entry_that_names_nothing_is_found():
+    module = ast.parse(
+        "from .relations import join\n"
+        "__all__ = ['join', 'gone', 'helper', 'CAP']\n"
+        "CAP: int = 8\n"
+        "def helper(): return join\n"
+    )
+    assert _unresolved(module) == ["gone"]
+    # a deleted function whose name stays listed
+    tree = _trees()["executor"]
+    tree.body = [n for n in tree.body if getattr(n, "name", None) != "single_edits"]
+    assert _unresolved(tree) == ["single_edits"]

@@ -175,9 +175,45 @@ def proper_subsets(size):
     return range(1, universe), universe
 
 
+# a quantifier row's sentence about a phrase as a test on a world: the
+# phrase's set x and the other argument's set P, as bit masks; arg1 rows
+# read "Q x P" and arg2 rows "Q P x"
+QUANTIFIER_SENTENCES = {
+    "all-arg1": lambda x, p: x & p == x,  # all x are P
+    "all-arg2": lambda x, p: p & x == p,  # all P are x
+    "some-arg1": lambda x, p: bool(x & p),  # some x are P
+    "some-arg2": lambda x, p: bool(p & x),  # some P are x
+}
+
+
+def quantifier_row(name, size, others):
+    """Relation R -> the relation between the truth sets of row ``name``'s
+    sentence about x and about y.  The worlds of R are every (x, y, P) in
+    a universe of ``size`` elements with x and y non-empty and
+    non-universal, x R y, and P in ``others``; a truth set is a bit mask
+    over the worlds of its R."""
+    sets, universe = proper_subsets(size)
+    holds = QUANTIFIER_SENTENCES[name]
+    truths = {}  # R -> [truth set about x, about y, worlds so far]
+    for x, y in itertools.product(sets, repeat=2):
+        truth = truths.setdefault(set_relation(x, y, universe), [0, 0, 0])
+        for p in others:
+            world = 1 << truth[2]
+            truth[2] += 1
+            truth[0] |= world if holds(x, p) else 0
+            truth[1] |= world if holds(y, p) else 0
+    return {r: set_relation(a, b, (1 << n) - 1) for r, (a, b, n) in truths.items()}
+
+
 class TestSetSemantics:
-    """The join table and the ``not`` row derived from set semantics, on
-    every pair and triple of subsets of small universes."""
+    """The join table, the ``not`` row and the quantifier rows derived from
+    set semantics, on every pair and triple of subsets of small universes.
+
+    The quantifier rows assume that the other argument P, like the
+    phrases, is neither empty nor universal.  The tables rest on that
+    assumption: without it, both sentences can hold of phrases that
+    exclude each other, and those cells weaken to independence.
+    """
 
     @pytest.mark.parametrize("size", [4, 5])
     def test_join_is_the_one_relation_every_triple_gives(self, size):
@@ -201,6 +237,28 @@ class TestSetSemantics:
         for r, relations in found.items():
             assert len(relations) == 1, r
             assert project(CONTEXTS["not"], r) == relations.pop(), r
+
+    @pytest.mark.parametrize("name", sorted(QUANTIFIER_SENTENCES))
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_quantifier_row_relates_the_sentences(self, name, size):
+        row = quantifier_row(name, size, proper_subsets(size)[0])
+        # x # y needs four elements; every other relation occurs in three
+        assert set(row) == set(RELATIONS) - ({IND} if size == 3 else set())
+        for r, derived in row.items():
+            assert derived == project(CONTEXTS[name], r), r
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_quantifier_rows_assume_a_proper_other_argument(self, size):
+        changed = {}
+        for name in QUANTIFIER_SENTENCES:
+            for r, derived in quantifier_row(name, size, range(1 << size)).items():
+                if derived != project(CONTEXTS[name], r):
+                    changed[name, r] = derived
+        assert len(changed) == 8
+        assert set(changed.values()) == {IND}
+        assert {r for _, r in changed} <= {NEG, ALT, COV}
+        assert project(CONTEXTS["all-arg1"], NEG) == ALT
+        assert changed["all-arg1", NEG] == IND
 
 
 class TestCodeTables:

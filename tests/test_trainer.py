@@ -21,7 +21,6 @@ from natlog.executor import (
     ChunkedPair,
     execute,
     matches_target,
-    program_code,
     single_edits,
 )
 from natlog.knowledge import default_lexicon, queue_from_keys
@@ -59,7 +58,6 @@ from natlog.trainer import (
     _CONFIG_KEYS,
     _parse_bool,
     batch_objective,
-    fix,
     grid_search,
     hybrid_objective,
     introspective_revision,
@@ -108,6 +106,11 @@ def with_probs(probs, cells):
     return probs
 
 
+def codes(program):
+    """``program``'s tuple of action codes: its key in an ``OutcomeTable``."""
+    return tuple([a.code for a in program])
+
+
 def revise(pair, program, target, keys, probs, config, rng):
     """``introspective_revision`` of ``program`` on a fresh table, built as
     ``train`` builds it, with ``keys`` ranked by ``queue_from_keys`` as the
@@ -118,10 +121,10 @@ def revise(pair, program, target, keys, probs, config, rng):
     cls = table.classify(pair, target)
     phi = queue_from_keys(keys, probs)
     uniforms = rng.random(2 * min(config.max_revisions, len(phi))).tolist()
-    code, events = introspective_revision(
-        table, cls, program_code(program), phi, probs, uniforms
+    steps, events = introspective_revision(
+        table, cls, codes(program), phi, probs, uniforms
     )
-    return _program(code), events, phi
+    return _program(steps), events, phi
 
 
 def edit(program, t, action):
@@ -178,7 +181,7 @@ def grid(pair, program, phi, target, probs):
     builds it; ``phi`` is a ``queue_from_keys`` list."""
     table = OutcomeTable(CFG)
     cls = table.classify(pair, target)
-    return grid_search(table, cls, program_code(program), phi, probs)
+    return grid_search(table, cls, codes(program), phi, probs)
 
 
 def augment(examples):
@@ -368,42 +371,6 @@ class TestReinforceObjective:
                 fd[i, j] = (plus - minus) / (2 * h)
         scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
         assert (np.abs(analytic - fd) / scale).max() <= 1e-6
-
-
-class TestFix:
-    def test_replaces_single_step(self):
-        code = program_code((A_EQ, A_EQ, A_EQ))
-        assert fix(code, 2, A_FE) == program_code((A_EQ, A_FE, A_EQ))
-
-    def test_one_based_bounds(self):
-        code = program_code((A_EQ, A_EQ))
-        assert fix(code, 1, A_NA) == program_code((A_NA, A_EQ))
-        assert fix(code, 2, A_NA) == program_code((A_EQ, A_NA))
-        with pytest.raises(ValueError, match=r"step 0 out of range 1\.\.2"):
-            fix(code, 0, A_NA)
-        with pytest.raises(ValueError, match=r"step 3 out of range 1\.\.2"):
-            fix(code, 3, A_NA)
-        with pytest.raises(ValueError, match=r"step 1 out of range 1\.\.0"):
-            fix(program_code(()), 1, A_NA)
-
-    def test_original_untouched(self):
-        program = (A_EQ, A_EQ)
-        code = program_code(program)
-        assert fix(code, 1, A_IND) != code
-        assert _program(code) == program
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=40),
-        st.data(),
-    )
-    def test_equals_editing_the_actions(self, program, data):
-        # programs of 1-40 steps, whose codes pass int64 from 27 steps on
-        program = tuple(program)
-        t = data.draw(st.integers(min_value=1, max_value=len(program)))
-        action = data.draw(st.sampled_from(ACTIONS))
-        fixed = fix(program_code(program), t, action)
-        assert fixed == program_code(edit(program, t, action))
 
 
 def exhaustive_single_edits(pair, program, target):
@@ -606,8 +573,38 @@ class TestIntrospectiveRevision:
         message = f"out of uniforms at proposal {proposal}: {len(uniforms)} given"
         with pytest.raises(ValueError, match=message):
             introspective_revision(
-                table, cls, program_code((A_IND,) * 3), phi, probs, uniforms
+                table, cls, codes((A_IND,) * 3), phi, probs, uniforms
             )
+
+    def test_revision_back_to_the_sample_is_unchanged(self):
+        # both proposals reach the target and clear epsilon: step 1 goes to
+        # forward entailment and back, so the episode's revision is its own
+        # program, rewards and all, with both events
+        pair = upward_pair(1)
+        item = proposing(pair, [(1, A_FE), (1, A_EQ)])
+        table = OutcomeTable(CFG)
+        cls = table.classify(pair, NLILabel.ENTAILMENT)
+        rows = [[0.1, 0.5, 0.2, 0.1, 0.1]]  # forward entailment pops first
+        rewards, revision = run_episode(
+            table, cls, item, [A_EQ.code], rows, [0.0] + [0.9] * 4
+        )
+        revised_steps, revised_rewards, events = revision
+        assert revised_steps is None and revised_rewards is rewards
+        assert [(e.old, e.new) for e in events] == [(A_EQ, A_FE), (A_FE, A_EQ)]
+
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_popped_step_out_of_range_rejected(self, t):
+        # a key before step 1 or past step m names no step of the program,
+        # whatever the draws would make of it; here they accept every pop
+        pair = upward_pair(2)
+        table = OutcomeTable(CFG)
+        cls = table.classify(pair, NLILabel.ENTAILMENT)
+        phi = [(t, A_FE)]
+        with pytest.raises(ValueError, match=rf"step {t} out of range 1\.\.2"):
+            introspective_revision(
+                table, cls, codes((A_EQ, A_EQ)), phi, uniform_probs(2), [0.0, 0.0]
+            )
+        assert phi == []
 
 
 CONTEXT_POOL = tuple(CONTEXTS.values()) + (ProjectivityContext("unknown-context"),)
@@ -711,8 +708,8 @@ def reference_revision(pair, program, target, phi, probs, config, rng):
 
 
 class TestFastPathsMatchExecution:
-    """The code folds and prefix/suffix search against ``execute``, and
-    revision on codes and ranked keys against revision on actions."""
+    """The table lookups and prefix/suffix search against ``execute``, and
+    revision on action codes and ranked keys against revision on actions."""
 
     @settings(max_examples=300, deadline=None)
     @given(revision_cases())
@@ -720,7 +717,7 @@ class TestFastPathsMatchExecution:
         pair, program, target, _, _ = case
         table = OutcomeTable(CFG)
         cls = table.classify(pair, target)
-        assert table.reaches(cls, program_code(program)) == matches_target(
+        assert table.reaches(cls, codes(program)) == matches_target(
             execute(pair, program), target
         )
 
@@ -733,7 +730,7 @@ class TestFastPathsMatchExecution:
         )
         table = OutcomeTable(CFG)
         cls = table.classify(pair, target)
-        edits, reaching = table.edits(cls, program_code(program))
+        edits, reaching = table.edits(cls, codes(program))
         assert edits == brute_force_edits(pair, program, target)
         assert reaching == {(t, ACTIONS.index(a)) for t, a in edits}
 
@@ -767,13 +764,13 @@ class TestFastPathsMatchExecution:
         rng_ref = np.random.default_rng(seed)
         table = OutcomeTable(config)
         cls = table.classify(pair, target)
-        code, events = introspective_revision(
-            table, cls, program_code(program), phi, probs, draws
+        steps, events = introspective_revision(
+            table, cls, codes(program), phi, probs, draws
         )
         revised, expected_events = reference_revision(
             pair, program, target, phi_ref, probs, config, rng_ref
         )
-        assert code == program_code(revised)
+        assert steps == codes(revised)
         assert events == expected_events
         assert phi[::-1] == phi_ref  # same proposals consumed
         # same number of draws: the reference's stream continues where a
@@ -800,17 +797,17 @@ class TestFastPathsMatchExecution:
         draws = CountingDraws(np.random.default_rng(seed).random(bound).tolist())
         table = OutcomeTable(config)
         cls = table.classify(pair, target)
-        introspective_revision(table, cls, program_code(program), phi, probs, draws)
+        introspective_revision(table, cls, codes(program), phi, probs, draws)
         assert draws.taken <= bound
 
     def test_length_mismatch_rejected(self):
         pair = upward_pair(2)
         table = OutcomeTable(CFG)
         cls = table.classify(pair, NLILabel.ENTAILMENT)
-        table.rewards(cls, program_code((A_EQ, A_EQ)))  # a right length first
+        table.rewards(cls, codes((A_EQ, A_EQ)))  # a right length first
         for fast in (table.reaches, table.rewards, table.edits):
             with pytest.raises(ValueError, match="program length 1"):
-                fast(cls, program_code((A_EQ,)))
+                fast(cls, codes((A_EQ,)))
         with pytest.raises(ValueError, match="program length 1"):
             single_edits(pair, (A_EQ,), NLILabel.ENTAILMENT)
 
@@ -863,16 +860,14 @@ class TestRevisionSkip:
         taking = itertools.islice(itertools.product(*choices), 200)
         every = itertools.islice(itertools.product(ACTIONS, repeat=pair.m), 50)
         for taken in itertools.chain([program], taking, every):
-            code = program_code(taken)
-            skip = takes_every_proposal(taken, keys) and table.reaches(cls, code)
+            steps = codes(taken)
+            skip = takes_every_proposal(taken, keys) and table.reaches(cls, steps)
             counts = collections.Counter()
             with pytest.MonkeyPatch.context() as patch:
                 for name in ("queue_from_keys", "introspective_revision"):
                     count_calls(patch, counts, natlog.trainer, name)
-                got = run_episode(
-                    table, cls, item, [a.code for a in taken], rows, uniforms
-                )
-            rewards = table.rewards(cls, code)
+                got = run_episode(table, cls, item, list(steps), rows, uniforms)
+            rewards = table.rewards(cls, steps)
             assert got[0] is rewards
             if not skip:
                 assert counts["introspective_revision"] == 1
@@ -884,9 +879,9 @@ class TestRevisionSkip:
             # revision itself would have changed nothing
             phi = queue_from_keys(keys, probs)
             revision = introspective_revision(
-                table, cls, code, phi, probs, uniforms[pair.m :]
+                table, cls, steps, phi, probs, uniforms[pair.m :]
             )
-            assert revision == (code, ())
+            assert revision == (steps, ())
 
 
 class TestOneNormalizationPerChunk:
@@ -1176,16 +1171,16 @@ def program_batches(draw):
     ]
 
 
-def looked_up_codes(programs):
-    """The code that ``run_episode`` looks each program's rewards up by,
+def looked_up_keys(programs):
+    """The key that ``run_episode`` looks each program's rewards up by,
     read by a spy on ``OutcomeTable.rewards``; each program runs, without
     revision, on an upward pair of its length."""
     table = OutcomeTable(TrainConfig(introspective_revision=False))
     rewards, looked = table.rewards, []
 
-    def spy(cls, code):
-        looked.append(code)
-        return rewards(cls, code)
+    def spy(cls, steps):
+        looked.append(steps)
+        return rewards(cls, steps)
 
     table.rewards = spy
     items = {}
@@ -1202,16 +1197,17 @@ def looked_up_codes(programs):
 
 
 class TestProgramCodes:
-    """The program code that ``run_episode`` folds from the sampled action
-    codes against ``executor.program_code``."""
+    """The key that ``run_episode`` looks a sampled program up by is the
+    tuple of its sampled action codes, and ``_program`` of it is the
+    program."""
 
     @settings(max_examples=300, deadline=None)
     @given(program_batches())
     def test_equal_program_code(self, programs):
-        got = looked_up_codes(programs)
-        assert got == [program_code(p) for p in programs]
-        assert all(type(code) is int for code in got)
-        assert [_program(code) for code in got] == programs
+        got = looked_up_keys(programs)
+        assert got == [codes(p) for p in programs]
+        assert all(type(key) is tuple for key in got)
+        assert [_program(key) for key in got] == programs
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_every_program_of_m_steps(self, m):
@@ -1221,22 +1217,23 @@ class TestProgramCodes:
         heads = [()] if m <= 5 else [(ACTIONS[0],) * (m - 5), (ACTIONS[-1],) * (m - 5)]
         programs = [head + tail for head in heads for tail in tails]
         assert {len(p) for p in programs} == {m}
-        got = looked_up_codes(programs)
-        assert got == [program_code(p) for p in programs]
+        got = looked_up_keys(programs)
+        assert got == [codes(p) for p in programs]
         assert len(set(got)) == len(programs)
 
     def test_programs_past_int64(self):
-        # 26 steps of the last action give 2 * 5**26 - 1 < 2**63; 27 would not
+        # 1 to 40 steps: from 28 steps on there are more programs than
+        # int64 values; one action at every length keeps the lengths apart
         rng = np.random.default_rng(0)
         programs = [(ACTIONS[-1],) * m for m in (1, 26, 27, 40)]
         programs += [
             tuple(ACTIONS[i] for i in rng.integers(5, size=m)) for m in (3, 33)
         ]
-        assert 2 * 5**26 - 1 < 2**63 < 2 * 5**27 - 1
-        got = looked_up_codes(programs)
-        assert got == [program_code(p) for p in programs]
-        assert all(type(code) is int for code in got)
-        assert [_program(code) for code in got] == programs
+        got = looked_up_keys(programs)
+        assert got == [codes(p) for p in programs]
+        assert len(set(got)) == len(programs)
+        assert all(type(key) is tuple for key in got)
+        assert [_program(key) for key in got] == programs
 
 
 class TestBatchObjective:
@@ -1718,7 +1715,7 @@ class TestBatchedTrainEqualsReference:
 
     @pytest.mark.parametrize("ir", [True, False])
     def test_programs_past_int64_equal(self, ir):
-        # 28 chunks a side: program codes pass 2**63, where int64 would wrap
+        # 28 chunks a side: more programs than an int64 can number
         premise = " ".join(["dogs run"] * 14)
         examples = [
             Example(
@@ -1728,7 +1725,7 @@ class TestBatchedTrainEqualsReference:
             )
         ]
         assert chunk_pair(examples[0].premise, examples[0].hypothesis, RULES).m == 28
-        assert 5**28 > 2**63  # the least code of 28 steps
+        assert 5**28 > 2**63
         config = TrainConfig(
             epochs=4, batch_size=1, seed=1, introspective_revision=ir
         )
@@ -1875,10 +1872,11 @@ class TestTrainCallStructure:
     def test_programs_built_only_on_a_miss_or_for_revision(
         self, monkeypatch, split, ir
     ):
-        # an episode, revised or not, works on program codes: a program's
+        # an episode, revised or not, works on action codes: a program's
         # actions are built only inside an ``OutcomeTable`` lookup, once
-        # per (table, kind, class, code) entry, on its first lookup, and a
-        # reachability lookup builds none when the code was executed before
+        # per (table, kind, class, codes) entry, on its first lookup, and a
+        # reachability lookup builds none when the program was executed
+        # before
         program = natlog.trainer._program
         lookups, built = collections.defaultdict(set), collections.Counter()
         inside = []
@@ -1886,20 +1884,20 @@ class TestTrainCallStructure:
         def recording(kind):
             method = getattr(OutcomeTable, kind)
 
-            def wrapped(table, cls, code):
-                key = (id(table), kind, cls, code)
+            def wrapped(table, cls, steps):
+                key = (id(table), kind, cls, steps)
                 lookups[kind].add(key)
                 inside.append(key)
                 try:
-                    return method(table, cls, code)
+                    return method(table, cls, steps)
                 finally:
                     inside.pop()
 
             return wrapped
 
-        def counting_program(code):
+        def counting_program(steps):
             built[inside[-1]] += 1  # an IndexError outside every lookup
-            return program(code)
+            return program(steps)
 
         for kind in ("rewards", "edits", "reaches"):
             monkeypatch.setattr(OutcomeTable, kind, recording(kind))
@@ -1957,16 +1955,16 @@ class TestOutcomeTable:
             # the table's answer for every program, the lookups in two
             # orders: reachability on a miss and on a hit
             answers = []
-            for program in programs:
-                code = program_code(program)
-                if code % 2:
-                    reaches = table.reaches(cls, code)
-                    rewards = table.rewards(cls, code)
-                    edits, reaching = table.edits(cls, code)
+            for index, program in enumerate(programs):
+                steps = codes(program)
+                if index % 2:
+                    reaches = table.reaches(cls, steps)
+                    rewards = table.rewards(cls, steps)
+                    edits, reaching = table.edits(cls, steps)
                 else:
-                    edits, reaching = table.edits(cls, code)
-                    rewards = table.rewards(cls, code)
-                    reaches = table.reaches(cls, code)
+                    edits, reaching = table.edits(cls, steps)
+                    rewards = table.rewards(cls, steps)
+                    reaches = table.reaches(cls, steps)
                 answers.append((rewards, reaches, edits, reaching))
             # each answer against the references on every member pair: the
             # first and the last on every program, every other member on
@@ -2246,6 +2244,11 @@ class TestTrainConfigBounds:
             ("gamma", 1.0),
             ("seed", 0),
             ("seed", 2**32 - 1),
+            ("mu", 1),  # a float field takes an int
+            ("gamma", 0),
+            ("epsilon", 1),
+            ("lam", 0),
+            ("learning_rate", 1),
         ],
     )
     def test_boundary_values_accepted(self, field, value):
@@ -2270,4 +2273,12 @@ class TestTrainConfigBounds:
     )
     def test_wrong_type_names_the_field(self, field, value, kind):
         with pytest.raises(ValueError, match=rf"^{field} must be {kind}, got "):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["1", None, [0.5], True])
+    @pytest.mark.parametrize(
+        "field", ["mu", "gamma", "epsilon", "lam", "learning_rate"]
+    )
+    def test_float_field_of_another_type_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a number, got "):
             TrainConfig(**{field: value})
