@@ -74,7 +74,6 @@ from .policy import (
     argmax,
     compile_examples,
     decode,
-    distinct_rows,
     distribution,
     featurize_pair,
     grad_log_prob,

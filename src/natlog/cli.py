@@ -156,15 +156,16 @@ def cmd_prove(args) -> None:
     )
     rules, lexicon = _rules(args), _lexicon(args)
     example = Example(premise=args.premise, hypothesis=args.hypothesis)
-    (item,), features = compile_examples([example], rules, lexicon)
+    (item,), rows = compile_examples([example], rules, lexicon)
     pair = item.pair
-    program = decode(params, features)
+    actions = decode(params, rows)
+    program = tuple(actions[r] for r in item.row_ids)
     trace = execute(pair, program)
 
-    rows = [("step", "hypothesis chunk", "premise chunk", "r", "proj", "z")]
+    table = [("step", "hypothesis chunk", "premise chunk", "r", "proj", "z")]
     for t, (aligned, _) in enumerate(item.records, start=1):
         hyp_chunk = pair.hypothesis[t - 1]
-        rows.append(
+        table.append(
             (
                 str(t),
                 hyp_chunk.text(),
@@ -174,8 +175,8 @@ def cmd_prove(args) -> None:
                 _printable(trace.states[t].symbol),
             )
         )
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    for row in rows:
+    widths = [max(len(r[c]) for r in table) for c in range(len(table[0]))]
+    for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     print(f"label: {trace.label.value}")
     if trace.rationales:

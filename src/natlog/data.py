@@ -168,12 +168,12 @@ class Example:
         if label is not None:
             label = NLILabel(label)
         if program is not None:
-            if type(program) is str:
-                raise _string_error("gold_program", program)
+            if type(program) is not list:
+                raise _list_error("gold_program", program)
             program = tuple([ActionRelation.parse(name) for name in program])
         if states is not None:
-            if type(states) is str:
-                raise _string_error("gold_states", states)
+            if type(states) is not list:
+                raise _list_error("gold_states", states)
             states = tuple([Relation(name) for name in states])
         if tokens is not None:
             values = tuple(tokens)  # a non-iterable fails here
@@ -200,9 +200,10 @@ class Example:
 _INT = {int}  # the one element type of a rationale token list
 
 
-def _string_error(key: str, names: str) -> ValueError:
-    """The error for a string where a list of names belongs, which would
-    otherwise be read letter by letter."""
+def _list_error(key: str, names) -> ValueError:
+    """The error for a value other than a list where a list of names
+    belongs: a string would otherwise be read letter by letter, and an
+    object by its keys."""
     return ValueError(f"{key} must be a list of names, got {names!r}")
 
 

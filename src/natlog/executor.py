@@ -39,9 +39,9 @@ is one backward count over ``JOIN``: ``suffix_counts(rows, accept)``.
 ``rows`` lists, per step, the projected relation code of each choice that
 step allows, and entry k of the result gives, for each of the 7 start
 states, how many sequences of choices over the last k rows end in a
-state that ``accept`` holds.  Join is not associative, so the count composes as a map
-over states, not as a single relation.  It has three readers, which differ
-only in their rows:
+state that ``accept`` holds.  Join is associative, but a step may allow
+several choices, so the count is kept per start state rather than folded
+into one relation.  It has three readers, which differ only in their rows:
 
 * ``single_edits`` gives each step the one projected relation of the
   program's action there.  One forward fold gives the prefix states

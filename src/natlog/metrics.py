@@ -43,7 +43,7 @@ from .chunker import ChunkRules
 from .data import Example, example_error
 from .executor import ExecutionTable
 from .knowledge import Lexicon
-from .policy import PolicyParams, compile_examples, decode, distinct_rows
+from .policy import PolicyParams, compile_examples, decode
 from .relations import NLILabel, Relation, accepting
 
 __all__ = [
@@ -224,7 +224,7 @@ def evaluate(
     """
     if not examples:
         raise ValueError("cannot evaluate an empty dataset")
-    compiled, features = compile_examples(examples, rules, lexicon)
+    compiled, rows = compile_examples(examples, rules, lexicon)
     kinds: dict = {}  # everything an example's score reads -> its kind
     firsts: list[int] = []  # each kind's first example
     example_kinds: list[int] = []
@@ -253,7 +253,7 @@ def evaluate(
     match_count = pred_phrase_count = gold_phrase_count = 0
     scored_phrases = False
     kind_ious: list[Optional[float]] = []
-    actions = decode(params, distinct_rows(compiled, features))
+    actions = decode(params, rows)
     table = ExecutionTable()
     index = 0
     try:

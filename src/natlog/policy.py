@@ -9,18 +9,16 @@ features; probabilities are their softmax.
 
 ``compile_examples`` is the one path from examples to features: it chunks
 every example with ``chunk_pairs``, aligns them all with one
-``compare_pairs`` call, and writes the feature rows of all examples into
-one array, so that training, evaluation and the CLI read the same records.
-A row depends only on the lexical flags, the step, m and the chunk's
-context, and a split holds few distinct rows, so each call builds each
-distinct row once and assembles the stacked array by integer indexing;
-nothing is kept across calls.  Each record's ``row_ids`` number its rows
-among the call's distinct rows, in order of first sight, and
-``distinct_rows`` gives those rows back, so that one ``decode`` of them
-decodes a whole split and the ids pick each example's program: the one
-numbering that training's greedy count and ``evaluate`` read.  The noisy
-test split has 42 distinct rows among its 7776.  ``featurize_pair``
-builds the same rows for a single pair.
+``compare_pairs`` call, and builds the feature rows, so that training,
+evaluation and the CLI read the same records.  A row depends only on its
+key: the lexical flags, the step, m and the chunk's context.  A split
+holds few distinct keys, so each call builds each key's row once and
+returns those rows, in order of first sight; nothing is kept across
+calls.  Each record's ``row_ids`` index them, so that one ``decode`` of
+the rows decodes a whole split and the ids pick each example's program:
+the one numbering that training, its greedy count and ``evaluate`` read.
+The noisy test split has 42 distinct keys among its 7776 steps.
+``featurize_pair`` builds one pair's rows in step order.
 
 Feature extraction at step t looks only at the premise and hypothesis
 chunks up to t, so distributions are unaffected by later hypothesis
@@ -64,7 +62,6 @@ __all__ = [
     "featurize_pair",
     "Compiled",
     "compile_examples",
-    "distinct_rows",
     "distribution",
     "step_distributions",
     "sample",
@@ -154,22 +151,20 @@ def featurize_pair(pair: ChunkedPair, lexicon: Lexicon) -> np.ndarray:
     return _rows(_row_keys(pair, compare_pair(pair, lexicon)))
 
 
-@dataclass(eq=False)  # features is an array, which has no truth value
+@dataclass
 class Compiled:
     """One example compiled for the policy; nothing here depends on weights.
 
-    ``records`` are the pair's ``compare_pair`` records and ``features``
-    its (m, N_FEATURES) rows, a view of the stacked rows of the examples
-    compiled with it.  ``row_ids`` number those rows among the distinct
-    rows of the call (``distinct_rows``): equal ids, equal rows.
-    ``target`` is None when the example has neither a label nor a target
-    state.
+    ``records`` are the pair's ``compare_pair`` records.  ``row_ids``
+    index its feature rows among the distinct rows that ``compile_examples``
+    returned with it: ``rows[list(row_ids)]`` is ``featurize_pair`` of the
+    pair.  ``target`` is None when the example has neither a label nor a
+    target state.
     """
 
     pair: ChunkedPair
     target: Optional[NLILabel | Relation]
     records: tuple[tuple, ...]
-    features: np.ndarray
     row_ids: tuple[int, ...]
 
     @cached_property
@@ -183,14 +178,11 @@ def compile_examples(
 ) -> tuple[list[Compiled], np.ndarray]:
     """Chunk, align and featurize every example once.
 
-    Returns one ``Compiled`` per example and the stacked feature rows of
-    all examples, shape (sum of m, N_FEATURES), byte-equal to stacking
-    ``featurize_pair`` of each pair: each record's ``features`` is its
-    block of those rows, in example order.  Each distinct row is built
-    once per call, and each record's ``row_ids`` number its rows among
-    them in order of first sight (module docstring).  A sentence that
-    cannot be chunked raises a ValueError that names the example by
-    0-based index and premise.
+    Returns one ``Compiled`` per example and the call's distinct feature
+    rows, shape (distinct rows, N_FEATURES), in order of first sight: row r
+    is the row with id r, and each record's ``row_ids`` index its steps'
+    rows (module docstring).  A sentence that cannot be chunked raises a
+    ValueError that names the example by 0-based index and premise.
     """
     return _compile(examples, chunk_examples(examples, rules), lexicon)
 
@@ -200,38 +192,15 @@ def _compile(
 ) -> tuple[list[Compiled], np.ndarray]:
     """``compile_examples`` of examples already chunked into ``pairs``."""
     all_records = compare_pairs(pairs, lexicon)
-    # each distinct row built once; a key holds all the inputs of its row
-    ids: dict = {}
-    index: list[int] = []
-    for pair, records in zip(pairs, all_records):
-        for key in _row_keys(pair, records):
-            index.append(ids.setdefault(key, len(ids)))
-    features = _rows(ids)[np.array(index, dtype=np.intp)]
-    compiled, offset = [], 0
+    ids: dict = {}  # a key holds all the inputs of its row
+    compiled = []
     for example, pair, records in zip(examples, pairs, all_records):
-        target = example.target_state or example.label
-        end = offset + pair.m
-        compiled.append(
-            Compiled(
-                pair, target, records, features[offset:end], tuple(index[offset:end])
-            )
+        row_ids = tuple(
+            [ids.setdefault(key, len(ids)) for key in _row_keys(pair, records)]
         )
-        offset = end
-    return compiled, features
-
-
-def distinct_rows(compiled: Sequence[Compiled], features: np.ndarray) -> np.ndarray:
-    """The distinct rows of one ``compile_examples`` call, by row id.
-
-    ``compiled`` and ``features`` are what the call returned, or the
-    records of a subset with their stacked rows.  Row r of the result is
-    every stacked row whose id is r, byte for byte, so one ``decode`` of it
-    decodes the whole split; an id that no record holds gets a zero row.
-    """
-    ids = [r for item in compiled for r in item.row_ids]
-    rows = np.zeros((max(ids, default=-1) + 1, N_FEATURES))
-    rows[ids] = features  # rows with one id are equal, so any write is the row
-    return rows
+        target = example.target_state or example.label
+        compiled.append(Compiled(pair, target, records, row_ids))
+    return compiled, _rows(ids)
 
 
 def distribution(params: PolicyParams, features) -> np.ndarray:

@@ -58,11 +58,12 @@ built.
 
 ``train`` runs batch by batch, and a batch's actions are integer codes
 from the sampler to the gradient.  Once per epoch it gathers, in the
-shuffled episode order, the compiled feature rows and each step's draw
-(the first m of its episode's uniforms), so that each batch's steps are
-one contiguous slice of each.  The probabilities depend only on the
-weights and a feature row, and the weights change once per batch, so each
-batch makes one ``step_distributions`` call over its slice, and one
+shuffled episode order, each step's feature row (the distinct row of its
+id, from ``compile_examples``) and its draw (the first m of its episode's
+uniforms), so that each batch's steps are one contiguous slice of each.
+The probabilities depend only on the weights and a feature row, and the
+weights change once per batch, so each batch makes one
+``step_distributions`` call over its slice, and one
 ``sample_codes`` call draws every step's action code from it.
 ``run_episode``, the one per-episode call, takes the episode's slice of
 those codes as Python ints and looks its rewards up by (class, tuple of
@@ -152,7 +153,6 @@ from .policy import (
     PolicyParams,
     _compile,
     decode,
-    distinct_rows,
     sample_codes,
     step_distributions,
 )
@@ -850,19 +850,18 @@ def _greedy_hits(
     table: OutcomeTable,
     classes: Sequence[int],
     compiled: Sequence[Compiled],
-    features: np.ndarray,
+    rows: np.ndarray,
 ) -> Callable[[PolicyParams], int]:
     """A function of the weights that counts the examples whose greedy
     program reaches the target.
 
-    ``compiled`` and ``features`` are what ``compile_examples`` returned
+    ``compiled`` and ``rows`` are what ``compile_examples`` returned
     and ``classes`` the examples' classes in ``table``.  The examples are
     interned once, by kind: a class and the ``row_ids`` of its steps, so
     that the examples of one kind have one greedy program and one outcome.
     Each count decodes the distinct rows in one ``decode`` call and looks
     each kind up in ``table`` once.
     """
-    rows = distinct_rows(compiled, features)
     kinds = Counter(zip(classes, [item.row_ids for item in compiled]))
 
     def hits(params: PolicyParams) -> int:
@@ -1055,7 +1054,7 @@ def train(
             f"{config.epochs} epochs of {len(examples)} examples make more "
             "than 2**32 episodes"
         )
-    compiled, features = _compile(examples, pairs, lexicon)
+    compiled, rows = _compile(examples, pairs, lexicon)
     require_targets(examples)
     params = params.copy() if params is not None else PolicyParams.zeros()
     table = OutcomeTable(config)
@@ -1064,8 +1063,9 @@ def train(
 
     ms = [item.pair.m for item in compiled]
     lengths = np.array(ms)
-    starts = np.cumsum(lengths) - lengths  # each example's first row in features
-    greedy_hits = _greedy_hits(table, classes, compiled, features)
+    starts = np.cumsum(lengths) - lengths  # each example's first step in ids
+    ids = np.array([r for item in compiled for r in item.row_ids], dtype=np.intp)
+    greedy_hits = _greedy_hits(table, classes, compiled, rows)
 
     metrics: list[EpochMetrics] = []
     n = len(compiled)
@@ -1076,12 +1076,12 @@ def train(
             config.seed, np.arange((epoch - 1) * n, epoch * n), width
         )
         # the epoch's steps in episode order, gathered once: episode k's
-        # steps are bounds[k] to bounds[k + 1], with a copy of its example's
-        # rows and the first m of its uniforms as draws
+        # steps are bounds[k] to bounds[k + 1], with its steps' rows, read
+        # through their ids, and the first m of its uniforms as draws
         steps = lengths[order]
         ends = np.cumsum(steps)
         t = np.arange(ends[-1]) - np.repeat(ends - steps, steps)  # 0-based step
-        rows = features[t + np.repeat(starts[order], steps)]
+        step_rows = rows[ids[t + np.repeat(starts[order], steps)]]
         draws = uniforms[np.repeat(np.arange(n), steps), t]
         bounds = [0, *ends.tolist()]
         episodes = order.tolist()
@@ -1093,7 +1093,7 @@ def train(
         for start in range(0, n, config.batch_size):
             stop = min(start + config.batch_size, n)
             begin, end = bounds[start], bounds[stop]
-            batch_rows = rows[begin:end]
+            batch_rows = step_rows[begin:end]
             probs = step_distributions(params, batch_rows)
             codes = sample_codes(probs, draws[begin:end])
             sampled = codes.tolist()
@@ -1144,7 +1144,7 @@ def train(
             EpochMetrics(
                 epoch=epoch,
                 train_accuracy=greedy_hits(params) / n,
-                mean_reward=reward_total / max(len(rows), 1),
+                mean_reward=reward_total / max(len(step_rows), 1),
                 objective=objective_total / n,
                 revisions=RevisionStats.tally(revisions),
             )

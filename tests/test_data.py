@@ -23,6 +23,7 @@ from natlog.data import (
     SCHEMA,
     VERSION,
     Example,
+    chunk_examples,
     dumps,
     load_dataset,
     save_dataset,
@@ -168,8 +169,9 @@ _VALID = {
 }
 
 # (field, value, message after "path:2: "), recorded from the enum-constructor
-# implementation of ``Example.from_record``.  A string where a list belongs is
-# rejected as a whole, and a dict is read by its keys.
+# implementation of ``Example.from_record``.  Any value but a list where a
+# list of names belongs is rejected as a whole: a string, a number or an
+# object, which was once read by its keys.
 MALFORMED_FIELDS = [
     ("label", "bogus", "'bogus' is not a valid NLILabel"),
     ("label", ["x"], "['x'] is not a valid NLILabel"),
@@ -184,17 +186,17 @@ MALFORMED_FIELDS = [
     ("gold_program", [{"a": 1}], "{'a': 1} is not a valid ActionRelation"),
     ("gold_program", [5], "5 is not a valid ActionRelation"),
     ("gold_program", [None], "None is not a valid ActionRelation"),
-    ("gold_program", 5, "'int' object is not iterable"),
-    ("gold_program", True, "'bool' object is not iterable"),
-    ("gold_program", {"a": 1}, "'a' is not a valid ActionRelation"),
+    ("gold_program", 5, "gold_program must be a list of names, got 5"),
+    ("gold_program", True, "gold_program must be a list of names, got True"),
+    ("gold_program", {"a": 1}, "gold_program must be a list of names, got {'a': 1}"),
     ("gold_states", "bogus", "gold_states must be a list of names, got 'bogus'"),
     ("gold_states", ["x"], "'x' is not a valid Relation"),
     ("gold_states", [["x"]], "['x'] is not a valid Relation"),
     ("gold_states", [{"a": 1}], "{'a': 1} is not a valid Relation"),
     ("gold_states", [5], "5 is not a valid Relation"),
     ("gold_states", [None], "None is not a valid Relation"),
-    ("gold_states", 5, "'int' object is not iterable"),
-    ("gold_states", {"a": 1}, "'a' is not a valid Relation"),
+    ("gold_states", 5, "gold_states must be a list of names, got 5"),
+    ("gold_states", {"a": 1}, "gold_states must be a list of names, got {'a': 1}"),
     ("target_state", "bogus", "'bogus' is not a valid Relation"),
     ("target_state", ["x"], "['x'] is not a valid Relation"),
     ("target_state", {"a": 1}, "{'a': 1} is not a valid Relation"),
@@ -249,8 +251,8 @@ class TestMalformedLines:
 
 # values that used to load without an error: a sentence that is not a
 # string, rationale tokens that are not a list of ints, a falsy label or
-# target state read as absent, a string program or state sequence, and a
-# split tag that is not a string
+# target state read as absent, a string program or state sequence, an
+# object read by its keys as one, and a split tag that is not a string
 REJECTED_FIELDS = [
     ("premise", None, "premise must be a string, got None"),
     ("premise", 5, "premise must be a string, got 5"),
@@ -276,6 +278,13 @@ REJECTED_FIELDS = [
     ("gold_program", "", "gold_program must be a list of names, got ''"),
     ("gold_states", "", "gold_states must be a list of names, got ''"),
     ("gold_states", "negation", "gold_states must be a list of names, got 'negation'"),
+    ("gold_program", {}, "gold_program must be a list of names, got {}"),
+    ("gold_program", {"equivalence": 1, "reverse_entailment": 2},
+     "gold_program must be a list of names, "
+     "got {'equivalence': 1, 'reverse_entailment': 2}"),
+    ("gold_states", {}, "gold_states must be a list of names, got {}"),
+    ("gold_states", {"forward_entailment": 0},
+     "gold_states must be a list of names, got {'forward_entailment': 0}"),
     ("split_tag", 5, "split_tag must be a string, got 5"),
     ("split_tag", None, "split_tag must be a string, got None"),
     ("split_tag", ["test"], "split_tag must be a string, got ['test']"),
@@ -320,6 +329,76 @@ class TestRejectedValues:
         assert Example.from_record(_VALID).to_record() == _VALID
         untagged = {k: v for k, v in _VALID.items() if k != "split_tag"}
         assert Example.from_record(untagged).split_tag == "train"
+
+
+# JSON texts a mutant puts in place of a record's field or of one element of
+# a list field
+_MUTANT_VALUES = [
+    "NaN", "1e309", "-1", str(2**64), "null", "[]", "{}", '"\\u0000"', "true", "1.5"
+]
+
+
+@pytest.fixture(scope="module")
+def mutation_base(tmp_path_factory):
+    """A directory for mutants, and the lines of a ``save_dataset`` file of
+    compositional, two-hop and target-state examples."""
+    rules, spec = natlog.default_rules(), default_genspec()
+    train = natlog.generate(spec, rules)[0][:4]
+    augmented = natlog.trainer.relation_augmentation(
+        train, chunk_examples(train, rules), natlog.default_lexicon()
+    )[0]
+    examples = [*augmented, *natlog.generate_2hop(spec, rules)[:4]]
+    assert {ex.target_state is not None for ex in examples} == {False, True}
+    root = tmp_path_factory.mktemp("mutants")
+    save_dataset(examples, root / "base.jsonl")
+    return root, read_text(root / "base.jsonl").splitlines()
+
+
+def _joined(texts: dict[str, str]) -> str:
+    """A canonical line from its fields' JSON texts."""
+    return "{" + ",".join(f"{json.dumps(k)}:{texts[k]}" for k in sorted(texts)) + "}"
+
+
+class TestMutatedDataset:
+    """A dataset file that ``save_dataset`` wrote, with one field of one
+    record replaced, either fails to load with a ``ValueError`` that names
+    the mutated line, or loads and writes every record back as parsed JSON
+    equal to what it read."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutant_named_or_written_back(self, mutation_base, data):
+        root, lines = mutation_base
+        lineno = data.draw(st.integers(2, len(lines)), label="line")
+        record = json.loads(lines[lineno - 1])
+        texts = {k: dumps(v) for k, v in record.items()}
+        assert _joined(texts) == lines[lineno - 1]
+        key = data.draw(st.sampled_from(sorted(record)), label="field")
+        value, text = record[key], texts[key]
+        mutants = [*_MUTANT_VALUES, f"[{text}]", f'{{"k":{text}}}']
+        if isinstance(value, list) and value:
+            # one element replaced, or the list as an object keyed by them
+            at = data.draw(st.integers(0, len(value) - 1), label="element")
+            elements = [dumps(element) for element in value]
+            mutants += [
+                "[" + ",".join(elements[:at] + [new] + elements[at + 1 :]) + "]"
+                for new in _MUTANT_VALUES
+            ]
+            mutants.append(dumps({str(element): i for i, element in enumerate(value)}))
+        texts[key] = data.draw(st.sampled_from(mutants), label="mutant")
+        mutant = [*lines[: lineno - 1], _joined(texts), *lines[lineno:]]
+        path, out = root / "mutant.jsonl", root / "written.jsonl"
+        path.write_text("\n".join(mutant) + "\n", "utf-8")
+        try:
+            examples = load_dataset(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:{lineno}: ")
+            return
+        save_dataset(examples, out)
+        written = read_text(out).splitlines()
+        assert [json.loads(line) for line in written] == [
+            json.loads(line) for line in mutant
+        ]
 
 
 # sha256 of the files ``natlog gen --two-hop`` writes with the default spec,

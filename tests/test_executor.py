@@ -504,3 +504,34 @@ class TestSuffixCounts:
         counts = suffix_counts(rows, accepting(target))
         assert counts[0] is accepting(target)
         assert [tuple(map(int, c)) for c in counts] == reference_counts(rows, target)
+
+
+# Nested scopes, mis-projected today: the chunker gives each scope a flat
+# run to the end of the sentence and the nearest trigger wins, so "not all"
+# marks "all dogs" as all-arg1 and "that no dogs chase" marks "chase move" as
+# not.  Each case passes once the verdict is right or the chunker refuses the
+# sentence with a ValueError that names it.
+NESTED_SCOPES = [
+    ("not all dogs run", "not all animals run", (A_EQ, A_FE, A_EQ), "entailment"),
+    ("not all animals run", "not all dogs run", (A_EQ, A_RE, A_EQ), "neutral"),
+    (
+        "all cats that no dogs chase run",
+        "all cats that no dogs chase move",
+        (A_EQ, A_EQ, A_EQ, A_FE),
+        "entailment",
+    ),
+]
+
+
+class TestNestedScopes:
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="nested scopes are projected flat"
+    )
+    @pytest.mark.parametrize("premise, hypothesis, program, label", NESTED_SCOPES)
+    def test_verdict_or_refusal(self, premise, hypothesis, program, label):
+        try:
+            pair = chunk_pair(premise, hypothesis, default_rules())
+        except ValueError as exc:
+            assert premise in str(exc) or hypothesis in str(exc)
+            return
+        assert execute(pair, program).label is NLILabel(label)

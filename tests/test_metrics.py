@@ -477,16 +477,18 @@ def test_per_pair_decode_equals_evaluate_programs(
     monkeypatch.setattr(metrics, "decode", recording)
     evaluate(test_set, trained_policy, rules, lexicon)
     monkeypatch.undo()
-    ((items, features),) = compiled
-    ((rows, actions),) = decoded
+    ((items, rows),) = compiled
+    ((decoded_rows, actions),) = decoded
     ids = [r for item in items for r in item.row_ids]
-    # the distinct rows, each once, and every stacked row is its id's row
-    assert len(rows) == len(set(ids)) == max(ids) + 1 < len(features)
-    assert rows[ids].tobytes() == features.tobytes()
+    # the compiled distinct rows, decoded as they are, each once
+    assert decoded_rows is rows
+    assert len(rows) == len(set(ids)) == max(ids) + 1 < len(ids)
     programs = set()
     for example, item in zip(test_set, items):
         pair = chunk_pair(example.premise, example.hypothesis, rules)
-        probs = step_distributions(trained_policy, featurize_pair(pair, lexicon))
+        features = featurize_pair(pair, lexicon)
+        assert rows[list(item.row_ids)].tobytes() == features.tobytes()
+        probs = step_distributions(trained_policy, features)
         program = tuple(argmax(p) for p in probs)
         assert program == tuple(actions[r] for r in item.row_ids)
         programs.add(program)
@@ -610,11 +612,15 @@ class TestEvaluateByDistinctParts:
         self, splits, rules, lexicon, split
     ):
         examples = splits[split]
-        compiled, features = compile_examples(examples, rules, lexicon)
+        compiled, rows = compile_examples(examples, rules, lexicon)
         pairs = [chunk_pair(e.premise, e.hypothesis, rules) for e in examples]
         expected = np.concatenate([featurize_pair(pair, lexicon) for pair in pairs])
+        features = np.concatenate([rows[list(item.row_ids)] for item in compiled])
         assert features.dtype == expected.dtype and features.shape == expected.shape
         assert features.tobytes() == expected.tobytes()
+        ids = [r for item in compiled for r in item.row_ids]
+        assert max(ids) + 1 == len(rows)
+        assert list(dict.fromkeys(ids)) == list(range(len(rows)))  # first sight
         for item, pair in zip(compiled, pairs):
             assert item.pair == pair
             assert item.records == compare_pair(pair, lexicon)

@@ -258,35 +258,57 @@ class TestFeatureMatrixEqualsRowStack:
         assert not featurize_pair(_unknown_context(pair), LEX)[0, 9:15].any()
 
 
+def assert_distinct_rows(compiled, rows):
+    """``rows`` are the distinct rows of the call that compiled ``compiled``,
+    numbered by the records' row ids in order of first sight.
+
+    Rows are distinct in their inputs (lexical flags, step, m, context
+    name), which the ids number one to one; two inputs may still give
+    equal values, as steps 1 of 2 and 2 of 4 share the position 0.5.
+    """
+    ids = [r for item in compiled for r in item.row_ids]
+    inputs = [
+        (flags, t, item.pair.m, chunk.context.name)
+        for item in compiled
+        for t, ((_, flags), chunk) in enumerate(
+            zip(item.records, item.pair.hypothesis), 1
+        )
+    ]
+    assert len(set(zip(ids, inputs))) == len(set(ids)) == len(set(inputs))
+    assert rows.dtype == np.float64 and rows.shape == (len(rows), N_FEATURES)
+    assert max(ids, default=-1) + 1 == len(rows)
+    assert list(dict.fromkeys(ids)) == list(range(len(rows)))  # first sight
+
+
 class TestCompileExamples:
     def test_rows_equal_separate_per_pair_matrices(self, split_examples):
-        compiled, features = compile_examples(split_examples, RULES, LEX)
-        expected = np.concatenate([_separate_matrix(item.pair) for item in compiled])
-        assert features.dtype == expected.dtype and features.shape == expected.shape
-        assert features.tobytes() == expected.tobytes()
-        offset = 0
+        compiled, rows = compile_examples(split_examples, RULES, LEX)
+        assert_distinct_rows(compiled, rows)
+        assert len(rows) < sum(item.pair.m for item in compiled)
         for example, item in zip(split_examples, compiled):
-            assert np.shares_memory(item.features, features)
-            assert item.features.tobytes() == features[offset : offset + item.pair.m].tobytes()
+            matrix, expected = rows[list(item.row_ids)], _separate_matrix(item.pair)
+            assert matrix.dtype == expected.dtype and matrix.shape == expected.shape
+            assert matrix.tobytes() == expected.tobytes()
             assert item.records == compare_pair(item.pair, LEX)
             assert item.target == example.target
-            offset += item.pair.m
-        assert offset == len(features)
 
     def test_unknown_context_row(self, monkeypatch):
         pair = chunk_pair("in the park no dogs run", "in the park no cats run", RULES)
         odd = _unknown_context(pair)
         monkeypatch.setattr(policy, "chunk_examples", lambda examples, rules: [odd, pair])
         examples = [Example(premise="p", hypothesis="h")] * 2
-        compiled, features = compile_examples(examples, RULES, LEX)
-        expected = np.concatenate([_separate_matrix(odd), _separate_matrix(pair)])
-        assert features.tobytes() == expected.tobytes()
-        assert not features[0, 9:15].any() and features[pair.m, 9:15].any()
+        compiled, rows = compile_examples(examples, RULES, LEX)
+        assert_distinct_rows(compiled, rows)
+        for item, case in zip(compiled, (odd, pair)):
+            matrix = rows[list(item.row_ids)]
+            assert matrix.tobytes() == _separate_matrix(case).tobytes()
+        first, second = (rows[item.row_ids[0]] for item in compiled)
+        assert not first[9:15].any() and second[9:15].any()
         assert [item.target for item in compiled] == [None, None]
 
     def test_empty_split(self):
-        compiled, features = compile_examples([], RULES, LEX)
-        assert compiled == [] and features.shape == (0, N_FEATURES)
+        compiled, rows = compile_examples([], RULES, LEX)
+        assert compiled == [] and rows.shape == (0, N_FEATURES)
 
 
 class TestDistribution:

@@ -93,6 +93,15 @@ class TestJoinTable:
         for a, b in itertools.product(RELATIONS, RELATIONS):
             assert join(a, b) in RELATIONS
 
+    def test_associative(self):
+        # all 343 code triples; with the identity and the absorbing element
+        # above, the table is a monoid, so a program's final state is the
+        # join of any split of its projected steps
+        triples = list(itertools.product(range(len(RELATIONS)), repeat=3))
+        assert len(triples) == 343
+        for a, b, c in triples:
+            assert JOIN[JOIN[a][b]][c] == JOIN[a][JOIN[b][c]], (a, b, c)
+
 
 class TestProjection:
     @pytest.mark.parametrize("name", sorted(PROJECTION_EXPECTED))

@@ -154,16 +154,24 @@ def episode_uniforms(item, config, rng):
     return rng.random(_episode_width(item, config)).tolist()
 
 
-def sampled_episode(table, cls, item, probs, uniforms):
+def features_of(item, rows):
+    """An example's feature rows, read from the distinct ``rows`` that
+    ``compile_examples`` returned with it through its row ids."""
+    return rows[list(item.row_ids)]
+
+
+def sampled_episode(table, cls, item, params, features, uniforms):
     """One episode as ``train`` runs it, as the ``Episode`` record that
     ``hybrid_objective`` reads: ``sample_codes`` on the first m of
     ``uniforms``, then ``run_episode`` on the sampled action codes, with the
-    programs rebuilt from their codes."""
+    programs rebuilt from their codes.  ``features`` are the example's
+    rows."""
+    probs = step_distributions(params, features)
     steps = sample_codes(probs, np.array(uniforms[: item.pair.m])).tolist()
     program = tuple(ACTIONS[c] for c in steps)
     rewards, revision = run_episode(table, cls, item, steps, probs.tolist(), uniforms)
     episode = Episode(
-        features=item.features, probs=probs, program=program, rewards=rewards
+        features=features, probs=probs, program=program, rewards=rewards
     )
     if revision is not None:
         revised_steps, episode.revised_rewards, episode.revisions = revision
@@ -943,12 +951,13 @@ class TestHybridObjective:
                 label=NLILabel.ENTAILMENT,
             )
         ]
-        (item,) = compile_examples(examples, RULES, LEX)[0]
+        (item,), rows = compile_examples(examples, RULES, LEX)
         table = OutcomeTable(TrainConfig(seed=3))
         cls = table.classify(item.pair, item.target)
-        probs = step_distributions(params, item.features)
         uniforms = episode_uniforms(item, table.config, np.random.default_rng(3))
-        return sampled_episode(table, cls, item, probs, uniforms)
+        return sampled_episode(
+            table, cls, item, params, features_of(item, rows), uniforms
+        )
 
     def test_lambda_one_is_pure_reinforce(self):
         params = PolicyParams.zeros()
@@ -1013,7 +1022,7 @@ def random_episodes(seed, introspective_revision=True):
     rng = np.random.default_rng(seed)
     params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
     examples = natlog.generate(natlog.default_genspec(), RULES)[0][::40]
-    compiled = compile_examples(examples, RULES, LEX)[0]
+    compiled, rows = compile_examples(examples, RULES, LEX)
     config = TrainConfig(seed=seed, introspective_revision=introspective_revision)
     table = OutcomeTable(config)
     episodes = [
@@ -1021,12 +1030,13 @@ def random_episodes(seed, introspective_revision=True):
             table,
             table.classify(item.pair, item.target),
             item,
-            step_distributions(params, item.features),
+            params,
+            features_of(item, rows),
             episode_uniforms(item, config, np.random.default_rng([seed, i])),
         )
         for i, item in enumerate(compiled)
     ]
-    return params, compiled, episodes
+    return params, compiled, rows, episodes
 
 
 class TestObjectiveFromEpisodeProbs:
@@ -1035,7 +1045,7 @@ class TestObjectiveFromEpisodeProbs:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_hybrid_equals_per_step_reference(self, seed):
-        params, _, episodes = random_episodes(seed)
+        params, _, _, episodes = random_episodes(seed)
         assert any(e.revised_program != e.program for e in episodes)
         for episode in episodes:
             j, grad = per_step_objective(
@@ -1053,7 +1063,7 @@ class TestObjectiveFromEpisodeProbs:
                 assert np.array_equal(gradient, lam * grad + (1 - lam) * grad_rev)
 
     def test_hybrid_without_revision_equals_reference(self):
-        params, _, episodes = random_episodes(4, introspective_revision=False)
+        params, _, _, episodes = random_episodes(4, introspective_revision=False)
         for episode in episodes:
             assert episode.revised_program is None
             j, grad = per_step_objective(
@@ -1093,16 +1103,18 @@ class TestObjectiveFromEpisodeProbs:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_greedy_accuracy_equals_per_example_decode(self, seed):
-        params, compiled, _ = random_episodes(seed)
+        params, compiled, rows, _ = random_episodes(seed)
         hits = sum(
-            matches_target(execute(item.pair, decode(params, item.features)), item.target)
+            matches_target(
+                execute(item.pair, decode(params, features_of(item, rows))),
+                item.target,
+            )
             for item in compiled
         )
         assert 0 < hits < len(compiled)
-        features = np.concatenate([item.features for item in compiled])
         table = OutcomeTable(CFG)
         classes = [table.classify(item.pair, item.target) for item in compiled]
-        assert _greedy_hits(table, classes, compiled, features)(params) == hits
+        assert _greedy_hits(table, classes, compiled, rows)(params) == hits
         empty = _greedy_hits(table, [], [], np.zeros((0, N_FEATURES)))
         assert empty(params) == 0
 
@@ -1257,7 +1269,7 @@ class TestBatchObjective:
             assert one_grad.tobytes() == grad.tobytes()
 
     def test_revision_that_matches_no_episode_rejected(self):
-        _, _, episodes = random_episodes(0)
+        _, _, _, episodes = random_episodes(0)
         rewards, probs, features, codes, _ = stacked(episodes[:3])
         steps = [a.code for a in episodes[1].revised_program]
         for revised in [
@@ -1321,15 +1333,15 @@ def episodes_with_references(seed, config, step):
     rng = np.random.default_rng(seed)
     params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
     examples = natlog.generate(natlog.default_genspec(), RULES)[0][::step]
-    compiled = compile_examples(examples, RULES, LEX)[0]
+    compiled, rows = compile_examples(examples, RULES, LEX)
     table = OutcomeTable(config)
     for i, item in enumerate(compiled):
-        probs = step_distributions(params, item.features)
+        features = features_of(item, rows)
         cls = table.classify(item.pair, item.target)
         uniforms = episode_uniforms(item, config, np.random.default_rng([seed, i]))
-        episode = sampled_episode(table, cls, item, probs, uniforms)
+        episode = sampled_episode(table, cls, item, params, features, uniforms)
         expected = _reference_episode(
-            params, item, config, np.random.default_rng([seed, i])
+            params, item, features, config, np.random.default_rng([seed, i])
         )
         yield episode, expected
 
@@ -1590,14 +1602,15 @@ class TestEpisodeStreams:
             train(tiny_dataset()[:2], RULES, LEX, config)
 
 
-def _reference_episode(params, compiled, config, rng):
+def _reference_episode(params, compiled, features, config, rng):
     """One episode as sampled before batching: one softmax per episode, one
     scalar ``sample`` per step, ``execute`` and ``reward`` per program, and
-    the test-local ``reference_revision``, so no outcome table is read."""
-    probs = step_distributions(params, compiled.features)
+    the test-local ``reference_revision``, so no outcome table is read.
+    ``features`` are the example's rows."""
+    probs = step_distributions(params, features)
     program = tuple(sample(p, rng) for p in probs)
     episode = Episode(
-        features=compiled.features,
+        features=features,
         probs=probs,
         program=program,
         rewards=reward(execute(compiled.pair, program), compiled.target, config),
@@ -1625,7 +1638,7 @@ def _reference_train(examples, config, params=None):
     None."""
     if config.augmentation:
         examples = augment(examples)[0]
-    compiled, _ = compile_examples(examples, RULES, LEX)
+    compiled, rows = compile_examples(examples, RULES, LEX)
     params = params.copy() if params is not None else PolicyParams.zeros()
     metrics = []
     ordinal = 0
@@ -1640,7 +1653,10 @@ def _reference_train(examples, config, params=None):
         for idx in order:
             episode_rng = np.random.default_rng([config.seed, ordinal])
             ordinal += 1
-            episode = _reference_episode(params, compiled[idx], config, episode_rng)
+            item = compiled[idx]
+            episode = _reference_episode(
+                params, item, features_of(item, rows), config, episode_rng
+            )
             value, grad = reference_hybrid(params, episode, config.lam)
             objective_total += value
             batch_grad += grad
@@ -1655,7 +1671,10 @@ def _reference_train(examples, config, params=None):
         if batch_count:
             params.weights -= config.learning_rate * batch_grad
         hits = sum(
-            matches_target(execute(item.pair, decode(params, item.features)), item.target)
+            matches_target(
+                execute(item.pair, decode(params, features_of(item, rows))),
+                item.target,
+            )
             for item in compiled
         )
         metrics.append(
