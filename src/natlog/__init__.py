@@ -7,9 +7,9 @@ and joined into a final entailment, contradiction, or neutral verdict.
 Training uses policy gradients plus an introspective revision step that
 repairs sampled programs with lexical knowledge and answer feedback.
 ``compile_examples`` chunks, aligns and featurizes a dataset once; training,
-evaluation and the ``prove`` and ``oracle`` commands all start from its
-records, and data generation, evaluation and training read every
-execution from one ``executor.ExecutionTable``.
+evaluation and the ``prove`` command start from its records, the ``oracle``
+command from ``chunk_examples`` and ``suffix_counts``.  Data generation,
+evaluation and training each execute through one ``executor.ExecutionTable``.
 
 Exports that no library module reaches from the command line are kept
 for a user outside the library, most as the one-item references that the

@@ -383,12 +383,12 @@ def load_dataset(path: str | Path) -> list[Example]:
     """
     lines = read_lines(path)
     if not lines:
-        raise ValueError(f"{path}: empty dataset file")
+        raise ValueError(f"{path}:1: empty dataset file")
     header = _parse_line(path, 1, lines[0], dict)
     if header.get("schema") != SCHEMA:
-        raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {header!r}")
+        raise ValueError(f"{path}:1: expected schema {SCHEMA!r}, got {header!r}")
     if header.get("version") != VERSION:
-        raise ValueError(f"{path}: unsupported version {header.get('version')}")
+        raise ValueError(f"{path}:1: unsupported version {header.get('version')}")
     examples = []
     # frame -> _SEEN, then the annotation it holds, or _NEVER
     frames: dict = {}

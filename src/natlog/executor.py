@@ -340,17 +340,15 @@ def single_edits(
 
 
 def enumerate_programs(
-    pair: ChunkedPair,
-    target: NLILabel | Relation,
-    cap: int = ENUMERATION_CAP,
+    pair: ChunkedPair, target: NLILabel | Relation
 ) -> Iterator[Program]:
     """Yield all programs reaching ``target``, in lexicographic action order.
 
-    Exhaustive over the 5^m program space, so refuses to run past ``cap``
-    hypothesis chunks.
+    Exhaustive over the 5^m program space, so refuses to run past
+    ``ENUMERATION_CAP`` hypothesis chunks.
     """
-    if pair.m > cap:
-        raise ValueError(f"m={pair.m} exceeds enumeration cap {cap}")
+    if pair.m > ENUMERATION_CAP:
+        raise ValueError(f"m={pair.m} exceeds enumeration cap {ENUMERATION_CAP}")
     ok = accepting(target)
     for program in itertools.product(ACTIONS, repeat=pair.m):
         if ok[execute(pair, program).final_state.code]:

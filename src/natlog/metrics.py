@@ -281,6 +281,8 @@ def evaluate(
                     p == g for p, g in zip(states[1:], example.gold_states)
                 )
                 state_total += count * pair.m
+            if example.gold_program is not None:  # checks its length too
+                gold = executions.parts(pair, example.gold_program)[3]
             kind_iou = None
             if example.gold_rationale_tokens is not None:
                 n_tokens = hypothesis[-1].end  # the chunks cover every token
@@ -296,7 +298,6 @@ def evaluate(
                 kind_iou = iou(pred_tokens, example.gold_rationale_tokens)
                 if example.gold_program is not None:
                     scored_phrases = True
-                    gold = executions.parts(pair, example.gold_program)[3]
                     # phrases match exactly when they are the same chunk
                     # (module docstring)
                     match_count += count * len(set(rationales).intersection(gold))

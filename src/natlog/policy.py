@@ -10,14 +10,14 @@ features; probabilities are their softmax.
 ``compile_examples`` is the one path from examples to features: it chunks
 every example with ``chunk_pairs``, aligns them all with one
 ``compare_pairs`` call, and builds the feature rows, so that training,
-evaluation and the CLI read the same records.  A row depends only on its
-key: the lexical flags, the step, m and the chunk's context.  A split
-holds few distinct keys, so each call builds each key's row once and
-returns those rows, in order of first sight; nothing is kept across
-calls.  Each record's ``row_ids`` index them, so that one ``decode`` of
-the rows decodes a whole split and the ids pick each example's program:
-the one numbering that training, its greedy count and ``evaluate`` read.
-The noisy test split has 42 distinct keys among its 7776 steps.
+evaluation and the CLI read the same records.  A row is its key: the
+lexical flags, the position t / m and the chunk's context.  A split
+holds few distinct rows, so each call builds each one once and returns
+them, in order of first sight; nothing is kept across calls.  Each
+record's ``row_ids`` index them, so that one ``decode`` of the rows
+decodes a whole split and the ids pick each example's program: the one
+numbering that training, its greedy count and ``evaluate`` read.  The
+noisy test split has 32 distinct rows among its 7776 steps.
 ``featurize_pair`` builds one pair's rows in step order.
 
 Feature extraction at step t looks only at the premise and hypothesis
@@ -125,12 +125,12 @@ class PolicyParams:
 
 
 def _row_keys(pair: ChunkedPair, records: Sequence[tuple]) -> list[tuple]:
-    """The inputs of each of the pair's feature rows, from its
-    ``compare_pair`` records: (lexical flags, 1-based step, m, context
-    name)."""
+    """The values of each of the pair's feature rows, from its
+    ``compare_pair`` records: (lexical flags, position t / m for the
+    1-based step t, context name).  Equal keys are equal rows."""
     m = pair.m
     return [
-        (flags, t, m, chunk.context.name)
+        (flags, t / m, chunk.context.name)
         for t, ((_, flags), chunk) in enumerate(zip(records, pair.hypothesis), 1)
     ]
 
@@ -139,9 +139,9 @@ def _rows(keys: Iterable[tuple]) -> np.ndarray:
     """One feature row per ``_row_keys`` key, in ``FEATURE_NAMES`` order,
     all written into one array."""
     values: list = []
-    for flags, t, m, context in keys:
+    for flags, position, context in keys:
         values += flags
-        values.append(t / m)
+        values.append(position)
         values += _ROW_TAILS.get(context, _NO_CONTEXT_TAIL)
     return np.array(values, dtype=float).reshape(-1, N_FEATURES)
 
@@ -192,7 +192,7 @@ def _compile(
 ) -> tuple[list[Compiled], np.ndarray]:
     """``compile_examples`` of examples already chunked into ``pairs``."""
     all_records = compare_pairs(pairs, lexicon)
-    ids: dict = {}  # a key holds all the inputs of its row
+    ids: dict = {}  # a key holds all the values of its row
     compiled = []
     for example, pair, records in zip(examples, pairs, all_records):
         row_ids = tuple(
@@ -313,20 +313,21 @@ def save_checkpoint(params: PolicyParams, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> PolicyParams:
     """Read a ``save_checkpoint`` file.
 
-    A malformed file raises ``ValueError`` naming the path, and a bad weight
-    row (a token that is not a hex float or overflows one, the wrong number
-    of weights, a non-finite weight, a row past the last action) also its
-    line.
+    A malformed file raises ``ValueError`` naming the path and line: the
+    header line that is wrong, the weight row that is (a token that is not
+    a hex float or overflows one, the wrong number of weights, a non-finite
+    weight, a row past the last action), or the line past the end when a
+    header line or weight row is missing.
     """
     lines = read_lines(path)
     if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
+        raise ValueError(f"{path}:1: not a {CHECKPOINT_MAGIC} checkpoint")
     if len(lines) < 3:
-        raise ValueError(f"{path}: truncated checkpoint header")
+        raise ValueError(f"{path}:{len(lines) + 1}: truncated checkpoint header")
     if lines[1] != "features: " + " ".join(FEATURE_NAMES):
-        raise ValueError(f"{path}: feature layout mismatch")
+        raise ValueError(f"{path}:2: feature layout mismatch")
     if lines[2] != "actions: " + " ".join(a.value for a in ACTIONS):
-        raise ValueError(f"{path}: action layout mismatch")
+        raise ValueError(f"{path}:3: action layout mismatch")
     rows = []
     for lineno, line in enumerate(lines[3:], start=4):
         if not line:
@@ -346,5 +347,7 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
             raise ValueError(f"{path}:{lineno}: non-finite weight {bad[0]}")
         rows.append(row)
     if len(rows) != N_ACTIONS:
-        raise ValueError(f"{path}: {len(rows)} weight rows, expected {N_ACTIONS}")
+        raise ValueError(
+            f"{path}:{len(lines) + 1}: {len(rows)} weight rows, expected {N_ACTIONS}"
+        )
     return PolicyParams(weights=np.array(rows))

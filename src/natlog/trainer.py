@@ -128,7 +128,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -656,14 +656,11 @@ def batch_objective(
     return lam * j[:n] + (1 - lam) * j[at], lam * grad[:n] + (1 - lam) * grad[at]
 
 
-def hybrid_objective(
-    params: PolicyParams, episode: Episode, lam: float
-) -> tuple[float, np.ndarray]:
+def hybrid_objective(episode: Episode, lam: float) -> tuple[float, np.ndarray]:
     """``batch_objective`` of one episode: lam * J + (1 - lam) * J'.
 
-    Both read ``episode.probs``, which are the distributions under
-    ``params`` as long as the weights have not changed since the episode
-    ran.
+    Both read ``episode.probs``, the distributions under the weights that
+    the episode ran with.
     """
     revised = None
     if episode.revised_program is not None:
@@ -1086,7 +1083,7 @@ def train(
         bounds = [0, *ends.tolist()]
         episodes = order.tolist()
 
-        revisions: list = [] if config.introspective_revision else [()] * n
+        revisions: list = []
         reward_total = 0.0
         objective_total = 0.0
 
@@ -1098,38 +1095,32 @@ def train(
             codes = sample_codes(probs, draws[begin:end])
             sampled = codes.tolist()
             batch_rewards = []
-            revised = None
+            # without revision, run_episode reads neither the probability
+            # rows nor the uniforms, and a None ``revised`` leaves J unscaled
+            revising = config.introspective_revision
+            revised = {} if revising else None
+            prob_rows = probs.tolist() if revising else ()
+            batch_uniforms = uniforms[start:stop].tolist() if revising else repeat(())
             at = 0  # the episode's first step in the batch
-            if not config.introspective_revision:
-                for i in episodes[start:stop]:
-                    m = ms[i]
-                    rewards = run_episode(
-                        table, classes[i], compiled[i], sampled[at : at + m]
-                    )[0]
-                    at += m
-                    batch_rewards.append(rewards)
-                    reward_total += sum(rewards)
-            else:
-                revised = {}
-                prob_rows = probs.tolist()
-                for k, (i, episode_draws) in enumerate(
-                    zip(episodes[start:stop], uniforms[start:stop].tolist())
-                ):
-                    m = ms[i]
-                    rewards, (revised_steps, revised_rewards, events) = run_episode(
-                        table,
-                        classes[i],
-                        compiled[i],
-                        sampled[at : at + m],
-                        prob_rows[at : at + m],
-                        episode_draws,
-                    )
-                    at += m
-                    batch_rewards.append(rewards)
-                    reward_total += sum(rewards)
-                    revisions.append(events)
-                    if revised_steps is not None:
-                        revised[k] = (revised_steps, revised_rewards)
+            for k, (i, episode_uniforms) in enumerate(
+                zip(episodes[start:stop], batch_uniforms)
+            ):
+                m = ms[i]
+                rewards, revision = run_episode(
+                    table,
+                    classes[i],
+                    compiled[i],
+                    sampled[at : at + m],
+                    prob_rows[at : at + m],
+                    episode_uniforms,
+                )
+                at += m
+                batch_rewards.append(rewards)
+                reward_total += sum(rewards)
+                revised_steps, revised_rewards, events = revision or (None, None, ())
+                revisions.append(events)
+                if revised_steps is not None:
+                    revised[k] = (revised_steps, revised_rewards)
 
             values, grads = batch_objective(
                 batch_rewards, config.lam, probs, batch_rows, codes, revised

@@ -458,13 +458,13 @@ def _reference_load(path):
     ``Example.from_record``, on the UTF-8 text split at ``\\n``."""
     text = read_text(path).replace("\r\n", "\n")
     if not text:
-        raise ValueError(f"{path}: empty dataset file")
+        raise ValueError(f"{path}:1: empty dataset file")
     lines = text.split("\n")
     header = _reference_line(path, 1, lines[0], dict)
     if header.get("schema") != SCHEMA:
-        raise ValueError(f"{path}: expected schema {SCHEMA!r}, got {header!r}")
+        raise ValueError(f"{path}:1: expected schema {SCHEMA!r}, got {header!r}")
     if header.get("version") != VERSION:
-        raise ValueError(f"{path}: unsupported version {header.get('version')}")
+        raise ValueError(f"{path}:1: unsupported version {header.get('version')}")
     return [
         _reference_line(path, lineno, line, Example.from_record)
         for lineno, line in enumerate(lines[1:], start=2)

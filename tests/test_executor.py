@@ -256,7 +256,7 @@ class TestEnumeration:
     def test_cap_enforced(self):
         pair = upward_pair(1, 9)
         with pytest.raises(ValueError):
-            list(enumerate_programs(pair, NLILabel.ENTAILMENT, cap=8))
+            list(enumerate_programs(pair, NLILabel.ENTAILMENT))
 
     def test_lexicographic_order(self):
         pair = upward_pair(1, 2)

@@ -673,13 +673,28 @@ class TestEvaluateByDistinctParts:
             f"program length {m - 1} != hypothesis chunks {m}"
         )
 
+    def test_wrong_length_gold_program_named_without_rationale(self, rules, lexicon):
+        """A gold program of the wrong length is named also when the example
+        has no gold rationale tokens, so no phrases are scored."""
+        example = Example(
+            "all dogs run",
+            "all animals run",
+            NLILabel.NEUTRAL,
+            gold_program=(ActionRelation.EQUIVALENCE,),
+        )
+        with pytest.raises(ValueError) as info:
+            evaluate([example], PolicyParams.zeros(), rules, lexicon)
+        assert str(info.value) == (
+            "example 0 ('all dogs run'): program length 1 != hypothesis chunks 2"
+        )
+
 
 class TestEvaluateByKind:
     """``evaluate`` scores each kind of example once: the distinct rows are
     decoded once, errors name the earliest malformed example, and the mean
     IOU adds the examples' IOUs in example order."""
 
-    @pytest.mark.parametrize("split, distinct", [("comp", 20), ("noisy", 42)])
+    @pytest.mark.parametrize("split, distinct", [("comp", 20), ("noisy", 32)])
     def test_decodes_the_distinct_rows_once(
         self, splits, policies, rules, lexicon, monkeypatch, split, distinct
     ):

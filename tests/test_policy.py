@@ -262,20 +262,21 @@ def assert_distinct_rows(compiled, rows):
     """``rows`` are the distinct rows of the call that compiled ``compiled``,
     numbered by the records' row ids in order of first sight.
 
-    Rows are distinct in their inputs (lexical flags, step, m, context
-    name), which the ids number one to one; two inputs may still give
-    equal values, as steps 1 of 2 and 2 of 4 share the position 0.5.
+    The ids number the rows' values (lexical flags, position t / m,
+    context name) one to one, so steps 1 of 2 and 2 of 4 share the row of
+    position 0.5, and the rows are pairwise distinct.
     """
     ids = [r for item in compiled for r in item.row_ids]
-    inputs = [
-        (flags, t, item.pair.m, chunk.context.name)
+    values = [
+        (flags, t / item.pair.m, chunk.context.name)
         for item in compiled
         for t, ((_, flags), chunk) in enumerate(
             zip(item.records, item.pair.hypothesis), 1
         )
     ]
-    assert len(set(zip(ids, inputs))) == len(set(ids)) == len(set(inputs))
+    assert len(set(zip(ids, values))) == len(set(ids)) == len(set(values))
     assert rows.dtype == np.float64 and rows.shape == (len(rows), N_FEATURES)
+    assert len({row.tobytes() for row in rows}) == len(rows)
     assert max(ids, default=-1) + 1 == len(rows)
     assert list(dict.fromkeys(ids)) == list(range(len(rows)))  # first sight
 
@@ -640,7 +641,7 @@ class TestCheckpoint:
     def test_truncated_header_names_path(self, tmp_path):
         path = tmp_path / "policy.ckpt"
         path.write_text("natlog-policy v1\n")
-        with pytest.raises(ValueError, match=f"^{path}: truncated"):
+        with pytest.raises(ValueError, match=f"^{path}:2: truncated checkpoint header$"):
             load_checkpoint(path)
 
     def test_truncated_weight_row_names_path(self, tmp_path):
@@ -704,7 +705,7 @@ class TestCheckpoint:
         save_checkpoint(PolicyParams.zeros(), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match=f"^{path}: 4 weight rows, expected 5$"):
+        with pytest.raises(ValueError, match=f"^{path}:8: 4 weight rows, expected 5$"):
             load_checkpoint(path)
         path.write_text("\n".join(lines + ["", lines[-1]]) + "\n")
         with pytest.raises(ValueError, match=f"^{path}:10: more than 5 weight rows$"):

@@ -962,7 +962,7 @@ class TestHybridObjective:
     def test_lambda_one_is_pure_reinforce(self):
         params = PolicyParams.zeros()
         episode = self.make_episode(params)
-        j, grad = hybrid_objective(params, episode, 1.0)
+        j, grad = hybrid_objective(episode, 1.0)
         j_base, grad_base = reinforce_objective(
             params, episode.features, episode.program, episode.rewards
         )
@@ -973,7 +973,7 @@ class TestHybridObjective:
         params = PolicyParams.zeros()
         episode = self.make_episode(params)
         assert episode.revised_program is not None
-        j, grad = hybrid_objective(params, episode, 0.0)
+        j, grad = hybrid_objective(episode, 0.0)
         j_rev, grad_rev = reinforce_objective(
             params, episode.features, episode.revised_program, episode.revised_rewards
         )
@@ -983,9 +983,9 @@ class TestHybridObjective:
     def test_interpolation_is_linear(self):
         params = PolicyParams.zeros()
         episode = self.make_episode(params)
-        j0, g0 = hybrid_objective(params, episode, 0.0)
-        j1, g1 = hybrid_objective(params, episode, 1.0)
-        jh, gh = hybrid_objective(params, episode, 0.5)
+        j0, g0 = hybrid_objective(episode, 0.0)
+        j1, g1 = hybrid_objective(episode, 1.0)
+        jh, gh = hybrid_objective(episode, 0.5)
         assert jh == pytest.approx(0.5 * j0 + 0.5 * j1)
         assert np.allclose(gh, 0.5 * g0 + 0.5 * g1)
 
@@ -1058,7 +1058,7 @@ class TestObjectiveFromEpisodeProbs:
                 episode.revised_rewards,
             )
             for lam in (0.0, 0.5, 0.7, 1.0):
-                value, gradient = hybrid_objective(params, episode, lam)
+                value, gradient = hybrid_objective(episode, lam)
                 assert value == lam * j + (1 - lam) * j_rev
                 assert np.array_equal(gradient, lam * grad + (1 - lam) * grad_rev)
 
@@ -1069,7 +1069,7 @@ class TestObjectiveFromEpisodeProbs:
             j, grad = per_step_objective(
                 params, episode.features, episode.program, episode.rewards
             )
-            value, gradient = hybrid_objective(params, episode, 0.5)
+            value, gradient = hybrid_objective(episode, 0.5)
             assert value == j
             assert np.array_equal(gradient, grad)
 
@@ -1264,7 +1264,7 @@ class TestBatchObjective:
             assert np.isfinite(value) and np.isfinite(grad).all()
             assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
             assert grad.tobytes() == expected_grad.tobytes()
-            one_value, one_grad = hybrid_objective(params, episode, lam)
+            one_value, one_grad = hybrid_objective(episode, lam)
             assert np.float64(one_value).tobytes() == np.float64(value).tobytes()
             assert one_grad.tobytes() == grad.tobytes()
 
