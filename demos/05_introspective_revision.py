@@ -37,19 +37,20 @@ print("executes to:    ", execute(pair, program).label.value,
       f"(want {target.value})")
 print()
 
-# a proposal is a (step, relation) key; the queue is the keys ranked by the
-# policy's probability for them, best last, and revision pops from its end
+# a proposal is a (step, action code) key, a code being a position in
+# ACTIONS; the queue is the keys ranked by the policy's probability for
+# them, best last, and revision pops from its end
 phi = queue_from_keys(proposal_keys(pair, lexicon), probs)
 print("lexical proposals, best first:")
-for t, relation in reversed(phi):
-    print(f"  step {t}: {relation.symbol}  p={probs[t - 1][relation.code]:.2f}")
+for t, a in reversed(phi):
+    print(f"  step {t}: {ACTIONS[a].symbol}  p={probs[t - 1][a]:.2f}")
 print()
 
 # revision reads what each program does from a table of outcomes per
 # (contexts, target) class, as training does: the pair is classified once
 # and every lookup is by class.  Its coin flips come from pre-drawn
 # uniforms, at most two per proposal.  It revises the program's tuple of
-# action codes
+# action codes, and its events name the old and new actions as relations
 table = OutcomeTable(TrainConfig())
 cls = table.classify(pair, target)
 uniforms = np.random.default_rng(0).random(2 * len(phi)).tolist()

@@ -201,7 +201,7 @@ class Trace:
         return tuple(out)
 
 
-def _check_length(pair: ChunkedPair, program: Sequence[ActionRelation]) -> None:
+def _check_length(pair: ChunkedPair, program: Sequence) -> None:
     if len(program) != pair.m:
         raise ValueError(
             f"program length {len(program)} != hypothesis chunks {pair.m}"
@@ -310,22 +310,21 @@ def suffix_counts(
 
 def single_edits(
     pair: ChunkedPair,
-    program: Sequence[ActionRelation],
+    codes: Sequence[int],
     target: NLILabel | Relation,
-) -> list[tuple[int, ActionRelation]]:
-    """Every (t, action) whose one-step edit of ``program`` reaches ``target``.
+) -> list[tuple[int, int]]:
+    """Every (t, a) such that setting step t of ``codes`` to a reaches ``target``.
 
-    Steps ascend from 1 and actions follow ``ACTIONS`` within a step; the
+    Steps ascend from 1 and action codes ascend within a step; the
     unchanged action counts as an edit.  Prefix states and the program's
     ``suffix_counts`` (module docstring) make this O(5m) lookups instead of
     5m executions.
     """
     hypothesis = pair.hypothesis
     m = len(hypothesis)
-    if len(program) != m:
-        _check_length(pair, program)
+    if len(codes) != m:
+        _check_length(pair, codes)
     rows = [chunk.context.action_codes for chunk in hypothesis]
-    codes = [action.code for action in program]
     prefix = [0]  # z_0 .. z_{m-1}
     for row, a in zip(rows[:-1], codes):
         prefix.append(JOIN[prefix[-1]][row[a]])
@@ -335,7 +334,7 @@ def single_edits(
     edits = []
     for t, (row, z) in enumerate(zip(rows, prefix), 1):
         joined, ok = JOIN[z], suffix[m - t]
-        edits.extend((t, action) for action, p in zip(ACTIONS, row) if ok[joined[p]])
+        edits.extend((t, a) for a, p in enumerate(row) if ok[joined[p]])
     return edits
 
 

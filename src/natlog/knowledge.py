@@ -38,12 +38,15 @@ pair, and both the policy's features and the proposal rules read those
 records.
 
 The equivalence and forward entailment rules deliberately overlap on the
-sub-phrase case; both proposals are emitted.  A proposal is a plain
-(step, relation) key, as ``proposal_keys`` returns it and as
-``executor.single_edits`` returns an edit.  ``queue_from_keys`` ranks keys
-in one sort, by the policy's probability for the proposed relation, with
-ties broken by earlier position and then by canonical action order; the
-ranked list is the queue, best last, popped from its end.
+sub-phrase case; both proposals are emitted.  Revision speaks one key
+type, a pair of ints (t, a): the 1-based step t and the action code a,
+its position in ``ACTIONS``.  A proposal is such a key, as
+``proposal_keys`` returns it, and so is an edit, as
+``executor.single_edits`` returns it; only ``propose`` builds relations,
+for a reader.  ``queue_from_keys`` ranks keys in one sort, by the
+policy's probability for the proposed action, with ties broken by earlier
+step and then by lower action code; the ranked list is the queue, best
+last, popped from its end.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._text import config_lines, write_lines
 from .executor import Chunk, ChunkedPair
-from .relations import ActionRelation
+from .relations import ACTIONS, ActionRelation
 
 __all__ = [
     "Lexicon",
@@ -73,6 +76,9 @@ __all__ = [
 _HYPERNYM = 1  # ra is a (transitive) hypernym of rb
 _HYPONYM = 2  # rb is a (transitive) hypernym of ra
 _ANTONYM = 4
+
+# a lexicon file's edge kinds -> the ``Lexicon`` arguments they fill
+_EDGE_KINDS = {"syn": "synonyms", "hyper": "hypernyms", "ant": "antonyms"}
 
 
 class Lexicon:
@@ -177,21 +183,33 @@ class Lexicon:
         """Read edges from a plain text file.
 
         Lines are ``syn w1 w2``, ``hyper parent child``, or ``ant w1 w2``;
-        blank lines and ``#`` comments are ignored.
+        blank lines and ``#`` comments are ignored.  A hypernym cycle or an
+        antonym within a synonym class names the line of the edge that
+        completes it, the last of the shortest prefix of edges that raises.
         """
-        syn, hyper, ant = [], [], []
-        buckets = {"syn": syn, "hyper": hyper, "ant": ant}
+        kinds: dict = {kind: [] for kind in _EDGE_KINDS.values()}
+        edges = []  # (line, constructor argument, word pair), in file order
         for lineno, line in config_lines(path):
             parts = line.split()
-            if len(parts) != 3 or parts[0] not in buckets:
+            if len(parts) != 3 or parts[0] not in _EDGE_KINDS:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'syn|hyper|ant word word'"
                 )
-            buckets[parts[0]].append((parts[1], parts[2]))
+            kind, pair = _EDGE_KINDS[parts[0]], (parts[1], parts[2])
+            kinds[kind].append(pair)
+            edges.append((lineno, kind, pair))
         try:
-            return cls(synonyms=syn, hypernyms=hyper, antonyms=ant)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            return cls(**kinds)
+        except ValueError:
+            # an edge never mends either error: rebuild edge by edge
+            kinds = {kind: [] for kind in kinds}
+            for lineno, kind, pair in edges:
+                kinds[kind].append(pair)
+                try:
+                    cls(**kinds)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise
 
     def dump(self, path: str | Path) -> None:
         lines = [f"syn {a} {b}" for a, b in sorted(self._syn_edges)]
@@ -393,19 +411,16 @@ def compare_pair(pair: ChunkedPair, lexicon: Lexicon) -> tuple[tuple, ...]:
     return compare_pairs([pair], lexicon)[0]
 
 
-def _proposed(flags: tuple) -> tuple[ActionRelation, ...]:
-    """The proposal rules above, applied to a pair's lexical flags."""
+# the codes of the rules' four relations: every action but independence
+_RULE_CODES = tuple(a.code for a in ACTIONS if a is not ActionRelation.INDEPENDENCE)
+
+
+def _proposed(flags: tuple) -> tuple[int, ...]:
+    """The action codes that the proposal rules above give a pair's
+    lexical flags, in canonical action order."""
     exact, sub, sup, _, hyper_fwd, hyper_rev, antonym, _ = flags
-    out = []
-    if exact or sub:
-        out.append(ActionRelation.EQUIVALENCE)
-    if sub or hyper_fwd:
-        out.append(ActionRelation.FORWARD_ENTAILMENT)
-    if sup or hyper_rev:
-        out.append(ActionRelation.REVERSE_ENTAILMENT)
-    if antonym:
-        out.append(ActionRelation.NEG_ALT)
-    return tuple(out)
+    fired = (exact or sub, sub or hyper_fwd, sup or hyper_rev, antonym)
+    return tuple([a for a, fires in zip(_RULE_CODES, fired) if fires])
 
 
 def propose(
@@ -419,45 +434,39 @@ def propose(
     chunks share no related token.
     """
     pair = ChunkedPair((premise_chunk,), (hyp_chunk,))
-    return _proposed(compare_pair(pair, lexicon)[0][1])
+    return tuple([ACTIONS[a] for a in _proposed(compare_pair(pair, lexicon)[0][1])])
 
 
-def keys_from_records(
-    records: Sequence[tuple],
-) -> tuple[tuple[int, ActionRelation], ...]:
-    """(step, relation) proposals from ``compare_pair`` records."""
+def keys_from_records(records: Sequence[tuple]) -> tuple[tuple[int, int], ...]:
+    """(step, action code) proposals from ``compare_pair`` records."""
     return tuple(
-        (t, relation)
+        (t, a)
         for t, (_, flags) in enumerate(records, start=1)
-        for relation in _proposed(flags)
+        for a in _proposed(flags)
     )
 
 
-def proposal_keys(
-    pair: ChunkedPair, lexicon: Lexicon
-) -> tuple[tuple[int, ActionRelation], ...]:
-    """(step, relation) proposals for a pair; independent of the policy."""
+def proposal_keys(pair: ChunkedPair, lexicon: Lexicon) -> tuple[tuple[int, int], ...]:
+    """(step, action code) proposals for a pair; independent of the policy."""
     return keys_from_records(compare_pair(pair, lexicon))
 
 
-def queue_from_keys(
-    keys: Iterable[tuple[int, ActionRelation]], probs
-) -> list[tuple[int, ActionRelation]]:
-    """The distinct proposal keys ranked by policy probability, in pop order.
+def queue_from_keys(keys: Iterable[tuple[int, int]], probs) -> list[tuple[int, int]]:
+    """The distinct (step, action code) keys ranked by policy probability,
+    in pop order.
 
     ``probs`` holds the per-step action distributions, ``probs[t - 1][a]``
     for step t and action code a.  One sort orders the keys by descending
-    probability, then earlier step, then canonical action order, and the
-    result lists them best last, so a caller pops the best from the end.
-    Keys are deduplicated as (step, action code), so no enum is hashed.
-    A key whose step is not in 1..m raises ``ValueError``.
+    probability, then earlier step, then lower action code, best last, so
+    a caller pops the best from the end.  That order is total over distinct
+    keys, so the list depends only on the set of keys, not on their order
+    or repetition.  A key whose step is not in 1..m raises ``ValueError``.
     """
     m = len(probs)
-    entries: dict = {}  # (step, action code) -> (sort key, relation)
-    for t, relation in keys:
+    ranked = []
+    for t, a in dict.fromkeys(keys):
         if not 0 < t <= m:
-            raise ValueError(f"key ({t}, {relation!r}) has no step among {m} steps")
-        code = relation.code
-        entries.setdefault((t, code), (-probs[t - 1][code], t, code, relation))
-    ranked = sorted(entries.values(), reverse=True)
-    return [(t, relation) for _, t, _, relation in ranked]
+            raise ValueError(f"key ({t}, {a}) has no step among {m} steps")
+        ranked.append((-probs[t - 1][a], t, a))
+    ranked.sort(reverse=True)
+    return [(t, a) for _, t, a in ranked]

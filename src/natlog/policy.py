@@ -168,8 +168,8 @@ class Compiled:
     row_ids: tuple[int, ...]
 
     @cached_property
-    def proposals(self) -> tuple[tuple[int, ActionRelation], ...]:
-        """Knowledge proposal keys, from the records on first use."""
+    def proposals(self) -> tuple[tuple[int, int], ...]:
+        """Knowledge proposal keys (t, a), from the records on first use."""
         return keys_from_records(self.records)
 
 

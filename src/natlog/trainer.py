@@ -30,8 +30,8 @@ The revised program is scored the same way and both objectives combine as
 lambda * J + (1 - lambda) * J_revised.
 
 Only the episodes that revision can change are revised.  Take an episode
-whose every proposal key (t, a) has a equal to the action sampled at step
-t, and whose sampled program reaches the target.  Every pop is then an
+whose every proposal key (t, a) has a equal to the action code sampled at
+step t, and whose sampled program reaches the target.  Every pop is then an
 outright accept of the unchanged action, whose key is in the reaching edit
 set because the unchanged action counts as an edit, or a Metropolis test
 with ratio 1; either way ``apply`` changes nothing.  Grid search does not
@@ -45,11 +45,11 @@ unchanged with no queue built and no draw read.  Without knowledge nothing
 is proposed, so only the episodes that miss are revised.
 
 Revision works on the tuple of a program's action codes, which keys
-every outcome, and on plain (step, relation) keys as
-``knowledge.proposal_keys`` and ``executor.single_edits`` return them; a
+every outcome, and on (step, action code) keys (``knowledge`` module
+docstring) from ``Compiled.proposals`` and ``executor.single_edits``: a
 queue is ``knowledge.queue_from_keys``'s ranked list, popped from its
-end.  Actions are built as enums only on an ``OutcomeTable`` miss, where
-``execute`` or ``single_edits`` needs them.
+end, and a program's edits are a set of keys.  Actions are built as
+enums only for a ``RevisionEvent`` and for ``execute``.
 
 Every hyperparameter (mu, gamma, M, epsilon, lambda and the rest) is a
 field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
@@ -167,7 +167,6 @@ from .relations import (
 
 __all__ = [
     "TrainConfig",
-    "Episode",
     "RevisionEvent",
     "OutcomeTable",
     "reward",
@@ -299,30 +298,6 @@ class RevisionEvent:
     source: str  # "knowledge" or "answer"
 
 
-@dataclass
-class Episode:
-    """One sample as a record, which ``hybrid_objective`` scores: its
-    steps' features and probabilities, the programs and their rewards, and
-    the revisions.  ``train`` keeps no such record; its episodes are
-    codes (module docstring).
-
-    The revised fields are None without introspective revision.  When
-    revision leaves the program unchanged, ``revised_rewards`` may be
-    ``rewards``, the same object, as ``run_episode`` returns it.  Rewards
-    read from an ``OutcomeTable`` are the table's tuple, shared with every
-    episode of the same class and program, and equal what ``reward`` gives
-    for the program's trace.
-    """
-
-    features: np.ndarray  # (m, n_features)
-    probs: np.ndarray  # (m, n_actions)
-    program: Program
-    rewards: tuple[float, ...]
-    revised_program: Optional[Program] = None
-    revised_rewards: Optional[tuple[float, ...]] = None
-    revisions: tuple[RevisionEvent, ...] = ()
-
-
 def reward(trace: Trace, target: Target, config: TrainConfig) -> tuple[float, ...]:
     """Shaped per-step rewards for an executed program."""
     m = trace.m
@@ -378,7 +353,7 @@ class OutcomeTable:
         self._targets: list[Target] = []  # class -> target
         self._executions: list[Executions] = []  # class -> its rows' executions
         self._rewards: list[dict] = []  # class -> action codes -> reward
-        self._edits: list[dict] = []  # class -> action codes -> edits, list and set
+        self._edits: list[dict] = []  # class -> action codes -> edits
 
     def classify(self, pair: ChunkedPair, target: Target) -> int:
         """The class of ``pair`` and ``target``, interned on first sight."""
@@ -417,20 +392,16 @@ class OutcomeTable:
         )
         return accepting(self._targets[cls])[parts[1][-1].code]
 
-    def edits(
-        self, cls: int, steps: tuple[int, ...]
-    ) -> tuple[list[tuple[int, ActionRelation]], frozenset[tuple[int, int]]]:
-        """``single_edits`` of the program with action codes ``steps``, as a
-        list in its order and as the set of (t, action code) pairs; the
-        program's actions are built once per (class, program), on the first
+    def edits(self, cls: int, steps: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+        """The set of ``single_edits`` (t, a) of the program with action
+        codes ``steps``, computed once per (class, program), on the first
         lookup."""
         known = self._edits[cls]
         edits = known.get(steps)
         if edits is None:
-            found = single_edits(
-                self._pairs[cls], _program(steps), self._targets[cls]
+            edits = known[steps] = frozenset(
+                single_edits(self._pairs[cls], steps, self._targets[cls])
             )
-            edits = known[steps] = found, frozenset((t, a.code) for t, a in found)
         return edits
 
 
@@ -500,19 +471,19 @@ def grid_search(
     table: OutcomeTable,
     cls: int,
     steps: tuple[int, ...],
-    phi: Sequence[tuple[int, ActionRelation]],
+    phi: Sequence[tuple[int, int]],
     probs: Sequence[Sequence[float]],
-) -> list[tuple[int, ActionRelation]]:
-    """All single-step edits whose program reaches the target, ranked.
+) -> list[tuple[int, int]]:
+    """All single-step edits (t, a) whose program reaches the target, ranked.
 
-    The edits are the ``single_edits`` list, in ``table``, of the program
+    The edits are the ``single_edits`` set, in ``table``, of the program
     with action codes ``steps`` over the pairs of class ``cls``.  If any
-    edit coincides with a pending lexical proposal in ``phi``, the result
-    is narrowed to those shared keys.  Returns the ``queue_from_keys``
-    list, best last.
+    edit is also a pending proposal key in ``phi``, the result is narrowed
+    to those shared keys.  Returns the ``queue_from_keys`` list, best last,
+    which depends only on the set of keys it ranks.
     """
-    edits, reaching = table.edits(cls, steps)
-    shared = [key for key in phi if (key[0], key[1].code) in reaching]
+    edits = table.edits(cls, steps)
+    shared = [key for key in phi if key in edits]
     return queue_from_keys(shared or edits, probs)
 
 
@@ -520,25 +491,25 @@ def introspective_revision(
     table: OutcomeTable,
     cls: int,
     steps: tuple[int, ...],
-    phi: list[tuple[int, ActionRelation]],
+    phi: list[tuple[int, int]],
     probs: Sequence[Sequence[float]],
     uniforms: Sequence[float],
 ) -> tuple[tuple[int, ...], tuple[RevisionEvent, ...]]:
     """Revise a sampled program with lexical and answer-driven edits.
 
     ``steps`` is the sampled program's action codes and ``phi`` the ranked
-    proposal keys (``queue_from_keys``), popped from the end in place; a
-    popped key whose step is not in 1..m raises ``ValueError``.  Knowledge
-    phase: pop up to ``max_revisions`` proposals.  Each is applied outright
-    when the edited program reaches the target and an exploration draw
-    clears epsilon; otherwise it survives a Metropolis test with ratio
-    p_t[proposal] / p_t[sampled action].  Answer phase: if the program
-    still misses the target, the best grid-search edit (if any) is
-    applied.  Both checks read the edit set of the current revised
-    program in ``table``, under class ``cls``: an edit (t, a) reaches the
-    target iff it is in the set, and the program itself iff its unchanged
-    first step is.  The config is the table's.  Returns the revised
-    action codes and the accepted edits.
+    (step, action code) proposal keys (``queue_from_keys``), popped from
+    the end in place; a popped key whose step is not in 1..m raises
+    ``ValueError``.  Knowledge phase: pop up to ``max_revisions`` proposals.
+    Each is applied outright when the edited program reaches the target
+    and an exploration draw clears epsilon; otherwise it survives a
+    Metropolis test with ratio p_t[a] / p_t[sampled action] for the
+    proposed code a.  Answer phase: if the program still misses the
+    target, the best grid-search edit (if any) is applied.  Both checks
+    read the edit set of the current revised program in ``table``, under
+    class ``cls``: an edit (t, a) reaches the target iff it is in the set,
+    and the program itself iff its unchanged first step is.  The config is
+    the table's.  Returns the revised action codes and the accepted edits.
 
     Each coin flip takes the next of ``uniforms``, uniform draws in [0, 1):
     at most two per popped proposal, so at most
@@ -549,36 +520,36 @@ def introspective_revision(
     m = len(steps)
     draws = iter(uniforms)
     revised = steps
-    reaching = table.edits(cls, revised)[1]
+    reaching = table.edits(cls, revised)
     events: list[RevisionEvent] = []
 
-    def apply(t: int, relation: ActionRelation, source: str) -> None:
+    def apply(t: int, a: int, source: str) -> None:
         nonlocal revised, reaching
         old = revised[t - 1]
-        if relation.code != old:
+        if a != old:
             events.append(
-                RevisionEvent(t=t, old=ACTIONS[old], new=relation, source=source)
+                RevisionEvent(t=t, old=ACTIONS[old], new=ACTIONS[a], source=source)
             )
-            revised = (*revised[: t - 1], relation.code, *revised[t:])
-            reaching = table.edits(cls, revised)[1]
+            revised = (*revised[: t - 1], a, *revised[t:])
+            reaching = table.edits(cls, revised)
 
     popped = 0
     try:
         while popped < config.max_revisions and phi:
-            t, relation = phi.pop()
+            t, a = key = phi.pop()
             popped += 1
             if not 1 <= t <= m:
                 raise ValueError(f"proposal step {t} out of range 1..{m}")
             u = next(draws)
-            if (t, relation.code) in reaching and u > config.epsilon:
-                apply(t, relation, "knowledge")
+            if key in reaching and u > config.epsilon:
+                apply(t, a, "knowledge")
                 continue
             u = next(draws)
             row = probs[t - 1]
             sampled_prob = row[steps[t - 1]]
-            ratio = row[relation.code] / sampled_prob if sampled_prob > 0 else 1.0
+            ratio = row[a] / sampled_prob if sampled_prob > 0 else 1.0
             if u < min(1.0, ratio):
-                apply(t, relation, "knowledge")
+                apply(t, a, "knowledge")
     except StopIteration:  # only next(draws) raises it here
         raise ValueError(
             f"revision ran out of uniforms at proposal {popped}: "
@@ -656,23 +627,27 @@ def batch_objective(
     return lam * j[:n] + (1 - lam) * j[at], lam * grad[:n] + (1 - lam) * grad[at]
 
 
-def hybrid_objective(episode: Episode, lam: float) -> tuple[float, np.ndarray]:
+def hybrid_objective(
+    probs: np.ndarray,
+    features: np.ndarray,
+    codes: Sequence[int],
+    rewards: Sequence[float],
+    lam: float,
+    revised: Optional[tuple[Sequence[int], Sequence[float]]] = None,
+) -> tuple[float, np.ndarray]:
     """``batch_objective`` of one episode: lam * J + (1 - lam) * J'.
 
-    Both read ``episode.probs``, the distributions under the weights that
-    the episode ran with.
+    ``probs`` holds the distributions under the weights the episode ran
+    with, ``revised`` the revised program's (action codes, rewards), or
+    None without revision, when the result is J itself, unscaled.
     """
-    revised = None
-    if episode.revised_program is not None:
-        steps = [a.code for a in episode.revised_program]
-        revised = {0: (steps, episode.revised_rewards)}
     values, grads = batch_objective(
-        [episode.rewards],
+        [rewards],
         lam,
-        episode.probs,
-        episode.features,
-        np.array([a.code for a in episode.program], dtype=np.intp),
-        revised,
+        probs,
+        features,
+        np.array(codes, dtype=np.intp),
+        None if revised is None else {0: revised},
     )
     return float(values[0]), grads[0]
 
@@ -792,11 +767,6 @@ class TrainResult:
     metrics: tuple[EpochMetrics, ...]
 
 
-# what revision made of an episode: the revised action codes, None when they
-# are the sampled ones, their rewards and the accepted edits
-Revision = tuple[tuple[int, ...] | None, tuple[float, ...], tuple[RevisionEvent, ...]]
-
-
 def run_episode(
     table: OutcomeTable,
     cls: int,
@@ -804,43 +774,43 @@ def run_episode(
     steps: Sequence[int],
     rows: Sequence[Sequence[float]] = (),
     uniforms: Sequence[float] = (),
-) -> tuple[tuple[float, ...], Optional[Revision]]:
+) -> tuple[tuple[float, ...], Optional[tuple], tuple[RevisionEvent, ...]]:
     """Reward and (optionally) revise one sampled program.
 
     ``steps`` are the action codes sampled at the steps of ``compiled``,
     which is of class ``cls`` in ``table``; the config is the table's.
-    Returns the program's rewards, the table's tuple, and its revision.
+    Returns the program's rewards, the table's tuple, the changed
+    program's (action codes, rewards) or None, and the accepted edits.
     Without introspective revision the episode is one lookup by (class,
-    ``tuple(steps)``) and the revision is None.  With it, ``rows`` holds
-    the policy's distribution at each step, as lists of Python floats, and
-    ``uniforms`` the episode's ``_episode_width`` draws in [0, 1), of which
-    revision reads those past the first m.  An episode that takes every
-    proposal key (t, a) at its step t and reaches the target, one that
-    revision cannot change (module docstring), is returned unchanged with
-    no events, no queue built and neither ``rows`` nor ``uniforms`` read.
-    Every other one ranks its proposal keys in one ``queue_from_keys`` call
-    and revises the program; a revised program is looked up, and its
-    action codes returned, only when they differ from the sampled ones.
+    ``tuple(steps)``).  With it, ``rows`` holds the policy's distribution
+    at each step, as lists of Python floats, and ``uniforms`` the
+    episode's ``_episode_width`` draws in [0, 1), of which revision reads
+    those past the first m.  An episode that takes every proposal key
+    (t, a) at its step t and reaches the target, one that revision cannot
+    change (module docstring), is returned unchanged with no events, no
+    queue built and neither ``rows`` nor ``uniforms`` read.  Every other
+    one ranks its proposal keys in one ``queue_from_keys`` call and
+    revises the program, whose rewards are looked up only when it changed.
     """
     sampled = tuple(steps)
     rewards = table.rewards(cls, sampled)
     config = table.config
     if not config.introspective_revision:
-        return rewards, None
+        return rewards, None, ()
     proposals = compiled.proposals if config.knowledge else ()
-    for t, relation in proposals:
-        if relation.code != steps[t - 1]:
+    for t, a in proposals:
+        if a != steps[t - 1]:
             break
     else:
         if table.reaches(cls, sampled):
-            return rewards, (None, rewards, ())
+            return rewards, None, ()
     phi = queue_from_keys(proposals, rows)
     revised, events = introspective_revision(
         table, cls, sampled, phi, rows, uniforms[compiled.pair.m :]
     )
     if revised == sampled:
-        return rewards, (None, rewards, events)
-    return rewards, (revised, table.rewards(cls, revised), events)
+        return rewards, None, events
+    return rewards, (revised, table.rewards(cls, revised)), events
 
 
 def _greedy_hits(
@@ -1106,21 +1076,16 @@ def train(
                 zip(episodes[start:stop], batch_uniforms)
             ):
                 m = ms[i]
-                rewards, revision = run_episode(
-                    table,
-                    classes[i],
-                    compiled[i],
-                    sampled[at : at + m],
-                    prob_rows[at : at + m],
-                    episode_uniforms,
+                rewards, revision, events = run_episode(
+                    table, classes[i], compiled[i],
+                    sampled[at : at + m], prob_rows[at : at + m], episode_uniforms,
                 )
                 at += m
                 batch_rewards.append(rewards)
                 reward_total += sum(rewards)
-                revised_steps, revised_rewards, events = revision or (None, None, ())
                 revisions.append(events)
-                if revised_steps is not None:
-                    revised[k] = (revised_steps, revised_rewards)
+                if revision is not None:
+                    revised[k] = revision
 
             values, grads = batch_objective(
                 batch_rewards, config.lam, probs, batch_rows, codes, revised

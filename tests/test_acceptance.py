@@ -324,13 +324,13 @@ def test_criterion_04_gradient_check():
 
 
 def _exhaustive_single_edits(pair, program, target):
-    """Oracle: every (step, action) whose one-step edit reaches target."""
+    """Oracle: every (step, action code) whose one-step edit reaches target."""
     keys = set()
     for t in range(1, len(program) + 1):
         for action in ACTIONS:
             edited = program[: t - 1] + (action,) + program[t:]
             if matches_target(execute(pair, edited), target):
-                keys.add((t, action))
+                keys.add((t, action.code))
     return keys
 
 
@@ -383,7 +383,7 @@ def test_criterion_06_metropolis_frequency():
     n = 100_000
     accepted = 0
     for i in range(n):
-        phi = queue_from_keys([(1, A_FE)], probs)
+        phi = queue_from_keys([(1, A_FE.code)], probs)
         uniforms = np.random.default_rng([199, i]).random(2).tolist()
         revised, _ = introspective_revision(table, cls, steps, phi, probs, uniforms)
         if revised == (A_FE.code,):

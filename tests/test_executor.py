@@ -136,7 +136,7 @@ class TestExecute:
             with pytest.raises(ValueError, match="program length"):
                 execute(pair, program)
             with pytest.raises(ValueError, match="program length"):
-                single_edits(pair, program, NLILabel.ENTAILMENT)
+                single_edits(pair, [a.code for a in program], NLILabel.ENTAILMENT)
 
     def test_empty_hypothesis_rejected(self):
         with pytest.raises(ValueError):
@@ -412,8 +412,8 @@ class TestExecutorEqualsReference:
         assert trace == execute(pair, list(program))
         reached = reference_matches(expected, target)
         assert matches_target(trace, target) is reached
-        assert single_edits(pair, program, target) == [
-            (t, action)
+        assert single_edits(pair, [a.code for a in program], target) == [
+            (t, action.code)
             for t in range(1, pair.m + 1)
             for action in ACTIONS
             if reference_matches(

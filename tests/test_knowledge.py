@@ -28,6 +28,8 @@ A_EQ = ActionRelation.EQUIVALENCE
 A_FE = ActionRelation.FORWARD_ENTAILMENT
 A_RE = ActionRelation.REVERSE_ENTAILMENT
 A_NA = ActionRelation.NEG_ALT
+# their action codes, as (step, action code) keys carry them
+EQ, FE, RE, NA = A_EQ.code, A_FE.code, A_RE.code, A_NA.code
 
 LEX = default_lexicon()
 RULES = default_rules()
@@ -102,8 +104,16 @@ class TestLexicon:
     def test_load_names_path_of_cyclic_lexicon(self, tmp_path):
         path = tmp_path / "cyclic.lex"
         path.write_text("hyper a b\nhyper b a\n")
-        with pytest.raises(ValueError, match=f"{path}: hypernym cycle"):
+        with pytest.raises(ValueError, match=f"{path}:2: hypernym cycle"):
             Lexicon.load(path)
+
+    def test_load_names_the_line_that_closes_a_cycle(self, tmp_path):
+        # the cycle closes on line 3; the synonym edge between is innocent
+        path = tmp_path / "cyc.txt"
+        path.write_text("hyper animal dog\nsyn kid child\nhyper dog animal\n")
+        with pytest.raises(ValueError) as info:
+            Lexicon.load(path)
+        assert str(info.value) == f"{path}:3: hypernym cycle through animal, dog"
 
     def test_antonym_within_synonym_class_rejected(self):
         with pytest.raises(ValueError, match="^antonym within a synonym class: big$"):
@@ -116,9 +126,26 @@ class TestLexicon:
         path = tmp_path / "contradictory.lex"
         path.write_text("syn big large\nant large big\n")
         with pytest.raises(
-            ValueError, match=f"^{path}: antonym within a synonym class: big$"
+            ValueError, match=f"^{path}:2: antonym within a synonym class: big$"
         ):
             Lexicon.load(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("syn big large\nant big large\n", 2),
+            # the synonym edge on line 3 puts the antonyms in one class
+            ("ant big large\n# comment\n\nsyn large big\nsyn kid child\n", 4),
+        ],
+    )
+    def test_load_names_the_line_that_joins_antonyms(self, tmp_path, text, line):
+        path = tmp_path / "ant.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            Lexicon.load(path)
+        assert str(info.value) == (
+            f"{path}:{line}: antonym within a synonym class: big"
+        )
 
     def test_related_covers_all_edge_kinds(self, tmp_path):
         # every edge kind relates two words, and one-word chunks align
@@ -243,10 +270,10 @@ class TestPropose:
 
 def rows_with(m, probs, default=0.2):
     """An (m, 5) probability array: ``default`` everywhere, except
-    ``probs[(t, relation)]`` at step t's entry for the relation."""
+    ``probs[(t, a)]`` at step t's entry for action code a."""
     rows = np.full((m, 5), default)
-    for (t, relation), p in probs.items():
-        rows[t - 1, ACTIONS.index(relation)] = p
+    for (t, a), p in probs.items():
+        rows[t - 1, a] = p
     return rows
 
 
@@ -259,33 +286,33 @@ class TestProposalQueue:
     """``queue_from_keys``: the distinct keys in one list, best last."""
 
     def test_orders_by_probability(self):
-        keys = [(2, A_EQ), (1, A_FE), (3, A_RE)]
-        probs = rows_with(3, {(2, A_EQ): 0.3, (1, A_FE): 0.9, (3, A_RE): 0.5})
+        keys = [(2, EQ), (1, FE), (3, RE)]
+        probs = rows_with(3, {(2, EQ): 0.3, (1, FE): 0.9, (3, RE): 0.5})
         q = queue_from_keys(keys, probs)
-        assert [probs[t - 1, r.code] for t, r in popped(q)] == [0.9, 0.5, 0.3]
+        assert [probs[t - 1, a] for t, a in popped(q)] == [0.9, 0.5, 0.3]
 
     def test_probability_ties_break_on_earlier_step(self):
-        q = queue_from_keys([(3, A_EQ), (1, A_EQ), (2, A_EQ)], rows_with(3, {}))
+        q = queue_from_keys([(3, EQ), (1, EQ), (2, EQ)], rows_with(3, {}))
         assert [t for t, _ in popped(q)] == [1, 2, 3]
 
     def test_full_ties_break_on_action_order(self):
-        keys = [(1, A_NA), (1, A_EQ), (1, A_RE), (1, A_FE)]
+        keys = [(1, NA), (1, EQ), (1, RE), (1, FE)]
         q = queue_from_keys(keys, rows_with(1, {}, default=0.5))
-        assert [r for _, r in popped(q)] == [A_EQ, A_FE, A_RE, A_NA]
+        assert [a for _, a in popped(q)] == [EQ, FE, RE, NA]
 
     def test_deduplicates_on_step_and_relation(self):
-        q = queue_from_keys([(1, A_EQ), (1, A_EQ)], rows_with(1, {}, default=0.5))
-        assert q == [(1, A_EQ)]
+        q = queue_from_keys([(1, EQ), (1, EQ)], rows_with(1, {}, default=0.5))
+        assert q == [(1, EQ)]
 
     def test_items_is_non_destructive_and_sorted(self):
         # ranking leaves its keys and probabilities as they were, and the
         # list read backwards is the pop order
-        keys = [(2, A_EQ), (1, A_FE)]
-        probs = rows_with(2, {(2, A_EQ): 0.3, (1, A_FE): 0.9})
+        keys = [(2, EQ), (1, FE)]
+        probs = rows_with(2, {(2, EQ): 0.3, (1, FE): 0.9})
         before = probs.copy()
         q = queue_from_keys(keys, probs)
-        assert q[::-1] == [(1, A_FE), (2, A_EQ)]
-        assert keys == [(2, A_EQ), (1, A_FE)]
+        assert q[::-1] == [(1, FE), (2, EQ)]
+        assert keys == [(2, EQ), (1, FE)]
         assert np.array_equal(probs, before)
         again = queue_from_keys(keys, probs)
         assert again == q and again is not q
@@ -294,30 +321,29 @@ class TestProposalQueue:
     def test_step_outside_the_program_rejected(self, step):
         # step 0 would read the last row and step 3 past the end of 2 rows
         rows = [[0.1] * 5, [0.9] * 5]
-        with pytest.raises(ValueError, match=rf"key \({step}, <≡>\).* 2 steps"):
-            queue_from_keys([(step, A_EQ), (1, A_EQ)], rows)
+        with pytest.raises(ValueError, match=rf"key \({step}, {EQ}\).* 2 steps"):
+            queue_from_keys([(step, EQ), (1, EQ)], rows)
 
 
 def reference_queue_order(keys, probs):
-    """First of each (step, relation) key, sorted on (-probability, step,
-    canonical action index): best first."""
+    """First of each (step, action code) key, sorted on (-probability,
+    step, action code): best first."""
     def rank(key):
-        t, a = key[0], ACTIONS.index(key[1])
+        t, a = key
         return (-probs[t - 1][a], t, a)
 
     return sorted(dict.fromkeys(keys), key=rank)
 
 
-key_lists = st.lists(
-    st.tuples(st.integers(1, 3), st.sampled_from(list(ActionRelation))), max_size=20
-)
+keys_of_3_steps = st.tuples(st.integers(1, 3), st.integers(0, len(ACTIONS) - 1))
+key_lists = st.lists(keys_of_3_steps, max_size=20)
 # ties are common: every entry is one of four probabilities
 prob_rows = arrays(np.float64, (3, 5), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 
 
 class HeapQueue:
     """Reference queue: a ``heapq`` heap of ((-probability, step, action
-    index), key) pairs, deduplicated on (step, action index) while a key is
+    code), key) pairs, deduplicated on (step, action code) while a key is
     queued."""
 
     def __init__(self, keys, probs):
@@ -326,8 +352,7 @@ class HeapQueue:
             self.push(key)
 
     def push(self, key):
-        t, relation = key
-        a = ACTIONS.index(relation)
+        t, a = key
         if (t, a) not in self.queued:
             self.queued.add((t, a))
             heapq.heappush(self.heap, ((-float(self.probs[t - 1][a]), t, a), key))
@@ -374,13 +399,28 @@ class TestProposalQueueEqualsHeap:
         assert popped(q) == [ref.pop() for _ in range(len(ref.heap))]
 
 
+class TestProposalQueueDependsOnTheSetOfKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(key_lists, prob_rows, st.data())
+    def test_any_permutation_and_duplication(self, keys, probs, data):
+        # (-probability, step, action code) is a total order over distinct
+        # keys, so the list depends on the set of keys alone; grid search
+        # relies on it when it ranks a set of edits
+        repeats = data.draw(st.lists(st.sampled_from(keys), max_size=20)) if keys else []
+        shuffled = data.draw(st.permutations(keys + repeats))
+        queue = queue_from_keys(keys, probs)
+        assert queue_from_keys(shuffled, probs) == queue
+        assert queue_from_keys(frozenset(keys), probs) == queue
+        assert len(queue) == len(set(keys))
+
+
 class TestProposalQueueEqualsSortedProposals:
     @settings(max_examples=300, deadline=None)
     @given(
         key_lists,
         prob_rows,
         st.integers(0, 20),
-        st.sets(st.tuples(st.integers(1, 3), st.sampled_from(list(ActionRelation)))),
+        st.sets(keys_of_3_steps),
     )
     def test_pop_items_and_intersect(self, keys, probs, pops, wanted):
         # after some pops the pending list is the rest of the sorted order;
@@ -413,11 +453,16 @@ def enum_hashes(monkeypatch):
 
 
 def test_queue_hashes_no_enum(enum_hashes):
-    keys = [(t, relation) for t in (1, 2, 1) for relation in ActionRelation]
-    probs = np.array([[0.1] * 5, [0.2] * 5])
+    # neither proposing (step, action code) keys nor ranking them does
+    pair = chunk_pair(
+        "the child does not love sports", "the kid doesn't like table-tennis", RULES
+    )
+    keys = [(t, a.code) for t in (1, 2, 1) for a in ActionRelation]
+    keys += proposal_keys(pair, LEX)
+    probs = np.array([[0.1] * 5, [0.2] * 5, [0.3] * 5])
     q = queue_from_keys(keys, probs)
     popped = [q.pop() for _ in range(3)]
-    assert len(q) == 7 and len(popped) == 3
+    assert len(q) == 8 and len(popped) == 3
     assert enum_hashes == []
 
 
@@ -433,7 +478,7 @@ class TestBuildQueue:
         )
         probs = np.full((3, 5), 0.2)
         queue = queue_from_keys(proposal_keys(pair, LEX), probs)
-        assert set(queue) == {(1, A_EQ), (2, A_EQ), (3, A_RE)}
+        assert set(queue) == {(1, EQ), (2, EQ), (3, RE)}
         # uniform probabilities: ties resolve by earlier step
         assert [t for t, _ in popped(queue)] == [1, 2, 3]
 
@@ -446,10 +491,10 @@ class TestBuildQueue:
             ]
         )
         queue = queue_from_keys(proposal_keys(pair, LEX), probs)
-        best = max(probs[t - 1][relation.code] for t, relation in queue)
-        t, relation = queue.pop()
-        assert (t, relation) == (1, A_FE)
-        assert probs[t - 1][relation.code] == pytest.approx(0.6) == best
+        best = max(probs[t - 1][a] for t, a in queue)
+        t, a = queue.pop()
+        assert (t, a) == (1, FE)
+        assert probs[t - 1][a] == pytest.approx(0.6) == best
 
     def test_unalignable_chunk_contributes_nothing(self):
         pair = chunk_pair("some dogs run", "some dogs blarg", RULES)
@@ -578,7 +623,7 @@ class TestOneComparison:
             for t, hyp in enumerate(pair.hypothesis, start=1):
                 aligned = align(hyp, pair.premise, LEX)
                 if aligned is not None:
-                    expected += [(t, rel) for rel in propose(hyp, aligned, LEX)]
+                    expected += [(t, r.code) for r in propose(hyp, aligned, LEX)]
             assert proposal_keys(pair, LEX) == tuple(expected)
 
     def test_flags_match_brute_force_scans(self, split_pairs, tmp_path):
@@ -678,7 +723,8 @@ class TestLexiconEqualsReference:
             event(_overlap_kind(hyp, premise, ref))
             for chunk in premise:
                 _, pair_flags = _reference_compare(hyp, [chunk], ref)
-                assert propose(hyp, chunk, lex) == _proposed(pair_flags)
+                proposed = propose(hyp, chunk, lex)
+                assert tuple(r.code for r in proposed) == _proposed(pair_flags)
 
 
 def _overlap_kind(hyp, premise, ref):

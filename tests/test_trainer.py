@@ -48,7 +48,6 @@ from natlog.relations import (
     join,
 )
 from natlog.trainer import (
-    Episode,
     EpochMetrics,
     OutcomeTable,
     RevisionEvent,
@@ -98,11 +97,11 @@ def uniform_probs(m):
 
 
 def with_probs(probs, cells):
-    """A copy of ``probs`` with ``cells[(t, relation)]`` at step t's entry
-    for the relation: a proposal's probability is its cell of the row."""
+    """A copy of ``probs`` with ``cells[(t, a)]`` at step t's entry for
+    action code a: a proposal's probability is its cell of the row."""
     probs = np.array(probs, dtype=float)
-    for (t, relation), p in cells.items():
-        probs[t - 1, relation.code] = p
+    for (t, a), p in cells.items():
+        probs[t - 1, a] = p
     return probs
 
 
@@ -113,10 +112,11 @@ def codes(program):
 
 def revise(pair, program, target, keys, probs, config, rng):
     """``introspective_revision`` of ``program`` on a fresh table, built as
-    ``train`` builds it, with ``keys`` ranked by ``queue_from_keys`` as the
-    proposal queue, on the first 2 * min(M, proposals) draws of ``rng``: the
-    most that revision reads.  Returns the revised program as actions, the
-    events and the proposals left in the queue."""
+    ``train`` builds it, with (step, action code) ``keys`` ranked by
+    ``queue_from_keys`` as the proposal queue, on the first
+    2 * min(M, proposals) draws of ``rng``: the most that revision reads.
+    Returns the revised program as actions, the events and the proposals
+    left in the queue."""
     table = OutcomeTable(config)
     cls = table.classify(pair, target)
     phi = queue_from_keys(keys, probs)
@@ -160,27 +160,46 @@ def features_of(item, rows):
     return rows[list(item.row_ids)]
 
 
+@dataclasses.dataclass
+class Sample:
+    """One episode as the tests score it: its steps' feature rows and
+    distributions, its sampled action codes and their rewards, the
+    ``hybrid_objective`` argument ``revised`` (None without revision, the
+    sampled codes and rewards objects themselves when revision left them
+    unchanged) and the accepted edits."""
+
+    features: np.ndarray
+    probs: np.ndarray
+    codes: tuple[int, ...]
+    rewards: tuple[float, ...]
+    revised: tuple | None = None
+    events: tuple[RevisionEvent, ...] = ()
+
+
+def hybrid(sample, lam):
+    """``hybrid_objective`` of a ``Sample``."""
+    return hybrid_objective(
+        sample.probs, sample.features, sample.codes, sample.rewards, lam, sample.revised
+    )
+
+
 def sampled_episode(table, cls, item, params, features, uniforms):
-    """One episode as ``train`` runs it, as the ``Episode`` record that
-    ``hybrid_objective`` reads: ``sample_codes`` on the first m of
-    ``uniforms``, then ``run_episode`` on the sampled action codes, with the
-    programs rebuilt from their codes.  ``features`` are the example's
-    rows."""
+    """One episode as ``train`` runs it, as a ``Sample``: ``sample_codes``
+    on the first m of ``uniforms``, then ``run_episode`` on the sampled
+    action codes.  ``features`` are the example's rows."""
     probs = step_distributions(params, features)
     steps = sample_codes(probs, np.array(uniforms[: item.pair.m])).tolist()
-    program = tuple(ACTIONS[c] for c in steps)
-    rewards, revision = run_episode(table, cls, item, steps, probs.tolist(), uniforms)
-    episode = Episode(
-        features=features, probs=probs, program=program, rewards=rewards
+    rewards, revision, events = run_episode(
+        table, cls, item, steps, probs.tolist(), uniforms
     )
-    if revision is not None:
-        revised_steps, episode.revised_rewards, episode.revisions = revision
-        episode.revised_program = program
-        if revised_steps is not None:
-            episode.revised_program = tuple(ACTIONS[c] for c in revised_steps)
-            assert episode.revised_program != program
+    sampled = tuple(steps)
+    episode = Sample(features, probs, sampled, rewards, events=events)
+    if table.config.introspective_revision:
         # an unchanged revision is the sampled program, rewards and all
-        assert (revised_steps is None) == (episode.revised_rewards is rewards)
+        episode.revised = revision or (sampled, rewards)
+        assert revision is None or revision[0] != sampled
+    else:
+        assert revision is None and events == ()
     return episode
 
 
@@ -382,12 +401,12 @@ class TestReinforceObjective:
 
 
 def exhaustive_single_edits(pair, program, target):
-    """Oracle: all (t, action) whose one-step edit reaches the target."""
+    """Oracle: all (t, action code) whose one-step edit reaches the target."""
     keys = set()
     for t in range(1, len(program) + 1):
         for action in ACTIONS:
             if matches_target(execute(pair, edit(program, t, action)), target):
-                keys.add((t, action))
+                keys.add((t, action.code))
     return keys
 
 
@@ -416,21 +435,21 @@ class TestGridSearch:
         pair = upward_pair(2)
         program = (A_FE, A_EQ)
         psi = grid(pair, program, [], NLILabel.ENTAILMENT, uniform_probs(2))
-        assert (1, A_FE) in psi
-        assert (2, A_EQ) in psi
+        assert (1, A_FE.code) in psi
+        assert (2, A_EQ.code) in psi
 
     def test_intersects_with_pending_proposals(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
-        phi = queue_from_keys([(1, A_FE)], uniform_probs(2))
+        phi = queue_from_keys([(1, A_FE.code)], uniform_probs(2))
         psi = grid(pair, program, phi, NLILabel.ENTAILMENT, uniform_probs(2))
-        assert psi == [(1, A_FE)]
-        assert phi == [(1, A_FE)]  # narrowing reads the queue, pops nothing
+        assert psi == [(1, A_FE.code)]
+        assert phi == [(1, A_FE.code)]  # narrowing reads the queue, pops nothing
 
     def test_disjoint_proposals_leave_grid_untouched(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
-        phi = queue_from_keys([(1, A_IND)], uniform_probs(2))
+        phi = queue_from_keys([(1, A_IND.code)], uniform_probs(2))
         psi = grid(pair, program, phi, NLILabel.CONTRADICTION, uniform_probs(2))
         assert set(psi) == exhaustive_single_edits(
             pair, program, NLILabel.CONTRADICTION
@@ -446,10 +465,10 @@ class TestIntrospectiveRevision:
     def test_knowledge_acceptance_with_zero_epsilon(self):
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
-        probs = with_probs(uniform_probs(2), {(1, A_FE): 0.9})
+        probs = with_probs(uniform_probs(2), {(1, A_FE.code): 0.9})
         cfg = TrainConfig(max_revisions=3, epsilon=0.0)
         revised, events, _ = revise(
-            pair, program, NLILabel.ENTAILMENT, [(1, A_FE)],
+            pair, program, NLILabel.ENTAILMENT, [(1, A_FE.code)],
             probs, cfg, np.random.default_rng(0),
         )
         assert revised == (A_FE, A_EQ)
@@ -460,7 +479,7 @@ class TestIntrospectiveRevision:
     def test_budget_limits_pops(self):
         pair = upward_pair(3)
         program = (A_EQ, A_EQ, A_EQ)
-        cells = {(1, A_FE): 0.9, (2, A_FE): 0.8, (3, A_FE): 0.7}
+        cells = {(1, A_FE.code): 0.9, (2, A_FE.code): 0.8, (3, A_FE.code): 0.7}
         probs = with_probs(uniform_probs(3), cells)
         cfg = TrainConfig(max_revisions=1, epsilon=0.0)
         revised, _, phi = revise(
@@ -469,7 +488,7 @@ class TestIntrospectiveRevision:
         )
         # only the top proposal is consumed; the rest stay queued
         assert revised == (A_FE, A_EQ, A_EQ)
-        assert phi == [(3, A_FE), (2, A_FE)]
+        assert phi == [(3, A_FE.code), (2, A_FE.code)]
 
     def test_no_budget_and_no_grid_fix_returns_unchanged(self):
         pair = upward_pair(1)
@@ -505,11 +524,11 @@ class TestIntrospectiveRevision:
         # the answer phase must then repair step 2
         pair = upward_pair(2)
         program = (A_EQ, A_IND)
-        probs = with_probs(uniform_probs(2), {(1, A_NA): 0.9})
+        probs = with_probs(uniform_probs(2), {(1, A_NA.code): 0.9})
         cfg = TrainConfig(max_revisions=1, epsilon=0.0)
         rng = np.random.default_rng(1)
         revised, events, _ = revise(
-            pair, program, NLILabel.CONTRADICTION, [(1, A_NA)],
+            pair, program, NLILabel.CONTRADICTION, [(1, A_NA.code)],
             probs, cfg, rng,
         )
         assert revised == (A_NA, A_EQ)
@@ -523,7 +542,7 @@ class TestIntrospectiveRevision:
         probs = np.array([[0.999999, 1e-9, 1e-9, 1e-9, 1e-9]])
         cfg = TrainConfig(max_revisions=1, epsilon=1.0)
         revised, events, _ = revise(
-            pair, program, NLILabel.ENTAILMENT, [(1, A_FE)], probs, cfg,
+            pair, program, NLILabel.ENTAILMENT, [(1, A_FE.code)], probs, cfg,
             np.random.default_rng(0),
         )
         # the answer phase may still fix it; the knowledge phase must not
@@ -540,7 +559,7 @@ class TestIntrospectiveRevision:
         accepted = 0
         for i in range(n):
             revised, _, _ = revise(
-                pair, program, Relation.COVER, [(1, A_FE)], probs, cfg,
+                pair, program, Relation.COVER, [(1, A_FE.code)], probs, cfg,
                 np.random.default_rng([99, i]),
             )
             if revised == (A_FE,):
@@ -553,12 +572,12 @@ class TestIntrospectiveRevision:
         pair = upward_pair(2)
         program = (A_EQ, A_EQ)
         cfg = TrainConfig()
-        probs = with_probs(uniform_probs(2), {(1, A_FE): 0.4})
+        probs = with_probs(uniform_probs(2), {(1, A_FE.code): 0.4})
         out = []
         for _ in range(2):
             out.append(
                 revise(
-                    pair, program, NLILabel.ENTAILMENT, [(1, A_FE)],
+                    pair, program, NLILabel.ENTAILMENT, [(1, A_FE.code)],
                     probs, cfg, np.random.default_rng(5),
                 )
             )
@@ -586,18 +605,17 @@ class TestIntrospectiveRevision:
 
     def test_revision_back_to_the_sample_is_unchanged(self):
         # both proposals reach the target and clear epsilon: step 1 goes to
-        # forward entailment and back, so the episode's revision is its own
-        # program, rewards and all, with both events
+        # forward entailment and back, so the episode has no revision to
+        # score, only its two events
         pair = upward_pair(1)
-        item = proposing(pair, [(1, A_FE), (1, A_EQ)])
+        item = proposing(pair, [(1, A_FE.code), (1, A_EQ.code)])
         table = OutcomeTable(CFG)
         cls = table.classify(pair, NLILabel.ENTAILMENT)
         rows = [[0.1, 0.5, 0.2, 0.1, 0.1]]  # forward entailment pops first
-        rewards, revision = run_episode(
+        rewards, revision, events = run_episode(
             table, cls, item, [A_EQ.code], rows, [0.0] + [0.9] * 4
         )
-        revised_steps, revised_rewards, events = revision
-        assert revised_steps is None and revised_rewards is rewards
+        assert revision is None and rewards is table.rewards(cls, (A_EQ.code,))
         assert [(e.old, e.new) for e in events] == [(A_EQ, A_FE), (A_FE, A_EQ)]
 
     @pytest.mark.parametrize("t", [0, 3])
@@ -607,7 +625,7 @@ class TestIntrospectiveRevision:
         pair = upward_pair(2)
         table = OutcomeTable(CFG)
         cls = table.classify(pair, NLILabel.ENTAILMENT)
-        phi = [(t, A_FE)]
+        phi = [(t, A_FE.code)]
         with pytest.raises(ValueError, match=rf"step {t} out of range 1\.\.2"):
             introspective_revision(
                 table, cls, codes((A_EQ, A_EQ)), phi, uniform_probs(2), [0.0, 0.0]
@@ -622,7 +640,8 @@ TARGETS = tuple(NLILabel) + RELATIONS
 @st.composite
 def revision_cases(draw):
     """A pair of 1-6 chunks in random contexts, a program over it, a label
-    or exact-relation target, step probabilities and proposal keys."""
+    or exact-relation target, step probabilities and (step, action code)
+    proposal keys."""
     m = draw(st.integers(min_value=1, max_value=6))
     hypothesis = tuple(
         Chunk(tokens=(f"h{i}",), start=i, context=draw(st.sampled_from(CONTEXT_POOL)))
@@ -641,7 +660,10 @@ def revision_cases(draw):
             probs[probs < 0.15] = 0.0
     keys = draw(
         st.lists(
-            st.tuples(st.integers(min_value=1, max_value=m), st.sampled_from(ACTIONS)),
+            st.tuples(
+                st.integers(min_value=1, max_value=m),
+                st.integers(min_value=0, max_value=len(ACTIONS) - 1),
+            ),
             max_size=8,
         )
     )
@@ -649,9 +671,10 @@ def revision_cases(draw):
 
 
 def brute_force_edits(pair, program, target):
-    """Single-step edits reaching the target, one execution each, in order."""
+    """Single-step edits (t, action code) reaching the target, one execution
+    each, in order."""
     return [
-        (t, action)
+        (t, action.code)
         for t in range(1, len(program) + 1)
         for action in ACTIONS
         if matches_target(execute(pair, edit(program, t, action)), target)
@@ -659,11 +682,11 @@ def brute_force_edits(pair, program, target):
 
 
 def reference_ranking(keys, probs):
-    """The distinct keys sorted on (-probability, step, canonical action
-    index), best first."""
+    """The distinct (step, action code) keys sorted on (-probability, step,
+    action code), best first."""
 
     def rank(key):
-        t, a = key[0], ACTIONS.index(key[1])
+        t, a = key
         return (-probs[t - 1][a], t, a)
 
     return sorted(dict.fromkeys(keys), key=rank)
@@ -693,25 +716,25 @@ def reference_revision(pair, program, target, phi, probs, config, rng):
 
     popped = 0
     while popped < config.max_revisions and phi:
-        t, relation = phi.pop(0)
+        t, a = phi.pop(0)
         popped += 1
         u = rng.random()
-        candidate = edit(revised, t, relation)
+        candidate = edit(revised, t, ACTIONS[a])
         if matches_target(execute(pair, candidate), target) and u > config.epsilon:
             apply(candidate, t, "knowledge")
             continue
         u = rng.random()
         row = probs[t - 1]
         sampled_prob = float(row[ACTIONS.index(program[t - 1])])
-        proposal_prob = float(row[ACTIONS.index(relation)])
+        proposal_prob = float(row[a])
         ratio = proposal_prob / sampled_prob if sampled_prob > 0 else 1.0
         if u < min(1.0, ratio):
             apply(candidate, t, "knowledge")
     if not matches_target(execute(pair, revised), target):
         psi = reference_grid_search(pair, revised, phi, target, probs)
         if psi:
-            t, relation = psi[0]
-            apply(edit(revised, t, relation), t, "answer")
+            t, a = psi[0]
+            apply(edit(revised, t, ACTIONS[a]), t, "answer")
     return revised, tuple(events)
 
 
@@ -733,14 +756,12 @@ class TestFastPathsMatchExecution:
     @given(revision_cases())
     def test_single_edits_in_brute_force_order(self, case):
         pair, program, target, _, _ = case
-        assert single_edits(pair, program, target) == brute_force_edits(
-            pair, program, target
-        )
+        expected = brute_force_edits(pair, program, target)
+        assert single_edits(pair, codes(program), target) == expected
         table = OutcomeTable(CFG)
         cls = table.classify(pair, target)
-        edits, reaching = table.edits(cls, codes(program))
-        assert edits == brute_force_edits(pair, program, target)
-        assert reaching == {(t, ACTIONS.index(a)) for t, a in edits}
+        edits = table.edits(cls, codes(program))
+        assert type(edits) is frozenset and edits == set(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(revision_cases())
@@ -817,18 +838,19 @@ class TestFastPathsMatchExecution:
             with pytest.raises(ValueError, match="program length 1"):
                 fast(cls, codes((A_EQ,)))
         with pytest.raises(ValueError, match="program length 1"):
-            single_edits(pair, (A_EQ,), NLILabel.ENTAILMENT)
+            single_edits(pair, codes((A_EQ,)), NLILabel.ENTAILMENT)
 
 
 def proposing(pair, keys):
-    """An example of ``pair`` with proposal keys ``keys``: the two fields of
-    a ``Compiled`` that ``run_episode`` reads."""
+    """An example of ``pair`` with (step, action code) proposal keys
+    ``keys``: the two fields of a ``Compiled`` that ``run_episode`` reads."""
     return types.SimpleNamespace(pair=pair, proposals=tuple(keys))
 
 
-def takes_every_proposal(program, keys):
-    """Whether ``program`` already takes the action of every key (t, a)."""
-    return all(program[t - 1] is a for t, a in keys)
+def takes_every_proposal(steps, keys):
+    """Whether the program with action codes ``steps`` already takes every
+    key (t, a): its code at step t is a."""
+    return all(steps[t - 1] == a for t, a in keys)
 
 
 class TestRevisionSkip:
@@ -861,15 +883,15 @@ class TestRevisionSkip:
         # proposal (the proposed action at each step with one, none left
         # where a step has two, any action elsewhere) and the first 50 of
         # all programs, each in product order
+        every_code = range(len(ACTIONS))
         choices = [
-            [a for a in ACTIONS if (t, a) in keys] or ACTIONS
+            [a for a in every_code if (t, a) in keys] or every_code
             for t in range(1, pair.m + 1)
         ]
         taking = itertools.islice(itertools.product(*choices), 200)
-        every = itertools.islice(itertools.product(ACTIONS, repeat=pair.m), 50)
-        for taken in itertools.chain([program], taking, every):
-            steps = codes(taken)
-            skip = takes_every_proposal(taken, keys) and table.reaches(cls, steps)
+        every = itertools.islice(itertools.product(every_code, repeat=pair.m), 50)
+        for steps in itertools.chain([codes(program)], taking, every):
+            skip = takes_every_proposal(steps, keys) and table.reaches(cls, steps)
             counts = collections.Counter()
             with pytest.MonkeyPatch.context() as patch:
                 for name in ("queue_from_keys", "introspective_revision"):
@@ -882,8 +904,7 @@ class TestRevisionSkip:
                 assert counts["queue_from_keys"] >= 1
                 continue
             assert not counts
-            assert got == (rewards, (None, rewards, ()))
-            assert got[1][1] is rewards
+            assert got == (rewards, None, ())
             # revision itself would have changed nothing
             phi = queue_from_keys(keys, probs)
             revision = introspective_revision(
@@ -962,9 +983,9 @@ class TestHybridObjective:
     def test_lambda_one_is_pure_reinforce(self):
         params = PolicyParams.zeros()
         episode = self.make_episode(params)
-        j, grad = hybrid_objective(episode, 1.0)
+        j, grad = hybrid(episode, 1.0)
         j_base, grad_base = reinforce_objective(
-            params, episode.features, episode.program, episode.rewards
+            params, episode.features, _program(episode.codes), episode.rewards
         )
         assert j == pytest.approx(j_base)
         assert np.allclose(grad, grad_base)
@@ -972,10 +993,11 @@ class TestHybridObjective:
     def test_lambda_zero_is_pure_revised(self):
         params = PolicyParams.zeros()
         episode = self.make_episode(params)
-        assert episode.revised_program is not None
-        j, grad = hybrid_objective(episode, 0.0)
+        assert episode.revised is not None
+        revised_codes, revised_rewards = episode.revised
+        j, grad = hybrid(episode, 0.0)
         j_rev, grad_rev = reinforce_objective(
-            params, episode.features, episode.revised_program, episode.revised_rewards
+            params, episode.features, _program(revised_codes), revised_rewards
         )
         assert j == pytest.approx(j_rev)
         assert np.allclose(grad, grad_rev)
@@ -983,37 +1005,34 @@ class TestHybridObjective:
     def test_interpolation_is_linear(self):
         params = PolicyParams.zeros()
         episode = self.make_episode(params)
-        j0, g0 = hybrid_objective(episode, 0.0)
-        j1, g1 = hybrid_objective(episode, 1.0)
-        jh, gh = hybrid_objective(episode, 0.5)
+        j0, g0 = hybrid(episode, 0.0)
+        j1, g1 = hybrid(episode, 1.0)
+        jh, gh = hybrid(episode, 0.5)
         assert jh == pytest.approx(0.5 * j0 + 0.5 * j1)
         assert np.allclose(gh, 0.5 * g0 + 0.5 * g1)
 
 
-def per_step_objective(params, features, program, rewards):
-    """J and its gradient, one ``distribution``/``grad_log_prob`` per step."""
+def per_step_objective(params, features, steps, rewards):
+    """J and its gradient for the action codes ``steps``, one
+    ``distribution``/``grad_log_prob`` per step."""
     objective = 0.0
     grad = np.zeros_like(params.weights)
-    for f, action, r in zip(features, program, rewards):
+    for f, a, r in zip(features, steps, rewards):
         if r == 0.0:
             continue
         probs = distribution(params, f)
-        objective -= float(np.log(probs[action.code])) * r
-        grad -= r * grad_log_prob(params, f, action)
+        objective -= float(np.log(probs[a])) * r
+        grad -= r * grad_log_prob(params, f, ACTIONS[a])
     return objective, grad
 
 
 def reference_hybrid(params, episode, lam):
     """lam * J + (1 - lam) * J' from ``per_step_objective``; J unscaled when
     the episode has no revision."""
-    j, grad = per_step_objective(
-        params, episode.features, episode.program, episode.rewards
-    )
-    if episode.revised_program is None:
+    j, grad = per_step_objective(params, episode.features, episode.codes, episode.rewards)
+    if episode.revised is None:
         return j, grad
-    j_rev, grad_rev = per_step_objective(
-        params, episode.features, episode.revised_program, episode.revised_rewards
-    )
+    j_rev, grad_rev = per_step_objective(params, episode.features, *episode.revised)
     return lam * j + (1 - lam) * j_rev, lam * grad + (1 - lam) * grad_rev
 
 
@@ -1046,30 +1065,27 @@ class TestObjectiveFromEpisodeProbs:
     @pytest.mark.parametrize("seed", range(3))
     def test_hybrid_equals_per_step_reference(self, seed):
         params, _, _, episodes = random_episodes(seed)
-        assert any(e.revised_program != e.program for e in episodes)
+        assert any(e.revised[0] != e.codes for e in episodes)
         for episode in episodes:
             j, grad = per_step_objective(
-                params, episode.features, episode.program, episode.rewards
+                params, episode.features, episode.codes, episode.rewards
             )
             j_rev, grad_rev = per_step_objective(
-                params,
-                episode.features,
-                episode.revised_program,
-                episode.revised_rewards,
+                params, episode.features, *episode.revised
             )
             for lam in (0.0, 0.5, 0.7, 1.0):
-                value, gradient = hybrid_objective(episode, lam)
+                value, gradient = hybrid(episode, lam)
                 assert value == lam * j + (1 - lam) * j_rev
                 assert np.array_equal(gradient, lam * grad + (1 - lam) * grad_rev)
 
     def test_hybrid_without_revision_equals_reference(self):
         params, _, _, episodes = random_episodes(4, introspective_revision=False)
         for episode in episodes:
-            assert episode.revised_program is None
+            assert episode.revised is None
             j, grad = per_step_objective(
-                params, episode.features, episode.program, episode.rewards
+                params, episode.features, episode.codes, episode.rewards
             )
-            value, gradient = hybrid_objective(episode, 0.5)
+            value, gradient = hybrid(episode, 0.5)
             assert value == j
             assert np.array_equal(gradient, grad)
 
@@ -1082,7 +1098,9 @@ class TestObjectiveFromEpisodeProbs:
             program = tuple(ACTIONS[i] for i in rng.integers(5, size=m))
             rewards = tuple(float(r) for r in rng.choice([0.0, 1.0, -0.5, -0.25], size=m))
             j, grad = reinforce_objective(params, features, program, rewards)
-            j_ref, grad_ref = per_step_objective(params, features, program, rewards)
+            j_ref, grad_ref = per_step_objective(
+                params, features, codes(program), rewards
+            )
             assert j == j_ref
             assert np.array_equal(grad, grad_ref)
 
@@ -1097,7 +1115,7 @@ class TestObjectiveFromEpisodeProbs:
         assert step_distributions(params, features)[0, A_IND.code] == 0.0
         j, grad = reinforce_objective(params, features, program, rewards)
         assert np.isfinite(j) and np.all(np.isfinite(grad))
-        j_ref, grad_ref = per_step_objective(params, features, program, rewards)
+        j_ref, grad_ref = per_step_objective(params, features, codes(program), rewards)
         assert j == j_ref
         assert np.array_equal(grad, grad_ref)
 
@@ -1127,8 +1145,8 @@ def objective_batches(draw):
     Rewards come from {0, mu, -gamma^k * mu}.  A step whose last feature is
     1 puts all mass on action 0 (the others get probability 0.0); a program
     that takes another action there earns a zero reward for it.  With IR,
-    an episode's revision is either unchanged (its own program and rewards
-    objects, as ``run_episode`` leaves them) or drawn afresh.
+    an episode's revision is either unchanged (its own codes and rewards
+    objects, as ``sampled_episode`` leaves them) or drawn afresh.
     """
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
@@ -1142,29 +1160,26 @@ def objective_batches(draw):
     )
 
     def scored(vanishing):
-        program, step_rewards = [], []
+        steps, step_rewards = [], []
         for vanishes in vanishing:
-            action = draw(st.sampled_from(ACTIONS))
-            program.append(action)
-            step_rewards.append(0.0 if vanishes and action.code else draw(rewards))
-        return tuple(program), tuple(step_rewards)
+            a = draw(st.integers(min_value=0, max_value=len(ACTIONS) - 1))
+            steps.append(a)
+            step_rewards.append(0.0 if vanishes and a else draw(rewards))
+        return tuple(steps), tuple(step_rewards)
 
     episodes = []
     for m in draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=16)):
         vanishing = draw(st.lists(st.booleans(), min_size=m, max_size=m))
         features = rng.normal(size=(m, N_FEATURES))
         features[:, -1] = vanishing
-        program, step_rewards = scored(vanishing)
-        episode = Episode(
-            features=features,
-            probs=step_distributions(params, features),
-            program=program,
-            rewards=step_rewards,
+        steps, step_rewards = scored(vanishing)
+        episode = Sample(
+            features, step_distributions(params, features), steps, step_rewards
         )
         if ir and draw(st.booleans()):  # revision changed nothing
-            episode.revised_program, episode.revised_rewards = program, step_rewards
+            episode.revised = steps, step_rewards
         elif ir:
-            episode.revised_program, episode.revised_rewards = scored(vanishing)
+            episode.revised = scored(vanishing)
         episodes.append(episode)
     return params, episodes, lam
 
@@ -1203,7 +1218,7 @@ def looked_up_keys(programs):
             items[m] = item, table.classify(item.pair, NLILabel.ENTAILMENT)
         item, cls = items[m]
         steps = [a.code for a in program]
-        assert run_episode(table, cls, item, steps)[1] is None
+        assert run_episode(table, cls, item, steps)[1:] == (None, ())
     assert len(looked) == len(programs)
     return looked
 
@@ -1264,19 +1279,19 @@ class TestBatchObjective:
             assert np.isfinite(value) and np.isfinite(grad).all()
             assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
             assert grad.tobytes() == expected_grad.tobytes()
-            one_value, one_grad = hybrid_objective(episode, lam)
+            one_value, one_grad = hybrid(episode, lam)
             assert np.float64(one_value).tobytes() == np.float64(value).tobytes()
             assert one_grad.tobytes() == grad.tobytes()
 
     def test_revision_that_matches_no_episode_rejected(self):
         _, _, _, episodes = random_episodes(0)
         rewards, probs, features, codes, _ = stacked(episodes[:3])
-        steps = [a.code for a in episodes[1].revised_program]
+        steps, revised_rewards = episodes[1].revised
         for revised in [
-            {3: (steps, episodes[1].revised_rewards)},  # past the batch
-            {-1: (steps, episodes[1].revised_rewards)},  # not an index
-            {1: (steps[:1], episodes[1].revised_rewards)},  # a step short
-            {1: (steps, episodes[1].revised_rewards + (0.0,))},  # a reward long
+            {3: (steps, revised_rewards)},  # past the batch
+            {-1: (steps, revised_rewards)},  # not an index
+            {1: (steps[:1], revised_rewards)},  # a step short
+            {1: (steps, revised_rewards + (0.0,))},  # a reward long
         ]:
             with pytest.raises(ValueError, match="does not match an episode"):
                 batch_objective(rewards, 0.5, probs, features, codes, revised)
@@ -1293,22 +1308,22 @@ class TestBatchObjective:
 
 
 def stacked(episodes):
-    """The ``batch_objective`` arguments of ``Episode`` records, stacked as
-    ``train`` stacks a batch: an unchanged revision (its own program and
-    rewards objects, as ``run_episode`` leaves them) is not in ``revised``,
-    which is None when no episode is revised."""
+    """The ``batch_objective`` arguments of ``Sample`` records, stacked as
+    ``train`` stacks a batch: an unchanged revision (its own codes and
+    rewards objects) is not in ``revised``, which is None when no episode
+    is revised."""
     revised = None
-    if episodes[0].revised_program is not None:
+    if episodes[0].revised is not None:
         revised = {
-            i: ([a.code for a in e.revised_program], e.revised_rewards)
+            i: e.revised
             for i, e in enumerate(episodes)
-            if e.revised_program is not e.program or e.revised_rewards is not e.rewards
+            if e.revised[0] is not e.codes or e.revised[1] is not e.rewards
         }
     return (
         [e.rewards for e in episodes],
         np.concatenate([e.probs for e in episodes]),
         np.concatenate([e.features for e in episodes]),
-        np.array([a.code for e in episodes for a in e.program], dtype=np.intp),
+        np.array([a for e in episodes for a in e.codes], dtype=np.intp),
         revised,
     )
 
@@ -1319,7 +1334,7 @@ def stacked_objective(episodes, lam):
 
 
 def assert_same_episode(got, expected):
-    for f in dataclasses.fields(Episode):
+    for f in dataclasses.fields(Sample):
         a, b = getattr(got, f.name), getattr(expected, f.name)
         if isinstance(a, np.ndarray):
             assert a.tobytes() == b.tobytes(), f.name
@@ -1355,9 +1370,9 @@ class TestRunEpisode:
         unchanged = changed = 0
         for episode, expected in episodes_with_references(seed, TrainConfig(seed=seed), 20):
             assert_same_episode(episode, expected)
-            if episode.revised_program == episode.program:
+            if episode.revised[0] == episode.codes:
                 unchanged += 1
-                assert episode.revised_rewards is episode.rewards
+                assert episode.revised[1] is episode.rewards
             else:
                 changed += 1
         assert unchanged and changed
@@ -1366,8 +1381,8 @@ class TestRunEpisode:
         config = TrainConfig(introspective_revision=False)
         for episode, expected in episodes_with_references(5, config, 80):
             assert_same_episode(episode, expected)
-            assert episode.revised_program is None
-            assert episode.revised_rewards is None
+            assert episode.revised is None
+            assert episode.events == ()
 
 
 class TestRelationAugmentation:
@@ -1609,24 +1624,17 @@ def _reference_episode(params, compiled, features, config, rng):
     ``features`` are the example's rows."""
     probs = step_distributions(params, features)
     program = tuple(sample(p, rng) for p in probs)
-    episode = Episode(
-        features=features,
-        probs=probs,
-        program=program,
-        rewards=reward(execute(compiled.pair, program), compiled.target, config),
-    )
+    rewards = reward(execute(compiled.pair, program), compiled.target, config)
+    episode = Sample(features, probs, codes(program), rewards)
     if not config.introspective_revision:
         return episode
     keys = knowledge.proposal_keys(compiled.pair, LEX) if config.knowledge else ()
     phi = reference_ranking(keys, probs)
-    revised, events = reference_revision(
+    revised, episode.events = reference_revision(
         compiled.pair, program, compiled.target, phi, probs, config, rng
     )
-    episode.revised_program = revised
-    episode.revised_rewards = reward(
-        execute(compiled.pair, revised), compiled.target, config
-    )
-    episode.revisions = events
+    revised_rewards = reward(execute(compiled.pair, revised), compiled.target, config)
+    episode.revised = codes(revised), revised_rewards
     return episode
 
 
@@ -1667,7 +1675,7 @@ def _reference_train(examples, config, params=None):
                 batch_count = 0
             reward_total += sum(episode.rewards)
             reward_steps += len(episode.rewards)
-            revisions.append(episode.revisions)
+            revisions.append(episode.events)
         if batch_count:
             params.weights -= config.learning_rate * batch_grad
         hits = sum(
@@ -1852,7 +1860,7 @@ class TestTrainCallStructure:
         def recording(table, cls, item, steps, rows, uniforms):
             program = tuple(ACTIONS[a] for a in steps)
             proposals = item.proposals if knowledge else ()
-            clashes = any(program[t - 1] is not a for t, a in proposals)
+            clashes = any(steps[t - 1] != a for t, a in proposals)
             episodes.append((item, program, clashes))
             return run(table, cls, item, steps, rows, uniforms)
 
@@ -1892,10 +1900,10 @@ class TestTrainCallStructure:
         self, monkeypatch, split, ir
     ):
         # an episode, revised or not, works on action codes: a program's
-        # actions are built only inside an ``OutcomeTable`` lookup, once
-        # per (table, kind, class, codes) entry, on its first lookup, and a
-        # reachability lookup builds none when the program was executed
-        # before
+        # actions are built only inside an ``OutcomeTable`` reward or
+        # reachability lookup, once per (table, kind, class, codes) entry,
+        # on its first lookup; a reachability lookup builds none when the
+        # program was executed before, and an edits lookup builds none
         program = natlog.trainer._program
         lookups, built = collections.defaultdict(set), collections.Counter()
         inside = []
@@ -1924,8 +1932,8 @@ class TestTrainCallStructure:
         config = TrainConfig(epochs=2, introspective_revision=ir)
         train(equivalence_slice(split), RULES, LEX, config)
         assert set(built.values()) == {1}
-        for kind in ("rewards", "edits"):
-            assert {key for key in built if key[1] == kind} == lookups[kind]
+        assert {key for key in built if key[1] == "rewards"} == lookups["rewards"]
+        assert not {key for key in built if key[1] == "edits"}
         assert {key for key in built if key[1] == "reaches"} <= lookups["reaches"]
         assert lookups["reaches"] and bool(lookups["edits"]) == ir
 
@@ -1979,26 +1987,25 @@ class TestOutcomeTable:
                 if index % 2:
                     reaches = table.reaches(cls, steps)
                     rewards = table.rewards(cls, steps)
-                    edits, reaching = table.edits(cls, steps)
+                    edits = table.edits(cls, steps)
                 else:
-                    edits, reaching = table.edits(cls, steps)
+                    edits = table.edits(cls, steps)
                     rewards = table.rewards(cls, steps)
                     reaches = table.reaches(cls, steps)
-                answers.append((rewards, reaches, edits, reaching))
+                answers.append((rewards, reaches, edits))
             # each answer against the references on every member pair: the
             # first and the last on every program, every other member on
             # five programs spread over them, each member another five
             stride = len(programs) // 5
             for index, pair in enumerate(pairs):
                 step = 1 if index in (0, len(pairs) - 1) else stride
-                for program, (rewards, reaches, edits, reaching) in itertools.islice(
+                for program, (rewards, reaches, edits) in itertools.islice(
                     zip(programs, answers), index % step, None, step
                 ):
                     expected = execute(pair, program)
                     assert rewards == reward(expected, target, config)
                     assert reaches == matches_target(expected, target)
-                    assert edits == single_edits(pair, program, target)
-                    assert reaching == {(t, a.code) for t, a in edits}
+                    assert edits == set(single_edits(pair, codes(program), target))
         assert any(pairs[0] != pairs[-1] for pairs in members.values())
 
     def test_train_calls_with_different_configs_share_nothing(self):
@@ -2022,6 +2029,53 @@ class TestOutcomeTable:
                 m.to_record() for m in expected[config].metrics
             ]
 
+
+
+def ordered_grid_search(pair, steps, phi, target, probs):
+    """``grid_search`` as it ranked the ordered ``single_edits`` list: the
+    pending proposals that are edits, in queue order, or else every edit in
+    step and action order, each ranked by ``queue_from_keys``."""
+    edits = single_edits(pair, steps, target)
+    shared = [key for key in phi if key in set(edits)]
+    return queue_from_keys(shared or edits, probs)
+
+
+class TestGridSearchOnSplits:
+    """``grid_search`` ranks the set of edits as the ordered list of them
+    ranks, on random programs of every class of the comp and noisy splits."""
+
+    @pytest.mark.parametrize("split", ["comp", "noisy"])
+    def test_edit_set_ranks_as_the_ordered_list(self, split):
+        members, targets = class_members(split)
+        rng = np.random.default_rng(33)
+        table = OutcomeTable(CFG)
+        narrowed = ranked = 0
+        for key, pairs in members.items():
+            for pair in pairs[:: max(1, len(pairs) // 8)]:
+                cls = table.classify(pair, targets[key])
+                for trial in range(12):
+                    steps = tuple(rng.integers(len(ACTIONS), size=pair.m).tolist())
+                    # ties are common among a handful of probabilities
+                    probs = rng.choice([0.0, 0.2, 0.5], size=(pair.m, len(ACTIONS)))
+                    # no pending proposal, the pair's, or those and three more
+                    keys = () if trial % 3 == 0 else knowledge.proposal_keys(pair, LEX)
+                    if trial % 3 == 2:
+                        keys += tuple(
+                            (int(t), int(a))
+                            for t, a in zip(
+                                rng.integers(1, pair.m + 1, size=3),
+                                rng.integers(len(ACTIONS), size=3),
+                            )
+                        )
+                    phi = queue_from_keys(keys, probs)
+                    got = grid_search(table, cls, steps, phi, probs)
+                    assert got == ordered_grid_search(
+                        pair, steps, phi, targets[key], probs
+                    )
+                    edits = table.edits(cls, steps)
+                    narrowed += bool(set(phi) & edits)
+                    ranked += not set(phi) & edits and len(edits) > 1
+        assert narrowed and ranked
 
 
 def reference_tally(revisions):

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never reads, and no function
-has a parameter it never reads.
+"""No module of the package and no demo script imports a name it never
+reads, and no function has a parameter it never reads.
 
 A name is read when the module loads it anywhere, lists it in
 ``__all__``, or names it in a string annotation.  A parameter is read when
@@ -11,7 +11,9 @@ exempt, and so are the package root's imports, which are its exports.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "natlog"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "natlog"
+DEMOS = ROOT / "demos"
 
 
 def _loaded(node) -> set[str]:
@@ -76,7 +78,9 @@ def unused(tree) -> list[str]:
 
 
 def test_no_unused_import_or_unread_parameter():
-    for path in sorted(PACKAGE.glob("*.py")):
+    demos = sorted(DEMOS.glob("*.py"))
+    assert len(demos) == 6
+    for path in sorted(PACKAGE.glob("*.py")) + demos:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.stem == "__init__":
             tree.body = [
