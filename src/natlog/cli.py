@@ -39,7 +39,13 @@ from .knowledge import Lexicon, default_lexicon
 from .metrics import evaluate, reports_to_csv
 from .policy import PolicyParams, compile_examples, decode, load_checkpoint, save_checkpoint
 from .relations import ACTIONS, Relation, accepting
-from .trainer import RevisionStats, TrainConfig, load_train_config, train
+from .trainer import (
+    RevisionStats,
+    TrainConfig,
+    _TooManyEpisodes,
+    load_train_config,
+    train,
+)
 
 __all__ = ["main"]
 
@@ -58,12 +64,14 @@ def _lexicon(args) -> Lexicon:
 
 
 @contextlib.contextmanager
-def _naming(path: str) -> Iterator[None]:
-    """Prefix a ValueError raised inside with the dataset path."""
+def _naming(path: str, config: Optional[str] = None) -> Iterator[None]:
+    """Prefix a ValueError raised inside with the dataset path, or with the
+    train config's path when the config's epochs make too long a run."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        blamed = config if config and isinstance(exc, _TooManyEpisodes) else path
+        raise ValueError(f"{blamed}: {exc}") from None
 
 
 def cmd_gen(args) -> None:
@@ -89,7 +97,7 @@ def cmd_train(args) -> None:
         config = dataclasses.replace(config, seed=args.seed)
     rules, lexicon = _rules(args), _lexicon(args)
     examples = load_dataset(args.data)
-    with _naming(args.data):
+    with _naming(args.data, args.config):
         result = train(examples, rules, lexicon, config)
     save_checkpoint(result.params, args.checkpoint)
 

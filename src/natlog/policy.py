@@ -169,8 +169,32 @@ class Compiled:
 
     @cached_property
     def proposals(self) -> tuple[tuple[int, int], ...]:
-        """Knowledge proposal keys (t, a), from the records on first use."""
+        """Knowledge proposal keys (t, a), from the records on first use,
+        unless ``_share_proposals`` gave the example its kind's keys."""
         return keys_from_records(self.records)
+
+
+def _share_proposals(compiled: Iterable[Compiled]) -> None:
+    """Give every example the proposals of the first example with its flags.
+
+    The keys depend only on the records' lexical flags, so
+    ``keys_from_records`` runs once per distinct tuple of flags, and every
+    example of that tuple holds the same keys.  Rows are keyed by value, so
+    equal ``row_ids`` mean equal flags: an example whose ids were seen
+    before takes their keys without building its flags.  The memo lives for
+    one call; ``train`` makes it once, and evaluation computes no proposals.
+    """
+    by_ids: dict = {}  # row_ids -> proposals
+    by_flags: dict = {}  # flags of each step -> proposals
+    for item in compiled:
+        keys = by_ids.get(item.row_ids)
+        if keys is None:
+            flags = tuple([step_flags for _, step_flags in item.records])
+            keys = by_flags.get(flags)
+            if keys is None:
+                keys = by_flags[flags] = item.proposals
+            by_ids[item.row_ids] = keys
+        item.proposals = keys  # fills the cached_property's slot
 
 
 def compile_examples(

@@ -49,7 +49,11 @@ every outcome, and on (step, action code) keys (``knowledge`` module
 docstring) from ``Compiled.proposals`` and ``executor.single_edits``: a
 queue is ``knowledge.queue_from_keys``'s ranked list, popped from its
 end, and a program's edits are a set of keys.  Actions are built as
-enums only for a ``RevisionEvent`` and for ``execute``.
+enums only for a ``RevisionEvent`` and for ``execute``.  The keys depend
+only on the records' lexical flags, so each ``train`` call derives them
+once per distinct tuple of flags (``policy._share_proposals``), and its
+examples share those tuples: the augmented default compositional
+training set has 9 such tuples among its 2816 examples.
 
 Every hyperparameter (mu, gamma, M, epsilon, lambda and the rest) is a
 field of ``TrainConfig``, which ``reward``, ``introspective_revision`` and
@@ -72,15 +76,19 @@ per-episode array or record.  With revision, an episode that revises
 reads its probabilities as Python floats, from one ``tolist()`` per
 batch, and returns the revised action codes only when its program
 changed.  The batch is then scored in one ``batch_objective`` pass
-over the same stacked rows and sampled codes, with the rows and codes of
-every changed revision appended: ``_score`` forms every step's term of
-every program in array operations and sums each program's terms in step
-order from +0.0, as the per-step definition does; ``hybrid_objective`` and
-``reinforce_objective`` are the same kernel on a batch of one.  When
-revision leaves a program unchanged, the episode's revised rewards are its
-own, not a second lookup, and its J' is its J.  The batch's gradients are
-summed in one reduction that starts from +0.0, in episode order, as adding
-them one by one to a zero array does.
+over the same stacked rows and sampled codes: ``_score`` forms every
+step's term of every program in array operations and sums each program's
+terms in step order from +0.0, as the per-step definition does;
+``hybrid_objective`` and ``reinforce_objective`` are the same kernel on a
+batch of one.  When revision leaves a program unchanged, the episode's
+revised rewards are its own, not a second lookup, and its J' is its J.
+Only the changed revisions are scored again: their rows are gathered
+once and appended to the batch's rows with one ``np.concatenate``, and
+their codes to its codes.  A batch in which no revision changed its
+program, about two in five of a comp-ir training, scores the batch once
+and combines each J with itself.  The batch's gradients are summed in
+one reduction that starts from +0.0, in episode order, as adding them
+one by one to a zero array does.
 
 The greedy accuracy after each epoch reads each example's kind: its class
 and its ``row_ids``, the numbering of distinct feature rows that
@@ -152,6 +160,7 @@ from .policy import (
     Compiled,
     PolicyParams,
     _compile,
+    _share_proposals,
     decode,
     sample_codes,
     step_distributions,
@@ -184,10 +193,16 @@ Target = NLILabel | Relation
 
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 _EQUIVALENCE = Relation.EQUIVALENCE.code
+_STEPS = np.arange(1024)  # a batch's step indices, sliced per ``_score`` call
 
 # Seeds and episode ordinals stay below 2**32, where each is one entropy
 # word of SeedSequence([seed, ordinal]), the only case _stream_words derives.
 _ONE_WORD = 1 << 32
+
+
+class _TooManyEpisodes(ValueError):
+    """``train``'s error for a run of more than 2**32 episodes, which the
+    config's epoch count causes as much as the dataset's size."""
 
 
 # field -> (test its value must pass, what the test asks for)
@@ -443,11 +458,15 @@ def _score(
     leaves the running sum as it is.  Returns J (P,) and the gradients
     (P, n_actions, n_features).
     """
-    chosen = probs[np.arange(len(probs)), codes]
+    size = len(probs)
+    at = _STEPS[:size] if size <= len(_STEPS) else np.arange(size)
+    chosen = probs[at, codes]
     log_terms = np.log(chosen, out=np.zeros(len(chosen)), where=rewards != 0.0)
     log_terms *= rewards
+    # ``take`` gathers rows as indexing by an array does, with less
+    # overhead on a batch's few rows
     step_grads = rewards[:, None, None] * (
-        (_ONEHOT[codes] - probs)[:, :, None] * features[:, None, :]
+        (_ONEHOT.take(codes, axis=0) - probs)[:, :, None] * features[:, None, :]
     )
     count, width = len(lengths), max(lengths)
     if min(lengths) == width:
@@ -585,12 +604,15 @@ def batch_objective(
     None without revisions, and the result is J itself, unscaled.  With
     revisions it maps the index of each episode whose revision changed its
     program to the revised action codes and their rewards; every other
-    episode's J' is its J and is not scored again.  The changed revisions'
-    rows are appended to the stacked rows with one index and their codes
-    to ``codes``, and every program is scored in one ``_score`` call.  An
-    empty batch, rows that do not match the rewards and a revision that
-    does not match its episode raise ``ValueError``.  Returns values (E,)
-    and gradients (E, n_actions, n_features).
+    episode's J' is its J and is not scored again.  Only the changed
+    revisions' rows are gathered, in ``revised``'s order, and appended to
+    the stacked rows with one ``np.concatenate`` each, and their codes to
+    ``codes``, so every program is scored in one ``_score`` call.  An empty
+    ``revised`` (no program changed) scores the batch alone and combines
+    each J with itself, with no gather.  An empty batch, rows that do not
+    match the rewards and a revision that does not match its episode raise
+    ``ValueError``.  Returns values (E,) and gradients
+    (E, n_actions, n_features).
     """
     if not rewards:
         raise ValueError("cannot score an empty batch of episodes")
@@ -603,7 +625,7 @@ def batch_objective(
             f"{len(probs)} probability rows and {len(features)} feature rows"
         )
     if revised:
-        rewards, rows, extra = list(rewards), [*range(begins[-1])], []
+        rewards, rows, extra = list(rewards), [], []
         for i, (steps, step_rewards) in revised.items():
             if not (0 <= i < n and len(steps) == lengths[i] == len(step_rewards)):
                 raise ValueError(f"revision {i} does not match an episode of the batch")
@@ -611,7 +633,8 @@ def batch_objective(
             extra += steps
             rewards.append(step_rewards)
             lengths.append(lengths[i])
-        probs, features = probs[rows], features[rows]
+        probs = np.concatenate([probs, probs.take(rows, axis=0)])
+        features = np.concatenate([features, features.take(rows, axis=0)])
         codes = np.concatenate([codes, np.array(extra, dtype=np.intp)])
     j, grad = _score(
         probs,
@@ -622,9 +645,14 @@ def batch_objective(
     )
     if revised is None:
         return j, grad
+    if not revised:  # every J' is its J
+        return lam * j + (1 - lam) * j, lam * grad + (1 - lam) * grad
     at = np.arange(n)  # where each episode's J' sits in j
     at[list(revised)] = np.arange(n, len(j))
-    return lam * j[:n] + (1 - lam) * j[at], lam * grad[:n] + (1 - lam) * grad[at]
+    return (
+        lam * j[:n] + (1 - lam) * j[at],
+        lam * grad[:n] + (1 - lam) * grad.take(at, axis=0),
+    )
 
 
 def hybrid_objective(
@@ -1017,7 +1045,7 @@ def train(
     if config.augmentation:
         examples, pairs = relation_augmentation(examples, pairs, lexicon)
     if config.epochs * len(examples) > _ONE_WORD:
-        raise ValueError(
+        raise _TooManyEpisodes(
             f"{config.epochs} epochs of {len(examples)} examples make more "
             "than 2**32 episodes"
         )
@@ -1026,7 +1054,11 @@ def train(
     params = params.copy() if params is not None else PolicyParams.zeros()
     table = OutcomeTable(config)
     classes = [table.classify(item.pair, item.target) for item in compiled]
-    width = max(_episode_width(item, config) for item in compiled)
+    if config.introspective_revision and config.knowledge:
+        _share_proposals(compiled)
+    # examples with equal row ids have equal m and proposals, so equal widths
+    kinds = {item.row_ids: item for item in compiled}.values()
+    width = max(_episode_width(item, config) for item in kinds)
 
     ms = [item.pair.m for item in compiled]
     lengths = np.array(ms)

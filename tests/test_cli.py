@@ -509,6 +509,29 @@ class TestErrors:
         assert err["message"].startswith(f"{cfg}:1: epochs: ")
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_too_many_episodes_names_the_config(self, capsys, tmp_path):
+        # the config's epochs make the run too long, so the error names the
+        # config; an error in the dataset still names the dataset
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("epochs = 4294967296\n")
+        examples = [
+            natlog.Example("all dogs run", "all dogs sleep", natlog.NLILabel.CONTRADICTION),
+            natlog.Example("some dogs run", "no dogs run", natlog.NLILabel.CONTRADICTION),
+            natlog.Example("the dog runs", "the cat runs", natlog.NLILabel.NEUTRAL),
+        ]
+        small, bad = tmp_path / "small.jsonl", tmp_path / "bad.jsonl"
+        save_dataset(examples, small)
+        save_dataset(examples[:2] + [dataclasses.replace(examples[2], hypothesis="?!")], bad)
+        for data, message in [
+            (small, f"{cfg}: 4294967296 epochs of 3 examples make more than 2**32 episodes"),
+            (bad, f"{bad}: example 2 ('the dog runs'): cannot chunk an empty sentence"),
+        ]:
+            argv = ["train", "--data", str(data), "--config", str(cfg)]
+            assert main(argv + ["--checkpoint", str(tmp_path / "x.ckpt")]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_overflowing_checkpoint_weight_gives_value_error_record(
         self, workspace, capsys, tmp_path
     ):

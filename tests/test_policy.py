@@ -13,7 +13,7 @@ from natlog.chunker import chunk_pair, chunk_pairs, default_rules
 from natlog.data import Example
 from natlog.datagen import default_genspec, generate, generate_2hop
 from natlog.executor import Chunk, ChunkedPair
-from natlog.knowledge import compare_pair, default_lexicon
+from natlog.knowledge import compare_pair, default_lexicon, keys_from_records
 from natlog.policy import (
     FEATURE_NAMES,
     N_ACTIONS,
@@ -292,6 +292,23 @@ class TestCompileExamples:
             assert matrix.tobytes() == expected.tobytes()
             assert item.records == compare_pair(item.pair, LEX)
             assert item.target == example.target
+
+    def test_shared_proposals_equal_each_examples_own(self, split_examples):
+        # rows are keyed by value, so equal row ids mean equal flags and
+        # equal proposal keys; ``_share_proposals`` gives the examples of
+        # equal flags one tuple of keys
+        compiled, _ = compile_examples(split_examples, RULES, LEX)
+        own = [keys_from_records(item.records) for item in compiled]
+        by_ids = {}
+        for item, keys in zip(compiled, own):
+            assert by_ids.setdefault(item.row_ids, keys) == keys
+        assert len(by_ids) < len(compiled)
+        policy._share_proposals(compiled)
+        by_flags = {}
+        for item, keys in zip(compiled, own):
+            assert item.proposals == keys
+            flags = tuple(f for _, f in item.records)
+            assert by_flags.setdefault(flags, item.proposals) is item.proposals
 
     def test_unknown_context_row(self, monkeypatch):
         pair = chunk_pair("in the park no dogs run", "in the park no cats run", RULES)

@@ -1140,13 +1140,18 @@ class TestObjectiveFromEpisodeProbs:
 @st.composite
 def objective_batches(draw):
     """A batch of 1-16 episodes of 1-8 steps under random weights, IR on or
-    off, and a lambda.
+    off, a lambda and the order in which ``revised`` lists the episodes.
 
-    Rewards come from {0, mu, -gamma^k * mu}.  A step whose last feature is
-    1 puts all mass on action 0 (the others get probability 0.0); a program
-    that takes another action there earns a zero reward for it.  With IR,
-    an episode's revision is either unchanged (its own codes and rewards
-    objects, as ``sampled_episode`` leaves them) or drawn afresh.
+    The episodes are all of one length or of mixed lengths.  Rewards come
+    from {0, mu, -gamma^k * mu}.  A step whose last feature is 1 puts all
+    mass on action 0 (the others get probability 0.0); a program that takes
+    another action there earns a zero reward for it.  Without IR no
+    episode has a revision, so ``revised`` is None.  With IR, the first k
+    episodes of a random order, for k from 0 to all of them, revise to a
+    program drawn afresh; the rest are unchanged (their own codes and
+    rewards objects, as ``sampled_episode`` leaves them).  So ``revised``
+    is empty, holds some episodes or holds them all, listed in that random
+    order.
     """
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     params = PolicyParams(weights=rng.normal(scale=2.0, size=(5, N_FEATURES)))
@@ -1167,8 +1172,17 @@ def objective_batches(draw):
             step_rewards.append(0.0 if vanishes and a else draw(rewards))
         return tuple(steps), tuple(step_rewards)
 
+    count = draw(st.integers(min_value=1, max_value=16))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(min_value=1, max_value=8))] * count
+    else:
+        lengths = draw(
+            st.lists(st.integers(min_value=1, max_value=8), min_size=count, max_size=count)
+        )
+    order = draw(st.permutations(range(count)))
+    changed = set(order[: draw(st.integers(min_value=0, max_value=count))])
     episodes = []
-    for m in draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=16)):
+    for i, m in enumerate(lengths):
         vanishing = draw(st.lists(st.booleans(), min_size=m, max_size=m))
         features = rng.normal(size=(m, N_FEATURES))
         features[:, -1] = vanishing
@@ -1176,12 +1190,12 @@ def objective_batches(draw):
         episode = Sample(
             features, step_distributions(params, features), steps, step_rewards
         )
-        if ir and draw(st.booleans()):  # revision changed nothing
-            episode.revised = steps, step_rewards
-        elif ir:
+        if ir and i in changed:
             episode.revised = scored(vanishing)
+        elif ir:  # revision changed nothing
+            episode.revised = steps, step_rewards
         episodes.append(episode)
-    return params, episodes, lam
+    return params, episodes, lam, order
 
 
 @st.composite
@@ -1270,8 +1284,8 @@ class TestBatchObjective:
     @settings(max_examples=300, deadline=None)
     @given(objective_batches())
     def test_equals_per_episode_per_step_reference(self, case):
-        params, episodes, lam = case
-        values, grads = stacked_objective(episodes, lam)
+        params, episodes, lam, order = case
+        values, grads = stacked_objective(episodes, lam, order)
         assert values.shape == (len(episodes),)
         assert grads.shape == (len(episodes),) + params.weights.shape
         for episode, value, grad in zip(episodes, values, grads):
@@ -1280,6 +1294,19 @@ class TestBatchObjective:
             assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
             assert grad.tobytes() == expected_grad.tobytes()
             one_value, one_grad = hybrid(episode, lam)
+            assert np.float64(one_value).tobytes() == np.float64(value).tobytes()
+            assert one_grad.tobytes() == grad.tobytes()
+
+    def test_batch_of_more_steps_than_the_step_indices(self):
+        # ``_score`` slices its step indices from a module constant; a
+        # batch longer than that constant scores each episode as alone
+        _, _, _, episodes = random_episodes(0)
+        steps = sum(len(e.codes) for e in episodes)
+        many = episodes * (len(natlog.trainer._STEPS) // steps + 1)
+        values, grads = stacked_objective(many, 0.5, None)
+        assert any(e.revised[0] is not e.codes for e in many)
+        for episode, value, grad in zip(many, values, grads):
+            one_value, one_grad = hybrid(episode, 0.5)
             assert np.float64(one_value).tobytes() == np.float64(value).tobytes()
             assert one_grad.tobytes() == grad.tobytes()
 
@@ -1307,17 +1334,19 @@ class TestBatchObjective:
                 batch_objective([], 0.5, empty, empty, np.zeros(0, np.intp), revised)
 
 
-def stacked(episodes):
+def stacked(episodes, order=None):
     """The ``batch_objective`` arguments of ``Sample`` records, stacked as
     ``train`` stacks a batch: an unchanged revision (its own codes and
     rewards objects) is not in ``revised``, which is None when no episode
-    is revised."""
+    is revised and lists the changed episodes in ``order``, by default in
+    episode order as ``train`` lists them."""
     revised = None
     if episodes[0].revised is not None:
         revised = {
-            i: e.revised
-            for i, e in enumerate(episodes)
-            if e.revised[0] is not e.codes or e.revised[1] is not e.rewards
+            i: episodes[i].revised
+            for i in (range(len(episodes)) if order is None else order)
+            if episodes[i].revised[0] is not episodes[i].codes
+            or episodes[i].revised[1] is not episodes[i].rewards
         }
     return (
         [e.rewards for e in episodes],
@@ -1328,8 +1357,8 @@ def stacked(episodes):
     )
 
 
-def stacked_objective(episodes, lam):
-    rewards, probs, features, codes, revised = stacked(episodes)
+def stacked_objective(episodes, lam, order):
+    rewards, probs, features, codes, revised = stacked(episodes, order)
     return batch_objective(rewards, lam, probs, features, codes, revised)
 
 
@@ -1875,6 +1904,31 @@ class TestTrainCallStructure:
         assert counts["introspective_revision"] == revising
         assert counts["queue_from_keys"] == revising + counts["grid_search"]
         assert any(clashes for *_, clashes in episodes) == knowledge
+
+    def test_proposals_once_per_distinct_flags(self, monkeypatch, capsys):
+        # a train call derives each distinct tuple of record flags' proposal
+        # keys once, and only when knowledge-driven revision reads them;
+        # evaluation, compilation and ``natlog prove`` derive none
+        examples = natlog.generate(natlog.default_genspec(), RULES)[0]
+        augmented = augment(examples)[0]
+        compiled, _ = compile_examples(augmented, RULES, LEX)
+        flags = {tuple(f for _, f in item.records) for item in compiled}
+        assert (len(compiled), len(flags)) == (2816, 9)
+        counts = collections.Counter()
+        count_calls(monkeypatch, counts, knowledge, "keys_from_records")
+        train(examples, RULES, LEX, TrainConfig(epochs=1))
+        assert counts == {"keys_from_records": 9}
+        counts.clear()
+        for config in (
+            TrainConfig(epochs=1, introspective_revision=False),
+            TrainConfig(epochs=1, knowledge=False),
+        ):
+            train(examples[::40], RULES, LEX, config)
+        compiled, _ = compile_examples(augmented, RULES, LEX)
+        natlog.evaluate(augmented[::7], PolicyParams.zeros(), RULES, LEX)
+        assert natlog.cli.main(["prove", "some dogs run", "some animals run"]) == 0
+        capsys.readouterr()
+        assert not counts
 
     def test_default_train_chunks_each_sentence_once(self, monkeypatch):
         # relation augmentation and compilation share one chunking: the
