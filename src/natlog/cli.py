@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+from ._text import config_lines
 from .chunker import ChunkRules, default_rules
 from .data import (
     Example,
@@ -65,12 +66,17 @@ def _lexicon(args) -> Lexicon:
 
 @contextlib.contextmanager
 def _naming(path: str, config: Optional[str] = None) -> Iterator[None]:
-    """Prefix a ValueError raised inside with the dataset path, or with the
-    train config's path when the config's epochs make too long a run."""
+    """Prefix a ValueError raised inside with the dataset path, or with
+    ``path:line`` of the train config's ``epochs`` entry when its epochs
+    make too long a run."""
     try:
         yield
     except ValueError as exc:
-        blamed = config if config and isinstance(exc, _TooManyEpisodes) else path
+        blamed = path
+        if config and isinstance(exc, _TooManyEpisodes):
+            for lineno, line in config_lines(config):
+                if line.partition("=")[0].strip() == "epochs":
+                    blamed = f"{config}:{lineno}"
         raise ValueError(f"{blamed}: {exc}") from None
 
 

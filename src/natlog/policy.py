@@ -174,27 +174,31 @@ class Compiled:
         return keys_from_records(self.records)
 
 
-def _share_proposals(compiled: Iterable[Compiled]) -> None:
-    """Give every example the proposals of the first example with its flags.
+def _share_proposals(compiled: Iterable[Compiled]) -> list[Compiled]:
+    """Give every example the proposals of the first example with its flags,
+    and return the first example of each distinct ``row_ids``.
 
     The keys depend only on the records' lexical flags, so
     ``keys_from_records`` runs once per distinct tuple of flags, and every
     example of that tuple holds the same keys.  Rows are keyed by value, so
     equal ``row_ids`` mean equal flags: an example whose ids were seen
-    before takes their keys without building its flags.  The memo lives for
-    one call; ``train`` makes it once, and evaluation computes no proposals.
+    before takes the keys of the first example with them, and only that
+    one builds its flags.  The memo lives for one call; ``train`` makes it
+    once, and evaluation computes no proposals.
     """
-    by_ids: dict = {}  # row_ids -> proposals
+    firsts: dict = {}  # row_ids -> the first example with them
     by_flags: dict = {}  # flags of each step -> proposals
     for item in compiled:
-        keys = by_ids.get(item.row_ids)
-        if keys is None:
+        first = firsts.setdefault(item.row_ids, item)
+        if first is item:
             flags = tuple([step_flags for _, step_flags in item.records])
-            keys = by_flags.get(flags)
-            if keys is None:
-                keys = by_flags[flags] = item.proposals
-            by_ids[item.row_ids] = keys
+            if flags not in by_flags:
+                by_flags[flags] = item.proposals
+            keys = by_flags[flags]
+        else:
+            keys = first.proposals
         item.proposals = keys  # fills the cached_property's slot
+    return list(firsts.values())
 
 
 def compile_examples(

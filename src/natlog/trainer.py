@@ -193,7 +193,6 @@ Target = NLILabel | Relation
 
 _ONEHOT = np.eye(len(ACTIONS))  # row a: onehot(a) in canonical action order
 _EQUIVALENCE = Relation.EQUIVALENCE.code
-_STEPS = np.arange(1024)  # a batch's step indices, sliced per ``_score`` call
 
 # Seeds and episode ordinals stay below 2**32, where each is one entropy
 # word of SeedSequence([seed, ordinal]), the only case _stream_words derives.
@@ -458,9 +457,7 @@ def _score(
     leaves the running sum as it is.  Returns J (P,) and the gradients
     (P, n_actions, n_features).
     """
-    size = len(probs)
-    at = _STEPS[:size] if size <= len(_STEPS) else np.arange(size)
-    chosen = probs[at, codes]
+    chosen = probs[np.arange(len(probs)), codes]
     log_terms = np.log(chosen, out=np.zeros(len(chosen)), where=rewards != 0.0)
     log_terms *= rewards
     # ``take`` gathers rows as indexing by an array does, with less
@@ -812,11 +809,12 @@ def run_episode(
     Without introspective revision the episode is one lookup by (class,
     ``tuple(steps)``).  With it, ``rows`` holds the policy's distribution
     at each step, as lists of Python floats, and ``uniforms`` the
-    episode's ``_episode_width`` draws in [0, 1), of which revision reads
-    those past the first m.  An episode that takes every proposal key
-    (t, a) at its step t and reaches the target, one that revision cannot
-    change (module docstring), is returned unchanged with no events, no
-    queue built and neither ``rows`` nor ``uniforms`` read.  Every other
+    episode's draws in [0, 1), at least ``_episode_width([compiled], ...)``
+    of them, of which revision reads those past the first m.  An episode
+    that takes every proposal key (t, a) at its step t and reaches the
+    target, one that revision cannot change (module docstring), is
+    returned unchanged with no events, no queue built and neither ``rows``
+    nor ``uniforms`` read.  Every other
     one ranks its proposal keys in one ``queue_from_keys`` call and
     revises the program, whose rewards are looked up only when it changed.
     """
@@ -1002,12 +1000,18 @@ def _episode_uniforms(seed: int, ordinals: np.ndarray, width: int) -> np.ndarray
     return uniforms
 
 
-def _episode_width(item: Compiled, config: TrainConfig) -> int:
-    """The most uniforms an episode of ``item`` reads: one per step, and two
-    per proposal that revision may pop."""
-    if config.introspective_revision and config.knowledge:
-        return item.pair.m + 2 * min(config.max_revisions, len(item.proposals))
-    return item.pair.m
+def _episode_width(compiled: Sequence[Compiled], config: TrainConfig) -> int:
+    """The most uniforms an episode of ``compiled`` reads: one per step, and
+    two per proposal that revision may pop.  With knowledge-driven revision
+    every example first takes its flags' shared proposals
+    (``policy._share_proposals``); examples with equal row ids have equal m
+    and proposals, so one of each distinct ``row_ids`` is measured."""
+    if not (config.introspective_revision and config.knowledge):
+        return max(item.pair.m for item in compiled)
+    return max(
+        item.pair.m + 2 * min(config.max_revisions, len(item.proposals))
+        for item in _share_proposals(compiled)
+    )
 
 
 def train(
@@ -1054,11 +1058,7 @@ def train(
     params = params.copy() if params is not None else PolicyParams.zeros()
     table = OutcomeTable(config)
     classes = [table.classify(item.pair, item.target) for item in compiled]
-    if config.introspective_revision and config.knowledge:
-        _share_proposals(compiled)
-    # examples with equal row ids have equal m and proposals, so equal widths
-    kinds = {item.row_ids: item for item in compiled}.values()
-    width = max(_episode_width(item, config) for item in kinds)
+    width = _episode_width(compiled, config)
 
     ms = [item.pair.m for item in compiled]
     lengths = np.array(ms)

@@ -511,9 +511,9 @@ class TestErrors:
 
     def test_too_many_episodes_names_the_config(self, capsys, tmp_path):
         # the config's epochs make the run too long, so the error names the
-        # config; an error in the dataset still names the dataset
+        # config's epochs line; an error in the dataset still names the dataset
         cfg = tmp_path / "long.cfg"
-        cfg.write_text("epochs = 4294967296\n")
+        cfg.write_text("# a long run\nseed = 3\n\nepochs = 4294967296\n")
         examples = [
             natlog.Example("all dogs run", "all dogs sleep", natlog.NLILabel.CONTRADICTION),
             natlog.Example("some dogs run", "no dogs run", natlog.NLILabel.CONTRADICTION),
@@ -523,7 +523,7 @@ class TestErrors:
         save_dataset(examples, small)
         save_dataset(examples[:2] + [dataclasses.replace(examples[2], hypothesis="?!")], bad)
         for data, message in [
-            (small, f"{cfg}: 4294967296 epochs of 3 examples make more than 2**32 episodes"),
+            (small, f"{cfg}:4: 4294967296 epochs of 3 examples make more than 2**32 episodes"),
             (bad, f"{bad}: example 2 ('the dog runs'): cannot chunk an empty sentence"),
         ]:
             argv = ["train", "--data", str(data), "--config", str(cfg)]

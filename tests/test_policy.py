@@ -296,14 +296,18 @@ class TestCompileExamples:
     def test_shared_proposals_equal_each_examples_own(self, split_examples):
         # rows are keyed by value, so equal row ids mean equal flags and
         # equal proposal keys; ``_share_proposals`` gives the examples of
-        # equal flags one tuple of keys
+        # equal flags one tuple of keys and returns one example of each ids
         compiled, _ = compile_examples(split_examples, RULES, LEX)
         own = [keys_from_records(item.records) for item in compiled]
         by_ids = {}
         for item, keys in zip(compiled, own):
             assert by_ids.setdefault(item.row_ids, keys) == keys
         assert len(by_ids) < len(compiled)
-        policy._share_proposals(compiled)
+        firsts = {}  # each distinct row ids' first example, in order of sight
+        for item in compiled:
+            firsts.setdefault(item.row_ids, item)
+        shared = policy._share_proposals(compiled)
+        assert list(map(id, shared)) == list(map(id, firsts.values()))
         by_flags = {}
         for item, keys in zip(compiled, own):
             assert item.proposals == keys

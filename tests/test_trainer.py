@@ -151,7 +151,7 @@ class CountingDraws:
 def episode_uniforms(item, config, rng):
     """As many of ``rng``'s draws as an episode of ``item`` may read, as the
     row of Python floats ``train`` hands ``run_episode``."""
-    return rng.random(_episode_width(item, config)).tolist()
+    return rng.random(_episode_width([item], config)).tolist()
 
 
 def features_of(item, rows):
@@ -1294,19 +1294,6 @@ class TestBatchObjective:
             assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
             assert grad.tobytes() == expected_grad.tobytes()
             one_value, one_grad = hybrid(episode, lam)
-            assert np.float64(one_value).tobytes() == np.float64(value).tobytes()
-            assert one_grad.tobytes() == grad.tobytes()
-
-    def test_batch_of_more_steps_than_the_step_indices(self):
-        # ``_score`` slices its step indices from a module constant; a
-        # batch longer than that constant scores each episode as alone
-        _, _, _, episodes = random_episodes(0)
-        steps = sum(len(e.codes) for e in episodes)
-        many = episodes * (len(natlog.trainer._STEPS) // steps + 1)
-        values, grads = stacked_objective(many, 0.5, None)
-        assert any(e.revised[0] is not e.codes for e in many)
-        for episode, value, grad in zip(many, values, grads):
-            one_value, one_grad = hybrid(episode, 0.5)
             assert np.float64(one_value).tobytes() == np.float64(value).tobytes()
             assert one_grad.tobytes() == grad.tobytes()
 
